@@ -20,8 +20,7 @@ import numpy as np
 from . import catalog, equivariant, lagrangian, solitons, verify
 from .dcore import d_norm2
 from .errors import ParakahlerError, SpecValidationError
-from .geometry import mean_curvature
-from .lagrangian import angle_field, angle_identity_residual
+from .lagrangian import angle_field, identity_grid
 from .solitons import SolitonParams, SolitonState
 
 
@@ -52,35 +51,25 @@ def _write_csv(path, header, rows, footer=None):
 def _angle_rows(imm):
     """Per-node angle/curvature rows for an immersion."""
     field = angle_field(imm)
+    H, residual, reasons = identity_grid(imm, field)
     m, n = imm.m, imm.n
     header = ([f"u{i + 1}" for i in range(m)]
               + [f"x{j + 1}" for j in range(n)] + [f"y{j + 1}" for j in range(n)]
               + ["theta", "q", "degenerate"]
               + [f"Hx{j + 1}" for j in range(n)] + [f"Hy{j + 1}" for j in range(n)]
               + ["residual"])
-    rows = []
-    import itertools
-    for node in itertools.product(*[range(c) for c in imm.shape]):
-        coords = imm.coords(node)
-        F = imm.values[node]
-        usable = bool(field.usable[node])
-        theta = field.theta[node] if usable else math.nan
-        q = int(field.q[node]) if usable else -1
-        H = np.full((n, 2), math.nan)
-        resid = math.nan
-        if usable:
-            try:
-                H = mean_curvature(imm, node)
-                resid = angle_identity_residual(imm, node, field)
-            except ParakahlerError:
-                pass
-        rows.append(list(coords) + list(F[:, 0]) + list(F[:, 1])
-                    + [theta, q, 0 if usable else 1]
-                    + list(H[:, 0]) + list(H[:, 1]) + [resid])
+    coords = np.stack(np.meshgrid(*[a.nodes() for a in imm.axes], indexing="ij"), axis=-1)
+    table = np.concatenate([
+        coords, imm.values[..., 0], imm.values[..., 1],
+        np.stack([field.theta, field.q, ~field.usable], axis=-1),
+        H[..., 0], H[..., 1], residual[..., None],
+    ], axis=-1)
+    rows = table.reshape(-1, len(header)).tolist()
     footer = {
         "nondegenerate_regions": field.n_regions,
         "degenerate_nodes": int(field.degenerate.sum()),
         "max_theta_jump": _fmt(field.max_jump),
+        **{reason: int(mask.sum()) for reason, mask in reasons.items()},
     }
     for summary in field.region_summary():
         footer[f"region_{summary['region']}"] = (

@@ -86,9 +86,6 @@ class ParaComplex:
         """Euclidean magnitude sqrt(x^2 + y^2); a test metric, not geometric."""
         return math.hypot(self.x, self.y)
 
-    def is_null(self, tol: float = NULL_TOL) -> bool:
-        return abs(self.squared_norm()) <= tol * (self.x * self.x + self.y * self.y)
-
     def as_array(self) -> np.ndarray:
         return np.array([self.x, self.y])
 
@@ -104,14 +101,6 @@ def _coerce(v) -> ParaComplex:
 ZERO = ParaComplex(0.0, 0.0)
 ONE = ParaComplex(1.0, 0.0)
 TAU = ParaComplex(0.0, 1.0)
-
-
-def mul(a: ParaComplex, b: ParaComplex) -> ParaComplex:
-    return _coerce(a) * _coerce(b)
-
-
-def squared_norm(z: ParaComplex) -> float:
-    return _coerce(z).squared_norm()
 
 
 def exp_tau(theta: float) -> ParaComplex:

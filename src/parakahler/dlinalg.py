@@ -48,13 +48,6 @@ def basis_vector(n: int, j: int, tau: bool = False) -> np.ndarray:
     return v
 
 
-def from_real(x, y=None) -> np.ndarray:
-    """Assemble a D-vector from real part x and tau part y (default 0)."""
-    x = np.asarray(x, dtype=float)
-    y = np.zeros_like(x) if y is None else np.asarray(y, dtype=float)
-    return np.stack([x, y], axis=-1)
-
-
 def _check_dims(X, Y):
     if X.shape != Y.shape:
         raise DimensionMismatch(f"shapes {X.shape} and {Y.shape} differ")
@@ -171,15 +164,13 @@ def frame_matrix(frame) -> np.ndarray:
     return frame
 
 
-def max_omega(frame) -> float:
-    """Largest |omega(X_i, X_j)| over all frame pairs."""
-    frame = frame_matrix(frame)
-    m = frame.shape[0]
-    worst = 0.0
-    for i in range(m):
-        for j in range(i + 1, m):
-            worst = max(worst, abs(omega(frame[i], frame[j])))
-    return worst
+def max_omega(frame):
+    """Largest |omega(X_i, X_j)| over all frame pairs: a float for one frame
+    (m, n, 2), an array (...) for frames (..., m, n, 2)."""
+    frame = d_array(frame)
+    w = np.einsum("...in,...jn->...ij", frame[..., 0], frame[..., 1])
+    worst = np.max(np.abs(w - np.swapaxes(w, -2, -1)), axis=(-2, -1))
+    return float(worst) if frame.ndim == 3 else worst
 
 
 def _require_lagrangian(frame, tol):

@@ -3,18 +3,19 @@
 An immersion is sampled on a rectangular parameter grid (per-axis uniform
 spacing, optionally periodic).  All derivatives are order-2 central
 differences; non-periodic axes keep a 2-cell margin and raise BoundaryPoint
-inside it.  Per-node quantities:
+inside it.  Quantities:
 
-    jet                 first and second derivatives of the immersion
+    jet / grid_jet      first and second derivatives at a node / on the grid
     induced_metric      g_ij = <d_iF, d_jF> with signature and degeneracy
+    trace_mean_curvature  m H = (g^ab d_a d_b F)^perp, batched over nodes
     signed_gram_schmidt pivoted orthonormalization for indefinite metrics
     para_adapted_frame  orthonormal frame with e_{2i} = J e_{2i-1}
-    mean_curvature      H = (1/m) sum_i eps_i h(e_i, e_i)
     nijenhuis           integrability obstruction of a sampled J-field
 
-Normal projection solves the (indefinite but invertible) tangent Gram system
-instead of orthonormalizing the normal bundle, which avoids signature
-bookkeeping in codimension.
+The trace needs no orthonormal frame; Gram-Schmidt stays where a frame is
+the output.  Normal projection solves the (indefinite but invertible)
+tangent Gram system instead of orthonormalizing the normal bundle, which
+avoids signature bookkeeping in codimension.
 """
 
 from __future__ import annotations
@@ -109,6 +110,17 @@ class SampledImmersion:
         )
         return worst
 
+    def margin_mask(self, margin: int = JET_MARGIN) -> np.ndarray:
+        """Boolean grid of the nodes at least margin cells from every
+        non-periodic boundary."""
+        mask = np.ones(self.shape, dtype=bool)
+        for a, axis in enumerate(self.axes):
+            if not axis.periodic:
+                sl = [slice(None)] * self.m
+                sl[a] = np.r_[0:margin, axis.count - margin:axis.count]
+                mask[tuple(sl)] = False
+        return mask
+
     def require_margin(self, node: Sequence[int], margin: int = JET_MARGIN):
         if self.margin(node) < margin:
             raise BoundaryPoint(
@@ -116,16 +128,7 @@ class SampledImmersion:
             )
 
     def interior_nodes(self, margin: int = JET_MARGIN):
-        ranges = []
-        for a in self.axes:
-            if a.periodic:
-                ranges.append(range(a.count))
-            else:
-                ranges.append(range(margin, a.count - margin))
-        return itertools.product(*ranges)
-
-    def center_node(self) -> tuple[int, ...]:
-        return tuple(a.count // 2 for a in self.axes)
+        return [tuple(node) for node in np.argwhere(self.margin_mask(margin)).tolist()]
 
 
 def immersion_from_function(axes: Sequence[GridAxis], fn: Callable) -> SampledImmersion:
@@ -138,65 +141,68 @@ def immersion_from_function(axes: Sequence[GridAxis], fn: Callable) -> SampledIm
 
 @dataclass(frozen=True)
 class Jet:
-    first: np.ndarray   # (m, n, 2)
-    second: np.ndarray  # (m, m, n, 2)
+    first: np.ndarray   # (..., m, n, 2), leading axes index grid nodes
+    second: np.ndarray  # (..., m, m, n, 2)
 
 
-def _value(imm, node):
-    return imm.values[tuple(node)]
+def _first_differences(shifted, spacings) -> np.ndarray:
+    """Order-2 central first derivatives (..., m, n, 2) from shifted(deltas),
+    the samples offset by {axis: delta} cells; alike for one node and a grid."""
+    return np.stack([(shifted({a: +1}) - shifted({a: -1})) / (2.0 * h)
+                     for a, h in enumerate(spacings)], axis=-3)
+
+
+def _second_differences(shifted, spacings) -> np.ndarray:
+    """Order-2 central second derivatives (..., m, m, n, 2), as above."""
+    m = len(spacings)
+    second = [[None] * m for _ in range(m)]
+    for a, ha in enumerate(spacings):
+        second[a][a] = (shifted({a: +1}) - 2.0 * shifted({}) + shifted({a: -1})) / ha ** 2
+        for b in range(a + 1, m):
+            mixed = (shifted({a: +1, b: +1}) - shifted({a: +1, b: -1})
+                     - shifted({a: -1, b: +1}) + shifted({a: -1, b: -1}))
+            second[a][b] = second[b][a] = mixed / (4.0 * ha * spacings[b])
+    return np.stack([np.stack(row, axis=-3) for row in second], axis=-4)
 
 
 def jet(imm: SampledImmersion, node) -> Jet:
     """Order-2 central first and second derivatives at a node."""
     node = tuple(node)
     imm.require_margin(node)
-    m = imm.m
-    first = np.empty((m, imm.n, 2))
-    second = np.empty((m, m, imm.n, 2))
-    for a in range(m):
-        ha = imm.axes[a].spacing
-        plus = _shifted(imm, node, {a: +1})
-        minus = _shifted(imm, node, {a: -1})
-        first[a] = (plus - minus) / (2.0 * ha)
-        second[a, a] = (plus - 2.0 * _value(imm, node) + minus) / ha ** 2
-        for b in range(a + 1, m):
-            hb = imm.axes[b].spacing
-            pp = _shifted(imm, node, {a: +1, b: +1})
-            pm = _shifted(imm, node, {a: +1, b: -1})
-            mp = _shifted(imm, node, {a: -1, b: +1})
-            mm = _shifted(imm, node, {a: -1, b: -1})
-            second[a, b] = second[b, a] = (pp - pm - mp + mm) / (4.0 * ha * hb)
-    return Jet(first, second)
+
+    def shifted(deltas):
+        idx = list(node)
+        for axis, delta in deltas.items():
+            idx[axis] = imm.axes[axis].shift(idx[axis], delta)
+        return imm.values[tuple(idx)]
+
+    spacings = [a.spacing for a in imm.axes]
+    return Jet(_first_differences(shifted, spacings), _second_differences(shifted, spacings))
 
 
-def _shifted(imm, node, deltas):
-    idx = list(node)
-    for axis, delta in deltas.items():
-        idx[axis] = imm.axes[axis].shift(idx[axis], delta)
-    return imm.values[tuple(idx)]
+def _grid_shifted(imm):
+    """shifted(deltas) for every node at once, with jet's arithmetic per node."""
+    def shifted(deltas):
+        out = imm.values
+        for axis, delta in deltas.items():
+            out = np.roll(out, -delta, axis=axis)
+        return out
+    return shifted
 
 
 def coordinate_tangents(imm: SampledImmersion):
-    """Vectorized first derivatives on the whole grid.
+    """(tangents (*counts, m, n, 2), valid) on the whole grid; valid marks nodes
+    with the full jet margin (wrapped values elsewhere are garbage)."""
+    tangents = _first_differences(_grid_shifted(imm), [a.spacing for a in imm.axes])
+    return tangents, imm.margin_mask()
 
-    Returns (tangents, valid): tangents has shape (*counts, m, n, 2); valid
-    marks nodes with the full jet margin (wrapped values elsewhere are
-    garbage and must be masked).
-    """
-    tangents = np.empty(imm.shape + (imm.m, imm.n, 2))
-    for a, axis in enumerate(imm.axes):
-        plus = np.roll(imm.values, -1, axis=a)
-        minus = np.roll(imm.values, +1, axis=a)
-        tangents[..., a, :, :] = (plus - minus) / (2.0 * axis.spacing)
-    valid = np.ones(imm.shape, dtype=bool)
-    for a, axis in enumerate(imm.axes):
-        if not axis.periodic:
-            sl = [slice(None)] * imm.m
-            sl[a] = slice(0, JET_MARGIN)
-            valid[tuple(sl)] = False
-            sl[a] = slice(axis.count - JET_MARGIN, axis.count)
-            valid[tuple(sl)] = False
-    return tangents, valid
+
+def grid_jet(imm: SampledImmersion) -> tuple[Jet, np.ndarray]:
+    """jet at every node at once: (Jet with leading grid axes, valid) with
+    valid as in coordinate_tangents."""
+    tangents, valid = coordinate_tangents(imm)
+    second = _second_differences(_grid_shifted(imm), [a.spacing for a in imm.axes])
+    return Jet(tangents, second), valid
 
 
 @dataclass(frozen=True)
@@ -206,26 +212,28 @@ class InducedMetric:
     degenerate: bool
 
 
+def induced_gram(tangents: np.ndarray, tol_deg: float = DEGENERACY_TOL):
+    """(g, degenerate) for tangent frames (..., m, n, 2), batched over the
+    leading axes; degenerate where |det g| < tol * scale^m.
+
+    scale = sum_a |d_aF|^2 is the Euclidean tangent scale, which dominates
+    every |g_ij|.  The pointwise metric scale max|g_ij| would collapse with g
+    where the immersion meets the light cone (e.g. the null lines of
+    equivariant tori), leaving the relative test vacuous exactly there.
+    """
+    x, y = tangents[..., 0], tangents[..., 1]
+    g = np.sum(x[..., :, None, :] * x[..., None, :, :]
+               - y[..., :, None, :] * y[..., None, :, :], axis=-1)
+    scale = np.sum(d_grading2(tangents), axis=(-2, -1))
+    degenerate = (scale == 0.0) | (np.abs(np.linalg.det(g)) < tol_deg * scale ** g.shape[-1])
+    return g, degenerate
+
+
 def metric_from_tangents(tangents: np.ndarray, tol_deg: float = DEGENERACY_TOL) -> InducedMetric:
-    m = tangents.shape[0]
-    g = np.empty((m, m))
-    for i in range(m):
-        for j in range(i, m):
-            g[i, j] = g[j, i] = metric(tangents[i], tangents[j])
-    # Degeneracy is judged against the Euclidean tangent scale, which
-    # dominates every |g_ij|.  The pointwise metric scale max|g_ij| would
-    # collapse together with g where the immersion meets the light cone
-    # (e.g. the null lines of equivariant tori), leaving the relative test
-    # vacuous exactly where it matters.
-    scale = float(np.max(np.sum(d_grading2(tangents), axis=(-2, -1))))
-    detg = float(np.linalg.det(g))
-    degenerate = scale == 0.0 or abs(detg) < tol_deg * scale ** m
-    if degenerate:
-        signature = ()
-    else:
-        eig = np.linalg.eigvalsh(g)
-        signature = tuple(sorted((1 if e > 0 else -1 for e in eig), reverse=True))
-    return InducedMetric(g, signature, degenerate)
+    g, degenerate = induced_gram(tangents, tol_deg)
+    signature = () if degenerate else tuple(
+        sorted((1 if e > 0 else -1 for e in np.linalg.eigvalsh(g)), reverse=True))
+    return InducedMetric(g, signature, bool(degenerate))
 
 
 def induced_metric(imm: SampledImmersion, node, tol_deg: float = DEGENERACY_TOL) -> InducedMetric:
@@ -338,10 +346,11 @@ def para_adapted_frame(vectors, tol: float = 1e-8) -> GramSchmidtFrame:
 
 def normal_project(W, tangents, g) -> np.ndarray:
     """Metric-normal part of W: subtract the tangential solve of the Gram
-    system g lambda = <W, d_aF>."""
-    rhs = np.array([metric(W, tangents[a]) for a in range(tangents.shape[0])])
-    lam = np.linalg.solve(g, rhs)
-    return W - np.tensordot(lam, tangents, axes=1)
+    system g lambda = <W, d_aF>.  Batched over leading axes."""
+    x, y = tangents[..., 0], tangents[..., 1]
+    rhs = np.sum(W[..., None, :, 0] * x - W[..., None, :, 1] * y, axis=-1)
+    lam = np.linalg.solve(g, rhs[..., None])[..., 0]
+    return W - np.einsum("...a,...anc->...nc", lam, tangents)
 
 
 def second_fundamental_form(imm: SampledImmersion, node, tol_deg: float = DEGENERACY_TOL):
@@ -361,19 +370,40 @@ def second_fundamental_form(imm: SampledImmersion, node, tol_deg: float = DEGENE
     return h, gs
 
 
+def trace_mean_curvature(first: np.ndarray, second: np.ndarray,
+                         tol_deg: float = DEGENERACY_TOL):
+    """m H = (g^ab d_a d_b F)^perp for jets (..., m, n, 2), (..., m, m, n, 2)
+    batched over leading axes.
+
+    Returns (mH, g_inv, degenerate); mH and g_inv are nan where induced_gram
+    finds the metric degenerate.  The identity stands in for a degenerate g
+    before inversion, so the inverse never meets a singular matrix.
+    """
+    g, degenerate = induced_gram(first, tol_deg)
+    g = np.where(degenerate[..., None, None], np.eye(g.shape[-1]), g)
+    g_inv = np.linalg.inv(g)
+    g_inv[degenerate] = np.nan
+    mH = normal_project(np.einsum("...ab,...abnc->...nc", g_inv, second), first, g)
+    return mH, g_inv, degenerate
+
+
 def mean_curvature(imm: SampledImmersion, node, tol_deg: float = DEGENERACY_TOL) -> np.ndarray:
-    """H = (1/m) sum_i eps_i h(e_i, e_i) as a D^n vector (n, 2)."""
-    h, gs = second_fundamental_form(imm, node, tol_deg)
-    m = imm.m
-    H = np.zeros((imm.n, 2))
-    for i in range(m):
-        H += gs.signature[i] * h[i, i]
-    return H / m
+    """H = (1/m) sum_i eps_i h(e_i, e_i) as a D^n vector (n, 2), by
+    trace_mean_curvature of the node's jet."""
+    jt = jet(imm, node)
+    mH, _, degenerate = trace_mean_curvature(jt.first, jt.second, tol_deg)
+    if degenerate:
+        raise DegenerateMetric(f"induced metric degenerate at node {tuple(node)}")
+    return mH / imm.m
 
 
-def mean_curvature_trace(imm: SampledImmersion, node, tol_deg: float = DEGENERACY_TOL) -> np.ndarray:
-    """Un-normalized trace sum_i eps_i h(e_i, e_i) = m H."""
-    return imm.m * mean_curvature(imm, node, tol_deg)
+def grid_mean_curvature(imm: SampledImmersion):
+    """trace_mean_curvature at every node: (jet, mH, g_inv, has_H) with the
+    grid jet; has_H marks the nodes with the full jet margin and a
+    non-degenerate metric, where H = mH / m equals mean_curvature."""
+    jt, valid = grid_jet(imm)
+    mH, g_inv, degenerate = trace_mean_curvature(jt.first, jt.second)
+    return jt, mH, g_inv, valid & ~degenerate
 
 
 def position_normal_part(imm: SampledImmersion, node, tol_deg: float = DEGENERACY_TOL) -> np.ndarray:
@@ -382,7 +412,7 @@ def position_normal_part(imm: SampledImmersion, node, tol_deg: float = DEGENERAC
     im = metric_from_tangents(jt.first, tol_deg)
     if im.degenerate:
         raise DegenerateMetric(f"induced metric degenerate at node {tuple(node)}")
-    return normal_project(_value(imm, node), jt.first, im.g)
+    return normal_project(imm.values[tuple(node)], jt.first, im.g)
 
 
 # ---------------------------------------------------------------------------
@@ -442,10 +472,6 @@ def _field_at(jf: JField, F, node) -> np.ndarray:
     return np.asarray(F(jf.coords(node)), dtype=float)
 
 
-def _j_of(jf, node):
-    return jf.mats[tuple(node)]
-
-
 def _directional(jf: JField, F, node, direction: np.ndarray) -> np.ndarray:
     """Directional derivative sum_k dir_k d_k F by central differences."""
     out = np.zeros(jf.dim)
@@ -496,7 +522,7 @@ def nijenhuis(jf: JField, node, X, Y, tol_structure: float = 1e-8) -> np.ndarray
     Y = _as_field(Y, jf.dim)
     JX = j_apply_field(jf, X)
     JY = j_apply_field(jf, Y)
-    J = _j_of(jf, node)
+    J = jf.mats[tuple(node)]
     return (
         lie_bracket(jf, X, Y, node)
         + lie_bracket(jf, JX, JY, node)

@@ -29,9 +29,8 @@ import numpy as np
 
 from . import dcore
 from .dcore import ParaComplex, d_array, d_grading2, d_mul, d_norm2, d_polar
-from .dlinalg import LagrangianAngle, apply_J, det_D, metric
+from .dlinalg import LagrangianAngle, apply_J, det_D, max_omega, metric
 from .errors import (
-    BoundaryPoint,
     DegenerateMetric,
     DegeneratePairing,
     LagrangianViolation,
@@ -40,25 +39,24 @@ from .errors import (
 )
 from .geometry import (
     DEGENERACY_TOL,
+    JET_MARGIN,
     GridAxis,
     SampledImmersion,
     coordinate_tangents,
+    grid_mean_curvature,
     jet,
-    mean_curvature,
-    metric_from_tangents,
+    trace_mean_curvature,
 )
+
+
+RESIDUAL_MARGIN = JET_MARGIN + 1  # theta is differentiated once more
 
 
 def is_lagrangian(imm: SampledImmersion, node, tol: float = 1e-8) -> bool:
     """max |omega(d_iF, d_jF)| <= tol * scale at the node."""
     first = jet(imm, node).first
     scale = max(float(np.max(d_grading2(first))), 1e-300)
-    worst = 0.0
-    for i in range(imm.m):
-        for j in range(i + 1, imm.m):
-            w = np.sum(first[i, :, 0] * first[j, :, 1] - first[i, :, 1] * first[j, :, 0])
-            worst = max(worst, abs(float(w)))
-    return worst <= tol * scale
+    return max_omega(first) <= tol * scale
 
 
 @dataclass(frozen=True)
@@ -124,17 +122,8 @@ def angle_field(imm: SampledImmersion, tol_deg: float = DEGENERACY_TOL,
     """
     tangents, valid = coordinate_tangents(imm)
     if check:
-        worst = 0.0
-        scale = 1e-300
-        for i in range(imm.m):
-            for j in range(i + 1, imm.m):
-                w = np.sum(
-                    tangents[..., i, :, 0] * tangents[..., j, :, 1]
-                    - tangents[..., i, :, 1] * tangents[..., j, :, 0],
-                    axis=-1,
-                )
-                worst = max(worst, float(np.max(np.abs(w[valid]))))
-        scale = max(float(np.max(d_grading2(tangents[valid]))), scale)
+        worst = float(np.max(max_omega(tangents)[valid]))
+        scale = max(float(np.max(d_grading2(tangents[valid]))), 1e-300)
         if worst > lagrangian_tol * scale:
             raise LagrangianViolation(
                 f"tangent frames are not Lagrangian (max |omega| = {worst:.3e})"
@@ -175,18 +164,26 @@ def angle_field(imm: SampledImmersion, tol_deg: float = DEGENERACY_TOL,
     return AngleField(imm, theta, q, null | small, valid, region, rid, max_jump)
 
 
+def _residual_norm(mH, g_inv, first, dtheta):
+    """Batched grading norm of m*H - J grad(beta), grad(beta) = g^ab (d_b theta) d_aF."""
+    lam = np.einsum("...ab,...b->...a", g_inv, dtheta)
+    grad_beta = np.einsum("...a,...anc->...nc", lam, first)
+    return np.sqrt(np.sum(d_grading2(mH - apply_J(grad_beta)), axis=-1))
+
+
 def angle_identity_residual(imm: SampledImmersion, node,
                             field: AngleField | None = None,
                             tol_deg: float = DEGENERACY_TOL) -> float:
     """Grading norm of m*H - J grad(beta) at a node (zero to O(h^2)).
 
     grad(beta) = sum_ij g^ij (d_i theta) d_jF with theta differentiated
-    centrally on the angle field; neighbors must be non-degenerate.
+    centrally on the angle field; neighbors must be non-degenerate.  One
+    node of identity_grid, from that node's jet alone.
     """
     if field is None:
         field = angle_field(imm, tol_deg)
     node = tuple(node)
-    imm.require_margin(node, margin=3)
+    imm.require_margin(node, margin=RESIDUAL_MARGIN)
     if not field.usable[node]:
         raise DegenerateMetric(f"angle undefined at node {node}")
     dtheta = np.empty(imm.m)
@@ -197,14 +194,40 @@ def angle_identity_residual(imm: SampledImmersion, node,
             raise DegenerateMetric(f"angle stencil at {node} hits a degenerate node")
         dtheta[a] = (field.theta[up] - field.theta[dn]) / (2.0 * axis.spacing)
     jt = jet(imm, node)
-    im = metric_from_tangents(jt.first, tol_deg)
-    if im.degenerate:
+    mH, g_inv, degenerate = trace_mean_curvature(jt.first, jt.second, tol_deg)
+    if degenerate:
         raise DegenerateMetric(f"induced metric degenerate at {node}")
-    lam = np.linalg.solve(im.g, dtheta)
-    grad_beta = np.tensordot(lam, jt.first, axes=1)
-    H = mean_curvature(imm, node, tol_deg)
-    residual = imm.m * H - apply_J(grad_beta)
-    return float(np.sqrt(np.sum(d_grading2(residual))))
+    return float(_residual_norm(mH, g_inv, jt.first, dtheta))
+
+
+def identity_grid(imm: SampledImmersion, field: AngleField):
+    """mean_curvature and angle_identity_residual at every node in one batched
+    pass: grid_mean_curvature, then central differences of theta.
+
+    Returns (H, residual, reasons): H (*counts, n, 2) and residual (*counts)
+    are nan where undefined; reasons maps each cause of a nan on a usable
+    node to its mask, each node under the first that applies:
+    h_nan_degenerate_metric (H and residual), residual_nan_margin (within 3
+    cells of a non-periodic edge), residual_nan_stencil (an unusable theta
+    neighbour).
+    """
+    usable = field.usable
+    jt, mH, g_inv, has_H = grid_mean_curvature(imm)
+    has_H &= usable
+    dtheta = np.empty(imm.shape + (imm.m,))
+    full_stencil = usable.copy()
+    for a, axis in enumerate(imm.axes):
+        dtheta[..., a] = ((np.roll(field.theta, -1, axis=a) - np.roll(field.theta, +1, axis=a))
+                          / (2.0 * axis.spacing))
+        full_stencil &= np.roll(usable, -1, axis=a) & np.roll(usable, +1, axis=a)
+    in_margin = has_H & ~imm.margin_mask(RESIDUAL_MARGIN)
+    has_residual = has_H & ~in_margin & full_stencil
+    H = np.where(has_H[..., None, None], mH / imm.m, np.nan)
+    residual = np.where(has_residual, _residual_norm(mH, g_inv, jt.first, dtheta), np.nan)
+    reasons = {"h_nan_degenerate_metric": usable & ~has_H,
+               "residual_nan_margin": in_margin,
+               "residual_nan_stencil": has_H & ~in_margin & ~full_stencil}
+    return H, residual, reasons
 
 
 def triple_tensor(imm: SampledImmersion, node, i: int, j: int, k: int) -> float:

@@ -60,6 +60,22 @@ def test_angle_command_torus(tmp_path):
     assert len(data_rows) == 32 * 16
 
 
+def test_angle_footer_counts_nan_reasons(tmp_path):
+    spec = tmp_path / "torus.json"
+    spec.write_text(json.dumps(torus_spec()), encoding="utf-8")
+    out = tmp_path / "torus.csv"
+    assert main(["angle", "--spec", str(spec), "--out", str(out)]) == 0
+    lines = read_lines(out)
+    rows = [l.split(",") for l in lines[1:] if not l.startswith("#")]
+    usable_nan = sum(1 for r in rows if r[8] == "0" and r[-1] == "nan")
+    counts = {key: int(footer_value(lines, key)) for key in (
+        "h_nan_degenerate_metric", "residual_nan_margin", "residual_nan_stencil")}
+    # a periodic torus has no margin; the nan residuals border the null lines
+    assert counts["residual_nan_margin"] == 0
+    assert counts["residual_nan_stencil"] > 0
+    assert sum(counts.values()) == usable_nan
+
+
 def test_angle_command_deterministic(tmp_path):
     spec = tmp_path / "torus.json"
     spec.write_text(json.dumps(torus_spec()), encoding="utf-8")

@@ -20,14 +20,12 @@ def main() -> int:
     ap.add_argument("--n", type=int, default=2)
     ap.add_argument("--lambda-prime", type=float, default=1.0)
     ap.add_argument("--out-dir", default="out/phase")
-    ap.add_argument("--jobs", type=int, default=1)
     args = ap.parse_args()
     return cli_main([
         "phase", "--n", str(args.n), "--lambda-prime", str(args.lambda_prime),
         "--case", "lorentzian", "--r-min", "0.4", "--r-max", "2.6",
         "--r-count", "8", "--alpha-min", "-1.0", "--alpha-max", "1.0",
-        "--alpha-count", "7", "--smax", "10", "--jobs", str(args.jobs),
-        "--out-dir", args.out_dir,
+        "--alpha-count", "7", "--smax", "10", "--out-dir", args.out_dir,
     ])
 
 

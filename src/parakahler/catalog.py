@@ -273,7 +273,7 @@ def build(doc: dict):
                                   params.get("phi0", 0.0))
     prof_axis = axes[0]
     span = max(abs(prof_axis.lo), abs(prof_axis.hi))
-    traj = solitons.integrate_bidirectional(state, p, span, rtol=1e-12, atol=1e-14)
+    traj = solitons.integrate_bidirectional(state, p, span, rtol=1e-12)
     s_lo = max(prof_axis.lo, float(traj.s[0]))
     s_hi = min(prof_axis.hi, float(traj.s[-1]))
     curve = solitons.reconstruct_profile(traj, count=prof_axis.count,

@@ -39,11 +39,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _write_csv(path, header, rows, footer=None):
+    """Header, rows and '# key=value' footer lines.  Each column keeps the
+    type of its first row: strings pass through, numbers print as _fmt does
+    ('%.17g' % nan is 'nan'), so one format string serves every row."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) if not isinstance(v, str) else v
-                              for v in row) + "\n")
+        if rows:
+            fmt = ",".join("%s" if isinstance(v, str) else "%.17g" for v in rows[0]) + "\n"
+            fh.writelines(fmt % tuple(row) for row in rows)
         for key, value in (footer or {}).items():
             fh.write(f"# {key}={value}\n")
 
@@ -144,10 +147,8 @@ def cmd_soliton(args) -> int:
     traj = integrate(state, params, args.smax, rtol=args.rtol)
     tag = solitons.classify(traj)
     scale = max(abs(traj.E0), solitons.radial_weight(args.r, params))
-    rows = []
-    for s, st in zip(traj.s, traj.states):
-        E = solitons.first_integral(SolitonState(*st), params)
-        rows.append([s, st[0], st[1], st[2], E, abs(E - traj.E0) / scale])
+    E = solitons.energy(traj.states, params)
+    rows = np.column_stack([traj.s, traj.states, E, np.abs(E - traj.E0) / scale]).tolist()
     footer = {
         "classification": tag,
         "stop_reason": traj.stop_reason,
@@ -159,42 +160,27 @@ def cmd_soliton(args) -> int:
     return 0
 
 
-def _phase_one(task):
-    (n, lam, case, r0, a0, smax, rtol) = task
-    params = SolitonParams(n, lam, case)
-    traj = solitons.integrate_bidirectional(SolitonState(r0, a0, 0.0), params,
-                                            smax, rtol=rtol)
-    tag = solitons.classify(traj)
-    return traj, tag
-
-
 def cmd_phase(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    tasks = []
-    for r0 in np.linspace(args.r_min, args.r_max, args.r_count):
-        for a0 in np.linspace(args.alpha_min, args.alpha_max, args.alpha_count):
-            tasks.append((args.n, args.lambda_prime, args.case,
-                          float(r0), float(a0), args.smax, args.rtol))
-    if args.jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_phase_one, tasks))
-    else:
-        results = [_phase_one(t) for t in tasks]
+    params = SolitonParams(args.n, args.lambda_prime, args.case)
+    starts = [(float(r0), float(a0), 0.0)
+              for r0 in np.linspace(args.r_min, args.r_max, args.r_count)
+              for a0 in np.linspace(args.alpha_min, args.alpha_max, args.alpha_count)]
+    trajs = solitons.integrate_bidirectional_many(params, starts, args.smax,
+                                                  rtol=args.rtol)
     index_rows = []
-    for i, ((traj, tag), task) in enumerate(zip(results, tasks)):
+    for i, ((r0, a0, _), traj) in enumerate(zip(starts, trajs)):
+        tag = solitons.classify(traj)
         name = f"traj_{i:04d}.csv"
-        rows = [[s, st[0], st[1], st[2]] for s, st in zip(traj.s, traj.states)]
-        _write_csv(out_dir / name, ["s", "r", "alpha", "phi"], rows,
+        _write_csv(out_dir / name, ["s", "r", "alpha", "phi"],
+                   np.column_stack([traj.s, traj.states]).tolist(),
                    {"classification": tag, "stop_reason": traj.stop_reason})
-        index_rows.append([task[3], task[4], traj.E0, tag, traj.stop_reason,
+        index_rows.append([r0, a0, traj.E0, tag, traj.stop_reason,
                            _fmt(traj.max_E_drift), name])
-    with open(out_dir / "index.csv", "w", encoding="utf-8", newline="") as fh:
-        fh.write("r0,alpha0,E,classification,stop_reason,max_E_drift,file\n")
-        for row in index_rows:
-            fh.write(",".join(v if isinstance(v, str) else _fmt(v)
-                              for v in row) + "\n")
+    _write_csv(out_dir / "index.csv",
+               ["r0", "alpha0", "E", "classification", "stop_reason", "max_E_drift",
+                "file"], index_rows)
     return 0
 
 
@@ -207,6 +193,7 @@ def cmd_normal_bundle(args) -> int:
         spec = lagrangian.flat_normal_bundle(2, 3)
     import itertools
     rows = []
+    nan_reasons = {}
     shape = spec.shape_ops.shape[:-3]
     ts = np.linspace(args.t_min, args.t_max, args.t_count)
     for node in itertools.product(*[range(c) for c in shape]):
@@ -215,11 +202,13 @@ def cmd_normal_bundle(args) -> int:
             try:
                 ang = lagrangian.normal_bundle_angle(spec, node, float(t))
                 q, theta = ang.q, ang.theta
-            except ParakahlerError:
+            except ParakahlerError as exc:
                 q, theta = -1, math.nan
+                key = f"nan_{type(exc).__name__}"
+                nan_reasons[key] = nan_reasons.get(key, 0) + 1
             rows.append(list(node) + [t, q, theta, 1 if austere else 0])
     header = [f"i{k}" for k in range(len(shape))] + ["t", "q", "theta", "austere"]
-    _write_csv(args.out, header, rows, {"shape": args.shape})
+    _write_csv(args.out, header, rows, {"shape": args.shape, **nan_reasons})
     return 0
 
 
@@ -347,7 +336,9 @@ def build_parser() -> _Parser:
     ph.add_argument("--alpha-count", type=int, default=5)
     ph.add_argument("--smax", type=float, default=10.0)
     ph.add_argument("--rtol", type=float, default=1e-12)
-    ph.add_argument("--jobs", type=int, default=1)
+    ph.add_argument("--jobs", type=int, default=1,
+                    help="accepted for compatibility; no effect (the whole grid "
+                         "is integrated in one batch)")
     ph.add_argument("--out-dir", required=True)
     ph.set_defaults(func=cmd_phase)
 

@@ -10,9 +10,10 @@ D-vector is stored as a float array of shape (n, 2) and a D-matrix as
              form of T*R^n: omega(e_i, tau e_j) = delta_ij)
     <<X,Y>>  = <X,Y> - tau omega(X,Y) = sum_j X_j conj(Y_j)
 
-The determinant over D is computed division-free: D has zero divisors, so
-elimination with division is unsound.  Leibniz expansion covers n <= 4 and
-Bird's iterated-elimination scheme (only ring products) covers larger sizes.
+D has zero divisors, so elimination with division over D is unsound; but
+x + tau y -> (x + y, x - y) is a ring isomorphism D = R x R, so det_D is two
+real determinants in these null coordinates (Leibniz expansion for n <= 4,
+LU beyond).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from itertools import permutations
 import numpy as np
 
 from . import dcore
-from .dcore import ParaComplex, d_array, d_conj, d_grading2, d_mul
+from .dcore import ParaComplex, d_array, d_conj, d_grading2
 from .errors import DegenerateMetric, DimensionMismatch, LagrangianViolation
 
 
@@ -88,69 +89,45 @@ def d_matmul(A, B) -> np.ndarray:
     return np.stack([re, im], axis=-1)
 
 
-_PERMS: dict[int, list] = {}
+_PERMS: dict[int, tuple] = {}
 
 
 def _perm_table(n: int):
+    """(columns (n!, n), signs (n!,)) of the permutations of range(n)."""
     table = _PERMS.get(n)
     if table is None:
-        table = []
-        for p in permutations(range(n)):
-            sign = 1
-            for i in range(n):
-                for j in range(i + 1, n):
-                    if p[i] > p[j]:
-                        sign = -sign
-            table.append((p, sign))
+        perms = np.array(list(permutations(range(n))), dtype=np.intp)
+        pairs = perms[:, :, None] > perms[:, None, :]
+        inversions = np.triu(pairs, k=1).sum(axis=(1, 2))
+        table = (perms, np.where(inversions % 2, -1.0, 1.0))
         _PERMS[n] = table
     return table
 
 
-def _det_leibniz(M: np.ndarray) -> np.ndarray:
-    n = M.shape[-2]
-    acc = np.zeros(M.shape[:-3] + (2,))
-    for perm, sign in _perm_table(n):
-        term = M[..., 0, perm[0], :]
-        for i in range(1, n):
-            term = d_mul(term, M[..., i, perm[i], :])
-        acc = acc + sign * term
-    return acc
-
-
-def _det_bird(M: np.ndarray) -> np.ndarray:
-    # Bird's division-free determinant: F_{k+1} = mu(F_k) A, with mu(X) the
-    # strictly upper part of X plus diag_i(-sum_{j>i} X_jj).  After n-1 steps
-    # the (0, 0) entry is (-1)^(n-1) det(A).  O(n^4) ring products, no
-    # division, hence safe in the presence of zero divisors.
-    n = M.shape[-2]
-    F = M.copy()
-    upper = np.triu(np.ones((n, n)), k=1)
-    for _ in range(n - 1):
-        diag = F[..., np.arange(n), np.arange(n), :]
-        suffix = np.flip(np.cumsum(np.flip(diag, axis=-2), axis=-2), axis=-2)
-        # mu diagonal: -(sum of trailing diagonal entries strictly below i)
-        mu = F * upper[..., None]
-        shifted = np.zeros_like(diag)
-        shifted[..., :-1, :] = suffix[..., 1:, :]
-        mu[..., np.arange(n), np.arange(n), :] = -shifted
-        F = d_matmul(mu, M)
-    sign = 1.0 if (n - 1) % 2 == 0 else -1.0
-    return sign * F[..., 0, 0, :]
+def _det_leibniz(R: np.ndarray) -> np.ndarray:
+    """Real determinants of (..., n, n) matrices by Leibniz expansion: row by
+    row, the products of all n! permutation terms at once."""
+    perms, signs = _perm_table(R.shape[-1])
+    terms = R[..., 0, perms[:, 0]]
+    for i in range(1, R.shape[-1]):
+        terms = terms * R[..., i, perms[:, i]]
+    return terms @ signs
 
 
 def det_D(M):
     """Determinant over D; ParaComplex for one matrix, (..., 2) for a batch.
 
+    x + tau y -> (x + y, x - y) is a ring isomorphism D = R x R, so det_D is
+    two real determinants in these null coordinates: Leibniz expansion for
+    n <= 4, LU (np.linalg.det) beyond, where real division is sound.
     Multiplicative: det(AB) = det(A) det(B) up to rounding.
     """
     M = d_array(M)
     if M.ndim < 3 or M.shape[-2] != M.shape[-3]:
         raise DimensionMismatch(f"not a square D-matrix: shape {M.shape}")
-    n = M.shape[-2]
-    if n <= 4:
-        out = _det_leibniz(M)
-    else:
-        out = _det_bird(M)
+    det = _det_leibniz if M.shape[-2] <= 4 else np.linalg.det
+    plus, minus = det(M[..., 0] + M[..., 1]), det(M[..., 0] - M[..., 1])
+    out = np.stack([(plus + minus) / 2.0, (plus - minus) / 2.0], axis=-1)
     if M.ndim == 3:
         return ParaComplex(float(out[0]), float(out[1]))
     return out

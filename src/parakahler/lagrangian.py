@@ -66,7 +66,7 @@ class AngleField:
     theta/q are valid where computed & ~degenerate; region labels connected
     non-degenerate patches (-1 elsewhere).  q is constant and theta is
     continuous on each region; max_jump records the worst theta step between
-    neighbors inside a region as a sanity bound.
+    usable neighbours (all of them lie inside a region) as a sanity bound.
     """
     imm: SampledImmersion
     theta: np.ndarray
@@ -144,7 +144,6 @@ def angle_field(imm: SampledImmersion, tol_deg: float = DEGENERACY_TOL,
 
     region = np.full(imm.shape, -1, dtype=int)
     rid = 0
-    max_jump = 0.0
     for start in itertools.product(*[range(c) for c in imm.shape]):
         if unusable[start] or region[start] >= 0:
             continue
@@ -153,15 +152,26 @@ def angle_field(imm: SampledImmersion, tol_deg: float = DEGENERACY_TOL,
         while queue:
             node = queue.popleft()
             for nbr in _neighbors(imm.axes, node):
-                if unusable[nbr]:
-                    continue
-                jump = abs(theta[nbr] - theta[node])
-                if region[nbr] < 0:
+                if not unusable[nbr] and region[nbr] < 0:
                     region[nbr] = rid
                     queue.append(nbr)
-                    max_jump = max(max_jump, jump)
         rid += 1
-    return AngleField(imm, theta, q, null | small, valid, region, rid, max_jump)
+    return AngleField(imm, theta, q, null | small, valid, region, rid,
+                      _max_jump(imm.axes, theta, ~unusable))
+
+
+def _max_jump(axes, theta, usable) -> float:
+    """Largest |theta step| over every pair of usable neighbours, each axis
+    with its periodic wrap."""
+    worst = 0.0
+    for a, axis in enumerate(axes):
+        pair = usable & np.roll(usable, -1, axis=a)
+        if not axis.periodic:
+            pair[(slice(None),) * a + (-1,)] = False
+        if pair.any():
+            step = np.abs(np.roll(theta, -1, axis=a) - theta)
+            worst = max(worst, float(step[pair].max()))
+    return worst
 
 
 def _residual_norm(mH, g_inv, first, dtheta):

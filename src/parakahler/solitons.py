@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
+from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from .dcore import d_exp_tau, d_grading2
@@ -65,7 +65,11 @@ R_MAX = 1e6
 # alpha ~ 30 the remaining s-interval shrinks under an ulp and no event can
 # be localized, so the cap stops integration while s is still resolvable.
 ALPHA_MAX = 30.0
+# |alpha| + |dalpha/ds| below which a definite trajectory stops
+# ("alpha_floor"; see integrate_many)
+ALPHA_FLOOR = 1e-5
 DRIFT_TOL = 1e-8
+_TINY = np.array(1e-300)
 
 
 @dataclass(frozen=True)
@@ -91,33 +95,56 @@ class SolitonState:
         return np.array([self.r, self.alpha, self.phi])
 
 
+class _Field:
+    """(dr/ds, dalpha/ds, dphi/ds) at states y (3, ...) for one
+    SolitonParams.  Constants are 0-d arrays: numpy combines those with
+    small arrays faster than Python floats.
+
+    r is floored at 1e-300 so that trial stages overshooting r = 0 stay
+    finite (the step is then rejected on its error estimate).
+    """
+
+    def __init__(self, params: SolitonParams):
+        self.definite = params.case == "definite"
+        self.neg_n = np.array(-float(params.n))
+        self.lam = np.array(float(params.lambda_prime))
+
+    def __call__(self, y, out=None):
+        if out is None:
+            out = np.empty(np.shape(y))
+        r = np.maximum(y[0], _TINY)
+        rate, v = (np.cosh, np.sinh) if self.definite else (np.sinh, np.cosh)
+        rate(y[1], out[0])
+        v = v(y[1])
+        np.multiply(self.neg_n / r + self.lam * r, v, out[1])
+        np.divide(v, r, out[2])
+        return out
+
+
 def vector_field(state: SolitonState, params: SolitonParams):
     """(dr/ds, dalpha/ds, dphi/ds) at a state with r > 0."""
     if state.r <= 0.0:
         raise NonpositiveRadius(f"r = {state.r}")
-    return tuple(_rhs(state.as_array(), params))
+    return tuple(float(v) for v in _Field(params)(state.as_array()[:, None])[:, 0])
 
 
-def _rhs(y, params):
-    r, a = y[0], y[1]
-    coeff = -params.n / r + params.lambda_prime * r
-    if params.case == "definite":
-        return np.array([math.cosh(a), coeff * math.sinh(a), math.sinh(a) / r])
-    return np.array([math.sinh(a), coeff * math.cosh(a), math.cosh(a) / r])
-
-
-def radial_weight(r: float, params: SolitonParams) -> float:
+def radial_weight(r, params: SolitonParams):
     """g(r) = r^n exp(-l' r^2 / 2), the radial factor of the first integral."""
-    return r ** params.n * math.exp(-params.lambda_prime * r * r / 2.0)
+    return r ** params.n * np.exp(-params.lambda_prime * r * r / 2.0)
+
+
+def energy(states, params: SolitonParams) -> np.ndarray:
+    """First integral at states (..., 3) with r > 0."""
+    r, a = states[..., 0], states[..., 1]
+    return radial_weight(r, params) * (np.sinh(a) if params.case == "definite"
+                                       else np.cosh(a))
 
 
 def first_integral(state: SolitonState, params: SolitonParams) -> float:
     """Conserved energy: g(r) sinh(alpha) (definite) or g(r) cosh(alpha)."""
     if state.r <= 0.0:
         raise NonpositiveRadius(f"r = {state.r}")
-    g = radial_weight(state.r, params)
-    return g * (math.sinh(state.alpha) if params.case == "definite"
-                else math.cosh(state.alpha))
+    return float(energy(state.as_array(), params))
 
 
 def critical_point(params: SolitonParams) -> SolitonState:
@@ -130,6 +157,29 @@ def energy_threshold(params: SolitonParams) -> float:
     """E0 = (n/l')^(n/2) exp(-n/2), the first integral at the critical point."""
     cp = critical_point(params)
     return first_integral(cp, params)
+
+
+@dataclass(frozen=True)
+class _Branch:
+    """Dense output of one integration direction: knots t (k+1,) ascending
+    from 0 and the states y (k+1, 3) there; per step its full length h (k,)
+    and interpolant coefficients Q (k, 3, 4).  A step cut short by an event
+    keeps its full h, the knot being the event."""
+    direction: float
+    t: np.ndarray
+    y: np.ndarray
+    h: np.ndarray
+    Q: np.ndarray
+
+    def __call__(self, t: np.ndarray) -> np.ndarray:
+        if not self.h.size:
+            return np.repeat(self.y[:1], t.size, axis=0)
+        seg = np.clip(np.searchsorted(self.t, t) - 1, 0, self.h.size - 1)
+        h = self.h[seg]
+        x = (t - self.t[seg]) / h
+        x2 = x * x
+        p = np.stack([x, x2, x2 * x, x2 * x * x], axis=-1)
+        return h[:, None] * np.einsum("kij,kj->ki", self.Q[seg], p) + self.y[seg]
 
 
 @dataclass
@@ -160,123 +210,319 @@ class Trajectory:
         """Dense-output interpolation of (r, alpha, phi) at given s values."""
         svals = np.atleast_1d(np.asarray(svals, dtype=float))
         out = np.empty((svals.size, 3))
-        for i, sv in enumerate(svals):
-            hit = None
-            for direction, sol, t_end in self._branches:
-                t = direction * sv
-                if -1e-12 <= t <= t_end * (1 + 1e-12):
-                    hit = sol(min(max(t, 0.0), t_end))
-                    break
-            if hit is None:
-                raise InvalidRange(f"s = {sv} outside the integrated span")
-            out[i] = hit
+        todo = np.ones(svals.size, dtype=bool)
+        for branch in self._branches:
+            t = branch.direction * svals
+            t_end = branch.t[-1]
+            hit = todo & (t >= -1e-12) & (t <= t_end * (1 + 1e-12))
+            out[hit] = branch(np.clip(t[hit], 0.0, t_end))
+            todo &= ~hit
+        if todo.any():
+            raise InvalidRange(f"s = {svals[todo][0]} outside the integrated span")
         return out
 
 
-def _drift(params, states, E0):
-    E = np.array([first_integral(SolitonState(*st), params) for st in states])
-    scale = max(abs(E0), radial_weight(states[0, 0], params), 1e-300)
-    return float(np.max(np.abs(E - E0))) / scale
+# Dormand-Prince 5(4) (Dormand & Prince 1980): stage rows of A, the 5th-order
+# weights B, the error weights E (5th minus 4th order, FSAL stage last) and
+# Shampine's 4th-order dense output P, as in Hairer-Norsett-Wanner II.5-6.
+_A = (None,
+      np.array([1 / 5]),
+      np.array([3 / 40, 9 / 40]),
+      np.array([44 / 45, -56 / 15, 32 / 9]),
+      np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
+      np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]))
+_B = np.array([35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84])
+_E = np.array([-71 / 57600, 0, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525,
+               1 / 40])
+_P = np.array([
+    [1, -8048581381 / 2820520608, 8663915743 / 2820520608,
+     -12715105075 / 11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200 / 32700410799, -68118460800 / 10900136933,
+     87487479700 / 32700410799],
+    [0, -1754552775 / 470086768, 14199869525 / 1410260304,
+     -10690763975 / 1880347072],
+    [0, 127303824393 / 49829197408, -318862633887 / 49829197408,
+     701980252875 / 199316789632],
+    [0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
+    [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423]])
+_EPS = np.finfo(float).eps
+# step control constants as 0-d arrays (see _Field): safety factor, error
+# exponent -1/(4 + 1), step factors 1/5 to 10, and the 10-ulp step floor
+_SAFETY, _EXPONENT = np.array(0.9), np.array(-0.2)
+_FIFTH, _ONE, _THREE, _TEN = (np.array(v) for v in (0.2, 1.0, 3.0, 10.0))
+_EVENTS = ("r_min", "r_max", "alpha_max", "alpha_floor")
 
 
-def integrate(initial: SolitonState, params: SolitonParams, s_max: float, *,
-              rtol: float = 1e-10, atol: float = 1e-12,
-              r_min: float = R_MIN, r_max: float = R_MAX,
-              alpha_max: float = ALPHA_MAX, drift_tol: float = DRIFT_TOL,
-              r_singular: float = 1e-3, direction: int = 1) -> Trajectory:
-    """Integrate the reduced system from an initial state.
+def _rms(x):
+    return np.sqrt(np.add.reduce(x * x) / _THREE)
 
-    Embedded RK45 with adaptive steps; stops at s_max, at r <= r_min,
-    r >= r_max, or |alpha| >= alpha_max (past which cosh overflows and the
-    trajectory is in its asymptotic blow-up).  Per-step energies are
-    recorded; the trajectory is accepted only if the max relative drift is
-    below drift_tol.
+
+def _events(y, dalpha, limits):
+    """Event functions (4, ...) at states y (3, ...) with alpha-rates dalpha:
+    r - r_min, r - r_max, |alpha| - alpha_max and |alpha| + |dalpha| -
+    alpha_floor for limits (4, 1); a stop is a sign change of its row."""
+    out = np.empty((4,) + np.shape(y[0]))
+    out[:2] = y[0]
+    np.abs(y[1], out=out[2])
+    np.abs(dalpha, out=out[3])
+    out[3] += out[2]
+    out -= limits
+    return out
+
+
+def _initial_step(y, f, field, sign, s_max, rtol, atol):
+    """Hairer-Norsett-Wanner's starting step per lane (II.4), as scipy picks
+    it; the lanes run along sign * f."""
+    scale = atol + np.abs(y) * rtol
+    d0, d1 = _rms(y / scale), _rms(f / scale)
+    h0 = np.minimum(np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1), s_max)
+    d2 = _rms((field(y + h0 * sign * f) - f) / scale) / h0
+    h1 = np.where((d1 <= 1e-15) & (d2 <= 1e-15), np.maximum(1e-6, h0 * 1e-3),
+                  (0.01 / np.maximum(d1, d2)) ** 0.2)
+    return np.minimum(np.minimum(100 * h0, h1), s_max)
+
+
+def _locate_event(hits, t_old, t_new, y_old, Q, field, limits):
+    """Earliest event of one lane's step on its interpolant y_old + h Q p(x):
+    (index, s, state)."""
+    h = t_new - t_old
+
+    def interp(t):
+        x = (t - t_old) / h
+        x2 = x * x
+        return (h * (Q @ np.array([x, x2, x2 * x, x2 * x * x])) + y_old)[:, None]
+
+    def g(t, e):
+        y = interp(t)
+        return float(_events(y, field(y)[1], limits)[e, 0])
+
+    roots = [brentq(g, t_old, t_new, args=(e,), xtol=4 * _EPS, rtol=4 * _EPS)
+             for e in hits]
+    k = int(np.argmin(roots))
+    return hits[k], roots[k], interp(roots[k])[:, 0]
+
+
+def _underflow_stop(y, r_singular):
+    if y[0] < r_singular:
+        return "r_singular"
+    if abs(y[1]) > 10.0:
+        return "alpha_blowup"
+    raise StepFailure(f"step size underflow at r = {y[0]:.6g}, alpha = {y[1]:.6g}")
+
+
+def integrate_many(params: SolitonParams, initial, directions, s_max: float, *,
+                   rtol: float = 1e-10, atol: float = 1e-14,
+                   r_min: float = R_MIN, r_max: float = R_MAX,
+                   alpha_max: float = ALPHA_MAX, drift_tol: float = DRIFT_TOL,
+                   r_singular: float = 1e-3) -> list[Trajectory]:
+    """Integrate the reduced system from many initial states in one batch.
+
+    initial is (L, 3) rows (r, alpha, phi) and directions (L,) or a scalar
+    +-1, the sign of s along which each lane runs.  All lanes advance
+    together through one Dormand-Prince 5(4) step per iteration, each with
+    its own step size: RMS error norm scaled by atol + rtol max(|y|, |y_new|),
+    safety 0.9, step factors 0.2 to 10 and no growth right after a
+    rejection, the starting step of Hairer-Norsett-Wanner -- step for step
+    the control of scipy's RK45.  A lane stops at s_max, or at the first
+    sign change of an event on its step's 4th-order interpolant (brentq to
+    4 ulp): r <= r_min, r >= r_max, |alpha| >= alpha_max (past which cosh
+    overflows and the trajectory is in its asymptotic blow-up), and for
+    definite lanes alpha_floor.  Finished lanes leave the batch.
 
     An r -> 0 end is reached at a finite parameter value s*; the remaining
     s-interval below r ~ 1e-4 is smaller than an ulp of s*, so the step size
-    underflows there before r can reach a tiny r_min.  Underflow with
-    r < r_singular is therefore reported as the stop "r_singular"; underflow
-    anywhere else raises StepFailure.
+    underflows (below 10 ulp of s) there before r can reach a tiny r_min.
+    Underflow with r < r_singular is therefore reported as the stop
+    "r_singular", with |alpha| > 10 as "alpha_blowup"; underflow anywhere
+    else raises StepFailure.
 
     In the definite case with a decaying angle the energy g(r) sinh(alpha)
     pairs an exploding factor with a collapsing one; once |alpha| reaches
-    alpha_min ~ atol/drift_tol the product is no longer resolvable in
+    alpha_floor ~ atol/drift_tol the product is no longer resolvable in
     doubles and integration stops with "alpha_floor" (the event also needs
     |dalpha/ds| small, so a transversal zero crossing of alpha never
     triggers it).
+
+    The energy is evaluated at every accepted state; a trajectory is
+    accepted only if its max drift relative to max(|E0|, g(r0)) is below
+    drift_tol.
     """
-    if initial.r <= r_min:
-        raise InvalidRange(f"initial r = {initial.r} must exceed r_min = {r_min}")
+    y0 = np.array(initial, dtype=float).reshape(-1, 3)
+    lanes = len(y0)
+    directions = np.broadcast_to(np.asarray(directions, dtype=float), (lanes,))
+    sign = directions.copy()
+    low = y0[:, 0] <= r_min
+    if low.any():
+        raise InvalidRange(f"initial r = {y0[low, 0][0]} must exceed r_min = {r_min}")
+    if not s_max > 0.0:
+        raise InvalidRange(f"s_max = {s_max} must be positive")
+    limits = np.array([[r_min], [r_max], [alpha_max], [ALPHA_FLOOR]])
 
-    def rhs(t, y):
-        r = y[0] if y[0] > 1e-300 else 1e-300
-        a = min(max(y[1], -745.0), 745.0)  # keep cosh/sinh finite in trials
-        coeff = -params.n / r + params.lambda_prime * r
-        if params.case == "definite":
-            return [direction * math.cosh(a), direction * coeff * math.sinh(a),
-                    direction * math.sinh(a) / r]
-        return [direction * math.sinh(a), direction * coeff * math.cosh(a),
-                direction * math.cosh(a) / r]
+    field = _Field(params)
+    rtol, atol, s_max = np.array(rtol), np.array(atol), np.array(float(s_max))
+    ids = np.arange(lanes)
+    y = y0.T.copy()
+    t = np.zeros(lanes)
+    # stages of the field f, unsigned: a lane runs along sign * f, so its
+    # steps use hs = sign * h; K[0] holds f(y) (first same as last)
+    K = np.empty((7, 3, lanes))
+    K2 = K.reshape(7, -1)
+    field(y, out=K[0])
+    h_abs = _initial_step(y, K[0], field, sign, s_max, rtol, atol)
+    rejected = np.zeros(lanes, dtype=bool)
+    retry = False                        # some lane retries a rejected step
+    armed = np.ones((4, lanes), dtype=bool)
+    armed[3] = params.case == "definite"
+    armed[3] &= np.abs(y[1]) > ALPHA_FLOOR
+    sg = np.sign(_events(y, K[0, 1], limits))
+    steps = []                           # per iteration: ids, accepted, t, h, y, Q
+    stops, ends = {}, {}
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        while ids.size:
+            min_step = _TEN * np.spacing(t)
+            if retry:
+                h_abs = np.where(rejected, h_abs, np.maximum(h_abs, min_step))
+                under = rejected & (h_abs < min_step)
+            else:
+                h_abs = np.maximum(h_abs, min_step)
+            t_new = np.minimum(t + h_abs, s_max)
+            h = t_new - t
+            hs = sign * h
+            for s in range(1, 6):
+                field(y + hs * (_A[s] @ K2[:s]).reshape(3, -1), out=K[s])
+            y_new = y + hs * (_B @ K2[:6]).reshape(3, -1)
+            field(y_new, out=K[6])
+            scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
+            err = _rms(hs * (_E @ K2).reshape(3, -1) / scale)
+            accepted = err < 1.0
+            factor = _SAFETY * err ** _EXPONENT
+            grow = np.minimum(_TEN, factor)
+            if retry:
+                accepted &= ~under
+                grow = np.where(rejected, np.minimum(_ONE, grow), grow)
+            Q = _P.T @ K2
+            steps.append((ids, accepted, t_new, h, y_new, Q))
+            sg_new = np.sign(_events(y_new, K[6, 1], limits))
+            fired = armed & (sg * sg_new <= 0)
+            t_old, y_old = t, y
+            if accepted.all():
+                h_abs = h * grow
+                y, t, sg = y_new, t_new, sg_new
+                K[0] = K[6]
+            else:
+                h_abs = h * np.where(accepted, grow, np.fmax(_FIFTH, factor))
+                fired &= accepted
+                y = np.where(accepted, y_new, y)
+                t = np.where(accepted, t_new, t)
+                sg = np.where(accepted, sg_new, sg)
+                np.copyto(K[0], K[6], where=accepted)
+            finished = (t >= s_max) | fired.any(axis=0)
+            if retry:
+                finished |= under
+            rejected = ~accepted
+            retry = not accepted.all()
+            if not finished.any():
+                continue
+            for j in np.flatnonzero(finished):
+                lane = int(ids[j])
+                if fired[:, j].any():
+                    e, root, state = _locate_event(
+                        np.flatnonzero(fired[:, j]), t_old[j], t_new[j], y_old[:, j],
+                        sign[j] * Q.reshape(4, 3, -1)[:, :, j].T, field, limits)
+                    stops[lane], ends[lane] = _EVENTS[e], (root, state)
+                elif t[j] >= s_max:
+                    stops[lane] = "s_max"
+                else:
+                    stops[lane] = _underflow_stop(y[:, j], r_singular)
+            keep = ~finished
+            ids, y, t, h_abs, rejected, sign = (
+                ids[keep], y[:, keep], t[keep], h_abs[keep], rejected[keep], sign[keep])
+            sg, armed = sg[:, keep], armed[:, keep]
+            K = np.ascontiguousarray(K[:, :, keep])
+            K2 = K.reshape(7, -1)
+            retry = bool(rejected.any())
 
-    def ev_rmin(t, y):
-        return y[0] - r_min
+    return _trajectories(params, y0, directions, steps, stops, ends, drift_tol)
 
-    def ev_rmax(t, y):
-        return y[0] - r_max
 
-    def ev_alpha(t, y):
-        return alpha_max - abs(y[1])
+def _trajectories(params, y0, directions, steps, stops, ends, drift_tol):
+    """One Trajectory per lane from integrate_many's per-iteration records
+    (ids, accepted, t, h, y, Q): the accepted steps of each lane in order,
+    the event state in place of the full step where an event stopped it."""
+    lanes = len(y0)
+    if steps:
+        lane = np.concatenate([st[0] for st in steps])
+        accepted = np.concatenate([st[1] for st in steps])
+        order = np.argsort(lane[accepted], kind="stable")
 
-    alpha_min = 1e-5
-    events = [ev_rmin, ev_rmax, ev_alpha]
-    names = ["r_min", "r_max", "alpha_max"]
-    if params.case == "definite" and abs(initial.alpha) > alpha_min:
-        def ev_afloor(t, y):
-            coeff = -params.n / max(y[0], 1e-300) + params.lambda_prime * y[0]
-            da = coeff * math.sinh(min(max(y[1], -745.0), 745.0))
-            return abs(y[1]) + abs(da) - alpha_min
+        def gather(k, shape):
+            x = np.concatenate([st[k].reshape(shape + (-1,)) for st in steps], axis=-1)
+            return np.moveaxis(x[..., accepted][..., order], -1, 0)
 
-        events.append(ev_afloor)
-        names.append("alpha_floor")
-    for ev in events:
-        ev.terminal = True
-    sol = solve_ivp(rhs, (0.0, s_max), initial.as_array(),
-                    method="RK45", rtol=rtol, atol=atol,
-                    events=events, dense_output=True)
-    if sol.status == -1:
-        if sol.y.size and sol.y[0, -1] < r_singular:
-            stop = "r_singular"
-        elif sol.y.size and abs(sol.y[1, -1]) > 10.0:
-            stop = "alpha_blowup"
-        else:
-            raise StepFailure(sol.message)
-    elif sol.status == 1:
-        fired = [name for name, te in zip(names, sol.t_events) if te.size]
-        stop = fired[0]
+        t_all, h_all = gather(2, ()), gather(3, ())
+        y_all, Q_all = gather(4, (3,)), np.swapaxes(gather(5, (4, 3)), 1, 2)
+        bounds = np.concatenate([[0], np.cumsum(np.bincount(lane[accepted],
+                                                            minlength=lanes))])
     else:
-        stop = "s_max"
-    s = direction * sol.t
-    states = sol.y.T
-    order = np.argsort(s)
-    s, states = s[order], states[order]
-    E0 = first_integral(initial, params)
-    drift = _drift(params, states, E0)
-    return Trajectory(params, s, states, E0, drift, drift < drift_tol, stop,
-                      _branches=((direction, sol.sol, float(sol.t[-1])),))
+        t_all, h_all = np.zeros(0), np.zeros(0)
+        y_all, Q_all = np.zeros((0, 3)), np.zeros((0, 3, 4))
+        bounds = np.zeros(lanes + 1, dtype=int)
+
+    out = []
+    for i in range(lanes):
+        seg = slice(bounds[i], bounds[i + 1])
+        knots = np.concatenate([[0.0], t_all[seg]])
+        states = np.concatenate([y0[i:i + 1], y_all[seg]])
+        h, Q = h_all[seg], directions[i] * Q_all[seg]
+        if i in ends:
+            root, state = ends[i]
+            if root > knots[-2]:
+                knots[-1], states[-1] = root, state
+            else:  # the event rounds onto the previous knot: drop the step
+                knots, states, h, Q = knots[:-1], states[:-1], h[:-1], Q[:-1]
+        branch = _Branch(float(directions[i]), knots, states, h, Q)
+        E = energy(states, params)
+        E0 = float(E[0])
+        scale = max(abs(E0), float(radial_weight(y0[i, 0], params)), 1e-300)
+        drift = float(np.max(np.abs(E - E0))) / scale
+        s = branch.direction * knots
+        if branch.direction < 0:
+            s, states = s[::-1], states[::-1]
+        out.append(Trajectory(params, s, states, E0, drift, drift < drift_tol,
+                              stops[i], _branches=(branch,)))
+    return out
+
+
+def integrate(initial: SolitonState, params: SolitonParams, s_max: float, *,
+              direction: int = 1, **kw) -> Trajectory:
+    """One trajectory along direction (+-1): one lane of integrate_many."""
+    return integrate_many(params, [initial.as_array()], direction, s_max, **kw)[0]
+
+
+def integrate_bidirectional_many(params: SolitonParams, initial, s_max: float,
+                                 **kw) -> list[Trajectory]:
+    """Each initial state integrated forward and backward from s = 0 (all
+    2L lanes in one batch), the two halves merged into one trajectory."""
+    y0 = np.array(initial, dtype=float).reshape(-1, 3)
+    lanes = len(y0)
+    trajs = integrate_many(params, np.concatenate([y0, y0]),
+                           np.repeat([-1.0, 1.0], lanes), s_max, **kw)
+    out = []
+    for bwd, fwd in zip(trajs[:lanes], trajs[lanes:]):
+        drift = max(fwd.max_E_drift, bwd.max_E_drift)
+        out.append(Trajectory(
+            params, np.concatenate([bwd.s[:-1], fwd.s]),
+            np.concatenate([bwd.states[:-1], fwd.states]), fwd.E0, drift,
+            fwd.accepted and bwd.accepted, f"{bwd.stop_reason}/{fwd.stop_reason}",
+            _branches=bwd._branches + fwd._branches))
+    return out
 
 
 def integrate_bidirectional(initial: SolitonState, params: SolitonParams,
                             s_max: float, **kw) -> Trajectory:
     """Integrate forward and backward from s = 0 and merge."""
-    fwd = integrate(initial, params, s_max, direction=1, **kw)
-    bwd = integrate(initial, params, s_max, direction=-1, **kw)
-    s = np.concatenate([bwd.s[:-1], fwd.s])
-    states = np.concatenate([bwd.states[:-1], fwd.states])
-    drift = max(fwd.max_E_drift, bwd.max_E_drift)
-    return Trajectory(params, s, states, fwd.E0, drift,
-                      fwd.accepted and bwd.accepted,
-                      f"{bwd.stop_reason}/{fwd.stop_reason}",
-                      _branches=bwd._branches + fwd._branches)
+    return integrate_bidirectional_many(params, [initial.as_array()], s_max, **kw)[0]
 
 
 def classify(traj: Trajectory, tol: float = 1e-9) -> str:

@@ -594,25 +594,22 @@ def suite_soliton_ode(grid: int = 10):
     count = 0
     for case in ("definite", "lorentzian"):
         for lp in (-1.0, 0.0, 1.0):
-            params = SolitonParams(2, lp, case)
-            for r0 in graph_rs:
-                for a0 in graph_as:
-                    tr = solitons.integrate(SolitonState(float(r0), float(a0), 0.0),
-                                            params, 10.0, rtol=1e-12, atol=1e-14)
-                    worst = max(worst, tr.max_E_drift)
-                    count += 1
+            starts = [(r0, a0, 0.0) for r0 in graph_rs for a0 in graph_as]
+            for tr in solitons.integrate_many(SolitonParams(2, lp, case), starts, 1,
+                                              10.0, rtol=1e-12):
+                worst = max(worst, tr.max_E_drift)
+                count += 1
     out.append(_check("energy conservation on the trajectory grid (n=2)",
                       worst < 1e-8, f"{count} runs, max relative drift {worst:.2e}"))
 
     worst3 = 0.0
     for case in ("definite", "lorentzian"):
         for lp in (-1.0, 0.0, 1.0):
-            params = SolitonParams(3, lp, case)
-            for r0 in np.linspace(0.6, 2.0, 3):
-                for a0 in np.linspace(-0.7, 0.7, 3):
-                    tr = solitons.integrate(SolitonState(float(r0), float(a0), 0.0),
-                                            params, 10.0, rtol=1e-12, atol=1e-14)
-                    worst3 = max(worst3, tr.max_E_drift)
+            starts = [(r0, a0, 0.0) for r0 in np.linspace(0.6, 2.0, 3)
+                      for a0 in np.linspace(-0.7, 0.7, 3)]
+            for tr in solitons.integrate_many(SolitonParams(3, lp, case), starts, 1,
+                                              10.0, rtol=1e-12):
+                worst3 = max(worst3, tr.max_E_drift)
     out.append(_check("energy conservation, n = 3 sample grid", worst3 < 1e-8,
                       f"max relative drift {worst3:.2e}"))
 
@@ -626,13 +623,13 @@ def suite_soliton_ode(grid: int = 10):
     p0 = SolitonParams(2, 0.0, "lorentzian")
     a0 = 0.4
     tr0 = solitons.integrate_bidirectional(SolitonState(1.0, a0, -a0 / 2), p0,
-                                           5.0, rtol=1e-12, atol=1e-14)
+                                           5.0, rtol=1e-12)
     pr0 = solitons.reconstruct_profile(tr0, 301, s_lo=float(tr0.s[0]) + 1e-3,
                                        s_hi=float(tr0.s[-1]) - 1e-3)
     err_re = equivariant.level_residual(pr0, 2, "re", tr0.E0)
     pd0 = SolitonParams(2, 0.0, "definite")
     trd = solitons.integrate(SolitonState(1.0, a0, -a0 / 2), pd0, 3.0,
-                             rtol=1e-12, atol=1e-14)
+                             rtol=1e-12)
     prd = solitons.reconstruct_profile(trd, 301, s_lo=0.01, s_hi=2.9)
     err_im = equivariant.level_residual(prd, 2, "im", -trd.E0)
     out.append(_check("minimal (l'=0) trajectories trace the level families",
@@ -674,12 +671,12 @@ def suite_soliton_ode(grid: int = 10):
 
     pd = SolitonParams(2, 0.0, "definite")
     trq = solitons.integrate(SolitonState(1.0, 0.8813735870195429, 0.0), pd, 4.0,
-                             rtol=1e-12, atol=1e-14)
+                             rtol=1e-12)
     i = len(trq.s) // 2
     dq = solitons.phi_quadrature(trq.r[3], trq.r[i], trq.E0, pd)
     err_def = abs(dq - (trq.phi[i] - trq.phi[3]))
     trl = solitons.integrate_bidirectional(SolitonState(0.5, 0.0, 0.0), pl, 10.0,
-                                           rtol=1e-12, atol=1e-14)
+                                           rtol=1e-12)
     rt_turn = solitons.turning_radius(trl.E0, pl, "below")
     sA, sB = 0.6 * float(trl.s[0]), 0.6 * float(trl.s[-1])
     stA, stB = trl.sample(sA)[0], trl.sample(sB)[0]
@@ -705,7 +702,7 @@ def suite_soliton_ode(grid: int = 10):
                       f"l'>0 slope {per_decade:.6f}; l'<=0 increments {conv:.1e}, {conv0:.1e}"))
 
     tr = solitons.integrate(SolitonState(1.2, 0.3, 0.1), pl, 1.5,
-                            rtol=1e-12, atol=1e-14)
+                            rtol=1e-12)
     prof = solitons.reconstruct_profile(tr, 1001, q=0, s_lo=0.05, s_hi=1.4)
     dg = prof.derivative_samples()
     st = tr.sample(prof.s)
@@ -731,17 +728,17 @@ def suite_soliton_ode(grid: int = 10):
     tr = solitons.integrate(cp, params, 10.0)
     tags[solitons.classify(tr)] = True
     tr = solitons.integrate_bidirectional(SolitonState(0.5, 0.0, 0.0), pl, 10.0,
-                                          rtol=1e-12, atol=1e-14)
+                                          rtol=1e-12)
     tags[solitons.classify(tr)] = True
     sym_err = abs(tr.sample(0.3)[0, 1] + tr.sample(-0.3)[0, 1])
     tr = solitons.integrate_bidirectional(SolitonState(2.5, 0.0, 0.0), pl, 8.0,
-                                          rtol=1e-12, atol=1e-14)
+                                          rtol=1e-12)
     tags[solitons.classify(tr)] = True
     tr = solitons.integrate_bidirectional(SolitonState(2.0, 1.2, 0.0), pl, 8.0,
-                                          rtol=1e-12, atol=1e-14)
+                                          rtol=1e-12)
     tags[solitons.classify(tr)] = True
     tr = solitons.integrate_bidirectional(SolitonState(1.0, 0.4, 0.0), p0, 8.0,
-                                          rtol=1e-12, atol=1e-14)
+                                          rtol=1e-12)
     tags[solitons.classify(tr)] = True
     tr = solitons.integrate(SolitonState(1.0, 0.2, 0.0),
                             SolitonParams(2, 1.0, "definite"), 5.0)

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from parakahler import catalog
@@ -197,3 +198,64 @@ def test_verify_single_suite(capsys):
     assert main(["verify", "--suite", "normal-bundle"]) == 0
     out = capsys.readouterr().out
     assert "[PASS]" in out and "[FAIL]" not in out
+
+
+def test_phase_definite_meets_drift_gate(tmp_path):
+    # the definite lambda' = -1 sweep stays under the 1e-8 drift gate that
+    # every trajectory is accepted against
+    out_dir = tmp_path / "phase"
+    assert main(["phase", "--n", "2", "--lambda-prime", "-1", "--case", "definite",
+                 "--r-min", "0.55", "--r-max", "2.25", "--r-count", "3",
+                 "--alpha-count", "3", "--out-dir", str(out_dir)]) == 0
+    rows = [line.split(",") for line in read_lines(out_dir / "index.csv")[1:]]
+    assert len(rows) == 9
+    assert all(float(row[5]) < 1e-8 for row in rows)
+
+
+def test_angle_footer_max_jump_is_worst_neighbour_step(tmp_path):
+    doc = torus_spec()
+    doc["params"]["C"] = 1.3
+    doc["grid"]["axes"][0]["count"] = 64
+    doc["grid"]["axes"][1]["count"] = 32
+    spec = tmp_path / "torus.json"
+    spec.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "torus.csv"
+    assert main(["angle", "--spec", str(spec), "--out", str(out)]) == 0
+    lines = read_lines(out)
+    header = lines[0].split(",")
+    rows = [l.split(",") for l in lines[1:] if not l.startswith("#")]
+    theta = np.array([float(r[header.index("theta")]) for r in rows]).reshape(64, 32)
+    usable = np.array([r[header.index("degenerate")] == "0" for r in rows]).reshape(64, 32)
+    worst = 0.0
+    for axis in (0, 1):  # both axes periodic
+        pair = usable & np.roll(usable, -1, axis=axis)
+        step = np.abs(np.roll(theta, -1, axis=axis) - theta)
+        worst = max(worst, float(step[pair].max()))
+    assert worst > 0.0
+    assert float(footer_value(lines, "max_theta_jump")) == worst
+
+
+def test_normal_bundle_footer_counts_nan_rows(tmp_path):
+    out = tmp_path / "nb.csv"
+    assert main(["normal-bundle", "--shape", "circle", "--R", "2", "--t-min", "0",
+                 "--t-max", "2", "--t-count", "3", "--out", str(out)]) == 0
+    lines = read_lines(out)
+    nan_rows = sum(1 for l in lines[1:] if not l.startswith("#") and "nan" in l)
+    keys = {l[2:].split("=")[0]: int(l.split("=")[1]) for l in lines
+            if l.startswith("# nan_")}
+    assert nan_rows == 32
+    assert sum(keys.values()) == 32
+
+
+def test_write_csv_matches_per_cell_format(tmp_path):
+    from parakahler.cli import _fmt, _write_csv
+
+    rows = [[0.1, float("nan"), 3, "a", True, -0.0],
+            [float("inf"), -float("inf"), np.int64(-7), "b,c", False, np.float64(1e-300)],
+            [np.nan, 2.5e17, 0, "", 1, 1 / 3]]
+    out = tmp_path / "t.csv"
+    _write_csv(out, ["a", "b", "c", "d", "e", "f"], rows, {"k": "v"})
+    expect = "a,b,c,d,e,f\n" + "".join(
+        ",".join(v if isinstance(v, str) else _fmt(v) for v in row) + "\n"
+        for row in rows) + "# k=v\n"
+    assert out.read_bytes() == expect.encode("utf-8")

@@ -124,25 +124,38 @@ def test_det_multiplicative(rng):
         assert (lhs - rhs).grading_norm() < 1e-10 * max(rhs.grading_norm(), 1)
 
 
-def test_det_division_free_path_matches_leibniz(rng):
-    # n > 4 goes through Bird's elimination; cross-check against Leibniz
-    from parakahler.dlinalg import _det_bird, _det_leibniz
+def _det_leibniz_over_D(M):
+    # reference: the Leibniz sum with every product taken in the ring D
+    from itertools import permutations
 
+    n = M.shape[0]
+    acc = np.zeros(2)
+    for perm in permutations(range(n)):
+        sign = (-1) ** sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = M[0, perm[0]]
+        for i in range(1, n):
+            term = dcore.d_mul(term, M[i, perm[i]])
+        acc = acc + sign * term
+    return acc
+
+
+def test_det_large_n_matches_leibniz(rng):
+    # n > 4 goes through LU of the two null-coordinate components
     for n in (5, 6):
         M = rng.normal(size=(n, n, 2))
-        assert np.allclose(_det_bird(M), _det_leibniz(M), atol=1e-9)
+        d = det_D(M)
+        assert np.allclose([d.x, d.y], _det_leibniz_over_D(M), atol=1e-9)
 
 
-def test_det_bird_handles_null_pivots():
-    # top-left entry on the light cone defeats division-based elimination
+def test_det_handles_null_pivots():
+    # top-left entry on the light cone defeats division over D
     M = np.zeros((5, 5, 2))
     M[..., 0] = np.eye(5)
     M[0, 0] = [1, 1]
     M[0, 1] = [2, 0]
     M[1, 0] = [3, 0]
-    from parakahler.dlinalg import _det_bird, _det_leibniz
-
-    assert np.allclose(_det_bird(M), _det_leibniz(M), atol=1e-12)
+    d = det_D(M)
+    assert np.allclose([d.x, d.y], _det_leibniz_over_D(M), atol=1e-12)
 
 
 def test_gram_identity_standard_basis():

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from parakahler import equivariant, solitons
 from parakahler.dcore import d_norm2, d_pow
@@ -14,6 +15,7 @@ from parakahler.errors import (
 from parakahler.solitons import (
     SolitonParams,
     SolitonState,
+    Trajectory,
     ambient_residual,
     classify,
     critical_point,
@@ -22,6 +24,8 @@ from parakahler.solitons import (
     hyperbola_solution,
     integrate,
     integrate_bidirectional,
+    integrate_bidirectional_many,
+    integrate_many,
     phi_quadrature,
     reconstruct_profile,
     turning_radius,
@@ -120,7 +124,7 @@ def test_integrate_critical_point_constant():
 
 def test_integrate_conserves_energy():
     tr = integrate(SolitonState(1.0, 0.5, 0.0), SolitonParams(2, 1.0, "definite"),
-                   5.0, rtol=1e-12, atol=1e-14)
+                   5.0, rtol=1e-12)
     assert tr.accepted
     assert tr.max_E_drift < 1e-8
 
@@ -137,7 +141,7 @@ def test_integrate_rejects_small_initial_radius():
 
 def test_subcritical_inner_symmetric():
     tr = integrate_bidirectional(SolitonState(0.5, 0.0, 0.0), LOR1, 10.0,
-                                 rtol=1e-12, atol=1e-14)
+                                 rtol=1e-12)
     assert classify(tr) == "subcritical_inner"
     assert tr.E0 < energy_threshold(LOR1)
     assert np.all(tr.r < math.sqrt(2))
@@ -152,11 +156,11 @@ def test_subcritical_inner_symmetric():
 
 def test_subcritical_outer_and_supercritical():
     tr = integrate_bidirectional(SolitonState(2.5, 0.0, 0.0), LOR1, 8.0,
-                                 rtol=1e-12, atol=1e-14)
+                                 rtol=1e-12)
     assert classify(tr) == "subcritical_outer"
     assert np.all(tr.r > math.sqrt(2))
     tr = integrate_bidirectional(SolitonState(2.0, 1.2, 0.0), LOR1, 8.0,
-                                 rtol=1e-12, atol=1e-14)
+                                 rtol=1e-12)
     assert tr.E0 > energy_threshold(LOR1)
     assert classify(tr) == "supercritical"
     assert tr.r.min() < 1e-3 and tr.r.max() > 5.0
@@ -166,7 +170,7 @@ def test_lambda_zero_matches_level_sets():
     p0 = SolitonParams(2, 0.0, "lorentzian")
     a0 = 0.4
     tr = integrate_bidirectional(SolitonState(1.0, a0, -a0 / 2), p0, 5.0,
-                                 rtol=1e-12, atol=1e-14)
+                                 rtol=1e-12)
     assert classify(tr) == "nonpositive_lambda"
     prof = reconstruct_profile(tr, 201, s_lo=float(tr.s[0]) + 1e-3,
                                s_hi=float(tr.s[-1]) - 1e-3)
@@ -176,7 +180,7 @@ def test_lambda_zero_matches_level_sets():
 
 def test_reconstruction_consistency_lorentzian():
     tr = integrate(SolitonState(1.2, 0.3, 0.1), LOR1, 1.5,
-                   rtol=1e-12, atol=1e-14)
+                   rtol=1e-12)
     prof = reconstruct_profile(tr, 1001, q=0, s_lo=0.05, s_hi=1.4)
     dg = prof.derivative_samples()
     st = tr.sample(prof.s)
@@ -188,7 +192,7 @@ def test_reconstruction_consistency_lorentzian():
 
 def test_reconstruction_consistency_definite():
     tr = integrate(SolitonState(1.0, 0.4, 0.0), DEF0, 2.0,
-                   rtol=1e-12, atol=1e-14)
+                   rtol=1e-12)
     prof = reconstruct_profile(tr, 1001, q=0, s_lo=0.01, s_hi=1.9)
     dg = prof.derivative_samples()
     st = tr.sample(prof.s)
@@ -201,7 +205,7 @@ def test_reconstruction_consistency_definite():
 def test_reconstruction_q1_swaps_causal_type():
     # reconstructing with q = 1 gives gammadot = tau e^{tau theta}, timelike
     tr = integrate(SolitonState(1.0, 0.4, 0.0), DEF0, 2.0,
-                   rtol=1e-12, atol=1e-14)
+                   rtol=1e-12)
     prof = reconstruct_profile(tr, 1001, q=1, s_lo=0.01, s_hi=1.9)
     dg = prof.derivative_samples()
     st = tr.sample(prof.s)
@@ -221,7 +225,7 @@ def test_quadrature_trivial_and_errors():
 
 def test_quadrature_matches_definite_trajectory():
     tr = integrate(SolitonState(1.0, math.asinh(1.0), 0.0), DEF0, 4.0,
-                   rtol=1e-12, atol=1e-14)
+                   rtol=1e-12)
     i = len(tr.s) // 2
     dphi = phi_quadrature(tr.r[3], tr.r[i], tr.E0, DEF0)
     assert dphi == pytest.approx(tr.phi[i] - tr.phi[3], abs=1e-8)
@@ -239,7 +243,7 @@ def test_quadrature_small_r_log_law():
 
 def test_quadrature_across_turning_point():
     tr = integrate_bidirectional(SolitonState(0.5, 0.0, 0.0), LOR1, 10.0,
-                                 rtol=1e-12, atol=1e-14)
+                                 rtol=1e-12)
     rt = turning_radius(tr.E0, LOR1, "below")
     assert rt == pytest.approx(0.5, abs=1e-12)  # started at the turning point
     sA, sB = 0.6 * float(tr.s[0]), 0.6 * float(tr.s[-1])
@@ -291,7 +295,129 @@ def test_classification_definite():
 def test_lorentzian_nonpositive_lambda_bounded():
     p = SolitonParams(2, 0.0, "lorentzian")
     tr = integrate_bidirectional(SolitonState(1.0, 0.4, 0.0), p, 10.0,
-                                 rtol=1e-12, atol=1e-14)
+                                 rtol=1e-12)
     assert classify(tr) == "nonpositive_lambda"
     assert tr.r.max() <= tr.E0 ** 0.5 + 1e-9  # E = r^2 cosh(a) >= r^2
     assert tr.r[0] < 1e-3 and tr.r[-1] < 1e-3
+
+
+# ---------------------------------------------------------------------------
+# The batched engine against scipy's RK45 with terminal events, one
+# solve_ivp call per lane: the independent reference for integrate_many.
+# ---------------------------------------------------------------------------
+
+def _reference_lane(y0, params, s_max, direction, rtol, atol=1e-14):
+    """(stop reason, solve_ivp solution, max relative energy drift)."""
+    n, lam = params.n, params.lambda_prime
+    definite = params.case == "definite"
+
+    def rhs(t, y):
+        r = max(y[0], 1e-300)
+        coeff = -n / r + lam * r
+        u, v = ((math.cosh(y[1]), math.sinh(y[1])) if definite
+                else (math.sinh(y[1]), math.cosh(y[1])))
+        return [direction * u, direction * coeff * v, direction * v / r]
+
+    def ev_rmin(t, y):
+        return y[0] - solitons.R_MIN
+
+    def ev_rmax(t, y):
+        return y[0] - solitons.R_MAX
+
+    def ev_alpha(t, y):
+        return solitons.ALPHA_MAX - abs(y[1])
+
+    def ev_afloor(t, y):
+        coeff = -n / max(y[0], 1e-300) + lam * y[0]
+        return abs(y[1]) + abs(coeff * math.sinh(y[1])) - 1e-5
+
+    events, names = [ev_rmin, ev_rmax, ev_alpha], ["r_min", "r_max", "alpha_max"]
+    if definite and abs(y0[1]) > 1e-5:
+        events.append(ev_afloor)
+        names.append("alpha_floor")
+    for ev in events:
+        ev.terminal = True
+    sol = solve_ivp(rhs, (0.0, s_max), y0, method="RK45", rtol=rtol, atol=atol,
+                    events=events, dense_output=True)
+    if sol.status == -1:
+        assert sol.y[0, -1] < 1e-3 or abs(sol.y[1, -1]) > 10.0, sol.message
+        stop = "r_singular" if sol.y[0, -1] < 1e-3 else "alpha_blowup"
+    elif sol.status == 1:
+        stop = [name for name, te in zip(names, sol.t_events) if te.size][0]
+    else:
+        stop = "s_max"
+    E = [first_integral(SolitonState(*st), params) for st in sol.y.T]
+    scale = max(abs(E[0]), solitons.radial_weight(y0[0], params), 1e-300)
+    return stop, sol, max(abs(e - E[0]) for e in E) / scale
+
+
+def _reference_class(params, y0, lanes):
+    """classify on the reference's backward and forward lanes, merged."""
+    (_, bwd, _), (_, fwd, _) = lanes
+    states = np.concatenate([bwd.y[:, :0:-1], fwd.y], axis=1).T
+    traj = Trajectory(params, np.concatenate([-bwd.t[:0:-1], fwd.t]), states,
+                      first_integral(SolitonState(*y0), params), 0.0, True, "")
+    return classify(traj)
+
+
+_R0 = math.sqrt(2.0)
+_SWEEP = [(r, a, 0.0) for r in np.linspace(_R0 - 0.9, _R0 + 0.9, 5)
+          for a in np.linspace(-0.8, 0.8, 5)]
+_SAMPLE = [(0.7, -0.4, 0.0), (1.6, 0.4, 0.0)]
+
+
+@pytest.mark.parametrize("params, starts", [
+    (SolitonParams(2, 1.0, "lorentzian"), _SWEEP),
+    (SolitonParams(2, -1.0, "definite"), _SWEEP),
+    (SolitonParams(2, 0.0, "lorentzian"), _SAMPLE),
+    (SolitonParams(2, 0.0, "definite"), _SAMPLE),
+    (SolitonParams(3, 1.5, "lorentzian"), _SAMPLE),
+    (SolitonParams(3, -1.0, "definite"), _SAMPLE),
+], ids=["lorentzian+1", "definite-1", "lorentzian0", "definite0", "n3-lorentzian",
+        "n3-definite"])
+def test_engine_matches_solve_ivp_reference(params, starts):
+    rtol, s_max = 1e-12, 10.0  # the phase command's tolerance and span
+    signs = np.repeat([-1.0, 1.0], len(starts))
+    lanes = integrate_many(params, starts + starts, signs, s_max, rtol=rtol)
+    refs = [_reference_lane(np.array(y0), params, s_max, d, rtol)
+            for y0, d in zip(starts + starts, signs)]
+    for tr, d, (stop, sol, drift) in zip(lanes, signs, refs):
+        assert tr.stop_reason == stop
+        assert abs((len(tr.s) - 1) - (len(sol.t) - 1)) <= 2
+        # drifts agree within 2x (absolute 1e-14 where both are ~0, e.g. E0 = 0)
+        assert tr.max_E_drift <= 2.0 * drift + 1e-14
+        assert drift <= 2.0 * tr.max_E_drift + 1e-14
+        assert tr.accepted == (drift < solitons.DRIFT_TOL)
+        t = np.linspace(0.02, 0.95, 40) * sol.t[-1]
+        ref = sol.sol(t).T
+        assert np.all(np.abs(tr.sample(d * t) - ref) <= 1e-9 * (1.0 + np.abs(ref)))
+    merged = integrate_bidirectional_many(params, starts, s_max, rtol=rtol)
+    half = len(starts)
+    for i, (y0, tr) in enumerate(zip(starts, merged)):
+        assert tr.stop_reason == f"{refs[i][0]}/{refs[half + i][0]}"
+        assert classify(tr) == _reference_class(params, y0, (refs[i], refs[half + i]))
+
+
+def test_integrate_is_one_lane_of_the_batch():
+    # the same lane alone or in a batch: equal up to the rounding of the
+    # batched stage sums
+    starts = [(0.9, 0.3, 0.0), (1.7, -0.5, 0.2)]
+    batch = integrate_many(LOR1, starts, [1.0, -1.0], 6.0, rtol=1e-12)
+    for y0, d, tr in zip(starts, (1, -1), batch):
+        one = integrate(SolitonState(*y0), LOR1, 6.0, rtol=1e-12, direction=d)
+        assert one.stop_reason == tr.stop_reason
+        assert abs(len(one.s) - len(tr.s)) <= 1
+        s = np.linspace(0.05, 0.9, 30) * (one.s[-1] if d > 0 else one.s[0])
+        assert np.allclose(one.sample(s), tr.sample(s), rtol=1e-9, atol=1e-12)
+
+
+def test_event_rounding_onto_the_last_knot_adds_no_state():
+    # near the alpha blow-up the steps shrink to a few ulp of s, and the
+    # alpha_max crossing can round onto the previous knot; as with solve_ivp,
+    # the trajectory then ends on that knot instead of repeating it
+    y0 = (2.31050539784756, -0.807086589460797, 0.0)
+    tr = integrate(SolitonState(*y0), LOR1, 10.0, rtol=1e-12, direction=-1)
+    stop, sol, _ = _reference_lane(np.array(y0), LOR1, 10.0, -1, 1e-12)
+    assert tr.stop_reason == stop == "alpha_max"
+    assert np.all(np.diff(tr.s) > 0)
+    assert abs(len(tr.s) - len(sol.t)) <= 2

@@ -32,10 +32,10 @@ def main() -> int:
              "periodic": True},
         ]},
     }
-    with tempfile.NamedTemporaryFile("w", suffix=".json", delete=False) as fh:
-        json.dump(spec, fh)
-        spec_path = fh.name
-    return cli_main(["angle", "--spec", spec_path, "--out", args.out])
+    with tempfile.TemporaryDirectory() as tmp:
+        spec_path = Path(tmp) / "torus.json"
+        spec_path.write_text(json.dumps(spec), encoding="utf-8")
+        return cli_main(["angle", "--spec", str(spec_path), "--out", args.out])
 
 
 if __name__ == "__main__":

@@ -225,7 +225,7 @@ def cmd_nijenhuis(args) -> int:
         dims, span = 4, 0.3
         X = np.array([0.0, 0.0, 1.0, 0.0])
         Y = np.array([0.0, 0.0, 0.0, 1.0])
-        args.count = min(args.count, 7)  # 4-d grids grow fast under refinement
+        count = min(args.count, 7)  # 4-d grids grow fast under refinement
     else:
         jstd = np.array([[0.0, 1.0], [1.0, 0.0]])
         if args.structure == "standard":
@@ -240,7 +240,10 @@ def cmd_nijenhuis(args) -> int:
         dims, span = 2, 0.4
         X = np.array([1.0, 0.0])
         Y = np.array([0.0, 1.0])
-    count = args.count
+        count = args.count
+    footer = {"structure": args.structure, "count": count}
+    if count != args.count:
+        footer["requested_count"] = args.count
     norms = []
     for level in range(args.refine):
         axes = tuple(GridAxis(-span, span, count) for _ in range(dims))
@@ -254,8 +257,8 @@ def cmd_nijenhuis(args) -> int:
     verdict = "obstructed"
     if norms[0] < 1e-9 or (len(norms) > 1 and norms[-1] < norms[0] / 2.5):
         verdict = "integrable"
-    _write_csv(args.out, ["level", "h", "nijenhuis_norm"], rows,
-               {"structure": args.structure, "verdict": verdict})
+    footer["verdict"] = verdict
+    _write_csv(args.out, ["level", "h", "nijenhuis_norm"], rows, footer)
     return 0
 
 

@@ -27,6 +27,8 @@ from . import dcore
 from .dcore import ParaComplex, d_array, d_conj, d_grading2
 from .errors import DegenerateMetric, DimensionMismatch, LagrangianViolation
 
+LAGRANGIAN_TOL = 1e-8   # max |omega| <= tol * largest squared frame entry
+
 
 def dvector(entries) -> np.ndarray:
     """Build an (n, 2) D-vector from ParaComplex entries or raw pairs."""
@@ -141,35 +143,37 @@ def frame_matrix(frame) -> np.ndarray:
     return frame
 
 
-def max_omega(frame):
-    """Largest |omega(X_i, X_j)| over all frame pairs: a float for one frame
-    (m, n, 2), an array (...) for frames (..., m, n, 2)."""
-    frame = d_array(frame)
-    w = np.einsum("...in,...jn->...ij", frame[..., 0], frame[..., 1])
-    worst = np.max(np.abs(w - np.swapaxes(w, -2, -1)), axis=(-2, -1))
-    return float(worst) if frame.ndim == 3 else worst
-
-
-def _require_lagrangian(frame, tol):
-    scale = max(float(np.max(np.sqrt(d_grading2(frame)))) ** 2, 1e-300)
-    worst = max_omega(frame)
-    if worst > tol * scale:
+def require_lagrangian(frames):
+    """Raise LagrangianViolation unless the stack of frames (..., m, n, 2) is
+    Lagrangian: the largest |omega(X_i, X_j)| over every pair of every frame
+    is at most LAGRANGIAN_TOL times the stack's largest squared entry."""
+    frames = d_array(frames)
+    w = np.einsum("...in,...jn->...ij", frames[..., 0], frames[..., 1])
+    worst = float(np.max(np.abs(w - np.swapaxes(w, -2, -1))))
+    bound = LAGRANGIAN_TOL * max(float(np.max(d_grading2(frames))), 1e-300)
+    if worst > bound:
         raise LagrangianViolation(
-            f"max |omega| = {worst:.3e} exceeds {tol:.1e} * scale ({scale:.3e})"
+            f"frames are not Lagrangian: max |omega| = {worst:.3e} exceeds {bound:.3e}"
         )
 
 
-def gram_identity_check(frame, tol: float = 1e-8):
+def gram(frames) -> np.ndarray:
+    """Gram matrices g_ij = <X_i, X_j> of frames (..., m, n, 2), each entry
+    with metric's arithmetic: x x' - y y' per component, then a sum over n."""
+    x, y = frames[..., 0], frames[..., 1]
+    return np.sum(x[..., :, None, :] * x[..., None, :, :]
+                  - y[..., :, None, :] * y[..., None, :, :], axis=-1)
+
+
+def gram_identity_check(frame):
     """(det_R of the Gram matrix, squared_norm(det_D M)) for a Lagrangian frame.
 
     The two numbers agree to relative 1e-10 for well-conditioned frames; the
     caller asserts that contract.
     """
     frame = frame_matrix(frame)
-    _require_lagrangian(frame, tol)
-    m = frame.shape[0]
-    gram = np.array([[metric(frame[i], frame[j]) for j in range(m)] for i in range(m)])
-    det_gram = float(np.linalg.det(gram))
+    require_lagrangian(frame)
+    det_gram = float(np.linalg.det(gram(frame)))
     dd = det_D(frame)
     return det_gram, dd.squared_norm()
 
@@ -185,9 +189,9 @@ class LagrangianAngle:
     theta: float
 
 
-def lagrangian_angle_of_frame(frame, tol: float = 1e-8) -> LagrangianAngle:
+def lagrangian_angle_of_frame(frame) -> LagrangianAngle:
     frame = frame_matrix(frame)
-    _require_lagrangian(frame, tol)
+    require_lagrangian(frame)
     dd = det_D(frame)
     try:
         pf = dcore.polar(dd)

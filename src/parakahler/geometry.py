@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .dcore import d_array, d_grading2
-from .dlinalg import apply_J, metric
+from .dlinalg import apply_J, gram, metric
 from .errors import (
     BoundaryPoint,
     DegenerateMetric,
@@ -212,32 +212,31 @@ class InducedMetric:
     degenerate: bool
 
 
-def induced_gram(tangents: np.ndarray, tol_deg: float = DEGENERACY_TOL):
+def induced_gram(tangents: np.ndarray):
     """(g, degenerate) for tangent frames (..., m, n, 2), batched over the
-    leading axes; degenerate where |det g| < tol * scale^m.
+    leading axes; degenerate where |det g| < DEGENERACY_TOL * scale^m.
 
     scale = sum_a |d_aF|^2 is the Euclidean tangent scale, which dominates
     every |g_ij|.  The pointwise metric scale max|g_ij| would collapse with g
     where the immersion meets the light cone (e.g. the null lines of
     equivariant tori), leaving the relative test vacuous exactly there.
     """
-    x, y = tangents[..., 0], tangents[..., 1]
-    g = np.sum(x[..., :, None, :] * x[..., None, :, :]
-               - y[..., :, None, :] * y[..., None, :, :], axis=-1)
+    g = gram(tangents)
     scale = np.sum(d_grading2(tangents), axis=(-2, -1))
-    degenerate = (scale == 0.0) | (np.abs(np.linalg.det(g)) < tol_deg * scale ** g.shape[-1])
+    degenerate = (scale == 0.0) | (np.abs(np.linalg.det(g))
+                                   < DEGENERACY_TOL * scale ** g.shape[-1])
     return g, degenerate
 
 
-def metric_from_tangents(tangents: np.ndarray, tol_deg: float = DEGENERACY_TOL) -> InducedMetric:
-    g, degenerate = induced_gram(tangents, tol_deg)
+def metric_from_tangents(tangents: np.ndarray) -> InducedMetric:
+    g, degenerate = induced_gram(tangents)
     signature = () if degenerate else tuple(
         sorted((1 if e > 0 else -1 for e in np.linalg.eigvalsh(g)), reverse=True))
     return InducedMetric(g, signature, bool(degenerate))
 
 
-def induced_metric(imm: SampledImmersion, node, tol_deg: float = DEGENERACY_TOL) -> InducedMetric:
-    return metric_from_tangents(jet(imm, node).first, tol_deg)
+def induced_metric(imm: SampledImmersion, node) -> InducedMetric:
+    return metric_from_tangents(jet(imm, node).first)
 
 
 @dataclass(frozen=True)
@@ -353,11 +352,11 @@ def normal_project(W, tangents, g) -> np.ndarray:
     return W - np.einsum("...a,...anc->...nc", lam, tangents)
 
 
-def second_fundamental_form(imm: SampledImmersion, node, tol_deg: float = DEGENERACY_TOL):
+def second_fundamental_form(imm: SampledImmersion, node):
     """(h, frame) with h[i, j] = normal part of the second derivative along
     the orthonormalized frame directions."""
     jt = jet(imm, node)
-    im = metric_from_tangents(jt.first, tol_deg)
+    im = metric_from_tangents(jt.first)
     if im.degenerate:
         raise DegenerateMetric(f"induced metric degenerate at node {tuple(node)}")
     gs = signed_gram_schmidt(jt.first)
@@ -370,8 +369,7 @@ def second_fundamental_form(imm: SampledImmersion, node, tol_deg: float = DEGENE
     return h, gs
 
 
-def trace_mean_curvature(first: np.ndarray, second: np.ndarray,
-                         tol_deg: float = DEGENERACY_TOL):
+def trace_mean_curvature(first: np.ndarray, second: np.ndarray):
     """m H = (g^ab d_a d_b F)^perp for jets (..., m, n, 2), (..., m, m, n, 2)
     batched over leading axes.
 
@@ -379,7 +377,7 @@ def trace_mean_curvature(first: np.ndarray, second: np.ndarray,
     finds the metric degenerate.  The identity stands in for a degenerate g
     before inversion, so the inverse never meets a singular matrix.
     """
-    g, degenerate = induced_gram(first, tol_deg)
+    g, degenerate = induced_gram(first)
     g = np.where(degenerate[..., None, None], np.eye(g.shape[-1]), g)
     g_inv = np.linalg.inv(g)
     g_inv[degenerate] = np.nan
@@ -387,11 +385,11 @@ def trace_mean_curvature(first: np.ndarray, second: np.ndarray,
     return mH, g_inv, degenerate
 
 
-def mean_curvature(imm: SampledImmersion, node, tol_deg: float = DEGENERACY_TOL) -> np.ndarray:
+def mean_curvature(imm: SampledImmersion, node) -> np.ndarray:
     """H = (1/m) sum_i eps_i h(e_i, e_i) as a D^n vector (n, 2), by
     trace_mean_curvature of the node's jet."""
     jt = jet(imm, node)
-    mH, _, degenerate = trace_mean_curvature(jt.first, jt.second, tol_deg)
+    mH, _, degenerate = trace_mean_curvature(jt.first, jt.second)
     if degenerate:
         raise DegenerateMetric(f"induced metric degenerate at node {tuple(node)}")
     return mH / imm.m
@@ -406,10 +404,10 @@ def grid_mean_curvature(imm: SampledImmersion):
     return jt, mH, g_inv, valid & ~degenerate
 
 
-def position_normal_part(imm: SampledImmersion, node, tol_deg: float = DEGENERACY_TOL) -> np.ndarray:
+def position_normal_part(imm: SampledImmersion, node) -> np.ndarray:
     """Normal projection of the position vector F at the node."""
     jt = jet(imm, node)
-    im = metric_from_tangents(jt.first, tol_deg)
+    im = metric_from_tangents(jt.first)
     if im.degenerate:
         raise DegenerateMetric(f"induced metric degenerate at node {tuple(node)}")
     return normal_project(imm.values[tuple(node)], jt.first, im.g)

@@ -19,17 +19,24 @@ graphs, tau-rotations and normal bundles of real submanifolds.
 
 from __future__ import annotations
 
-import itertools
 import math
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from . import dcore
 from .dcore import ParaComplex, d_array, d_grading2, d_mul, d_norm2, d_polar
-from .dlinalg import LagrangianAngle, apply_J, det_D, max_omega, metric
+from .dlinalg import (
+    LagrangianAngle,
+    apply_J,
+    det_D,
+    lagrangian_angle_of_frame,
+    metric,
+    require_lagrangian,
+)
 from .errors import (
     DegenerateMetric,
     DegeneratePairing,
@@ -52,11 +59,13 @@ from .geometry import (
 RESIDUAL_MARGIN = JET_MARGIN + 1  # theta is differentiated once more
 
 
-def is_lagrangian(imm: SampledImmersion, node, tol: float = 1e-8) -> bool:
-    """max |omega(d_iF, d_jF)| <= tol * scale at the node."""
-    first = jet(imm, node).first
-    scale = max(float(np.max(d_grading2(first))), 1e-300)
-    return max_omega(first) <= tol * scale
+def is_lagrangian(imm: SampledImmersion, node) -> bool:
+    """The node's coordinate tangent frame passes require_lagrangian."""
+    try:
+        require_lagrangian(jet(imm, node).first)
+    except LagrangianViolation:
+        return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -99,75 +108,64 @@ class AngleField:
         return out
 
 
-def _neighbors(axes, node):
-    for a, axis in enumerate(axes):
-        for delta in (-1, 1):
-            j = node[a] + delta
-            if axis.periodic:
-                j %= axis.count
-            elif j < 0 or j >= axis.count:
-                continue
-            yield node[:a] + (j,) + node[a + 1:]
-
-
-def angle_field(imm: SampledImmersion, tol_deg: float = DEGENERACY_TOL,
-                lagrangian_tol: float = 1e-8, check: bool = True) -> AngleField:
+def angle_field(imm: SampledImmersion) -> AngleField:
     """Lagrangian angle (q, theta) of the coordinate tangent frame per node.
 
     Frame independence of (q, theta) means no orthonormalization is needed.
-    Nodes where det_D is numerically null are flagged degenerate; connected
-    non-degenerate regions are labelled by flood fill and checked for
-    continuity (a theta step above pi/2 between neighbors trips the sanity
-    bound recorded in max_jump).
+    Nodes where det_D is numerically null are flagged degenerate; the usable
+    nodes are labelled by the connected components they form with their
+    usable grid neighbours.  max_jump records the largest theta step between
+    usable neighbours; it is reported, not checked against any bound.
     """
     tangents, valid = coordinate_tangents(imm)
-    if check:
-        worst = float(np.max(max_omega(tangents)[valid]))
-        scale = max(float(np.max(d_grading2(tangents[valid]))), 1e-300)
-        if worst > lagrangian_tol * scale:
-            raise LagrangianViolation(
-                f"tangent frames are not Lagrangian (max |omega| = {worst:.3e})"
-            )
+    require_lagrangian(tangents[valid])
     dets = det_D(tangents) if imm.m > 1 else tangents[..., 0, :, :].reshape(imm.shape + (2,))
-    if imm.m > 1:
-        dets = dets.reshape(imm.shape + (2,))
     # Degeneracy gauge: squared_norm(det_D) equals det_R of the induced
     # metric, so compare it against the Euclidean tangent scale (which
     # dominates every |g_ij|) rather than the determinant's own magnitude;
     # a tiny but directionally clean det still means a degenerate frame.
     g_scale = np.maximum(np.sum(d_grading2(tangents), axis=(-2, -1)), 1e-300)
-    small = np.abs(d_norm2(dets)) < tol_deg * g_scale ** imm.m
-    _, q, _, theta, null = d_polar(dets, tol=tol_deg)
-    unusable = null | small | ~valid
-    theta = np.where(unusable, np.nan, theta)
-    q = np.where(unusable, -1, q)
+    small = np.abs(d_norm2(dets)) < DEGENERACY_TOL * g_scale ** imm.m
+    _, q, _, theta, null = d_polar(dets, tol=DEGENERACY_TOL)
+    usable = valid & ~null & ~small
+    theta = np.where(usable, theta, np.nan)
+    q = np.where(usable, q, -1)
+    region, n_regions = _regions(imm.axes, usable)
+    return AngleField(imm, theta, q, null | small, valid, region, n_regions,
+                      _max_jump(imm.axes, theta, usable))
 
-    region = np.full(imm.shape, -1, dtype=int)
-    rid = 0
-    for start in itertools.product(*[range(c) for c in imm.shape]):
-        if unusable[start] or region[start] >= 0:
-            continue
-        queue = deque([start])
-        region[start] = rid
-        while queue:
-            node = queue.popleft()
-            for nbr in _neighbors(imm.axes, node):
-                if not unusable[nbr] and region[nbr] < 0:
-                    region[nbr] = rid
-                    queue.append(nbr)
-        rid += 1
-    return AngleField(imm, theta, q, null | small, valid, region, rid,
-                      _max_jump(imm.axes, theta, ~unusable))
+
+def _neighbour_pairs(axes, usable):
+    """(a, pair) per axis: pair marks the usable nodes whose next node along
+    axis a (wrapping on a periodic axis) is usable too."""
+    for a, axis in enumerate(axes):
+        pair = usable & np.roll(usable, -1, axis=a)
+        if not axis.periodic:
+            pair[(slice(None),) * a + (-1,)] = False
+        yield a, pair
+
+
+def _regions(axes, usable):
+    """(labels, count): the connected components of the usable nodes under
+    the neighbour pairs, numbered by each component's first node in C order;
+    -1 on unusable nodes."""
+    index = np.arange(usable.size).reshape(usable.shape)
+    ends = [(index[pair], np.roll(index, -1, axis=a)[pair])
+            for a, pair in _neighbour_pairs(axes, usable)]
+    rows, cols = (np.concatenate(side) for side in zip(*ends))
+    graph = coo_matrix((np.ones(rows.size), (rows, cols)), shape=(usable.size,) * 2)
+    labels = connected_components(graph, directed=False)[1][usable.ravel()]
+    _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
+    region = np.full(usable.shape, -1, dtype=int)
+    region[usable] = np.argsort(np.argsort(first))[inverse]
+    return region, first.size
 
 
 def _max_jump(axes, theta, usable) -> float:
     """Largest |theta step| over every pair of usable neighbours, each axis
     with its periodic wrap."""
     worst = 0.0
-    for a, axis in enumerate(axes):
-        pair = usable & np.roll(usable, -1, axis=a)
-        if not axis.periodic:
-            pair[(slice(None),) * a + (-1,)] = False
+    for a, pair in _neighbour_pairs(axes, usable):
         if pair.any():
             step = np.abs(np.roll(theta, -1, axis=a) - theta)
             worst = max(worst, float(step[pair].max()))
@@ -182,8 +180,7 @@ def _residual_norm(mH, g_inv, first, dtheta):
 
 
 def angle_identity_residual(imm: SampledImmersion, node,
-                            field: AngleField | None = None,
-                            tol_deg: float = DEGENERACY_TOL) -> float:
+                            field: AngleField | None = None) -> float:
     """Grading norm of m*H - J grad(beta) at a node (zero to O(h^2)).
 
     grad(beta) = sum_ij g^ij (d_i theta) d_jF with theta differentiated
@@ -191,7 +188,7 @@ def angle_identity_residual(imm: SampledImmersion, node,
     node of identity_grid, from that node's jet alone.
     """
     if field is None:
-        field = angle_field(imm, tol_deg)
+        field = angle_field(imm)
     node = tuple(node)
     imm.require_margin(node, margin=RESIDUAL_MARGIN)
     if not field.usable[node]:
@@ -204,7 +201,7 @@ def angle_identity_residual(imm: SampledImmersion, node,
             raise DegenerateMetric(f"angle stencil at {node} hits a degenerate node")
         dtheta[a] = (field.theta[up] - field.theta[dn]) / (2.0 * axis.spacing)
     jt = jet(imm, node)
-    mH, g_inv, degenerate = trace_mean_curvature(jt.first, jt.second, tol_deg)
+    mH, g_inv, degenerate = trace_mean_curvature(jt.first, jt.second)
     if degenerate:
         raise DegenerateMetric(f"induced metric degenerate at {node}")
     return float(_residual_norm(mH, g_inv, jt.first, dtheta))
@@ -286,23 +283,15 @@ def build_gradient_graph(axes: Sequence[GridAxis], u: Callable | None = None,
 
 
 def graph_angle(hess: np.ndarray) -> LagrangianAngle:
-    """Angle of a gradient graph from its Hessian: polar of det_D(Id + tau Hess).
+    """Angle of a gradient graph from its Hessian: the angle of the frame
+    Id + tau Hess.
 
     Note the tau multiplying the Hessian: the coordinate tangent frame of the
     graph is row-wise Id + tau Hess(u); for n = 2 the determinant is
     1 + det Hess + tau Laplacian(u).
     """
     hess = np.asarray(hess, dtype=float)
-    n = hess.shape[0]
-    M = np.zeros((n, n, 2))
-    M[..., 0] = np.eye(n)
-    M[..., 1] = hess
-    dd = det_D(M)
-    try:
-        pf = dcore.polar(dd)
-    except Exception as exc:
-        raise DegenerateMetric(f"det_D(Id + tau Hess) is null: {dd}") from exc
-    return LagrangianAngle(pf.q, pf.theta)
+    return lagrangian_angle_of_frame(np.stack([np.eye(hess.shape[0]), hess], axis=-1))
 
 
 def standard_null_plane():

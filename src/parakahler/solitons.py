@@ -31,6 +31,7 @@ ground truth.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -50,6 +51,7 @@ from .errors import (
     StepFailure,
 )
 from .geometry import (
+    JET_MARGIN,
     SampledImmersion,
     induced_metric,
     jet,
@@ -525,7 +527,7 @@ def integrate_bidirectional(initial: SolitonState, params: SolitonParams,
     return integrate_bidirectional_many(params, [initial.as_array()], s_max, **kw)[0]
 
 
-def classify(traj: Trajectory, tol: float = 1e-9) -> str:
+def classify(traj: Trajectory) -> str:
     """Tag a trajectory per the phase-portrait taxonomy.
 
     Lorentzian with l' > 0 splits on the threshold energy: below it, orbits
@@ -783,9 +785,8 @@ def normal_component_residuals(imm: SampledImmersion, node, lam: float) -> np.nd
 def _sample_nodes(imm: SampledImmersion, per_axis: int = 3):
     picks = []
     for a in imm.axes:
-        lo = 0 if a.periodic else 2
-        hi = a.count - 1 if a.periodic else a.count - 3
+        lo = 0 if a.periodic else JET_MARGIN
+        hi = a.count - 1 if a.periodic else a.count - 1 - JET_MARGIN
         idx = np.unique(np.linspace(lo, hi, per_axis).astype(int))
         picks.append(list(idx))
-    import itertools as _it
-    return list(_it.product(*picks))
+    return list(itertools.product(*picks))

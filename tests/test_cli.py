@@ -139,6 +139,22 @@ def test_nijenhuis_command(tmp_path):
     assert footer_value(read_lines(out2), "verdict") == "obstructed"
 
 
+def test_nijenhuis_footer_reports_capped_count(tmp_path):
+    out = tmp_path / "nj.csv"
+    assert main(["nijenhuis", "--structure", "twist", "--count", "9",
+                 "--refine", "1", "--out", str(out)]) == 0
+    lines = read_lines(out)
+    assert footer_value(lines, "count") == "7"
+    assert footer_value(lines, "requested_count") == "9"
+    out2 = tmp_path / "nj2.csv"
+    assert main(["nijenhuis", "--structure", "pullback", "--count", "9",
+                 "--refine", "1", "--out", str(out2)]) == 0
+    lines = read_lines(out2)
+    assert footer_value(lines, "count") == "9"
+    with pytest.raises(KeyError):
+        footer_value(lines, "requested_count")
+
+
 def test_phase_command(tmp_path):
     out_dir = tmp_path / "phase"
     code = main(["phase", "--n", "2", "--lambda-prime", "1", "--case",

@@ -9,6 +9,7 @@ from parakahler.dlinalg import (
     d_matmul,
     det_D,
     dvector,
+    gram,
     gram_identity_check,
     hermitian_form,
     lagrangian_angle_of_frame,
@@ -156,6 +157,15 @@ def test_det_handles_null_pivots():
     M[1, 0] = [3, 0]
     d = det_D(M)
     assert np.allclose([d.x, d.y], _det_leibniz_over_D(M), atol=1e-12)
+
+
+@pytest.mark.parametrize("m, n", [(1, 1), (2, 2), (3, 3), (2, 5), (4, 9)])
+def test_gram_matches_metric_bitwise(m, n, rng):
+    frames = rng.normal(size=(6, m, n, 2)) * np.exp(rng.normal(scale=3.0, size=(6, m, n, 1)))
+    loop = np.array([[[metric(fr[i], fr[j]) for j in range(m)] for i in range(m)]
+                     for fr in frames])
+    assert np.array_equal(gram(frames), loop)
+    assert np.array_equal(gram(frames[0]), loop[0])
 
 
 def test_gram_identity_standard_basis():

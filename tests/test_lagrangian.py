@@ -1,8 +1,11 @@
+import itertools
 import math
+from collections import deque
 
 import numpy as np
 import pytest
 
+from parakahler import equivariant
 from parakahler.dcore import d_exp_tau, d_mul
 from parakahler.dlinalg import apply_J
 from parakahler.errors import (
@@ -14,6 +17,7 @@ from parakahler.errors import (
 )
 from parakahler.geometry import GridAxis, induced_metric, mean_curvature
 from parakahler.lagrangian import (
+    _regions,
     angle_field,
     angle_identity_residual,
     apply_J_immersion,
@@ -79,6 +83,60 @@ def test_monge_ampere_graph_angle_field():
     f = angle_field(imm)
     assert np.all(f.q[f.usable] == 1)
     assert np.nanmax(np.abs(f.theta)) < 1e-12
+
+
+def flood_fill_regions(axes, usable):
+    """Reference labelling: breadth-first flood fill from each unlabelled
+    usable node in C order, stepping to the usable grid neighbours (wrapping
+    on periodic axes)."""
+    region = np.full(usable.shape, -1, dtype=int)
+    rid = 0
+    for start in itertools.product(*[range(c) for c in usable.shape]):
+        if not usable[start] or region[start] >= 0:
+            continue
+        queue = deque([start])
+        region[start] = rid
+        while queue:
+            node = queue.popleft()
+            for a, axis in enumerate(axes):
+                for delta in (-1, 1):
+                    j = node[a] + delta
+                    if axis.periodic:
+                        j %= axis.count
+                    elif j < 0 or j >= axis.count:
+                        continue
+                    nbr = node[:a] + (j,) + node[a + 1:]
+                    if usable[nbr] and region[nbr] < 0:
+                        region[nbr] = rid
+                        queue.append(nbr)
+        rid += 1
+    return region, rid
+
+
+def test_angle_field_regions_match_flood_fill_on_torus():
+    curve = equivariant.explicit_circle(1.3, 64)
+    imm = equivariant.lift(curve, 2, (32,))
+    field = angle_field(imm)
+    region, count = flood_fill_regions(imm.axes, field.usable)
+    assert field.n_regions == count == 4
+    assert np.array_equal(field.region, region)
+
+
+def test_regions_match_flood_fill_on_random_masks():
+    rng = np.random.default_rng(7)
+    total = 0
+    for trial in range(300):
+        m = 1 + trial % 3
+        counts = rng.integers(5, (40, 12, 7)[m - 1], size=m, endpoint=True)
+        axes = tuple(GridAxis(0.0, 1.0, int(c), periodic=bool(rng.integers(2)))
+                     for c in counts)
+        usable = rng.random(tuple(int(c) for c in counts)) < rng.uniform(0.3, 0.8)
+        region, count = _regions(axes, usable)
+        expected, expected_count = flood_fill_regions(axes, usable)
+        assert count == expected_count
+        assert np.array_equal(region, expected)
+        total += count
+    assert total > 1000
 
 
 def test_identity_residual_refines():

@@ -1,0 +1,57 @@
+"""Each script under scripts/ runs end to end on small arguments."""
+
+import importlib.util
+import sys
+import tempfile
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(f"script_{name}", SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def run_script(name, monkeypatch, *args):
+    """The script's main() with args as its command line."""
+    monkeypatch.setattr(sys, "argv", [f"{name}.py", *args])
+    return load_script(name).main()
+
+
+def data_rows(path):
+    return [l for l in path.read_text(encoding="utf-8").splitlines()[1:]
+            if not l.startswith("#")]
+
+
+def test_every_script_is_covered():
+    assert {p.stem for p in SCRIPTS.glob("*.py")} == {
+        "convergence_study", "phase_portrait", "torus_angle_field"}
+
+
+def test_convergence_study_prints_second_order_ratios(capsys, monkeypatch):
+    assert run_script("convergence_study", monkeypatch) == 0
+    ratios = [float(line.rsplit("ratio = ", 1)[1])
+              for line in capsys.readouterr().out.splitlines() if "ratio = " in line]
+    assert len(ratios) == 4
+    assert all(3.5 < r < 4.5 for r in ratios)
+
+
+def test_phase_portrait_writes_one_csv_per_orbit(tmp_path, monkeypatch):
+    out_dir = tmp_path / "phase"
+    assert run_script("phase_portrait", monkeypatch, "--out-dir", str(out_dir)) == 0
+    assert len(data_rows(out_dir / "index.csv")) == 8 * 7
+    assert len(list(out_dir.glob("traj_*.csv"))) == 8 * 7
+
+
+def test_torus_angle_field_leaves_no_temp_file(tmp_path, monkeypatch):
+    temp_root = tmp_path / "tmp"
+    temp_root.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(temp_root))
+    out = tmp_path / "out" / "torus.csv"
+    assert run_script("torus_angle_field", monkeypatch, "--count", "16", "--out", str(out)) == 0
+    assert len(data_rows(out)) == 16 * 8
+    assert list(temp_root.iterdir()) == []
+

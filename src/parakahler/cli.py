@@ -13,6 +13,7 @@ import argparse
 import json
 import math
 import sys
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,8 @@ from .dcore import d_norm2
 from .errors import ParakahlerError, SpecValidationError
 from .lagrangian import angle_field, identity_grid
 from .solitons import SolitonParams, SolitonState
+
+CSV_BLOCK_ROWS = 256  # rows per '%' in _write_csv: ~100 KB of text
 
 
 def _fmt(x) -> str:
@@ -41,12 +44,15 @@ class _Parser(argparse.ArgumentParser):
 def _write_csv(path, header, rows, footer=None):
     """Header, rows and '# key=value' footer lines.  Each column keeps the
     type of its first row: strings pass through, numbers print as _fmt does
-    ('%.17g' % nan is 'nan'), so one format string serves every row."""
+    ('%.17g' % nan is 'nan'), so one format string serves every row, and
+    one '%' formats a block of CSV_BLOCK_ROWS rows."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
         if rows:
             fmt = ",".join("%s" if isinstance(v, str) else "%.17g" for v in rows[0]) + "\n"
-            fh.writelines(fmt % tuple(row) for row in rows)
+            for start in range(0, len(rows), CSV_BLOCK_ROWS):
+                block = rows[start:start + CSV_BLOCK_ROWS]
+                fh.write((fmt * len(block)) % tuple(chain.from_iterable(block)))
         for key, value in (footer or {}).items():
             fh.write(f"# {key}={value}\n")
 

@@ -23,8 +23,7 @@ from itertools import permutations
 
 import numpy as np
 
-from . import dcore
-from .dcore import ParaComplex, d_array, d_conj, d_grading2
+from .dcore import ParaComplex, d_array, d_conj, d_grading2, d_norm2, d_polar
 from .errors import DegenerateMetric, DimensionMismatch, LagrangianViolation
 
 LAGRANGIAN_TOL = 1e-8   # max |omega| <= tol * largest squared frame entry
@@ -135,25 +134,28 @@ def det_D(M):
     return out
 
 
-def frame_matrix(frame) -> np.ndarray:
-    """Stack frame vectors into the D-matrix of their components."""
-    frame = d_array(frame)
-    if frame.ndim != 3:
+def frame_matrix(frames) -> np.ndarray:
+    """A frame (m, n, 2) of D-vectors, or a stack (..., m, n, 2) of them."""
+    frames = d_array(frames)
+    if frames.ndim < 3:
         raise DimensionMismatch("a frame is a sequence of D-vectors")
-    return frame
+    return frames
 
 
 def require_lagrangian(frames):
-    """Raise LagrangianViolation unless the stack of frames (..., m, n, 2) is
-    Lagrangian: the largest |omega(X_i, X_j)| over every pair of every frame
-    is at most LAGRANGIAN_TOL times the stack's largest squared entry."""
-    frames = d_array(frames)
+    """Raise LagrangianViolation unless every frame of the stack (..., m, n, 2)
+    is Lagrangian: its largest |omega(X_i, X_j)| is at most LAGRANGIAN_TOL
+    times its own largest squared entry x^2 + y^2.  Each frame has its own
+    scale, so one stacked call decides as one call per frame would; the
+    message reports the worst frame."""
+    frames = frame_matrix(frames)
     w = np.einsum("...in,...jn->...ij", frames[..., 0], frames[..., 1])
-    worst = float(np.max(np.abs(w - np.swapaxes(w, -2, -1))))
-    bound = LAGRANGIAN_TOL * max(float(np.max(d_grading2(frames))), 1e-300)
-    if worst > bound:
+    worst = np.max(np.abs(w - np.swapaxes(w, -2, -1)), axis=(-2, -1))
+    bound = LAGRANGIAN_TOL * np.maximum(np.max(d_grading2(frames), axis=(-2, -1)), 1e-300)
+    if np.any(worst > bound):
+        k = np.unravel_index(np.argmax(worst / bound), worst.shape)
         raise LagrangianViolation(
-            f"frames are not Lagrangian: max |omega| = {worst:.3e} exceeds {bound:.3e}"
+            f"frames are not Lagrangian: max |omega| = {worst[k]:.3e} exceeds {bound[k]:.3e}"
         )
 
 
@@ -165,17 +167,20 @@ def gram(frames) -> np.ndarray:
                   - y[..., :, None, :] * y[..., None, :, :], axis=-1)
 
 
-def gram_identity_check(frame):
-    """(det_R of the Gram matrix, squared_norm(det_D M)) for a Lagrangian frame.
+def gram_identity_check(frames):
+    """(det_R of the Gram matrix, squared_norm(det_D M)) for a Lagrangian
+    frame (n, n, 2) as floats, or for a stack (..., n, n, 2) as arrays.
 
     The two numbers agree to relative 1e-10 for well-conditioned frames; the
     caller asserts that contract.
     """
-    frame = frame_matrix(frame)
-    require_lagrangian(frame)
-    det_gram = float(np.linalg.det(gram(frame)))
-    dd = det_D(frame)
-    return det_gram, dd.squared_norm()
+    frames = frame_matrix(frames)
+    require_lagrangian(frames)
+    det_gram = np.linalg.det(gram(frames))
+    sq = d_norm2(d_array(det_D(frames)))
+    if frames.ndim == 3:
+        return float(det_gram), float(sq)
+    return det_gram, sq
 
 
 @dataclass(frozen=True)
@@ -189,15 +194,19 @@ class LagrangianAngle:
     theta: float
 
 
-def lagrangian_angle_of_frame(frame) -> LagrangianAngle:
-    frame = frame_matrix(frame)
-    require_lagrangian(frame)
-    dd = det_D(frame)
-    try:
-        pf = dcore.polar(dd)
-    except Exception as exc:
-        raise DegenerateMetric(f"det_D is null: {dd}") from exc
-    return LagrangianAngle(pf.q, pf.theta)
+def lagrangian_angle_of_frame(frames) -> LagrangianAngle:
+    """(q, theta) of a Lagrangian frame (n, n, 2), or of every frame of a
+    stack (..., n, n, 2) with q and theta arrays over the leading axes.
+    DegenerateMetric when det_D of a frame is null."""
+    frames = frame_matrix(frames)
+    require_lagrangian(frames)
+    dets = d_array(det_D(frames))
+    _, q, _, theta, null = d_polar(dets)
+    if np.any(null):
+        raise DegenerateMetric(f"det_D is null: {dets[null][0]}")
+    if frames.ndim == 3:
+        return LagrangianAngle(int(q), float(theta))
+    return LagrangianAngle(q, theta)
 
 
 def random_lagrangian_frame(n: int, rng: np.random.Generator,

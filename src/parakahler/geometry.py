@@ -6,7 +6,9 @@ differences; non-periodic axes keep a 2-cell margin and raise BoundaryPoint
 inside it.  Quantities:
 
     jet / grid_jet      first and second derivatives at a node / on the grid
+    node_tangents / coordinate_tangents  first derivatives only
     induced_metric      g_ij = <d_iF, d_jF> with signature and degeneracy
+    metric_signatures   the signatures of a stack of tangent frames at once
     trace_mean_curvature  m H = (g^ab d_a d_b F)^perp, batched over nodes
     signed_gram_schmidt pivoted orthonormalization for indefinite metrics
     para_adapted_frame  orthonormal frame with e_{2i} = J e_{2i-1}
@@ -127,9 +129,6 @@ class SampledImmersion:
                 f"node {tuple(node)} is within {margin} cells of a boundary"
             )
 
-    def interior_nodes(self, margin: int = JET_MARGIN):
-        return [tuple(node) for node in np.argwhere(self.margin_mask(margin)).tolist()]
-
 
 def immersion_from_function(axes: Sequence[GridAxis], fn: Callable) -> SampledImmersion:
     """Sample fn over the grid; fn takes meshgrid coordinate arrays and
@@ -165,8 +164,8 @@ def _second_differences(shifted, spacings) -> np.ndarray:
     return np.stack([np.stack(row, axis=-3) for row in second], axis=-4)
 
 
-def jet(imm: SampledImmersion, node) -> Jet:
-    """Order-2 central first and second derivatives at a node."""
+def _node_shifted(imm: SampledImmersion, node):
+    """shifted(deltas) at one node with the full jet margin."""
     node = tuple(node)
     imm.require_margin(node)
 
@@ -175,9 +174,19 @@ def jet(imm: SampledImmersion, node) -> Jet:
         for axis, delta in deltas.items():
             idx[axis] = imm.axes[axis].shift(idx[axis], delta)
         return imm.values[tuple(idx)]
+    return shifted
 
+
+def jet(imm: SampledImmersion, node) -> Jet:
+    """Order-2 central first and second derivatives at a node."""
+    shifted = _node_shifted(imm, node)
     spacings = [a.spacing for a in imm.axes]
     return Jet(_first_differences(shifted, spacings), _second_differences(shifted, spacings))
+
+
+def node_tangents(imm: SampledImmersion, node) -> np.ndarray:
+    """jet(imm, node).first without the second derivatives."""
+    return _first_differences(_node_shifted(imm, node), [a.spacing for a in imm.axes])
 
 
 def _grid_shifted(imm):
@@ -228,15 +237,27 @@ def induced_gram(tangents: np.ndarray):
     return g, degenerate
 
 
+def _signature(eigenvalues) -> tuple[int, ...]:
+    """Signs of a Gram matrix's eigenvalues, positive first."""
+    return tuple(sorted((1 if e > 0 else -1 for e in eigenvalues), reverse=True))
+
+
 def metric_from_tangents(tangents: np.ndarray) -> InducedMetric:
     g, degenerate = induced_gram(tangents)
-    signature = () if degenerate else tuple(
-        sorted((1 if e > 0 else -1 for e in np.linalg.eigvalsh(g)), reverse=True))
+    signature = () if degenerate else _signature(np.linalg.eigvalsh(g))
     return InducedMetric(g, signature, bool(degenerate))
 
 
+def metric_signatures(tangents: np.ndarray) -> list[tuple[int, ...]]:
+    """metric_from_tangents(t).signature for each frame t of a stack
+    (N, m, n, 2), from one induced_gram and one batched eigvalsh."""
+    g, degenerate = induced_gram(tangents)
+    return [() if d else _signature(e)
+            for e, d in zip(np.linalg.eigvalsh(g), degenerate)]
+
+
 def induced_metric(imm: SampledImmersion, node) -> InducedMetric:
-    return metric_from_tangents(jet(imm, node).first)
+    return metric_from_tangents(node_tangents(imm, node))
 
 
 @dataclass(frozen=True)

@@ -52,6 +52,7 @@ from .geometry import (
     coordinate_tangents,
     grid_mean_curvature,
     jet,
+    node_tangents,
     trace_mean_curvature,
 )
 
@@ -62,7 +63,7 @@ RESIDUAL_MARGIN = JET_MARGIN + 1  # theta is differentiated once more
 def is_lagrangian(imm: SampledImmersion, node) -> bool:
     """The node's coordinate tangent frame passes require_lagrangian."""
     try:
-        require_lagrangian(jet(imm, node).first)
+        require_lagrangian(node_tangents(imm, node))
     except LagrangianViolation:
         return False
     return True

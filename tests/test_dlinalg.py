@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from parakahler.dlinalg import (
     metric,
     omega,
     random_lagrangian_frame,
+    require_lagrangian,
 )
 from parakahler.errors import (
     DegenerateMetric,
@@ -230,3 +233,62 @@ def test_angle_degenerate_frame():
     frame[1] = [[0, -1], [1, 0]]  # e2 - tau e1: Lagrangian but null det
     with pytest.raises((DegenerateMetric, LagrangianViolation)):
         lagrangian_angle_of_frame(frame)
+
+
+def test_require_lagrangian_scales_each_frame_on_its_own():
+    big = np.zeros((2, 2, 2))
+    big[..., 0] = 1e3 * np.eye(2)
+    big[..., 1] = 1e3 * np.array([[0.5, 0.25], [0.25, -0.75]])  # exact: omega = 0
+    small = np.zeros((2, 2, 2))
+    small[..., 0] = np.eye(2)
+    small[..., 1] = [[0.5, 0.25 + 1e-6], [0.25, -0.75]]  # omega(X_1, X_2) ~ 1e-6
+    require_lagrangian(big)
+    with pytest.raises(LagrangianViolation):
+        require_lagrangian(small)
+    # a bound from the stack's largest entry (~1e-2 here) would pass the pair
+    with pytest.raises(LagrangianViolation, match="max \\|omega\\| = 1.0"):
+        require_lagrangian(np.stack([big, small]))
+    require_lagrangian(np.stack([big, 1e-3 * big]))
+
+
+def _leibniz_condition(frames):
+    """sum over the null coordinates R = x +- y of perm(|R|) / |det R|: the
+    rounding of a Leibniz determinant is at most n! eps perm(|R|), whatever
+    order its n! terms are summed in."""
+    n = frames.shape[-2]
+    out = 0.0
+    for R in (frames[..., 0] + frames[..., 1], frames[..., 0] - frames[..., 1]):
+        perm = sum(np.prod(np.abs(R[..., range(n), list(p)]), axis=-1)
+                   for p in itertools.permutations(range(n)))
+        out = out + perm / np.abs(np.linalg.det(R))
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_stacked_frame_queries_match_single_frames(n, rng):
+    frames = np.stack([random_lagrangian_frame(n, rng) for _ in range(200)])
+    det_gram, sq = gram_identity_check(frames)
+    ang = lagrangian_angle_of_frame(frames)
+    assert det_gram.shape == sq.shape == ang.q.shape == ang.theta.shape == (200,)
+    # A stack sums the Leibniz terms of det_D in another order than one frame
+    # does, so theta and squared_norm(det_D) may differ by that rounding
+    # (measured: at most 2.6e-15 * kappa over ten seeds); the Gram
+    # determinant goes through the same LAPACK call either way.
+    kappa = _leibniz_condition(frames)
+    for k, frame in enumerate(frames):
+        one_gram, one_sq = gram_identity_check(frame)
+        one = lagrangian_angle_of_frame(frame)
+        assert type(one_gram) is type(one_sq) is float
+        assert type(one.q) is int and type(one.theta) is float
+        assert one.q == ang.q[k]
+        assert abs(one.theta - ang.theta[k]) <= 1e-14 * kappa[k]
+        assert abs(one_sq - sq[k]) <= 1e-14 * kappa[k] * abs(one_sq)
+        assert abs(one_gram - det_gram[k]) <= 1e-13 * abs(one_gram)
+
+
+def test_stacked_angle_rejects_a_null_frame():
+    frames = np.zeros((3, 2, 2, 2))
+    frames[:, :, :, 0] = np.eye(2)
+    frames[1, :, :, 1] = np.eye(2)   # e_i + tau e_i: Lagrangian, det (1 + tau)^2 null
+    with pytest.raises(DegenerateMetric):
+        lagrangian_angle_of_frame(frames)

@@ -17,6 +17,7 @@ from parakahler.errors import (
 from parakahler.geometry import (
     GridAxis,
     SampledImmersion,
+    coordinate_tangents,
     grid_jet,
     immersion_from_function,
     induced_metric,
@@ -24,6 +25,8 @@ from parakahler.geometry import (
     jfield_from_function,
     lie_bracket,
     mean_curvature,
+    metric_from_tangents,
+    metric_signatures,
     nijenhuis,
     normal_project,
     para_adapted_frame,
@@ -358,6 +361,30 @@ def test_grid_jet_is_the_per_node_jet():
             ref = jet(imm, node)
             assert np.array_equal(jt.first[node], ref.first)
             assert np.array_equal(jt.second[node], ref.second)
+
+
+@pytest.mark.parametrize("case", ["graph33", "torus"])
+def test_induced_metric_is_the_jet_route(case):
+    from parakahler import equivariant
+    from parakahler.lagrangian import build_gradient_graph
+
+    if case == "graph33":
+        axes = (GridAxis(-0.5, 0.5, 33), GridAxis(-0.5, 0.5, 33))
+        imm = build_gradient_graph(axes, u=lambda x1, x2: (
+            0.31 * x1 ** 3 - 0.22 * x1 ** 2 * x2 + 0.25 * x2 ** 2))
+    else:
+        imm = equivariant.lift(equivariant.explicit_circle(1.3, 64), 2)
+    tangents, valid = coordinate_tangents(imm)
+    signatures = metric_signatures(tangents[valid])
+    nodes = [tuple(nd) for nd in np.argwhere(valid)]
+    assert len(signatures) == len(nodes)
+    for node, signature in zip(nodes, signatures):
+        im = induced_metric(imm, node)
+        ref = metric_from_tangents(jet(imm, node).first)
+        assert np.array_equal(im.g, ref.g)
+        assert (im.signature, im.degenerate) == (ref.signature, ref.degenerate)
+        assert signature == ref.signature
+    assert any(s == () for s in signatures) == (case == "torus")
 
 
 # -- Nijenhuis ---------------------------------------------------------------

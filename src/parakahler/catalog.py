@@ -15,7 +15,6 @@ x1..xn / s.
 from __future__ import annotations
 
 import numpy as np
-from jsonschema import Draft202012Validator
 
 from . import equivariant, lagrangian, solitons
 from .dcore import d_array
@@ -131,6 +130,8 @@ _SPEC_SCHEMA = {
 
 def validate_spec(doc: dict) -> dict:
     """Schema-validate an immersion spec; raises SpecValidationError."""
+    from jsonschema import Draft202012Validator  # imported here: only specs need it
+
     errors = sorted(Draft202012Validator(_SPEC_SCHEMA).iter_errors(doc),
                     key=lambda e: e.json_path)
     if errors:

@@ -24,8 +24,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
 
 from . import dcore
 from .dcore import ParaComplex, d_array, d_grading2, d_mul, d_norm2, d_polar
@@ -149,13 +147,30 @@ def _neighbour_pairs(axes, usable):
 def _regions(axes, usable):
     """(labels, count): the connected components of the usable nodes under
     the neighbour pairs, numbered by each component's first node in C order;
-    -1 on unusable nodes."""
+    -1 on unusable nodes.
+
+    Root hooking with pointer jumping (Shiloach & Vishkin 1982): each round
+    hooks the larger root of every edge onto the smallest root it meets,
+    jumps every node to its root, and keeps the edges whose ends still have
+    different roots.  Each round hooks the largest root of every component
+    that is not yet merged, so the loop ends with one root per component."""
     index = np.arange(usable.size).reshape(usable.shape)
     ends = [(index[pair], np.roll(index, -1, axis=a)[pair])
             for a, pair in _neighbour_pairs(axes, usable)]
-    rows, cols = (np.concatenate(side) for side in zip(*ends))
-    graph = coo_matrix((np.ones(rows.size), (rows, cols)), shape=(usable.size,) * 2)
-    labels = connected_components(graph, directed=False)[1][usable.ravel()]
+    lo, hi = (np.concatenate(side) for side in zip(*ends))
+    root = np.arange(usable.size)
+    while lo.size:
+        lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
+        np.minimum.at(root, hi, lo)
+        while True:
+            jumped = root[root]
+            if np.array_equal(jumped, root):
+                break
+            root = jumped
+        lo, hi = root[lo], root[hi]
+        keep = lo != hi
+        lo, hi = lo[keep], hi[keep]
+    labels = root[usable.ravel()]
     _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
     region = np.full(usable.shape, -1, dtype=int)
     region[usable] = np.argsort(np.argsort(first))[inverse]

@@ -37,8 +37,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
 
 from .dcore import d_exp_tau, d_grading2
 from .dlinalg import apply_J, metric
@@ -72,6 +70,19 @@ ALPHA_MAX = 30.0
 ALPHA_FLOOR = 1e-5
 DRIFT_TOL = 1e-8
 _TINY = np.array(1e-300)
+_EPS = np.finfo(float).eps
+# Bracketed roots (_bracketed_root) stop once the bracket is within
+# xtol + rtol |x| of the root: ROOT_RTOL = 4 ulp for every root, and an
+# absolute part of 4 ulp of 1 for stop events, 1e-14 for turning radii;
+# ROOT_MAXITER bounds the iterations.
+ROOT_RTOL = 4 * _EPS
+ROOT_MAXITER = 100
+EVENT_XTOL = 4 * _EPS
+TURNING_XTOL = 1e-14
+# epsabs = epsrel of the phi quadrature: the smooth definite integrand, and
+# the Lorentzian pieces with their turning-point substitutions
+QUAD_TOL_DEFINITE = 1e-12
+QUAD_TOL_LORENTZIAN = 1e-11
 
 
 @dataclass(frozen=True)
@@ -248,7 +259,6 @@ _P = np.array([
      701980252875 / 199316789632],
     [0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
     [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423]])
-_EPS = np.finfo(float).eps
 # step control constants as 0-d arrays (see _Field): safety factor, error
 # exponent -1/(4 + 1), step factors 1/5 to 10, and the 10-ulp step floor
 _SAFETY, _EXPONENT = np.array(0.9), np.array(-0.2)
@@ -285,6 +295,57 @@ def _initial_step(y, f, field, sign, s_max, rtol, atol):
     return np.minimum(np.minimum(100 * h0, h1), s_max)
 
 
+def _bracketed_root(f, a: float, b: float, xtol: float) -> float:
+    """A root of the scalar f in [a, b], where f(a) and f(b) differ in sign,
+    by Brent's method (Brent 1973, ch. 4): inverse quadratic interpolation or
+    a secant step while it shrinks the bracket fast enough, bisection
+    otherwise.  The bracket [cur, blk] keeps |f(cur)| <= |f(blk)|, and cur
+    is returned once f(cur) = 0 or |blk - cur| < xtol + ROOT_RTOL |cur|, with
+    a step of at least half that tolerance.  An endpoint where f vanishes is
+    the root.  Step for step the iteration of scipy's brentq."""
+    f_pre, f_cur = f(a), f(b)
+    x_pre, x_cur = a, b
+    if f_pre == 0.0:
+        return a
+    if f_cur == 0.0:
+        return b
+    if math.copysign(1.0, f_pre) == math.copysign(1.0, f_cur):
+        raise ValueError(f"f({a}) and f({b}) must differ in sign")
+    x_blk = f_blk = s_pre = s_cur = 0.0
+    for _ in range(ROOT_MAXITER):
+        if f_pre != 0.0 and f_cur != 0.0 and (
+                math.copysign(1.0, f_pre) != math.copysign(1.0, f_cur)):
+            x_blk, f_blk = x_pre, f_pre
+            s_pre = s_cur = x_cur - x_pre
+        if abs(f_blk) < abs(f_cur):
+            x_pre, x_cur, x_blk = x_cur, x_blk, x_cur
+            f_pre, f_cur, f_blk = f_cur, f_blk, f_cur
+        delta = (xtol + ROOT_RTOL * abs(x_cur)) / 2
+        s_bis = (x_blk - x_cur) / 2
+        if f_cur == 0.0 or abs(s_bis) < delta:
+            return x_cur
+        s_try = math.inf                 # bisect unless a fast step is found
+        if abs(s_pre) > delta and abs(f_cur) < abs(f_pre):
+            try:
+                if x_pre == x_blk:       # secant
+                    s_try = -f_cur * (x_cur - x_pre) / (f_cur - f_pre)
+                else:                    # inverse quadratic interpolation
+                    d_pre = (f_pre - f_cur) / (x_pre - x_cur)
+                    d_blk = (f_blk - f_cur) / (x_blk - x_cur)
+                    s_try = (-f_cur * (f_blk * d_blk - f_pre * d_pre)
+                             / (d_blk * d_pre * (f_blk - f_pre)))
+            except ZeroDivisionError:
+                pass
+        if 2 * abs(s_try) < min(abs(s_pre), 3 * abs(s_bis) - delta):
+            s_pre, s_cur = s_cur, s_try
+        else:
+            s_pre = s_cur = s_bis
+        x_pre, f_pre = x_cur, f_cur
+        x_cur += s_cur if abs(s_cur) > delta else (delta if s_bis > 0 else -delta)
+        f_cur = f(x_cur)
+    raise RuntimeError(f"no root within {ROOT_MAXITER} iterations in [{a}, {b}]")
+
+
 def _locate_event(hits, t_old, t_new, y_old, Q, field, limits):
     """Earliest event of one lane's step on its interpolant y_old + h Q p(x):
     (index, s, state)."""
@@ -299,8 +360,8 @@ def _locate_event(hits, t_old, t_new, y_old, Q, field, limits):
         y = interp(t)
         return float(_events(y, field(y)[1], limits)[e, 0])
 
-    roots = [brentq(g, t_old, t_new, args=(e,), xtol=4 * _EPS, rtol=4 * _EPS)
-             for e in hits]
+    roots = [_bracketed_root(lambda t: g(t, e), float(t_old), float(t_new),
+                             EVENT_XTOL) for e in hits]
     k = int(np.argmin(roots))
     return hits[k], roots[k], interp(roots[k])[:, 0]
 
@@ -327,10 +388,10 @@ def integrate_many(params: SolitonParams, initial, directions, s_max: float, *,
     safety 0.9, step factors 0.2 to 10 and no growth right after a
     rejection, the starting step of Hairer-Norsett-Wanner -- step for step
     the control of scipy's RK45.  A lane stops at s_max, or at the first
-    sign change of an event on its step's 4th-order interpolant (brentq to
-    4 ulp): r <= r_min, r >= r_max, |alpha| >= alpha_max (past which cosh
-    overflows and the trajectory is in its asymptotic blow-up), and for
-    definite lanes alpha_floor.  Finished lanes leave the batch.
+    sign change of an event on its step's 4th-order interpolant (Brent's
+    method to 4 ulp): r <= r_min, r >= r_max, |alpha| >= alpha_max (past
+    which cosh overflows and the trajectory is in its asymptotic blow-up),
+    and for definite lanes alpha_floor.  Finished lanes leave the batch.
 
     An r -> 0 end is reached at a finite parameter value s*; the remaining
     s-interval below r ~ 1e-4 is smaller than an ulp of s*, so the step size
@@ -580,7 +641,7 @@ def turning_radius(E: float, params: SolitonParams, side: str) -> float:
     target = math.log(abs(E))
 
     def f(rho):
-        return _log_weight(rho, params) - target
+        return float(_log_weight(rho, params) - target)
 
     if params.lambda_prime > 0.0:
         peak = math.sqrt(params.n / params.lambda_prime)
@@ -590,15 +651,15 @@ def turning_radius(E: float, params: SolitonParams, side: str) -> float:
             lo = peak
             while f(lo) > 0.0:
                 lo /= 2.0
-            return brentq(f, lo, peak, xtol=1e-14)
+            return _bracketed_root(f, lo, peak, TURNING_XTOL)
         hi = peak
         while f(hi) > 0.0:
             hi *= 2.0
-        return brentq(f, peak, hi, xtol=1e-14)
+        return _bracketed_root(f, peak, hi, TURNING_XTOL)
     lo, hi = 1e-12, 1.0
     while f(hi) < 0.0:
         hi *= 2.0
-    return brentq(f, lo, hi, xtol=1e-14)
+    return _bracketed_root(f, lo, hi, TURNING_XTOL)
 
 
 def phi_quadrature(r_from: float, r_to: float, E: float,
@@ -620,6 +681,7 @@ def phi_quadrature(r_from: float, r_to: float, E: float,
     lo, hi = min(r_from, r_to), max(r_from, r_to)
     if lo <= 0.0:
         raise NonpositiveRadius(f"r = {lo}")
+    from scipy.integrate import quad  # imported here: only verify soliton-ode needs it
 
     if params.case == "definite":
         lE = math.log(abs(E))
@@ -631,7 +693,8 @@ def phi_quadrature(r_from: float, r_to: float, E: float,
             t = math.exp(lt)
             return 1.0 / (rho * math.sqrt(t * t + 1.0))
 
-        val, _ = quad(integ, r_from, r_to, epsabs=1e-12, epsrel=1e-12, limit=200)
+        val, _ = quad(integ, r_from, r_to, epsabs=QUAD_TOL_DEFINITE,
+                      epsrel=QUAD_TOL_DEFINITE, limit=200)
         return math.copysign(1.0, E) * val
 
     if E < 0.0:
@@ -673,7 +736,8 @@ def phi_quadrature(r_from: float, r_to: float, E: float,
     if interior_bad and not pieces:
         raise IntegrandSingular("radicand negative inside the quadrature range")
     if b > a:
-        val, _ = quad(integ, a, b, epsabs=1e-11, epsrel=1e-11, limit=200)
+        val, _ = quad(integ, a, b, epsabs=QUAD_TOL_LORENTZIAN,
+                      epsrel=QUAD_TOL_LORENTZIAN, limit=200)
         pieces.append(val)
     return float(sum(pieces))
 
@@ -681,13 +745,15 @@ def phi_quadrature(r_from: float, r_to: float, E: float,
 def _sub_integral(rho_t, w, E, params, upper: bool):
     """Integral of the Lorentzian integrand over the w-slice ending at the
     turning radius, via rho = rho_t -+ u^2."""
+    from scipy.integrate import quad
 
     def integ(u):
         rho = rho_t - u * u if upper else rho_t + u * u
         rad = _lorentz_radicand(rho, E, params)
         return 2.0 * u / (rho * np.sqrt(np.maximum(rad, 1e-300)))
 
-    val, _ = quad(integ, 0.0, math.sqrt(w), epsabs=1e-11, epsrel=1e-11, limit=200)
+    val, _ = quad(integ, 0.0, math.sqrt(w), epsabs=QUAD_TOL_LORENTZIAN,
+                  epsrel=QUAD_TOL_LORENTZIAN, limit=200)
     return val
 
 

@@ -1,8 +1,13 @@
+import ast
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import parakahler
 from parakahler import catalog
 from parakahler.cli import main
 from parakahler.errors import SpecValidationError
@@ -275,3 +280,40 @@ def test_write_csv_matches_per_cell_format(tmp_path):
         ",".join(v if isinstance(v, str) else _fmt(v) for v in row) + "\n"
         for row in rows) + "# k=v\n"
     assert out.read_bytes() == expect.encode("utf-8")
+
+
+def _loaded_in_fresh_interpreter(code, cwd=None):
+    """Top-level names of the modules a fresh interpreter has loaded after
+    running code, in cwd, with this parakahler importable."""
+    src = str(Path(parakahler.__file__).resolve().parent.parent)
+    probe = (f"import sys; sys.path.insert(0, {src!r})\n{code}\n"
+             "print(sorted({m.split('.')[0] for m in sys.modules}))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, timeout=300, check=True, cwd=cwd)
+    return set(ast.literal_eval(proc.stdout.strip().splitlines()[-1]))
+
+
+def test_bare_import_loads_neither_scipy_nor_jsonschema():
+    loaded = _loaded_in_fresh_interpreter("import parakahler.cli")
+    assert "numpy" in loaded
+    assert not loaded & {"scipy", "jsonschema"}
+
+
+def test_cli_subcommands_never_load_scipy(tmp_path):
+    (tmp_path / "torus.json").write_text(json.dumps(torus_spec()), encoding="utf-8")
+    calls = [
+        ["graph", "--u", "x1^3 - x1*x2^2/2", "--count", "17", "--out", "g.csv"],
+        ["angle", "--spec", "torus.json", "--out", "a.csv"],
+        ["equivariant", "--family", "circle", "--C", "1.3", "--count", "64",
+         "--out", "c.csv", "--lift-out", "l.csv"],
+        ["phase", "--n", "2", "--lambda-prime", "1", "--case", "lorentzian",
+         "--r-count", "2", "--alpha-count", "2", "--out-dir", "p"],
+        ["soliton", "--n", "2", "--lambda-prime", "-1", "--case", "definite",
+         "--r", "0.9", "--alpha", "0.4", "--bidirectional", "--out", "s.csv"],
+    ]
+    code = "from parakahler.cli import main\n" + "".join(
+        f"assert main({argv!r}) == 0\n" for argv in calls)
+    loaded = _loaded_in_fresh_interpreter(code, cwd=tmp_path)
+    assert "jsonschema" in loaded and "scipy" not in loaded
+    for name in ("g.csv", "a.csv", "c.csv", "l.csv", "p/index.csv", "s.csv"):
+        assert (tmp_path / name).is_file()

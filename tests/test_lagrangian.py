@@ -113,6 +113,44 @@ def flood_fill_regions(axes, usable):
     return region, rid
 
 
+def csgraph_regions(axes, usable):
+    """Reference labelling: scipy's connected components over the same
+    neighbour edges, renumbered by each component's first node in C order."""
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    index = np.arange(usable.size).reshape(usable.shape)
+    rows, cols = [], []
+    for a, axis in enumerate(axes):
+        nxt = np.roll(index, -1, axis=a)
+        pair = usable & np.roll(usable, -1, axis=a)
+        if not axis.periodic:
+            pair[(slice(None),) * a + (-1,)] = False
+        rows.append(index[pair])
+        cols.append(nxt[pair])
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    graph = coo_matrix((np.ones(rows.size), (rows, cols)), shape=(usable.size,) * 2)
+    labels = connected_components(graph, directed=False)[1][usable.ravel()]
+    _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
+    region = np.full(usable.shape, -1, dtype=int)
+    region[usable] = np.argsort(np.argsort(first))[inverse]
+    return region, first.size
+
+
+@pytest.mark.parametrize("density", [0.55, 0.9, 1.0])
+@pytest.mark.parametrize("counts, periodic", [((257, 257), (False, False)),
+                                              ((33, 33, 33), (True, False, True))],
+                         ids=["257^2", "33^3-periodic"])
+def test_regions_match_csgraph_on_large_masks(counts, periodic, density):
+    axes = tuple(GridAxis(0.0, 1.0, c, periodic=p) for c, p in zip(counts, periodic))
+    rng = np.random.default_rng(len(counts) * 100 + int(density * 100))
+    usable = rng.random(counts) < density
+    region, count = _regions(axes, usable)
+    expected, expected_count = csgraph_regions(axes, usable)
+    assert count == expected_count
+    assert np.array_equal(region, expected)
+
+
 def test_angle_field_regions_match_flood_fill_on_torus():
     curve = equivariant.explicit_circle(1.3, 64)
     imm = equivariant.lift(curve, 2, (32,))

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
+from scipy.optimize import brentq
 
 from parakahler import equivariant, solitons
 from parakahler.dcore import d_norm2, d_pow
@@ -421,3 +422,94 @@ def test_event_rounding_onto_the_last_knot_adds_no_state():
     assert tr.stop_reason == stop == "alpha_max"
     assert np.all(np.diff(tr.s) > 0)
     assert abs(len(tr.s) - len(sol.t)) <= 2
+
+
+# ---------------------------------------------------------------------------
+# The bracketed root finder against scipy's brentq: the same roots to the
+# stated tolerance xtol + rtol |x| on every root the module asks for.
+# ---------------------------------------------------------------------------
+
+def _brentq_root(f, a, b, xtol):
+    return brentq(f, a, b, xtol=xtol, rtol=solitons.ROOT_RTOL,
+                  maxiter=solitons.ROOT_MAXITER)
+
+
+def _record_against_brentq(monkeypatch):
+    """Route every _bracketed_root call through a wrapper that also asks
+    brentq; returns the list of (root, brentq root, xtol) it fills."""
+    calls = []
+    ours = solitons._bracketed_root
+
+    def both(f, a, b, xtol):
+        root = ours(f, a, b, xtol)
+        calls.append((root, _brentq_root(f, a, b, xtol), xtol))
+        return root
+
+    monkeypatch.setattr(solitons, "_bracketed_root", both)
+    return calls
+
+
+def _assert_within_tolerance(calls):
+    assert calls
+    for root, ref, xtol in calls:
+        assert abs(root - ref) <= xtol + solitons.ROOT_RTOL * abs(ref)
+
+
+@pytest.mark.parametrize("f, a, b", [
+    (lambda x: x * x - 2.0, 0.0, 2.0),
+    (lambda x: math.cos(x) - x, 0.0, 1.0),
+    (lambda x: math.expm1(40.0 * (x - 0.3)), -1.0, 1.0),
+    (lambda x: x ** 3 - 1e-9, 0.0, 1.0),
+    (lambda x: math.tanh(1e4 * (x - 0.7)), 0.0, 1.0),
+    (lambda x: math.copysign(1.0, x - 0.3), 0.0, 1.0),  # bisection only
+    (lambda x: 1e-300 * (math.cos(x) - x), 0.0, 1.0),  # interpolation underflows
+])
+@pytest.mark.parametrize("xtol", [solitons.EVENT_XTOL, solitons.TURNING_XTOL, 1e-6])
+def test_bracketed_root_matches_brentq(f, a, b, xtol):
+    root = solitons._bracketed_root(f, a, b, xtol)
+    ref = _brentq_root(f, a, b, xtol)
+    assert abs(root - ref) <= xtol + solitons.ROOT_RTOL * abs(ref)
+
+
+def test_bracketed_root_endpoints_and_bracket():
+    # a jump is located to xtol + rtol |x|; an endpoint where f vanishes is
+    # the root; no sign change is an error
+    for xtol in (solitons.EVENT_XTOL, solitons.TURNING_XTOL, 1e-6):
+        root = solitons._bracketed_root(lambda x: math.copysign(1.0, x - 0.3),
+                                        0.0, 1.0, xtol)
+        assert abs(root - 0.3) <= xtol + solitons.ROOT_RTOL * root
+    assert solitons._bracketed_root(lambda x: x - 1.0, 1.0, 3.0, 1e-14) == 1.0
+    assert solitons._bracketed_root(lambda x: x - 3.0, 1.0, 3.0, 1e-14) == 3.0
+    with pytest.raises(ValueError):
+        solitons._bracketed_root(lambda x: x * x + 1.0, -1.0, 1.0, 1e-14)
+
+
+@pytest.mark.parametrize("params", [SolitonParams(2, 1.0, "lorentzian"),
+                                    SolitonParams(2, -1.0, "definite")],
+                         ids=["lorentzian+1", "definite-1"])
+def test_sweep_events_match_brentq(params, monkeypatch):
+    # the phase command's benchmark-sized 5 x 5 sweep, both directions:
+    # every located event against brentq on the same event function, then
+    # the whole sweep again with brentq locating the events
+    calls = _record_against_brentq(monkeypatch)
+    ours = integrate_bidirectional_many(params, _SWEEP, 10.0, rtol=1e-12)
+    _assert_within_tolerance(calls)
+    monkeypatch.setattr(solitons, "_bracketed_root", _brentq_root)
+    ref = integrate_bidirectional_many(params, _SWEEP, 10.0, rtol=1e-12)
+    assert [tr.stop_reason for tr in ours] == [tr.stop_reason for tr in ref]
+    assert [classify(tr) for tr in ours] == [classify(tr) for tr in ref]
+
+
+def test_turning_radius_matches_brentq(monkeypatch):
+    calls = _record_against_brentq(monkeypatch)
+    e0 = energy_threshold(LOR1)
+    for E, params, side in [(0.5 * e0, LOR1, "below"), (0.5 * e0, LOR1, "above"),
+                            (0.9 * e0, LOR1, "below"), (0.9 * e0, LOR1, "above"),
+                            (0.3, SolitonParams(2, -1.0, "lorentzian"), "below"),
+                            (2.0, SolitonParams(3, 0.0, "lorentzian"), "above")]:
+        rho = turning_radius(E, params, side)
+        if params.lambda_prime > 0:
+            assert (rho < math.sqrt(params.n / params.lambda_prime)) == (side == "below")
+    _assert_within_tolerance(calls)
+    assert len(calls) == 6
+    assert all(xtol == solitons.TURNING_XTOL for _, _, xtol in calls)

@@ -25,6 +25,9 @@ from .lagrangian import angle_field, identity_grid
 from .solitons import SolitonParams, SolitonState
 
 CSV_BLOCK_ROWS = 256  # rows per '%' in _write_csv: ~100 KB of text
+# Largest starting count of the 4-d twist: --refine 3 then ends on 25^4 nodes
+# of 4x4 doubles, ~50 MB of J-field.
+TWIST_MAX_COUNT = 7
 
 
 def _fmt(x) -> str:
@@ -223,29 +226,14 @@ def cmd_nijenhuis(args) -> int:
 
     rows = []
     if args.structure == "twist":
-        def jfun(point):
-            J = np.diag([1.0, 1.0, -1.0, -1.0])
-            J[0, 3] = -2.0 * point[2]
-            return J
-
-        dims, span = 4, 0.3
-        X = np.array([0.0, 0.0, 1.0, 0.0])
-        Y = np.array([0.0, 0.0, 0.0, 1.0])
-        count = min(args.count, 7)  # 4-d grids grow fast under refinement
+        jfun, dims, span = verify.twist_structure, 4, 0.3
+        X, Y = np.eye(4)[2:]
+        count = min(args.count, TWIST_MAX_COUNT)
     else:
-        jstd = np.array([[0.0, 1.0], [1.0, 0.0]])
-        if args.structure == "standard":
-            def jfun(point):
-                return jstd
-        else:
-            def jfun(point):
-                x, y = point
-                M = np.array([[1.0, 0.2 * y], [0.2 * x, 1.0]])
-                return np.linalg.solve(M, jstd @ M)
-
+        jfun = (verify.standard_structure if args.structure == "standard"
+                else verify.pullback_structure(verify.curved_chart))
         dims, span = 2, 0.4
-        X = np.array([1.0, 0.0])
-        Y = np.array([0.0, 1.0])
+        X, Y = np.eye(2)
         count = args.count
     footer = {"structure": args.structure, "count": count}
     if count != args.count:

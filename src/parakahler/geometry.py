@@ -10,7 +10,8 @@ inside it.  Quantities:
     induced_metric      g_ij = <d_iF, d_jF> with signature and degeneracy
     metric_signatures   the signatures of a stack of tangent frames at once
     trace_mean_curvature  m H = (g^ab d_a d_b F)^perp, batched over nodes
-    signed_gram_schmidt pivoted orthonormalization for indefinite metrics
+    signed_gram_schmidt pivoted orthonormalization for indefinite metrics,
+                        of one frame or a stack of frames
     para_adapted_frame  orthonormal frame with e_{2i} = J e_{2i-1}
     nijenhuis           integrability obstruction of a sampled J-field
 
@@ -22,14 +23,13 @@ avoids signature bookkeeping in codimension.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .dcore import d_array, d_grading2
-from .dlinalg import apply_J, gram, metric
+from .dlinalg import apply_J, gram
 from .errors import (
     BoundaryPoint,
     DegenerateMetric,
@@ -40,6 +40,9 @@ from .errors import (
 
 JET_MARGIN = 2          # cells kept clear of non-periodic boundaries
 DEGENERACY_TOL = 1e-8   # relative tolerance |det g| < tol * scale^m
+PIVOT_TOL = 1e-10       # a Gram-Schmidt pivot is null when |<v, v>| <= tol * |v|^2
+J_INVARIANCE_TOL = 1e-8  # least-squares residual of J v_i off the span, relative to |J v_i|
+STRUCTURE_TOL = 1e-8    # a J-field is para-complex when max |J^2 - Id| and max |tr J| <= tol
 
 
 @dataclass(frozen=True)
@@ -262,13 +265,70 @@ def induced_metric(imm: SampledImmersion, node) -> InducedMetric:
 
 @dataclass(frozen=True)
 class GramSchmidtFrame:
-    frame: np.ndarray       # (m, n, 2), metric(e_i, e_j) = eps_i delta_ij
-    signature: tuple[int, ...]
+    frame: np.ndarray       # (..., m, n, 2), metric(e_i, e_j) = eps_i delta_ij
+    signature: tuple[int, ...]  # eps; an int array (..., m) for a stack
     coeffs: np.ndarray      # frame = coeffs @ input vectors
 
 
-def signed_gram_schmidt(vectors, tol: float = 1e-10) -> GramSchmidtFrame:
-    """Pivoted Gram-Schmidt for an indefinite metric.
+def _metric_rows(X, Y) -> np.ndarray:
+    """metric(X, Y) over the trailing (n, 2) axes, batched over the rest."""
+    return np.sum(X[..., 0] * Y[..., 0] - X[..., 1] * Y[..., 1], axis=-1)
+
+
+def _gram_schmidt_stack(vectors: np.ndarray, lead: tuple[int, ...] = ()):
+    """signed_gram_schmidt of each frame of (N, m, n, 2), with the one-frame
+    arithmetic: (frame, eps, coeffs, pivots), pivots[:, t] the input vector
+    step t chose.  lead, the caller's stack shape, names a failed frame."""
+    N, m = vectors.shape[:2]
+    every = np.arange(N)
+    work, coeff = vectors.copy(), np.tile(np.eye(m), (N, 1, 1))
+    frame, rows = np.empty_like(work), np.empty_like(coeff)
+    eps, pivots = np.empty((N, m), dtype=int), np.empty((N, m), dtype=np.intp)
+    remaining = np.ones((N, m), dtype=bool)
+    # Null-pair candidates in scan order: pairs a < b, sign +1 then -1.
+    pa, pb = (np.repeat(i, 2) for i in np.triu_indices(m, k=1))
+    ps = np.tile([1.0, -1.0], len(pa) // 2)
+    for t in range(m):
+        for j in range(t):
+            proj = eps[:, j, None] * _metric_rows(work, frame[:, j, None])
+            work = work - proj[..., None, None] * frame[:, j, None]
+            coeff = coeff - proj[..., None] * rows[:, j, None]
+        norms = _metric_rows(work, work)
+        pivot = np.argmax(np.where(remaining, np.abs(norms), -np.inf), axis=1)
+        norm = norms[every, pivot]
+        g2 = np.sum(d_grading2(work[every, pivot]), axis=-1)
+        null = np.flatnonzero(np.abs(norm) <= PIVOT_TOL * np.maximum(g2, 1e-300))
+        if len(null):
+            # Every remaining vector is null: the first pair sum or difference
+            # of largest non-null norm becomes the pivot.
+            cand = work[null][:, pa] + ps[:, None, None] * work[null][:, pb]
+            nn = _metric_rows(cand, cand)
+            cg2 = np.sum(d_grading2(cand), axis=-1)
+            ok = (remaining[null][:, pa] & remaining[null][:, pb]
+                  & (np.abs(nn) > PIVOT_TOL * np.maximum(cg2, 1e-300)))
+            if not ok.any(axis=1).all():
+                i = null[np.argmin(ok.any(axis=1))]
+                where = f"frame {tuple(map(int, np.unravel_index(i, lead)))}: " if lead else ""
+                raise DegenerateMetric(
+                    f"{where}no non-null pivot among remaining vectors or their "
+                    f"pairs (best diagonal {norm[i]:.3e})")
+            best = np.argmax(np.where(ok, np.abs(nn), -1.0), axis=1)
+            a, k = pa[best], np.arange(len(null))
+            work[null, a] = cand[k, best]
+            coeff[null, a] = coeff[null, a] + ps[best, None] * coeff[null, pb[best]]
+            norm[null], pivot[null] = nn[k, best], a
+        eps[:, t] = np.where(norm > 0, 1, -1)
+        scale = 1.0 / np.sqrt(np.abs(norm))
+        frame[:, t] = work[every, pivot] * scale[:, None, None]
+        rows[:, t] = coeff[every, pivot] * scale[:, None]
+        pivots[:, t] = pivot
+        remaining[every, pivot] = False
+    return frame, eps, rows, pivots
+
+
+def signed_gram_schmidt(vectors) -> GramSchmidtFrame:
+    """Pivoted Gram-Schmidt for an indefinite metric, of one frame (m, n, 2)
+    or of each frame of a stack (..., m, n, 2).
 
     At each step every remaining vector is orthogonalized against the chosen
     frame and the one with largest |<v, v>| becomes the next pivot, which
@@ -276,54 +336,19 @@ def signed_gram_schmidt(vectors, tol: float = 1e-10) -> GramSchmidtFrame:
     but the span is not degenerate (a hyperbolic pair of null directions,
     e.g. the tangents of a null-curve product), a pairwise sum or difference
     is substituted as the pivot.  DegenerateMetric is raised when no pivot
-    with a non-null norm exists.
+    with a non-null norm exists (for a stack: naming the frame).  One frame
+    gives its signature as a tuple, a stack as an int array (..., m).
     """
     vectors = d_array(vectors)
-    m = vectors.shape[0]
-    work = [vectors[i].copy() for i in range(m)]
-    coeff = [np.eye(m)[i].copy() for i in range(m)]
-    frame, eps, rows = [], [], []
-    remaining = list(range(m))
-    for _ in range(m):
-        for k in remaining:
-            for e, s, c in zip(frame, eps, rows):
-                proj = s * metric(work[k], e)
-                work[k] = work[k] - proj * e
-                coeff[k] = coeff[k] - proj * c
-        norms = {k: metric(work[k], work[k]) for k in remaining}
-        pivot = max(remaining, key=lambda k: abs(norms[k]))
-        g2 = float(np.sum(d_grading2(work[pivot])))
-        if abs(norms[pivot]) <= tol * max(g2, 1e-300):
-            best, best_norm = None, 0.0
-            for ii in range(len(remaining)):
-                for jj in range(ii + 1, len(remaining)):
-                    a, b = remaining[ii], remaining[jj]
-                    for sign in (1.0, -1.0):
-                        cand = work[a] + sign * work[b]
-                        nn = metric(cand, cand)
-                        cg2 = float(np.sum(d_grading2(cand)))
-                        if abs(nn) > max(abs(best_norm), tol * max(cg2, 1e-300)):
-                            best, best_norm = (a, b, sign), nn
-            if best is None:
-                raise DegenerateMetric(
-                    f"no non-null pivot among remaining vectors or their pairs "
-                    f"(best diagonal {norms[pivot]:.3e})"
-                )
-            a, b, sign = best
-            work[a] = work[a] + sign * work[b]
-            coeff[a] = coeff[a] + sign * coeff[b]
-            norms[a] = best_norm
-            pivot = a
-        s = 1 if norms[pivot] > 0 else -1
-        scale = 1.0 / np.sqrt(abs(norms[pivot]))
-        frame.append(work[pivot] * scale)
-        rows.append(coeff[pivot] * scale)
-        eps.append(s)
-        remaining.remove(pivot)
-    return GramSchmidtFrame(np.array(frame), tuple(eps), np.array(rows))
+    lead, (m, n) = vectors.shape[:-3], vectors.shape[-3:-1]
+    frame, eps, coeffs, _ = _gram_schmidt_stack(vectors.reshape(-1, m, n, 2), lead)
+    if not lead:
+        return GramSchmidtFrame(frame[0], tuple(int(s) for s in eps[0]), coeffs[0])
+    return GramSchmidtFrame(frame.reshape(vectors.shape), eps.reshape(lead + (m,)),
+                            coeffs.reshape(lead + (m, m)))
 
 
-def para_adapted_frame(vectors, tol: float = 1e-8) -> GramSchmidtFrame:
+def para_adapted_frame(vectors) -> GramSchmidtFrame:
     """Orthonormal frame of a J-invariant span with e_{2i} = J e_{2i-1}.
 
     The span must be J-invariant (checked by least squares) and of even
@@ -336,31 +361,28 @@ def para_adapted_frame(vectors, tol: float = 1e-8) -> GramSchmidtFrame:
     if m % 2 != 0:
         raise OddDimension(f"span dimension {m} is odd")
     flat = vectors.reshape(m, -1).T  # (2n, m) real matrix of the span
-    for i in range(m):
-        jv = apply_J(vectors[i]).reshape(-1)
-        sol, *_ = np.linalg.lstsq(flat, jv, rcond=None)
-        resid = float(np.linalg.norm(flat @ sol - jv))
-        if resid > tol * max(float(np.linalg.norm(jv)), 1e-300):
-            raise NotJInvariant(
-                f"J(v_{i}) leaves the span (residual {resid:.3e})"
-            )
-    work = [vectors[i].copy() for i in range(m)]
+    jv = apply_J(vectors).reshape(m, -1).T
+    sol, *_ = np.linalg.lstsq(flat, jv, rcond=None)
+    resid = np.linalg.norm(flat @ sol - jv, axis=0)
+    leaves = resid > J_INVARIANCE_TOL * np.maximum(np.linalg.norm(jv, axis=0), 1e-300)
+    if leaves.any():
+        i = int(np.argmax(leaves))
+        raise NotJInvariant(f"J(v_{i}) leaves the span (residual {resid[i]:.3e})")
+    work = vectors.copy()
     frame, eps = [], []
     for _ in range(m // 2):
-        for k in range(len(work)):
-            for e, s in zip(frame, eps):
-                work[k] = work[k] - s * metric(work[k], e) * e
-        norms = [metric(w, w) for w in work]
+        for e, s in zip(frame, eps):
+            work = work - (s * _metric_rows(work, e))[:, None, None] * e
+        norms = _metric_rows(work, work)
         pivot = int(np.argmax(np.abs(norms)))
         g2 = float(np.sum(d_grading2(work[pivot])))
-        if abs(norms[pivot]) <= 1e-10 * max(g2, 1e-300):
+        if abs(norms[pivot]) <= PIVOT_TOL * max(g2, 1e-300):
             raise DegenerateMetric("no non-null pivot left in the J-invariant span")
         s = 1 if norms[pivot] > 0 else -1
         e1 = work[pivot] / np.sqrt(abs(norms[pivot]))
-        e2 = apply_J(e1)
-        frame.extend([e1, e2])
+        frame.extend([e1, apply_J(e1)])
         eps.extend([s, -s])
-        work.pop(pivot)
+        work = np.delete(work, pivot, axis=0)
     return GramSchmidtFrame(np.array(frame), tuple(eps), np.empty((0, 0)))
 
 
@@ -446,8 +468,7 @@ class JField:
 
     def __post_init__(self):
         object.__setattr__(self, "axes", tuple(self.axes))
-        mats = np.asarray(self.mats, dtype=float)
-        object.__setattr__(self, "mats", mats)
+        object.__setattr__(self, "mats", np.asarray(self.mats, dtype=float))
 
     @property
     def dim(self) -> int:
@@ -456,39 +477,33 @@ class JField:
     def coords(self, node) -> np.ndarray:
         return np.array([a.lo + a.spacing * i for a, i in zip(self.axes, node)])
 
-    def check_structure(self, tol: float = 1e-8):
-        d = self.dim
+    def check_structure(self):
         sq = np.einsum("...ij,...jk->...ik", self.mats, self.mats)
-        err = float(np.max(np.abs(sq - np.eye(d))))
-        if err > tol:
+        err = float(np.max(np.abs(sq - np.eye(self.dim))))
+        if err > STRUCTURE_TOL:
             raise NotParaComplexStructure(f"max |J^2 - Id| = {err:.3e}")
         tr = float(np.max(np.abs(np.trace(self.mats, axis1=-2, axis2=-1))))
-        if tr > tol:
+        if tr > STRUCTURE_TOL:
             raise NotParaComplexStructure(
                 f"eigendistributions have unequal rank (max |tr J| = {tr:.3e})"
             )
 
 
 def jfield_from_function(axes: Sequence[GridAxis], fn: Callable) -> JField:
-    axes = tuple(axes)
-    shape = tuple(a.count for a in axes)
-    d = len(axes)
-    mats = np.empty(shape + (d, d))
-    for node in itertools.product(*[range(c) for c in shape]):
-        point = np.array([a.lo + a.spacing * i for a, i in zip(axes, node)])
-        mats[node] = fn(point)
-    return JField(axes, mats)
+    """Sample a J-field over the grid; fn takes meshgrid coordinate arrays, as
+    in immersion_from_function, and returns (*counts, d, d) matrices or one
+    (d, d) matrix, broadcast read-only to every node."""
+    mesh = np.meshgrid(*[a.nodes() for a in axes], indexing="ij")
+    mats = np.asarray(fn(*mesh), dtype=float)
+    return JField(axes, np.broadcast_to(mats, mesh[0].shape + mats.shape[-2:]))
 
 
-def _as_field(F, d):
+def _as_field(jf: JField, F):
+    """F, a constant vector or a callable of the point, as a callable of the node."""
     if callable(F):
-        return F
-    vec = np.asarray(F, dtype=float).reshape(d)
-    return lambda point: vec
-
-
-def _field_at(jf: JField, F, node) -> np.ndarray:
-    return np.asarray(F(jf.coords(node)), dtype=float)
+        return lambda node: np.asarray(F(jf.coords(node)), dtype=float)
+    vec = np.asarray(F, dtype=float).reshape(jf.dim)
+    return lambda node: vec
 
 
 def _directional(jf: JField, F, node, direction: np.ndarray) -> np.ndarray:
@@ -497,54 +512,42 @@ def _directional(jf: JField, F, node, direction: np.ndarray) -> np.ndarray:
     for a, axis in enumerate(jf.axes):
         if direction[a] == 0.0:
             continue
-        up = list(node)
-        dn = list(node)
-        up[a] = axis.shift(up[a], +1)
-        dn[a] = axis.shift(dn[a], -1)
-        out += direction[a] * (_field_at(jf, F, up) - _field_at(jf, F, dn)) / (2 * axis.spacing)
+        up = node[:a] + (axis.shift(node[a], +1),) + node[a + 1:]
+        dn = node[:a] + (axis.shift(node[a], -1),) + node[a + 1:]
+        out += direction[a] * (F(up) - F(dn)) / (2 * axis.spacing)
     return out
+
+
+def _bracket(jf: JField, A, B, node: tuple) -> np.ndarray:
+    """[A, B] at a node for fields A, B given as callables of the node."""
+    for a, axis in enumerate(jf.axes):
+        if not axis.periodic and not (1 <= node[a] <= axis.count - 2):
+            raise BoundaryPoint(f"node {node} lacks a 1-cell stencil on axis {a}")
+    return _directional(jf, B, node, A(node)) - _directional(jf, A, node, B(node))
 
 
 def lie_bracket(jf: JField, A, B, node) -> np.ndarray:
     """[A, B] = D_A B - D_B A at a node, via central differences."""
-    A = _as_field(A, jf.dim)
-    B = _as_field(B, jf.dim)
-    node = tuple(node)
-    for a, axis in enumerate(jf.axes):
-        if not axis.periodic and not (1 <= node[a] <= axis.count - 2):
-            raise BoundaryPoint(f"node {node} lacks a 1-cell stencil on axis {a}")
-    a_here = _field_at(jf, A, node)
-    b_here = _field_at(jf, B, node)
-    return _directional(jf, B, node, a_here) - _directional(jf, A, node, b_here)
+    return _bracket(jf, _as_field(jf, A), _as_field(jf, B), tuple(node))
 
 
 def j_apply_field(jf: JField, F):
-    F = _as_field(F, jf.dim)
-
-    def jf_field(point):
-        # Nearest-node lookup is wrong for off-grid points; fields are only
-        # ever evaluated on grid nodes, where coords round exactly.
-        node = tuple(
-            int(round((p - a.lo) / a.spacing)) % a.count if a.periodic
-            else int(round((p - a.lo) / a.spacing))
-            for p, a in zip(point, jf.axes)
-        )
-        return jf.mats[node] @ np.asarray(F(point), dtype=float)
-
-    return jf_field
+    """The field J F, with F and the result callables of the grid node: J is
+    looked up at the node the bracket evaluates, so a point off the grid
+    (a tuple of floats) raises IndexError."""
+    return lambda node: jf.mats[node] @ F(node)
 
 
-def nijenhuis(jf: JField, node, X, Y, tol_structure: float = 1e-8) -> np.ndarray:
+def nijenhuis(jf: JField, node, X, Y) -> np.ndarray:
     """N^J(X, Y) = [X, Y] + [JX, JY] - J [JX, Y] - J [X, JY] at a node."""
-    jf.check_structure(tol_structure)
-    X = _as_field(X, jf.dim)
-    Y = _as_field(Y, jf.dim)
-    JX = j_apply_field(jf, X)
-    JY = j_apply_field(jf, Y)
-    J = jf.mats[tuple(node)]
+    jf.check_structure()
+    node = tuple(node)
+    X, Y = _as_field(jf, X), _as_field(jf, Y)
+    JX, JY = j_apply_field(jf, X), j_apply_field(jf, Y)
+    J = jf.mats[node]
     return (
-        lie_bracket(jf, X, Y, node)
-        + lie_bracket(jf, JX, JY, node)
-        - J @ lie_bracket(jf, JX, Y, node)
-        - J @ lie_bracket(jf, X, JY, node)
+        _bracket(jf, X, Y, node)
+        + _bracket(jf, JX, JY, node)
+        - J @ _bracket(jf, JX, Y, node)
+        - J @ _bracket(jf, X, JY, node)
     )

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from parakahler import dlinalg
 from parakahler.dcore import d_exp_tau, d_grading2
 from parakahler.dlinalg import apply_J, basis_vector, metric
 from parakahler.errors import (
@@ -19,8 +20,11 @@ from parakahler.geometry import (
     SampledImmersion,
     coordinate_tangents,
     grid_jet,
+    PIVOT_TOL,
+    _gram_schmidt_stack,
     immersion_from_function,
     induced_metric,
+    j_apply_field,
     jet,
     jfield_from_function,
     lie_bracket,
@@ -143,6 +147,140 @@ def test_gram_schmidt_null_pair_pivot():
     v2 = basis_vector(2, 0) - basis_vector(2, 0, tau=True)
     gs = signed_gram_schmidt(np.stack([v1, v2]))
     assert sorted(gs.signature) == [-1, 1]
+
+
+def _signed_gram_schmidt_per_frame(vectors):
+    """Reference: the one-frame pivoted Gram-Schmidt, one vector and one
+    metric call at a time.  Returns (frame, eps, coeffs, pivots)."""
+    m = vectors.shape[0]
+    work = [vectors[i].copy() for i in range(m)]
+    coeff = [np.eye(m)[i].copy() for i in range(m)]
+    frame, eps, rows, pivots = [], [], [], []
+    remaining = list(range(m))
+    for _ in range(m):
+        for k in remaining:
+            for e, s, c in zip(frame, eps, rows):
+                proj = s * metric(work[k], e)
+                work[k] = work[k] - proj * e
+                coeff[k] = coeff[k] - proj * c
+        norms = {k: metric(work[k], work[k]) for k in remaining}
+        pivot = max(remaining, key=lambda k: abs(norms[k]))
+        g2 = float(np.sum(d_grading2(work[pivot])))
+        if abs(norms[pivot]) <= PIVOT_TOL * max(g2, 1e-300):
+            best, best_norm = None, 0.0
+            for ii in range(len(remaining)):
+                for jj in range(ii + 1, len(remaining)):
+                    a, b = remaining[ii], remaining[jj]
+                    for sign in (1.0, -1.0):
+                        cand = work[a] + sign * work[b]
+                        nn = metric(cand, cand)
+                        cg2 = float(np.sum(d_grading2(cand)))
+                        if abs(nn) > max(abs(best_norm), PIVOT_TOL * max(cg2, 1e-300)):
+                            best, best_norm = (a, b, sign), nn
+            if best is None:
+                raise DegenerateMetric("no non-null pivot")
+            a, b, sign = best
+            work[a] = work[a] + sign * work[b]
+            coeff[a] = coeff[a] + sign * coeff[b]
+            norms[a] = best_norm
+            pivot = a
+        scale = 1.0 / np.sqrt(abs(norms[pivot]))
+        frame.append(work[pivot] * scale)
+        rows.append(coeff[pivot] * scale)
+        eps.append(1 if norms[pivot] > 0 else -1)
+        pivots.append(pivot)
+        remaining.remove(pivot)
+    return np.array(frame), tuple(eps), np.array(rows), pivots
+
+
+def _null_product_tangents():
+    from parakahler.lagrangian import build_null_product
+    from parakahler.verify import _curved_null_pair
+
+    imm = build_null_product(*_curved_null_pair(),
+                             GridAxis(-0.5, 0.5, 9), GridAxis(-0.5, 0.5, 9))
+    tangents, valid = coordinate_tangents(imm)
+    return tangents[valid]
+
+
+def _assert_matches_per_frame(stack):
+    frame, eps, coeffs, pivots = _gram_schmidt_stack(stack)
+    for i, vectors in enumerate(stack):
+        ref_frame, ref_eps, ref_coeffs, ref_pivots = _signed_gram_schmidt_per_frame(vectors)
+        assert list(pivots[i]) == ref_pivots
+        assert tuple(eps[i]) == ref_eps
+        for got, ref in ((frame[i], ref_frame), (coeffs[i], ref_coeffs)):
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_gram_schmidt_stack_matches_per_frame_lagrangian(n):
+    rng = np.random.default_rng(20 + n)
+    _assert_matches_per_frame(
+        np.stack([dlinalg.random_lagrangian_frame(n, rng) for _ in range(60)]))
+
+
+def test_gram_schmidt_stack_null_pair_branch_is_masked():
+    # Every null-product frame needs the null-pair substitution at its first
+    # step; interleaved with random frames, only those take the branch.
+    null = _null_product_tangents()
+    first = np.abs(np.einsum("kinc,kinc,c->ki", null, null, [1.0, -1.0]))
+    assert np.all(first <= PIVOT_TOL * np.sum(d_grading2(null), axis=-1))
+    rng = np.random.default_rng(5)
+    mixed = np.empty((2 * len(null),) + null.shape[1:])
+    mixed[0::2] = null
+    mixed[1::2] = [dlinalg.random_lagrangian_frame(2, rng) for _ in range(len(null))]
+    _assert_matches_per_frame(mixed)
+
+
+def test_gram_schmidt_stack_matches_per_frame_hard_cases():
+    rng = np.random.default_rng(13)
+    # Three null vectors in D^3 (y = Q x, Q orthogonal): the pair scan picks
+    # the largest of six candidates, not the first that passes.
+    x = rng.normal(size=(40, 3, 3))
+    q, _ = np.linalg.qr(rng.normal(size=(40, 3, 3, 3)))
+    _assert_matches_per_frame(np.stack([x, np.einsum("kmij,kmj->kmi", q, x)], axis=-1))
+    # Nearly dependent vectors: re-projecting against every chosen vector at
+    # every step moves the frames far beyond 1e-12.
+    near = rng.normal(size=(40, 3, 3, 2))
+    near[:, 2] = near[:, 0] + 1e-7 * near[:, 2]
+    _assert_matches_per_frame(near)
+    # Ties in |<v, v>| go to the first remaining vector; a null pair left
+    # after a non-null pivot is substituted at a later step.
+    e = [basis_vector(3, j) for j in range(3)]
+    te = [basis_vector(3, j, tau=True) for j in range(3)]
+    _assert_matches_per_frame(np.stack([
+        [e[0], e[1], te[2]], [te[2], e[1], e[0]],
+        [e[0], e[1] + te[1], e[1] - te[1]], [e[1] + te[1], e[2], e[1] - te[1]]]))
+
+
+def test_gram_schmidt_stack_shapes_and_single_frame():
+    rng = np.random.default_rng(9)
+    stack = np.stack([dlinalg.random_lagrangian_frame(3, rng) for _ in range(6)])
+    gs = signed_gram_schmidt(stack.reshape(2, 3, 3, 3, 2))
+    assert gs.frame.shape == (2, 3, 3, 3, 2)
+    assert gs.signature.shape == (2, 3, 3) and gs.coeffs.shape == (2, 3, 3, 3)
+    one = signed_gram_schmidt(stack[4])
+    assert isinstance(one.signature, tuple) and all(type(s) is int for s in one.signature)
+    assert one.signature == tuple(gs.signature[1, 1])
+    assert np.array_equal(one.frame, gs.frame[1, 1])
+    assert np.array_equal(one.coeffs, gs.coeffs[1, 1])
+
+
+def test_gram_schmidt_stack_names_the_degenerate_frame():
+    rng = np.random.default_rng(4)
+    stack = np.stack([dlinalg.random_lagrangian_frame(2, rng) for _ in range(6)])
+    v1 = basis_vector(2, 0) + basis_vector(2, 1, tau=True)
+    v2 = basis_vector(2, 1) + basis_vector(2, 0, tau=True)
+    stack[4] = np.stack([v1, v2])
+    with pytest.raises(DegenerateMetric):
+        _signed_gram_schmidt_per_frame(stack[4])
+    with pytest.raises(DegenerateMetric, match=r"frame \(1, 1\)"):
+        signed_gram_schmidt(stack.reshape(2, 3, 2, 2, 2))
+    for i in (0, 1, 2, 3, 5):
+        signed_gram_schmidt(stack[i])
+    with pytest.raises(DegenerateMetric):  # one null vector has no pair
+        signed_gram_schmidt(v1[None])
 
 
 def test_para_adapted_frame_basic():
@@ -391,14 +529,15 @@ def test_induced_metric_is_the_jet_route(case):
 
 def test_nijenhuis_constant_structure():
     axes = (GridAxis(-0.4, 0.4, 9), GridAxis(-0.4, 0.4, 9))
-    jf = jfield_from_function(axes, lambda p: np.array([[0.0, 1.0], [1.0, 0.0]]))
+    jf = jfield_from_function(axes, lambda x, y: np.array([[0.0, 1.0], [1.0, 0.0]]))
+    assert jf.mats.shape == (9, 9, 2, 2)
     N = nijenhuis(jf, (4, 4), np.array([1.0, 0.0]), np.array([0.0, 1.0]))
     assert np.max(np.abs(N)) < 1e-12
 
 
 def test_nijenhuis_rejects_non_structure():
     axes = (GridAxis(-0.4, 0.4, 9), GridAxis(-0.4, 0.4, 9))
-    jf = jfield_from_function(axes, lambda p: np.array([[1.0, 1.0], [0.0, 1.0]]))
+    jf = jfield_from_function(axes, lambda x, y: np.array([[1.0, 1.0], [0.0, 1.0]]))
     with pytest.raises(NotParaComplexStructure):
         nijenhuis(jf, (4, 4), np.array([1.0, 0.0]), np.array([0.0, 1.0]))
 
@@ -406,9 +545,11 @@ def test_nijenhuis_rejects_non_structure():
 def test_nijenhuis_twist_oracle():
     # J = +1 on span{du1, du2}, -1 on span{dv1, dv2 + v1 du1}; a hand
     # computation gives N(dv1, dv2) = 4 du1.
-    def jfun(point):
-        J = np.diag([1.0, 1.0, -1.0, -1.0])
-        J[0, 3] = -2.0 * point[2]
+    def jfun(u1, u2, v1, v2):
+        J = np.zeros(v1.shape + (4, 4))
+        J[..., 0, 0] = J[..., 1, 1] = 1.0
+        J[..., 2, 2] = J[..., 3, 3] = -1.0
+        J[..., 0, 3] = -2.0 * v1
         return J
 
     axes = tuple(GridAxis(-0.3, 0.3, 5) for _ in range(4))
@@ -420,7 +561,7 @@ def test_nijenhuis_twist_oracle():
 
 def test_lie_bracket_coordinate_fields():
     axes = (GridAxis(-0.4, 0.4, 9), GridAxis(-0.4, 0.4, 9))
-    jf = jfield_from_function(axes, lambda p: np.array([[0.0, 1.0], [1.0, 0.0]]))
+    jf = jfield_from_function(axes, lambda x, y: np.array([[0.0, 1.0], [1.0, 0.0]]))
 
     def A(p):
         return np.array([p[1], 0.0])
@@ -432,3 +573,14 @@ def test_lie_bracket_coordinate_fields():
     br = lie_bracket(jf, A, B, (4, 4))
     x, y = jf.coords((4, 4))
     assert np.allclose(br, [-x, y], atol=1e-12)
+
+
+def test_j_apply_field_looks_up_the_node():
+    axes = (GridAxis(-0.4, 0.4, 9), GridAxis(-0.4, 0.4, 9))
+    jf = jfield_from_function(axes, lambda x, y: np.stack(
+        [np.stack([np.cosh(x), np.sinh(x)], -1), np.stack([np.sinh(x), np.cosh(x)], -1)], -2))
+    JX = j_apply_field(jf, lambda node: np.array([1.0, 0.0]))
+    assert np.array_equal(JX((6, 2)), jf.mats[6, 2][:, 0])
+    # A coordinate point is not a node: no rounding to the nearest one.
+    with pytest.raises(IndexError):
+        JX(tuple(jf.coords((6, 2))))

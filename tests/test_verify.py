@@ -1,34 +1,68 @@
+import itertools
 import sys
 
+import numpy as np
+
 from parakahler import dlinalg, geometry, verify
+from parakahler.cli import main
 
 POINT_QUERY_SUITES = ("gram-lemma", "null-product", "constant-angle-graphs")
 
 
-def _count_calls(monkeypatch, fn, counts, label):
-    """Wrap every binding of fn in the toolkit's modules with a call counter."""
-    def counted(*args, **kwargs):
-        counts[label] += 1
+def _spy(monkeypatch, fn, calls):
+    """Wrap every binding of fn in the toolkit's modules; each call appends
+    its positional arguments to calls."""
+    def spied(*args, **kwargs):
+        calls.append(args)
         return fn(*args, **kwargs)
 
     for name, module in list(sys.modules.items()):
         if module is not None and name.split(".")[0] == "parakahler":
             for attr, value in list(vars(module).items()):
                 if value is fn:
-                    monkeypatch.setattr(module, attr, counted)
+                    monkeypatch.setattr(module, attr, spied)
 
 
 def test_point_query_suites_check_stacks(monkeypatch):
     # Before these suites checked frame and node stacks in one call each,
     # the same wrappers counted det_D 5526 (gram-lemma 5100,
-    # constant-angle-graphs 426) and jet 1915 (null-product 845,
-    # constant-angle-graphs 1070).  Now: det_D 612 (600 of them the
-    # Gram-Schmidt frames, one each) and jet 11.  A fifth of the old counts
-    # leaves room for a few more single queries, not for a per-item loop.
-    counts = {"det_D": 0, "jet": 0}
-    _count_calls(monkeypatch, dlinalg.det_D, counts, "det_D")
-    _count_calls(monkeypatch, geometry.jet, counts, "jet")
+    # constant-angle-graphs 426), jet 1915 (null-product 845,
+    # constant-angle-graphs 1070) and signed_gram_schmidt 811 (gram-lemma
+    # 600, constant-angle-graphs 211).  Now: det_D 21, jet 11 and
+    # signed_gram_schmidt 4 (one stack per n, one stack of nodes).  A fifth
+    # of the old det_D and jet counts leaves room for a few more single
+    # queries, not for a per-item loop.
+    calls = {"det_D": [], "jet": [], "signed_gram_schmidt": []}
+    _spy(monkeypatch, dlinalg.det_D, calls["det_D"])
+    _spy(monkeypatch, geometry.jet, calls["jet"])
+    _spy(monkeypatch, geometry.signed_gram_schmidt, calls["signed_gram_schmidt"])
     for suite in POINT_QUERY_SUITES:
         assert all(check.passed for check in verify.run_suite(suite)), suite
-    assert 0 < counts["det_D"] <= 5526 // 5
-    assert 0 < counts["jet"] <= 1915 // 5
+    assert 0 < len(calls["det_D"]) <= 5526 // 5
+    assert 0 < len(calls["jet"]) <= 1915 // 5
+    assert 0 < len(calls["signed_gram_schmidt"]) <= 6
+
+
+def _jfield_per_point(axes, fn):
+    """Reference: the J-field built one fn call per node, at the node's
+    coordinates lo + spacing * i."""
+    mats = np.empty(tuple(a.count for a in axes) + (len(axes),) * 2)
+    for node in itertools.product(*[range(a.count) for a in axes]):
+        mats[node] = fn(*[a.lo + a.spacing * i for a, i in zip(axes, node)])
+    return mats
+
+
+def test_jfields_match_the_per_node_reference(monkeypatch, tmp_path):
+    # Every J-field the nijenhuis suite and command build, sampled on
+    # coordinate arrays, equals the field built one node at a time.
+    calls = []
+    _spy(monkeypatch, geometry.jfield_from_function, calls)
+    assert all(check.passed for check in verify.suite_nijenhuis())
+    for structure in ("standard", "pullback", "twist"):
+        assert main(["nijenhuis", "--structure", structure, "--count", "5",
+                     "--refine", "2", "--out", str(tmp_path / f"{structure}.csv")]) == 0
+    monkeypatch.undo()
+    assert len(calls) == 7 + 2 * 3
+    for axes, fn in calls:
+        built = geometry.jfield_from_function(axes, fn).mats
+        assert np.array_equal(built, _jfield_per_point(axes, fn))

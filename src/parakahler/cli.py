@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import catalog, equivariant, lagrangian, solitons, verify
+from . import catalog, equivariant, lagrangian, solitons
 from .dcore import d_norm2
 from .errors import ParakahlerError, SpecValidationError
 from .lagrangian import angle_field, identity_grid
@@ -164,6 +164,8 @@ def cmd_soliton(args) -> int:
         "E0": _fmt(traj.E0),
         "max_E_drift": _fmt(traj.max_E_drift),
         "accepted": str(traj.accepted).lower(),
+        "accepted_steps": traj.accepted_steps,
+        "rejected_steps": traj.rejected_steps,
     }
     _write_csv(args.out, ["s", "r", "alpha", "phi", "E", "E_drift"], rows, footer)
     return 0
@@ -222,6 +224,7 @@ def cmd_normal_bundle(args) -> int:
 
 
 def cmd_nijenhuis(args) -> int:
+    from . import verify
     from .geometry import GridAxis, jfield_from_function, nijenhuis
 
     rows = []
@@ -257,6 +260,8 @@ def cmd_nijenhuis(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import verify
+
     if args.list:
         for name, (desc, _) in verify.SUITES.items():
             print(f"{name}: {desc}")

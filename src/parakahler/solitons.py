@@ -23,10 +23,10 @@ The Lorentzian system with l' > 0 has the critical point
 
     E0 = (n / l')^(n/2) * exp(-n/2),
 
-separates bounded from unbounded trajectories.  Integration uses an
-embedded 4th/5th-order Runge-Kutta pair with the energy drift as an
-independent acceptance gate; conservation, not the step estimator, is the
-ground truth.
+separates bounded from unbounded trajectories.  Integration uses the
+Dormand-Prince 8(5,3) pair with its 7th-order dense output and the energy
+drift as an independent acceptance gate; conservation, not the step
+estimator, is the ground truth.
 """
 
 from __future__ import annotations
@@ -69,6 +69,8 @@ ALPHA_MAX = 30.0
 # ("alpha_floor"; see integrate_many)
 ALPHA_FLOOR = 1e-5
 DRIFT_TOL = 1e-8
+# r below which a step-size underflow is the r -> 0 end ("r_singular")
+R_SINGULAR = 1e-3
 _TINY = np.array(1e-300)
 _EPS = np.finfo(float).eps
 # Bracketed roots (_bracketed_root) stop once the bracket is within
@@ -118,7 +120,9 @@ class _Field:
     """
 
     def __init__(self, params: SolitonParams):
-        self.definite = params.case == "definite"
+        # dr/ds and the factor v of dalpha/ds and r dphi/ds
+        self.rate, self.v = ((np.cosh, np.sinh) if params.case == "definite"
+                             else (np.sinh, np.cosh))
         self.neg_n = np.array(-float(params.n))
         self.lam = np.array(float(params.lambda_prime))
 
@@ -126,9 +130,8 @@ class _Field:
         if out is None:
             out = np.empty(np.shape(y))
         r = np.maximum(y[0], _TINY)
-        rate, v = (np.cosh, np.sinh) if self.definite else (np.sinh, np.cosh)
-        rate(y[1], out[0])
-        v = v(y[1])
+        self.rate(y[1], out[0])
+        v = self.v(y[1])
         np.multiply(self.neg_n / r + self.lam * r, v, out[1])
         np.divide(v, r, out[2])
         return out
@@ -176,23 +179,20 @@ def energy_threshold(params: SolitonParams) -> float:
 class _Branch:
     """Dense output of one integration direction: knots t (k+1,) ascending
     from 0 and the states y (k+1, 3) there; per step its full length h (k,)
-    and interpolant coefficients Q (k, 3, 4).  A step cut short by an event
-    keeps its full h, the knot being the event."""
+    and the coefficients F (7, k, 3) of its 7th-order interpolant.  A step
+    cut short by an event keeps its full h, the knot being the event."""
     direction: float
     t: np.ndarray
     y: np.ndarray
     h: np.ndarray
-    Q: np.ndarray
+    F: np.ndarray
 
     def __call__(self, t: np.ndarray) -> np.ndarray:
         if not self.h.size:
             return np.repeat(self.y[:1], t.size, axis=0)
         seg = np.clip(np.searchsorted(self.t, t) - 1, 0, self.h.size - 1)
-        h = self.h[seg]
-        x = (t - self.t[seg]) / h
-        x2 = x * x
-        p = np.stack([x, x2, x2 * x, x2 * x * x], axis=-1)
-        return h[:, None] * np.einsum("kij,kj->ki", self.Q[seg], p) + self.y[seg]
+        x = (t - self.t[seg]) / self.h[seg]
+        return _interpolate(self.F[:, seg], self.y[seg], x[:, None])
 
 
 @dataclass
@@ -205,6 +205,8 @@ class Trajectory:
     accepted: bool
     stop_reason: str
     classification: str | None = None
+    accepted_steps: int = 0
+    rejected_steps: int = 0
     _branches: tuple = field(default=(), repr=False)
 
     @property
@@ -235,34 +237,82 @@ class Trajectory:
         return out
 
 
-# Dormand-Prince 5(4) (Dormand & Prince 1980): stage rows of A, the 5th-order
-# weights B, the error weights E (5th minus 4th order, FSAL stage last) and
-# Shampine's 4th-order dense output P, as in Hairer-Norsett-Wanner II.5-6.
-_A = (None,
-      np.array([1 / 5]),
-      np.array([3 / 40, 9 / 40]),
-      np.array([44 / 45, -56 / 15, 32 / 9]),
-      np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-      np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]))
-_B = np.array([35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84])
-_E = np.array([-71 / 57600, 0, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525,
-               1 / 40])
-_P = np.array([
-    [1, -8048581381 / 2820520608, 8663915743 / 2820520608,
-     -12715105075 / 11282082432],
-    [0, 0, 0, 0],
-    [0, 131558114200 / 32700410799, -68118460800 / 10900136933,
-     87487479700 / 32700410799],
-    [0, -1754552775 / 470086768, 14199869525 / 1410260304,
-     -10690763975 / 1880347072],
-    [0, 127303824393 / 49829197408, -318862633887 / 49829197408,
-     701980252875 / 199316789632],
-    [0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
-    [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423]])
+# Dormand-Prince 8(5,3) (Hairer-Norsett-Wanner II.5 and II.10, the DOP853
+# code; the same doubles as scipy's): row s of _A combines stages 0..s-1;
+# rows 1-11 are the stages (_STAGES, each cut to its s weights), row 12 the
+# 8th-order weights _B and rows 13-15 the three extra stages of the
+# 7th-order dense output.  _ERR holds the 5th- and 3rd-order error weights
+# (the 12th stage's f(y_new) last), _D the interpolant's four highest
+# coefficients (see _dense).
+_A = np.zeros((16, 16))
+for _s, _row in enumerate((
+    (0.05260015195876773,),
+    (0.0197250569845379, 0.0591751709536137),
+    (0.02958758547680685, 0, 0.08876275643042054),
+    (0.2413651341592667, 0, -0.8845494793282861, 0.924834003261792),
+    (0.037037037037037035, 0, 0, 0.17082860872947386, 0.12546768756682242),
+    (0.037109375, 0, 0, 0.17025221101954405, 0.06021653898045596, -0.017578125),
+    (0.03709200011850479, 0, 0, 0.17038392571223998, 0.10726203044637328,
+     -0.015319437748624402, 0.008273789163814023),
+    (0.6241109587160757, 0, 0, -3.3608926294469414, -0.868219346841726,
+     27.59209969944671, 20.154067550477894, -43.48988418106996),
+    (0.47766253643826434, 0, 0, -2.4881146199716677, -0.590290826836843,
+     21.230051448181193, 15.279233632882423, -33.28821096898486,
+     -0.020331201708508627),
+    (-0.9371424300859873, 0, 0, 5.186372428844064, 1.0914373489967295,
+     -8.149787010746927, -18.52006565999696, 22.739487099350505, 2.4936055526796523,
+     -3.0467644718982196),
+    (2.273310147516538, 0, 0, -10.53449546673725, -2.0008720582248625,
+     -17.9589318631188, 27.94888452941996, -2.8589982771350235, -8.87285693353063,
+     12.360567175794303, 0.6433927460157636),
+    (0.054293734116568765, 0, 0, 0, 0, 4.450312892752409, 1.8915178993145003,
+     -5.801203960010585, 0.3111643669578199, -0.1521609496625161,
+     0.20136540080403034, 0.04471061572777259),
+    (0.056167502283047954, 0, 0, 0, 0, 0, 0.25350021021662483, -0.2462390374708025,
+     -0.12419142326381637, 0.15329179827876568, 0.00820105229563469,
+     0.007567897660545699, -0.008298),
+    (0.03183464816350214, 0, 0, 0, 0, 0.028300909672366776, 0.053541988307438566,
+     -0.05492374857139099, 0, 0, -0.00010834732869724932, 0.0003825710908356584,
+     -0.00034046500868740456, 0.1413124436746325),
+    (-0.42889630158379194, 0, 0, 0, 0, -4.697621415361164, 7.683421196062599,
+     4.06898981839711, 0.3567271874552811, 0, 0, 0, -0.0013990241651590145,
+     2.9475147891527724, -9.15095847217987)), start=1):
+    _A[_s, :_s] = _row
+del _s, _row
+_STAGES = tuple(_A[s, :s] for s in range(1, 12))
+_B = _A[12, :12]
+_ERR = np.zeros((2, 13))
+_ERR[0, [0, 5, 6, 7, 8, 9, 10, 11]] = (
+    0.01312004499419488, -1.2251564463762044, -0.4957589496572502,
+    1.6643771824549864, -0.35032884874997366, 0.3341791187130175,
+    0.08192320648511571, -0.022355307863886294)
+_ERR[1, :12] = _B
+_ERR[1, [0, 8, 11]] -= (0.244094488188976377952755905512,
+                        0.733846688281611857341361741547,
+                        0.0220588235294117647058823529412)
+_D = np.array([
+    (-8.428938276109013, 0, 0, 0, 0, 0.5667149535193777, -3.0689499459498917,
+     2.38466765651207, 2.117034582445028, -0.871391583777973, 2.2404374302607883,
+     0.6315787787694688, -0.08899033645133331, 18.148505520854727,
+     -9.194632392478356, -4.436036387594894),
+    (10.427508642579134, 0, 0, 0, 0, 242.28349177525817, 165.20045171727028,
+     -374.5467547226902, -22.113666853125306, 7.733432668472264,
+     -30.674084731089398, -9.332130526430229, 15.697238121770845,
+     -31.139403219565178, -9.35292435884448, 35.81684148639408),
+    (19.985053242002433, 0, 0, 0, 0, -387.0373087493518, -189.17813819516758,
+     527.8081592054236, -11.57390253995963, 6.8812326946963, -1.0006050966910838,
+     0.7777137798053443, -2.778205752353508, -60.19669523126412, 84.32040550667716,
+     11.99229113618279),
+    (-25.69393346270375, 0, 0, 0, 0, -154.18974869023643, -231.5293791760455,
+     357.6391179106141, 93.40532418362432, -37.45832313645163, 104.0996495089623,
+     29.8402934266605, -43.53345659001114, 96.32455395918828, -39.17726167561544,
+     -149.72683625798564)])
 # step control constants as 0-d arrays (see _Field): safety factor, error
-# exponent -1/(4 + 1), step factors 1/5 to 10, and the 10-ulp step floor
-_SAFETY, _EXPONENT = np.array(0.9), np.array(-0.2)
+# exponent -1/(7 + 1), step factors 1/5 to 10, the weight of the 3rd-order
+# estimate in the error norm, and the 10-ulp step floor
+_SAFETY, _EXPONENT = np.array(0.9), np.array(-0.125)
 _FIFTH, _ONE, _THREE, _TEN = (np.array(v) for v in (0.2, 1.0, 3.0, 10.0))
+_HUNDREDTH = np.array(0.01)
 _EVENTS = ("r_min", "r_max", "alpha_max", "alpha_floor")
 
 
@@ -284,14 +334,14 @@ def _events(y, dalpha, limits):
 
 
 def _initial_step(y, f, field, sign, s_max, rtol, atol):
-    """Hairer-Norsett-Wanner's starting step per lane (II.4), as scipy picks
-    it; the lanes run along sign * f."""
+    """Hairer-Norsett-Wanner's starting step per lane (II.4) at order 7, as
+    scipy picks it for DOP853; the lanes run along sign * f."""
     scale = atol + np.abs(y) * rtol
     d0, d1 = _rms(y / scale), _rms(f / scale)
     h0 = np.minimum(np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1), s_max)
     d2 = _rms((field(y + h0 * sign * f) - f) / scale) / h0
     h1 = np.where((d1 <= 1e-15) & (d2 <= 1e-15), np.maximum(1e-6, h0 * 1e-3),
-                  (0.01 / np.maximum(d1, d2)) ** 0.2)
+                  (0.01 / np.maximum(d1, d2)) ** 0.125)
     return np.minimum(np.minimum(100 * h0, h1), s_max)
 
 
@@ -346,15 +396,41 @@ def _bracketed_root(f, a: float, b: float, xtol: float) -> float:
     raise RuntimeError(f"no root within {ROOT_MAXITER} iterations in [{a}, {b}]")
 
 
-def _locate_event(hits, t_old, t_new, y_old, Q, field, limits):
-    """Earliest event of one lane's step on its interpolant y_old + h Q p(x):
+def _dense(K, y_old, y_new, hs, field):
+    """Coefficients F (7, 3, N) of the 7th-order interpolant of N steps from
+    their stages K (13, 3, N), their end states (3, N) and their signed
+    lengths hs (N,): the three extra stages of DOP853, then F as scipy's
+    DOP853 builds it (Hairer-Norsett-Wanner's CONTD8)."""
+    Kx = np.empty((16,) + K.shape[1:])
+    Kx[:13] = K
+    K2 = Kx.reshape(16, -1)
+    for s in range(13, 16):
+        field(y_old + hs * np.dot(_A[s, :s], K2[:s]).reshape(3, -1), out=Kx[s])
+    dy = y_new - y_old
+    F = np.empty((7,) + K.shape[1:])
+    F[0] = dy
+    F[1] = hs * K[0] - dy
+    F[2] = 2.0 * dy - hs * (K[12] + K[0])
+    F[3:] = hs * np.dot(_D, K2).reshape(4, 3, -1)
+    return F
+
+
+def _interpolate(F, y_old, x):
+    """The dense output y_old + x (F0 + (1-x) (F1 + x (F2 + ... F6))) at step
+    fractions x, for coefficients F (7, ...) from _dense."""
+    y = F[6] * x
+    for k in range(5, -1, -1):
+        y = (y + F[k]) * (x if k % 2 == 0 else 1.0 - x)
+    return y + y_old
+
+
+def _locate_event(hits, t_old, t_new, y_old, F, field, limits):
+    """Earliest event of one lane's step on its interpolant F (7, 3):
     (index, s, state)."""
     h = t_new - t_old
 
     def interp(t):
-        x = (t - t_old) / h
-        x2 = x * x
-        return (h * (Q @ np.array([x, x2, x2 * x, x2 * x * x])) + y_old)[:, None]
+        return _interpolate(F, y_old, (t - t_old) / h)[:, None]
 
     def g(t, e):
         y = interp(t)
@@ -366,8 +442,8 @@ def _locate_event(hits, t_old, t_new, y_old, Q, field, limits):
     return hits[k], roots[k], interp(roots[k])[:, 0]
 
 
-def _underflow_stop(y, r_singular):
-    if y[0] < r_singular:
+def _underflow_stop(y):
+    if y[0] < R_SINGULAR:
         return "r_singular"
     if abs(y[1]) > 10.0:
         return "alpha_blowup"
@@ -375,71 +451,71 @@ def _underflow_stop(y, r_singular):
 
 
 def integrate_many(params: SolitonParams, initial, directions, s_max: float, *,
-                   rtol: float = 1e-10, atol: float = 1e-14,
-                   r_min: float = R_MIN, r_max: float = R_MAX,
-                   alpha_max: float = ALPHA_MAX, drift_tol: float = DRIFT_TOL,
-                   r_singular: float = 1e-3) -> list[Trajectory]:
+                   rtol: float = 1e-10, atol: float = 1e-16) -> list[Trajectory]:
     """Integrate the reduced system from many initial states in one batch.
 
     initial is (L, 3) rows (r, alpha, phi) and directions (L,) or a scalar
     +-1, the sign of s along which each lane runs.  All lanes advance
-    together through one Dormand-Prince 5(4) step per iteration, each with
-    its own step size: RMS error norm scaled by atol + rtol max(|y|, |y_new|),
-    safety 0.9, step factors 0.2 to 10 and no growth right after a
-    rejection, the starting step of Hairer-Norsett-Wanner -- step for step
-    the control of scipy's RK45.  A lane stops at s_max, or at the first
-    sign change of an event on its step's 4th-order interpolant (Brent's
-    method to 4 ulp): r <= r_min, r >= r_max, |alpha| >= alpha_max (past
-    which cosh overflows and the trajectory is in its asymptotic blow-up),
-    and for definite lanes alpha_floor.  Finished lanes leave the batch.
+    together through one Dormand-Prince 8(5,3) step per iteration (12
+    stages, the last one's f(y_new) reused as the next step's first), each
+    with its own step size: the error norm of DOP853, which combines the
+    5th- and 3rd-order estimates scaled by atol + rtol max(|y|, |y_new|),
+    error exponent -1/8, safety 0.9, step factors 0.2 to 10 and no growth
+    right after a rejection, the starting step of Hairer-Norsett-Wanner at
+    order 7 -- step for step the control of scipy's DOP853.  A lane stops at
+    s_max, or at the first sign change of an event on its step's 7th-order
+    interpolant (Brent's method to 4 ulp): r <= R_MIN, r >= R_MAX, |alpha|
+    >= ALPHA_MAX (past which cosh overflows and the trajectory is in its
+    asymptotic blow-up), and for definite lanes alpha_floor.  Finished lanes
+    leave the batch.  The interpolant costs three more field evaluations
+    per step, so it is built once after the loop for every accepted step
+    together, and inside the loop only for a lane whose step fired an event.
 
     An r -> 0 end is reached at a finite parameter value s*; the remaining
     s-interval below r ~ 1e-4 is smaller than an ulp of s*, so the step size
-    underflows (below 10 ulp of s) there before r can reach a tiny r_min.
-    Underflow with r < r_singular is therefore reported as the stop
+    underflows (below 10 ulp of s) there before r can reach a tiny R_MIN.
+    Underflow with r < R_SINGULAR is therefore reported as the stop
     "r_singular", with |alpha| > 10 as "alpha_blowup"; underflow anywhere
     else raises StepFailure.
 
     In the definite case with a decaying angle the energy g(r) sinh(alpha)
     pairs an exploding factor with a collapsing one; once |alpha| reaches
-    alpha_floor ~ atol/drift_tol the product is no longer resolvable in
-    doubles and integration stops with "alpha_floor" (the event also needs
-    |dalpha/ds| small, so a transversal zero crossing of alpha never
-    triggers it).
+    ALPHA_FLOOR the product is no longer resolvable in doubles and
+    integration stops with "alpha_floor" (the event also needs |dalpha/ds|
+    small, so a transversal zero crossing of alpha never triggers it).
 
     The energy is evaluated at every accepted state; a trajectory is
     accepted only if its max drift relative to max(|E0|, g(r0)) is below
-    drift_tol.
+    DRIFT_TOL.  Each trajectory counts its accepted and rejected steps.
     """
     y0 = np.array(initial, dtype=float).reshape(-1, 3)
     lanes = len(y0)
     directions = np.broadcast_to(np.asarray(directions, dtype=float), (lanes,))
     sign = directions.copy()
-    low = y0[:, 0] <= r_min
+    low = y0[:, 0] <= R_MIN
     if low.any():
-        raise InvalidRange(f"initial r = {y0[low, 0][0]} must exceed r_min = {r_min}")
+        raise InvalidRange(f"initial r = {y0[low, 0][0]} must exceed r_min = {R_MIN}")
     if not s_max > 0.0:
         raise InvalidRange(f"s_max = {s_max} must be positive")
-    limits = np.array([[r_min], [r_max], [alpha_max], [ALPHA_FLOOR]])
+    if not lanes:
+        return []
+    limits = np.array([[R_MIN], [R_MAX], [ALPHA_MAX], [ALPHA_FLOOR]])
 
     field = _Field(params)
     rtol, atol, s_max = np.array(rtol), np.array(atol), np.array(float(s_max))
     ids = np.arange(lanes)
     y = y0.T.copy()
     t = np.zeros(lanes)
-    # stages of the field f, unsigned: a lane runs along sign * f, so its
-    # steps use hs = sign * h; K[0] holds f(y) (first same as last)
-    K = np.empty((7, 3, lanes))
-    K2 = K.reshape(7, -1)
-    field(y, out=K[0])
-    h_abs = _initial_step(y, K[0], field, sign, s_max, rtol, atol)
+    # f(y), unsigned: a lane runs along sign * f, so its steps use hs = sign * h
+    f = field(y)
+    h_abs = _initial_step(y, f, field, sign, s_max, rtol, atol)
     rejected = np.zeros(lanes, dtype=bool)
     retry = False                        # some lane retries a rejected step
     armed = np.ones((4, lanes), dtype=bool)
     armed[3] = params.case == "definite"
     armed[3] &= np.abs(y[1]) > ALPHA_FLOOR
-    sg = np.sign(_events(y, K[0, 1], limits))
-    steps = []                           # per iteration: ids, accepted, t, h, y, Q
+    sg = np.sign(_events(y, f[1], limits))
+    steps = []                           # per iteration: ids, accepted, t, h, y, y_new, K
     stops, ends = {}, {}
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         while ids.size:
@@ -452,99 +528,111 @@ def integrate_many(params: SolitonParams, initial, directions, s_max: float, *,
             t_new = np.minimum(t + h_abs, s_max)
             h = t_new - t
             hs = sign * h
-            for s in range(1, 6):
-                field(y + hs * (_A[s] @ K2[:s]).reshape(3, -1), out=K[s])
-            y_new = y + hs * (_B @ K2[:6]).reshape(3, -1)
-            field(y_new, out=K[6])
+            # the stages of this step; K[12] = f(y_new) (first same as last)
+            K = np.empty((13, 3, ids.size))
+            K[0] = f
+            K2 = K.reshape(13, -1)
+            for s, a in enumerate(_STAGES, start=1):
+                field(y + hs * np.dot(a, K2[:s]).reshape(3, -1), out=K[s])
+            y_new = y + hs * np.dot(_B, K2[:12]).reshape(3, -1)
+            field(y_new, out=K[12])
+            # squared norms of the 5th- and 3rd-order estimates, each one
+            # matrix-vector product as in scipy: on a lane at rest they are
+            # the rounding of these sums, and so is its step sequence
             scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-            err = _rms(hs * (_E @ K2).reshape(3, -1) / scale)
+            est = np.empty((2, K2.shape[1]))
+            np.dot(_ERR[0], K2, out=est[0])
+            np.dot(_ERR[1], K2, out=est[1])
+            e5, e3 = np.add.reduce(np.square(est.reshape(2, 3, -1) / scale), axis=1)
+            err = h * e5 / np.sqrt(np.fmax(e5 + _HUNDREDTH * e3, _TINY) * _THREE)
             accepted = err < 1.0
             factor = _SAFETY * err ** _EXPONENT
             grow = np.minimum(_TEN, factor)
             if retry:
                 accepted &= ~under
                 grow = np.where(rejected, np.minimum(_ONE, grow), grow)
-            Q = _P.T @ K2
-            steps.append((ids, accepted, t_new, h, y_new, Q))
-            sg_new = np.sign(_events(y_new, K[6, 1], limits))
+            steps.append((ids, accepted, t_new, h, y, y_new, K))
+            sg_new = np.sign(_events(y_new, K[12, 1], limits))
             fired = armed & (sg * sg_new <= 0)
             t_old, y_old = t, y
-            if accepted.all():
+            all_accepted = accepted.all()
+            if all_accepted:
                 h_abs = h * grow
-                y, t, sg = y_new, t_new, sg_new
-                K[0] = K[6]
+                y, t, sg, f = y_new, t_new, sg_new, K[12]
             else:
                 h_abs = h * np.where(accepted, grow, np.fmax(_FIFTH, factor))
                 fired &= accepted
                 y = np.where(accepted, y_new, y)
                 t = np.where(accepted, t_new, t)
                 sg = np.where(accepted, sg_new, sg)
-                np.copyto(K[0], K[6], where=accepted)
+                f = np.where(accepted, K[12], f)
             finished = (t >= s_max) | fired.any(axis=0)
             if retry:
                 finished |= under
             rejected = ~accepted
-            retry = not accepted.all()
+            retry = not all_accepted
             if not finished.any():
                 continue
             for j in np.flatnonzero(finished):
                 lane = int(ids[j])
                 if fired[:, j].any():
+                    one = slice(j, j + 1)
+                    F = _dense(K[:, :, one], y_old[:, one], y_new[:, one], hs[one],
+                               field)[..., 0]
                     e, root, state = _locate_event(
                         np.flatnonzero(fired[:, j]), t_old[j], t_new[j], y_old[:, j],
-                        sign[j] * Q.reshape(4, 3, -1)[:, :, j].T, field, limits)
+                        F, field, limits)
                     stops[lane], ends[lane] = _EVENTS[e], (root, state)
                 elif t[j] >= s_max:
                     stops[lane] = "s_max"
                 else:
-                    stops[lane] = _underflow_stop(y[:, j], r_singular)
+                    stops[lane] = _underflow_stop(y[:, j])
             keep = ~finished
             ids, y, t, h_abs, rejected, sign = (
                 ids[keep], y[:, keep], t[keep], h_abs[keep], rejected[keep], sign[keep])
-            sg, armed = sg[:, keep], armed[:, keep]
-            K = np.ascontiguousarray(K[:, :, keep])
-            K2 = K.reshape(7, -1)
+            sg, armed, f = sg[:, keep], armed[:, keep], f[:, keep]
             retry = bool(rejected.any())
 
-    return _trajectories(params, y0, directions, steps, stops, ends, drift_tol)
+    return _trajectories(params, field, y0, directions, steps, stops, ends)
 
 
-def _trajectories(params, y0, directions, steps, stops, ends, drift_tol):
+def _trajectories(params, field, y0, directions, steps, stops, ends):
     """One Trajectory per lane from integrate_many's per-iteration records
-    (ids, accepted, t, h, y, Q): the accepted steps of each lane in order,
-    the event state in place of the full step where an event stopped it."""
+    (ids, accepted, t, h, y, y_new, K): the accepted steps of each lane in
+    order, their interpolants built in one batch, the event state in place
+    of the full step where an event stopped it.  A lane's rejected steps are
+    its steps that failed the error test; the attempt that ends a lane on
+    step-size underflow is not a step."""
     lanes = len(y0)
-    if steps:
-        lane = np.concatenate([st[0] for st in steps])
-        accepted = np.concatenate([st[1] for st in steps])
-        order = np.argsort(lane[accepted], kind="stable")
+    lane = np.concatenate([st[0] for st in steps])
+    accepted = np.concatenate([st[1] for st in steps])
+    rejected = np.bincount(lane[~accepted], minlength=lanes)
+    # the accepted records, lane by lane in step order
+    take = np.flatnonzero(accepted)[np.argsort(lane[accepted], kind="stable")]
 
-        def gather(k, shape):
-            x = np.concatenate([st[k].reshape(shape + (-1,)) for st in steps], axis=-1)
-            return np.moveaxis(x[..., accepted][..., order], -1, 0)
+    def gather(k):
+        return np.concatenate([st[k] for st in steps], axis=-1).take(take, axis=-1)
 
-        t_all, h_all = gather(2, ()), gather(3, ())
-        y_all, Q_all = gather(4, (3,)), np.swapaxes(gather(5, (4, 3)), 1, 2)
-        bounds = np.concatenate([[0], np.cumsum(np.bincount(lane[accepted],
-                                                            minlength=lanes))])
-    else:
-        t_all, h_all = np.zeros(0), np.zeros(0)
-        y_all, Q_all = np.zeros((0, 3)), np.zeros((0, 3, 4))
-        bounds = np.zeros(lanes + 1, dtype=int)
+    t_all, h_all = gather(2), gather(3)
+    y_old, y_all = gather(4), gather(5)
+    F_all = np.swapaxes(_dense(gather(6), y_old, y_all, directions[lane[take]] * h_all,
+                               field), 1, 2)
+    y_all = y_all.T
+    bounds = np.concatenate([[0], np.cumsum(np.bincount(lane[take], minlength=lanes))])
 
     out = []
     for i in range(lanes):
         seg = slice(bounds[i], bounds[i + 1])
         knots = np.concatenate([[0.0], t_all[seg]])
         states = np.concatenate([y0[i:i + 1], y_all[seg]])
-        h, Q = h_all[seg], directions[i] * Q_all[seg]
+        h, F = h_all[seg], F_all[:, seg]
         if i in ends:
             root, state = ends[i]
             if root > knots[-2]:
                 knots[-1], states[-1] = root, state
             else:  # the event rounds onto the previous knot: drop the step
-                knots, states, h, Q = knots[:-1], states[:-1], h[:-1], Q[:-1]
-        branch = _Branch(float(directions[i]), knots, states, h, Q)
+                knots, states, h, F = knots[:-1], states[:-1], h[:-1], F[:, :-1]
+        branch = _Branch(float(directions[i]), knots, states, h, F)
         E = energy(states, params)
         E0 = float(E[0])
         scale = max(abs(E0), float(radial_weight(y0[i, 0], params)), 1e-300)
@@ -552,8 +640,11 @@ def _trajectories(params, y0, directions, steps, stops, ends, drift_tol):
         s = branch.direction * knots
         if branch.direction < 0:
             s, states = s[::-1], states[::-1]
-        out.append(Trajectory(params, s, states, E0, drift, drift < drift_tol,
-                              stops[i], _branches=(branch,)))
+        under = stops[i] in ("r_singular", "alpha_blowup")
+        out.append(Trajectory(params, s, states, E0, drift, drift < DRIFT_TOL,
+                              stops[i], accepted_steps=h.size,
+                              rejected_steps=int(rejected[i]) - under,
+                              _branches=(branch,)))
     return out
 
 
@@ -578,6 +669,8 @@ def integrate_bidirectional_many(params: SolitonParams, initial, s_max: float,
             params, np.concatenate([bwd.s[:-1], fwd.s]),
             np.concatenate([bwd.states[:-1], fwd.states]), fwd.E0, drift,
             fwd.accepted and bwd.accepted, f"{bwd.stop_reason}/{fwd.stop_reason}",
+            accepted_steps=bwd.accepted_steps + fwd.accepted_steps,
+            rejected_steps=bwd.rejected_steps + fwd.rejected_steps,
             _branches=bwd._branches + fwd._branches))
     return out
 

@@ -112,6 +112,9 @@ def test_soliton_command(tmp_path):
     assert lines[0] == "s,r,alpha,phi,E,E_drift"
     assert footer_value(lines, "classification") == "subcritical_inner"
     assert footer_value(lines, "accepted") == "true"
+    rows = [row for row in lines[1:] if not row.startswith("#")]
+    assert int(footer_value(lines, "accepted_steps")) == len(rows) - 1
+    assert int(footer_value(lines, "rejected_steps")) >= 0
 
 
 def test_equivariant_command(tmp_path):
@@ -283,11 +286,12 @@ def test_write_csv_matches_per_cell_format(tmp_path):
 
 
 def _loaded_in_fresh_interpreter(code, cwd=None):
-    """Top-level names of the modules a fresh interpreter has loaded after
-    running code, in cwd, with this parakahler importable."""
+    """Names of the modules a fresh interpreter has loaded after running
+    code, in cwd, with this parakahler importable, and of their top-level
+    packages."""
     src = str(Path(parakahler.__file__).resolve().parent.parent)
     probe = (f"import sys; sys.path.insert(0, {src!r})\n{code}\n"
-             "print(sorted({m.split('.')[0] for m in sys.modules}))")
+             "print(sorted(set(sys.modules) | {m.split('.')[0] for m in sys.modules}))")
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                           text=True, timeout=300, check=True, cwd=cwd)
     return set(ast.literal_eval(proc.stdout.strip().splitlines()[-1]))
@@ -296,7 +300,7 @@ def _loaded_in_fresh_interpreter(code, cwd=None):
 def test_bare_import_loads_neither_scipy_nor_jsonschema():
     loaded = _loaded_in_fresh_interpreter("import parakahler.cli")
     assert "numpy" in loaded
-    assert not loaded & {"scipy", "jsonschema"}
+    assert not loaded & {"scipy", "jsonschema", "parakahler.verify"}
 
 
 def test_cli_subcommands_never_load_scipy(tmp_path):

@@ -303,11 +303,11 @@ def test_lorentzian_nonpositive_lambda_bounded():
 
 
 # ---------------------------------------------------------------------------
-# The batched engine against scipy's RK45 with terminal events, one
+# The batched engine against scipy's DOP853 with terminal events, one
 # solve_ivp call per lane: the independent reference for integrate_many.
 # ---------------------------------------------------------------------------
 
-def _reference_lane(y0, params, s_max, direction, rtol, atol=1e-14):
+def _reference_lane(y0, params, s_max, direction, rtol, atol=1e-16):
     """(stop reason, solve_ivp solution, max relative energy drift)."""
     n, lam = params.n, params.lambda_prime
     definite = params.case == "definite"
@@ -338,11 +338,11 @@ def _reference_lane(y0, params, s_max, direction, rtol, atol=1e-14):
         names.append("alpha_floor")
     for ev in events:
         ev.terminal = True
-    sol = solve_ivp(rhs, (0.0, s_max), y0, method="RK45", rtol=rtol, atol=atol,
+    sol = solve_ivp(rhs, (0.0, s_max), y0, method="DOP853", rtol=rtol, atol=atol,
                     events=events, dense_output=True)
     if sol.status == -1:
-        assert sol.y[0, -1] < 1e-3 or abs(sol.y[1, -1]) > 10.0, sol.message
-        stop = "r_singular" if sol.y[0, -1] < 1e-3 else "alpha_blowup"
+        assert sol.y[0, -1] < solitons.R_SINGULAR or abs(sol.y[1, -1]) > 10.0, sol.message
+        stop = "r_singular" if sol.y[0, -1] < solitons.R_SINGULAR else "alpha_blowup"
     elif sol.status == 1:
         stop = [name for name, te in zip(names, sol.t_events) if te.size][0]
     else:
@@ -399,6 +399,19 @@ def test_engine_matches_solve_ivp_reference(params, starts):
         assert classify(tr) == _reference_class(params, y0, (refs[i], refs[half + i]))
 
 
+def test_tableau_is_dop853():
+    # the module's Dormand-Prince 8(5,3) coefficients are scipy's DOP853
+    # coefficients, bit for bit
+    from scipy.integrate._ivp import dop853_coefficients as ref
+
+    assert np.array_equal(solitons._A, ref.A)
+    assert np.array_equal(solitons._B, ref.B)
+    assert np.array_equal(solitons._ERR, np.stack([ref.E5, ref.E3]))
+    assert np.array_equal(solitons._D, ref.D)
+    assert all(np.array_equal(a, ref.A[s, :s])
+               for s, a in enumerate(solitons._STAGES, start=1))
+
+
 def test_integrate_is_one_lane_of_the_batch():
     # the same lane alone or in a batch: equal up to the rounding of the
     # batched stage sums
@@ -410,6 +423,41 @@ def test_integrate_is_one_lane_of_the_batch():
         assert abs(len(one.s) - len(tr.s)) <= 1
         s = np.linspace(0.05, 0.9, 30) * (one.s[-1] if d > 0 else one.s[0])
         assert np.allclose(one.sample(s), tr.sample(s), rtol=1e-9, atol=1e-12)
+
+
+def test_step_counts():
+    # a one-direction lane has one state per accepted step after its start;
+    # a bidirectional trajectory counts the steps of both its lanes
+    starts = [(0.5, 0.0, 0.0), (2.0, 1.2, 0.0), (1.7, -0.5, 0.2)]
+    lanes = integrate_many(LOR1, starts + starts, np.repeat([-1.0, 1.0], 3), 8.0,
+                           rtol=1e-12)
+    for tr in lanes:
+        assert tr.accepted_steps == len(tr.s) - 1
+        assert tr.rejected_steps >= 0
+    merged = integrate_bidirectional_many(LOR1, starts, 8.0, rtol=1e-12)
+    for bwd, fwd, tr in zip(lanes[:3], lanes[3:], merged):
+        assert tr.accepted_steps == bwd.accepted_steps + fwd.accepted_steps
+        assert tr.accepted_steps == len(tr.s) - 1
+        assert tr.rejected_steps == bwd.rejected_steps + fwd.rejected_steps
+
+
+def test_rejected_steps_match_dop853():
+    # without events or dense output, solve_ivp's DOP853 spends 2 field
+    # evaluations on its start and 12 on every step it tries, accepted or not
+    y0 = (0.5, 0.0, 0.0)
+    for d in (1, -1):
+        def rhs(t, y):
+            r = max(y[0], 1e-300)
+            ch = math.cosh(y[1])
+            return [d * math.sinh(y[1]), d * (r - 2.0 / r) * ch, d * ch / r]
+
+        tr = integrate(SolitonState(*y0), LOR1, 10.0, rtol=1e-12, direction=d)
+        sol = solve_ivp(rhs, (0.0, 10.0), y0, method="DOP853", rtol=1e-12, atol=1e-16)
+        tried = (sol.nfev - 2) // 12
+        assert tr.stop_reason == "r_singular" and sol.status == -1
+        assert abs(tr.accepted_steps - (len(sol.t) - 1)) <= 2
+        assert abs(tr.rejected_steps - (tried - (len(sol.t) - 1))) <= 2
+        assert tr.rejected_steps > 0
 
 
 def test_event_rounding_onto_the_last_knot_adds_no_state():

@@ -241,22 +241,10 @@ def build(doc: dict):
     if kind in ("equivariant_level", "equivariant_explicit"):
         n = params["n"]
         prof_axis = axes[0]
-        if kind == "equivariant_level":
-            curve = equivariant.level_curve(n, params["C"], params["family"],
-                                            prof_axis.lo, prof_axis.hi,
-                                            prof_axis.count)
-        elif "curve" in params:
-            name, C = params["curve"], params["C"]
-            if name == "circle":
-                curve = equivariant.explicit_circle(C, prof_axis.count)
-            elif name == "hyperbola":
-                curve = equivariant.explicit_hyperbola(C, prof_axis.lo,
-                                                       prof_axis.hi,
-                                                       prof_axis.count)
-            else:
-                curve = equivariant.explicit_cubic_level(C, prof_axis.lo,
-                                                         prof_axis.hi,
-                                                         prof_axis.count)
+        name = params.get("family") or params.get("curve")  # level or explicit kind
+        if name:
+            curve = equivariant.named_curve(name, n, params["C"], prof_axis.lo,
+                                            prof_axis.hi, prof_axis.count)
         else:
             gx = _expr_fn(params["gx"], ["s"])
             gy = _expr_fn(params["gy"], ["s"])

@@ -118,17 +118,8 @@ def cmd_graph(args) -> int:
 
 
 def cmd_equivariant(args) -> int:
-    if args.family in ("re", "im"):
-        curve = equivariant.level_curve(args.n, args.C, args.family,
-                                        args.phi_min, args.phi_max, args.count)
-    elif args.family == "circle":
-        curve = equivariant.explicit_circle(args.C, args.count)
-    elif args.family == "hyperbola":
-        curve = equivariant.explicit_hyperbola(args.C, args.phi_min,
-                                               args.phi_max, args.count)
-    else:
-        curve = equivariant.explicit_cubic_level(args.C, args.phi_min,
-                                                 args.phi_max, args.count)
+    curve = equivariant.named_curve(args.family, args.n, args.C, args.phi_min,
+                                    args.phi_max, args.count)
     norms = d_norm2(curve.gamma)
     rows = [[s, g[0], g[1], w] for s, g, w in zip(curve.s, curve.gamma, norms)]
     report = equivariant.lightcone_crossings(curve)
@@ -202,24 +193,20 @@ def cmd_normal_bundle(args) -> int:
         spec = lagrangian.catenoid_normal_bundle(1.0, 9)
     else:
         spec = lagrangian.flat_normal_bundle(2, 3)
-    import itertools
-    rows = []
-    nan_reasons = {}
-    shape = spec.shape_ops.shape[:-3]
     ts = np.linspace(args.t_min, args.t_max, args.t_count)
-    for node in itertools.product(*[range(c) for c in shape]):
-        austere = lagrangian.is_austere(spec, node)
-        for t in ts:
-            try:
-                ang = lagrangian.normal_bundle_angle(spec, node, float(t))
-                q, theta = ang.q, ang.theta
-            except ParakahlerError as exc:
-                q, theta = -1, math.nan
-                key = f"nan_{type(exc).__name__}"
-                nan_reasons[key] = nan_reasons.get(key, 0) + 1
-            rows.append(list(node) + [t, q, theta, 1 if austere else 0])
+    ang = lagrangian.normal_bundle_angle(spec, ts)
+    austere = lagrangian.is_austere(spec)
+    shape = austere.shape
+    index = np.meshgrid(*[np.arange(c) for c in shape], ts, indexing="ij")
+    table = np.stack([*index, ang.q, ang.theta,
+                      np.broadcast_to(austere[..., None], ang.q.shape)], axis=-1)
+    rows = table.reshape(-1, len(shape) + 4).tolist()
+    footer = {"shape": args.shape}
+    null = int(np.sum(ang.q == -1))
+    if null:  # a null volume has no polar form
+        footer["nan_DegenerateMetric"] = null
     header = [f"i{k}" for k in range(len(shape))] + ["t", "q", "theta", "austere"]
-    _write_csv(args.out, header, rows, {"shape": args.shape, **nan_reasons})
+    _write_csv(args.out, header, rows, footer)
     return 0
 
 

@@ -122,27 +122,17 @@ class PolarForm:
         return ParaComplex(self.p * c, self.p * s)
 
 
-def polar(z: ParaComplex, tol_null: float | None = None) -> PolarForm:
-    """Polar decomposition z = p tau^q r e^{tau theta}.
+def polar(z: ParaComplex) -> PolarForm:
+    """Polar decomposition z = p tau^q r e^{tau theta}: d_polar of one value.
 
-    Raises NullValue when |<z,z>| <= tol_null; the default tolerance is
-    NULL_TOL * (x^2 + y^2) so the test is scale-free.  theta is recovered
-    through asinh of the subdominant component, which stays accurate for
-    large |theta| (arctanh of y/x would not).
+    Raises NullValue where d_polar flags z null (|<z,z>| <= NULL_TOL *
+    (x^2 + y^2), scale-free).
     """
     z = _coerce(z)
-    n2 = z.squared_norm()
-    g2 = z.x * z.x + z.y * z.y
-    if tol_null is None:
-        tol_null = NULL_TOL * g2
-    if abs(n2) <= tol_null or g2 == 0.0:
-        raise NullValue(f"{z} is on the light cone (squared norm {n2:.3e})")
-    r = math.sqrt(abs(n2))
-    if n2 > 0.0:
-        p = 1 if z.x > 0 else -1
-        return PolarForm(p, 0, r, math.asinh(p * z.y / r))
-    p = 1 if z.y > 0 else -1
-    return PolarForm(p, 1, r, math.asinh(p * z.x / r))
+    p, q, r, theta, null = d_polar(z)
+    if null:
+        raise NullValue(f"{z} is on the light cone (squared norm {z.squared_norm():.3e})")
+    return PolarForm(int(p), int(q), float(r), float(theta))
 
 
 # ---------------------------------------------------------------------------
@@ -205,8 +195,10 @@ def d_pow(a, k: int) -> np.ndarray:
 def d_polar(a, tol: float = NULL_TOL):
     """Batched polar data (p, q, r, theta, null_mask); no exception raised.
 
-    Entries flagged null carry p=q=0, r=theta=0 and must be ignored by the
-    caller.
+    A value is null when |x^2 - y^2| <= tol (x^2 + y^2).  theta is recovered
+    through arcsinh of the subdominant component, which stays accurate for
+    large |theta| (arctanh of y/x would not).  Entries flagged null carry
+    p=q=0, r=theta=0 and must be ignored by the caller.
     """
     a = d_array(a)
     n2 = d_norm2(a)

@@ -209,22 +209,19 @@ def lagrangian_angle_of_frame(frames) -> LagrangianAngle:
     return LagrangianAngle(q, theta)
 
 
-def random_lagrangian_frame(n: int, rng: np.random.Generator,
-                            mix: bool = True, scale: float = 1.0) -> np.ndarray:
+def random_lagrangian_frame(n: int, rng: np.random.Generator) -> np.ndarray:
     """Random frame spanning a Lagrangian plane of D^n.
 
     Rows are e_i + tau S_i for a random symmetric S (omega vanishes pairwise
-    by symmetry), optionally mixed by a random real GL(n) matrix, which
-    preserves the Lagrangian span.
+    by symmetry), mixed by a random real GL(n) matrix with |det| >= 0.1,
+    which preserves the Lagrangian span.
     """
-    S = rng.normal(scale=scale, size=(n, n))
+    S = rng.normal(size=(n, n))
     S = 0.5 * (S + S.T)
     frame = np.zeros((n, n, 2))
     frame[..., 0] = np.eye(n)
     frame[..., 1] = S
-    if mix:
+    A = rng.normal(size=(n, n))
+    while abs(np.linalg.det(A)) < 0.1:
         A = rng.normal(size=(n, n))
-        while abs(np.linalg.det(A)) < 0.1:
-            A = rng.normal(size=(n, n))
-        frame = np.einsum("ij,jkc->ikc", A, frame)
-    return frame
+    return np.einsum("ij,jkc->ikc", A, frame)

@@ -26,6 +26,9 @@ from .dlinalg import apply_J
 from .errors import InvalidRange
 from .geometry import GridAxis, SampledImmersion
 
+CROSSING_XTOL = 1e-10  # lightcone_crossings bisects a crossing to this length in s
+TANGENT_TOL = 1e-6     # ... and flags it tangential where |slope| <= tol * sample scale
+
 
 @dataclass(frozen=True)
 class ProfileCurve:
@@ -201,6 +204,22 @@ def explicit_cubic_level(C: float, y_lo: float, y_hi: float, count: int = 129) -
     return profile_from_function(fn, y_lo, y_hi, count, family="re_level")
 
 
+def named_curve(name: str, n: int, C: float, lo: float, hi: float,
+                count: int) -> ProfileCurve:
+    """The profile curve of a named family: "re"/"im" (level_curve of
+    gamma^n over phi in [lo, hi]), "circle" (lo, hi unused), "hyperbola" or
+    "cubic" (parameter range [lo, hi])."""
+    if name in ("re", "im"):
+        return level_curve(n, C, name, lo, hi, count)
+    if name == "circle":
+        return explicit_circle(C, count)
+    if name == "hyperbola":
+        return explicit_hyperbola(C, lo, hi, count)
+    if name == "cubic":
+        return explicit_cubic_level(C, lo, hi, count)
+    raise InvalidRange(f"unknown curve family {name!r}")
+
+
 def tau_multiply(curve: ProfileCurve) -> ProfileCurve:
     """gamma -> tau gamma (swaps components); maps solutions to solutions."""
     fn = None
@@ -218,14 +237,14 @@ class CrossingReport:
     tangential: tuple[bool, ...]
 
 
-def lightcone_crossings(curve: ProfileCurve, refine_tol: float = 1e-10,
-                        tangent_tol: float = 1e-6) -> CrossingReport:
+def lightcone_crossings(curve: ProfileCurve) -> CrossingReport:
     """Sign changes of <gamma, gamma> along the curve, bisection-refined.
 
-    Each crossing location is refined to refine_tol in s using the exact
+    Each crossing location is refined to CROSSING_XTOL in s using the exact
     parametrization when available (linear interpolation of samples
     otherwise).  Crossings where d/ds <gamma, gamma> nearly vanishes are
-    flagged tangential.
+    flagged tangential.  A periodic curve wraps: its first sample's
+    neighbours are the second and the last.
     """
     norms = d_norm2(curve.gamma)
     s = curve.s
@@ -242,21 +261,17 @@ def lightcone_crossings(curve: ProfileCurve, refine_tol: float = 1e-10,
     for i in range(len(norms) - 1):
         a, b = norms[i], norms[i + 1]
         if a == 0.0:
-            # zero exactly on a sample: a crossing iff the surrounding signs
-            # differ (a grazing touch does not count)
-            prev = norms[i - 1] if i > 0 else 0.0
-            if prev * b < 0.0:
-                s_star = float(s[i])
-                h = max(curve.spacing * 1e-5, 1e-12)
-                slope = (norm_at(s_star + h) - norm_at(s_star - h)) / (2 * h)
-                scale = max(abs(prev), abs(b)) / curve.spacing
-                locations.append(s_star)
-                tangential.append(abs(slope) <= tangent_tol * max(scale, 1e-300))
-            continue
-        if a * b < 0.0:
+            # zero exactly on a sample: a crossing iff the samples before
+            # (now a) and after it differ in sign; a grazing touch, or the
+            # end of an open curve, does not count
+            a = norms[i - 1] if i else (norms[-2] if curve.periodic else 0.0)
+            if not a * b < 0.0:
+                continue
+            s_star = float(s[i])
+        elif a * b < 0.0:
             lo, hi = float(s[i]), float(s[i + 1])
             flo = a
-            while hi - lo > refine_tol:
+            while hi - lo > CROSSING_XTOL:
                 mid = 0.5 * (lo + hi)
                 fm = norm_at(mid)
                 if fm == 0.0:
@@ -267,11 +282,13 @@ def lightcone_crossings(curve: ProfileCurve, refine_tol: float = 1e-10,
                 else:
                     lo, flo = mid, fm
             s_star = 0.5 * (lo + hi)
-            h = max(curve.spacing * 1e-5, 1e-12)
-            slope = (norm_at(s_star + h) - norm_at(s_star - h)) / (2 * h)
-            scale = max(abs(a), abs(b)) / curve.spacing
-            locations.append(s_star)
-            tangential.append(abs(slope) <= tangent_tol * max(scale, 1e-300))
+        else:
+            continue
+        h = max(curve.spacing * 1e-5, 1e-12)
+        slope = (norm_at(s_star + h) - norm_at(s_star - h)) / (2 * h)
+        scale = max(abs(a), abs(b)) / curve.spacing
+        locations.append(s_star)
+        tangential.append(abs(slope) <= TANGENT_TOL * max(scale, 1e-300))
     return CrossingReport(len(locations), tuple(locations), tuple(tangential))
 
 

@@ -447,15 +447,6 @@ def grid_mean_curvature(imm: SampledImmersion):
     return jt, mH, g_inv, valid & ~degenerate
 
 
-def position_normal_part(imm: SampledImmersion, node) -> np.ndarray:
-    """Normal projection of the position vector F at the node."""
-    jt = jet(imm, node)
-    im = metric_from_tangents(jt.first)
-    if im.degenerate:
-        raise DegenerateMetric(f"induced metric degenerate at node {tuple(node)}")
-    return normal_project(imm.values[tuple(node)], jt.first, im.g)
-
-
 # ---------------------------------------------------------------------------
 # Almost para-complex structures on a coordinate box and their Nijenhuis
 # tensor.  Vector fields are constant vectors or callables of the point.

@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import dcore
-from .dcore import ParaComplex, d_array, d_grading2, d_mul, d_norm2, d_polar
+from .dcore import d_array, d_grading2, d_mul, d_norm2, d_polar
 from .dlinalg import (
     LagrangianAngle,
     apply_J,
@@ -56,6 +56,9 @@ from .geometry import (
 
 
 RESIDUAL_MARGIN = JET_MARGIN + 1  # theta is differentiated once more
+NULL_PRODUCT_TOL = 1e-8    # null tangents and vanishing pairings, relative to their scale
+CAUCHY_RIEMANN_TOL = 1e-6  # para-Cauchy-Riemann residual, relative to max(|f_x|, 1)
+AUSTERE_TOL = 1e-8         # a base is austere when |kappa + reversed kappa| <= tol max|kappa|
 
 
 def is_lagrangian(imm: SampledImmersion, node) -> bool:
@@ -336,8 +339,7 @@ def j_curve(curve: Callable):
 
 
 def build_null_product(curve1: Callable, curve2: Callable,
-                       axis_u: GridAxis, axis_v: GridAxis,
-                       tol: float = 1e-8) -> SampledImmersion:
+                       axis_u: GridAxis, axis_v: GridAxis) -> SampledImmersion:
     """Surface f(u, v) = gamma_1(u) + gamma_2(v) from two null curves in D^2.
 
     Preconditions (checked numerically on the sample grids): both curves
@@ -353,16 +355,16 @@ def build_null_product(curve1: Callable, curve2: Callable,
     for name, d in (("curve1", d1), ("curve2", d2)):
         n2 = np.abs(np.sum(d_norm2(d), axis=-1))
         g2 = np.sum(d_grading2(d), axis=-1)
-        if np.any(n2 > tol * np.maximum(g2, 1e-300)):
+        if np.any(n2 > NULL_PRODUCT_TOL * np.maximum(g2, 1e-300)):
             raise NotNullCurve(f"{name} tangent is not null (max {n2.max():.3e})")
     pair = np.einsum("ukc,vkc,c->uv", d1, d2, np.array([1.0, -1.0]))
     scale = max(float(np.max(np.sqrt(np.sum(d_grading2(d1), -1))))
                 * float(np.max(np.sqrt(np.sum(d_grading2(d2), -1)))), 1e-300)
-    if np.min(np.abs(pair)) <= tol * scale:
+    if np.min(np.abs(pair)) <= NULL_PRODUCT_TOL * scale:
         raise DegeneratePairing("metric pairing of the two tangents vanishes on the grid")
     sympl = np.einsum("uk,vk->uv", d1[..., 0], d2[..., 1]) - np.einsum(
         "uk,vk->uv", d1[..., 1], d2[..., 0])
-    if np.max(np.abs(sympl)) > tol * scale:
+    if np.max(np.abs(sympl)) > NULL_PRODUCT_TOL * scale:
         raise LagrangianViolation(
             f"omega pairing of tangents reaches {np.max(np.abs(sympl)):.3e}"
         )
@@ -372,8 +374,7 @@ def build_null_product(curve1: Callable, curve2: Callable,
     return SampledImmersion((axis_u, axis_v), values)
 
 
-def build_paracomplex_graph(f: Callable, axes: Sequence[GridAxis],
-                            tol: float = 1e-6) -> SampledImmersion:
+def build_paracomplex_graph(f: Callable, axes: Sequence[GridAxis]) -> SampledImmersion:
     """Graph z -> (z, f(z)) of a para-holomorphic map f: D -> D.
 
     f takes and returns (..., 2) arrays.  The para-Cauchy-Riemann residual
@@ -390,10 +391,9 @@ def build_paracomplex_graph(f: Callable, axes: Sequence[GridAxis],
     cr = 0.5 * (fx - d_mul(np.array([0.0, 1.0]), fy))
     resid = float(np.max(np.sqrt(d_grading2(cr))))
     scale = max(float(np.max(np.sqrt(d_grading2(fx)))), 1.0)
-    if resid > tol * scale:
-        raise NotParaHolomorphic(
-            f"para-Cauchy-Riemann residual {resid:.3e} exceeds {tol:.1e} * {scale:.3e}"
-        )
+    if resid > CAUCHY_RIEMANN_TOL * scale:
+        raise NotParaHolomorphic(f"para-Cauchy-Riemann residual {resid:.3e} exceeds "
+                                 f"{CAUCHY_RIEMANN_TOL:.1e} * {scale:.3e}")
     values = np.stack([z, fz], axis=-2)
     return SampledImmersion(tuple(axes), values)
 
@@ -452,45 +452,47 @@ class NormalBundleSpec:
         return self.normals.shape[-2]
 
 
-def principal_curvatures(spec: NormalBundleSpec, node, normal_index: int = 0) -> np.ndarray:
-    """Eigenvalues of the chosen shape operator, ascending."""
-    A = spec.shape_ops[tuple(node)][normal_index]
-    return np.linalg.eigvalsh(A)
+def principal_curvatures(spec: NormalBundleSpec) -> np.ndarray:
+    """Eigenvalues of every shape operator, ascending: (*counts, k, p), one
+    batched eigvalsh."""
+    return np.linalg.eigvalsh(spec.shape_ops)
 
 
-def normal_bundle_angle(spec: NormalBundleSpec, node, t: float,
-                        normal_index: int = 0) -> LagrangianAngle:
-    """Angle of the normal-bundle Lagrangian at (x, t * nu_1).
-
-    The adapted tangent frame has determinant tau^{n-p} prod_i(1 - tau t k_i)
-    over the principal curvatures k_i of A_{nu_1}; the polar data of that
-    product is the angle.  Constant in t exactly when the curvature multiset
-    is symmetric about zero (austere base).
-    """
-    kappas = principal_curvatures(spec, node, normal_index)
-    value = ParaComplex(1.0, 0.0)
-    for k in kappas:
-        value = value * ParaComplex(1.0, -t * float(k))
+def normal_bundle_volume(spec: NormalBundleSpec, ts) -> np.ndarray:
+    """Volume tau^{n-p} prod_i(1 - tau t k_i) of the normal-bundle Lagrangian
+    at (x, t * nu_1) for every node and every t: (*counts, T, 2).  The k_i
+    are the principal curvatures of A_{nu_1}, multiplied in ascending order,
+    then tau once per codimension (this order fixes the rounding and the
+    signed zeros)."""
+    ts = np.asarray(ts, dtype=float)
+    kappas = principal_curvatures(spec)[..., 0, :]
+    volume = np.zeros(kappas.shape[:-1] + ts.shape + (2,))
+    volume[..., 0] = 1.0
+    for k in np.moveaxis(kappas, -1, 0):
+        factor = np.stack(np.broadcast_arrays(1.0, -ts * k[..., None]), axis=-1)
+        volume = d_mul(volume, factor)
     for _ in range(spec.ambient_dim - spec.submanifold_dim):
-        value = value * dcore.TAU
-    try:
-        pf = dcore.polar(value)
-    except Exception as exc:
-        raise DegenerateMetric(f"normal-bundle volume is null at t={t}") from exc
-    return LagrangianAngle(pf.q, pf.theta)
+        volume = d_mul(volume, dcore.TAU)
+    return volume
 
 
-def is_austere(spec: NormalBundleSpec, node, tol: float = 1e-8) -> bool:
-    """True when, for every normal direction, the sorted eigenvalue multiset
-    of the shape operator equals its own negation within tol * max|kappa|."""
-    for a in range(spec.codim):
-        kappas = principal_curvatures(spec, node, a)
-        scale = float(np.max(np.abs(kappas)))
-        if scale == 0.0:
-            continue
-        if float(np.max(np.abs(kappas + kappas[::-1]))) > tol * scale:
-            return False
-    return True
+def normal_bundle_angle(spec: NormalBundleSpec, ts) -> LagrangianAngle:
+    """Angle of the normal-bundle Lagrangian at (x, t * nu_1) for every node
+    and every t: q and theta arrays (*counts, T), the polar data of
+    normal_bundle_volume; q = -1 and theta = nan where it is null.  Constant
+    in t exactly over an austere base."""
+    _, q, _, theta, null = d_polar(normal_bundle_volume(spec, ts))
+    return LagrangianAngle(np.where(null, -1, q), np.where(null, np.nan, theta))
+
+
+def is_austere(spec: NormalBundleSpec) -> np.ndarray:
+    """One boolean per node: for every normal direction, the sorted
+    eigenvalue multiset of the shape operator equals its own negation within
+    AUSTERE_TOL * max|kappa|."""
+    kappas = principal_curvatures(spec)
+    scale = np.max(np.abs(kappas), axis=-1)
+    asymmetry = np.max(np.abs(kappas + kappas[..., ::-1]), axis=-1)
+    return np.all(asymmetry <= AUSTERE_TOL * scale, axis=-1)
 
 
 def flat_normal_bundle(p: int, n: int, count: int = 5) -> NormalBundleSpec:

@@ -39,9 +39,10 @@ from typing import Sequence
 import numpy as np
 
 from .dcore import d_exp_tau, d_grading2
-from .dlinalg import apply_J, metric
+from .dlinalg import apply_J, gram, metric
 from .equivariant import ProfileCurve, lift
 from .errors import (
+    DegenerateMetric,
     IntegrandSingular,
     InvalidCase,
     InvalidRange,
@@ -51,10 +52,9 @@ from .errors import (
 from .geometry import (
     JET_MARGIN,
     SampledImmersion,
-    induced_metric,
     jet,
-    mean_curvature,
-    position_normal_part,
+    normal_project,
+    trace_mean_curvature,
 )
 
 CASES = ("definite", "lorentzian")
@@ -85,6 +85,10 @@ TURNING_XTOL = 1e-14
 # the Lorentzian pieces with their turning-point substitutions
 QUAD_TOL_DEFINITE = 1e-12
 QUAD_TOL_LORENTZIAN = 1e-11
+# A Lorentzian radicand 1 - g^2/E^2 <= TURN_EPS at an end of the phi
+# quadrature's range is a turning point; below -TURN_EPS it is forbidden.
+TURN_EPS = 1e-9
+STEP_ATOL = 1e-16  # absolute part (scipy's atol) of integrate_many's error scale
 
 
 @dataclass(frozen=True)
@@ -451,7 +455,7 @@ def _underflow_stop(y):
 
 
 def integrate_many(params: SolitonParams, initial, directions, s_max: float, *,
-                   rtol: float = 1e-10, atol: float = 1e-16) -> list[Trajectory]:
+                   rtol: float = 1e-10) -> list[Trajectory]:
     """Integrate the reduced system from many initial states in one batch.
 
     initial is (L, 3) rows (r, alpha, phi) and directions (L,) or a scalar
@@ -459,7 +463,7 @@ def integrate_many(params: SolitonParams, initial, directions, s_max: float, *,
     together through one Dormand-Prince 8(5,3) step per iteration (12
     stages, the last one's f(y_new) reused as the next step's first), each
     with its own step size: the error norm of DOP853, which combines the
-    5th- and 3rd-order estimates scaled by atol + rtol max(|y|, |y_new|),
+    5th- and 3rd-order estimates scaled by STEP_ATOL + rtol max(|y|, |y_new|),
     error exponent -1/8, safety 0.9, step factors 0.2 to 10 and no growth
     right after a rejection, the starting step of Hairer-Norsett-Wanner at
     order 7 -- step for step the control of scipy's DOP853.  A lane stops at
@@ -502,7 +506,7 @@ def integrate_many(params: SolitonParams, initial, directions, s_max: float, *,
     limits = np.array([[R_MIN], [R_MAX], [ALPHA_MAX], [ALPHA_FLOOR]])
 
     field = _Field(params)
-    rtol, atol, s_max = np.array(rtol), np.array(atol), np.array(float(s_max))
+    rtol, atol, s_max = np.array(rtol), np.array(STEP_ATOL), np.array(float(s_max))
     ids = np.arange(lanes)
     y = y0.T.copy()
     t = np.zeros(lanes)
@@ -756,7 +760,7 @@ def turning_radius(E: float, params: SolitonParams, side: str) -> float:
 
 
 def phi_quadrature(r_from: float, r_to: float, E: float,
-                   params: SolitonParams, turn_eps: float = 1e-9) -> float:
+                   params: SolitonParams) -> float:
     """phi(r_to) - phi(r_from) along a monotone-r stretch of a trajectory.
 
     definite:   dphi/dr = sign(E) / (rho sqrt(g^2/E^2 + 1)); smooth.
@@ -801,26 +805,26 @@ def phi_quadrature(r_from: float, r_to: float, E: float,
     rad_hi = _lorentz_radicand(hi, E, params)
     if params.lambda_prime > 0.0:
         peak = math.sqrt(params.n / params.lambda_prime)
-        if lo < peak < hi and _lorentz_radicand(peak, E, params) < -turn_eps:
+        if lo < peak < hi and _lorentz_radicand(peak, E, params) < -TURN_EPS:
             raise IntegrandSingular("range spans the forbidden band around the peak")
     interior_bad = min(rad_lo, rad_hi) < -1e-6
     pieces = []
     a, b = lo, hi
-    if rad_hi <= turn_eps:
+    if rad_hi <= TURN_EPS:
         side = "below" if (params.lambda_prime <= 0.0
                            or hi <= math.sqrt(params.n / params.lambda_prime) * (1 + 1e-9)) else "above"
         rho_t = turning_radius(E, params, side)
-        if abs(rho_t - hi) > 1e-6 * max(hi, 1.0) and rad_hi < -turn_eps:
+        if abs(rho_t - hi) > 1e-6 * max(hi, 1.0) and rad_hi < -TURN_EPS:
             raise IntegrandSingular(
                 f"radicand negative at r = {hi}, turning point at {rho_t}")
         w = min(0.3 * (hi - lo), 0.5 * rho_t)
         pieces.append(_sub_integral(rho_t, w, E, params, upper=True))
         b = rho_t - w
-    if rad_lo <= turn_eps:
+    if rad_lo <= TURN_EPS:
         side = "above" if (params.lambda_prime > 0.0
                            and lo >= math.sqrt(params.n / params.lambda_prime) * (1 - 1e-9)) else "below"
         rho_t = turning_radius(E, params, side)
-        if abs(rho_t - lo) > 1e-6 * max(lo, 1.0) and rad_lo < -turn_eps:
+        if abs(rho_t - lo) > 1e-6 * max(lo, 1.0) and rad_lo < -TURN_EPS:
             raise IntegrandSingular(
                 f"radicand negative at r = {lo}, turning point at {rho_t}")
         w = min(0.3 * (hi - lo), 0.5 * rho_t)
@@ -903,6 +907,16 @@ def hyperbola_solution(params: SolitonParams, branch: str = "spacelike",
     return ProfileCurve(s, fn(s), family="soliton", fn=fn)
 
 
+def _ambient_equation(imm: SampledImmersion, node, lam: float):
+    """(H_trace + lambda F_perp, first derivatives) at a node, from one jet."""
+    jt = jet(imm, node)
+    mH, _, degenerate = trace_mean_curvature(jt.first, jt.second)
+    if degenerate:
+        raise DegenerateMetric(f"induced metric degenerate at node {tuple(node)}")
+    Fp = normal_project(imm.values[tuple(node)], jt.first, gram(jt.first))
+    return mH + lam * Fp, jt.first
+
+
 def ambient_residual(curve: ProfileCurve, n: int, lam: float,
                      sphere_counts=None, nodes: Sequence | None = None):
     """Per-node grading norm of H_trace + lambda F_perp on the lift.
@@ -916,12 +930,10 @@ def ambient_residual(curve: ProfileCurve, n: int, lam: float,
         nodes = _sample_nodes(imm)
     tested, residuals = [], []
     for node in nodes:
-        im = induced_metric(imm, node)
-        if im.degenerate:
+        try:
+            res, _ = _ambient_equation(imm, node, lam)
+        except DegenerateMetric:
             continue
-        H_tr = imm.m * mean_curvature(imm, node)
-        Fp = position_normal_part(imm, node)
-        res = H_tr + lam * Fp
         tested.append(node)
         residuals.append(float(np.sqrt(np.sum(d_grading2(res)))))
     return tested, np.array(residuals)
@@ -934,11 +946,8 @@ def normal_component_residuals(imm: SampledImmersion, node, lam: float) -> np.nd
     the sphere components vanish to discretization order, which is the
     reduction of the ambient system to a scalar equation.
     """
-    jt = jet(imm, node)
-    H_tr = imm.m * mean_curvature(imm, node)
-    Fp = position_normal_part(imm, node)
-    res = H_tr + lam * Fp
-    return np.array([metric(res, apply_J(jt.first[i])) for i in range(imm.m)])
+    res, first = _ambient_equation(imm, node, lam)
+    return np.array([metric(res, apply_J(first[i])) for i in range(imm.m)])
 
 
 def _sample_nodes(imm: SampledImmersion, per_axis: int = 3):

@@ -98,18 +98,19 @@ def test_polar_round_trip(q, p, r, theta):
 
 
 def test_d_polar_matches_scalar(rng):
-    vals = rng.normal(size=(100, 2))
+    # magnitudes e^-20 .. e^20, plus exactly null values
+    vals = rng.normal(size=(1000, 2)) * np.exp(rng.uniform(-20, 20, size=(1000, 1)))
+    vals[::100, 1] = vals[::100, 0] * rng.choice([-1.0, 1.0], size=10)
     p, q, r, theta, null = d_polar(vals)
-    for i in range(100):
+    assert null.sum() == 10
+    for i in range(len(vals)):
         z = ParaComplex(*vals[i])
         if null[i]:
             with pytest.raises(NullValue):
                 polar(z)
             continue
         pf = polar(z)
-        assert (pf.p, pf.q) == (p[i], q[i])
-        assert pf.r == pytest.approx(r[i])
-        assert pf.theta == pytest.approx(theta[i])
+        assert (pf.p, pf.q, pf.r, pf.theta) == (p[i], q[i], r[i], theta[i])
 
 
 def _sample_grid(fn, nx=21, ny=21, lo=-0.5, hi=0.5):

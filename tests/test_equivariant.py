@@ -12,6 +12,7 @@ from parakahler.equivariant import (
     level_residual,
     lift,
     lightcone_crossings,
+    named_curve,
     profile_from_function,
     tau_multiply,
 )
@@ -130,6 +131,37 @@ def test_crossing_counts():
     assert lightcone_crossings(explicit_circle(1.0, 64)).count == 4
     assert lightcone_crossings(explicit_hyperbola(1.0, 0.2, 3.0, 301)).count == 1
     assert lightcone_crossings(explicit_cubic_level(1.0, -2.5, 2.5, 401)).count == 2
+
+
+def test_named_curve_dispatch():
+    cases = {"re": level_curve(3, 1.5, "re", -1.0, 1.0, 21),
+             "im": level_curve(3, 1.5, "im", 0.2, 1.0, 21),
+             "circle": explicit_circle(1.5, 21),
+             "hyperbola": explicit_hyperbola(1.5, 0.2, 1.0, 21),
+             "cubic": explicit_cubic_level(1.5, 0.2, 1.0, 21)}
+    for name, curve in cases.items():
+        lo = -1.0 if name == "re" else 0.2
+        got = named_curve(name, 3, 1.5, lo, 1.0, 21)
+        assert got.family == curve.family and got.periodic == curve.periodic
+        assert np.array_equal(got.s, curve.s) and np.array_equal(got.gamma, curve.gamma)
+    with pytest.raises(InvalidRange):
+        named_curve("ellipse", 2, 1.0, 0.0, 1.0, 21)
+
+
+@pytest.mark.parametrize("shift", range(8))
+def test_periodic_crossing_on_a_sample(shift):
+    # <gamma, gamma> = [0, 3, 3, 3, 0, -3, -3, -3]: (1, 1) is null, (2, 1)
+    # has squared norm 3 and (1, 2) has -3; a periodic curve crosses at both
+    # zeros, whichever sample comes first
+    g = np.array([[1, 1], [2, 1], [2, 1], [2, 1], [1, 1], [1, 2], [1, 2], [1, 2]], float)
+    curve = ProfileCurve(np.arange(8.0), np.roll(g, shift, axis=0), periodic=True)
+    assert np.array_equal(d_norm2(curve.gamma), np.roll([0, 3, 3, 3, 0, -3, -3, -3], shift))
+    zeros = sorted([float(shift % 8), float((4 + shift) % 8)])
+    rep = lightcone_crossings(curve)
+    assert (rep.count, sorted(rep.locations)) == (2, zeros)
+    # the same samples on an open curve: a zero at either end is no crossing
+    open_rep = lightcone_crossings(ProfileCurve(np.arange(8.0), np.roll(g, shift, axis=0)))
+    assert open_rep.locations == tuple(z for z in zeros if 0 < z < 7)
 
 
 def test_tangential_contact_flagged():

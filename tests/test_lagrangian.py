@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from parakahler import equivariant
-from parakahler.dcore import d_exp_tau, d_mul
+from parakahler.dcore import TAU, ParaComplex, d_exp_tau, d_mul, d_polar
 from parakahler.dlinalg import apply_J
 from parakahler.errors import (
     DegenerateMetric,
@@ -17,6 +17,7 @@ from parakahler.errors import (
 )
 from parakahler.geometry import GridAxis, induced_metric, mean_curvature
 from parakahler.lagrangian import (
+    NormalBundleSpec,
     _regions,
     angle_field,
     angle_identity_residual,
@@ -32,6 +33,7 @@ from parakahler.lagrangian import (
     is_lagrangian,
     j_curve,
     normal_bundle_angle,
+    normal_bundle_volume,
     plane_curve,
     rotate,
     triple_tensor,
@@ -326,30 +328,79 @@ def test_J_immersion_negates_H():
 
 # -- normal bundles ----------------------------------------------------------
 
+def _reference_volume(spec, node, t):
+    """The normal-bundle volume tau^{n-p} prod_i(1 - tau t k_i) at one node and
+    one t, multiplied one ParaComplex at a time: k_i ascending, then tau per
+    codimension."""
+    kappas = np.linalg.eigvalsh(spec.shape_ops[node][0])
+    value = ParaComplex(1.0, 0.0)
+    for k in kappas:
+        value = value * ParaComplex(1.0, -t * float(k))
+    for _ in range(spec.ambient_dim - spec.submanifold_dim):
+        value = value * TAU
+    return value
+
+
 def test_flat_normal_bundle_angles():
     spec = flat_normal_bundle(2, 4)
-    ang = normal_bundle_angle(spec, (2, 2), 0.7)
-    assert (ang.q, ang.theta) == (0, 0.0)
+    ang = normal_bundle_angle(spec, [0.7])
+    assert (ang.q[2, 2, 0], ang.theta[2, 2, 0]) == (0, 0.0)
     spec = flat_normal_bundle(1, 2)
-    ang = normal_bundle_angle(spec, (2,), 0.7)
-    assert (ang.q, ang.theta) == (1, 0.0)
-    assert is_austere(spec, (2,))
+    ang = normal_bundle_angle(spec, [0.7])
+    assert (ang.q[2, 0], ang.theta[2, 0]) == (1, 0.0)
+    assert is_austere(spec)[2]
 
 
 def test_circle_normal_bundle_angle():
     R = 2.0
     spec = circle_normal_bundle(R, 16)
-    for t in (0.1, 0.5, 0.9):
-        ang = normal_bundle_angle(spec, (3,), t)
-        assert ang.q == 1
-        assert ang.theta == pytest.approx(math.atanh(-t / R), abs=1e-13)
-    assert not is_austere(spec, (3,))
+    ts = (0.1, 0.5, 0.9)
+    ang = normal_bundle_angle(spec, ts)
+    for j, t in enumerate(ts):
+        assert ang.q[3, j] == 1
+        assert ang.theta[3, j] == pytest.approx(math.atanh(-t / R), abs=1e-13)
+    assert not is_austere(spec)[3]
 
 
 def test_catenoid_austere_constant_angle():
     spec = catenoid_normal_bundle(1.0, 9)
     node = (2, 6)
-    assert is_austere(spec, node)
-    thetas = [normal_bundle_angle(spec, node, t).theta
-              for t in np.linspace(0, 0.4, 9)]
+    assert is_austere(spec)[node]
+    thetas = normal_bundle_angle(spec, np.linspace(0, 0.4, 9)).theta[node]
     assert max(abs(t) for t in thetas) < 1e-12
+
+
+@pytest.mark.parametrize("spec", [catenoid_normal_bundle(1.0, 9),
+                                  circle_normal_bundle(2.0, 32),
+                                  flat_normal_bundle(2, 4)],
+                         ids=["catenoid", "circle", "flat24"])
+def test_normal_bundle_volume_matches_reference(spec):
+    ts = np.linspace(-2.0, 2.0, 31)  # the circle's volume is null at t = +-2
+    volume = normal_bundle_volume(spec, ts)
+    ang = normal_bundle_angle(spec, ts)
+    for node in itertools.product(*[range(c) for c in volume.shape[:-2]]):
+        ref = np.array([_reference_volume(spec, node, float(t)).as_array() for t in ts])
+        # bit for bit, signed zeros included
+        assert volume[node].tobytes() == ref.tobytes()
+        _, q, _, theta, null = d_polar(ref)
+        assert np.array_equal(ang.q[node], np.where(null, -1, q))
+        assert np.array_equal(ang.theta[node], np.where(null, np.nan, theta),
+                              equal_nan=True)
+
+
+def test_normal_bundle_null_volume():
+    # the circle of radius 2 has kappa = 1/2: 1 - tau t/2 is null at t = +-2
+    spec = circle_normal_bundle(2.0, 8)
+    ang = normal_bundle_angle(spec, [-2.0, 0.0, 2.0])
+    assert np.all(ang.q[:, [0, 2]] == -1) and np.all(np.isnan(ang.theta[:, [0, 2]]))
+    assert np.all(ang.q[:, 1] == 1) and np.all(ang.theta[:, 1] == 0.0)
+
+
+def test_is_austere_per_node():
+    spec = catenoid_normal_bundle(1.0, 5)
+    ops = spec.shape_ops.copy()
+    ops[1, 2, 0, 1, 1] *= 0.5  # break the +-kappa symmetry at one node
+    bent = NormalBundleSpec(spec.points, spec.normals, ops)
+    expected = np.ones((5, 5), dtype=bool)
+    expected[1, 2] = False
+    assert np.array_equal(is_austere(bent), expected)

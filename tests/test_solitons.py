@@ -6,13 +6,15 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from parakahler import equivariant, solitons
-from parakahler.dcore import d_norm2, d_pow
+from parakahler.dcore import d_grading2, d_norm2, d_pow
 from parakahler.errors import (
+    DegenerateMetric,
     IntegrandSingular,
     InvalidCase,
     InvalidRange,
     NonpositiveRadius,
 )
+from parakahler.geometry import induced_metric, mean_curvature, node_tangents, normal_project
 from parakahler.solitons import (
     SolitonParams,
     SolitonState,
@@ -27,6 +29,7 @@ from parakahler.solitons import (
     integrate_bidirectional,
     integrate_bidirectional_many,
     integrate_many,
+    normal_component_residuals,
     phi_quadrature,
     reconstruct_profile,
     turning_radius,
@@ -285,6 +288,28 @@ def test_circle_ambient_residual():
     _, r1 = ambient_residual(circ, 2, 1.0)
     assert r0.max() < 0.05
     assert r1.max() > 0.5
+
+
+def test_ambient_residual_matches_mean_curvature_route():
+    # one jet per node gives the figures of m * mean_curvature + lambda *
+    # (normal part of F from the induced metric), exactly on n = 2 lifts;
+    # nodes on the light cone of the circle torus are skipped
+    circ = equivariant.explicit_circle(1.0, 64)
+    imm = equivariant.lift(circ, 2, (16,))
+    nodes = [(i, j) for i in range(0, 64, 4) for j in (0, 5)]
+    tested, res = ambient_residual(circ, 2, 0.7, (16,), nodes)
+    expected = {}
+    for node in nodes:
+        im = induced_metric(imm, node)
+        if im.degenerate:
+            continue
+        Fp = normal_project(imm.values[node], node_tangents(imm, node), im.g)
+        ref = imm.m * mean_curvature(imm, node) + 0.7 * Fp
+        expected[node] = float(np.sqrt(np.sum(d_grading2(ref))))
+    assert 0 < len(tested) < len(nodes)
+    assert dict(zip(tested, res.tolist())) == expected
+    with pytest.raises(DegenerateMetric):
+        normal_component_residuals(imm, next(n for n in nodes if n not in expected), 0.7)
 
 
 def test_classification_definite():

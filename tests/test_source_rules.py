@@ -1,0 +1,81 @@
+"""Source rules of the package, checked on its syntax tree.
+
+- No handler catches everything: an error the code does not name is not
+  turned into a result.
+- A tolerance is a named module constant, not a parameter default that no
+  caller sets.  Only the parameters in ALLOWED_TOLERANCES take one, because
+  callers pass them.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import parakahler
+
+SRC = Path(parakahler.__file__).resolve().parent
+ALLOWED_TOLERANCES = {("d_polar", "tol"), ("integrate_many", "rtol")}
+
+
+def _is_number_or_none(node) -> bool:
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
+        node = node.operand
+    return isinstance(node, ast.Constant) and (
+        node.value is None
+        or (isinstance(node.value, (int, float)) and not isinstance(node.value, bool)))
+
+
+def _defaults(args: ast.arguments):
+    positional = args.posonlyargs + args.args
+    yield from zip(positional[len(positional) - len(args.defaults):], args.defaults)
+    yield from ((a, d) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None)
+
+
+def catch_all_handlers(tree) -> list[int]:
+    """Lines of bare `except:`, `except Exception` and `except BaseException`
+    handlers, also inside a tuple."""
+    lines = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ExceptHandler):
+            continue
+        caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+        if any(c is None or (isinstance(c, ast.Name) and c.id in ("Exception", "BaseException"))
+               for c in caught):
+            lines.append(node.lineno)
+    return lines
+
+
+def tolerance_parameters(tree) -> list[tuple[str, str]]:
+    """(function, parameter) for every parameter whose name contains tol or
+    eps and whose default is a number or None."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            func = getattr(node, "name", "<lambda>")
+            found += [(func, arg.arg) for arg, default in _defaults(node.args)
+                      if ("tol" in arg.arg or "eps" in arg.arg)
+                      and _is_number_or_none(default)]
+    return found
+
+
+MODULES = sorted(SRC.glob("*.py"))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_source_rules(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert catch_all_handlers(tree) == []
+    assert [p for p in tolerance_parameters(tree) if p not in ALLOWED_TOLERANCES] == []
+
+
+def test_rules_see_violations():
+    tree = ast.parse(
+        "def f(x, tol=1e-8, scale=2.0, *, turn_eps=None, rtol=-1, atol=TOL):\n"
+        "    try:\n        pass\n"
+        "    except Exception:\n        pass\n"
+        "    except (ValueError, BaseException):\n        pass\n"
+        "    except:\n        pass\n"
+        "    except ValueError:\n        pass\n")
+    assert tolerance_parameters(tree) == [("f", "tol"), ("f", "turn_eps"), ("f", "rtol")]
+    assert catch_all_handlers(tree) == [4, 6, 8]

@@ -10,8 +10,7 @@ import sys
 from parakahler import equivariant
 from parakahler.dcore import d_exp_tau
 from parakahler.geometry import GridAxis
-from parakahler.lagrangian import angle_field, angle_identity_residual, \
-    build_gradient_graph
+from parakahler.lagrangian import angle_field, build_gradient_graph, identity_grid
 
 
 def graph_case(count):
@@ -39,7 +38,8 @@ def main() -> int:
         for c in counts:
             imm, node = factory(c)
             field = angle_field(imm)
-            res.append(angle_identity_residual(imm, node, field))
+            _, residual, _ = identity_grid(imm, field, [node])
+            res.append(float(residual[0]))
             h = imm.axes[0].spacing
             line = f"  h = {h:.5f}  residual = {res[-1]:.3e}"
             if len(res) > 1:

@@ -97,6 +97,11 @@ def cmd_angle(args) -> int:
             if isinstance(axis, dict):
                 axis["count"] = args.grid_count
     imm, meta = catalog.build(doc)
+    if meta["kind"] == "paracomplex_graph":
+        # The graph of a para-holomorphic map has J-invariant tangent planes,
+        # so it is not Lagrangian and has no angle.
+        raise SpecValidationError("kind 'paracomplex_graph' has no Lagrangian angle: "
+                                  "its tangent planes are J-invariant")
     header, rows, footer = _angle_rows(imm)
     footer["kind"] = meta["kind"]
     _write_csv(args.out, header, rows, footer)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoundaryPoint, NullValue
+from .errors import NullValue
 
 # Relative tolerance deciding "numerically null": |x^2 - y^2| <= tol (x^2 + y^2).
 # Scale-free on purpose; an absolute cutoff would misclassify large near-null
@@ -221,8 +221,9 @@ def d_polar(a, tol: float = NULL_TOL):
     )
 
 
-def para_cauchy_riemann_residual(f, node, hx: float, hy: float) -> float:
-    """|df/dzbar| at an interior node of a D-valued (Nx, Ny) sample grid.
+def para_cauchy_riemann_residual(f, hx: float, hy: float) -> np.ndarray:
+    """|df/dzbar| at the interior nodes of a D-valued (nx, ny) sample grid:
+    an (nx - 2, ny - 2) array.
 
     df/dzbar = (d_x f - tau d_y f) / 2, central differences; the magnitude is
     the grading norm sqrt(Re^2 + Im^2).
@@ -230,11 +231,6 @@ def para_cauchy_riemann_residual(f, node, hx: float, hy: float) -> float:
     f = d_array(f)
     if f.ndim != 3:
         raise ValueError("expected a 2-d grid of para-complex values")
-    i, j = node
-    nx, ny = f.shape[:2]
-    if not (1 <= i <= nx - 2 and 1 <= j <= ny - 2):
-        raise BoundaryPoint(f"node {node} has no interior stencil in {nx}x{ny}")
-    fx = (f[i + 1, j] - f[i - 1, j]) / (2.0 * hx)
-    fy = (f[i, j + 1] - f[i, j - 1]) / (2.0 * hy)
-    w = 0.5 * (fx - d_mul(TAU.as_array(), fy))
-    return float(np.sqrt(d_grading2(w)))
+    fx = (f[2:, 1:-1] - f[:-2, 1:-1]) / (2.0 * hx)
+    fy = (f[1:-1, 2:] - f[1:-1, :-2]) / (2.0 * hy)
+    return np.sqrt(d_grading2(0.5 * (fx - d_mul(TAU.as_array(), fy))))

@@ -2,14 +2,16 @@
 
 An immersion is sampled on a rectangular parameter grid (per-axis uniform
 spacing, optionally periodic).  All derivatives are order-2 central
-differences; non-periodic axes keep a 2-cell margin and raise BoundaryPoint
-inside it.  Quantities:
+differences, at every node or at a node set (an int array (k, m) of node
+indices); the stencil wraps every axis, and a mask marks the nodes with the
+full 2-cell margin from every non-periodic boundary.  Quantities:
 
-    jet / grid_jet      first and second derivatives at a node / on the grid
-    node_tangents / coordinate_tangents  first derivatives only
-    induced_metric      g_ij = <d_iF, d_jF> with signature and degeneracy
+    grid_jet            first and second derivatives
+    coordinate_tangents first derivatives only
+    induced_gram        g_ij = <d_iF, d_jF> and its degeneracy, batched
     metric_signatures   the signatures of a stack of tangent frames at once
     trace_mean_curvature  m H = (g^ab d_a d_b F)^perp, batched over nodes
+    grid_mean_curvature   the trace of the jet, with a mask of defined nodes
     signed_gram_schmidt pivoted orthonormalization for indefinite metrics,
                         of one frame or a stack of frames
     para_adapted_frame  orthonormal frame with e_{2i} = J e_{2i-1}
@@ -107,14 +109,6 @@ class SampledImmersion:
     def coords(self, node: Sequence[int]) -> tuple[float, ...]:
         return tuple(a.lo + a.spacing * i for a, i in zip(self.axes, node))
 
-    def margin(self, node: Sequence[int]) -> int:
-        """Distance in cells to the nearest non-periodic boundary."""
-        worst = min(
-            (min(i, a.count - 1 - i) for a, i in zip(self.axes, node) if not a.periodic),
-            default=10 ** 9,
-        )
-        return worst
-
     def margin_mask(self, margin: int = JET_MARGIN) -> np.ndarray:
         """Boolean grid of the nodes at least margin cells from every
         non-periodic boundary."""
@@ -125,12 +119,6 @@ class SampledImmersion:
                 sl[a] = np.r_[0:margin, axis.count - margin:axis.count]
                 mask[tuple(sl)] = False
         return mask
-
-    def require_margin(self, node: Sequence[int], margin: int = JET_MARGIN):
-        if self.margin(node) < margin:
-            raise BoundaryPoint(
-                f"node {tuple(node)} is within {margin} cells of a boundary"
-            )
 
 
 def immersion_from_function(axes: Sequence[GridAxis], fn: Callable) -> SampledImmersion:
@@ -147,9 +135,45 @@ class Jet:
     second: np.ndarray  # (..., m, m, n, 2)
 
 
+def node_set(imm: SampledImmersion, nodes):
+    """nodes as an int array (k, m) of node indices inside the grid; None
+    (every node) passes through."""
+    if nodes is None:
+        return None
+    nodes = np.asarray(nodes)
+    if (nodes.ndim != 2 or nodes.shape[1] != imm.m
+            or not np.issubdtype(nodes.dtype, np.integer)):
+        raise ValueError(f"nodes must be an int array (k, {imm.m}), got shape {nodes.shape}")
+    if np.any((nodes < 0) | (nodes >= np.array(imm.shape))):
+        raise ValueError(f"nodes outside the grid {imm.shape}")
+    return nodes.astype(np.intp, copy=False)
+
+
+def stencil(grid: np.ndarray, nodes=None):
+    """shifted(deltas): the samples of grid (leading axes the grid's) offset
+    by {axis: delta} cells with every axis wrapped, at every node (nodes
+    None) or at the node set nodes (k, m), with leading axis k.  Both give
+    each node the same values, so the arithmetic on them agrees bit for bit;
+    shifted({}) is grid at the nodes."""
+    if nodes is None:
+        def shifted(deltas):
+            out = grid
+            for axis, delta in deltas.items():
+                out = np.roll(out, -delta, axis=axis)
+            return out
+        return shifted
+    counts = np.array(grid.shape[:nodes.shape[1]])
+
+    def shifted(deltas):
+        idx = nodes.copy()
+        for axis, delta in deltas.items():
+            idx[:, axis] += delta
+        return grid[tuple((idx % counts).T)]
+    return shifted
+
+
 def _first_differences(shifted, spacings) -> np.ndarray:
-    """Order-2 central first derivatives (..., m, n, 2) from shifted(deltas),
-    the samples offset by {axis: delta} cells; alike for one node and a grid."""
+    """Order-2 central first derivatives (..., m, n, 2) from shifted(deltas)."""
     return np.stack([(shifted({a: +1}) - shifted({a: -1})) / (2.0 * h)
                      for a, h in enumerate(spacings)], axis=-3)
 
@@ -167,61 +191,23 @@ def _second_differences(shifted, spacings) -> np.ndarray:
     return np.stack([np.stack(row, axis=-3) for row in second], axis=-4)
 
 
-def _node_shifted(imm: SampledImmersion, node):
-    """shifted(deltas) at one node with the full jet margin."""
-    node = tuple(node)
-    imm.require_margin(node)
-
-    def shifted(deltas):
-        idx = list(node)
-        for axis, delta in deltas.items():
-            idx[axis] = imm.axes[axis].shift(idx[axis], delta)
-        return imm.values[tuple(idx)]
-    return shifted
+def coordinate_tangents(imm: SampledImmersion, nodes=None):
+    """(tangents (..., m, n, 2), valid) at every node (leading grid axes) or
+    at the node set nodes (leading axis k); valid marks the nodes with the
+    full jet margin (wrapped values elsewhere are garbage)."""
+    nodes = node_set(imm, nodes)
+    tangents = _first_differences(stencil(imm.values, nodes),
+                                  [a.spacing for a in imm.axes])
+    return tangents, stencil(imm.margin_mask(), nodes)({})
 
 
-def jet(imm: SampledImmersion, node) -> Jet:
-    """Order-2 central first and second derivatives at a node."""
-    shifted = _node_shifted(imm, node)
-    spacings = [a.spacing for a in imm.axes]
-    return Jet(_first_differences(shifted, spacings), _second_differences(shifted, spacings))
-
-
-def node_tangents(imm: SampledImmersion, node) -> np.ndarray:
-    """jet(imm, node).first without the second derivatives."""
-    return _first_differences(_node_shifted(imm, node), [a.spacing for a in imm.axes])
-
-
-def _grid_shifted(imm):
-    """shifted(deltas) for every node at once, with jet's arithmetic per node."""
-    def shifted(deltas):
-        out = imm.values
-        for axis, delta in deltas.items():
-            out = np.roll(out, -delta, axis=axis)
-        return out
-    return shifted
-
-
-def coordinate_tangents(imm: SampledImmersion):
-    """(tangents (*counts, m, n, 2), valid) on the whole grid; valid marks nodes
-    with the full jet margin (wrapped values elsewhere are garbage)."""
-    tangents = _first_differences(_grid_shifted(imm), [a.spacing for a in imm.axes])
-    return tangents, imm.margin_mask()
-
-
-def grid_jet(imm: SampledImmersion) -> tuple[Jet, np.ndarray]:
-    """jet at every node at once: (Jet with leading grid axes, valid) with
-    valid as in coordinate_tangents."""
-    tangents, valid = coordinate_tangents(imm)
-    second = _second_differences(_grid_shifted(imm), [a.spacing for a in imm.axes])
+def grid_jet(imm: SampledImmersion, nodes=None) -> tuple[Jet, np.ndarray]:
+    """First and second derivatives at every node or at the node set nodes:
+    (Jet, valid) with leading axes and valid as in coordinate_tangents."""
+    nodes = node_set(imm, nodes)
+    tangents, valid = coordinate_tangents(imm, nodes)
+    second = _second_differences(stencil(imm.values, nodes), [a.spacing for a in imm.axes])
     return Jet(tangents, second), valid
-
-
-@dataclass(frozen=True)
-class InducedMetric:
-    g: np.ndarray
-    signature: tuple[int, ...]
-    degenerate: bool
 
 
 def induced_gram(tangents: np.ndarray):
@@ -245,22 +231,12 @@ def _signature(eigenvalues) -> tuple[int, ...]:
     return tuple(sorted((1 if e > 0 else -1 for e in eigenvalues), reverse=True))
 
 
-def metric_from_tangents(tangents: np.ndarray) -> InducedMetric:
-    g, degenerate = induced_gram(tangents)
-    signature = () if degenerate else _signature(np.linalg.eigvalsh(g))
-    return InducedMetric(g, signature, bool(degenerate))
-
-
 def metric_signatures(tangents: np.ndarray) -> list[tuple[int, ...]]:
-    """metric_from_tangents(t).signature for each frame t of a stack
-    (N, m, n, 2), from one induced_gram and one batched eigvalsh."""
+    """The signature of each frame of a stack (N, m, n, 2), () where
+    induced_gram finds it degenerate, from one batched eigvalsh."""
     g, degenerate = induced_gram(tangents)
     return [() if d else _signature(e)
             for e, d in zip(np.linalg.eigvalsh(g), degenerate)]
-
-
-def induced_metric(imm: SampledImmersion, node) -> InducedMetric:
-    return metric_from_tangents(node_tangents(imm, node))
 
 
 @dataclass(frozen=True)
@@ -395,20 +371,20 @@ def normal_project(W, tangents, g) -> np.ndarray:
     return W - np.einsum("...a,...anc->...nc", lam, tangents)
 
 
-def second_fundamental_form(imm: SampledImmersion, node):
-    """(h, frame) with h[i, j] = normal part of the second derivative along
-    the orthonormalized frame directions."""
-    jt = jet(imm, node)
-    im = metric_from_tangents(jt.first)
-    if im.degenerate:
-        raise DegenerateMetric(f"induced metric degenerate at node {tuple(node)}")
-    gs = signed_gram_schmidt(jt.first)
-    m = imm.m
-    h = np.empty((m, m, imm.n, 2))
+def second_fundamental_form(first: np.ndarray, second: np.ndarray):
+    """(h, frame) of one node's jet (m, n, 2), (m, m, n, 2): h[i, j] is the
+    normal part of the second derivative along the orthonormalized frame
+    directions.  DegenerateMetric where induced_gram finds g degenerate."""
+    g, degenerate = induced_gram(first)
+    if degenerate:
+        raise DegenerateMetric("induced metric degenerate")
+    gs = signed_gram_schmidt(first)
+    m = first.shape[0]
+    h = np.empty((m, m) + first.shape[1:])
     for i in range(m):
         for j in range(i, m):
-            W = np.einsum("a,b,abnc->nc", gs.coeffs[i], gs.coeffs[j], jt.second)
-            h[i, j] = h[j, i] = normal_project(W, jt.first, im.g)
+            W = np.einsum("a,b,abnc->nc", gs.coeffs[i], gs.coeffs[j], second)
+            h[i, j] = h[j, i] = normal_project(W, first, g)
     return h, gs
 
 
@@ -428,21 +404,12 @@ def trace_mean_curvature(first: np.ndarray, second: np.ndarray):
     return mH, g_inv, degenerate
 
 
-def mean_curvature(imm: SampledImmersion, node) -> np.ndarray:
-    """H = (1/m) sum_i eps_i h(e_i, e_i) as a D^n vector (n, 2), by
-    trace_mean_curvature of the node's jet."""
-    jt = jet(imm, node)
-    mH, _, degenerate = trace_mean_curvature(jt.first, jt.second)
-    if degenerate:
-        raise DegenerateMetric(f"induced metric degenerate at node {tuple(node)}")
-    return mH / imm.m
-
-
-def grid_mean_curvature(imm: SampledImmersion):
-    """trace_mean_curvature at every node: (jet, mH, g_inv, has_H) with the
-    grid jet; has_H marks the nodes with the full jet margin and a
-    non-degenerate metric, where H = mH / m equals mean_curvature."""
-    jt, valid = grid_jet(imm)
+def grid_mean_curvature(imm: SampledImmersion, nodes=None):
+    """trace_mean_curvature at every node or at the node set nodes: (jet,
+    mH, g_inv, has_H) with the jet of grid_jet; has_H marks the nodes with
+    the full jet margin and a non-degenerate metric, where the mean
+    curvature H = (1/m) sum_i eps_i h(e_i, e_i) is mH / m."""
+    jt, valid = grid_jet(imm, nodes)
     mH, g_inv, degenerate = trace_mean_curvature(jt.first, jt.second)
     return jt, mH, g_inv, valid & ~degenerate
 

@@ -36,7 +36,6 @@ from .dlinalg import (
     require_lagrangian,
 )
 from .errors import (
-    DegenerateMetric,
     DegeneratePairing,
     LagrangianViolation,
     NotNullCurve,
@@ -49,9 +48,8 @@ from .geometry import (
     SampledImmersion,
     coordinate_tangents,
     grid_mean_curvature,
-    jet,
-    node_tangents,
-    trace_mean_curvature,
+    node_set,
+    stencil,
 )
 
 
@@ -59,15 +57,6 @@ RESIDUAL_MARGIN = JET_MARGIN + 1  # theta is differentiated once more
 NULL_PRODUCT_TOL = 1e-8    # null tangents and vanishing pairings, relative to their scale
 CAUCHY_RIEMANN_TOL = 1e-6  # para-Cauchy-Riemann residual, relative to max(|f_x|, 1)
 AUSTERE_TOL = 1e-8         # a base is austere when |kappa + reversed kappa| <= tol max|kappa|
-
-
-def is_lagrangian(imm: SampledImmersion, node) -> bool:
-    """The node's coordinate tangent frame passes require_lagrangian."""
-    try:
-        require_lagrangian(node_tangents(imm, node))
-    except LagrangianViolation:
-        return False
-    return True
 
 
 @dataclass(frozen=True)
@@ -198,55 +187,30 @@ def _residual_norm(mH, g_inv, first, dtheta):
     return np.sqrt(np.sum(d_grading2(mH - apply_J(grad_beta)), axis=-1))
 
 
-def angle_identity_residual(imm: SampledImmersion, node,
-                            field: AngleField | None = None) -> float:
-    """Grading norm of m*H - J grad(beta) at a node (zero to O(h^2)).
-
-    grad(beta) = sum_ij g^ij (d_i theta) d_jF with theta differentiated
-    centrally on the angle field; neighbors must be non-degenerate.  One
-    node of identity_grid, from that node's jet alone.
-    """
-    if field is None:
-        field = angle_field(imm)
-    node = tuple(node)
-    imm.require_margin(node, margin=RESIDUAL_MARGIN)
-    if not field.usable[node]:
-        raise DegenerateMetric(f"angle undefined at node {node}")
-    dtheta = np.empty(imm.m)
-    for a, axis in enumerate(imm.axes):
-        up = node[:a] + (axis.shift(node[a], +1),) + node[a + 1:]
-        dn = node[:a] + (axis.shift(node[a], -1),) + node[a + 1:]
-        if not (field.usable[up] and field.usable[dn]):
-            raise DegenerateMetric(f"angle stencil at {node} hits a degenerate node")
-        dtheta[a] = (field.theta[up] - field.theta[dn]) / (2.0 * axis.spacing)
-    jt = jet(imm, node)
-    mH, g_inv, degenerate = trace_mean_curvature(jt.first, jt.second)
-    if degenerate:
-        raise DegenerateMetric(f"induced metric degenerate at {node}")
-    return float(_residual_norm(mH, g_inv, jt.first, dtheta))
-
-
-def identity_grid(imm: SampledImmersion, field: AngleField):
-    """mean_curvature and angle_identity_residual at every node in one batched
+def identity_grid(imm: SampledImmersion, field: AngleField, nodes=None):
+    """Mean curvature H and the grading norm of m*H - J grad(beta) (zero to
+    O(h^2)) at every node, or at the node set nodes (k, m), in one batched
     pass: grid_mean_curvature, then central differences of theta.
+    grad(beta) = sum_ij g^ij (d_i theta) d_jF.
 
-    Returns (H, residual, reasons): H (*counts, n, 2) and residual (*counts)
-    are nan where undefined; reasons maps each cause of a nan on a usable
-    node to its mask, each node under the first that applies:
+    Returns (H, residual, reasons): H (..., n, 2) and residual (...) are nan
+    where undefined; reasons maps each cause of a nan on a usable node to
+    its mask, each node under the first that applies:
     h_nan_degenerate_metric (H and residual), residual_nan_margin (within 3
     cells of a non-periodic edge), residual_nan_stencil (an unusable theta
     neighbour).
     """
-    usable = field.usable
-    jt, mH, g_inv, has_H = grid_mean_curvature(imm)
+    nodes = node_set(imm, nodes)
+    theta_at, usable_at = stencil(field.theta, nodes), stencil(field.usable, nodes)
+    usable = usable_at({})
+    jt, mH, g_inv, has_H = grid_mean_curvature(imm, nodes)
     has_H &= usable
-    dtheta = np.empty(imm.shape + (imm.m,))
+    dtheta = np.empty(usable.shape + (imm.m,))
     full_stencil = usable.copy()
     for a, axis in enumerate(imm.axes):
-        dtheta[..., a] = ((np.roll(field.theta, -1, axis=a) - np.roll(field.theta, +1, axis=a))
-                          / (2.0 * axis.spacing))
-        full_stencil &= np.roll(usable, -1, axis=a) & np.roll(usable, +1, axis=a)
-    in_margin = has_H & ~imm.margin_mask(RESIDUAL_MARGIN)
+        dtheta[..., a] = (theta_at({a: +1}) - theta_at({a: -1})) / (2.0 * axis.spacing)
+        full_stencil &= usable_at({a: +1}) & usable_at({a: -1})
+    in_margin = has_H & ~stencil(imm.margin_mask(RESIDUAL_MARGIN), nodes)({})
     has_residual = has_H & ~in_margin & full_stencil
     H = np.where(has_H[..., None, None], mH / imm.m, np.nan)
     residual = np.where(has_residual, _residual_norm(mH, g_inv, jt.first, dtheta), np.nan)
@@ -256,10 +220,10 @@ def identity_grid(imm: SampledImmersion, field: AngleField):
     return H, residual, reasons
 
 
-def triple_tensor(imm: SampledImmersion, node, i: int, j: int, k: int) -> float:
-    """T(i, j, k) = <d_i d_j F, J d_k F>; tri-symmetric on Lagrangian nodes."""
-    jt = jet(imm, node)
-    return metric(jt.second[i, j], apply_J(jt.first[k]))
+def triple_tensor(first: np.ndarray, second: np.ndarray, i: int, j: int, k: int) -> float:
+    """T(i, j, k) = <d_i d_j F, J d_k F> of one node's jet (m, n, 2),
+    (m, m, n, 2); tri-symmetric on Lagrangian nodes."""
+    return metric(second[i, j], apply_J(first[k]))
 
 
 # ---------------------------------------------------------------------------
@@ -386,10 +350,8 @@ def build_paracomplex_graph(f: Callable, axes: Sequence[GridAxis]) -> SampledImm
     mesh = np.meshgrid(ax.nodes(), ay.nodes(), indexing="ij")
     z = np.stack(mesh, axis=-1)
     fz = d_array(f(z))
-    fx = (fz[2:, 1:-1] - fz[:-2, 1:-1]) / (2 * ax.spacing)
-    fy = (fz[1:-1, 2:] - fz[1:-1, :-2]) / (2 * ay.spacing)
-    cr = 0.5 * (fx - d_mul(np.array([0.0, 1.0]), fy))
-    resid = float(np.max(np.sqrt(d_grading2(cr))))
+    resid = float(np.max(dcore.para_cauchy_riemann_residual(fz, ax.spacing, ay.spacing)))
+    fx = (fz[2:, 1:-1] - fz[:-2, 1:-1]) / (2.0 * ax.spacing)
     scale = max(float(np.max(np.sqrt(d_grading2(fx)))), 1.0)
     if resid > CAUCHY_RIEMANN_TOL * scale:
         raise NotParaHolomorphic(f"para-Cauchy-Riemann residual {resid:.3e} exceeds "
@@ -429,6 +391,8 @@ class NormalBundleSpec:
         pts = np.asarray(self.points, dtype=float)
         nor = np.asarray(self.normals, dtype=float)
         ops = np.asarray(self.shape_ops, dtype=float)
+        if not all(np.all(np.isfinite(a)) for a in (pts, nor, ops)):
+            raise ValueError("points, normals and shape operators must be finite")
         k = nor.shape[-2]
         gram = np.einsum("...ik,...jk->...ij", nor, nor)
         if float(np.max(np.abs(gram - np.eye(k)))) > 1e-8:

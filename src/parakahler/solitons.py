@@ -39,10 +39,9 @@ from typing import Sequence
 import numpy as np
 
 from .dcore import d_exp_tau, d_grading2
-from .dlinalg import apply_J, gram, metric
+from .dlinalg import apply_J, gram
 from .equivariant import ProfileCurve, lift
 from .errors import (
-    DegenerateMetric,
     IntegrandSingular,
     InvalidCase,
     InvalidRange,
@@ -52,9 +51,10 @@ from .errors import (
 from .geometry import (
     JET_MARGIN,
     SampledImmersion,
-    jet,
+    grid_mean_curvature,
+    node_set,
     normal_project,
-    trace_mean_curvature,
+    stencil,
 )
 
 CASES = ("definite", "lorentzian")
@@ -88,6 +88,18 @@ QUAD_TOL_LORENTZIAN = 1e-11
 # A Lorentzian radicand 1 - g^2/E^2 <= TURN_EPS at an end of the phi
 # quadrature's range is a turning point; below -TURN_EPS it is forbidden.
 TURN_EPS = 1e-9
+# A turning radius rho_t matches the range end r it was sought for when
+# |rho_t - r| <= TURN_MATCH_RTOL * max(r, 1); a negative radicand at an end
+# without such a match raises IntegrandSingular.
+TURN_MATCH_RTOL = 1e-6
+# Without a turning-point piece, a radicand below -INTERIOR_RADICAND_TOL at
+# either end means the range is forbidden.
+INTERIOR_RADICAND_TOL = 1e-6
+# With l' > 0, an end within relative PEAK_SIDE_RTOL of the radicand's peak
+# sqrt(n/l') counts as lying on the side of the other end: the turning
+# radius of the upper end is sought below the peak, that of the lower end
+# above it.
+PEAK_SIDE_RTOL = 1e-9
 STEP_ATOL = 1e-16  # absolute part (scipy's atol) of integrate_many's error scale
 
 
@@ -803,28 +815,25 @@ def phi_quadrature(r_from: float, r_to: float, E: float,
 
     rad_lo = _lorentz_radicand(lo, E, params)
     rad_hi = _lorentz_radicand(hi, E, params)
-    if params.lambda_prime > 0.0:
-        peak = math.sqrt(params.n / params.lambda_prime)
-        if lo < peak < hi and _lorentz_radicand(peak, E, params) < -TURN_EPS:
-            raise IntegrandSingular("range spans the forbidden band around the peak")
-    interior_bad = min(rad_lo, rad_hi) < -1e-6
+    peak = math.sqrt(params.n / params.lambda_prime) if params.lambda_prime > 0.0 else math.inf
+    if lo < peak < hi and _lorentz_radicand(peak, E, params) < -TURN_EPS:
+        raise IntegrandSingular("range spans the forbidden band around the peak")
+    interior_bad = min(rad_lo, rad_hi) < -INTERIOR_RADICAND_TOL
     pieces = []
     a, b = lo, hi
     if rad_hi <= TURN_EPS:
-        side = "below" if (params.lambda_prime <= 0.0
-                           or hi <= math.sqrt(params.n / params.lambda_prime) * (1 + 1e-9)) else "above"
-        rho_t = turning_radius(E, params, side)
-        if abs(rho_t - hi) > 1e-6 * max(hi, 1.0) and rad_hi < -TURN_EPS:
+        rho_t = turning_radius(E, params, "below" if hi <= peak * (1 + PEAK_SIDE_RTOL)
+                               else "above")
+        if abs(rho_t - hi) > TURN_MATCH_RTOL * max(hi, 1.0) and rad_hi < -TURN_EPS:
             raise IntegrandSingular(
                 f"radicand negative at r = {hi}, turning point at {rho_t}")
         w = min(0.3 * (hi - lo), 0.5 * rho_t)
         pieces.append(_sub_integral(rho_t, w, E, params, upper=True))
         b = rho_t - w
     if rad_lo <= TURN_EPS:
-        side = "above" if (params.lambda_prime > 0.0
-                           and lo >= math.sqrt(params.n / params.lambda_prime) * (1 - 1e-9)) else "below"
-        rho_t = turning_radius(E, params, side)
-        if abs(rho_t - lo) > 1e-6 * max(lo, 1.0) and rad_lo < -TURN_EPS:
+        rho_t = turning_radius(E, params, "above" if lo >= peak * (1 - PEAK_SIDE_RTOL)
+                               else "below")
+        if abs(rho_t - lo) > TURN_MATCH_RTOL * max(lo, 1.0) and rad_lo < -TURN_EPS:
             raise IntegrandSingular(
                 f"radicand negative at r = {lo}, turning point at {rho_t}")
         w = min(0.3 * (hi - lo), 0.5 * rho_t)
@@ -907,14 +916,17 @@ def hyperbola_solution(params: SolitonParams, branch: str = "spacelike",
     return ProfileCurve(s, fn(s), family="soliton", fn=fn)
 
 
-def _ambient_equation(imm: SampledImmersion, node, lam: float):
-    """(H_trace + lambda F_perp, first derivatives) at a node, from one jet."""
-    jt = jet(imm, node)
-    mH, _, degenerate = trace_mean_curvature(jt.first, jt.second)
-    if degenerate:
-        raise DegenerateMetric(f"induced metric degenerate at node {tuple(node)}")
-    Fp = normal_project(imm.values[tuple(node)], jt.first, gram(jt.first))
-    return mH + lam * Fp, jt.first
+def _ambient_equation(imm: SampledImmersion, nodes, lam: float):
+    """(H_trace + lambda F_perp, first derivatives, ok) at the node set nodes
+    from one batched jet; ok marks the nodes where grid_mean_curvature
+    defines H, and the equation is nan elsewhere."""
+    nodes = node_set(imm, nodes)
+    jt, mH, _, ok = grid_mean_curvature(imm, nodes)
+    # The identity stands in for g off ok, as in trace_mean_curvature, so the
+    # solve never meets a singular matrix.
+    g = np.where(ok[:, None, None], gram(jt.first), np.eye(imm.m))
+    Fp = normal_project(stencil(imm.values, nodes)({}), jt.first, g)
+    return np.where(ok[:, None, None], mH + lam * Fp, np.nan), jt.first, ok
 
 
 def ambient_residual(curve: ProfileCurve, n: int, lam: float,
@@ -922,32 +934,29 @@ def ambient_residual(curve: ProfileCurve, n: int, lam: float,
     """Per-node grading norm of H_trace + lambda F_perp on the lift.
 
     H_trace = m * (mean curvature); F_perp is the metric-normal part of the
-    position vector.  When nodes is None, a sample of non-degenerate interior
-    nodes is used (degenerate ones are skipped).  Returns (nodes, residuals).
+    position vector.  When nodes is None, a sample of interior nodes is
+    used.  Nodes without the full jet margin or with a degenerate metric are
+    skipped.  Returns (tested nodes, residuals).
     """
     imm = lift(curve, n, sphere_counts)
-    if nodes is None:
-        nodes = _sample_nodes(imm)
-    tested, residuals = [], []
-    for node in nodes:
-        try:
-            res, _ = _ambient_equation(imm, node, lam)
-        except DegenerateMetric:
-            continue
-        tested.append(node)
-        residuals.append(float(np.sqrt(np.sum(d_grading2(res)))))
-    return tested, np.array(residuals)
+    nodes = node_set(imm, _sample_nodes(imm) if nodes is None else nodes)
+    res, _, ok = _ambient_equation(imm, nodes, lam)
+    tested = [tuple(int(i) for i in node) for node in nodes[ok]]
+    return tested, np.sqrt(np.sum(d_grading2(res[ok]), axis=-1))
 
 
-def normal_component_residuals(imm: SampledImmersion, node, lam: float) -> np.ndarray:
-    """Components <H_trace + lambda F_perp, J d_iF> of the ambient equation.
+def normal_component_residuals(imm: SampledImmersion, nodes, lam: float) -> np.ndarray:
+    """Components <H_trace + lambda F_perp, J d_iF> of the ambient equation
+    at the node set nodes: (k, m), nan on the nodes ambient_residual skips.
 
     On equivariant lifts only the i = 0 (profile) component is nontrivial;
     the sphere components vanish to discretization order, which is the
     reduction of the ambient system to a scalar equation.
     """
-    res, first = _ambient_equation(imm, node, lam)
-    return np.array([metric(res, apply_J(first[i])) for i in range(imm.m)])
+    res, first, _ = _ambient_equation(imm, nodes, lam)
+    Jfirst = apply_J(first)
+    return np.sum(res[:, None, :, 0] * Jfirst[..., 0] - res[:, None, :, 1] * Jfirst[..., 1],
+                  axis=-1)
 
 
 def _sample_nodes(imm: SampledImmersion, per_axis: int = 3):

@@ -21,26 +21,24 @@ from .geometry import (
     GridAxis,
     SampledImmersion,
     coordinate_tangents,
+    grid_jet,
     grid_mean_curvature,
-    induced_metric,
     jfield_from_function,
     lie_bracket,
-    mean_curvature,
     metric_signatures,
     nijenhuis,
-    node_tangents,
+    para_adapted_frame,
     second_fundamental_form,
     signed_gram_schmidt,
 )
 from .lagrangian import (
     angle_field,
-    angle_identity_residual,
     apply_J_immersion,
     build_gradient_graph,
     build_null_product,
     catenoid_normal_bundle,
     circle_normal_bundle,
-    is_lagrangian,
+    identity_grid,
     j_curve,
     normal_bundle_angle,
     is_austere,
@@ -67,6 +65,26 @@ def _check(name, passed, detail):
 
 def _grading_norm(v) -> float:
     return float(np.sqrt(np.sum(d_grading2(v))))
+
+
+def _lagrangian(tangents) -> bool:
+    """The frames pass require_lagrangian."""
+    try:
+        require_lagrangian(tangents)
+    except LagrangianViolation:
+        return False
+    return True
+
+
+def _signature_at(imm: SampledImmersion, node) -> tuple[int, ...]:
+    """The induced metric's signature at one node, () if degenerate."""
+    return metric_signatures(coordinate_tangents(imm, [node])[0])[0]
+
+
+def _mean_curvature_at(imm: SampledImmersion, nodes) -> np.ndarray:
+    """H = mH / m at the node set nodes (k, n, 2), nan where has_H is False."""
+    _, mH, _, has_H = grid_mean_curvature(imm, nodes)
+    return np.where(has_H[:, None, None], mH / imm.m, np.nan)
 
 
 # ---------------------------------------------------------------------------
@@ -225,8 +243,8 @@ def _center(imm: SampledImmersion):
 
 
 def _identity_residual_at_center(imm):
-    f = angle_field(imm)
-    return angle_identity_residual(imm, _center(imm), f)
+    _, residual, _ = identity_grid(imm, angle_field(imm), [_center(imm)])
+    return float(residual[0])
 
 
 def _graph_pair(grad, n, count):
@@ -276,7 +294,8 @@ def suite_main_theorem():
 
     imm, _ = _graph_pair([lambda x1, x2: 0.3 * x1 ** 2 + 0.05 * x2 ** 2,
                           lambda x1, x2: 0.18 * x2 ** 2 + 0.1 * x1 * x2], 2, 33)
-    h, gs = second_fundamental_form(imm, _center(imm))
+    jt, _ = grid_jet(imm, [_center(imm)])
+    h, gs = second_fundamental_form(jt.first[0], jt.second[0])
     worst = max(abs(metric(h[i, j], gs.frame[k]))
                 for i in range(2) for j in range(2) for k in range(2))
     out.append(_check("second fundamental form is normal-valued",
@@ -323,13 +342,13 @@ def suite_constant_angle_graphs():
 
     out.append(_check("harmonic branch: constant angle, definite metric",
                       stats["laplace"][0] < 1e-6
-                      and induced_metric(laplace, _center(laplace)).signature == (1, 1),
+                      and _signature_at(laplace, _center(laplace)) == (1, 1),
                       f"theta spread {stats['laplace'][0]:.2e}"))
     out.append(_check("harmonic branch: minimal", stats["laplace"][1] < 1e-10,
                       f"max |H| = {stats['laplace'][1]:.2e}"))
     out.append(_check("unit-det Hessian branch: constant angle, indefinite metric",
                       stats["monge"][0] < 1e-6
-                      and induced_metric(monge, _center(monge)).signature == (1, -1),
+                      and _signature_at(monge, _center(monge)) == (1, -1),
                       f"theta spread {stats['monge'][0]:.2e}"))
     out.append(_check("unit-det Hessian branch: minimal", stats["monge"][1] < 1e-10,
                       f"max |H| = {stats['monge'][1]:.2e}"))
@@ -357,14 +376,13 @@ def suite_constant_angle_graphs():
                       f"{len(first)} nodes, worst dtheta = {worst_t:.2e}"))
 
     ji = apply_J_immersion(control)
-    flip_err, sig_ok = 0.0, True
-    for nd in [(4, 4), (8, 8), (12, 20), (20, 12)]:
-        s1 = induced_metric(control, nd).signature
-        s2 = induced_metric(ji, nd).signature
-        sig_ok = sig_ok and s2 == tuple(sorted((-x for x in s1), reverse=True))
-        H1 = mean_curvature(control, nd)
-        H2 = mean_curvature(ji, nd)
-        flip_err = max(flip_err, float(np.max(np.abs(H2 + apply_J(H1)))))
+    nodes = [(4, 4), (8, 8), (12, 20), (20, 12)]
+    s1 = metric_signatures(coordinate_tangents(control, nodes)[0])
+    s2 = metric_signatures(coordinate_tangents(ji, nodes)[0])
+    sig_ok = all(b == tuple(sorted((-x for x in a), reverse=True)) for a, b in zip(s1, s2))
+    H1 = _mean_curvature_at(control, nodes)
+    H2 = _mean_curvature_at(ji, nodes)
+    flip_err = float(np.max(np.abs(H2 + apply_J(H1))))
     out.append(_check("J point map negates signature and curvature",
                       sig_ok and flip_err < 1e-10,
                       f"4 nodes, |H' + JH| = {flip_err:.2e}"))
@@ -392,12 +410,12 @@ def suite_paracomplex_minimal():
     out.append(_check("square graph is minimal at non-degenerate nodes",
                       worst < 1e-10,
                       f"max |H| = {worst:.2e} ({skipped} degenerate nodes skipped)"))
+    tangents, _ = coordinate_tangents(imm, [_center(imm)])
     out.append(_check("square graph is not Lagrangian",
-                      not is_lagrangian(imm, _center(imm)),
+                      not _lagrangian(tangents),
                       "omega does not vanish on the tangent planes"))
 
-    from .geometry import para_adapted_frame
-    gs = para_adapted_frame(node_tangents(imm, _center(imm)))
+    gs = para_adapted_frame(tangents[0])
     pair_err = float(np.max(np.abs(gs.frame[1] - apply_J(gs.frame[0]))))
     out.append(_check("tangent planes admit a para-adapted frame",
                       pair_err < 1e-12 and gs.signature[1] == -gs.signature[0],
@@ -425,12 +443,8 @@ def suite_null_product():
 
     imm, fine = build(33), build(65)
     tangents, valid = coordinate_tangents(imm)
-    try:
-        require_lagrangian(tangents[valid])
-        lag_ok = True
-    except LagrangianViolation:
-        lag_ok = False
-    sig = induced_metric(imm, _center(imm)).signature
+    lag_ok = _lagrangian(tangents[valid])
+    sig = _signature_at(imm, _center(imm))
     out.append(_check("curved null product is Lagrangian", lag_ok, "all interior nodes"))
     out.append(_check("curved null product metric is indefinite", sig == (1, -1),
                       f"signature {sig}"))
@@ -438,8 +452,8 @@ def suite_null_product():
     # errors of the factor curves stay inside the totally null planes, and
     # the mixed derivative of a separated map vanishes identically, so H is
     # zero to rounding rather than merely O(h^2).
-    h1 = _grading_norm(mean_curvature(imm, _center(imm)))
-    h2 = _grading_norm(mean_curvature(fine, _center(fine)))
+    h1 = _grading_norm(_mean_curvature_at(imm, [_center(imm)]))
+    h2 = _grading_norm(_mean_curvature_at(fine, [_center(fine)]))
     ratio = h1 / h2 if h2 > 0 else math.inf
     ok = (h1 < 1e-12 and h2 < 1e-12) or (RICHARDSON_BAND[0] <= ratio <= RICHARDSON_BAND[1])
     out.append(_check("curved null product is minimal to O(h^2)", ok,
@@ -449,7 +463,7 @@ def suite_null_product():
         plane_curve(lambda s: 0.0 * s, lambda s: s),
         j_curve(plane_curve(lambda s: s, lambda s: 0.0 * s)),
         GridAxis(-1.0, 1.0, 17), GridAxis(-1.0, 1.0, 17))
-    hflat = _grading_norm(mean_curvature(flat, _center(flat)))
+    hflat = _grading_norm(_mean_curvature_at(flat, [_center(flat)]))
     out.append(_check("planar null product is exactly flat", hflat < 1e-12,
                       f"|H| = {hflat:.2e}"))
     return out
@@ -509,8 +523,8 @@ def suite_equivariant_level():
         fine_curve = equivariant.profile_from_function(
             c.fn, float(c.s[0]), float(c.s[-1]), 2 * c.s.size - 1)
         fine = equivariant.lift(fine_curve, 2, (32,))
-        h1 = _grading_norm(mean_curvature(coarse, (100, 4)))
-        h2 = _grading_norm(mean_curvature(fine, (200, 8)))
+        h1 = _grading_norm(_mean_curvature_at(coarse, [(100, 4)]))
+        h2 = _grading_norm(_mean_curvature_at(fine, [(200, 8)]))
         ratio = h1 / h2 if h2 > 0 else math.inf
         out.append(_check(f"{w}-level lift is minimal to O(h^2)",
                           RICHARDSON_BAND[0] <= ratio <= RICHARDSON_BAND[1],
@@ -521,7 +535,7 @@ def suite_equivariant_level():
         c3 = equivariant.level_curve(3, 1.0, "re", -1.0, 1.0, scount)
         imm3 = equivariant.lift(c3, 3, (ac, bc))
         h3.append(_grading_norm(
-            mean_curvature(imm3, (scount // 2, ac // 2, bc // 4))))
+            _mean_curvature_at(imm3, [(scount // 2, ac // 2, bc // 4)])))
     ratio = h3[0] / h3[1]
     out.append(_check("n=3 level lift is minimal to O(h^2)",
                       3.0 <= ratio <= 5.0,
@@ -666,9 +680,9 @@ def suite_soliton_ode(grid: int = 10):
                       f"lambda=0: {rz.max():.2e}, lambda=1: {rnz.max():.2f}"))
 
     imm = equivariant.lift(h1, 2, (16,))
-    comps = solitons.normal_component_residuals(imm, (80, 4), 1.0)
+    comps = solitons.normal_component_residuals(imm, [(80, 4)], 1.0)[0]
     circ_lift = equivariant.lift(equivariant.explicit_circle(1.0, 128), 2, (16,))
-    comps_bad = solitons.normal_component_residuals(circ_lift, (3, 4), 1.0)
+    comps_bad = solitons.normal_component_residuals(circ_lift, [(3, 4)], 1.0)[0]
     out.append(_check("reduction to a scalar equation",
                       abs(comps[1]) < 1e-3 and abs(comps_bad[1]) < 1e-3
                       and abs(comps_bad[0]) > 0.1,

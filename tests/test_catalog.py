@@ -2,8 +2,20 @@ import numpy as np
 import pytest
 
 from parakahler import catalog
-from parakahler.errors import SpecValidationError
-from parakahler.lagrangian import is_lagrangian
+from parakahler.dlinalg import require_lagrangian
+from parakahler.errors import LagrangianViolation, SpecValidationError
+from parakahler.geometry import coordinate_tangents
+
+
+def is_lagrangian(imm, node) -> bool:
+    """The node's coordinate tangent frame passes require_lagrangian."""
+    tangents, valid = coordinate_tangents(imm, [node])
+    assert valid.all()
+    try:
+        require_lagrangian(tangents)
+    except LagrangianViolation:
+        return False
+    return True
 
 
 def axes(*counts, lo=-0.5, hi=0.5, periodic=False):

@@ -208,6 +208,22 @@ def test_exit_code_numerical_failure(tmp_path):
                  "--out", str(tmp_path / "o.csv")]) == 3
 
 
+def test_angle_rejects_paracomplex_graph_as_usage_error(tmp_path, capsys):
+    # para-holomorphic, so build succeeds; the J-invariant graph has no angle
+    doc = {
+        "kind": "paracomplex_graph",
+        "params": {"fx": "x^2 + y^2", "fy": "2*x*y"},
+        "grid": {"axes": [{"min": 0.1, "max": 0.5, "count": 17},
+                          {"min": 0.1, "max": 0.5, "count": 17}]},
+    }
+    spec = tmp_path / "pc.json"
+    spec.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "o.csv"
+    assert main(["angle", "--spec", str(spec), "--out", str(out)]) == 2
+    assert "paracomplex_graph" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_verify_list(capsys):
     assert main(["verify", "--list"]) == 0
     out = capsys.readouterr().out

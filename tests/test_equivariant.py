@@ -17,7 +17,9 @@ from parakahler.equivariant import (
     tau_multiply,
 )
 from parakahler.errors import InvalidRange
-from parakahler.lagrangian import angle_field, is_lagrangian
+from parakahler.dlinalg import require_lagrangian
+from parakahler.geometry import coordinate_tangents
+from parakahler.lagrangian import angle_field
 
 
 def test_profile_rejects_origin():
@@ -41,10 +43,14 @@ def test_lift_constant_profile_is_circle():
 def test_lift_is_lagrangian():
     curve = explicit_circle(1.0, 32)
     imm = lift(curve, 2, (16,))
-    assert is_lagrangian(imm, (3, 5))
+    tangents, valid = coordinate_tangents(imm, [(3, 5)])
+    assert valid.all()
+    require_lagrangian(tangents)
     curve3 = level_curve(3, 1.0, "re", -1.0, 1.0, 33)
     imm3 = lift(curve3, 3, (9, 12))
-    assert is_lagrangian(imm3, (16, 4, 6))
+    tangents, valid = coordinate_tangents(imm3, [(16, 4, 6)])
+    assert valid.all()
+    require_lagrangian(tangents)
 
 
 def test_torus_angle_field_structure():
@@ -227,12 +233,14 @@ def test_sinh_branch_asymptotes():
 
 
 def test_minimal_lift_H_refines():
-    from parakahler.geometry import mean_curvature
+    from parakahler.geometry import grid_mean_curvature
 
     hs = []
     for scount, tcount in ((201, 16), (401, 32)):
         c = level_curve(2, 1.0, "re", -1.0, 1.0, scount)
         imm = lift(c, 2, (tcount,))
-        H = mean_curvature(imm, (scount // 2, tcount // 4))
+        _, mH, _, has_H = grid_mean_curvature(imm, [(scount // 2, tcount // 4)])
+        assert has_H.all()
+        H = mH[0] / imm.m
         hs.append(float(np.sqrt(np.sum(H ** 2))))
     assert hs[0] / hs[1] == pytest.approx(4.0, abs=0.5)

@@ -13,23 +13,22 @@ from parakahler.errors import (
     NotJInvariant,
     NotParaComplexStructure,
     OddDimension,
-    ParakahlerError,
 )
 from parakahler.geometry import (
+    JET_MARGIN,
     GridAxis,
+    Jet,
     SampledImmersion,
     coordinate_tangents,
     grid_jet,
+    grid_mean_curvature,
     PIVOT_TOL,
     _gram_schmidt_stack,
     immersion_from_function,
-    induced_metric,
+    induced_gram,
     j_apply_field,
-    jet,
     jfield_from_function,
     lie_bracket,
-    mean_curvature,
-    metric_from_tangents,
     metric_signatures,
     nijenhuis,
     normal_project,
@@ -45,18 +44,67 @@ def curve_immersion(fn, lo=-1.0, hi=1.0, count=41):
         (GridAxis(lo, hi, count),), lambda s: fn(s))
 
 
+def reference_jet(imm, node) -> Jet:
+    """Reference: the per-node stencil, order-2 central differences at one
+    node with each neighbour looked up by GridAxis.shift; BoundaryPoint
+    within JET_MARGIN cells of a non-periodic boundary."""
+    node = tuple(node)
+    for a, i in zip(imm.axes, node):
+        if not a.periodic and min(i, a.count - 1 - i) < JET_MARGIN:
+            raise BoundaryPoint(f"node {node} is within {JET_MARGIN} cells of a boundary")
+
+    def shifted(deltas):
+        idx = list(node)
+        for axis, delta in deltas.items():
+            idx[axis] = imm.axes[axis].shift(idx[axis], delta)
+        return imm.values[tuple(idx)]
+
+    h = [a.spacing for a in imm.axes]
+    m = imm.m
+    first = np.stack([(shifted({a: +1}) - shifted({a: -1})) / (2.0 * h[a]) for a in range(m)])
+    second = np.empty((m,) + first.shape)
+    for a in range(m):
+        second[a, a] = (shifted({a: +1}) - 2.0 * shifted({}) + shifted({a: -1})) / h[a] ** 2
+        for b in range(a + 1, m):
+            mixed = (shifted({a: +1, b: +1}) - shifted({a: +1, b: -1})
+                     - shifted({a: -1, b: +1}) + shifted({a: -1, b: -1}))
+            second[a, b] = second[b, a] = mixed / (4.0 * h[a] * h[b])
+    return Jet(first, second)
+
+
+def node_jet(imm, node) -> Jet:
+    """The node-set jet of one node, which must have the full margin."""
+    jt, valid = grid_jet(imm, [node])
+    assert valid.tolist() == [True]
+    return Jet(jt.first[0], jt.second[0])
+
+
+def node_mean_curvature(imm, node):
+    """H = mH / m at one node from grid_mean_curvature; the node must have H."""
+    _, mH, _, has_H = grid_mean_curvature(imm, [node])
+    assert has_H.tolist() == [True]
+    return mH[0] / imm.m
+
+
+def node_metric(imm, node):
+    """(g, signature, degenerate) of the induced metric at one node."""
+    tangents, _ = coordinate_tangents(imm, [node])
+    g, degenerate = induced_gram(tangents)
+    return g[0], metric_signatures(tangents)[0], bool(degenerate[0])
+
+
 def test_affine_jet_exact():
     a = np.array([[0.2, -0.1], [0.3, 0.5]])
     b = np.array([[1.0, 0.4], [-0.2, 0.7]])
     imm = curve_immersion(lambda s: a + s[..., None, None] * b)
-    jt = jet(imm, (20,))
+    jt = node_jet(imm, (20,))
     assert np.allclose(jt.first[0], b, atol=1e-13)
     assert np.allclose(jt.second, 0.0, atol=1e-12)
 
 
 def test_exp_tau_curve_second_derivative():
     imm = curve_immersion(lambda s: d_exp_tau(s)[..., None, :])
-    jt = jet(imm, (20,))
+    jt = node_jet(imm, (20,))
     F = imm.values[(20,)]
     h = imm.axes[0].spacing
     assert np.max(np.abs(jt.second[0, 0] - F)) < h ** 2
@@ -69,7 +117,7 @@ def test_jet_refinement_order():
     errs = []
     for count in (41, 81):
         imm = curve_immersion(fn, count=count)
-        jt = jet(imm, (count // 2,))
+        jt = node_jet(imm, (count // 2,))
         s0 = imm.coords((count // 2,))[0]
         exact = np.array([[2 * s0, 3 * s0 ** 2]])
         errs.append(np.max(np.abs(jt.first[0] - exact)))
@@ -79,7 +127,13 @@ def test_jet_refinement_order():
 def test_jet_boundary_margin():
     imm = curve_immersion(lambda s: d_exp_tau(s)[..., None, :])
     with pytest.raises(BoundaryPoint):
-        jet(imm, (1,))
+        reference_jet(imm, (1,))
+    _, valid = grid_jet(imm, [(1,), (2,), (38,), (39,), (0,), (40,)])
+    assert valid.tolist() == [False, True, True, False, False, False]
+    with pytest.raises(ValueError):
+        grid_jet(imm, [(41,)])
+    with pytest.raises(ValueError):
+        grid_jet(imm, [(20, 0)])
 
 
 def test_flat_graph_metric_identity():
@@ -92,18 +146,18 @@ def test_flat_graph_metric_identity():
         return v
 
     imm = immersion_from_function(axes, fn)
-    im = induced_metric(imm, (4, 4))
-    assert np.allclose(im.g, np.eye(2), atol=1e-13)
-    assert im.signature == (1, 1)
-    assert not im.degenerate
+    g, signature, degenerate = node_metric(imm, (4, 4))
+    assert np.allclose(g, np.eye(2), atol=1e-13)
+    assert signature == (1, 1)
+    assert not degenerate
 
 
 def test_timelike_curve_metric():
     imm = curve_immersion(lambda s: d_exp_tau(s)[..., None, :])
-    im = induced_metric(imm, (20,))
+    g, signature, _ = node_metric(imm, (20,))
     # FD tangent carries the sinh(h)/h factor, an O(h^2) perturbation
-    assert im.g[0, 0] == pytest.approx(-1.0, abs=3 * imm.axes[0].spacing ** 2)
-    assert im.signature == (-1,)
+    assert g[0, 0] == pytest.approx(-1.0, abs=3 * imm.axes[0].spacing ** 2)
+    assert signature == (-1,)
 
 
 def test_circle_lift_degenerate_node():
@@ -111,8 +165,8 @@ def test_circle_lift_degenerate_node():
 
     circ = equivariant.explicit_circle(1.0, 64)
     imm = equivariant.lift(circ, 2, (16,))
-    assert induced_metric(imm, (8, 3)).degenerate       # cos(2t) = 0 line
-    assert not induced_metric(imm, (4, 3)).degenerate
+    _, degenerate = induced_gram(coordinate_tangents(imm, [(8, 3), (4, 3)])[0])
+    assert degenerate.tolist() == [True, False]       # (8, 3) on the cos(2t) = 0 line
 
 
 def test_gram_schmidt_orthonormal_input():
@@ -307,7 +361,7 @@ def test_para_adapted_frame_on_graph_tangent():
 
     imm = build_paracomplex_graph(
         lambda z: d_mul(z, z), (GridAxis(0.1, 0.5, 9), GridAxis(0.0, 0.2, 9)))
-    gs = para_adapted_frame(jet(imm, (4, 4)).first)
+    gs = para_adapted_frame(node_jet(imm, (4, 4)).first)
     assert np.allclose(gs.frame[1], apply_J(gs.frame[0]), atol=1e-12)
 
 
@@ -323,7 +377,7 @@ def test_affine_plane_minimal():
         return v
 
     imm = immersion_from_function(axes, fn)
-    H = mean_curvature(imm, (4, 4))
+    H = node_mean_curvature(imm, (4, 4))
     assert np.max(np.abs(H)) < 1e-12
 
 
@@ -335,14 +389,14 @@ def test_mean_curvature_matches_trace_formula(rng):
         grad=[lambda x1, x2: 0.3 * x1 ** 2 + 0.1 * x2,
               lambda x1, x2: 0.1 * x1 + 0.2 * x2 ** 2])
     node = (8, 8)
-    H = mean_curvature(imm, node)
-    jt = jet(imm, node)
-    im = induced_metric(imm, node)
-    ginv = np.linalg.inv(im.g)
+    H = node_mean_curvature(imm, node)
+    jt = node_jet(imm, node)
+    g, _, _ = node_metric(imm, node)
+    ginv = np.linalg.inv(g)
     trace = np.zeros((2, 2))
     for a in range(2):
         for b in range(2):
-            trace += ginv[a, b] * normal_project(jt.second[a, b], jt.first, im.g)
+            trace += ginv[a, b] * normal_project(jt.second[a, b], jt.first, g)
     assert np.allclose(H, trace / 2, atol=1e-12)
 
 
@@ -355,7 +409,8 @@ def test_second_fundamental_form_normality():
             (GridAxis(-0.5, 0.5, count), GridAxis(-0.5, 0.5, count)),
             grad=[lambda x1, x2: 0.3 * x1 ** 2, lambda x1, x2: 0.2 * x2 ** 2])
         node = (count // 2, count // 2)
-        h, gs = second_fundamental_form(imm, node)
+        jt = node_jet(imm, node)
+        h, gs = second_fundamental_form(jt.first, jt.second)
         worst = max(abs(metric(h[i, j], gs.frame[k]))
                     for i in range(2) for j in range(2) for k in range(2))
         errs.append(worst)
@@ -373,7 +428,7 @@ def test_richardson_ratio_of_mean_curvature():
     for count in (41, 81):
         imm = curve_immersion(fn, count=count)
         node = (count // 2,)
-        H = mean_curvature(imm, node)
+        H = node_mean_curvature(imm, node)
         # planar circle of radius 1 traversed at speed k: |H| = 1
         hs.append(abs(math.sqrt(float(np.sum(d_grading2(H)))) - 1.0))
     assert hs[0] / hs[1] == pytest.approx(4.0, abs=0.5)
@@ -387,13 +442,14 @@ def _gram_schmidt_reference(imm, field):
     engine."""
     H = np.full(imm.shape + (imm.n, 2), np.nan)
     resid = np.full(imm.shape, np.nan)
+    margin3 = imm.margin_mask(3)
     for node in itertools.product(*[range(c) for c in imm.shape]):
         if not field.usable[node]:
             continue
-        im = induced_metric(imm, node)
-        if im.degenerate:
+        jt = reference_jet(imm, node)
+        g, degenerate = induced_gram(jt.first)
+        if degenerate:
             continue
-        jt = jet(imm, node)
         gs = signed_gram_schmidt(jt.first)
         tangent_frame = list(zip(gs.signature, gs.frame))
         trace = np.zeros((imm.n, 2))
@@ -401,7 +457,7 @@ def _gram_schmidt_reference(imm, field):
             W = np.einsum("a,b,abnc->nc", c, c, jt.second)
             trace += eps * (W - sum(s * metric(W, e) * e for s, e in tangent_frame))
         H[node] = trace / imm.m
-        if imm.margin(node) < 3:
+        if not margin3[node]:
             continue
         dtheta = np.empty(imm.m)
         for a, axis in enumerate(imm.axes):
@@ -410,7 +466,7 @@ def _gram_schmidt_reference(imm, field):
             dtheta[a] = (field.theta[up] - field.theta[dn]) / (2.0 * axis.spacing)
         if not np.all(np.isfinite(dtheta)):
             continue
-        grad = np.tensordot(np.linalg.solve(im.g, dtheta), jt.first, axes=1)
+        grad = np.tensordot(np.linalg.solve(g, dtheta), jt.first, axes=1)
         resid[node] = math.sqrt(float(np.sum(d_grading2(trace - apply_J(grad)))))
     return H, resid
 
@@ -423,8 +479,7 @@ def _grading_norm(v):
 @pytest.mark.parametrize("case", ["graph33", "torus", "lift3"])
 def test_grid_engine_matches_gram_schmidt_reference(case):
     from parakahler import equivariant
-    from parakahler.lagrangian import (angle_field, angle_identity_residual,
-                                       build_gradient_graph, identity_grid)
+    from parakahler.lagrangian import angle_field, build_gradient_graph, identity_grid
 
     if case == "graph33":
         axes = (GridAxis(-0.5, 0.5, 33), GridAxis(-0.5, 0.5, 33))
@@ -455,18 +510,17 @@ def test_grid_engine_matches_gram_schmidt_reference(case):
     r_err = np.abs(resid_grid - resid_ref)[has_r] / resid_ref[has_r]
     assert np.max(r_err) < 1e-9
 
-    # the per-node functions are views of the same kernel (bit-identical to
-    # the grid cells as measured) and raise exactly where the grid holds nan
-    for node in itertools.product(*[range(c) for c in imm.shape]):
-        if has_H[node]:
-            H = mean_curvature(imm, node)
-            assert _grading_norm(H - H_grid[node]) <= 1e-13 * _grading_norm(H_grid[node])
-        if has_r[node]:
-            r = angle_identity_residual(imm, node, field)
-            assert abs(r - resid_grid[node]) <= 1e-13 * resid_grid[node]
-        else:
-            with pytest.raises(ParakahlerError):
-                angle_identity_residual(imm, node, field)
+    # the node-set path gathers the same stencil into the same kernel: every
+    # node, listed in shuffled order, gets its grid cell's H, residual and
+    # reasons bit for bit (nan where the grid holds nan)
+    nodes = np.random.default_rng(3).permutation(np.argwhere(np.ones(imm.shape, bool)))
+    H_set, resid_set, reasons_set = identity_grid(imm, field, nodes)
+    at = tuple(nodes.T)
+    assert H_set.shape == (len(nodes), imm.n, 2) and resid_set.shape == (len(nodes),)
+    assert np.array_equal(H_set, H_grid[at], equal_nan=True)
+    assert np.array_equal(resid_set, resid_grid[at], equal_nan=True)
+    for reason, mask in reasons.items():
+        assert np.array_equal(reasons_set[reason], mask[at])
 
 
 def test_trace_kernel_masks_degenerate_frames(rng):
@@ -489,16 +543,32 @@ def test_trace_kernel_masks_degenerate_frames(rng):
 
 
 def test_grid_jet_is_the_per_node_jet():
+    # the whole-grid jet and the node-set jet equal the per-node stencil bit
+    # for bit; margin nodes are valid == False, where the stencil raises
     from parakahler import equivariant
 
-    imm = equivariant.lift(equivariant.explicit_circle(0.8, 12), 3, (7, 6))
-    jt, valid = grid_jet(imm)
-    assert np.array_equal(valid, imm.margin_mask())
-    for node in itertools.product(*[range(c) for c in imm.shape]):
-        if valid[node]:
-            ref = jet(imm, node)
-            assert np.array_equal(jt.first[node], ref.first)
-            assert np.array_equal(jt.second[node], ref.second)
+    lift3 = equivariant.lift(equivariant.explicit_circle(0.8, 12), 3, (7, 6))
+    torus = equivariant.lift(equivariant.explicit_circle(1.3, 64), 2)
+    for imm in (lift3, torus):
+        jt, valid = grid_jet(imm)
+        assert np.array_equal(valid, imm.margin_mask())
+        nodes = np.argwhere(np.ones(imm.shape, bool))
+        set_jt, set_valid = grid_jet(imm, nodes)
+        tangents, tangents_valid = coordinate_tangents(imm, nodes)
+        assert np.array_equal(set_valid, valid.ravel())
+        assert np.array_equal(tangents_valid, set_valid)
+        assert np.array_equal(tangents, set_jt.first)
+        for k, node in enumerate(map(tuple, nodes)):
+            if not valid[node]:
+                with pytest.raises(BoundaryPoint):
+                    reference_jet(imm, node)
+                continue
+            ref = reference_jet(imm, node)
+            for got in (jt.first[node], set_jt.first[k]):
+                assert np.array_equal(got, ref.first)
+            for got in (jt.second[node], set_jt.second[k]):
+                assert np.array_equal(got, ref.second)
+    assert not lift3.margin_mask().all() and torus.margin_mask().all()
 
 
 @pytest.mark.parametrize("case", ["graph33", "torus"])
@@ -514,14 +584,16 @@ def test_induced_metric_is_the_jet_route(case):
         imm = equivariant.lift(equivariant.explicit_circle(1.3, 64), 2)
     tangents, valid = coordinate_tangents(imm)
     signatures = metric_signatures(tangents[valid])
+    g, degenerate = induced_gram(tangents[valid])
     nodes = [tuple(nd) for nd in np.argwhere(valid)]
     assert len(signatures) == len(nodes)
-    for node, signature in zip(nodes, signatures):
-        im = induced_metric(imm, node)
-        ref = metric_from_tangents(jet(imm, node).first)
-        assert np.array_equal(im.g, ref.g)
-        assert (im.signature, im.degenerate) == (ref.signature, ref.degenerate)
-        assert signature == ref.signature
+    for k, (node, signature) in enumerate(zip(nodes, signatures)):
+        ref_g, ref_degenerate = induced_gram(reference_jet(imm, node).first)
+        ref_signature = () if ref_degenerate else tuple(
+            sorted((1 if e > 0 else -1 for e in np.linalg.eigvalsh(ref_g)), reverse=True))
+        assert np.array_equal(g[k], ref_g)
+        assert degenerate[k] == ref_degenerate
+        assert signature == ref_signature
     assert any(s == () for s in signatures) == (case == "torus")
 
 

@@ -8,6 +8,7 @@ import pytest
 from parakahler import equivariant
 from parakahler.dcore import TAU, ParaComplex, d_exp_tau, d_mul, d_polar
 from parakahler.dlinalg import apply_J
+from parakahler.dlinalg import require_lagrangian
 from parakahler.errors import (
     DegenerateMetric,
     DegeneratePairing,
@@ -15,12 +16,18 @@ from parakahler.errors import (
     NotNullCurve,
     NotParaHolomorphic,
 )
-from parakahler.geometry import GridAxis, induced_metric, mean_curvature
+from parakahler.geometry import (
+    GridAxis,
+    coordinate_tangents,
+    grid_jet,
+    grid_mean_curvature,
+    induced_gram,
+    metric_signatures,
+)
 from parakahler.lagrangian import (
     NormalBundleSpec,
     _regions,
     angle_field,
-    angle_identity_residual,
     apply_J_immersion,
     build_gradient_graph,
     build_null_product,
@@ -29,8 +36,8 @@ from parakahler.lagrangian import (
     circle_normal_bundle,
     flat_normal_bundle,
     graph_angle,
+    identity_grid,
     is_austere,
-    is_lagrangian,
     j_curve,
     normal_bundle_angle,
     normal_bundle_volume,
@@ -44,18 +51,39 @@ def square_axes(count=33, lo=-0.5, hi=0.5):
     return (GridAxis(lo, hi, count), GridAxis(lo, hi, count))
 
 
+def node_tangents(imm, nodes):
+    """Coordinate tangent frames at a node set whose nodes all have the full
+    jet margin."""
+    tangents, valid = coordinate_tangents(imm, nodes)
+    assert valid.all()
+    return tangents
+
+
+def node_mean_curvature(imm, node):
+    """H = mH / m at one node, nan where grid_mean_curvature leaves it
+    undefined."""
+    _, mH, _, has_H = grid_mean_curvature(imm, [node])
+    return np.where(has_H[0], mH[0] / imm.m, np.nan)
+
+
+def center_residual(imm, node):
+    """The curvature-identity residual at one node, from identity_grid."""
+    _, residual, _ = identity_grid(imm, angle_field(imm), [node])
+    return float(residual[0])
+
+
 def test_gradient_graph_is_lagrangian(rng):
     imm = build_gradient_graph(
         square_axes(17),
         u=lambda x1, x2: 0.2 * x1 ** 3 + 0.1 * x1 * x2 + 0.3 * x2 ** 2)
-    for node in [(8, 8), (5, 10), (10, 4)]:
-        assert is_lagrangian(imm, node)
+    require_lagrangian(node_tangents(imm, [(8, 8), (5, 10), (10, 4)]))
 
 
 def test_paracomplex_graph_not_lagrangian():
     imm = build_paracomplex_graph(
         lambda z: d_mul(z, z), (GridAxis(0.1, 0.6, 17), GridAxis(0.0, 0.4, 17)))
-    assert not is_lagrangian(imm, (8, 8))
+    with pytest.raises(LagrangianViolation):
+        require_lagrangian(node_tangents(imm, [(8, 8)]))
 
 
 def test_flat_immersion_angle_field():
@@ -184,8 +212,7 @@ def test_identity_residual_refines():
     for count in (41, 81):
         imm = build_gradient_graph((GridAxis(-0.5, 0.5, count),),
                                    grad=[lambda x: 0.3 * x ** 2])
-        f = angle_field(imm)
-        res.append(angle_identity_residual(imm, (count // 2,), f))
+        res.append(center_residual(imm, (count // 2,)))
     assert res[0] / res[1] == pytest.approx(4.0, abs=0.5)
 
 
@@ -197,24 +224,24 @@ def test_identity_residual_equivariant_hyperbola():
         curve = equivariant.profile_from_function(
             lambda s: np.stack([np.cosh(s), np.sinh(s)], -1), -1.0, 1.0, scount)
         imm = equivariant.lift(curve, 2, (tcount,))
-        f = angle_field(imm)
-        res.append(angle_identity_residual(imm, (scount // 2, tcount // 4), f))
+        res.append(center_residual(imm, (scount // 2, tcount // 4)))
     assert res[0] / res[1] == pytest.approx(4.0, abs=0.5)
 
 
 def test_triple_tensor_flat_zero():
     imm = build_gradient_graph(square_axes(17), u=lambda x1, x2: 0.0 * x1)
-    assert triple_tensor(imm, (8, 8), 0, 1, 0) == pytest.approx(0.0, abs=1e-14)
+    jt, _ = grid_jet(imm, [(8, 8)])
+    assert triple_tensor(jt.first[0], jt.second[0], 0, 1, 0) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_triple_tensor_symmetries():
     imm = build_gradient_graph(square_axes(33),
                                u=lambda x1, x2: x1 ** 2 * x2)
-    node = (16, 16)
+    jt, _ = grid_jet(imm, [(16, 16)])
     h2 = imm.axes[0].spacing ** 2
-    t112 = triple_tensor(imm, node, 0, 0, 1)
-    t121 = triple_tensor(imm, node, 0, 1, 0)
-    t211 = triple_tensor(imm, node, 1, 0, 0)
+    t112 = triple_tensor(jt.first[0], jt.second[0], 0, 0, 1)
+    t121 = triple_tensor(jt.first[0], jt.second[0], 0, 1, 0)
+    t211 = triple_tensor(jt.first[0], jt.second[0], 1, 0, 0)
     assert t121 == pytest.approx(t211, abs=1e-14)   # FD mixed partials symmetric
     assert t112 == pytest.approx(t121, abs=20 * h2)  # tri-symmetry to O(h^2)
     assert abs(t112) > 0.1  # nontrivial entry: d1 d1 (grad u) ~ (2x2, 2x1)
@@ -234,7 +261,7 @@ def test_null_product_flat_plane():
     c1 = plane_curve(lambda s: 0.0 * s, lambda s: s)
     c2 = j_curve(plane_curve(lambda s: s, lambda s: 0.0 * s))
     imm = build_null_product(c1, c2, GridAxis(-1, 1, 9), GridAxis(-1, 1, 9))
-    H = mean_curvature(imm, (4, 4))
+    H = node_mean_curvature(imm, (4, 4))
     assert np.max(np.abs(H)) < 1e-13
 
 
@@ -243,9 +270,10 @@ def test_null_product_curved():
     c2 = j_curve(plane_curve(lambda s: s, lambda s: 0.2 * s ** 3))
     imm = build_null_product(c1, c2, GridAxis(-1, 1, 17), GridAxis(-1, 1, 17))
     node = (8, 8)
-    assert is_lagrangian(imm, node)
-    assert induced_metric(imm, node).signature == (1, -1)
-    assert np.max(np.abs(mean_curvature(imm, node))) < 1e-12
+    tangents = node_tangents(imm, [node])
+    require_lagrangian(tangents)
+    assert metric_signatures(tangents) == [(1, -1)]
+    assert np.max(np.abs(node_mean_curvature(imm, node))) < 1e-12
 
 
 def test_null_product_rejects_non_null_curve():
@@ -279,15 +307,16 @@ def test_paracomplex_graph_constant_is_flat():
     imm = build_paracomplex_graph(
         lambda z: np.broadcast_to(np.array([0.3, 0.1]), z.shape).copy(),
         square_axes(9))
-    assert np.max(np.abs(mean_curvature(imm, (4, 4)))) < 1e-13
+    assert np.max(np.abs(node_mean_curvature(imm, (4, 4)))) < 1e-13
 
 
 def test_paracomplex_graph_square_minimal():
     imm = build_paracomplex_graph(
         lambda z: d_mul(z, z), (GridAxis(0.1, 0.6, 17), GridAxis(0.0, 0.4, 17)))
     node = (8, 8)
-    if not induced_metric(imm, node).degenerate:
-        assert np.max(np.abs(mean_curvature(imm, node))) < 1e-10
+    _, degenerate = induced_gram(node_tangents(imm, [node]))
+    if not degenerate[0]:
+        assert np.max(np.abs(node_mean_curvature(imm, node))) < 1e-10
 
 
 def test_paracomplex_graph_rejects_non_holomorphic():
@@ -322,7 +351,7 @@ def test_J_immersion_negates_H():
     imm = build_gradient_graph(square_axes(17), u=lambda x1, x2: x1 ** 3)
     ji = apply_J_immersion(imm)
     node = (8, 8)
-    H1, H2 = mean_curvature(imm, node), mean_curvature(ji, node)
+    H1, H2 = node_mean_curvature(imm, node), node_mean_curvature(ji, node)
     assert np.allclose(H2, -apply_J(H1), atol=1e-12)
 
 
@@ -404,3 +433,20 @@ def test_is_austere_per_node():
     expected = np.ones((5, 5), dtype=bool)
     expected[1, 2] = False
     assert np.array_equal(is_austere(bent), expected)
+
+
+def test_normal_bundle_spec_rejects_non_finite():
+    # NaN slips through every `max |...| > tol` test, so it is rejected first
+    spec = circle_normal_bundle(2.0, 4)
+    ops = spec.shape_ops.copy()
+    ops[1] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        NormalBundleSpec(spec.points, spec.normals, ops)
+    normals = spec.normals.copy()
+    normals[2, 0, 1] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        NormalBundleSpec(spec.points, normals, spec.shape_ops)
+    points = spec.points.copy()
+    points[0, 0] = np.inf
+    with pytest.raises(ValueError, match="finite"):
+        NormalBundleSpec(points, spec.normals, spec.shape_ops)

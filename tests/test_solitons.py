@@ -8,13 +8,13 @@ from scipy.optimize import brentq
 from parakahler import equivariant, solitons
 from parakahler.dcore import d_grading2, d_norm2, d_pow
 from parakahler.errors import (
-    DegenerateMetric,
     IntegrandSingular,
     InvalidCase,
     InvalidRange,
     NonpositiveRadius,
 )
-from parakahler.geometry import induced_metric, mean_curvature, node_tangents, normal_project
+from parakahler.dlinalg import gram
+from parakahler.geometry import grid_mean_curvature, normal_project
 from parakahler.solitons import (
     SolitonParams,
     SolitonState,
@@ -291,25 +291,28 @@ def test_circle_ambient_residual():
 
 
 def test_ambient_residual_matches_mean_curvature_route():
-    # one jet per node gives the figures of m * mean_curvature + lambda *
+    # the node-set equation gives the figures of the whole-grid mH + lambda *
     # (normal part of F from the induced metric), exactly on n = 2 lifts;
-    # nodes on the light cone of the circle torus are skipped
+    # nodes on the light cone of the circle torus are skipped, and their
+    # components are nan
     circ = equivariant.explicit_circle(1.0, 64)
     imm = equivariant.lift(circ, 2, (16,))
     nodes = [(i, j) for i in range(0, 64, 4) for j in (0, 5)]
     tested, res = ambient_residual(circ, 2, 0.7, (16,), nodes)
+    jt, mH, _, has_H = grid_mean_curvature(imm)
     expected = {}
     for node in nodes:
-        im = induced_metric(imm, node)
-        if im.degenerate:
+        if not has_H[node]:
             continue
-        Fp = normal_project(imm.values[node], node_tangents(imm, node), im.g)
-        ref = imm.m * mean_curvature(imm, node) + 0.7 * Fp
+        first = jt.first[node]
+        ref = mH[node] + 0.7 * normal_project(imm.values[node], first, gram(first))
         expected[node] = float(np.sqrt(np.sum(d_grading2(ref))))
     assert 0 < len(tested) < len(nodes)
     assert dict(zip(tested, res.tolist())) == expected
-    with pytest.raises(DegenerateMetric):
-        normal_component_residuals(imm, next(n for n in nodes if n not in expected), 0.7)
+    skipped = next(n for n in nodes if n not in expected)
+    comps = normal_component_residuals(imm, [skipped, tested[0]], 0.7)
+    assert comps.shape == (2, 2)
+    assert np.all(np.isnan(comps[0])) and np.all(np.isfinite(comps[1]))
 
 
 def test_classification_definite():

@@ -5,6 +5,10 @@
 - A tolerance is a named module constant, not a parameter default that no
   caller sets.  Only the parameters in ALLOWED_TOLERANCES take one, because
   callers pass them.
+- Geometry is queried at every node or at a node set, and a mask says
+  where a quantity is undefined: no function of NODE_SET_MODULES takes a
+  parameter named `node`, apart from the per-node J-field bracket code and
+  the coordinate lookups in NODE_PARAMETER_ALLOWED.
 """
 
 import ast
@@ -16,6 +20,9 @@ import parakahler
 
 SRC = Path(parakahler.__file__).resolve().parent
 ALLOWED_TOLERANCES = {("d_polar", "tol"), ("integrate_many", "rtol")}
+NODE_SET_MODULES = ("dcore", "geometry", "lagrangian", "solitons")
+NODE_PARAMETER_ALLOWED = {"_directional", "_bracket", "lie_bracket", "nijenhuis",
+                          "SampledImmersion.coords", "JField.coords"}
 
 
 def _is_number_or_none(node) -> bool:
@@ -59,6 +66,25 @@ def tolerance_parameters(tree) -> list[tuple[str, str]]:
     return found
 
 
+def _functions(tree, prefix=""):
+    """(qualified name, node) of every function, methods as Class.name."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield prefix + node.name, node
+            yield from _functions(node, prefix + node.name + ".")
+        elif isinstance(node, ast.ClassDef):
+            yield from _functions(node, prefix + node.name + ".")
+        else:
+            yield from _functions(node, prefix)
+
+
+def node_parameters(tree) -> list[str]:
+    """Qualified names of the functions with a parameter named node."""
+    return [name for name, fn in _functions(tree)
+            if any(a.arg == "node"
+                   for a in fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs)]
+
+
 MODULES = sorted(SRC.glob("*.py"))
 
 
@@ -67,6 +93,12 @@ def test_source_rules(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     assert catch_all_handlers(tree) == []
     assert [p for p in tolerance_parameters(tree) if p not in ALLOWED_TOLERANCES] == []
+
+
+@pytest.mark.parametrize("module", NODE_SET_MODULES)
+def test_no_single_node_queries(module):
+    tree = ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
+    assert [f for f in node_parameters(tree) if f not in NODE_PARAMETER_ALLOWED] == []
 
 
 def test_rules_see_violations():
@@ -79,3 +111,8 @@ def test_rules_see_violations():
         "    except ValueError:\n        pass\n")
     assert tolerance_parameters(tree) == [("f", "tol"), ("f", "turn_eps"), ("f", "rtol")]
     assert catch_all_handlers(tree) == [4, 6, 8]
+    tree = ast.parse(
+        "def jet(imm, node):\n    def inner(*, node=None):\n        pass\n"
+        "class A:\n    def coords(self, node):\n        pass\n"
+        "def grid(imm, nodes=None):\n    pass\n")
+    assert node_parameters(tree) == ["jet", "jet.inner", "A.coords"]

@@ -28,18 +28,19 @@ def test_point_query_suites_check_stacks(monkeypatch):
     # the same wrappers counted det_D 5526 (gram-lemma 5100,
     # constant-angle-graphs 426), jet 1915 (null-product 845,
     # constant-angle-graphs 1070) and signed_gram_schmidt 811 (gram-lemma
-    # 600, constant-angle-graphs 211).  Now: det_D 21, jet 11 and
-    # signed_gram_schmidt 4 (one stack per n, one stack of nodes).  A fifth
-    # of the old det_D and jet counts leaves room for a few more single
-    # queries, not for a per-item loop.
-    calls = {"det_D": [], "jet": [], "signed_gram_schmidt": []}
+    # 600, constant-angle-graphs 211).  Then: det_D 21, jet 11 and
+    # signed_gram_schmidt 4 (one stack per n, one stack of nodes).  The
+    # per-node jet is gone: every jet, of the whole grid or of a node set,
+    # is one grid_jet call.  A fifth of the old det_D and jet counts leaves
+    # room for a few more single queries, not for a per-item loop.
+    calls = {"det_D": [], "grid_jet": [], "signed_gram_schmidt": []}
     _spy(monkeypatch, dlinalg.det_D, calls["det_D"])
-    _spy(monkeypatch, geometry.jet, calls["jet"])
+    _spy(monkeypatch, geometry.grid_jet, calls["grid_jet"])
     _spy(monkeypatch, geometry.signed_gram_schmidt, calls["signed_gram_schmidt"])
     for suite in POINT_QUERY_SUITES:
         assert all(check.passed for check in verify.run_suite(suite)), suite
     assert 0 < len(calls["det_D"]) <= 5526 // 5
-    assert 0 < len(calls["jet"]) <= 1915 // 5
+    assert 0 < len(calls["grid_jet"]) <= 1915 // 5
     assert 0 < len(calls["signed_gram_schmidt"]) <= 6
 
 

@@ -162,6 +162,7 @@ def cmd_soliton(args) -> int:
         "accepted": str(traj.accepted).lower(),
         "accepted_steps": traj.accepted_steps,
         "rejected_steps": traj.rejected_steps,
+        "dropped_knots": traj.dropped_knots,
     }
     _write_csv(args.out, ["s", "r", "alpha", "phi", "E", "E_drift"], rows, footer)
     return 0

@@ -23,10 +23,14 @@ The Lorentzian system with l' > 0 has the critical point
 
     E0 = (n / l')^(n/2) * exp(-n/2),
 
-separates bounded from unbounded trajectories.  Integration uses the
-Dormand-Prince 8(5,3) pair with its 7th-order dense output and the energy
-drift as an independent acceptance gate; conservation, not the step
-estimator, is the ground truth.
+separates bounded from unbounded trajectories.  The r -> 0 and alpha
+blow-up ends lie at finite s, so integration runs in the monotone parameter
+sigma, ds = (r / cosh alpha) dsigma (Sundman's time change; see _Field),
+with s a fourth component: every right-hand side is then bounded by
+polynomials in r, and each end is a located event at finite sigma.
+Integration uses the Dormand-Prince 8(5,3) pair with its 7th-order dense
+output and the energy drift as an independent acceptance gate;
+conservation, not the step estimator, is the ground truth.
 """
 
 from __future__ import annotations
@@ -61,16 +65,13 @@ CASES = ("definite", "lorentzian")
 
 R_MIN = 1e-6
 R_MAX = 1e6
-# Both the r -> 0 collapse and the alpha blow-up happen at finite s; past
-# alpha ~ 30 the remaining s-interval shrinks under an ulp and no event can
-# be localized, so the cap stops integration while s is still resolvable.
+# The |alpha| cap: past it cosh(alpha) nears overflow, and the remaining
+# s-interval of an alpha blow-up is far below an ulp of s.
 ALPHA_MAX = 30.0
 # |alpha| + |dalpha/ds| below which a definite trajectory stops
 # ("alpha_floor"; see integrate_many)
 ALPHA_FLOOR = 1e-5
 DRIFT_TOL = 1e-8
-# r below which a step-size underflow is the r -> 0 end ("r_singular")
-R_SINGULAR = 1e-3
 _TINY = np.array(1e-300)
 _EPS = np.finfo(float).eps
 # Bracketed roots (_bracketed_root) stop once the bracket is within
@@ -101,6 +102,9 @@ INTERIOR_RADICAND_TOL = 1e-6
 # above it.
 PEAK_SIDE_RTOL = 1e-9
 STEP_ATOL = 1e-16  # absolute part (scipy's atol) of integrate_many's error scale
+# Halvings of a step fraction when Trajectory.sample inverts s(sigma): 2^-60
+# of a step, below the rounding of any interpolated state.
+SAMPLE_BISECTIONS = 60
 
 
 @dataclass(frozen=True)
@@ -127,29 +131,35 @@ class SolitonState:
 
 
 class _Field:
-    """(dr/ds, dalpha/ds, dphi/ds) at states y (3, ...) for one
-    SolitonParams.  Constants are 0-d arrays: numpy combines those with
-    small arrays faster than Python floats.
+    """(r, alpha, phi, s)' = d/dsigma at states y (4, ...) for one
+    SolitonParams, the s-system times ds/dsigma = r / cosh(alpha):
 
-    r is floored at 1e-300 so that trial stages overshooting r = 0 stay
-    finite (the step is then rejected on its error estimate).
-    """
+        definite    (r, (-n + l' r^2) tanh(alpha), tanh(alpha), r / cosh(alpha))
+        lorentzian  (r tanh(alpha), -n + l' r^2, 1, r / cosh(alpha))
+
+    Constants are 0-d arrays: numpy combines those with small arrays faster
+    than Python floats."""
 
     def __init__(self, params: SolitonParams):
-        # dr/ds and the factor v of dalpha/ds and r dphi/ds
-        self.rate, self.v = ((np.cosh, np.sinh) if params.case == "definite"
-                             else (np.sinh, np.cosh))
+        self.definite = params.case == "definite"
         self.neg_n = np.array(-float(params.n))
         self.lam = np.array(float(params.lambda_prime))
 
     def __call__(self, y, out=None):
         if out is None:
             out = np.empty(np.shape(y))
-        r = np.maximum(y[0], _TINY)
-        self.rate(y[1], out[0])
-        v = self.v(y[1])
-        np.multiply(self.neg_n / r + self.lam * r, v, out[1])
-        np.divide(v, r, out[2])
+        r = y[0]
+        tanh = np.tanh(y[1])
+        rate = self.neg_n + self.lam * (r * r)
+        if self.definite:
+            out[0] = r
+            np.multiply(rate, tanh, out[1])
+            out[2] = tanh
+        else:
+            np.multiply(r, tanh, out[0])
+            out[1] = rate
+            out[2] = 1.0
+        np.divide(r, np.cosh(y[1]), out[3])
         return out
 
 
@@ -157,7 +167,8 @@ def vector_field(state: SolitonState, params: SolitonParams):
     """(dr/ds, dalpha/ds, dphi/ds) at a state with r > 0."""
     if state.r <= 0.0:
         raise NonpositiveRadius(f"r = {state.r}")
-    return tuple(float(v) for v in _Field(params)(state.as_array()[:, None])[:, 0])
+    f = _Field(params)(np.append(state.as_array(), 0.0)[:, None])[:, 0]
+    return tuple(float(v) for v in f[:3] / f[3])
 
 
 def radial_weight(r, params: SolitonParams):
@@ -193,28 +204,37 @@ def energy_threshold(params: SolitonParams) -> float:
 
 @dataclass(frozen=True)
 class _Branch:
-    """Dense output of one integration direction: knots t (k+1,) ascending
-    from 0 and the states y (k+1, 3) there; per step its full length h (k,)
-    and the coefficients F (7, k, 3) of its 7th-order interpolant.  A step
-    cut short by an event keeps its full h, the knot being the event."""
+    """Dense output of one integration direction: knots t (k+1,) in sigma
+    ascending from 0 and the states y (k+1, 4) there; per step its full
+    length h (k,) and the coefficients F (7, k, 4) of its 7th-order
+    interpolant.  A step cut short by an event keeps its full h, the knot
+    being the event."""
     direction: float
     t: np.ndarray
     y: np.ndarray
     h: np.ndarray
     F: np.ndarray
 
-    def __call__(self, t: np.ndarray) -> np.ndarray:
-        if not self.h.size:
-            return np.repeat(self.y[:1], t.size, axis=0)
-        seg = np.clip(np.searchsorted(self.t, t) - 1, 0, self.h.size - 1)
-        x = (t - self.t[seg]) / self.h[seg]
-        return _interpolate(self.F[:, seg], self.y[seg], x[:, None])
+    def at(self, u: np.ndarray) -> np.ndarray:
+        """States (N, 4) where direction * s = u: the step whose knots
+        bracket u, then its step fraction by bisection on the interpolated
+        s, which rises with sigma."""
+        ds = np.maximum.accumulate(self.direction * self.y[:, 3])
+        seg = np.clip(np.searchsorted(ds, u) - 1, 0, self.h.size - 1)
+        F, y_old = self.F[:, seg], self.y[seg]
+        lo = np.zeros(u.size)
+        hi = (self.t[seg + 1] - self.t[seg]) / self.h[seg]
+        for _ in range(SAMPLE_BISECTIONS):
+            mid = 0.5 * (lo + hi)
+            below = self.direction * _interpolate(F[..., 3], y_old[:, 3], mid) < u
+            lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+        return _interpolate(F, y_old, hi[:, None])
 
 
 @dataclass
 class Trajectory:
     params: SolitonParams
-    s: np.ndarray            # (k,), ascending
+    s: np.ndarray            # (k,), strictly ascending
     states: np.ndarray       # (k, 3) rows (r, alpha, phi)
     E0: float
     max_E_drift: float
@@ -223,6 +243,7 @@ class Trajectory:
     classification: str | None = None
     accepted_steps: int = 0
     rejected_steps: int = 0
+    dropped_knots: int = 0
     _branches: tuple = field(default=(), repr=False)
 
     @property
@@ -243,10 +264,10 @@ class Trajectory:
         out = np.empty((svals.size, 3))
         todo = np.ones(svals.size, dtype=bool)
         for branch in self._branches:
-            t = branch.direction * svals
-            t_end = branch.t[-1]
-            hit = todo & (t >= -1e-12) & (t <= t_end * (1 + 1e-12))
-            out[hit] = branch(np.clip(t[hit], 0.0, t_end))
+            u = branch.direction * svals
+            u_end = float(np.max(branch.direction * branch.y[:, 3]))
+            hit = todo & (u >= -1e-12) & (u <= u_end * (1 + 1e-12))
+            out[hit] = branch.at(np.clip(u[hit], 0.0, u_end))[:, :3]
             todo &= ~hit
         if todo.any():
             raise InvalidRange(f"s = {svals[todo][0]} outside the integrated span")
@@ -327,38 +348,34 @@ _D = np.array([
 # exponent -1/(7 + 1), step factors 1/5 to 10, the weight of the 3rd-order
 # estimate in the error norm, and the 10-ulp step floor
 _SAFETY, _EXPONENT = np.array(0.9), np.array(-0.125)
-_FIFTH, _ONE, _THREE, _TEN = (np.array(v) for v in (0.2, 1.0, 3.0, 10.0))
+_FIFTH, _ONE, _TEN = (np.array(v) for v in (0.2, 1.0, 10.0))
 _HUNDREDTH = np.array(0.01)
-_EVENTS = ("r_min", "r_max", "alpha_max", "alpha_floor")
+_EVENTS = ("r_min", "r_max", "alpha_max", "alpha_floor", "s_max")
 
 
 def _rms(x):
-    return np.sqrt(np.add.reduce(x * x) / _THREE)
+    return np.sqrt(np.add.reduce(x * x) / len(x))
 
 
-def _events(y, dalpha, limits):
-    """Event functions (4, ...) at states y (3, ...) with alpha-rates dalpha:
-    r - r_min, r - r_max, |alpha| - alpha_max and |alpha| + |dalpha| -
-    alpha_floor for limits (4, 1); a stop is a sign change of its row."""
-    out = np.empty((4,) + np.shape(y[0]))
-    out[:2] = y[0]
-    np.abs(y[1], out=out[2])
-    np.abs(dalpha, out=out[3])
-    out[3] += out[2]
-    out -= limits
-    return out
+def _events(y, f, limits):
+    """Event functions (5, ...) at states y (4, ...) with sigma-rates f:
+    r - r_min, r - r_max, |alpha| - alpha_max, |alpha| + |dalpha/ds| -
+    alpha_floor (dalpha/ds = f_alpha / f_s) and |s| - s_max for limits
+    (5, 1); a stop is a sign change of its row."""
+    a = np.abs(y[1])
+    return np.stack([y[0], y[0], a, a + np.abs(f[1] / f[3]), np.abs(y[3])]) - limits
 
 
-def _initial_step(y, f, field, sign, s_max, rtol, atol):
+def _initial_step(y, f, field, sign, rtol, atol):
     """Hairer-Norsett-Wanner's starting step per lane (II.4) at order 7, as
     scipy picks it for DOP853; the lanes run along sign * f."""
     scale = atol + np.abs(y) * rtol
     d0, d1 = _rms(y / scale), _rms(f / scale)
-    h0 = np.minimum(np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1), s_max)
+    h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1)
     d2 = _rms((field(y + h0 * sign * f) - f) / scale) / h0
     h1 = np.where((d1 <= 1e-15) & (d2 <= 1e-15), np.maximum(1e-6, h0 * 1e-3),
                   (0.01 / np.maximum(d1, d2)) ** 0.125)
-    return np.minimum(np.minimum(100 * h0, h1), s_max)
+    return np.minimum(100 * h0, h1)
 
 
 def _bracketed_root(f, a: float, b: float, xtol: float) -> float:
@@ -413,21 +430,22 @@ def _bracketed_root(f, a: float, b: float, xtol: float) -> float:
 
 
 def _dense(K, y_old, y_new, hs, field):
-    """Coefficients F (7, 3, N) of the 7th-order interpolant of N steps from
-    their stages K (13, 3, N), their end states (3, N) and their signed
+    """Coefficients F (7, d, N) of the 7th-order interpolant of N steps from
+    their stages K (13, d, N), their end states (d, N) and their signed
     lengths hs (N,): the three extra stages of DOP853, then F as scipy's
     DOP853 builds it (Hairer-Norsett-Wanner's CONTD8)."""
+    dim = K.shape[1]
     Kx = np.empty((16,) + K.shape[1:])
     Kx[:13] = K
     K2 = Kx.reshape(16, -1)
     for s in range(13, 16):
-        field(y_old + hs * np.dot(_A[s, :s], K2[:s]).reshape(3, -1), out=Kx[s])
+        field(y_old + hs * np.dot(_A[s, :s], K2[:s]).reshape(dim, -1), out=Kx[s])
     dy = y_new - y_old
     F = np.empty((7,) + K.shape[1:])
     F[0] = dy
     F[1] = hs * K[0] - dy
     F[2] = 2.0 * dy - hs * (K[12] + K[0])
-    F[3:] = hs * np.dot(_D, K2).reshape(4, 3, -1)
+    F[3:] = hs * np.dot(_D, K2).reshape(4, dim, -1)
     return F
 
 
@@ -441,8 +459,8 @@ def _interpolate(F, y_old, x):
 
 
 def _locate_event(hits, t_old, t_new, y_old, F, field, limits):
-    """Earliest event of one lane's step on its interpolant F (7, 3):
-    (index, s, state)."""
+    """Earliest event of one lane's step on its interpolant F (7, 4):
+    (index, sigma, state)."""
     h = t_new - t_old
 
     def interp(t):
@@ -450,7 +468,7 @@ def _locate_event(hits, t_old, t_new, y_old, F, field, limits):
 
     def g(t, e):
         y = interp(t)
-        return float(_events(y, field(y)[1], limits)[e, 0])
+        return float(_events(y, field(y), limits)[e, 0])
 
     roots = [_bracketed_root(lambda t: g(t, e), float(t_old), float(t_new),
                              EVENT_XTOL) for e in hits]
@@ -458,41 +476,26 @@ def _locate_event(hits, t_old, t_new, y_old, F, field, limits):
     return hits[k], roots[k], interp(roots[k])[:, 0]
 
 
-def _underflow_stop(y):
-    if y[0] < R_SINGULAR:
-        return "r_singular"
-    if abs(y[1]) > 10.0:
-        return "alpha_blowup"
-    raise StepFailure(f"step size underflow at r = {y[0]:.6g}, alpha = {y[1]:.6g}")
-
-
 def integrate_many(params: SolitonParams, initial, directions, s_max: float, *,
                    rtol: float = 1e-10) -> list[Trajectory]:
     """Integrate the reduced system from many initial states in one batch.
 
     initial is (L, 3) rows (r, alpha, phi) and directions (L,) or a scalar
-    +-1, the sign of s along which each lane runs.  All lanes advance
-    together through one Dormand-Prince 8(5,3) step per iteration (12
-    stages, the last one's f(y_new) reused as the next step's first), each
-    with its own step size: the error norm of DOP853, which combines the
-    5th- and 3rd-order estimates scaled by STEP_ATOL + rtol max(|y|, |y_new|),
-    error exponent -1/8, safety 0.9, step factors 0.2 to 10 and no growth
-    right after a rejection, the starting step of Hairer-Norsett-Wanner at
-    order 7 -- step for step the control of scipy's DOP853.  A lane stops at
-    s_max, or at the first sign change of an event on its step's 7th-order
-    interpolant (Brent's method to 4 ulp): r <= R_MIN, r >= R_MAX, |alpha|
-    >= ALPHA_MAX (past which cosh overflows and the trajectory is in its
-    asymptotic blow-up), and for definite lanes alpha_floor.  Finished lanes
-    leave the batch.  The interpolant costs three more field evaluations
-    per step, so it is built once after the loop for every accepted step
-    together, and inside the loop only for a lane whose step fired an event.
-
-    An r -> 0 end is reached at a finite parameter value s*; the remaining
-    s-interval below r ~ 1e-4 is smaller than an ulp of s*, so the step size
-    underflows (below 10 ulp of s) there before r can reach a tiny R_MIN.
-    Underflow with r < R_SINGULAR is therefore reported as the stop
-    "r_singular", with |alpha| > 10 as "alpha_blowup"; underflow anywhere
-    else raises StepFailure.
+    +-1, the sign of s along which each lane runs.  Each lane integrates the
+    sigma-system of _Field from s = 0.  All lanes advance together through
+    one Dormand-Prince 8(5,3) step per iteration (12 stages, the last one's
+    f(y_new) reused as the next step's first), each with its own step size
+    and, step for step, the control of scipy's DOP853: its error norm over
+    (r, alpha, phi, s), scaled by STEP_ATOL + rtol max(|y|, |y_new|), error
+    exponent -1/8, safety 0.9, step factors 0.2 to 10, no growth right after
+    a rejection, Hairer-Norsett-Wanner's starting step at order 7.  A lane
+    stops at the first sign change of an event on its step's 7th-order
+    interpolant (Brent's method to 4 ulp of sigma): r <= R_MIN, r >= R_MAX,
+    |alpha| >= ALPHA_MAX, |s| >= s_max, and for definite lanes alpha_floor;
+    finished lanes leave the batch.  The interpolant costs three more field
+    evaluations per step, so it is built once after the loop for every
+    accepted step together, and inside the loop only for a lane whose step
+    fired an event.  A step below 10 ulp of sigma raises StepFailure.
 
     In the definite case with a decaying angle the energy g(r) sinh(alpha)
     pairs an exploding factor with a collapsing one; once |alpha| reaches
@@ -502,10 +505,12 @@ def integrate_many(params: SolitonParams, initial, directions, s_max: float, *,
 
     The energy is evaluated at every accepted state; a trajectory is
     accepted only if its max drift relative to max(|E0|, g(r0)) is below
-    DRIFT_TOL.  Each trajectory counts its accepted and rejected steps.
+    DRIFT_TOL.  Each trajectory counts its accepted and rejected steps and
+    the knots dropped from its rows (see _trajectories).
     """
     y0 = np.array(initial, dtype=float).reshape(-1, 3)
     lanes = len(y0)
+    y0 = np.concatenate([y0, np.zeros((lanes, 1))], axis=1)  # s = 0
     directions = np.broadcast_to(np.asarray(directions, dtype=float), (lanes,))
     sign = directions.copy()
     low = y0[:, 0] <= R_MIN
@@ -515,22 +520,23 @@ def integrate_many(params: SolitonParams, initial, directions, s_max: float, *,
         raise InvalidRange(f"s_max = {s_max} must be positive")
     if not lanes:
         return []
-    limits = np.array([[R_MIN], [R_MAX], [ALPHA_MAX], [ALPHA_FLOOR]])
+    limits = np.array([[R_MIN], [R_MAX], [ALPHA_MAX], [ALPHA_FLOOR], [float(s_max)]])
 
     field = _Field(params)
-    rtol, atol, s_max = np.array(rtol), np.array(STEP_ATOL), np.array(float(s_max))
+    rtol, atol = np.array(rtol), np.array(STEP_ATOL)
     ids = np.arange(lanes)
     y = y0.T.copy()
+    dim = len(y)
     t = np.zeros(lanes)
     # f(y), unsigned: a lane runs along sign * f, so its steps use hs = sign * h
     f = field(y)
-    h_abs = _initial_step(y, f, field, sign, s_max, rtol, atol)
+    h_abs = _initial_step(y, f, field, sign, rtol, atol)
     rejected = np.zeros(lanes, dtype=bool)
     retry = False                        # some lane retries a rejected step
-    armed = np.ones((4, lanes), dtype=bool)
+    armed = np.ones((5, lanes), dtype=bool)
     armed[3] = params.case == "definite"
     armed[3] &= np.abs(y[1]) > ALPHA_FLOOR
-    sg = np.sign(_events(y, f[1], limits))
+    sg = np.sign(_events(y, f, limits))
     steps = []                           # per iteration: ids, accepted, t, h, y, y_new, K
     stops, ends = {}, {}
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -538,19 +544,22 @@ def integrate_many(params: SolitonParams, initial, directions, s_max: float, *,
             min_step = _TEN * np.spacing(t)
             if retry:
                 h_abs = np.where(rejected, h_abs, np.maximum(h_abs, min_step))
-                under = rejected & (h_abs < min_step)
+                under = np.flatnonzero(rejected & (h_abs < min_step))
+                if under.size:
+                    r, a = y[:2, under[0]]
+                    raise StepFailure(f"step size underflow at r = {r:.6g}, alpha = {a:.6g}")
             else:
                 h_abs = np.maximum(h_abs, min_step)
-            t_new = np.minimum(t + h_abs, s_max)
+            t_new = t + h_abs
             h = t_new - t
             hs = sign * h
             # the stages of this step; K[12] = f(y_new) (first same as last)
-            K = np.empty((13, 3, ids.size))
+            K = np.empty((13, dim, ids.size))
             K[0] = f
             K2 = K.reshape(13, -1)
             for s, a in enumerate(_STAGES, start=1):
-                field(y + hs * np.dot(a, K2[:s]).reshape(3, -1), out=K[s])
-            y_new = y + hs * np.dot(_B, K2[:12]).reshape(3, -1)
+                field(y + hs * np.dot(a, K2[:s]).reshape(dim, -1), out=K[s])
+            y_new = y + hs * np.dot(_B, K2[:12]).reshape(dim, -1)
             field(y_new, out=K[12])
             # squared norms of the 5th- and 3rd-order estimates, each one
             # matrix-vector product as in scipy: on a lane at rest they are
@@ -559,16 +568,15 @@ def integrate_many(params: SolitonParams, initial, directions, s_max: float, *,
             est = np.empty((2, K2.shape[1]))
             np.dot(_ERR[0], K2, out=est[0])
             np.dot(_ERR[1], K2, out=est[1])
-            e5, e3 = np.add.reduce(np.square(est.reshape(2, 3, -1) / scale), axis=1)
-            err = h * e5 / np.sqrt(np.fmax(e5 + _HUNDREDTH * e3, _TINY) * _THREE)
+            e5, e3 = np.add.reduce(np.square(est.reshape(2, dim, -1) / scale), axis=1)
+            err = h * e5 / np.sqrt(np.fmax(e5 + _HUNDREDTH * e3, _TINY) * dim)
             accepted = err < 1.0
             factor = _SAFETY * err ** _EXPONENT
             grow = np.minimum(_TEN, factor)
             if retry:
-                accepted &= ~under
                 grow = np.where(rejected, np.minimum(_ONE, grow), grow)
             steps.append((ids, accepted, t_new, h, y, y_new, K))
-            sg_new = np.sign(_events(y_new, K[12, 1], limits))
+            sg_new = np.sign(_events(y_new, K[12], limits))
             fired = armed & (sg * sg_new <= 0)
             t_old, y_old = t, y
             all_accepted = accepted.all()
@@ -582,27 +590,18 @@ def integrate_many(params: SolitonParams, initial, directions, s_max: float, *,
                 t = np.where(accepted, t_new, t)
                 sg = np.where(accepted, sg_new, sg)
                 f = np.where(accepted, K[12], f)
-            finished = (t >= s_max) | fired.any(axis=0)
-            if retry:
-                finished |= under
+            finished = fired.any(axis=0)
             rejected = ~accepted
             retry = not all_accepted
             if not finished.any():
                 continue
-            for j in np.flatnonzero(finished):
-                lane = int(ids[j])
-                if fired[:, j].any():
-                    one = slice(j, j + 1)
-                    F = _dense(K[:, :, one], y_old[:, one], y_new[:, one], hs[one],
-                               field)[..., 0]
-                    e, root, state = _locate_event(
-                        np.flatnonzero(fired[:, j]), t_old[j], t_new[j], y_old[:, j],
-                        F, field, limits)
-                    stops[lane], ends[lane] = _EVENTS[e], (root, state)
-                elif t[j] >= s_max:
-                    stops[lane] = "s_max"
-                else:
-                    stops[lane] = _underflow_stop(y[:, j])
+            F = _dense(K[:, :, finished], y_old[:, finished], y_new[:, finished],
+                       hs[finished], field)
+            for k, j in enumerate(np.flatnonzero(finished)):
+                e, root, state = _locate_event(
+                    np.flatnonzero(fired[:, j]), t_old[j], t_new[j], y_old[:, j],
+                    F[..., k], field, limits)
+                stops[int(ids[j])], ends[int(ids[j])] = _EVENTS[e], (root, state)
             keep = ~finished
             ids, y, t, h_abs, rejected, sign = (
                 ids[keep], y[:, keep], t[keep], h_abs[keep], rejected[keep], sign[keep])
@@ -616,9 +615,10 @@ def _trajectories(params, field, y0, directions, steps, stops, ends):
     """One Trajectory per lane from integrate_many's per-iteration records
     (ids, accepted, t, h, y, y_new, K): the accepted steps of each lane in
     order, their interpolants built in one batch, the event state in place
-    of the full step where an event stopped it.  A lane's rejected steps are
-    its steps that failed the error test; the attempt that ends a lane on
-    step-size underflow is not a step."""
+    of the full last step.  Near a singular end ds/dsigma falls below an ulp
+    of s, so a row is kept only if its s passes every earlier knot, and the
+    end state replaces the knots it does not pass; the dense output and the
+    drift keep every knot."""
     lanes = len(y0)
     lane = np.concatenate([st[0] for st in steps])
     accepted = np.concatenate([st[1] for st in steps])
@@ -641,25 +641,22 @@ def _trajectories(params, field, y0, directions, steps, stops, ends):
         seg = slice(bounds[i], bounds[i + 1])
         knots = np.concatenate([[0.0], t_all[seg]])
         states = np.concatenate([y0[i:i + 1], y_all[seg]])
-        h, F = h_all[seg], F_all[:, seg]
-        if i in ends:
-            root, state = ends[i]
-            if root > knots[-2]:
-                knots[-1], states[-1] = root, state
-            else:  # the event rounds onto the previous knot: drop the step
-                knots, states, h, F = knots[:-1], states[:-1], h[:-1], F[:, :-1]
-        branch = _Branch(float(directions[i]), knots, states, h, F)
+        knots[-1], states[-1] = ends[i]
+        branch = _Branch(float(directions[i]), knots, states, h_all[seg], F_all[:, seg])
         E = energy(states, params)
         E0 = float(E[0])
         scale = max(abs(E0), float(radial_weight(y0[i, 0], params)), 1e-300)
         drift = float(np.max(np.abs(E - E0))) / scale
-        s = branch.direction * knots
-        if branch.direction < 0:
-            s, states = s[::-1], states[::-1]
-        under = stops[i] in ("r_singular", "alpha_blowup")
-        out.append(Trajectory(params, s, states, E0, drift, drift < DRIFT_TOL,
-                              stops[i], accepted_steps=h.size,
-                              rejected_steps=int(rejected[i]) - under,
+        ds = branch.direction * states[:, 3]
+        keep = np.concatenate([[True], ds[1:] > np.maximum.accumulate(ds)[:-1]])
+        keep[1:-1] &= ds[1:-1] < ds[-1]
+        keep[-1] = ds[-1] > 0.0
+        rows = states[keep] if branch.direction > 0 else states[keep][::-1]
+        out.append(Trajectory(params, rows[:, 3], rows[:, :3], E0, drift,
+                              drift < DRIFT_TOL, stops[i],
+                              accepted_steps=branch.h.size,
+                              rejected_steps=int(rejected[i]),
+                              dropped_knots=int(keep.size - keep.sum()),
                               _branches=(branch,)))
     return out
 
@@ -687,6 +684,7 @@ def integrate_bidirectional_many(params: SolitonParams, initial, s_max: float,
             fwd.accepted and bwd.accepted, f"{bwd.stop_reason}/{fwd.stop_reason}",
             accepted_steps=bwd.accepted_steps + fwd.accepted_steps,
             rejected_steps=bwd.rejected_steps + fwd.rejected_steps,
+            dropped_knots=bwd.dropped_knots + fwd.dropped_knots,
             _branches=bwd._branches + fwd._branches))
     return out
 

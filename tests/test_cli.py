@@ -113,8 +113,12 @@ def test_soliton_command(tmp_path):
     assert footer_value(lines, "classification") == "subcritical_inner"
     assert footer_value(lines, "accepted") == "true"
     rows = [row for row in lines[1:] if not row.startswith("#")]
-    assert int(footer_value(lines, "accepted_steps")) == len(rows) - 1
+    dropped = int(footer_value(lines, "dropped_knots"))
+    assert int(footer_value(lines, "accepted_steps")) == len(rows) - 1 + dropped
     assert int(footer_value(lines, "rejected_steps")) >= 0
+    assert dropped > 0  # the r -> 0 end advances s by less than an ulp
+    s = [float(row.split(",")[0]) for row in rows]
+    assert all(a < b for a, b in zip(s, s[1:]))
 
 
 def test_equivariant_command(tmp_path):

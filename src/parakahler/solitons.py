@@ -102,9 +102,6 @@ INTERIOR_RADICAND_TOL = 1e-6
 # above it.
 PEAK_SIDE_RTOL = 1e-9
 STEP_ATOL = 1e-16  # absolute part (scipy's atol) of integrate_many's error scale
-# Halvings of a step fraction when Trajectory.sample inverts s(sigma): 2^-60
-# of a step, below the rounding of any interpolated state.
-SAMPLE_BISECTIONS = 60
 
 
 @dataclass(frozen=True)
@@ -204,13 +201,10 @@ def energy_threshold(params: SolitonParams) -> float:
 
 @dataclass(frozen=True)
 class _Branch:
-    """Dense output of one integration direction: knots t (k+1,) in sigma
-    ascending from 0 and the states y (k+1, 4) there; per step its full
-    length h (k,) and the coefficients F (7, k, 4) of its 7th-order
-    interpolant.  A step cut short by an event keeps its full h, the knot
-    being the event."""
+    """Dense output of one integration direction: states y (k+1, 4) at its
+    knots, per step its length h (k,) in sigma and the coefficients
+    F (7, k, 4) of its 7th-order interpolant, the last step ending on the event."""
     direction: float
-    t: np.ndarray
     y: np.ndarray
     h: np.ndarray
     F: np.ndarray
@@ -222,9 +216,8 @@ class _Branch:
         ds = np.maximum.accumulate(self.direction * self.y[:, 3])
         seg = np.clip(np.searchsorted(ds, u) - 1, 0, self.h.size - 1)
         F, y_old = self.F[:, seg], self.y[seg]
-        lo = np.zeros(u.size)
-        hi = (self.t[seg + 1] - self.t[seg]) / self.h[seg]
-        for _ in range(SAMPLE_BISECTIONS):
+        lo, hi = np.zeros(u.size), np.ones(u.size)
+        while np.any(hi - lo > EVENT_XTOL):
             mid = 0.5 * (lo + hi)
             below = self.direction * _interpolate(F[..., 3], y_old[:, 3], mid) < u
             lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
@@ -429,6 +422,21 @@ def _bracketed_root(f, a: float, b: float, xtol: float) -> float:
     raise RuntimeError(f"no root within {ROOT_MAXITER} iterations in [{a}, {b}]")
 
 
+def _step(y, f, hs, field):
+    """One Dormand-Prince 8(5,3) step of signed lengths hs (N,) from states
+    y (d, N) with f = field(y): (y_new, K), K (13, d, N) the stages, the
+    last one f(y_new) (first same as last)."""
+    dim = len(y)
+    K = np.empty((13,) + y.shape)
+    K[0] = f
+    K2 = K.reshape(13, -1)
+    for s, a in enumerate(_STAGES, start=1):
+        field(y + hs * np.dot(a, K2[:s]).reshape(dim, -1), out=K[s])
+    y_new = y + hs * np.dot(_B, K2[:12]).reshape(dim, -1)
+    field(y_new, out=K[12])
+    return y_new, K
+
+
 def _dense(K, y_old, y_new, hs, field):
     """Coefficients F (7, d, N) of the 7th-order interpolant of N steps from
     their stages K (13, d, N), their end states (d, N) and their signed
@@ -460,20 +468,17 @@ def _interpolate(F, y_old, x):
 
 def _locate_event(hits, t_old, t_new, y_old, F, field, limits):
     """Earliest event of one lane's step on its interpolant F (7, 4):
-    (index, sigma, state)."""
+    (index, sigma)."""
     h = t_new - t_old
 
-    def interp(t):
-        return _interpolate(F, y_old, (t - t_old) / h)[:, None]
-
     def g(t, e):
-        y = interp(t)
+        y = _interpolate(F, y_old, (t - t_old) / h)[:, None]
         return float(_events(y, field(y), limits)[e, 0])
 
     roots = [_bracketed_root(lambda t: g(t, e), float(t_old), float(t_new),
                              EVENT_XTOL) for e in hits]
     k = int(np.argmin(roots))
-    return hits[k], roots[k], interp(roots[k])[:, 0]
+    return hits[k], roots[k]
 
 
 def integrate_many(params: SolitonParams, initial, directions, s_max: float, *,
@@ -492,10 +497,11 @@ def integrate_many(params: SolitonParams, initial, directions, s_max: float, *,
     stops at the first sign change of an event on its step's 7th-order
     interpolant (Brent's method to 4 ulp of sigma): r <= R_MIN, r >= R_MAX,
     |alpha| >= ALPHA_MAX, |s| >= s_max, and for definite lanes alpha_floor;
-    finished lanes leave the batch.  The interpolant costs three more field
-    evaluations per step, so it is built once after the loop for every
-    accepted step together, and inside the loop only for a lane whose step
-    fired an event.  A step below 10 ulp of sigma raises StepFailure.
+    that step is redone to the located sigma, its end state being the
+    event's, and the lane leaves the batch.  The interpolant costs three
+    more field evaluations per step, so it is built once after the loop for
+    every accepted step together, and inside the loop only for a lane whose
+    step fired an event.  A step below 10 ulp of sigma raises StepFailure.
 
     In the definite case with a decaying angle the energy g(r) sinh(alpha)
     pairs an exploding factor with a collapsing one; once |alpha| reaches
@@ -537,8 +543,8 @@ def integrate_many(params: SolitonParams, initial, directions, s_max: float, *,
     armed[3] = params.case == "definite"
     armed[3] &= np.abs(y[1]) > ALPHA_FLOOR
     sg = np.sign(_events(y, f, limits))
-    steps = []                           # per iteration: ids, accepted, t, h, y, y_new, K
-    stops, ends = {}, {}
+    steps = []                           # per iteration: ids, accepted, h, y, y_new, K
+    stops = {}
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         while ids.size:
             min_step = _TEN * np.spacing(t)
@@ -553,14 +559,8 @@ def integrate_many(params: SolitonParams, initial, directions, s_max: float, *,
             t_new = t + h_abs
             h = t_new - t
             hs = sign * h
-            # the stages of this step; K[12] = f(y_new) (first same as last)
-            K = np.empty((13, dim, ids.size))
-            K[0] = f
+            y_new, K = _step(y, f, hs, field)
             K2 = K.reshape(13, -1)
-            for s, a in enumerate(_STAGES, start=1):
-                field(y + hs * np.dot(a, K2[:s]).reshape(dim, -1), out=K[s])
-            y_new = y + hs * np.dot(_B, K2[:12]).reshape(dim, -1)
-            field(y_new, out=K[12])
             # squared norms of the 5th- and 3rd-order estimates, each one
             # matrix-vector product as in scipy: on a lane at rest they are
             # the rounding of these sums, and so is its step sequence
@@ -575,7 +575,7 @@ def integrate_many(params: SolitonParams, initial, directions, s_max: float, *,
             grow = np.minimum(_TEN, factor)
             if retry:
                 grow = np.where(rejected, np.minimum(_ONE, grow), grow)
-            steps.append((ids, accepted, t_new, h, y, y_new, K))
+            steps.append((ids, accepted, h, y, y_new, K))
             sg_new = np.sign(_events(y_new, K[12], limits))
             fired = armed & (sg * sg_new <= 0)
             t_old, y_old = t, y
@@ -595,27 +595,30 @@ def integrate_many(params: SolitonParams, initial, directions, s_max: float, *,
             retry = not all_accepted
             if not finished.any():
                 continue
-            F = _dense(K[:, :, finished], y_old[:, finished], y_new[:, finished],
-                       hs[finished], field)
-            for k, j in enumerate(np.flatnonzero(finished)):
-                e, root, state = _locate_event(
-                    np.flatnonzero(fired[:, j]), t_old[j], t_new[j], y_old[:, j],
-                    F[..., k], field, limits)
-                stops[int(ids[j])], ends[int(ids[j])] = _EVENTS[e], (root, state)
+            done = np.flatnonzero(finished)
+            F = _dense(K[:, :, done], y_old[:, done], y_new[:, done], hs[done], field)
+            for k, j in enumerate(done):
+                e, root = _locate_event(np.flatnonzero(fired[:, j]), t_old[j],
+                                        t_new[j], y_old[:, j], F[..., k], field, limits)
+                stops[int(ids[j])], h[j] = _EVENTS[e], root - t_old[j]
+            # the end state from a step to the event, in this iteration's
+            # record: the interpolant there is several times less accurate
+            y_new[:, done], K[:, :, done] = _step(y_old[:, done], K[0][:, done],
+                                                  sign[done] * h[done], field)
             keep = ~finished
             ids, y, t, h_abs, rejected, sign = (
                 ids[keep], y[:, keep], t[keep], h_abs[keep], rejected[keep], sign[keep])
             sg, armed, f = sg[:, keep], armed[:, keep], f[:, keep]
             retry = bool(rejected.any())
 
-    return _trajectories(params, field, y0, directions, steps, stops, ends)
+    return _trajectories(params, field, y0, directions, steps, stops)
 
 
-def _trajectories(params, field, y0, directions, steps, stops, ends):
+def _trajectories(params, field, y0, directions, steps, stops):
     """One Trajectory per lane from integrate_many's per-iteration records
-    (ids, accepted, t, h, y, y_new, K): the accepted steps of each lane in
-    order, their interpolants built in one batch, the event state in place
-    of the full last step.  Near a singular end ds/dsigma falls below an ulp
+    (ids, accepted, h, y, y_new, K): the accepted steps of each lane in
+    order, the last one ending on the event, their interpolants built in one
+    batch.  Near a singular end ds/dsigma falls below an ulp
     of s, so a row is kept only if its s passes every earlier knot, and the
     end state replaces the knots it does not pass; the dense output and the
     drift keep every knot."""
@@ -629,9 +632,8 @@ def _trajectories(params, field, y0, directions, steps, stops, ends):
     def gather(k):
         return np.concatenate([st[k] for st in steps], axis=-1).take(take, axis=-1)
 
-    t_all, h_all = gather(2), gather(3)
-    y_old, y_all = gather(4), gather(5)
-    F_all = np.swapaxes(_dense(gather(6), y_old, y_all, directions[lane[take]] * h_all,
+    h_all, y_old, y_all = gather(2), gather(3), gather(4)
+    F_all = np.swapaxes(_dense(gather(5), y_old, y_all, directions[lane[take]] * h_all,
                                field), 1, 2)
     y_all = y_all.T
     bounds = np.concatenate([[0], np.cumsum(np.bincount(lane[take], minlength=lanes))])
@@ -639,10 +641,8 @@ def _trajectories(params, field, y0, directions, steps, stops, ends):
     out = []
     for i in range(lanes):
         seg = slice(bounds[i], bounds[i + 1])
-        knots = np.concatenate([[0.0], t_all[seg]])
         states = np.concatenate([y0[i:i + 1], y_all[seg]])
-        knots[-1], states[-1] = ends[i]
-        branch = _Branch(float(directions[i]), knots, states, h_all[seg], F_all[:, seg])
+        branch = _Branch(float(directions[i]), states, h_all[seg], F_all[:, seg])
         E = energy(states, params)
         E0 = float(E[0])
         scale = max(abs(E0), float(radial_weight(y0[i, 0], params)), 1e-300)

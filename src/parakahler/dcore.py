@@ -15,7 +15,8 @@ polar form and raise :class:`~parakahler.errors.NullValue`.
 
 Scalars are the frozen :class:`ParaComplex` dataclass; grid-scale code uses
 the vectorized ``d_*`` kernels, which operate on float arrays whose last
-axis holds the (x, y) components.
+axis holds the (x, y) components.  ``bisect`` is the package's one
+bracketed root finder, on arrays of brackets.
 """
 
 from __future__ import annotations
@@ -234,3 +235,29 @@ def para_cauchy_riemann_residual(f, hx: float, hy: float) -> np.ndarray:
     fx = (f[2:, 1:-1] - f[:-2, 1:-1]) / (2.0 * hx)
     fy = (f[1:-1, 2:] - f[1:-1, :-2]) / (2.0 * hy)
     return np.sqrt(d_grading2(0.5 * (fx - d_mul(TAU.as_array(), fy))))
+
+
+def bisect(g, lo, hi, xtol):
+    """Brackets [lo, hi] (arrays of one shape) shrunk onto sign changes of g,
+    which maps an array of points to g at each; g(lo) and g(hi) must differ
+    in sign or vanish.  Each bracket is halved until hi - lo <= xtol or its
+    midpoint equals an endpoint (the doubles in it are used up, so xtol = 0
+    bisects to adjacent doubles).  An endpoint or a midpoint where g is 0 is
+    the root: lo = hi there.  Returns (lo, hi)."""
+    lo, hi = (np.array(v, dtype=float) for v in np.broadcast_arrays(lo, hi))
+    if not lo.size:
+        return lo, hi
+    g_lo, g_hi = np.sign(g(lo)), np.sign(g(hi))
+    if not np.all(g_lo * g_hi <= 0.0):  # a nan end fails too
+        raise ValueError("g(lo) and g(hi) must differ in sign or vanish")
+    hi = np.where(g_lo == 0.0, lo, hi)
+    lo = np.where(g_hi == 0.0, hi, lo)
+    while True:
+        mid = 0.5 * (lo + hi)
+        live = (hi - lo > xtol) & (mid != lo) & (mid != hi)
+        if not live.any():
+            return lo, hi
+        g_mid = g(mid)
+        right = live & (g_lo * g_mid < 0.0)  # the sign change lies in [lo, mid]
+        lo = np.where(live & ~right, mid, lo)
+        hi = np.where(right | (live & (g_mid == 0.0)), mid, hi)

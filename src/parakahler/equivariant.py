@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dcore import d_array, d_exp_tau, d_mul, d_norm2, d_pow
+from .dcore import bisect, d_array, d_exp_tau, d_mul, d_norm2, d_pow
 from .dlinalg import apply_J
 from .errors import InvalidRange
 from .geometry import GridAxis, SampledImmersion
@@ -254,42 +254,27 @@ def lightcone_crossings(curve: ProfileCurve) -> CrossingReport:
 
     def norm_at(x):
         if curve.fn is not None:
-            return float(d_norm2(d_array(curve.fn(np.asarray(x)))))
-        return float(np.interp(x, s, norms))
+            return d_norm2(d_array(curve.fn(x)))
+        return np.interp(x, s, norms)
 
-    locations, tangential = [], []
-    for i in range(len(norms) - 1):
-        a, b = norms[i], norms[i + 1]
-        if a == 0.0:
-            # zero exactly on a sample: a crossing iff the samples before
-            # (now a) and after it differ in sign; a grazing touch, or the
-            # end of an open curve, does not count
-            a = norms[i - 1] if i else (norms[-2] if curve.periodic else 0.0)
-            if not a * b < 0.0:
-                continue
-            s_star = float(s[i])
-        elif a * b < 0.0:
-            lo, hi = float(s[i]), float(s[i + 1])
-            flo = a
-            while hi - lo > CROSSING_XTOL:
-                mid = 0.5 * (lo + hi)
-                fm = norm_at(mid)
-                if fm == 0.0:
-                    lo = hi = mid
-                    break
-                if flo * fm < 0.0:
-                    hi = mid
-                else:
-                    lo, flo = mid, fm
-            s_star = 0.5 * (lo + hi)
-        else:
-            continue
-        h = max(curve.spacing * 1e-5, 1e-12)
-        slope = (norm_at(s_star + h) - norm_at(s_star - h)) / (2 * h)
-        scale = max(abs(a), abs(b)) / curve.spacing
-        locations.append(s_star)
-        tangential.append(abs(slope) <= TANGENT_TOL * max(scale, 1e-300))
-    return CrossingReport(len(locations), tuple(locations), tuple(tangential))
+    # zero exactly on a sample: a crossing iff the samples before and after
+    # it differ in sign; a grazing touch, or the end of an open curve, does
+    # not count.  The sample before then stands in for a.
+    before = np.concatenate([[norms[-2] if curve.periodic else 0.0], norms[:-2]])
+    on = norms[:-1] == 0.0
+    a, b = np.where(on, before, norms[:-1]), norms[1:]
+    found = a * b < 0.0
+    across = found & ~on
+    lo, hi = bisect(norm_at, s[:-1][across], s[1:][across], CROSSING_XTOL)
+    s_star = s[:-1].copy()
+    s_star[across] = 0.5 * (lo + hi)
+    s_star, a, b = s_star[found], a[found], b[found]
+    h = max(curve.spacing * 1e-5, 1e-12)
+    slope = (norm_at(s_star + h) - norm_at(s_star - h)) / (2 * h)
+    scale = np.maximum(np.abs(a), np.abs(b)) / curve.spacing
+    tangential = np.abs(slope) <= TANGENT_TOL * np.maximum(scale, 1e-300)
+    return CrossingReport(int(s_star.size), tuple(s_star.tolist()),
+                          tuple(tangential.tolist()))
 
 
 def level_residual(curve: ProfileCurve, n: int, which: str, C: float) -> float:

@@ -436,7 +436,7 @@ class JField:
         return np.array([a.lo + a.spacing * i for a, i in zip(self.axes, node)])
 
     def check_structure(self):
-        sq = np.einsum("...ij,...jk->...ik", self.mats, self.mats)
+        sq = self.mats @ self.mats
         err = float(np.max(np.abs(sq - np.eye(self.dim))))
         if err > STRUCTURE_TOL:
             raise NotParaComplexStructure(f"max |J^2 - Id| = {err:.3e}")

@@ -411,10 +411,6 @@ class NormalBundleSpec:
     def submanifold_dim(self) -> int:
         return self.shape_ops.shape[-1]
 
-    @property
-    def codim(self) -> int:
-        return self.normals.shape[-2]
-
 
 def principal_curvatures(spec: NormalBundleSpec) -> np.ndarray:
     """Eigenvalues of every shape operator, ascending: (*counts, k, p), one

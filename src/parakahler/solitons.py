@@ -42,7 +42,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dcore import d_exp_tau, d_grading2
+from .dcore import bisect, d_exp_tau, d_grading2
 from .dlinalg import apply_J, gram
 from .equivariant import ProfileCurve, lift
 from .errors import (
@@ -73,15 +73,9 @@ ALPHA_MAX = 30.0
 ALPHA_FLOOR = 1e-5
 DRIFT_TOL = 1e-8
 _TINY = np.array(1e-300)
-_EPS = np.finfo(float).eps
-# Bracketed roots (_bracketed_root) stop once the bracket is within
-# xtol + rtol |x| of the root: ROOT_RTOL = 4 ulp for every root, and an
-# absolute part of 4 ulp of 1 for stop events, 1e-14 for turning radii;
-# ROOT_MAXITER bounds the iterations.
-ROOT_RTOL = 4 * _EPS
-ROOT_MAXITER = 100
-EVENT_XTOL = 4 * _EPS
-TURNING_XTOL = 1e-14
+# Stop events and Trajectory.sample bisect a step fraction (dcore.bisect)
+# to a bracket of 4 ulp of 1; turning radii bisect until the doubles run out.
+EVENT_XTOL = 4 * np.finfo(float).eps
 # epsabs = epsrel of the phi quadrature: the smooth definite integrand, and
 # the Lorentzian pieces with their turning-point substitutions
 QUAD_TOL_DEFINITE = 1e-12
@@ -212,15 +206,22 @@ class _Branch:
     def at(self, u: np.ndarray) -> np.ndarray:
         """States (N, 4) where direction * s = u: the step whose knots
         bracket u, then its step fraction by bisection on the interpolated
-        s, which rises with sigma."""
+        s, which rises with sigma (the knot's own s at fraction 1).  Near a
+        singular end s stalls below an ulp over the last knots, so from the
+        end knot's s on, u gives the end state, as in the trajectory rows."""
         ds = np.maximum.accumulate(self.direction * self.y[:, 3])
-        seg = np.clip(np.searchsorted(ds, u) - 1, 0, self.h.size - 1)
-        F, y_old = self.F[:, seg], self.y[seg]
-        lo, hi = np.zeros(u.size), np.ones(u.size)
-        while np.any(hi - lo > EVENT_XTOL):
-            mid = 0.5 * (lo + hi)
-            below = self.direction * _interpolate(F[..., 3], y_old[:, 3], mid) < u
-            lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+        u_end = self.direction * self.y[-1, 3]
+        end = u >= u_end
+        u = np.where(end, u_end, u)
+        seg = np.where(end, self.h.size - 1,
+                       np.clip(np.searchsorted(ds, u) - 1, 0, self.h.size - 1))
+        F, y_old, s_new = self.F[:, seg], self.y[seg], self.y[seg + 1, 3]
+
+        def excess(x):
+            s = np.where(x == 1.0, s_new, _interpolate(F[..., 3], y_old[:, 3], x))
+            return self.direction * s - u
+
+        _, hi = bisect(excess, end * 1.0, np.ones(u.size), EVENT_XTOL)
         return _interpolate(F, y_old, hi[:, None])
 
 
@@ -371,57 +372,6 @@ def _initial_step(y, f, field, sign, rtol, atol):
     return np.minimum(100 * h0, h1)
 
 
-def _bracketed_root(f, a: float, b: float, xtol: float) -> float:
-    """A root of the scalar f in [a, b], where f(a) and f(b) differ in sign,
-    by Brent's method (Brent 1973, ch. 4): inverse quadratic interpolation or
-    a secant step while it shrinks the bracket fast enough, bisection
-    otherwise.  The bracket [cur, blk] keeps |f(cur)| <= |f(blk)|, and cur
-    is returned once f(cur) = 0 or |blk - cur| < xtol + ROOT_RTOL |cur|, with
-    a step of at least half that tolerance.  An endpoint where f vanishes is
-    the root.  Step for step the iteration of scipy's brentq."""
-    f_pre, f_cur = f(a), f(b)
-    x_pre, x_cur = a, b
-    if f_pre == 0.0:
-        return a
-    if f_cur == 0.0:
-        return b
-    if math.copysign(1.0, f_pre) == math.copysign(1.0, f_cur):
-        raise ValueError(f"f({a}) and f({b}) must differ in sign")
-    x_blk = f_blk = s_pre = s_cur = 0.0
-    for _ in range(ROOT_MAXITER):
-        if f_pre != 0.0 and f_cur != 0.0 and (
-                math.copysign(1.0, f_pre) != math.copysign(1.0, f_cur)):
-            x_blk, f_blk = x_pre, f_pre
-            s_pre = s_cur = x_cur - x_pre
-        if abs(f_blk) < abs(f_cur):
-            x_pre, x_cur, x_blk = x_cur, x_blk, x_cur
-            f_pre, f_cur, f_blk = f_cur, f_blk, f_cur
-        delta = (xtol + ROOT_RTOL * abs(x_cur)) / 2
-        s_bis = (x_blk - x_cur) / 2
-        if f_cur == 0.0 or abs(s_bis) < delta:
-            return x_cur
-        s_try = math.inf                 # bisect unless a fast step is found
-        if abs(s_pre) > delta and abs(f_cur) < abs(f_pre):
-            try:
-                if x_pre == x_blk:       # secant
-                    s_try = -f_cur * (x_cur - x_pre) / (f_cur - f_pre)
-                else:                    # inverse quadratic interpolation
-                    d_pre = (f_pre - f_cur) / (x_pre - x_cur)
-                    d_blk = (f_blk - f_cur) / (x_blk - x_cur)
-                    s_try = (-f_cur * (f_blk * d_blk - f_pre * d_pre)
-                             / (d_blk * d_pre * (f_blk - f_pre)))
-            except ZeroDivisionError:
-                pass
-        if 2 * abs(s_try) < min(abs(s_pre), 3 * abs(s_bis) - delta):
-            s_pre, s_cur = s_cur, s_try
-        else:
-            s_pre = s_cur = s_bis
-        x_pre, f_pre = x_cur, f_cur
-        x_cur += s_cur if abs(s_cur) > delta else (delta if s_bis > 0 else -delta)
-        f_cur = f(x_cur)
-    raise RuntimeError(f"no root within {ROOT_MAXITER} iterations in [{a}, {b}]")
-
-
 def _step(y, f, hs, field):
     """One Dormand-Prince 8(5,3) step of signed lengths hs (N,) from states
     y (d, N) with f = field(y): (y_new, K), K (13, d, N) the stages, the
@@ -466,21 +416,6 @@ def _interpolate(F, y_old, x):
     return y + y_old
 
 
-def _locate_event(hits, t_old, t_new, y_old, F, field, limits):
-    """Earliest event of one lane's step on its interpolant F (7, 4):
-    (index, sigma)."""
-    h = t_new - t_old
-
-    def g(t, e):
-        y = _interpolate(F, y_old, (t - t_old) / h)[:, None]
-        return float(_events(y, field(y), limits)[e, 0])
-
-    roots = [_bracketed_root(lambda t: g(t, e), float(t_old), float(t_new),
-                             EVENT_XTOL) for e in hits]
-    k = int(np.argmin(roots))
-    return hits[k], roots[k]
-
-
 def integrate_many(params: SolitonParams, initial, directions, s_max: float, *,
                    rtol: float = 1e-10) -> list[Trajectory]:
     """Integrate the reduced system from many initial states in one batch.
@@ -494,14 +429,15 @@ def integrate_many(params: SolitonParams, initial, directions, s_max: float, *,
     (r, alpha, phi, s), scaled by STEP_ATOL + rtol max(|y|, |y_new|), error
     exponent -1/8, safety 0.9, step factors 0.2 to 10, no growth right after
     a rejection, Hairer-Norsett-Wanner's starting step at order 7.  A lane
-    stops at the first sign change of an event on its step's 7th-order
-    interpolant (Brent's method to 4 ulp of sigma): r <= R_MIN, r >= R_MAX,
-    |alpha| >= ALPHA_MAX, |s| >= s_max, and for definite lanes alpha_floor;
-    that step is redone to the located sigma, its end state being the
-    event's, and the lane leaves the batch.  The interpolant costs three
-    more field evaluations per step, so it is built once after the loop for
-    every accepted step together, and inside the loop only for a lane whose
-    step fired an event.  A step below 10 ulp of sigma raises StepFailure.
+    leaves the batch after an accepted step on which an event changes sign:
+    r <= R_MIN, r >= R_MAX, |alpha| >= ALPHA_MAX, |s| >= s_max, and for
+    definite lanes alpha_floor.  After the loop (see _trajectories) the
+    earliest sign change on that step's 7th-order interpolant, bisected to
+    EVENT_XTOL of the step, is the lane's stop, and the step is redone to
+    it, its end state being the event's.  The interpolant costs three more
+    field evaluations per step, so it is built only there, for every
+    accepted step together.  A step below 10 ulp of sigma raises
+    StepFailure.
 
     In the definite case with a decaying angle the energy g(r) sinh(alpha)
     pairs an exploding factor with a collapsing one; once |alpha| reaches
@@ -544,7 +480,7 @@ def integrate_many(params: SolitonParams, initial, directions, s_max: float, *,
     armed[3] &= np.abs(y[1]) > ALPHA_FLOOR
     sg = np.sign(_events(y, f, limits))
     steps = []                           # per iteration: ids, accepted, h, y, y_new, K
-    stops = {}
+    fired_rows = np.zeros((lanes, len(_EVENTS)), dtype=bool)  # of each lane's last step
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         while ids.size:
             min_step = _TEN * np.spacing(t)
@@ -578,7 +514,6 @@ def integrate_many(params: SolitonParams, initial, directions, s_max: float, *,
             steps.append((ids, accepted, h, y, y_new, K))
             sg_new = np.sign(_events(y_new, K[12], limits))
             fired = armed & (sg * sg_new <= 0)
-            t_old, y_old = t, y
             all_accepted = accepted.all()
             if all_accepted:
                 h_abs = h * grow
@@ -595,33 +530,28 @@ def integrate_many(params: SolitonParams, initial, directions, s_max: float, *,
             retry = not all_accepted
             if not finished.any():
                 continue
-            done = np.flatnonzero(finished)
-            F = _dense(K[:, :, done], y_old[:, done], y_new[:, done], hs[done], field)
-            for k, j in enumerate(done):
-                e, root = _locate_event(np.flatnonzero(fired[:, j]), t_old[j],
-                                        t_new[j], y_old[:, j], F[..., k], field, limits)
-                stops[int(ids[j])], h[j] = _EVENTS[e], root - t_old[j]
-            # the end state from a step to the event, in this iteration's
-            # record: the interpolant there is several times less accurate
-            y_new[:, done], K[:, :, done] = _step(y_old[:, done], K[0][:, done],
-                                                  sign[done] * h[done], field)
+            fired_rows[ids[finished]] = fired[:, finished].T
             keep = ~finished
             ids, y, t, h_abs, rejected, sign = (
                 ids[keep], y[:, keep], t[keep], h_abs[keep], rejected[keep], sign[keep])
             sg, armed, f = sg[:, keep], armed[:, keep], f[:, keep]
             retry = bool(rejected.any())
 
-    return _trajectories(params, field, y0, directions, steps, stops)
+    return _trajectories(params, field, y0, directions, steps, fired_rows, limits)
 
 
-def _trajectories(params, field, y0, directions, steps, stops):
+def _trajectories(params, field, y0, directions, steps, fired, limits):
     """One Trajectory per lane from integrate_many's per-iteration records
-    (ids, accepted, h, y, y_new, K): the accepted steps of each lane in
-    order, the last one ending on the event, their interpolants built in one
-    batch.  Near a singular end ds/dsigma falls below an ulp
-    of s, so a row is kept only if its s passes every earlier knot, and the
-    end state replaces the knots it does not pass; the dense output and the
-    drift keep every knot."""
+    (ids, accepted, h, y, y_new, K) and the events fired (L, 5) on each
+    lane's last step: the accepted steps of each lane in order, their
+    interpolants built in one batch.  Every (lane, fired event) pair is
+    bisected at once on the step fraction of its lane's last step, and the
+    earliest root of a lane is its stop; the last steps are then redone to
+    their stops in one batch, since the interpolant there is several times
+    less accurate than a step.  Near a singular end ds/dsigma falls below an
+    ulp of s, so a row is kept only if its s passes every earlier knot, and
+    the end state replaces the knots it does not pass; the dense output and
+    the drift keep every knot."""
     lanes = len(y0)
     lane = np.concatenate([st[0] for st in steps])
     accepted = np.concatenate([st[1] for st in steps])
@@ -632,11 +562,29 @@ def _trajectories(params, field, y0, directions, steps, stops):
     def gather(k):
         return np.concatenate([st[k] for st in steps], axis=-1).take(take, axis=-1)
 
-    h_all, y_old, y_all = gather(2), gather(3), gather(4)
-    F_all = np.swapaxes(_dense(gather(5), y_old, y_all, directions[lane[take]] * h_all,
-                               field), 1, 2)
-    y_all = y_all.T
+    h_all, y_old, y_all, K = gather(2), gather(3), gather(4), gather(5)
+    F_all = _dense(K, y_old, y_all, directions[lane[take]] * h_all, field)
     bounds = np.concatenate([[0], np.cumsum(np.bincount(lane[take], minlength=lanes))])
+
+    last = bounds[1:] - 1
+    pair_lane, pair_event = np.nonzero(fired)
+    p = last[pair_lane]
+    F, y_from, y_to, cols = F_all[:, :, p], y_old[:, p], y_all[:, p], np.arange(p.size)
+
+    def event(x):
+        # at fraction 1 the knot itself, whose event signs fired the stop
+        y = np.where(x == 1.0, y_to, _interpolate(F, y_from, x))
+        return _events(y, field(y), limits)[pair_event, cols]
+
+    roots = np.full(fired.shape, np.inf)
+    roots[pair_lane, pair_event] = bisect(event, np.zeros(p.size), np.ones(p.size),
+                                          EVENT_XTOL)[1]
+    stop = np.argmin(roots, axis=1)
+    h_all[last] *= roots[np.arange(lanes), stop]
+    hs = directions * h_all[last]
+    y_all[:, last], K_end = _step(y_old[:, last], K[0][:, last], hs, field)
+    F_all[:, :, last] = _dense(K_end, y_old[:, last], y_all[:, last], hs, field)
+    F_all, y_all = np.swapaxes(F_all, 1, 2), y_all.T
 
     out = []
     for i in range(lanes):
@@ -653,7 +601,7 @@ def _trajectories(params, field, y0, directions, steps, stops):
         keep[-1] = ds[-1] > 0.0
         rows = states[keep] if branch.direction > 0 else states[keep][::-1]
         out.append(Trajectory(params, rows[:, 3], rows[:, :3], E0, drift,
-                              drift < DRIFT_TOL, stops[i],
+                              drift < DRIFT_TOL, _EVENTS[stop[i]],
                               accepted_steps=branch.h.size,
                               rejected_steps=int(rejected[i]),
                               dropped_knots=int(keep.size - keep.sum()),
@@ -743,30 +691,32 @@ def turning_radius(E: float, params: SolitonParams, side: str) -> float:
     """Radius where g(r) = |E| on the requested monotone branch of g.
 
     side = "below"/"above" refers to the peak radius sqrt(n/l') for l' > 0;
-    for l' <= 0, g is increasing and the side is ignored.
+    for l' <= 0, g is increasing and the side is ignored.  The bracket is
+    bisected until its doubles run out; of its two ends, the one where
+    log g - log |E| is smaller in magnitude is the radius.
     """
     target = math.log(abs(E))
 
     def f(rho):
-        return float(_log_weight(rho, params) - target)
+        return _log_weight(rho, params) - target
 
     if params.lambda_prime > 0.0:
         peak = math.sqrt(params.n / params.lambda_prime)
         if f(peak) < 0.0:
             raise IntegrandSingular("|E| exceeds the peak of g; no turning radius")
+        lo = hi = peak
         if side == "below":
-            lo = peak
             while f(lo) > 0.0:
                 lo /= 2.0
-            return _bracketed_root(f, lo, peak, TURNING_XTOL)
-        hi = peak
-        while f(hi) > 0.0:
+        else:
+            while f(hi) > 0.0:
+                hi *= 2.0
+    else:
+        lo, hi = 1e-12, 1.0
+        while f(hi) < 0.0:
             hi *= 2.0
-        return _bracketed_root(f, peak, hi, TURNING_XTOL)
-    lo, hi = 1e-12, 1.0
-    while f(hi) < 0.0:
-        hi *= 2.0
-    return _bracketed_root(f, lo, hi, TURNING_XTOL)
+    lo, hi = bisect(f, lo, hi, 0.0)
+    return float(lo if abs(f(lo)) <= abs(f(hi)) else hi)
 
 
 def phi_quadrature(r_from: float, r_to: float, E: float,

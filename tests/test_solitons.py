@@ -6,7 +6,7 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from parakahler import equivariant, solitons
-from parakahler.dcore import d_grading2, d_norm2, d_pow
+from parakahler.dcore import bisect, d_grading2, d_norm2, d_pow
 from parakahler.errors import (
     IntegrandSingular,
     InvalidCase,
@@ -584,7 +584,9 @@ def test_benchmark_sweeps_have_strictly_increasing_s(half, a):
     # phase command's 5 x 5 sweeps over the benchmark's ranges still has
     # strictly increasing s and passes exactly through its start at s = 0,
     # and its drift stays well below the gate, the alpha_floor ends included
-    # (measured <= 5.8e-10)
+    # (measured <= 5.8e-10).  Each lane's last step is redone to its event:
+    # the dense output of the redone step, not of the step the event fired
+    # on, gives the end rows.
     starts = [(r, al, 0.0) for r in np.linspace(_R0 - half, _R0 + half, 5)
               for al in np.linspace(-a, a, 5)]
     for params in (SolitonParams(2, 1.0, "lorentzian"), SolitonParams(2, -1.0, "definite")):
@@ -595,6 +597,8 @@ def test_benchmark_sweeps_have_strictly_increasing_s(half, a):
             assert origin.size == 1 and np.array_equal(tr.states[origin[0]], y0)
             assert tr.accepted_steps == len(tr.s) - 1 + tr.dropped_knots
             assert tr.max_E_drift < solitons.DRIFT_TOL / 5
+            ends = tr.states[[0, -1]]
+            assert np.all(np.abs(tr.sample(tr.s[[0, -1]]) - ends) <= 1e-12 * (1 + np.abs(ends)))
 
 
 def test_event_rounding_onto_the_last_knot_adds_no_state():
@@ -611,63 +615,118 @@ def test_event_rounding_onto_the_last_knot_adds_no_state():
 
 
 # ---------------------------------------------------------------------------
-# The bracketed root finder against scipy's brentq: the same roots to the
-# stated tolerance xtol + rtol |x| on every root the module asks for.
+# The bracketed root finder, dcore.bisect, against scipy's brentq: every
+# bracket it returns is at most xtol wide (one ulp for xtol = 0), and both
+# its ends lie within that width of brentq's root, to brentq's own
+# tolerance RTOL |x|.  Where the computed function is exactly 0 over a
+# stretch wider than xtol (an event value flat to rounding), any point of
+# it is a root: there both ends must lie on the stretch with brentq's root.
 # ---------------------------------------------------------------------------
 
-def _brentq_root(f, a, b, xtol):
-    return brentq(f, a, b, xtol=xtol, rtol=solitons.ROOT_RTOL,
-                  maxiter=solitons.ROOT_MAXITER)
+RTOL = 4 * np.finfo(float).eps  # the smallest rtol brentq accepts
+
+
+def _brentq_root(f, a, b):
+    return brentq(f, a, b, xtol=1e-300, rtol=RTOL)
+
+
+def _assert_holds(lo, hi, ref, xtol):
+    width = max(xtol, np.spacing(abs(hi)))
+    assert hi - lo <= width
+    assert max(abs(lo - ref), abs(hi - ref)) <= width + RTOL * abs(ref)
+
+
+def _scalar(g, lo, k):
+    """g of bracket k alone, g taking an array of points of the brackets'
+    shape; the other points are held at their lo."""
+    def g_k(x):
+        pts = np.array(lo, dtype=float)
+        pts[k] = x
+        return g(pts)[k]
+    return g_k
+
+
+def _brentq_per_bracket(g, lo, hi):
+    """brentq's root of g in each bracket."""
+    refs = np.empty(np.shape(lo))
+    for k in np.ndindex(refs.shape):
+        refs[k] = _brentq_root(_scalar(g, lo, k), lo[k], hi[k])
+    return refs
 
 
 def _record_against_brentq(monkeypatch):
-    """Route every _bracketed_root call through a wrapper that also asks
-    brentq; returns the list of (root, brentq root, xtol) it fills."""
+    """Route every bisect call of solitons through a wrapper that also asks
+    brentq for the root in each bracket; returns the list of (lo, hi,
+    brentq roots, xtol, flat) it fills, flat marking the brackets where g
+    is 0 at nine points spanning both ends and brentq's root."""
     calls = []
-    ours = solitons._bracketed_root
 
-    def both(f, a, b, xtol):
-        root = ours(f, a, b, xtol)
-        calls.append((root, _brentq_root(f, a, b, xtol), xtol))
-        return root
+    def both(g, lo, hi, xtol):
+        lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), hi)
+        out = bisect(g, lo, hi, xtol)
+        refs = _brentq_per_bracket(g, lo, hi)
+        flat = np.zeros(refs.shape, dtype=bool)
+        for k in np.ndindex(refs.shape):
+            ends = (out[0][k], out[1][k], refs[k])
+            span = np.linspace(min(ends), max(ends), 9)
+            flat[k] = all(_scalar(g, lo, k)(x) == 0.0 for x in span)
+        calls.append(out + (refs, xtol, flat))
+        return out
 
-    monkeypatch.setattr(solitons, "_bracketed_root", both)
+    monkeypatch.setattr(solitons, "bisect", both)
     return calls
 
 
 def _assert_within_tolerance(calls):
+    """Every bracket against brentq; returns how many lie on a stretch of
+    exact zeros wider than the tolerance."""
     assert calls
-    for root, ref, xtol in calls:
-        assert abs(root - ref) <= xtol + solitons.ROOT_RTOL * abs(ref)
+    wide = 0
+    for lo, hi, refs, xtol, flat in calls:
+        for k in np.ndindex(refs.shape):
+            if flat[k]:
+                wide += abs(lo[k] - refs[k]) > xtol or abs(hi[k] - refs[k]) > xtol
+            else:
+                _assert_holds(lo[k], hi[k], refs[k], xtol)
+    return wide
 
 
 @pytest.mark.parametrize("f, a, b", [
     (lambda x: x * x - 2.0, 0.0, 2.0),
-    (lambda x: math.cos(x) - x, 0.0, 1.0),
-    (lambda x: math.expm1(40.0 * (x - 0.3)), -1.0, 1.0),
+    (lambda x: np.cos(x) - x, 0.0, 1.0),
+    (lambda x: np.expm1(40.0 * (x - 0.3)), -1.0, 1.0),
     (lambda x: x ** 3 - 1e-9, 0.0, 1.0),
-    (lambda x: math.tanh(1e4 * (x - 0.7)), 0.0, 1.0),
-    (lambda x: math.copysign(1.0, x - 0.3), 0.0, 1.0),  # bisection only
-    (lambda x: 1e-300 * (math.cos(x) - x), 0.0, 1.0),  # interpolation underflows
+    (lambda x: np.tanh(1e4 * (x - 0.7)), 0.0, 1.0),
+    (lambda x: np.copysign(1.0, x - 0.3), 0.0, 1.0),  # a jump
+    (lambda x: 1e-300 * (np.cos(x) - x), 0.0, 1.0),  # subnormal values near the root
 ])
-@pytest.mark.parametrize("xtol", [solitons.EVENT_XTOL, solitons.TURNING_XTOL, 1e-6])
+@pytest.mark.parametrize("xtol", [solitons.EVENT_XTOL, 1e-14, 1e-6, 0.0])
 def test_bracketed_root_matches_brentq(f, a, b, xtol):
-    root = solitons._bracketed_root(f, a, b, xtol)
-    ref = _brentq_root(f, a, b, xtol)
-    assert abs(root - ref) <= xtol + solitons.ROOT_RTOL * abs(ref)
+    lo, hi = bisect(f, a, b, xtol)
+    _assert_holds(lo, hi, _brentq_root(f, a, b), xtol)
+    # one call on several brackets gives each bracket its own result, and a
+    # bracket already found stays as it is
+    many = bisect(f, [a, lo, a], [b, hi, b], xtol)
+    assert many[0].tolist() == [lo, lo, lo] and many[1].tolist() == [hi, hi, hi]
 
 
 def test_bracketed_root_endpoints_and_bracket():
-    # a jump is located to xtol + rtol |x|; an endpoint where f vanishes is
-    # the root; no sign change is an error
-    for xtol in (solitons.EVENT_XTOL, solitons.TURNING_XTOL, 1e-6):
-        root = solitons._bracketed_root(lambda x: math.copysign(1.0, x - 0.3),
-                                        0.0, 1.0, xtol)
-        assert abs(root - 0.3) <= xtol + solitons.ROOT_RTOL * root
-    assert solitons._bracketed_root(lambda x: x - 1.0, 1.0, 3.0, 1e-14) == 1.0
-    assert solitons._bracketed_root(lambda x: x - 3.0, 1.0, 3.0, 1e-14) == 3.0
+    # a jump is located to xtol; an endpoint where f vanishes is the root,
+    # and so is a midpoint where f is exactly 0 (lo = hi there); no sign
+    # change is an error
+    for xtol in (solitons.EVENT_XTOL, 1e-14, 1e-6, 0.0):
+        lo, hi = bisect(lambda x: np.copysign(1.0, x - 0.3), 0.0, 1.0, xtol)
+        assert lo <= 0.3 <= hi and hi - lo <= max(xtol, np.spacing(0.3))
+    lo, hi = bisect(lambda x: x - 1.0, [1.0, 0.0], [3.0, 1.0], 1e-14)
+    assert lo.tolist() == hi.tolist() == [1.0, 1.0]
+    lo, hi = bisect(lambda x: x - 0.75, 0.5, 1.0, 0.0)  # the first midpoint
+    assert lo == hi == 0.75
     with pytest.raises(ValueError):
-        solitons._bracketed_root(lambda x: x * x + 1.0, -1.0, 1.0, 1e-14)
+        bisect(lambda x: x * x + 1.0, -1.0, 1.0, 1e-14)
+    with pytest.raises(ValueError):
+        bisect(lambda x: x * x + 1.0, [0.0, -1.0], [1.0, 1.0], 1e-14)
+    with pytest.raises(ValueError), np.errstate(invalid="ignore"):
+        bisect(lambda x: np.log(x), -1.0, 2.0, 1e-14)  # nan at an end
 
 
 @pytest.mark.parametrize("params", [SolitonParams(2, 1.0, "lorentzian"),
@@ -680,7 +739,14 @@ def test_sweep_events_match_brentq(params, monkeypatch):
     calls = _record_against_brentq(monkeypatch)
     ours = integrate_bidirectional_many(params, _SWEEP, 10.0, rtol=1e-12)
     _assert_within_tolerance(calls)
-    monkeypatch.setattr(solitons, "_bracketed_root", _brentq_root)
+    assert len(calls) == 1 and calls[0][0].size >= 2 * len(_SWEEP)
+    assert calls[0][3] == solitons.EVENT_XTOL
+
+    def brentq_bisect(g, lo, hi, xtol):
+        refs = _brentq_per_bracket(g, lo, hi)
+        return refs, refs
+
+    monkeypatch.setattr(solitons, "bisect", brentq_bisect)
     ref = integrate_bidirectional_many(params, _SWEEP, 10.0, rtol=1e-12)
     assert [tr.stop_reason for tr in ours] == [tr.stop_reason for tr in ref]
     assert [classify(tr) for tr in ours] == [classify(tr) for tr in ref]
@@ -696,6 +762,7 @@ def test_turning_radius_matches_brentq(monkeypatch):
         rho = turning_radius(E, params, side)
         if params.lambda_prime > 0:
             assert (rho < math.sqrt(params.n / params.lambda_prime)) == (side == "below")
-    _assert_within_tolerance(calls)
+        assert rho in (calls[-1][0], calls[-1][1])
+    assert _assert_within_tolerance(calls) == 0
     assert len(calls) == 6
-    assert all(xtol == solitons.TURNING_XTOL for _, _, xtol in calls)
+    assert all(xtol == 0.0 for *_, xtol, _ in calls)

@@ -67,3 +67,23 @@ def test_jfields_match_the_per_node_reference(monkeypatch, tmp_path):
     for axes, fn in calls:
         built = geometry.jfield_from_function(axes, fn).mats
         assert np.array_equal(built, _jfield_per_point(axes, fn))
+
+
+def test_nijenhuis_decomposition_check_is_not_vacuous(monkeypatch):
+    # the eigendistribution decomposition compares two sides of an identity
+    # for N; on a structure where N = 0 both sides vanish exactly and a wrong
+    # bracket would pass, so it runs where |N| > 1 (the twisted structure)
+    found = []
+    nijenhuis = geometry.nijenhuis
+
+    def recorded(jf, node, X, Y):
+        N = nijenhuis(jf, node, X, Y)
+        if callable(X):
+            found.append(N)
+        return N
+
+    monkeypatch.setattr(verify, "nijenhuis", recorded)
+    checks = {check.name: check for check in verify.suite_nijenhuis()}
+    assert checks["eigendistribution decomposition of N"].passed
+    assert len(found) == 3
+    assert all(np.max(np.abs(N)) > 1.0 for N in found)

@@ -209,19 +209,35 @@ def lagrangian_angle_of_frame(frames) -> LagrangianAngle:
     return LagrangianAngle(q, theta)
 
 
-def random_lagrangian_frame(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Random frame spanning a Lagrangian plane of D^n.
+def random_lagrangian_frames(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """count random frames (count, n, n, 2), each spanning a Lagrangian
+    plane of D^n: rows e_i + tau S_i for a random symmetric S (omega
+    vanishes pairwise by symmetry), mixed by a random real GL(n) matrix A
+    with |det| >= 0.1, which preserves the Lagrangian span.
 
-    Rows are e_i + tau S_i for a random symmetric S (omega vanishes pairwise
-    by symmetry), mixed by a random real GL(n) matrix with |det| >= 0.1,
-    which preserves the Lagrangian span.
+    Each frame reads the stream in n x n chunks: one for S, then candidates
+    for A until one passes.  Generator.normal fills its output in stream
+    order, so drawing exactly what the remaining frames still consume (two
+    each, one less while an S waits for its A) gives the frames and the
+    generator state of count one-frame draws.
     """
-    S = rng.normal(size=(n, n))
-    S = 0.5 * (S + S.T)
-    frame = np.zeros((n, n, 2))
-    frame[..., 0] = np.eye(n)
-    frame[..., 1] = S
-    A = rng.normal(size=(n, n))
-    while abs(np.linalg.det(A)) < 0.1:
-        A = rng.normal(size=(n, n))
-    return np.einsum("ij,jkc->ikc", A, frame)
+    if count == 0:
+        return np.empty((0, n, n, 2))
+    chunks, s_at, a_at = [], [], []
+    k = 0
+    while len(a_at) < count:
+        draw = rng.normal(size=(2 * count - len(a_at) - len(s_at), n, n))
+        chunks.append(draw)
+        for det in np.linalg.det(draw).tolist():
+            if len(s_at) == len(a_at):
+                s_at.append(k)
+            elif abs(det) >= 0.1:
+                a_at.append(k)
+            k += 1
+    stream = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
+    S = stream.take(s_at, axis=0)
+    A = stream.take(a_at, axis=0)
+    out = np.empty((count, n, n, 2))
+    out[..., 0] = A  # A (I + tau S) = A + tau A S
+    out[..., 1] = np.einsum("fij,fjk->fik", A, 0.5 * (S + S.transpose(0, 2, 1)))
+    return out

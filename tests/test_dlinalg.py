@@ -17,7 +17,7 @@ from parakahler.dlinalg import (
     lagrangian_angle_of_frame,
     metric,
     omega,
-    random_lagrangian_frame,
+    random_lagrangian_frames,
     require_lagrangian,
 )
 from parakahler.errors import (
@@ -187,10 +187,63 @@ def test_gram_identity_unit_scaling():
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_gram_identity_random_frames(n, rng):
-    for _ in range(100):
-        fr = random_lagrangian_frame(n, rng)
+    for fr in random_lagrangian_frames(n, 100, rng):
         dg, sq = gram_identity_check(fr)
         assert dg == pytest.approx(sq, rel=1e-10, abs=1e-12)
+
+
+def _random_lagrangian_frame_per_call(n, rng):
+    """Reference: one frame per call, S then candidates for A until
+    |det A| >= 0.1, each drawn with its own rng.normal call."""
+    S = rng.normal(size=(n, n))
+    S = 0.5 * (S + S.T)
+    frame = np.zeros((n, n, 2))
+    frame[..., 0] = np.eye(n)
+    frame[..., 1] = S
+    A = rng.normal(size=(n, n))
+    while abs(np.linalg.det(A)) < 0.1:
+        A = rng.normal(size=(n, n))
+    return np.einsum("ij,jkc->ikc", A, frame)
+
+
+def _assert_stream_exact(n, count, seed):
+    """random_lagrangian_frames gives the reference's frames bit for bit and
+    leaves the generator where count reference calls leave it."""
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    frames = random_lagrangian_frames(n, count, rng)
+    ref = np.stack([_random_lagrangian_frame_per_call(n, ref_rng) for _ in range(count)])
+    assert frames.shape == (count, n, n, 2)
+    assert np.array_equal(frames.view(np.uint64), ref.view(np.uint64))
+    assert rng.normal() == ref_rng.normal()
+
+
+@pytest.mark.parametrize("count", [1, 7, 1000])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_random_frames_match_per_call_draws(n, count):
+    for seed in (1, 2, 3, 4, 5, 11):
+        _assert_stream_exact(n, count, seed)
+
+
+def test_random_frames_do_not_overdraw_for_a_waiting_s():
+    # Seed scan: at n = 4, seed 3, the first 14 chunks give six frames and
+    # the S of the last one, whose first candidate for A is rejected; the
+    # next chunk passes.  So the S waits and exactly one chunk must follow:
+    # a draw of two per remaining frame leaves the generator one chunk ahead.
+    n, count, seed = 4, 7, 3
+    rng = np.random.default_rng(seed)
+    for _ in range(count - 1):
+        _random_lagrangian_frame_per_call(n, rng)
+    rng.normal(size=(n, n))
+    assert abs(np.linalg.det(rng.normal(size=(n, n)))) < 0.1
+    assert abs(np.linalg.det(rng.normal(size=(n, n)))) >= 0.1
+    _assert_stream_exact(n, count, seed)
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_random_frames_count_zero_draws_nothing(n):
+    rng = np.random.default_rng(3)
+    assert random_lagrangian_frames(n, 0, rng).shape == (0, n, n, 2)
+    assert rng.normal() == np.random.default_rng(3).normal()
 
 
 def test_gram_identity_rejects_non_lagrangian():
@@ -216,7 +269,7 @@ def test_angle_of_unit_curve_frame():
 
 
 def test_angle_invariant_under_real_frame_changes(rng):
-    fr = random_lagrangian_frame(3, rng)
+    fr = random_lagrangian_frames(3, 1, rng)[0]
     ang = lagrangian_angle_of_frame(fr)
     for _ in range(20):
         A = rng.normal(size=(3, 3))
@@ -266,7 +319,7 @@ def _leibniz_condition(frames):
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_stacked_frame_queries_match_single_frames(n, rng):
-    frames = np.stack([random_lagrangian_frame(n, rng) for _ in range(200)])
+    frames = random_lagrangian_frames(n, 200, rng)
     det_gram, sq = gram_identity_check(frames)
     ang = lagrangian_angle_of_frame(frames)
     assert det_gram.shape == sq.shape == ang.q.shape == ang.theta.shape == (200,)

@@ -270,8 +270,7 @@ def _assert_matches_per_frame(stack):
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_gram_schmidt_stack_matches_per_frame_lagrangian(n):
     rng = np.random.default_rng(20 + n)
-    _assert_matches_per_frame(
-        np.stack([dlinalg.random_lagrangian_frame(n, rng) for _ in range(60)]))
+    _assert_matches_per_frame(dlinalg.random_lagrangian_frames(n, 60, rng))
 
 
 def test_gram_schmidt_stack_null_pair_branch_is_masked():
@@ -283,7 +282,7 @@ def test_gram_schmidt_stack_null_pair_branch_is_masked():
     rng = np.random.default_rng(5)
     mixed = np.empty((2 * len(null),) + null.shape[1:])
     mixed[0::2] = null
-    mixed[1::2] = [dlinalg.random_lagrangian_frame(2, rng) for _ in range(len(null))]
+    mixed[1::2] = dlinalg.random_lagrangian_frames(2, len(null), rng)
     _assert_matches_per_frame(mixed)
 
 
@@ -310,7 +309,7 @@ def test_gram_schmidt_stack_matches_per_frame_hard_cases():
 
 def test_gram_schmidt_stack_shapes_and_single_frame():
     rng = np.random.default_rng(9)
-    stack = np.stack([dlinalg.random_lagrangian_frame(3, rng) for _ in range(6)])
+    stack = dlinalg.random_lagrangian_frames(3, 6, rng)
     gs = signed_gram_schmidt(stack.reshape(2, 3, 3, 3, 2))
     assert gs.frame.shape == (2, 3, 3, 3, 2)
     assert gs.signature.shape == (2, 3, 3) and gs.coeffs.shape == (2, 3, 3, 3)
@@ -323,7 +322,7 @@ def test_gram_schmidt_stack_shapes_and_single_frame():
 
 def test_gram_schmidt_stack_names_the_degenerate_frame():
     rng = np.random.default_rng(4)
-    stack = np.stack([dlinalg.random_lagrangian_frame(2, rng) for _ in range(6)])
+    stack = dlinalg.random_lagrangian_frames(2, 6, rng)
     v1 = basis_vector(2, 0) + basis_vector(2, 1, tau=True)
     v2 = basis_vector(2, 1) + basis_vector(2, 0, tau=True)
     stack[4] = np.stack([v1, v2])

@@ -44,6 +44,28 @@ def test_point_query_suites_check_stacks(monkeypatch):
     assert 0 < len(calls["signed_gram_schmidt"]) <= 6
 
 
+def test_gram_lemma_draws_stacked_frames_in_six_calls(monkeypatch):
+    # The 3 x 1000 identity frames and the 3 x 200 Gram-Schmidt frames come
+    # from one draw per stack; only the 300-change loop, whose integer draws
+    # sit between its normals, draws one frame per call.
+    calls = []
+    _spy(monkeypatch, dlinalg.random_lagrangian_frames, calls)
+    assert all(check.passed for check in verify.suite_gram_lemma())
+    stacked = [count for _, count, _ in calls if count > 1]
+    assert len(stacked) <= 6
+    assert sum(stacked) == 3 * verify.GRAM_FRAMES + 3 * 200
+    assert sum(count == 1 for _, count, _ in calls) == 300
+
+
+def test_det_pairs_in_one_draw_equal_pairs_drawn_one_by_one():
+    one, per_pair = np.random.default_rng(11), np.random.default_rng(11)
+    pairs = one.normal(size=(300, 2, 3, 3, 2))
+    ref = np.array([(per_pair.normal(size=(3, 3, 2)), per_pair.normal(size=(3, 3, 2)))
+                    for _ in range(300)])
+    assert np.array_equal(pairs.view(np.uint64), ref.view(np.uint64))
+    assert one.normal() == per_pair.normal()
+
+
 def _jfield_per_point(axes, fn):
     """Reference: the J-field built one fn call per node, at the node's
     coordinates lo + spacing * i."""

@@ -238,8 +238,7 @@ def cmd_nijenhuis(args) -> int:
     for level in range(args.refine):
         axes = tuple(GridAxis(-span, span, count) for _ in range(dims))
         jf = jfield_from_function(axes, jfun)
-        node = tuple((count - 1) // 2 for _ in range(dims))
-        N = nijenhuis(jf, node, X, Y)
+        N, _ = nijenhuis(jf, X, Y, [((count - 1) // 2,) * dims])
         norm = float(np.max(np.abs(N)))
         rows.append([level, axes[0].spacing, norm])
         norms.append(norm)

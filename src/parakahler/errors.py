@@ -9,10 +9,6 @@ class NullValue(ParakahlerError):
     """Value lies on (or numerically at) the light cone; no polar form."""
 
 
-class BoundaryPoint(ParakahlerError):
-    """Finite-difference stencil would leave the grid."""
-
-
 class DimensionMismatch(ParakahlerError):
     """Operands live in different D^n."""
 

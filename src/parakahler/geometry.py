@@ -4,7 +4,8 @@ An immersion is sampled on a rectangular parameter grid (per-axis uniform
 spacing, optionally periodic).  All derivatives are order-2 central
 differences, at every node or at a node set (an int array (k, m) of node
 indices); the stencil wraps every axis, and a mask marks the nodes with the
-full 2-cell margin from every non-periodic boundary.  Quantities:
+margin the stencil needs from every non-periodic boundary (2 cells for the
+jet, 1 for a bracket).  Quantities:
 
     grid_jet            first and second derivatives
     coordinate_tangents first derivatives only
@@ -15,6 +16,7 @@ full 2-cell margin from every non-periodic boundary.  Quantities:
     signed_gram_schmidt pivoted orthonormalization for indefinite metrics,
                         of one frame or a stack of frames
     para_adapted_frame  orthonormal frame with e_{2i} = J e_{2i-1}
+    lie_bracket         [A, B] of sampled vector fields
     nijenhuis           integrability obstruction of a sampled J-field
 
 The trace needs no orthonormal frame; Gram-Schmidt stays where a frame is
@@ -33,7 +35,6 @@ import numpy as np
 from .dcore import d_array, d_grading2
 from .dlinalg import apply_J, gram
 from .errors import (
-    BoundaryPoint,
     DegenerateMetric,
     NotJInvariant,
     NotParaComplexStructure,
@@ -68,14 +69,6 @@ class GridAxis:
     def nodes(self) -> np.ndarray:
         return self.lo + self.spacing * np.arange(self.count)
 
-    def shift(self, i: int, delta: int) -> int:
-        j = i + delta
-        if self.periodic:
-            return j % self.count
-        if j < 0 or j >= self.count:
-            raise BoundaryPoint(f"index {j} outside [0, {self.count})")
-        return j
-
 
 @dataclass(frozen=True)
 class SampledImmersion:
@@ -106,19 +99,20 @@ class SampledImmersion:
     def shape(self) -> tuple[int, ...]:
         return tuple(a.count for a in self.axes)
 
-    def coords(self, node: Sequence[int]) -> tuple[float, ...]:
-        return tuple(a.lo + a.spacing * i for a, i in zip(self.axes, node))
-
     def margin_mask(self, margin: int = JET_MARGIN) -> np.ndarray:
-        """Boolean grid of the nodes at least margin cells from every
-        non-periodic boundary."""
-        mask = np.ones(self.shape, dtype=bool)
-        for a, axis in enumerate(self.axes):
-            if not axis.periodic:
-                sl = [slice(None)] * self.m
-                sl[a] = np.r_[0:margin, axis.count - margin:axis.count]
-                mask[tuple(sl)] = False
-        return mask
+        return margin_mask(self.axes, margin)
+
+
+def margin_mask(axes: Sequence[GridAxis], margin: int) -> np.ndarray:
+    """Boolean grid of the nodes at least margin cells from every
+    non-periodic boundary."""
+    mask = np.ones(tuple(a.count for a in axes), dtype=bool)
+    for a, axis in enumerate(axes):
+        if not axis.periodic:
+            sl = [slice(None)] * len(axes)
+            sl[a] = np.r_[0:margin, axis.count - margin:axis.count]
+            mask[tuple(sl)] = False
+    return mask
 
 
 def immersion_from_function(axes: Sequence[GridAxis], fn: Callable) -> SampledImmersion:
@@ -135,17 +129,18 @@ class Jet:
     second: np.ndarray  # (..., m, m, n, 2)
 
 
-def node_set(imm: SampledImmersion, nodes):
-    """nodes as an int array (k, m) of node indices inside the grid; None
-    (every node) passes through."""
+def node_set(sampled, nodes):
+    """nodes as an int array (k, m) of node indices inside the grid of
+    sampled.axes (an immersion or a J-field); None (every node) passes
+    through."""
     if nodes is None:
         return None
-    nodes = np.asarray(nodes)
-    if (nodes.ndim != 2 or nodes.shape[1] != imm.m
+    nodes, shape = np.asarray(nodes), tuple(a.count for a in sampled.axes)
+    if (nodes.ndim != 2 or nodes.shape[1] != len(shape)
             or not np.issubdtype(nodes.dtype, np.integer)):
-        raise ValueError(f"nodes must be an int array (k, {imm.m}), got shape {nodes.shape}")
-    if np.any((nodes < 0) | (nodes >= np.array(imm.shape))):
-        raise ValueError(f"nodes outside the grid {imm.shape}")
+        raise ValueError(f"nodes must be an int array (k, {len(shape)}), got shape {nodes.shape}")
+    if np.any((nodes < 0) | (nodes >= np.array(shape))):
+        raise ValueError(f"nodes outside the grid {shape}")
     return nodes.astype(np.intp, copy=False)
 
 
@@ -416,7 +411,9 @@ def grid_mean_curvature(imm: SampledImmersion, nodes=None):
 
 # ---------------------------------------------------------------------------
 # Almost para-complex structures on a coordinate box and their Nijenhuis
-# tensor.  Vector fields are constant vectors or callables of the point.
+# tensor.  Vector fields are sampled like J-fields, (*counts, d), or one
+# vector (d,) broadcast to every node; brackets come from the central first
+# differences of the one stencil.
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -431,9 +428,6 @@ class JField:
     @property
     def dim(self) -> int:
         return self.mats.shape[-1]
-
-    def coords(self, node) -> np.ndarray:
-        return np.array([a.lo + a.spacing * i for a, i in zip(self.axes, node)])
 
     def check_structure(self):
         sq = self.mats @ self.mats
@@ -456,56 +450,53 @@ def jfield_from_function(axes: Sequence[GridAxis], fn: Callable) -> JField:
     return JField(axes, np.broadcast_to(mats, mesh[0].shape + mats.shape[-2:]))
 
 
-def _as_field(jf: JField, F):
-    """F, a constant vector or a callable of the point, as a callable of the node."""
-    if callable(F):
-        return lambda node: np.asarray(F(jf.coords(node)), dtype=float)
-    vec = np.asarray(F, dtype=float).reshape(jf.dim)
-    return lambda node: vec
+def _field(jf: JField, F) -> np.ndarray:
+    """The vector field F, (*counts, d) or one vector (d,) for every node."""
+    return np.broadcast_to(np.asarray(F, dtype=float), jf.mats.shape[:-1])
 
 
-def _directional(jf: JField, F, node, direction: np.ndarray) -> np.ndarray:
-    """Directional derivative sum_k dir_k d_k F by central differences."""
-    out = np.zeros(jf.dim)
-    for a, axis in enumerate(jf.axes):
-        if direction[a] == 0.0:
-            continue
-        up = node[:a] + (axis.shift(node[a], +1),) + node[a + 1:]
-        dn = node[:a] + (axis.shift(node[a], -1),) + node[a + 1:]
-        out += direction[a] * (F(up) - F(dn)) / (2 * axis.spacing)
-    return out
+def _neighbourhood(grid, nodes, m: int) -> np.ndarray:
+    """grid at each node and at its neighbours +e_0, -e_0, +e_1, ... on the
+    one stencil, stacked on a new leading axis of length 1 + 2m."""
+    shifted = stencil(grid, nodes)
+    return np.stack([shifted({})] + [shifted({l: s}) for l in range(m) for s in (+1, -1)])
 
 
-def _bracket(jf: JField, A, B, node: tuple) -> np.ndarray:
-    """[A, B] at a node for fields A, B given as callables of the node."""
-    for a, axis in enumerate(jf.axes):
-        if not axis.periodic and not (1 <= node[a] <= axis.count - 2):
-            raise BoundaryPoint(f"node {node} lacks a 1-cell stencil on axis {a}")
-    return _directional(jf, B, node, A(node)) - _directional(jf, A, node, B(node))
+def _apply(J, v) -> np.ndarray:
+    """J v, batched over the leading axes."""
+    return (J @ v[..., None])[..., 0]
 
 
-def lie_bracket(jf: JField, A, B, node) -> np.ndarray:
-    """[A, B] = D_A B - D_B A at a node, via central differences."""
-    return _bracket(jf, _as_field(jf, A), _as_field(jf, B), tuple(node))
+def _bracket(A, B, spacings) -> np.ndarray:
+    """[A, B] = D_A B - D_B A from the neighbourhoods A, B of two fields, with
+    D_A B = sum_l A^l (B(+e_l) - B(-e_l)) / (2 h_l) summed in axis order."""
+    def derivative(F, G):
+        return sum(F[0, ..., l, None] * (G[2 * l + 1] - G[2 * l + 2]) / (2 * h)
+                   for l, h in enumerate(spacings))
+    return derivative(A, B) - derivative(B, A)
 
 
-def j_apply_field(jf: JField, F):
-    """The field J F, with F and the result callables of the grid node: J is
-    looked up at the node the bracket evaluates, so a point off the grid
-    (a tuple of floats) raises IndexError."""
-    return lambda node: jf.mats[node] @ F(node)
+def lie_bracket(jf: JField, A, B, nodes=None):
+    """([A, B], valid) at every node (leading grid axes) or at the node set
+    nodes (leading axis k), via central differences; valid marks the nodes
+    with a 1-cell margin from every non-periodic boundary (wrapped values
+    elsewhere are garbage)."""
+    nodes = node_set(jf, nodes)
+    A, B = (_neighbourhood(_field(jf, F), nodes, len(jf.axes)) for F in (A, B))
+    value = _bracket(A, B, [a.spacing for a in jf.axes])
+    return value, stencil(margin_mask(jf.axes, 1), nodes)({})
 
 
-def nijenhuis(jf: JField, node, X, Y) -> np.ndarray:
-    """N^J(X, Y) = [X, Y] + [JX, JY] - J [JX, Y] - J [X, JY] at a node."""
+def nijenhuis(jf: JField, X, Y, nodes=None):
+    """(N^J(X, Y), valid) with N^J(X, Y) = [X, Y] + [JX, JY] - J [JX, Y]
+    - J [X, JY], at every node or at the node set nodes as in lie_bracket.
+    J X is taken on the gathered samples, so each neighbour sees its own J."""
     jf.check_structure()
-    node = tuple(node)
-    X, Y = _as_field(jf, X), _as_field(jf, Y)
-    JX, JY = j_apply_field(jf, X), j_apply_field(jf, Y)
-    J = jf.mats[node]
-    return (
-        _bracket(jf, X, Y, node)
-        + _bracket(jf, JX, JY, node)
-        - J @ _bracket(jf, JX, Y, node)
-        - J @ _bracket(jf, X, JY, node)
-    )
+    nodes = node_set(jf, nodes)
+    J, X, Y = (_neighbourhood(grid, nodes, len(jf.axes))
+               for grid in (jf.mats, _field(jf, X), _field(jf, Y)))
+    JX, JY = _apply(J, X), _apply(J, Y)
+    h = [a.spacing for a in jf.axes]
+    value = (_bracket(X, Y, h) + _bracket(JX, JY, h)
+             - _apply(J[0], _bracket(JX, Y, h)) - _apply(J[0], _bracket(X, JY, h)))
+    return value, stencil(margin_mask(jf.axes, 1), nodes)({})

@@ -817,7 +817,7 @@ def suite_nijenhuis():
     axes2 = (GridAxis(-0.4, 0.4, 17), GridAxis(-0.4, 0.4, 17))
 
     const = jfield_from_function(axes2, standard_structure)
-    N = nijenhuis(const, (8, 8), np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+    N, _ = nijenhuis(const, [1.0, 0.0], [0.0, 1.0], [(8, 8)])
     out.append(_check("constant standard structure is integrable",
                       float(np.max(np.abs(N))) < 1e-12,
                       f"|N| = {float(np.max(np.abs(N))):.2e}"))
@@ -828,7 +828,7 @@ def suite_nijenhuis():
         return _mat2(1.0 + 0.2 * x, 0.2 * y, 0.2 * y, 1.0 + 0.2 * x)
 
     jf = jfield_from_function(axes2, pullback_structure(dphi))
-    N = nijenhuis(jf, (8, 8), np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+    N, _ = nijenhuis(jf, [1.0, 0.0], [0.0, 1.0], [(8, 8)])
     out.append(_check("pullback by a para-holomorphic chart is integrable",
                       float(np.max(np.abs(N))) < 1e-10,
                       f"|N| = {float(np.max(np.abs(N))):.2e}"))
@@ -838,9 +838,7 @@ def suite_nijenhuis():
     def n_norm(count, node):
         axes = (GridAxis(-0.4, 0.4, count), GridAxis(-0.4, 0.4, count))
         jf = jfield_from_function(axes, pullback_structure(curved_chart))
-        return float(np.max(np.abs(nijenhuis(jf, node,
-                                             np.array([1.0, 0.0]),
-                                             np.array([0.0, 1.0])))))
+        return float(np.max(np.abs(nijenhuis(jf, [1.0, 0.0], [0.0, 1.0], [node])[0])))
 
     n1, n2 = n_norm(17, (9, 9)), n_norm(33, (18, 18))
     ratio = n1 / n2 if n2 > 0 else math.inf
@@ -851,9 +849,8 @@ def suite_nijenhuis():
     def twist_norm(count):
         axes4 = tuple(GridAxis(-0.3, 0.3, count) for _ in range(4))
         jf4 = jfield_from_function(axes4, twist_structure)
-        node = (count // 2,) * 4
-        return nijenhuis(jf4, node, np.array([0, 0, 1.0, 0]),
-                         np.array([0, 0, 0, 1.0]))
+        N, _ = nijenhuis(jf4, [0, 0, 1.0, 0], [0, 0, 0, 1.0], [(count // 2,) * 4])
+        return N[0]
 
     N1, N2 = twist_norm(5), twist_norm(9)
     oracle = np.array([4.0, 0.0, 0.0, 0.0])
@@ -870,39 +867,21 @@ def suite_nijenhuis():
     # three nodes.
     axes4 = tuple(GridAxis(-0.3, 0.3, 9) for _ in range(4))
     jf4 = jfield_from_function(axes4, twist_structure)
-    up = [np.array([1.0, 0, 0, 0]), np.array([0, 1.0, 0, 0])]
-    vm0 = np.array([0, 0, 1.0, 0])
+    p = [c[..., None] for c in np.meshgrid(*[a.nodes() for a in axes4], indexing="ij")]
+    up, vm0 = np.eye(4)[:2], np.eye(4)[2]
+    vm1 = p[2] * up[0] + np.eye(4)[3]
+    U1 = np.sin(p[0] + 0.3 * p[3]) * up[0] + p[1] ** 2 * up[1]
+    V1 = np.cos(p[2]) * vm0 + 0.4 * p[0] * p[3] * vm1
+    U2 = (p[0] * p[2] + 0.1) * up[0] + np.sin(p[3]) * up[1]
+    V2 = 0.7 * p[1] * vm0 + np.cos(p[0] + p[1]) * vm1
 
-    def vm1(p):
-        return np.array([p[2], 0, 0, 1.0])
-
-    def U1(p):
-        return math.sin(p[0] + 0.3 * p[3]) * up[0] + p[1] ** 2 * up[1]
-
-    def V1(p):
-        return math.cos(p[2]) * vm0 + 0.4 * p[0] * p[3] * vm1(p)
-
-    def U2(p):
-        return (p[0] * p[2] + 0.1) * up[0] + math.sin(p[3]) * up[1]
-
-    def V2(p):
-        return 0.7 * p[1] * vm0 + math.cos(p[0] + p[1]) * vm1(p)
-
-    def X1(p):
-        return U1(p) + V1(p)
-
-    def X2(p):
-        return U2(p) + V2(p)
-
-    diff, n_min = 0.0, math.inf
-    for node in ((4, 4, 4, 4), (3, 5, 2, 6), (6, 2, 5, 3)):
-        lhs = nijenhuis(jf4, node, X1, X2)
-        J = jf4.mats[node]
-        bUU = lie_bracket(jf4, U1, U2, node)
-        bVV = lie_bracket(jf4, V1, V2, node)
-        rhs = 2.0 * (bUU - J @ bUU + bVV + J @ bVV)
-        diff = max(diff, float(np.max(np.abs(lhs - rhs))))
-        n_min = min(n_min, float(np.max(np.abs(lhs))))
+    nodes = [(4, 4, 4, 4), (3, 5, 2, 6), (6, 2, 5, 3)]
+    lhs, _ = nijenhuis(jf4, U1 + V1, U2 + V2, nodes)
+    J = jf4.mats[tuple(np.transpose(nodes))]
+    bUU, bVV = (lie_bracket(jf4, A, B, nodes)[0][..., None] for A, B in ((U1, U2), (V1, V2)))
+    rhs = 2.0 * (bUU - J @ bUU + bVV + J @ bVV)[..., 0]
+    diff = float(np.max(np.abs(lhs - rhs)))
+    n_min = float(np.min(np.max(np.abs(lhs), axis=-1)))
     h = axes4[0].spacing
     out.append(_check("eigendistribution decomposition of N",
                       diff < 50.0 * h * h,

@@ -8,7 +8,6 @@ from parakahler import dlinalg
 from parakahler.dcore import d_exp_tau, d_grading2
 from parakahler.dlinalg import apply_J, basis_vector, metric
 from parakahler.errors import (
-    BoundaryPoint,
     DegenerateMetric,
     NotJInvariant,
     NotParaComplexStructure,
@@ -26,7 +25,6 @@ from parakahler.geometry import (
     _gram_schmidt_stack,
     immersion_from_function,
     induced_gram,
-    j_apply_field,
     jfield_from_function,
     lie_bracket,
     metric_signatures,
@@ -44,20 +42,30 @@ def curve_immersion(fn, lo=-1.0, hi=1.0, count=41):
         (GridAxis(lo, hi, count),), lambda s: fn(s))
 
 
+class OffStencil(Exception):
+    """A reference stencil would leave the grid."""
+
+
+def shifted_node(axes, node, axis, delta) -> tuple:
+    """node moved delta cells along axis, wrapped; callers first check that
+    a non-periodic axis is not left."""
+    return node[:axis] + ((node[axis] + delta) % axes[axis].count,) + node[axis + 1:]
+
+
 def reference_jet(imm, node) -> Jet:
     """Reference: the per-node stencil, order-2 central differences at one
-    node with each neighbour looked up by GridAxis.shift; BoundaryPoint
-    within JET_MARGIN cells of a non-periodic boundary."""
+    node with each neighbour looked up by index; OffStencil within
+    JET_MARGIN cells of a non-periodic boundary."""
     node = tuple(node)
     for a, i in zip(imm.axes, node):
         if not a.periodic and min(i, a.count - 1 - i) < JET_MARGIN:
-            raise BoundaryPoint(f"node {node} is within {JET_MARGIN} cells of a boundary")
+            raise OffStencil(f"node {node} is within {JET_MARGIN} cells of a boundary")
 
     def shifted(deltas):
-        idx = list(node)
+        idx = node
         for axis, delta in deltas.items():
-            idx[axis] = imm.axes[axis].shift(idx[axis], delta)
-        return imm.values[tuple(idx)]
+            idx = shifted_node(imm.axes, idx, axis, delta)
+        return imm.values[idx]
 
     h = [a.spacing for a in imm.axes]
     m = imm.m
@@ -118,7 +126,7 @@ def test_jet_refinement_order():
     for count in (41, 81):
         imm = curve_immersion(fn, count=count)
         jt = node_jet(imm, (count // 2,))
-        s0 = imm.coords((count // 2,))[0]
+        s0 = imm.axes[0].nodes()[count // 2]
         exact = np.array([[2 * s0, 3 * s0 ** 2]])
         errs.append(np.max(np.abs(jt.first[0] - exact)))
     assert errs[0] / errs[1] == pytest.approx(4.0, abs=0.6)
@@ -126,7 +134,7 @@ def test_jet_refinement_order():
 
 def test_jet_boundary_margin():
     imm = curve_immersion(lambda s: d_exp_tau(s)[..., None, :])
-    with pytest.raises(BoundaryPoint):
+    with pytest.raises(OffStencil):
         reference_jet(imm, (1,))
     _, valid = grid_jet(imm, [(1,), (2,), (38,), (39,), (0,), (40,)])
     assert valid.tolist() == [False, True, True, False, False, False]
@@ -460,8 +468,7 @@ def _gram_schmidt_reference(imm, field):
             continue
         dtheta = np.empty(imm.m)
         for a, axis in enumerate(imm.axes):
-            up = node[:a] + (axis.shift(node[a], +1),) + node[a + 1:]
-            dn = node[:a] + (axis.shift(node[a], -1),) + node[a + 1:]
+            up, dn = (shifted_node(imm.axes, node, a, delta) for delta in (+1, -1))
             dtheta[a] = (field.theta[up] - field.theta[dn]) / (2.0 * axis.spacing)
         if not np.all(np.isfinite(dtheta)):
             continue
@@ -559,7 +566,7 @@ def test_grid_jet_is_the_per_node_jet():
         assert np.array_equal(tangents, set_jt.first)
         for k, node in enumerate(map(tuple, nodes)):
             if not valid[node]:
-                with pytest.raises(BoundaryPoint):
+                with pytest.raises(OffStencil):
                     reference_jet(imm, node)
                 continue
             ref = reference_jet(imm, node)
@@ -598,19 +605,137 @@ def test_induced_metric_is_the_jet_route(case):
 
 # -- Nijenhuis ---------------------------------------------------------------
 
+def _directional_per_node(jf, F, node, direction):
+    """Directional derivative sum_k dir_k d_k F at a node by central
+    differences, F a callable of the node."""
+    out = np.zeros(jf.dim)
+    for a, axis in enumerate(jf.axes):
+        if direction[a] == 0.0:
+            continue
+        up, dn = (shifted_node(jf.axes, node, a, delta) for delta in (+1, -1))
+        out += direction[a] * (F(up) - F(dn)) / (2 * axis.spacing)
+    return out
+
+
+def _bracket_per_node(jf, A, B, node):
+    """Reference [A, B] at a node for fields given as callables of the node;
+    OffStencil without a 1-cell stencil."""
+    for a, axis in enumerate(jf.axes):
+        if not axis.periodic and not (1 <= node[a] <= axis.count - 2):
+            raise OffStencil(f"node {node} lacks a 1-cell stencil on axis {a}")
+    return _directional_per_node(jf, B, node, A(node)) - _directional_per_node(jf, A, node, B(node))
+
+
+def _nijenhuis_per_node(jf, X, Y, node):
+    """Reference N^J(X, Y) at a node, one node at a time: the fields are
+    callables of the node and J X looks J up at the node it is evaluated at."""
+    JX, JY = ((lambda nd, F=F: jf.mats[nd] @ F(nd)) for F in (X, Y))
+    J = jf.mats[node]
+    return (_bracket_per_node(jf, X, Y, node) + _bracket_per_node(jf, JX, JY, node)
+            - J @ _bracket_per_node(jf, JX, Y, node) - J @ _bracket_per_node(jf, X, JY, node))
+
+
+def _mesh(axes):
+    return np.meshgrid(*[a.nodes() for a in axes], indexing="ij")
+
+
+def _plane_fields(axes):
+    """Constant coordinate fields and a pair of non-constant ones."""
+    x, y = _mesh(axes)
+    return [([1.0, 0.0], [0.0, 1.0]),
+            (np.stack([np.sin(x + 2 * y), x * y + 0.3], -1),
+             np.stack([np.cos(x) * y, y ** 2 - x], -1))]
+
+
+def _twist_fields(axes):
+    """The decomposition check's fields: X1 = U1 + V1, X2 = U2 + V2 with U in
+    span{du1, du2} and V in span{dv1, dv2 + v1 du1}; [(X1, X2), (U1, U2),
+    (V1, V2)]."""
+    p = [c[..., None] for c in _mesh(axes)]
+    up, vm0 = np.eye(4)[:2], np.eye(4)[2]
+    vm1 = p[2] * up[0] + np.eye(4)[3]
+    U1 = np.sin(p[0] + 0.3 * p[3]) * up[0] + p[1] ** 2 * up[1]
+    V1 = np.cos(p[2]) * vm0 + 0.4 * p[0] * p[3] * vm1
+    U2 = (p[0] * p[2] + 0.1) * up[0] + np.sin(p[3]) * up[1]
+    V2 = 0.7 * p[1] * vm0 + np.cos(p[0] + p[1]) * vm1
+    return [(U1 + V1, U2 + V2), (U1, U2), (V1, V2)]
+
+
+def _bracket_case(case):
+    """(J-field, pairs of vector fields) of one structure."""
+    from parakahler import verify
+
+    plane = (GridAxis(-0.4, 0.4, 17), GridAxis(-0.4, 0.4, 17))
+    if case == "constant":  # one periodic axis, so the stencil wraps
+        axes = (GridAxis(0.0, 2 * math.pi, 12, periodic=True), GridAxis(-0.4, 0.4, 9))
+        return jfield_from_function(axes, verify.standard_structure), _plane_fields(axes)
+    if case == "paraholomorphic":
+        fn = verify.pullback_structure(lambda x, y: verify._mat2(
+            1.0 + 0.2 * x, 0.2 * y, 0.2 * y, 1.0 + 0.2 * x))
+        return jfield_from_function(plane, fn), _plane_fields(plane)
+    if case == "curved":
+        fn = verify.pullback_structure(verify.curved_chart)
+        return jfield_from_function(plane, fn), _plane_fields(plane)
+    axes = tuple(GridAxis(-0.3, 0.3, 9) for _ in range(4))
+    return jfield_from_function(axes, verify.twist_structure), _twist_fields(axes)
+
+
+@pytest.mark.parametrize("case", ["constant", "paraholomorphic", "curved", "twist"])
+def test_brackets_equal_the_per_node_reference(case):
+    # N^J and [X, Y] of the whole grid and of a node set equal the per-node
+    # reference bit for bit on every node with a 1-cell stencil; valid is
+    # False exactly where the reference raises
+    jf, pairs = _bracket_case(case)
+    shape = jf.mats.shape[:-2]
+    every = np.random.default_rng(5).permutation(np.argwhere(np.ones(shape, bool)))
+    at = tuple(every.T)
+    for X, Y in pairs:
+        N, valid = nijenhuis(jf, X, Y)
+        br, br_valid = lie_bracket(jf, X, Y)
+        N_set, set_valid = nijenhuis(jf, X, Y, every)
+        br_set, br_set_valid = lie_bracket(jf, X, Y, every)
+        assert N.shape == br.shape == shape + (jf.dim,)
+        assert N_set.shape == br_set.shape == (len(every), jf.dim)
+        assert np.array_equal(N_set, N[at]) and np.array_equal(br_set, br[at])
+        assert np.array_equal(br_valid, valid)
+        assert np.array_equal(set_valid, valid[at]) and np.array_equal(br_set_valid, valid[at])
+        sampled = [np.broadcast_to(np.asarray(F, dtype=float), shape + (jf.dim,))
+                   for F in (X, Y)]
+        Xn, Yn = ((lambda node, F=F: F[node]) for F in sampled)
+        for node in map(tuple, np.argwhere(valid)):
+            assert np.array_equal(N[node], _nijenhuis_per_node(jf, Xn, Yn, node))
+            assert np.array_equal(br[node], _bracket_per_node(jf, Xn, Yn, node))
+    for node in map(tuple, np.argwhere(~valid)):
+        with pytest.raises(OffStencil):
+            _bracket_per_node(jf, Xn, Yn, node)
+    assert not valid.all() and valid.any()
+
+
 def test_nijenhuis_constant_structure():
     axes = (GridAxis(-0.4, 0.4, 9), GridAxis(-0.4, 0.4, 9))
     jf = jfield_from_function(axes, lambda x, y: np.array([[0.0, 1.0], [1.0, 0.0]]))
     assert jf.mats.shape == (9, 9, 2, 2)
-    N = nijenhuis(jf, (4, 4), np.array([1.0, 0.0]), np.array([0.0, 1.0]))
-    assert np.max(np.abs(N)) < 1e-12
+    N, valid = nijenhuis(jf, [1.0, 0.0], [0.0, 1.0])
+    assert N.shape == (9, 9, 2)
+    assert valid.sum() == 7 * 7 and not valid[0].any() and valid[1:-1, 1:-1].all()
+    assert np.max(np.abs(N[valid])) < 1e-12
 
 
 def test_nijenhuis_rejects_non_structure():
     axes = (GridAxis(-0.4, 0.4, 9), GridAxis(-0.4, 0.4, 9))
     jf = jfield_from_function(axes, lambda x, y: np.array([[1.0, 1.0], [0.0, 1.0]]))
-    with pytest.raises(NotParaComplexStructure):
-        nijenhuis(jf, (4, 4), np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+    for nodes in (None, [(4, 4)], [(9, 4)]):
+        with pytest.raises(NotParaComplexStructure):
+            nijenhuis(jf, [1.0, 0.0], [0.0, 1.0], nodes)
+
+
+def test_bracket_node_sets_outside_the_grid_raise():
+    jf, _ = _bracket_case("curved")
+    for bad in ([(17, 4)], [(-1, 4)], [(4, 4, 4)], [(4.0, 4.0)]):
+        with pytest.raises(ValueError):
+            nijenhuis(jf, [1.0, 0.0], [0.0, 1.0], bad)
+        with pytest.raises(ValueError):
+            lie_bracket(jf, [1.0, 0.0], [0.0, 1.0], bad)
 
 
 def test_nijenhuis_twist_oracle():
@@ -625,33 +750,16 @@ def test_nijenhuis_twist_oracle():
 
     axes = tuple(GridAxis(-0.3, 0.3, 5) for _ in range(4))
     jf = jfield_from_function(axes, jfun)
-    N = nijenhuis(jf, (2, 2, 2, 2), np.array([0, 0, 1.0, 0]),
-                  np.array([0, 0, 0, 1.0]))
-    assert np.allclose(N, [4.0, 0.0, 0.0, 0.0], atol=1e-10)
+    N, valid = nijenhuis(jf, [0, 0, 1.0, 0], [0, 0, 0, 1.0], [(2, 2, 2, 2)])
+    assert valid.tolist() == [True]
+    assert np.allclose(N[0], [4.0, 0.0, 0.0, 0.0], atol=1e-10)
 
 
 def test_lie_bracket_coordinate_fields():
     axes = (GridAxis(-0.4, 0.4, 9), GridAxis(-0.4, 0.4, 9))
     jf = jfield_from_function(axes, lambda x, y: np.array([[0.0, 1.0], [1.0, 0.0]]))
-
-    def A(p):
-        return np.array([p[1], 0.0])
-
-    def B(p):
-        return np.array([0.0, p[0]])
-
+    x, y = _mesh(axes)
     # [y dx, x dy] = y dy - x dx
-    br = lie_bracket(jf, A, B, (4, 4))
-    x, y = jf.coords((4, 4))
-    assert np.allclose(br, [-x, y], atol=1e-12)
-
-
-def test_j_apply_field_looks_up_the_node():
-    axes = (GridAxis(-0.4, 0.4, 9), GridAxis(-0.4, 0.4, 9))
-    jf = jfield_from_function(axes, lambda x, y: np.stack(
-        [np.stack([np.cosh(x), np.sinh(x)], -1), np.stack([np.sinh(x), np.cosh(x)], -1)], -2))
-    JX = j_apply_field(jf, lambda node: np.array([1.0, 0.0]))
-    assert np.array_equal(JX((6, 2)), jf.mats[6, 2][:, 0])
-    # A coordinate point is not a node: no rounding to the nearest one.
-    with pytest.raises(IndexError):
-        JX(tuple(jf.coords((6, 2))))
+    br, valid = lie_bracket(jf, np.stack([y, 0 * y], -1), np.stack([0 * x, x], -1))
+    assert valid.sum() == 7 * 7
+    assert np.allclose(br[valid], np.stack([-x, y], -1)[valid], atol=1e-12)

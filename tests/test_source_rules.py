@@ -7,8 +7,7 @@
   callers pass them.
 - Geometry is queried at every node or at a node set, and a mask says
   where a quantity is undefined: no function of NODE_SET_MODULES takes a
-  parameter named `node`, apart from the per-node J-field bracket code and
-  the coordinate lookups in NODE_PARAMETER_ALLOWED.
+  parameter named `node`, with no exemption.
 """
 
 import ast
@@ -21,8 +20,6 @@ import parakahler
 SRC = Path(parakahler.__file__).resolve().parent
 ALLOWED_TOLERANCES = {("d_polar", "tol"), ("integrate_many", "rtol")}
 NODE_SET_MODULES = ("dcore", "geometry", "lagrangian", "solitons")
-NODE_PARAMETER_ALLOWED = {"_directional", "_bracket", "lie_bracket", "nijenhuis",
-                          "SampledImmersion.coords", "JField.coords"}
 
 
 def _is_number_or_none(node) -> bool:
@@ -98,7 +95,7 @@ def test_source_rules(path):
 @pytest.mark.parametrize("module", NODE_SET_MODULES)
 def test_no_single_node_queries(module):
     tree = ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
-    assert [f for f in node_parameters(tree) if f not in NODE_PARAMETER_ALLOWED] == []
+    assert node_parameters(tree) == []
 
 
 def test_rules_see_violations():

@@ -98,14 +98,15 @@ def test_nijenhuis_decomposition_check_is_not_vacuous(monkeypatch):
     found = []
     nijenhuis = geometry.nijenhuis
 
-    def recorded(jf, node, X, Y):
-        N = nijenhuis(jf, node, X, Y)
-        if callable(X):
-            found.append(N)
-        return N
+    def recorded(jf, X, Y, nodes=None):
+        N, valid = nijenhuis(jf, X, Y, nodes)
+        if np.ndim(X) > 1:
+            found.append((N, valid))
+        return N, valid
 
     monkeypatch.setattr(verify, "nijenhuis", recorded)
     checks = {check.name: check for check in verify.suite_nijenhuis()}
     assert checks["eigendistribution decomposition of N"].passed
-    assert len(found) == 3
-    assert all(np.max(np.abs(N)) > 1.0 for N in found)
+    [(N, valid)] = found
+    assert N.shape == (3, 4) and valid.all()
+    assert np.all(np.max(np.abs(N), axis=1) > 1.0)

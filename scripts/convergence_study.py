@@ -10,7 +10,7 @@ import sys
 from parakahler import equivariant
 from parakahler.dcore import d_exp_tau
 from parakahler.geometry import GridAxis
-from parakahler.lagrangian import angle_field, build_gradient_graph, identity_grid
+from parakahler.lagrangian import build_gradient_graph, identity_grid
 
 
 def graph_case(count):
@@ -37,8 +37,7 @@ def main() -> int:
         res = []
         for c in counts:
             imm, node = factory(c)
-            field = angle_field(imm)
-            _, residual, _ = identity_grid(imm, field, [node])
+            _, residual, _ = identity_grid(imm, None, [node])
             res.append(float(residual[0]))
             h = imm.axes[0].spacing
             line = f"  h = {h:.5f}  residual = {res[-1]:.3e}"

@@ -167,6 +167,13 @@ def stencil(grid: np.ndarray, nodes=None):
     return shifted
 
 
+def neighbourhood(grid, nodes, m: int) -> np.ndarray:
+    """grid at each node and at its neighbours +e_0, -e_0, +e_1, ... on the
+    one stencil, stacked on a new leading axis of length 1 + 2m."""
+    shifted = stencil(grid, nodes)
+    return np.stack([shifted({})] + [shifted({l: s}) for l in range(m) for s in (+1, -1)])
+
+
 def _first_differences(shifted, spacings) -> np.ndarray:
     """Order-2 central first derivatives (..., m, n, 2) from shifted(deltas)."""
     return np.stack([(shifted({a: +1}) - shifted({a: -1})) / (2.0 * h)
@@ -455,13 +462,6 @@ def _field(jf: JField, F) -> np.ndarray:
     return np.broadcast_to(np.asarray(F, dtype=float), jf.mats.shape[:-1])
 
 
-def _neighbourhood(grid, nodes, m: int) -> np.ndarray:
-    """grid at each node and at its neighbours +e_0, -e_0, +e_1, ... on the
-    one stencil, stacked on a new leading axis of length 1 + 2m."""
-    shifted = stencil(grid, nodes)
-    return np.stack([shifted({})] + [shifted({l: s}) for l in range(m) for s in (+1, -1)])
-
-
 def _apply(J, v) -> np.ndarray:
     """J v, batched over the leading axes."""
     return (J @ v[..., None])[..., 0]
@@ -482,7 +482,7 @@ def lie_bracket(jf: JField, A, B, nodes=None):
     with a 1-cell margin from every non-periodic boundary (wrapped values
     elsewhere are garbage)."""
     nodes = node_set(jf, nodes)
-    A, B = (_neighbourhood(_field(jf, F), nodes, len(jf.axes)) for F in (A, B))
+    A, B = (neighbourhood(_field(jf, F), nodes, len(jf.axes)) for F in (A, B))
     value = _bracket(A, B, [a.spacing for a in jf.axes])
     return value, stencil(margin_mask(jf.axes, 1), nodes)({})
 
@@ -493,7 +493,7 @@ def nijenhuis(jf: JField, X, Y, nodes=None):
     J X is taken on the gathered samples, so each neighbour sees its own J."""
     jf.check_structure()
     nodes = node_set(jf, nodes)
-    J, X, Y = (_neighbourhood(grid, nodes, len(jf.axes))
+    J, X, Y = (neighbourhood(grid, nodes, len(jf.axes))
                for grid in (jf.mats, _field(jf, X), _field(jf, Y)))
     JX, JY = _apply(J, X), _apply(J, Y)
     h = [a.spacing for a in jf.axes]

@@ -48,6 +48,7 @@ from .geometry import (
     SampledImmersion,
     coordinate_tangents,
     grid_mean_curvature,
+    neighbourhood,
     node_set,
     stencil,
 )
@@ -99,18 +100,20 @@ class AngleField:
         return out
 
 
-def angle_field(imm: SampledImmersion) -> AngleField:
-    """Lagrangian angle (q, theta) of the coordinate tangent frame per node.
+def nodal_angles(imm: SampledImmersion, nodes=None):
+    """Lagrangian angle of the coordinate tangent frame at every node
+    (leading grid axes) or at the node set nodes (leading axis k):
+    (theta, q, degenerate, valid).
 
     Frame independence of (q, theta) means no orthonormalization is needed.
-    Nodes where det_D is numerically null are flagged degenerate; the usable
-    nodes are labelled by the connected components they form with their
-    usable grid neighbours.  max_jump records the largest theta step between
-    usable neighbours; it is reported, not checked against any bound.
+    valid marks the nodes with the full jet margin; every valid frame must
+    pass require_lagrangian.  degenerate marks the nodes where det_D is
+    numerically null; theta is nan and q is -1 unless valid & ~degenerate.
     """
-    tangents, valid = coordinate_tangents(imm)
+    tangents, valid = coordinate_tangents(imm, nodes)
     require_lagrangian(tangents[valid])
-    dets = det_D(tangents) if imm.m > 1 else tangents[..., 0, :, :].reshape(imm.shape + (2,))
+    lead = tangents.shape[:-3]
+    dets = det_D(tangents) if imm.m > 1 else tangents[..., 0, :, :].reshape(lead + (2,))
     # Degeneracy gauge: squared_norm(det_D) equals det_R of the induced
     # metric, so compare it against the Euclidean tangent scale (which
     # dominates every |g_ij|) rather than the determinant's own magnitude;
@@ -119,10 +122,19 @@ def angle_field(imm: SampledImmersion) -> AngleField:
     small = np.abs(d_norm2(dets)) < DEGENERACY_TOL * g_scale ** imm.m
     _, q, _, theta, null = d_polar(dets, tol=DEGENERACY_TOL)
     usable = valid & ~null & ~small
-    theta = np.where(usable, theta, np.nan)
-    q = np.where(usable, q, -1)
+    return np.where(usable, theta, np.nan), np.where(usable, q, -1), null | small, valid
+
+
+def angle_field(imm: SampledImmersion) -> AngleField:
+    """nodal_angles at every node, with the usable nodes labelled by the
+    connected components they form with their usable grid neighbours.
+    max_jump records the largest theta step between usable neighbours; it
+    is reported, not checked against any bound.
+    """
+    theta, q, degenerate, valid = nodal_angles(imm)
+    usable = valid & ~degenerate
     region, n_regions = _regions(imm.axes, usable)
-    return AngleField(imm, theta, q, null | small, valid, region, n_regions,
+    return AngleField(imm, theta, q, degenerate, valid, region, n_regions,
                       _max_jump(imm.axes, theta, usable))
 
 
@@ -187,11 +199,28 @@ def _residual_norm(mH, g_inv, first, dtheta):
     return np.sqrt(np.sum(d_grading2(mH - apply_J(grad_beta)), axis=-1))
 
 
-def identity_grid(imm: SampledImmersion, field: AngleField, nodes=None):
+def _angle_neighbourhood(imm: SampledImmersion, field: AngleField | None, nodes):
+    """(theta, usable) at each node and at its neighbours +e_0, -e_0, +e_1,
+    ... (neighbourhood's layout, leading axis 1 + 2m), read from field, or
+    with no field from nodal_angles run on just those nodes."""
+    if field is not None:
+        return neighbourhood(field.theta, nodes, imm.m), neighbourhood(field.usable, nodes, imm.m)
+    near = neighbourhood(np.moveaxis(np.indices(imm.shape), 0, -1), nodes, imm.m)
+    theta, _, degenerate, valid = nodal_angles(imm, near.reshape(-1, imm.m))
+    return theta.reshape(near.shape[:-1]), (valid & ~degenerate).reshape(near.shape[:-1])
+
+
+def identity_grid(imm: SampledImmersion, field: AngleField | None, nodes=None):
     """Mean curvature H and the grading norm of m*H - J grad(beta) (zero to
     O(h^2)) at every node, or at the node set nodes (k, m), in one batched
     pass: grid_mean_curvature, then central differences of theta.
     grad(beta) = sum_ij g^ij (d_i theta) d_jF.
+
+    theta comes from field, or with field None from nodal_angles on the
+    nodes the differences read (each node and its 2m neighbours), which
+    then checks every frame the result depends on for Lagrangian; the two
+    agree bit for bit.  Pass the field when there is one: with nodes None
+    and no field, each node's angle is computed 1 + 2m times.
 
     Returns (H, residual, reasons): H (..., n, 2) and residual (...) are nan
     where undefined; reasons maps each cause of a nan on a usable node to
@@ -201,20 +230,17 @@ def identity_grid(imm: SampledImmersion, field: AngleField, nodes=None):
     neighbour).
     """
     nodes = node_set(imm, nodes)
-    theta_at, usable_at = stencil(field.theta, nodes), stencil(field.usable, nodes)
-    usable = usable_at({})
+    theta, usable = _angle_neighbourhood(imm, field, nodes)
     jt, mH, g_inv, has_H = grid_mean_curvature(imm, nodes)
-    has_H &= usable
-    dtheta = np.empty(usable.shape + (imm.m,))
-    full_stencil = usable.copy()
-    for a, axis in enumerate(imm.axes):
-        dtheta[..., a] = (theta_at({a: +1}) - theta_at({a: -1})) / (2.0 * axis.spacing)
-        full_stencil &= usable_at({a: +1}) & usable_at({a: -1})
+    has_H &= usable[0]
+    dtheta = np.stack([(theta[2 * a + 1] - theta[2 * a + 2]) / (2.0 * axis.spacing)
+                       for a, axis in enumerate(imm.axes)], axis=-1)
+    full_stencil = usable.all(axis=0)
     in_margin = has_H & ~stencil(imm.margin_mask(RESIDUAL_MARGIN), nodes)({})
     has_residual = has_H & ~in_margin & full_stencil
     H = np.where(has_H[..., None, None], mH / imm.m, np.nan)
     residual = np.where(has_residual, _residual_norm(mH, g_inv, jt.first, dtheta), np.nan)
-    reasons = {"h_nan_degenerate_metric": usable & ~has_H,
+    reasons = {"h_nan_degenerate_metric": usable[0] & ~has_H,
                "residual_nan_margin": in_margin,
                "residual_nan_stencil": has_H & ~in_margin & ~full_stencil}
     return H, residual, reasons

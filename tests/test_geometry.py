@@ -482,20 +482,31 @@ def _grading_norm(v):
     return np.sqrt(np.sum(d_grading2(v), axis=-1))
 
 
-@pytest.mark.parametrize("case", ["graph33", "torus", "lift3"])
-def test_grid_engine_matches_gram_schmidt_reference(case):
+def _identity_case(case):
+    """The immersions the curvature-identity engine is tested on: a cubic
+    gradient graph (33^2), the circle torus (periodic, with degenerate null
+    lines), an n = 3 lift and an n = 1 gradient-graph curve."""
     from parakahler import equivariant
-    from parakahler.lagrangian import angle_field, build_gradient_graph, identity_grid
+    from parakahler.lagrangian import build_gradient_graph
 
     if case == "graph33":
         axes = (GridAxis(-0.5, 0.5, 33), GridAxis(-0.5, 0.5, 33))
-        imm = build_gradient_graph(axes, u=lambda x1, x2: (
+        return build_gradient_graph(axes, u=lambda x1, x2: (
             0.31 * x1 ** 3 - 0.22 * x1 ** 2 * x2 + 0.17 * x1 * x2 ** 2
             - 0.4 * x2 ** 3 + 0.12 * x1 ** 2 - 0.3 * x1 * x2 + 0.25 * x2 ** 2))
-    elif case == "torus":
-        imm = equivariant.lift(equivariant.explicit_circle(1.3, 64), 2)
-    else:
-        imm = equivariant.lift(equivariant.explicit_circle(0.8, 24), 3, (9, 8))
+    if case == "torus":
+        return equivariant.lift(equivariant.explicit_circle(1.3, 64), 2)
+    if case == "lift3":
+        return equivariant.lift(equivariant.explicit_circle(0.8, 24), 3, (9, 8))
+    return build_gradient_graph((GridAxis(-0.5, 0.5, 41),),
+                                grad=[lambda x1: 0.3 * x1 ** 2 - 0.2 * x1 ** 3])
+
+
+@pytest.mark.parametrize("case", ["graph33", "torus", "lift3"])
+def test_grid_engine_matches_gram_schmidt_reference(case):
+    from parakahler.lagrangian import angle_field, identity_grid
+
+    imm = _identity_case(case)
     field = angle_field(imm)
     H_grid, resid_grid, reasons = identity_grid(imm, field)
     H_ref, resid_ref = _gram_schmidt_reference(imm, field)
@@ -527,6 +538,38 @@ def test_grid_engine_matches_gram_schmidt_reference(case):
     assert np.array_equal(resid_set, resid_grid[at], equal_nan=True)
     for reason, mask in reasons.items():
         assert np.array_equal(reasons_set[reason], mask[at])
+
+
+@pytest.mark.parametrize("case", ["graph33", "torus", "lift3", "curve"])
+def test_node_set_angles_equal_the_angle_field(case):
+    # With no angle field, identity_grid computes theta on just the nodes
+    # its differences read; every node, listed in shuffled order, gets the
+    # whole-grid H, residual and reasons bit for bit, and the angle kernel at
+    # a node set equals angle_field's theta, q and degenerate there.
+    from parakahler.lagrangian import angle_field, identity_grid, nodal_angles
+
+    imm = _identity_case(case)
+    field = angle_field(imm)
+    H_grid, resid_grid, reasons = identity_grid(imm, field)
+    assert not np.isnan(resid_grid).all()
+    if case == "torus":
+        assert field.degenerate.sum() == 128 and imm.margin_mask().all()
+    nodes = np.random.default_rng(5).permutation(np.argwhere(np.ones(imm.shape, bool)))
+    at = tuple(nodes.T)
+    H_set, resid_set, reasons_set = identity_grid(imm, None, nodes)
+    assert np.array_equal(H_set, H_grid[at], equal_nan=True)
+    assert np.array_equal(resid_set, resid_grid[at], equal_nan=True)
+    assert reasons_set.keys() == reasons.keys()
+    for reason, mask in reasons.items():
+        assert np.array_equal(reasons_set[reason], mask[at])
+    theta, q, degenerate, valid = nodal_angles(imm, nodes)
+    assert np.array_equal(theta, field.theta[at], equal_nan=True)
+    assert np.array_equal(q, field.q[at])
+    assert np.array_equal(degenerate, field.degenerate[at])
+    assert np.array_equal(valid, field.computed[at])
+    # no field and no node set: the kernel on every node's neighbourhood
+    for got, want in zip(identity_grid(imm, None), (H_grid, resid_grid)):
+        assert np.array_equal(got, want, equal_nan=True)
 
 
 def test_trace_kernel_masks_degenerate_frames(rng):

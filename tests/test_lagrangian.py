@@ -18,6 +18,7 @@ from parakahler.errors import (
 )
 from parakahler.geometry import (
     GridAxis,
+    SampledImmersion,
     coordinate_tangents,
     grid_jet,
     grid_mean_curvature,
@@ -84,6 +85,28 @@ def test_paracomplex_graph_not_lagrangian():
         lambda z: d_mul(z, z), (GridAxis(0.1, 0.6, 17), GridAxis(0.0, 0.4, 17)))
     with pytest.raises(LagrangianViolation):
         require_lagrangian(node_tangents(imm, [(8, 8)]))
+
+
+def test_node_set_identity_checks_every_frame_it_reads():
+    # A bump in F at c + 2 e_0 leaves the centre's jet Lagrangian but breaks
+    # omega on the frame at c + e_0, whose theta the centre residual reads:
+    # the node-set path raises as angle_field does.  A node set whose
+    # stencil misses the bump reads no broken frame.
+    imm = build_gradient_graph(
+        square_axes(17),
+        u=lambda x1, x2: 0.2 * x1 ** 3 + 0.1 * x1 * x2 + 0.3 * x2 ** 2)
+    values = imm.values.copy()
+    values[10, 8, 1, 1] += 0.05
+    bumped = SampledImmersion(imm.axes, values)
+    require_lagrangian(node_tangents(bumped, [(8, 8)]))
+    with pytest.raises(LagrangianViolation):
+        require_lagrangian(node_tangents(bumped, [(9, 8)]))
+    with pytest.raises(LagrangianViolation):
+        angle_field(bumped)
+    with pytest.raises(LagrangianViolation):
+        identity_grid(bumped, None, [(8, 8)])
+    _, residual, _ = identity_grid(bumped, None, [(4, 4)])
+    assert residual[0] == identity_grid(imm, None, [(4, 4)])[1][0]
 
 
 def test_flat_immersion_angle_field():

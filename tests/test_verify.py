@@ -28,7 +28,7 @@ def test_point_query_suites_check_stacks(monkeypatch):
     # the same wrappers counted det_D 5526 (gram-lemma 5100,
     # constant-angle-graphs 426), jet 1915 (null-product 845,
     # constant-angle-graphs 1070) and signed_gram_schmidt 811 (gram-lemma
-    # 600, constant-angle-graphs 211).  Then: det_D 21, jet 11 and
+    # 600, constant-angle-graphs 211).  Now: det_D 21, grid_jet 8 and
     # signed_gram_schmidt 4 (one stack per n, one stack of nodes).  The
     # per-node jet is gone: every jet, of the whole grid or of a node set,
     # is one grid_jet call.  A fifth of the old det_D and jet counts leaves
@@ -42,6 +42,18 @@ def test_point_query_suites_check_stacks(monkeypatch):
     assert 0 < len(calls["det_D"]) <= 5526 // 5
     assert 0 < len(calls["grid_jet"]) <= 1915 // 5
     assert 0 < len(calls["signed_gram_schmidt"]) <= 6
+
+
+def test_point_query_suites_take_no_whole_grid_tangents(monkeypatch):
+    # Each residual of main-theorem and the lift check of equivariant-level
+    # once built a whole-grid angle field to read a few nodes: 11 and 1
+    # whole-grid coordinate_tangents calls.  Now every call takes a node set:
+    # main-theorem 23 (11 stencils of angles, 12 jets), equivariant-level 7.
+    calls = []
+    _spy(monkeypatch, geometry.coordinate_tangents, calls)
+    for suite in ("main-theorem", "equivariant-level"):
+        assert all(check.passed for check in verify.run_suite(suite)), suite
+    assert calls and all(len(args) == 2 and args[1] is not None for args in calls)
 
 
 def test_gram_lemma_draws_stacked_frames_in_six_calls(monkeypatch):

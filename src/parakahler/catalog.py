@@ -5,7 +5,8 @@ A spec document has the shape
     {"kind": "...", "params": {...}, "grid": {"axes": [{"min": ..., "max": ...,
      "count": ..., "periodic": false}, ...]}}
 
-and is schema-validated (unknown keys rejected) before any numerics run.
+and is schema-validated (unknown keys rejected) before any numerics run, by
+an in-house validator for the JSON Schema keywords the schemas below use.
 For the equivariant kinds the first grid axis parametrizes the profile curve
 and the remaining axes contribute their counts to the sphere chart, whose
 ranges are fixed.  Potentials and curve components are expression strings in
@@ -14,9 +15,11 @@ x1..xn / s.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
-from . import equivariant, lagrangian, solitons
+from . import lagrangian
 from .dcore import d_array
 from .errors import SpecValidationError
 from .expressions import evaluate, parse_expression
@@ -128,21 +131,101 @@ _SPEC_SCHEMA = {
 }
 
 
-def validate_spec(doc: dict) -> dict:
-    """Schema-validate an immersion spec; raises SpecValidationError."""
-    from jsonschema import Draft202012Validator  # imported here: only specs need it
+# Draft 2020-12 type checks: bool is not a number, and 9.0 is an integer.
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "boolean": lambda v: isinstance(v, bool),
+    "number": lambda v: isinstance(v, numbers.Number) and not isinstance(v, bool),
+    "integer": lambda v: ((isinstance(v, int) and not isinstance(v, bool))
+                          or (isinstance(v, float) and v.is_integer())),
+}
 
-    errors = sorted(Draft202012Validator(_SPEC_SCHEMA).iter_errors(doc),
-                    key=lambda e: e.json_path)
+
+def _enum_equal(a, b) -> bool:
+    if isinstance(a, bool) or isinstance(b, bool):  # True is not 1
+        return a is b
+    return a == b
+
+
+def _check(instance, schema: dict, path: str, errors: list):
+    """Append (JSON path, message) to errors for every keyword of schema that
+    instance fails, as jsonschema's Draft202012Validator words them.  Each
+    keyword applies on its own and only to instances of its type.  Returns
+    instance with every integral float in an integer field made an int (a
+    copy where one changed)."""
+    out = instance
+    for key, value in schema.items():
+        if key == "type" and value in _TYPES:
+            if not _TYPES[value](instance):
+                errors.append((path, f"{instance!r} is not of type {value!r}"))
+            elif value == "integer" and isinstance(instance, float):
+                out = int(instance)
+        elif key == "required":
+            if isinstance(instance, dict):
+                errors.extend((path, f"{name!r} is a required property")
+                              for name in value if name not in instance)
+        elif key == "additionalProperties" and value is False:
+            if isinstance(instance, dict):
+                allowed = schema.get("properties", {})
+                extras = sorted((k for k in instance if k not in allowed), key=str)
+                if extras:
+                    errors.append((path, "Additional properties are not allowed "
+                                   f"({', '.join(map(repr, extras))} "
+                                   f"{'was' if len(extras) == 1 else 'were'} unexpected)"))
+        elif key == "properties":
+            if isinstance(instance, dict):
+                checked = {name: _check(instance[name], sub, f"{path}.{name}", errors)
+                           for name, sub in value.items() if name in instance}
+                if any(checked[name] is not instance[name] for name in checked):
+                    out = {**instance, **checked}
+        elif key == "items":
+            if isinstance(instance, list):
+                checked = [_check(item, value, f"{path}[{i}]", errors)
+                           for i, item in enumerate(instance)]
+                if any(new is not old for new, old in zip(checked, instance)):
+                    out = checked
+        elif key == "minItems":
+            if isinstance(instance, list) and len(instance) < value:
+                errors.append((path, f"{instance!r} "
+                               + ("should be non-empty" if value == 1 else "is too short")))
+        elif key == "enum":
+            if not any(_enum_equal(option, instance) for option in value):
+                errors.append((path, f"{instance!r} is not one of {value!r}"))
+        elif key == "minimum":
+            if _TYPES["number"](instance) and instance < value:
+                errors.append((path, f"{instance!r} is less than the minimum of {value!r}"))
+        elif key == "exclusiveMinimum":
+            if _TYPES["number"](instance) and instance <= value:
+                errors.append((path, f"{instance!r} is less than or equal to "
+                               f"the minimum of {value!r}"))
+        else:
+            raise ValueError(f"schema keyword {key!r}: {value!r} is not implemented")
+    return out
+
+
+def _validated(instance, schema: dict, prefix: str = ""):
+    """instance with integer fields made int; raises SpecValidationError with
+    every error message, sorted by JSON path."""
+    errors: list = []
+    instance = _check(instance, schema, "$", errors)
     if errors:
-        raise SpecValidationError("; ".join(e.message for e in errors))
+        errors.sort(key=lambda e: e[0])  # stable: one path keeps schema order
+        raise SpecValidationError(prefix + "; ".join(message for _, message in errors))
+    return instance
+
+
+def validate_spec(doc: dict) -> dict:
+    """Schema-validate an immersion spec; raises SpecValidationError.
+
+    Returns the document with every integer field an int, so "count": 9.0
+    builds what "count": 9 builds.
+    """
+    doc = _validated(doc, _SPEC_SCHEMA)
     kind = doc["kind"]
-    perrors = sorted(
-        Draft202012Validator(_PARAMS_SCHEMAS[kind]).iter_errors(doc["params"]),
-        key=lambda e: e.json_path)
-    if perrors:
-        raise SpecValidationError(
-            f"params for kind {kind!r}: " + "; ".join(e.message for e in perrors))
+    doc = {**doc, "params": _validated(doc["params"], _PARAMS_SCHEMAS[kind],
+                                       f"params for kind {kind!r}: ")}
     if kind == "gradient_graph" and not ("u" in doc["params"] or "grad" in doc["params"]):
         raise SpecValidationError("gradient_graph needs a potential u or a grad list")
     if kind == "equivariant_explicit":
@@ -238,6 +321,8 @@ def build(doc: dict):
         c2 = lagrangian.j_curve(lagrangian.plane_curve(f2, g2))
         return lagrangian.build_null_product(c1, c2, axes[0], axes[1]), meta
 
+    from . import equivariant  # imported here: only the equivariant kinds need it
+
     if kind in ("equivariant_level", "equivariant_explicit"):
         n = params["n"]
         prof_axis = axes[0]
@@ -256,7 +341,8 @@ def build(doc: dict):
         counts = tuple(a.count for a in axes[1:]) or None
         return equivariant.lift(curve, n, counts), meta
 
-    # soliton_lift
+    from . import solitons  # imported here: only soliton lifts need it
+
     p = solitons.SolitonParams(params["n"], params["lambda_prime"], params["case"])
     state = solitons.SolitonState(params["r0"], params.get("alpha0", 0.0),
                                   params.get("phi0", 0.0))

@@ -10,6 +10,7 @@ goes into '# key=value' footer lines.  Exit codes: 1 usage, 2 invalid spec,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -18,11 +19,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import catalog, equivariant, lagrangian, solitons
+from . import catalog, lagrangian
 from .dcore import d_norm2
 from .errors import ParakahlerError, SpecValidationError
 from .lagrangian import angle_field, identity_grid
-from .solitons import SolitonParams, SolitonState
 
 CSV_BLOCK_ROWS = 256  # rows per '%' in _write_csv: ~100 KB of text
 # Largest starting count of the 4-d twist: --refine 3 then ends on 25^4 nodes
@@ -123,6 +123,8 @@ def cmd_graph(args) -> int:
 
 
 def cmd_equivariant(args) -> int:
+    from . import equivariant
+
     curve = equivariant.named_curve(args.family, args.n, args.C, args.phi_min,
                                     args.phi_max, args.count)
     norms = d_norm2(curve.gamma)
@@ -145,8 +147,10 @@ def cmd_equivariant(args) -> int:
 
 
 def cmd_soliton(args) -> int:
-    params = SolitonParams(args.n, args.lambda_prime, args.case)
-    state = SolitonState(args.r, args.alpha, args.phi)
+    from . import solitons
+
+    params = solitons.SolitonParams(args.n, args.lambda_prime, args.case)
+    state = solitons.SolitonState(args.r, args.alpha, args.phi)
     integrate = (solitons.integrate_bidirectional if args.bidirectional
                  else solitons.integrate)
     traj = integrate(state, params, args.smax, rtol=args.rtol)
@@ -169,9 +173,11 @@ def cmd_soliton(args) -> int:
 
 
 def cmd_phase(args) -> int:
+    from . import solitons
+
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    params = SolitonParams(args.n, args.lambda_prime, args.case)
+    params = solitons.SolitonParams(args.n, args.lambda_prime, args.case)
     starts = [(float(r0), float(a0), 0.0)
               for r0 in np.linspace(args.r_min, args.r_max, args.r_count)
               for a0 in np.linspace(args.alpha_min, args.alpha_max, args.alpha_count)]
@@ -272,7 +278,9 @@ def cmd_verify(args) -> int:
     return 0 if ok else 3
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The command-line parser, built once per process."""
     p = _Parser(prog="parakahler",
                 description="Split-complex Lagrangian geometry toolkit")
     sub = p.add_subparsers(dest="command", required=True)

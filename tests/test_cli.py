@@ -317,10 +317,17 @@ def _loaded_in_fresh_interpreter(code, cwd=None):
     return set(ast.literal_eval(proc.stdout.strip().splitlines()[-1]))
 
 
-def test_bare_import_loads_neither_scipy_nor_jsonschema():
+SOLITON_ENGINE = {"parakahler.solitons", "parakahler.equivariant"}
+
+
+def test_bare_import_loads_neither_scipy_nor_jsonschema(tmp_path):
     loaded = _loaded_in_fresh_interpreter("import parakahler.cli")
     assert "numpy" in loaded
-    assert not loaded & {"scipy", "jsonschema", "parakahler.verify"}
+    assert not loaded & ({"scipy", "jsonschema", "parakahler.verify"} | SOLITON_ENGINE)
+    code = ("from parakahler.cli import main\n"
+            "assert main(['graph', '--u', 'x1*x2', '--count', '9', '--out', 'g.csv']) == 0")
+    loaded = _loaded_in_fresh_interpreter(code, cwd=tmp_path)
+    assert not loaded & ({"scipy", "jsonschema"} | SOLITON_ENGINE)
 
 
 def test_cli_subcommands_never_load_scipy(tmp_path):
@@ -338,6 +345,7 @@ def test_cli_subcommands_never_load_scipy(tmp_path):
     code = "from parakahler.cli import main\n" + "".join(
         f"assert main({argv!r}) == 0\n" for argv in calls)
     loaded = _loaded_in_fresh_interpreter(code, cwd=tmp_path)
-    assert "jsonschema" in loaded and "scipy" not in loaded
+    assert not loaded & {"jsonschema", "scipy"}
+    assert SOLITON_ENGINE <= loaded  # equivariant, phase and soliton load it
     for name in ("g.csv", "a.csv", "c.csv", "l.csv", "p/index.csv", "s.csv"):
         assert (tmp_path / name).is_file()

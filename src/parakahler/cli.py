@@ -223,17 +223,24 @@ def cmd_normal_bundle(args) -> int:
 
 
 def cmd_nijenhuis(args) -> int:
-    from . import verify
-    from .geometry import GridAxis, jfield_from_function, nijenhuis
+    from .geometry import (
+        GridAxis,
+        curved_chart,
+        jfield_from_function,
+        nijenhuis,
+        pullback_structure,
+        standard_structure,
+        twist_structure,
+    )
 
     rows = []
     if args.structure == "twist":
-        jfun, dims, span = verify.twist_structure, 4, 0.3
+        jfun, dims, span = twist_structure, 4, 0.3
         X, Y = np.eye(4)[2:]
         count = min(args.count, TWIST_MAX_COUNT)
     else:
-        jfun = (verify.standard_structure if args.structure == "standard"
-                else verify.pullback_structure(verify.curved_chart))
+        jfun = (standard_structure if args.structure == "standard"
+                else pullback_structure(curved_chart))
         dims, span = 2, 0.4
         X, Y = np.eye(2)
         count = args.count

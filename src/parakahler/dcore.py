@@ -15,7 +15,7 @@ polar form and raise :class:`~parakahler.errors.NullValue`.
 
 Scalars are the frozen :class:`ParaComplex` dataclass; grid-scale code uses
 the vectorized ``d_*`` kernels, which operate on float arrays whose last
-axis holds the (x, y) components.  ``bisect`` is the package's one
+axis holds the (x, y) components.  ``bracket_roots`` is the package's one
 bracketed root finder, on arrays of brackets.
 """
 
@@ -72,8 +72,9 @@ class ParaComplex:
         while k:
             if k & 1:
                 out = out * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return out
 
     def conj(self) -> "ParaComplex":
@@ -188,8 +189,9 @@ def d_pow(a, k: int) -> np.ndarray:
     while k:
         if k & 1:
             out = d_mul(out, base)
-        base = d_mul(base, base)
         k >>= 1
+        if k:
+            base = d_mul(base, base)
     return out
 
 
@@ -237,27 +239,67 @@ def para_cauchy_riemann_residual(f, hx: float, hy: float) -> np.ndarray:
     return np.sqrt(d_grading2(0.5 * (fx - d_mul(TAU.as_array(), fy))))
 
 
-def bisect(g, lo, hi, xtol):
+def bracket_roots(g, lo, hi, xtol):
     """Brackets [lo, hi] (arrays of one shape) shrunk onto sign changes of g,
-    which maps an array of points to g at each; g(lo) and g(hi) must differ
-    in sign or vanish.  Each bracket is halved until hi - lo <= xtol or its
-    midpoint equals an endpoint (the doubles in it are used up, so xtol = 0
-    bisects to adjacent doubles).  An endpoint or a midpoint where g is 0 is
-    the root: lo = hi there.  Returns (lo, hi)."""
+    which maps an array of points of that shape to g at each; g(lo) and
+    g(hi) must differ in sign or vanish.  Each bracket shrinks until
+    hi - lo <= xtol or its midpoint equals an end (no double lies strictly
+    inside, so xtol = 0 runs to adjacent doubles).  An end or a trial point
+    where g is 0 is the root: lo = hi there.  Each bracket of a batch gives
+    what it would give alone.  Returns (lo, hi).
+
+    The trial points follow Chandrupatla's method (Adv. Eng. Software 28,
+    1997): inverse quadratic interpolation through the two ends and the
+    end last replaced, where the method's test on those three points finds
+    the interpolant monotone over the bracket, and the midpoint otherwise
+    (the safeguard step).  A trial keeps max(xtol / 2, 1 ulp) from both
+    ends, so once the interpolation has closed in on the root from one
+    side the next trial lands across it.  Smooth g takes a handful of
+    evaluations; a jump takes as many as bisection."""
     lo, hi = (np.array(v, dtype=float) for v in np.broadcast_arrays(lo, hi))
+    shape = lo.shape
     if not lo.size:
         return lo, hi
-    g_lo, g_hi = np.sign(g(lo)), np.sign(g(hi))
-    if not np.all(g_lo * g_hi <= 0.0):  # a nan end fails too
+
+    def g_flat(x):
+        return np.asarray(g(x.reshape(shape)), dtype=float).reshape(-1)
+
+    # a: the newest point, b: the other end of the bracket, c: the end
+    # that a or b last replaced
+    a, b = lo.reshape(-1), hi.reshape(-1)
+    fa, fb = g_flat(a), g_flat(b)
+    if not np.all(np.sign(fa) * np.sign(fb) <= 0.0):  # a nan end fails too
         raise ValueError("g(lo) and g(hi) must differ in sign or vanish")
-    hi = np.where(g_lo == 0.0, lo, hi)
-    lo = np.where(g_hi == 0.0, hi, lo)
+    b = np.where(fa == 0.0, a, b)
+    a = np.where(fb == 0.0, b, a)
+    t = np.full(a.shape, 0.5)
     while True:
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
         mid = 0.5 * (lo + hi)
-        live = (hi - lo > xtol) & (mid != lo) & (mid != hi)
+        live = (hi - lo > xtol) & (lo < mid) & (mid < hi)
         if not live.any():
-            return lo, hi
-        g_mid = g(mid)
-        right = live & (g_lo * g_mid < 0.0)  # the sign change lies in [lo, mid]
-        lo = np.where(live & ~right, mid, lo)
-        hi = np.where(right | (live & (g_mid == 0.0)), mid, hi)
+            return lo.reshape(shape), hi.reshape(shape)
+        x = a + t * (b - a)
+        x = np.where((lo < x) & (x < hi), x, mid)
+        fx = g_flat(x)
+        keep_b = np.sign(fx) == np.sign(fa)  # the root stays in [x, b]
+        swap = live & ~keep_b
+        c, fc = np.where(keep_b, a, b), np.where(keep_b, fa, fb)
+        b, fb = np.where(swap, a, b), np.where(swap, fa, fb)
+        a, fa = np.where(live, x, a), np.where(live, fx, fa)
+        b = np.where(live & (fx == 0.0), x, b)
+        # the next trial of each bracket still open, as a fraction t of the
+        # way from a to b
+        t = np.full(a.shape, 0.5)
+        k = np.flatnonzero(live & (fx != 0.0))
+        ak, bk, ck, fak, fbk, fck = (v[k] for v in (a, b, c, fa, fb, fc))
+        xi, phi = (ak - bk) / (ck - bk), (fak - fbk) / (fck - fbk)
+        iqi = (phi * phi < xi) & ((1.0 - phi) ** 2 < 1.0 - xi)
+        tk = np.full(k.size, 0.5)
+        fa_, fb_, fc_ = fak[iqi], fbk[iqi], fck[iqi]
+        tk[iqi] = (fa_ / (fb_ - fa_) * fc_ / (fb_ - fc_)
+                   + (ck[iqi] - ak[iqi]) / (bk[iqi] - ak[iqi])
+                   * fa_ / (fc_ - fa_) * fb_ / (fc_ - fb_))
+        step = np.maximum(0.5 * xtol, np.spacing(np.maximum(np.abs(ak), np.abs(bk))))
+        tl = step / np.abs(bk - ak)
+        t[k] = np.where(tl < 0.5, np.clip(tk, tl, 1.0 - tl), 0.5)

@@ -18,6 +18,8 @@ jet, 1 for a bracket).  Quantities:
     para_adapted_frame  orthonormal frame with e_{2i} = J e_{2i-1}
     lie_bracket         [A, B] of sampled vector fields
     nijenhuis           integrability obstruction of a sampled J-field
+    standard_structure, pullback_structure, curved_chart, twist_structure
+                        J-fields to sample with jfield_from_function
 
 The trace needs no orthonormal frame; Gram-Schmidt stays where a frame is
 the output.  Normal projection solves the (indefinite but invertible)
@@ -228,17 +230,13 @@ def induced_gram(tangents: np.ndarray):
     return g, degenerate
 
 
-def _signature(eigenvalues) -> tuple[int, ...]:
-    """Signs of a Gram matrix's eigenvalues, positive first."""
-    return tuple(sorted((1 if e > 0 else -1 for e in eigenvalues), reverse=True))
-
-
 def metric_signatures(tangents: np.ndarray) -> list[tuple[int, ...]]:
-    """The signature of each frame of a stack (N, m, n, 2), () where
-    induced_gram finds it degenerate, from one batched eigvalsh."""
+    """The signature of each frame of a stack (N, m, n, 2), the signs of its
+    Gram matrix's eigenvalues positive first, () where induced_gram finds it
+    degenerate; one batched eigvalsh and one sort."""
     g, degenerate = induced_gram(tangents)
-    return [() if d else _signature(e)
-            for e, d in zip(np.linalg.eigvalsh(g), degenerate)]
+    signs = np.sort(np.where(np.linalg.eigvalsh(g) > 0, 1, -1), axis=-1)[..., ::-1]
+    return [() if d else tuple(s) for s, d in zip(signs.tolist(), degenerate.tolist())]
 
 
 @dataclass(frozen=True)
@@ -436,16 +434,18 @@ class JField:
     def dim(self) -> int:
         return self.mats.shape[-1]
 
-    def check_structure(self):
-        sq = self.mats @ self.mats
-        err = float(np.max(np.abs(sq - np.eye(self.dim))))
-        if err > STRUCTURE_TOL:
-            raise NotParaComplexStructure(f"max |J^2 - Id| = {err:.3e}")
-        tr = float(np.max(np.abs(np.trace(self.mats, axis1=-2, axis2=-1))))
-        if tr > STRUCTURE_TOL:
-            raise NotParaComplexStructure(
-                f"eigendistributions have unequal rank (max |tr J| = {tr:.3e})"
-            )
+
+def _check_structure(J: np.ndarray):
+    """NotParaComplexStructure unless every matrix of the stack J (..., d, d)
+    has J^2 = Id and tr J = 0, to STRUCTURE_TOL."""
+    err = float(np.max(np.abs(J @ J - np.eye(J.shape[-1]))))
+    if err > STRUCTURE_TOL:
+        raise NotParaComplexStructure(f"max |J^2 - Id| = {err:.3e}")
+    tr = float(np.max(np.abs(np.trace(J, axis1=-2, axis2=-1))))
+    if tr > STRUCTURE_TOL:
+        raise NotParaComplexStructure(
+            f"eigendistributions have unequal rank (max |tr J| = {tr:.3e})"
+        )
 
 
 def jfield_from_function(axes: Sequence[GridAxis], fn: Callable) -> JField:
@@ -455,6 +455,42 @@ def jfield_from_function(axes: Sequence[GridAxis], fn: Callable) -> JField:
     mesh = np.meshgrid(*[a.nodes() for a in axes], indexing="ij")
     mats = np.asarray(fn(*mesh), dtype=float)
     return JField(axes, np.broadcast_to(mats, mesh[0].shape + mats.shape[-2:]))
+
+
+# J-field callables for jfield_from_function: the structures the nijenhuis
+# suite and command sample.
+
+def _mat2(a, b, c, d):
+    """[[a, b], [c, d]] at every node, scalars broadcast against the rest."""
+    a, b, c, d = np.broadcast_arrays(a, b, c, d)
+    return np.stack([np.stack([a, b], axis=-1), np.stack([c, d], axis=-1)], axis=-2)
+
+
+def standard_structure(x, y):
+    """The standard para-complex structure of D, constant."""
+    return np.array([[0.0, 1.0], [1.0, 0.0]])
+
+
+def pullback_structure(dpsi):
+    """The pullback dpsi^-1 J_std dpsi of the standard structure by a chart
+    with differential dpsi(x, y), by one batched solve over the grid."""
+    def fn(x, y):
+        M = dpsi(x, y)
+        return np.linalg.solve(M, standard_structure(x, y) @ M)
+
+    return fn
+
+
+def curved_chart(x, y):
+    """Differential of a chart that is not para-holomorphic."""
+    return _mat2(1.0, 0.2 * y, 0.2 * x, 1.0)
+
+
+def twist_structure(u1, u2, v1, v2):
+    """J = +1 on span{du1, du2}, -1 on span{dv1, dv2 + v1 du1}."""
+    J = np.broadcast_to(np.diag([1.0, 1.0, -1.0, -1.0]), np.shape(v1) + (4, 4)).copy()
+    J[..., 0, 3] = -2.0 * v1
+    return J
 
 
 def _field(jf: JField, F) -> np.ndarray:
@@ -490,11 +526,13 @@ def lie_bracket(jf: JField, A, B, nodes=None):
 def nijenhuis(jf: JField, X, Y, nodes=None):
     """(N^J(X, Y), valid) with N^J(X, Y) = [X, Y] + [JX, JY] - J [JX, Y]
     - J [X, JY], at every node or at the node set nodes as in lie_bracket.
-    J X is taken on the gathered samples, so each neighbour sees its own J."""
-    jf.check_structure()
+    J X is taken on the gathered samples, so each neighbour sees its own J.
+    NotParaComplexStructure unless J is a para-complex structure on every
+    matrix read: the nodes and their stencil neighbours, or the whole grid."""
     nodes = node_set(jf, nodes)
     J, X, Y = (neighbourhood(grid, nodes, len(jf.axes))
                for grid in (jf.mats, _field(jf, X), _field(jf, Y)))
+    _check_structure(jf.mats if nodes is None else J)
     JX, JY = _apply(J, X), _apply(J, Y)
     h = [a.spacing for a in jf.axes]
     value = (_bracket(X, Y, h) + _bracket(JX, JY, h)

@@ -20,7 +20,9 @@ from .errors import LagrangianViolation
 from .geometry import (
     GridAxis,
     SampledImmersion,
+    _mat2,
     coordinate_tangents,
+    curved_chart,
     grid_jet,
     grid_mean_curvature,
     jfield_from_function,
@@ -28,8 +30,11 @@ from .geometry import (
     metric_signatures,
     nijenhuis,
     para_adapted_frame,
+    pullback_structure,
     second_fundamental_form,
     signed_gram_schmidt,
+    standard_structure,
+    twist_structure,
 )
 from .lagrangian import (
     angle_field,
@@ -777,39 +782,6 @@ def suite_soliton_ode():
 # ---------------------------------------------------------------------------
 # Nijenhuis / integrability
 # ---------------------------------------------------------------------------
-
-def _mat2(a, b, c, d):
-    """[[a, b], [c, d]] at every node, scalars broadcast against the rest."""
-    a, b, c, d = np.broadcast_arrays(a, b, c, d)
-    return np.stack([np.stack([a, b], axis=-1), np.stack([c, d], axis=-1)], axis=-2)
-
-
-def standard_structure(x, y):
-    """The standard para-complex structure of D, constant."""
-    return np.array([[0.0, 1.0], [1.0, 0.0]])
-
-
-def pullback_structure(dpsi):
-    """The pullback dpsi^-1 J_std dpsi of the standard structure by a chart
-    with differential dpsi(x, y), by one batched solve over the grid."""
-    def fn(x, y):
-        M = dpsi(x, y)
-        return np.linalg.solve(M, standard_structure(x, y) @ M)
-
-    return fn
-
-
-def curved_chart(x, y):
-    """Differential of a chart that is not para-holomorphic."""
-    return _mat2(1.0, 0.2 * y, 0.2 * x, 1.0)
-
-
-def twist_structure(u1, u2, v1, v2):
-    """J = +1 on span{du1, du2}, -1 on span{dv1, dv2 + v1 du1}."""
-    J = np.broadcast_to(np.diag([1.0, 1.0, -1.0, -1.0]), np.shape(v1) + (4, 4)).copy()
-    J[..., 0, 3] = -2.0 * v1
-    return J
-
 
 def suite_nijenhuis():
     out = []

@@ -349,3 +349,10 @@ def test_cli_subcommands_never_load_scipy(tmp_path):
     assert SOLITON_ENGINE <= loaded  # equivariant, phase and soliton load it
     for name in ("g.csv", "a.csv", "c.csv", "l.csv", "p/index.csv", "s.csv"):
         assert (tmp_path / name).is_file()
+    # nijenhuis samples its J-fields from geometry, without the suites
+    code = ("from parakahler.cli import main\n"
+            "assert main(['nijenhuis', '--structure', 'pullback', '--count', '9',"
+            " '--refine', '2', '--out', 'n.csv']) == 0")
+    loaded = _loaded_in_fresh_interpreter(code, cwd=tmp_path)
+    assert not loaded & ({"scipy", "jsonschema", "parakahler.verify"} | SOLITON_ENGINE)
+    assert (tmp_path / "n.csv").is_file()

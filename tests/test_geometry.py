@@ -17,6 +17,7 @@ from parakahler.geometry import (
     JET_MARGIN,
     GridAxis,
     Jet,
+    JField,
     SampledImmersion,
     coordinate_tangents,
     grid_jet,
@@ -33,6 +34,7 @@ from parakahler.geometry import (
     para_adapted_frame,
     second_fundamental_form,
     signed_gram_schmidt,
+    standard_structure,
     trace_mean_curvature,
 )
 
@@ -767,9 +769,25 @@ def test_nijenhuis_constant_structure():
 def test_nijenhuis_rejects_non_structure():
     axes = (GridAxis(-0.4, 0.4, 9), GridAxis(-0.4, 0.4, 9))
     jf = jfield_from_function(axes, lambda x, y: np.array([[1.0, 1.0], [0.0, 1.0]]))
-    for nodes in (None, [(4, 4)], [(9, 4)]):
+    for nodes in (None, [(4, 4)]):
         with pytest.raises(NotParaComplexStructure):
             nijenhuis(jf, [1.0, 0.0], [0.0, 1.0], nodes)
+    with pytest.raises(ValueError):  # the node set is checked first
+        nijenhuis(jf, [1.0, 0.0], [0.0, 1.0], [(9, 4)])
+
+
+def test_nijenhuis_checks_the_structure_where_it_reads_it():
+    # J broken at one node: the whole grid and the node sets whose stencil
+    # reaches that node raise, a node set away from it does not
+    axes = (GridAxis(-0.4, 0.4, 9), GridAxis(-0.4, 0.4, 9))
+    mats = np.broadcast_to(standard_structure(0.0, 0.0), (9, 9, 2, 2)).copy()
+    mats[2, 2] = [[1.0, 1.0], [0.0, 1.0]]
+    jf = JField(axes, mats)
+    for nodes in (None, [(2, 2)], [(6, 6), (3, 2)], [(2, 1)]):
+        with pytest.raises(NotParaComplexStructure):
+            nijenhuis(jf, [1.0, 0.0], [0.0, 1.0], nodes)
+    N, valid = nijenhuis(jf, [1.0, 0.0], [0.0, 1.0], [(6, 6), (3, 3)])
+    assert valid.all() and np.max(np.abs(N)) < 1e-12
 
 
 def test_bracket_node_sets_outside_the_grid_raise():

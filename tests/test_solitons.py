@@ -6,7 +6,7 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from parakahler import equivariant, solitons
-from parakahler.dcore import bisect, d_grading2, d_norm2, d_pow
+from parakahler.dcore import bracket_roots, d_grading2, d_norm2, d_pow
 from parakahler.errors import (
     IntegrandSingular,
     InvalidCase,
@@ -615,7 +615,7 @@ def test_event_rounding_onto_the_last_knot_adds_no_state():
 
 
 # ---------------------------------------------------------------------------
-# The bracketed root finder, dcore.bisect, against scipy's brentq: every
+# The bracketed root finder, dcore.bracket_roots, against scipy's brentq: every
 # bracket it returns is at most xtol wide (one ulp for xtol = 0), and both
 # its ends lie within that width of brentq's root, to brentq's own
 # tolerance RTOL |x|.  Where the computed function is exactly 0 over a
@@ -654,26 +654,54 @@ def _brentq_per_bracket(g, lo, hi):
     return refs
 
 
+def _counted(g):
+    """g and a list whose length is the number of calls made to g."""
+    calls = []
+
+    def g_counted(x):
+        calls.append(None)
+        return g(x)
+    return g_counted, calls
+
+
+def _bisection_evaluations(f, lo, hi, xtol):
+    """Reference: the evaluations of f that halving [lo, hi] takes under
+    bracket_roots' contract, the two ends included."""
+    s_lo, count = np.sign(f(lo)), 2
+    if s_lo * np.sign(f(hi)) == 0.0:
+        return count
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not (hi - lo > xtol and lo < mid < hi):
+            return count
+        s_mid, count = np.sign(f(mid)), count + 1
+        if s_mid == 0.0:
+            return count
+        lo, hi = (lo, mid) if s_lo * s_mid < 0.0 else (mid, hi)
+
+
 def _record_against_brentq(monkeypatch):
-    """Route every bisect call of solitons through a wrapper that also asks
-    brentq for the root in each bracket; returns the list of (lo, hi,
-    brentq roots, xtol, flat) it fills, flat marking the brackets where g
-    is 0 at nine points spanning both ends and brentq's root."""
+    """Route every bracket_roots call of solitons through a wrapper that also
+    asks brentq for the root in each bracket; returns the list of (lo, hi,
+    brentq roots, xtol, flat, evaluations) it fills, flat marking the
+    brackets where g is 0 at nine points spanning both ends and brentq's
+    root, evaluations the calls bracket_roots made to g."""
     calls = []
 
     def both(g, lo, hi, xtol):
         lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), hi)
-        out = bisect(g, lo, hi, xtol)
+        g_counted, evaluations = _counted(g)
+        out = bracket_roots(g_counted, lo, hi, xtol)
         refs = _brentq_per_bracket(g, lo, hi)
         flat = np.zeros(refs.shape, dtype=bool)
         for k in np.ndindex(refs.shape):
             ends = (out[0][k], out[1][k], refs[k])
             span = np.linspace(min(ends), max(ends), 9)
             flat[k] = all(_scalar(g, lo, k)(x) == 0.0 for x in span)
-        calls.append(out + (refs, xtol, flat))
+        calls.append(out + (refs, xtol, flat, len(evaluations)))
         return out
 
-    monkeypatch.setattr(solitons, "bisect", both)
+    monkeypatch.setattr(solitons, "bracket_roots", both)
     return calls
 
 
@@ -682,7 +710,7 @@ def _assert_within_tolerance(calls):
     exact zeros wider than the tolerance."""
     assert calls
     wide = 0
-    for lo, hi, refs, xtol, flat in calls:
+    for lo, hi, refs, xtol, flat, _ in calls:
         for k in np.ndindex(refs.shape):
             if flat[k]:
                 wide += abs(lo[k] - refs[k]) > xtol or abs(hi[k] - refs[k]) > xtol
@@ -701,12 +729,16 @@ def _assert_within_tolerance(calls):
     (lambda x: 1e-300 * (np.cos(x) - x), 0.0, 1.0),  # subnormal values near the root
 ])
 @pytest.mark.parametrize("xtol", [solitons.EVENT_XTOL, 1e-14, 1e-6, 0.0])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_bracketed_root_matches_brentq(f, a, b, xtol):
-    lo, hi = bisect(f, a, b, xtol)
+    g, evaluations = _counted(f)
+    lo, hi = bracket_roots(g, a, b, xtol)
     _assert_holds(lo, hi, _brentq_root(f, a, b), xtol)
+    # never more evaluations than halving the same bracket to the same xtol
+    assert len(evaluations) <= _bisection_evaluations(f, a, b, xtol)
     # one call on several brackets gives each bracket its own result, and a
     # bracket already found stays as it is
-    many = bisect(f, [a, lo, a], [b, hi, b], xtol)
+    many = bracket_roots(f, [a, lo, a], [b, hi, b], xtol)
     assert many[0].tolist() == [lo, lo, lo] and many[1].tolist() == [hi, hi, hi]
 
 
@@ -715,43 +747,47 @@ def test_bracketed_root_endpoints_and_bracket():
     # and so is a midpoint where f is exactly 0 (lo = hi there); no sign
     # change is an error
     for xtol in (solitons.EVENT_XTOL, 1e-14, 1e-6, 0.0):
-        lo, hi = bisect(lambda x: np.copysign(1.0, x - 0.3), 0.0, 1.0, xtol)
+        lo, hi = bracket_roots(lambda x: np.copysign(1.0, x - 0.3), 0.0, 1.0, xtol)
         assert lo <= 0.3 <= hi and hi - lo <= max(xtol, np.spacing(0.3))
-    lo, hi = bisect(lambda x: x - 1.0, [1.0, 0.0], [3.0, 1.0], 1e-14)
+    lo, hi = bracket_roots(lambda x: x - 1.0, [1.0, 0.0], [3.0, 1.0], 1e-14)
     assert lo.tolist() == hi.tolist() == [1.0, 1.0]
-    lo, hi = bisect(lambda x: x - 0.75, 0.5, 1.0, 0.0)  # the first midpoint
+    lo, hi = bracket_roots(lambda x: x - 0.75, 0.5, 1.0, 0.0)  # the first midpoint
     assert lo == hi == 0.75
     with pytest.raises(ValueError):
-        bisect(lambda x: x * x + 1.0, -1.0, 1.0, 1e-14)
+        bracket_roots(lambda x: x * x + 1.0, -1.0, 1.0, 1e-14)
     with pytest.raises(ValueError):
-        bisect(lambda x: x * x + 1.0, [0.0, -1.0], [1.0, 1.0], 1e-14)
+        bracket_roots(lambda x: x * x + 1.0, [0.0, -1.0], [1.0, 1.0], 1e-14)
     with pytest.raises(ValueError), np.errstate(invalid="ignore"):
-        bisect(lambda x: np.log(x), -1.0, 2.0, 1e-14)  # nan at an end
+        bracket_roots(lambda x: np.log(x), -1.0, 2.0, 1e-14)  # nan at an end
 
 
 @pytest.mark.parametrize("params", [SolitonParams(2, 1.0, "lorentzian"),
                                     SolitonParams(2, -1.0, "definite")],
                          ids=["lorentzian+1", "definite-1"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_sweep_events_match_brentq(params, monkeypatch):
     # the phase command's benchmark-sized 5 x 5 sweep, both directions:
-    # every located event against brentq on the same event function, then
+    # every located event against brentq on the same event function, in one
+    # call of at most 10 evaluations (halving to EVENT_XTOL takes 52), then
     # the whole sweep again with brentq locating the events
     calls = _record_against_brentq(monkeypatch)
     ours = integrate_bidirectional_many(params, _SWEEP, 10.0, rtol=1e-12)
     _assert_within_tolerance(calls)
     assert len(calls) == 1 and calls[0][0].size >= 2 * len(_SWEEP)
     assert calls[0][3] == solitons.EVENT_XTOL
+    assert calls[0][5] <= 10
 
-    def brentq_bisect(g, lo, hi, xtol):
+    def brentq_roots(g, lo, hi, xtol):
         refs = _brentq_per_bracket(g, lo, hi)
         return refs, refs
 
-    monkeypatch.setattr(solitons, "bisect", brentq_bisect)
+    monkeypatch.setattr(solitons, "bracket_roots", brentq_roots)
     ref = integrate_bidirectional_many(params, _SWEEP, 10.0, rtol=1e-12)
     assert [tr.stop_reason for tr in ours] == [tr.stop_reason for tr in ref]
     assert [classify(tr) for tr in ours] == [classify(tr) for tr in ref]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_turning_radius_matches_brentq(monkeypatch):
     calls = _record_against_brentq(monkeypatch)
     e0 = energy_threshold(LOR1)
@@ -765,4 +801,7 @@ def test_turning_radius_matches_brentq(monkeypatch):
         assert rho in (calls[-1][0], calls[-1][1])
     assert _assert_within_tolerance(calls) == 0
     assert len(calls) == 6
-    assert all(xtol == 0.0 for *_, xtol, _ in calls)
+    assert all(xtol == 0.0 for *_, xtol, _, _ in calls)
+    # trials keep an ulp from the ends, so a one-sided approach still
+    # crosses the root: 9 to 13 evaluations here, halving takes 50 to 56
+    assert all(evaluations <= 15 for *_, evaluations in calls)

@@ -121,8 +121,12 @@ def lift(curve: ProfileCurve, n: int, sphere_counts=None) -> SampledImmersion:
     mesh = np.meshgrid(*[a.nodes() for a in axes], indexing="ij")
     sigma = embed(*mesh)  # (*sphere_shape, n)
     gamma = curve.gamma  # (k, 2)
-    values = gamma[(slice(None),) + (None,) * len(axes) + (None, slice(None))] \
-        * sigma[None, ..., :, None]
+    # values[i, ..., j, c] = gamma[i, c] sigma[..., j], one (k, sphere * n)
+    # product per component c: long inner loops instead of pairs
+    values = np.empty((len(gamma),) + sigma.shape + (2,))
+    flat, row = values.reshape(len(gamma), -1, 2), sigma.reshape(1, -1)
+    np.multiply(gamma[:, :1], row, out=flat[..., 0])
+    np.multiply(gamma[:, 1:], row, out=flat[..., 1])
     return SampledImmersion((s_axis,) + axes, values)
 
 

@@ -131,28 +131,36 @@ class _Field:
         lorentzian  (r tanh(alpha), -n + l' r^2, 1, r / cosh(alpha))
 
     Constants are 0-d arrays: numpy combines those with small arrays faster
-    than Python floats."""
+    than Python floats.  Each row is computed from y alone and written to
+    out once (numpy is slower where an operation reads and writes different
+    rows of one array); an out from empty() already holds the Lorentzian
+    phi' = 1 row, which calls leave alone."""
 
     def __init__(self, params: SolitonParams):
         self.definite = params.case == "definite"
         self.neg_n = np.array(-float(params.n))
         self.lam = np.array(float(params.lambda_prime))
 
+    def empty(self, shape):
+        """An array (..., 4, N) for field values, its constant row set."""
+        out = np.empty(shape)
+        if not self.definite:
+            out[..., 2, :] = 1.0
+        return out
+
     def __call__(self, y, out=None):
         if out is None:
-            out = np.empty(np.shape(y))
+            out = self.empty(np.shape(y))
         r = y[0]
         tanh = np.tanh(y[1])
-        rate = self.neg_n + self.lam * (r * r)
         if self.definite:
             out[0] = r
-            np.multiply(rate, tanh, out[1])
+            np.multiply(self.neg_n + self.lam * (r * r), tanh, out=out[1])
             out[2] = tanh
         else:
-            np.multiply(r, tanh, out[0])
-            out[1] = rate
-            out[2] = 1.0
-        np.divide(r, np.cosh(y[1]), out[3])
+            np.multiply(r, tanh, out=out[0])
+            np.add(self.neg_n, self.lam * (r * r), out=out[1])
+        np.divide(r, np.cosh(y[1]), out=out[3])
         return out
 
 
@@ -195,15 +203,48 @@ def energy_threshold(params: SolitonParams) -> float:
     return first_integral(cp, params)
 
 
+class _DenseOutput:
+    """The coefficients F (7, T, 4) of the 7th-order interpolants of all T
+    accepted steps of one integrate_many call, lane by lane, built for the
+    whole batch on the first read of F: a sweep that is never sampled skips
+    their three extra field evaluations per step.  Until then it keeps the
+    call's per-iteration records.  The lanes' last steps, redone to their
+    events, form a second batch of their own, their columns of the first
+    being overwritten: BLAS rounds a column by its place in the batch (see
+    _dense), and so their F does not depend on how many steps the lanes
+    took."""
+
+    def __init__(self, field, steps, take, hs, states, knots, last, K_end):
+        self._parts = (field, steps, take, hs, states, knots, last, K_end)
+        self._F = None
+
+    @property
+    def F(self) -> np.ndarray:
+        if self._F is None:
+            field, steps, take, hs, states, knots, last, K_end = self._parts
+            K = np.concatenate([st[5] for st in steps], axis=-1).take(take, axis=-1)
+            y_new, y_old = states[knots].T, states[knots - 1].T
+            F = _dense(K, y_old, y_new, hs, field)
+            F[:, :, last] = _dense(K_end, y_old[:, last], y_new[:, last], hs[last], field)
+            self._F, self._parts = np.swapaxes(F, 1, 2), None
+        return self._F
+
+
 @dataclass(frozen=True)
 class _Branch:
     """Dense output of one integration direction: states y (k+1, 4) at its
     knots, per step its length h (k,) in sigma and the coefficients
-    F (7, k, 4) of its 7th-order interpolant, the last step ending on the event."""
+    F (7, k, 4) of its 7th-order interpolant, the last step ending on the
+    event: steps start to start + k of its batch's shared dense output."""
     direction: float
     y: np.ndarray
     h: np.ndarray
-    F: np.ndarray
+    dense: _DenseOutput = field(repr=False)
+    start: int
+
+    @property
+    def F(self) -> np.ndarray:
+        return self.dense.F[:, self.start:self.start + self.h.size]
 
     def at(self, u: np.ndarray) -> np.ndarray:
         """States (N, 4) where direction * s = u: the step whose knots
@@ -360,7 +401,13 @@ def _events(y, f, limits):
     alpha_floor (dalpha/ds = f_alpha / f_s) and |s| - s_max for limits
     (5, 1); a stop is a sign change of its row."""
     a = np.abs(y[1])
-    return np.stack([y[0], y[0], a, a + np.abs(f[1] / f[3]), np.abs(y[3])]) - limits
+    ev = np.empty((5,) + np.shape(y)[1:])
+    ev[0] = ev[1] = y[0]
+    ev[2] = a
+    np.add(a, np.abs(f[1] / f[3]), out=ev[3])
+    np.abs(y[3], out=ev[4])
+    ev -= limits
+    return ev
 
 
 def _initial_step(y, f, field, sign, rtol, atol):
@@ -375,38 +422,68 @@ def _initial_step(y, f, field, sign, rtol, atol):
     return np.minimum(100 * h0, h1)
 
 
+def _rows(hs, shape):
+    """Step lengths hs (N,) repeated on every row of shape (d, N): numpy
+    multiplies arrays of one shape faster than it broadcasts."""
+    out = np.empty(shape)
+    out[...] = hs
+    return out
+
+
+def _stage(a, K2, hs, y, out):
+    """out = y + hs (a . K2), K2 the stages (s, d N) of steps from y (d, N)
+    of lengths hs (d, N)."""
+    np.dot(a, K2, out=out.reshape(-1))
+    out *= hs
+    out += y
+    return out
+
+
 def _step(y, f, hs, field):
     """One Dormand-Prince 8(5,3) step of signed lengths hs (N,) from states
     y (d, N) with f = field(y): (y_new, K), K (13, d, N) the stages, the
     last one f(y_new) (first same as last)."""
-    dim = len(y)
-    K = np.empty((13,) + y.shape)
+    K = field.empty((13,) + y.shape)
     K[0] = f
     K2 = K.reshape(13, -1)
+    hs = _rows(hs, y.shape)
+    y_stage = np.empty(y.shape)
     for s, a in enumerate(_STAGES, start=1):
-        field(y + hs * np.dot(a, K2[:s]).reshape(dim, -1), out=K[s])
-    y_new = y + hs * np.dot(_B, K2[:12]).reshape(dim, -1)
+        field(_stage(a, K2[:s], hs, y, y_stage), out=K[s])
+    y_new = _stage(_B, K2[:12], hs, y, np.empty(y.shape))
     field(y_new, out=K[12])
     return y_new, K
 
 
-def _dense(K, y_old, y_new, hs, field):
+def _dense(K, y_old, y_new, hs, field, at=None, width=None):
     """Coefficients F (7, d, N) of the 7th-order interpolant of N steps from
     their stages K (13, d, N), their end states (d, N) and their signed
     lengths hs (N,): the three extra stages of DOP853, then F as scipy's
-    DOP853 builds it (Hairer-Norsett-Wanner's CONTD8)."""
+    DOP853 builds it (Hairer-Norsett-Wanner's CONTD8).  With at (N,) and
+    width, the (4, 16) @ (16, d width) product of F's top rows holds the
+    steps at columns at of width steps, zeros elsewhere: BLAS rounds a
+    column of that product by its place in it (a step alone and the same step
+    in a larger batch can differ in the last bit), so each step then
+    gets the F of its place in a width-step batch."""
     dim = K.shape[1]
-    Kx = np.empty((16,) + K.shape[1:])
+    Kx = field.empty((16,) + K.shape[1:])
     Kx[:13] = K
     K2 = Kx.reshape(16, -1)
+    y_stage, hs_rows = np.empty(K.shape[1:]), _rows(hs, K.shape[1:])
     for s in range(13, 16):
-        field(y_old + hs * np.dot(_A[s, :s], K2[:s]).reshape(dim, -1), out=Kx[s])
+        field(_stage(_A[s, :s], K2[:s], hs_rows, y_old, y_stage), out=Kx[s])
     dy = y_new - y_old
     F = np.empty((7,) + K.shape[1:])
     F[0] = dy
     F[1] = hs * K[0] - dy
     F[2] = 2.0 * dy - hs * (K[12] + K[0])
-    F[3:] = hs * np.dot(_D, K2).reshape(4, dim, -1)
+    if at is None:
+        top = np.dot(_D, K2).reshape(4, dim, -1)
+    else:
+        wide = np.zeros((16, dim, width))
+        wide[:, :, at] = Kx
+        top = np.dot(_D, wide.reshape(16, -1)).reshape(4, dim, width)[..., at]
+    F[3:] = hs * top
     return F
 
 
@@ -438,9 +515,10 @@ def integrate_many(params: SolitonParams, initial, directions, s_max: float, *,
     earliest sign change on that step's 7th-order interpolant, located to
     EVENT_XTOL of the step, is the lane's stop, and the step is redone to
     it, its end state being the event's.  The interpolant costs three more
-    field evaluations per step, so it is built only there, for every
-    accepted step together.  A step below 10 ulp of sigma raises
-    StepFailure.
+    field evaluations per step, so the loop builds none: _trajectories
+    builds those of the lanes' last steps, and the trajectories share one
+    _DenseOutput that builds every accepted step's on the first sample.  A
+    step below 10 ulp of sigma raises StepFailure.
 
     In the definite case with a decaying angle the energy g(r) sinh(alpha)
     pairs an exploding factor with a collapsing one; once |alpha| reaches
@@ -483,7 +561,9 @@ def integrate_many(params: SolitonParams, initial, directions, s_max: float, *,
     armed[3] &= np.abs(y[1]) > ALPHA_FLOOR
     sg = np.sign(_events(y, f, limits))
     steps = []                           # per iteration: ids, accepted, h, y, y_new, K
-    fired_rows = np.zeros((lanes, len(_EVENTS)), dtype=bool)  # of each lane's last step
+    # of each lane's last step: the events fired and its stages
+    fired_rows = np.zeros((lanes, len(_EVENTS)), dtype=bool)
+    K_last = np.empty((13, dim, lanes))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         while ids.size:
             min_step = _TEN * np.spacing(t)
@@ -534,82 +614,126 @@ def integrate_many(params: SolitonParams, initial, directions, s_max: float, *,
             if not finished.any():
                 continue
             fired_rows[ids[finished]] = fired[:, finished].T
+            K_last[:, :, ids[finished]] = K[:, :, finished]
             keep = ~finished
             ids, y, t, h_abs, rejected, sign = (
                 ids[keep], y[:, keep], t[keep], h_abs[keep], rejected[keep], sign[keep])
             sg, armed, f = sg[:, keep], armed[:, keep], f[:, keep]
             retry = bool(rejected.any())
 
-    return _trajectories(params, field, y0, directions, steps, fired_rows, limits)
+    return _trajectories(params, field, y0, directions, steps, fired_rows, K_last,
+                        limits)
 
 
-def _trajectories(params, field, y0, directions, steps, fired, limits):
+def _trajectories(params, field, y0, directions, steps, fired, K_last, limits):
     """One Trajectory per lane from integrate_many's per-iteration records
-    (ids, accepted, h, y, y_new, K) and the events fired (L, 5) on each
-    lane's last step: the accepted steps of each lane in order, their
-    interpolants built in one batch.  Every (lane, fired event) pair is
-    located in one bracket_roots call on the step fraction of its lane's
-    last step, and the earliest root of a lane is its stop; the last steps
-    are then redone to their stops in one batch, since the interpolant
-    there is several times less accurate than a step.  Near a singular end
-    ds/dsigma falls below an ulp of s, so a row is kept only if its s
-    passes every earlier knot, and the end state replaces the knots it does
-    not pass; the dense output and the drift keep every knot."""
+    (ids, accepted, h, y, y_new, K), the events fired (L, 5) on each lane's
+    last step and that step's stages K_last (13, 4, L), all lanes assembled
+    together.  The interpolants of the last steps are built in one batch,
+    every (lane, fired event) pair is located in one bracket_roots call on
+    the step fraction of its lane's last step, and the earliest root of a
+    lane is its stop; the last steps are then redone to their stops in one
+    batch, since the interpolant there is several times less accurate than
+    a step.  Near a singular end ds/dsigma falls below an ulp of s, so a row
+    is kept only if its s passes every earlier knot, and the end state
+    replaces the knots it does not pass (_kept_rows); the dense output
+    (_DenseOutput, built when first sampled) and the drift keep every
+    knot.  Only the Trajectory objects are made lane by lane."""
     lanes = len(y0)
     lane = np.concatenate([st[0] for st in steps])
     accepted = np.concatenate([st[1] for st in steps])
     rejected = np.bincount(lane[~accepted], minlength=lanes)
     # the accepted records, lane by lane in step order
     take = np.flatnonzero(accepted)[np.argsort(lane[accepted], kind="stable")]
+    counts = np.bincount(lane[take], minlength=lanes)
+    h_all = np.concatenate([st[2] for st in steps]).take(take)
+    last = np.cumsum(counts) - 1
+    # the knots of lane i, its start and then the end of each accepted
+    # step, are rows first[i]:first[i + 1] of states
+    sizes = counts + 1
+    first = np.concatenate([[0], np.cumsum(sizes)])
+    starts, ends = first[:-1], first[1:] - 1
+    states = np.empty((first[-1], 4))
+    states[starts] = y0
+    knots = np.delete(np.arange(first[-1]), starts)
+    states[knots] = np.concatenate([st[4] for st in steps], axis=-1).take(take, axis=-1).T
 
-    def gather(k):
-        return np.concatenate([st[k] for st in steps], axis=-1).take(take, axis=-1)
-
-    h_all, y_old, y_all, K = gather(2), gather(3), gather(4), gather(5)
-    F_all = _dense(K, y_old, y_all, directions[lane[take]] * h_all, field)
-    bounds = np.concatenate([[0], np.cumsum(np.bincount(lane[take], minlength=lanes))])
-
-    last = bounds[1:] - 1
+    # the interpolants of the last steps, each as it is in the batch of all
+    # steps that _DenseOutput builds
+    y_from, y_to = states[ends - 1].T, states[ends].T
+    F_last = _dense(K_last, y_from, y_to, directions * h_all[last], field,
+                    at=last, width=h_all.size)
     pair_lane, pair_event = np.nonzero(fired)
-    p = last[pair_lane]
-    F, y_from, y_to, cols = F_all[:, :, p], y_old[:, p], y_all[:, p], np.arange(p.size)
+    F, y_a, y_b = F_last[:, :, pair_lane], y_from[:, pair_lane], y_to[:, pair_lane]
+    cols = np.arange(pair_lane.size)
 
     def event(x):
         # at fraction 1 the knot itself, whose event signs fired the stop
-        y = np.where(x == 1.0, y_to, _interpolate(F, y_from, x))
+        y = np.where(x == 1.0, y_b, _interpolate(F, y_a, x))
         return _events(y, field(y), limits)[pair_event, cols]
 
     roots = np.full(fired.shape, np.inf)
     roots[pair_lane, pair_event] = bracket_roots(
-        event, np.zeros(p.size), np.ones(p.size), EVENT_XTOL)[1]
+        event, np.zeros(pair_lane.size), np.ones(pair_lane.size), EVENT_XTOL)[1]
     stop = np.argmin(roots, axis=1)
     h_all[last] *= roots[np.arange(lanes), stop]
-    hs = directions * h_all[last]
-    y_all[:, last], K_end = _step(y_old[:, last], K[0][:, last], hs, field)
-    F_all[:, :, last] = _dense(K_end, y_old[:, last], y_all[:, last], hs, field)
-    F_all, y_all = np.swapaxes(F_all, 1, 2), y_all.T
+    y_end, K_end = _step(y_from, K_last[0], directions * h_all[last], field)
+    states[ends] = y_end.T
+    dense = _DenseOutput(field, steps, take, np.repeat(directions, counts) * h_all,
+                         states, knots, last, K_end)
+
+    E = energy(states, params)
+    E0 = E[starts]
+    drift = np.maximum.reduceat(np.abs(E - np.repeat(E0, sizes)), starts)
+    rows, per_lane = _kept_rows(states, first, directions)
+    out_first = np.concatenate([[0], np.cumsum(per_lane)])
 
     out = []
-    for i in range(lanes):
-        seg = slice(bounds[i], bounds[i + 1])
-        states = np.concatenate([y0[i:i + 1], y_all[seg]])
-        branch = _Branch(float(directions[i]), states, h_all[seg], F_all[:, seg])
-        E = energy(states, params)
-        E0 = float(E[0])
-        scale = max(abs(E0), float(radial_weight(y0[i, 0], params)), 1e-300)
-        drift = float(np.max(np.abs(E - E0))) / scale
-        ds = branch.direction * states[:, 3]
-        keep = np.concatenate([[True], ds[1:] > np.maximum.accumulate(ds)[:-1]])
-        keep[1:-1] &= ds[1:-1] < ds[-1]
-        keep[-1] = ds[-1] > 0.0
-        rows = states[keep] if branch.direction > 0 else states[keep][::-1]
-        out.append(Trajectory(params, rows[:, 3], rows[:, :3], E0, drift,
-                              drift < DRIFT_TOL, _EVENTS[stop[i]],
-                              accepted_steps=branch.h.size,
+    step0 = last + 1 - counts
+    for i, (e0, dev, r0) in enumerate(zip(E0.tolist(), drift.tolist(), y0[:, 0])):
+        # g(r0) on the start alone: numpy rounds r ** n of a scalar (libm's
+        # pow) and of an array differently
+        scale = max(abs(e0), float(radial_weight(r0, params)), 1e-300)
+        d = dev / scale
+        lane_rows = rows[out_first[i]:out_first[i + 1]]
+        branch = _Branch(float(directions[i]), states[starts[i]:first[i + 1]],
+                         h_all[step0[i]:last[i] + 1], dense, int(step0[i]))
+        out.append(Trajectory(params, lane_rows[:, 3], lane_rows[:, :3], e0, d,
+                              d < DRIFT_TOL, _EVENTS[stop[i]],
+                              accepted_steps=int(counts[i]),
                               rejected_steps=int(rejected[i]),
-                              dropped_knots=int(keep.size - keep.sum()),
+                              dropped_knots=int(sizes[i] - per_lane[i]),
                               _branches=(branch,)))
     return out
+
+
+def _kept_rows(states, first, directions):
+    """The trajectory rows of lanes whose knots are rows first[i]:first[i +
+    1] of states, in ascending s, and each lane's row count.  A knot is kept
+    if its s passes the running max of its lane's earlier knots (over a
+    -inf padded lanes x knots table) and stays short of the lane's end s;
+    the start is kept, and the end where it passes the start."""
+    lanes, sizes = len(directions), np.diff(first)
+    lane = np.repeat(np.arange(lanes), sizes)
+    ds = np.repeat(directions, sizes) * states[:, 3]
+    col = np.arange(ds.size) - first[lane]
+    table = np.full((lanes, sizes.max()), -np.inf)
+    table[lane, col] = ds
+    knots, ends = np.flatnonzero(col), first[1:] - 1
+    ahead = np.maximum.accumulate(table, axis=1)[lane[knots], col[knots] - 1]
+    keep = np.ones(ds.size, dtype=bool)
+    keep[knots] = (ds[knots] > ahead) & (ds[knots] < ds[ends][lane[knots]])
+    keep[ends] = ds[ends] > 0.0
+    # a backward lane's kept rows reversed
+    kept = np.flatnonzero(keep)
+    lane = lane[kept]
+    per_lane = np.bincount(lane, minlength=lanes)
+    out_first = np.cumsum(per_lane) - per_lane
+    rank = np.arange(kept.size) - out_first[lane]
+    rows = np.empty((kept.size, 4))
+    rows[out_first[lane] + np.where(directions[lane] > 0, rank, per_lane[lane] - 1 - rank)] = \
+        states[kept]
+    return rows, per_lane
 
 
 def integrate(initial: SolitonState, params: SolitonParams, s_max: float, *,

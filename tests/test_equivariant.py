@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from parakahler import equivariant
 from parakahler.dcore import d_exp_tau, d_norm2, d_polar
 from parakahler.equivariant import (
     ProfileCurve,
@@ -51,6 +52,23 @@ def test_lift_is_lagrangian():
     tangents, valid = coordinate_tangents(imm3, [(16, 4, 6)])
     assert valid.all()
     require_lagrangian(tangents)
+
+
+@pytest.mark.parametrize("curve, n, counts", [
+    (explicit_circle(1.3, 64), 2, (32,)),
+    (explicit_hyperbola(1.0, 0.3, 2.0, 40), 2, (24,)),
+    (level_curve(3, 1.0, "re", -1.5, 1.5, 201), 3, (18, 32)),
+], ids=["periodic-circle", "open-hyperbola", "n3-level"])
+def test_lift_values_are_the_broadcast_product_bit_for_bit(curve, n, counts):
+    # values[i, ..., j, c] = gamma[i, c] sigma[..., j]: the lift's two flat
+    # products against the broadcast product over the sphere's nodes
+    imm = lift(curve, n, counts)
+    sigma = equivariant._sphere_chart(n, counts)[1](
+        *np.meshgrid(*[a.nodes() for a in imm.axes[1:]], indexing="ij"))
+    ref = curve.gamma[(slice(None),) + (None,) * len(counts) + (None, slice(None))] \
+        * sigma[None, ..., :, None]
+    assert imm.values.shape == ref.shape == (curve.s.size, *counts, n, 2)
+    assert imm.values.tobytes() == ref.tobytes()
 
 
 def test_torus_angle_field_structure():

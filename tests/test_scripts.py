@@ -28,7 +28,7 @@ def data_rows(path):
 
 def test_every_script_is_covered():
     assert {p.stem for p in SCRIPTS.glob("*.py")} == {
-        "convergence_study", "phase_portrait", "torus_angle_field"}
+        "convergence_study", "output_digests", "phase_portrait", "torus_angle_field"}
 
 
 def test_convergence_study_prints_second_order_ratios(capsys, monkeypatch):
@@ -55,3 +55,21 @@ def test_torus_angle_field_leaves_no_temp_file(tmp_path, monkeypatch):
     assert len(data_rows(out)) == 16 * 8
     assert list(temp_root.iterdir()) == []
 
+
+
+def test_output_digests_lists_every_output_the_same_way_twice(capsys, monkeypatch):
+    # one sha256 per CSV the fixed command set writes, then the verify
+    # report's; CLI outputs are byte-identical reruns, so are the listings
+    args = ("--count", "11", "--suite", "algebra")
+    assert run_script("output_digests", monkeypatch, *args) == 0
+    first = capsys.readouterr().out
+    assert run_script("output_digests", monkeypatch, *args) == 0
+    assert capsys.readouterr().out == first
+    digests, names = zip(*(line.split("  ", 1) for line in first.splitlines()))
+    assert all(len(d) == 64 and int(d, 16) >= 0 for d in digests)
+    assert len(set(names)) == len(names)
+    assert {"graph2.csv", "graph3.csv", "angle_torus.csv", "angle_soliton_lift.csv",
+            "circle_lift.csv", "re3_lift.csv", "soliton_one_way.csv",
+            "soliton_two_way.csv", "normal_bundle.csv", "nijenhuis.csv",
+            "phase_lorentzian/index.csv", "phase_definite/traj_0024.csv"} <= set(names)
+    assert names[-1] == "verify --suite algebra (stdout)"

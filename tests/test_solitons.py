@@ -1,11 +1,12 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
-from parakahler import equivariant, solitons
+from parakahler import cli, equivariant, solitons
 from parakahler.dcore import bracket_roots, d_grading2, d_norm2, d_pow
 from parakahler.errors import (
     IntegrandSingular,
@@ -805,3 +806,138 @@ def test_turning_radius_matches_brentq(monkeypatch):
     # trials keep an ulp from the ends, so a one-sided approach still
     # crosses the root: 9 to 13 evaluations here, halving takes 50 to 56
     assert all(evaluations <= 15 for *_, evaluations in calls)
+
+
+# ---------------------------------------------------------------------------
+# The post-loop assembly of integrate_many against the one it replaced,
+# kept here as the reference: every accepted step's interpolant built
+# eagerly in one _dense batch, the stops located on its columns, and each
+# lane assembled on its own.  The batched assembly and the lazily built
+# dense output give the same rows, counts, drifts and samples, bit for bit.
+# ---------------------------------------------------------------------------
+
+def _per_lane_trajectories(params, field, y0, directions, steps, fired, K_last, limits):
+    lanes = len(y0)
+    lane = np.concatenate([st[0] for st in steps])
+    accepted = np.concatenate([st[1] for st in steps])
+    rejected = np.bincount(lane[~accepted], minlength=lanes)
+    take = np.flatnonzero(accepted)[np.argsort(lane[accepted], kind="stable")]
+
+    def gather(k):
+        return np.concatenate([st[k] for st in steps], axis=-1).take(take, axis=-1)
+
+    h_all, y_old, y_all, K = gather(2), gather(3), gather(4), gather(5)
+    F_all = solitons._dense(K, y_old, y_all, directions[lane[take]] * h_all, field)
+    bounds = np.concatenate([[0], np.cumsum(np.bincount(lane[take], minlength=lanes))])
+    last = bounds[1:] - 1
+    pair_lane, pair_event = np.nonzero(fired)
+    p = last[pair_lane]
+    F, y_from, y_to, cols = F_all[:, :, p], y_old[:, p], y_all[:, p], np.arange(p.size)
+
+    def event(x):
+        y = np.where(x == 1.0, y_to, solitons._interpolate(F, y_from, x))
+        return solitons._events(y, field(y), limits)[pair_event, cols]
+
+    roots = np.full(fired.shape, np.inf)
+    roots[pair_lane, pair_event] = bracket_roots(
+        event, np.zeros(p.size), np.ones(p.size), solitons.EVENT_XTOL)[1]
+    stop = np.argmin(roots, axis=1)
+    h_all[last] *= roots[np.arange(lanes), stop]
+    hs = directions * h_all[last]
+    y_all[:, last], K_end = solitons._step(y_old[:, last], K[0][:, last], hs, field)
+    F_all[:, :, last] = solitons._dense(K_end, y_old[:, last], y_all[:, last], hs, field)
+    dense, y_all = SimpleNamespace(F=np.swapaxes(F_all, 1, 2)), y_all.T
+
+    out = []
+    for i in range(lanes):
+        seg = slice(bounds[i], bounds[i + 1])
+        states = np.concatenate([y0[i:i + 1], y_all[seg]])
+        branch = solitons._Branch(float(directions[i]), states, h_all[seg], dense,
+                                  int(bounds[i]))
+        E = solitons.energy(states, params)
+        E0 = float(E[0])
+        scale = max(abs(E0), float(solitons.radial_weight(y0[i, 0], params)), 1e-300)
+        drift = float(np.max(np.abs(E - E0))) / scale
+        ds = branch.direction * states[:, 3]
+        keep = np.concatenate([[True], ds[1:] > np.maximum.accumulate(ds)[:-1]])
+        keep[1:-1] &= ds[1:-1] < ds[-1]
+        keep[-1] = ds[-1] > 0.0
+        rows = states[keep] if branch.direction > 0 else states[keep][::-1]
+        out.append(Trajectory(params, rows[:, 3], rows[:, :3], E0, drift,
+                              drift < solitons.DRIFT_TOL, solitons._EVENTS[stop[i]],
+                              accepted_steps=branch.h.size,
+                              rejected_steps=int(rejected[i]),
+                              dropped_knots=int(keep.size - keep.sum()),
+                              _branches=(branch,)))
+    return out
+
+
+def _bits(a):
+    a = np.asarray(a, dtype=float)
+    return a.shape, np.ascontiguousarray(a).tobytes()
+
+
+# the definite lane of the benchmark sweeps whose alpha_floor end is the
+# least accurate (seed 10, forward)
+_FLOOR = (0.507, -0.793, 0.0)
+
+
+@pytest.mark.parametrize("params, starts, signs, s_max", [
+    (SolitonParams(2, 1.0, "lorentzian"), _SWEEP + _SWEEP, np.repeat([-1.0, 1.0], 25), 10.0),
+    (SolitonParams(2, -1.0, "definite"), _SWEEP + _SWEEP, np.repeat([-1.0, 1.0], 25), 10.0),
+    (SolitonParams(3, 0.0, "lorentzian"), _SAMPLE + _SAMPLE, [-1.0, -1.0, 1.0, 1.0], 10.0),
+    (SolitonParams(3, -1.0, "definite"), _SAMPLE + _SAMPLE, [-1.0, -1.0, 1.0, 1.0], 10.0),
+    (SolitonParams(2, -1.0, "definite"), [_FLOOR], [1.0], 10.0),
+    (SolitonParams(2, -1.0, "definite"), [(0.9, 0.4, 0.0)], [1.0], 10.0),
+    (SolitonParams(3, 0.0, "definite"), [(0.302, -0.16, 0.0)], [1.0], 3.0),
+], ids=["lorentzian+1-sweep", "definite-1-sweep", "n3-lorentzian0", "n3-definite-1",
+        "definite-alpha-floor", "one-lane", "one-lane-n3"])
+def test_assembly_matches_per_lane_reference(params, starts, signs, s_max, monkeypatch):
+    # lone lanes are where BLAS rounding by place shows: the last steps'
+    # interpolants for event location must be their columns of the
+    # all-steps batch, and the redone last steps need a batch of their own
+    def run():
+        return integrate_many(params, starts, signs, s_max, rtol=1e-12)
+
+    ours = run()
+    monkeypatch.setattr(solitons, "_trajectories", _per_lane_trajectories)
+    ref = run()
+    if starts == [_FLOOR]:
+        assert ours[0].stop_reason == "alpha_floor"
+    for tr, rf in zip(ours, ref):
+        assert _bits(tr.s) == _bits(rf.s)
+        assert _bits(tr.states) == _bits(rf.states)
+        assert tr.max_E_drift.hex() == rf.max_E_drift.hex()
+        assert tr.E0.hex() == rf.E0.hex()
+        assert (tr.accepted, tr.stop_reason) == (rf.accepted, rf.stop_reason)
+        assert (tr.accepted_steps, tr.rejected_steps, tr.dropped_knots) == \
+            (rf.accepted_steps, rf.rejected_steps, rf.dropped_knots)
+        s = np.linspace(tr.s[0], tr.s[-1], 41)
+        assert _bits(tr.sample(s)) == _bits(rf.sample(s))
+
+
+def test_dense_output_is_built_once_for_the_batch(tmp_path, monkeypatch):
+    # _dense builds interpolants: integrate_many builds those of its lanes'
+    # last steps only; the first sample of any trajectory of the call builds
+    # every accepted step's in one batch and the redone last steps' in a
+    # second, and later samples reuse them
+    calls = []
+    dense = solitons._dense
+
+    def spy(K, *args, **kw):
+        calls.append(K.shape[-1])
+        return dense(K, *args, **kw)
+
+    monkeypatch.setattr(solitons, "_dense", spy)
+    assert cli.main(["phase", "--n", "2", "--lambda-prime", "1", "--case", "lorentzian",
+                     "--out-dir", str(tmp_path)]) == 0
+    assert calls == [2 * 25]
+    calls.clear()
+    trajs = integrate_bidirectional_many(DEF0, _SWEEP, 10.0, rtol=1e-12)
+    assert calls == [2 * 25]
+    steps = sum(tr.accepted_steps for tr in trajs)
+    trajs[7].sample([trajs[7].s[0] / 2, trajs[7].s[-1] / 2])
+    assert calls == [2 * 25, steps, 2 * 25]
+    trajs[7].sample([0.0])
+    trajs[0].sample([0.0])
+    assert calls == [2 * 25, steps, 2 * 25]

@@ -1,14 +1,11 @@
 """Numerical toolkit for para-Kahler geometry of D^n.
 
-Split-complex arithmetic, Lagrangian angle fields and their curvature
-identity, constructors for the minimal-Lagrangian families (graphs, null
-products, para-complex graphs, equivariant level sets, normal bundles), and
-the reduced ODE systems of the equivariant self-similar solutions of mean
-curvature flow.
+Split-complex arithmetic on float arrays (a D-value is a trailing axis of
+size 2), Lagrangian angle fields and their curvature identity, constructors
+for the minimal-Lagrangian families (graphs, null products, para-complex
+graphs, equivariant level sets, normal bundles), and the reduced ODE systems
+of the equivariant self-similar solutions of mean curvature flow.  Import
+the modules (``parakahler.dcore``, ``parakahler.lagrangian``, ...) directly.
 """
 
-from .dcore import ParaComplex, PolarForm, exp_tau, polar
-from .dlinalg import LagrangianAngle
-
-__all__ = ["ParaComplex", "PolarForm", "exp_tau", "polar", "LagrangianAngle"]
 __version__ = "0.1.0"

@@ -22,6 +22,7 @@ import numpy as np
 from . import catalog, lagrangian
 from .dcore import d_norm2
 from .errors import ParakahlerError, SpecValidationError
+from .geometry import MIN_AXIS_COUNT
 from .lagrangian import angle_field, identity_grid
 
 CSV_BLOCK_ROWS = 256  # rows per '%' in _write_csv: ~100 KB of text
@@ -42,6 +43,18 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"error: {message}", file=sys.stderr)
         raise SystemExit(1)
+
+
+def _int_at_least(minimum: int):
+    """An argparse type: an int no smaller than minimum."""
+    def parse(text):
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
 
 
 def _write_csv(path, header, rows, footer=None):
@@ -315,7 +328,8 @@ def build_parser() -> _Parser:
                    default="re")
     e.add_argument("--phi-min", type=float, default=-2.0)
     e.add_argument("--phi-max", type=float, default=2.0)
-    e.add_argument("--count", type=int, default=201)
+    e.add_argument("--count", type=_int_at_least(2), default=201,
+                   help=f"profile samples; --lift-out needs {MIN_AXIS_COUNT}")
     e.add_argument("--out", required=True)
     e.add_argument("--lift-out", default=None)
     e.set_defaults(func=cmd_equivariant)
@@ -364,8 +378,8 @@ def build_parser() -> _Parser:
     nj = sub.add_parser("nijenhuis", help="integrability obstruction under refinement")
     nj.add_argument("--structure", choices=["standard", "pullback", "twist"],
                     required=True)
-    nj.add_argument("--count", type=int, default=17)
-    nj.add_argument("--refine", type=int, default=3)
+    nj.add_argument("--count", type=_int_at_least(MIN_AXIS_COUNT), default=17)
+    nj.add_argument("--refine", type=_int_at_least(1), default=3)
     nj.add_argument("--out", required=True)
     nj.set_defaults(func=cmd_nijenhuis)
 
@@ -380,6 +394,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "lift_out", None) and args.count < MIN_AXIS_COUNT:
+            # the lift samples the profile on a grid axis
+            parser.error(f"argument --count: --lift-out needs at least "
+                         f"{MIN_AXIS_COUNT}, got {args.count}")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -1,4 +1,4 @@
-"""Split-complex (para-complex) scalar arithmetic.
+"""Split-complex (para-complex) arithmetic on float arrays.
 
 A para-complex number is z = x + tau*y with tau^2 = +1.  The product rule
 
@@ -11,22 +11,17 @@ non-null value factors uniquely as
     z = p * tau^q * r * (cosh(theta) + tau sinh(theta)),
 
 with p in {+1, -1}, q in {0, 1}, r > 0.  Values on the light cone have no
-polar form and raise :class:`~parakahler.errors.NullValue`.
+polar form; ``d_polar`` flags them null.
 
-Scalars are the frozen :class:`ParaComplex` dataclass; grid-scale code uses
-the vectorized ``d_*`` kernels, which operate on float arrays whose last
-axis holds the (x, y) components.  ``bracket_roots`` is the package's one
-bracketed root finder, on arrays of brackets.
+A D-value is a float array whose last axis holds the (x, y) components, one
+value being shape (2,); the ``d_*`` kernels act on any stack of them.
+``bracket_roots`` is the package's one bracketed root finder, on arrays of
+brackets.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
-
-from .errors import NullValue
 
 # Relative tolerance deciding "numerically null": |x^2 - y^2| <= tol (x^2 + y^2).
 # Scale-free on purpose; an absolute cutoff would misclassify large near-null
@@ -34,117 +29,8 @@ from .errors import NullValue
 NULL_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class ParaComplex:
-    x: float
-    y: float
-
-    def __add__(self, other):
-        other = _coerce(other)
-        return ParaComplex(self.x + other.x, self.y + other.y)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = _coerce(other)
-        return ParaComplex(self.x - other.x, self.y - other.y)
-
-    def __rsub__(self, other):
-        return _coerce(other) - self
-
-    def __mul__(self, other):
-        other = _coerce(other)
-        return ParaComplex(
-            self.x * other.x + self.y * other.y,
-            self.x * other.y + self.y * other.x,
-        )
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return ParaComplex(-self.x, -self.y)
-
-    def __pow__(self, k: int):
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("only nonnegative integer powers are defined")
-        out = ONE
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            k >>= 1
-            if k:
-                base = base * base
-        return out
-
-    def conj(self) -> "ParaComplex":
-        return ParaComplex(self.x, -self.y)
-
-    def squared_norm(self) -> float:
-        """Minkowski squared norm x^2 - y^2 (= z conj(z))."""
-        return (self.x - self.y) * (self.x + self.y)
-
-    def grading_norm(self) -> float:
-        """Euclidean magnitude sqrt(x^2 + y^2); a test metric, not geometric."""
-        return math.hypot(self.x, self.y)
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y])
-
-
-def _coerce(v) -> ParaComplex:
-    if isinstance(v, ParaComplex):
-        return v
-    if isinstance(v, (int, float)):
-        return ParaComplex(float(v), 0.0)
-    raise TypeError(f"cannot interpret {v!r} as a para-complex number")
-
-
-ZERO = ParaComplex(0.0, 0.0)
-ONE = ParaComplex(1.0, 0.0)
-TAU = ParaComplex(0.0, 1.0)
-
-
-def exp_tau(theta: float) -> ParaComplex:
-    """cosh(theta) + tau sinh(theta); unit squared norm for every theta."""
-    return ParaComplex(math.cosh(theta), math.sinh(theta))
-
-
-@dataclass(frozen=True)
-class PolarForm:
-    p: int      # overall sign, +-1
-    q: int      # tau quadrant, 0 or 1
-    r: float    # radius |<z,z>|^(1/2) > 0
-    theta: float
-
-    def reconstruct(self) -> ParaComplex:
-        c, s = self.r * math.cosh(self.theta), self.r * math.sinh(self.theta)
-        if self.q:
-            c, s = s, c
-        return ParaComplex(self.p * c, self.p * s)
-
-
-def polar(z: ParaComplex) -> PolarForm:
-    """Polar decomposition z = p tau^q r e^{tau theta}: d_polar of one value.
-
-    Raises NullValue where d_polar flags z null (|<z,z>| <= NULL_TOL *
-    (x^2 + y^2), scale-free).
-    """
-    z = _coerce(z)
-    p, q, r, theta, null = d_polar(z)
-    if null:
-        raise NullValue(f"{z} is on the light cone (squared norm {z.squared_norm():.3e})")
-    return PolarForm(int(p), int(q), float(r), float(theta))
-
-
-# ---------------------------------------------------------------------------
-# Vectorized kernels over (..., 2) float arrays.
-# ---------------------------------------------------------------------------
-
 def d_array(z) -> np.ndarray:
-    """Coerce ParaComplex / pair / array-of-pairs to a float (..., 2) array."""
-    if isinstance(z, ParaComplex):
-        return z.as_array()
+    """Coerce a pair or an array of pairs to a float (..., 2) array."""
     a = np.asarray(z, dtype=float)
     if a.shape[-1] != 2:
         raise ValueError("para-complex arrays need a trailing axis of size 2")
@@ -236,7 +122,7 @@ def para_cauchy_riemann_residual(f, hx: float, hy: float) -> np.ndarray:
         raise ValueError("expected a 2-d grid of para-complex values")
     fx = (f[2:, 1:-1] - f[:-2, 1:-1]) / (2.0 * hx)
     fy = (f[1:-1, 2:] - f[1:-1, :-2]) / (2.0 * hy)
-    return np.sqrt(d_grading2(0.5 * (fx - d_mul(TAU.as_array(), fy))))
+    return np.sqrt(d_grading2(0.5 * (fx - d_mul(np.array([0.0, 1.0]), fy))))
 
 
 def bracket_roots(g, lo, hi, xtol):

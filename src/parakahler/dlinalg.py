@@ -23,25 +23,10 @@ from itertools import permutations
 
 import numpy as np
 
-from .dcore import ParaComplex, d_array, d_conj, d_grading2, d_norm2, d_polar
+from .dcore import d_array, d_grading2, d_norm2, d_polar
 from .errors import DegenerateMetric, DimensionMismatch, LagrangianViolation
 
 LAGRANGIAN_TOL = 1e-8   # max |omega| <= tol * largest squared frame entry
-
-
-def dvector(entries) -> np.ndarray:
-    """Build an (n, 2) D-vector from ParaComplex entries or raw pairs."""
-    if isinstance(entries, np.ndarray):
-        return d_array(entries)
-    rows = []
-    for e in entries:
-        if isinstance(e, ParaComplex):
-            rows.append([e.x, e.y])
-        elif isinstance(e, (int, float)):
-            rows.append([float(e), 0.0])
-        else:
-            rows.append([float(e[0]), float(e[1])])
-    return np.array(rows, dtype=float)
 
 
 def basis_vector(n: int, j: int, tau: bool = False) -> np.ndarray:
@@ -70,16 +55,6 @@ def omega(X, Y) -> float:
     X, Y = d_array(X), d_array(Y)
     _check_dims(X, Y)
     return float(np.sum(X[..., 0] * Y[..., 1] - X[..., 1] * Y[..., 0]))
-
-
-def hermitian_form(X, Y) -> ParaComplex:
-    """<<X, Y>> = <X, Y> - tau omega(X, Y) = sum_j X_j conj(Y_j)."""
-    return ParaComplex(metric(X, Y), -omega(X, Y))
-
-
-def conj_transpose(M) -> np.ndarray:
-    M = d_array(M)
-    return d_conj(np.swapaxes(M, -3, -2))
 
 
 def d_matmul(A, B) -> np.ndarray:
@@ -115,8 +90,9 @@ def _det_leibniz(R: np.ndarray) -> np.ndarray:
     return terms @ signs
 
 
-def det_D(M):
-    """Determinant over D; ParaComplex for one matrix, (..., 2) for a batch.
+def det_D(M) -> np.ndarray:
+    """Determinant over D of a matrix (n, n, 2) or a stack (..., n, n, 2):
+    a (..., 2) array, shape (2,) for one matrix.
 
     x + tau y -> (x + y, x - y) is a ring isomorphism D = R x R, so det_D is
     two real determinants in these null coordinates: Leibniz expansion for
@@ -128,10 +104,7 @@ def det_D(M):
         raise DimensionMismatch(f"not a square D-matrix: shape {M.shape}")
     det = _det_leibniz if M.shape[-2] <= 4 else np.linalg.det
     plus, minus = det(M[..., 0] + M[..., 1]), det(M[..., 0] - M[..., 1])
-    out = np.stack([(plus + minus) / 2.0, (plus - minus) / 2.0], axis=-1)
-    if M.ndim == 3:
-        return ParaComplex(float(out[0]), float(out[1]))
-    return out
+    return np.stack([(plus + minus) / 2.0, (plus - minus) / 2.0], axis=-1)
 
 
 def frame_matrix(frames) -> np.ndarray:
@@ -168,19 +141,15 @@ def gram(frames) -> np.ndarray:
 
 
 def gram_identity_check(frames):
-    """(det_R of the Gram matrix, squared_norm(det_D M)) for a Lagrangian
-    frame (n, n, 2) as floats, or for a stack (..., n, n, 2) as arrays.
+    """(det_R of the Gram matrix, squared_norm(det_D M)) as arrays over the
+    leading axes of a Lagrangian frame (n, n, 2) or a stack (..., n, n, 2).
 
     The two numbers agree to relative 1e-10 for well-conditioned frames; the
     caller asserts that contract.
     """
     frames = frame_matrix(frames)
     require_lagrangian(frames)
-    det_gram = np.linalg.det(gram(frames))
-    sq = d_norm2(d_array(det_D(frames)))
-    if frames.ndim == 3:
-        return float(det_gram), float(sq)
-    return det_gram, sq
+    return np.linalg.det(gram(frames)), d_norm2(det_D(frames))
 
 
 @dataclass(frozen=True)
@@ -190,22 +159,20 @@ class LagrangianAngle:
     The overall sign p of the polar form is dropped on purpose: a real frame
     change with negative determinant flips p, so only (q, theta) is intrinsic.
     """
-    q: int
-    theta: float
+    q: np.ndarray
+    theta: np.ndarray
 
 
 def lagrangian_angle_of_frame(frames) -> LagrangianAngle:
-    """(q, theta) of a Lagrangian frame (n, n, 2), or of every frame of a
-    stack (..., n, n, 2) with q and theta arrays over the leading axes.
+    """(q, theta) as arrays over the leading axes of a Lagrangian frame
+    (n, n, 2) or a stack (..., n, n, 2): 0-d arrays for one frame.
     DegenerateMetric when det_D of a frame is null."""
     frames = frame_matrix(frames)
     require_lagrangian(frames)
-    dets = d_array(det_D(frames))
+    dets = det_D(frames)
     _, q, _, theta, null = d_polar(dets)
     if np.any(null):
         raise DegenerateMetric(f"det_D is null: {dets[null][0]}")
-    if frames.ndim == 3:
-        return LagrangianAngle(int(q), float(theta))
     return LagrangianAngle(q, theta)
 
 

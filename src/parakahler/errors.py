@@ -5,10 +5,6 @@ class ParakahlerError(Exception):
     """Base class for all library-specific errors."""
 
 
-class NullValue(ParakahlerError):
-    """Value lies on (or numerically at) the light cone; no polar form."""
-
-
 class DimensionMismatch(ParakahlerError):
     """Operands live in different D^n."""
 

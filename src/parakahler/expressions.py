@@ -202,43 +202,3 @@ def evaluate(expr: Expression, env: Mapping[str, object]):
     if expr.op == "/":
         return a / b
     return np.power(a, b)
-
-
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4, "atom": 5}
-
-
-def _prec(expr: Expression) -> int:
-    if isinstance(expr, (Num, Var, Call)):
-        return _PREC["atom"]
-    if isinstance(expr, Neg):
-        return _PREC["neg"]
-    return _PREC[expr.op]
-
-
-def to_string(expr: Expression) -> str:
-    """Minimal-parenthesis printer; parse(to_string(e)) == e."""
-    if isinstance(expr, Num):
-        return repr(expr.value)
-    if isinstance(expr, Var):
-        return expr.name
-    if isinstance(expr, Call):
-        return f"{expr.fn}({to_string(expr.arg)})"
-    if isinstance(expr, Neg):
-        inner = to_string(expr.arg)
-        if _prec(expr.arg) < _PREC["neg"]:
-            inner = f"({inner})"
-        return f"-{inner}"
-    lhs, rhs = to_string(expr.left), to_string(expr.right)
-    mine = _PREC[expr.op]
-    if expr.op == "^":
-        # right-associative and tighter than unary minus
-        if _prec(expr.left) <= mine:
-            lhs = f"({lhs})"
-        if _prec(expr.right) < mine:
-            rhs = f"({rhs})"
-    else:
-        if _prec(expr.left) < mine:
-            lhs = f"({lhs})"
-        if _prec(expr.right) <= mine:
-            rhs = f"({rhs})"
-    return f"{lhs}{expr.op}{rhs}"

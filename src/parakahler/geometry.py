@@ -44,6 +44,7 @@ from .errors import (
 )
 
 JET_MARGIN = 2          # cells kept clear of non-periodic boundaries
+MIN_AXIS_COUNT = 2 * JET_MARGIN + 1  # nodes per grid axis: one node clear of both margins
 DEGENERACY_TOL = 1e-8   # relative tolerance |det g| < tol * scale^m
 PIVOT_TOL = 1e-10       # a Gram-Schmidt pivot is null when |<v, v>| <= tol * |v|^2
 J_INVARIANCE_TOL = 1e-8  # least-squares residual of J v_i off the span, relative to |J v_i|
@@ -58,8 +59,8 @@ class GridAxis:
     periodic: bool = False
 
     def __post_init__(self):
-        if self.count < 5:
-            raise ValueError("grid axes need at least 5 nodes")
+        if self.count < MIN_AXIS_COUNT:
+            raise ValueError(f"grid axes need at least {MIN_AXIS_COUNT} nodes")
         if not self.hi > self.lo:
             raise ValueError("axis needs hi > lo")
 

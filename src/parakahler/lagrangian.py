@@ -31,8 +31,6 @@ from .dlinalg import (
     LagrangianAngle,
     apply_J,
     det_D,
-    lagrangian_angle_of_frame,
-    metric,
     require_lagrangian,
 )
 from .errors import (
@@ -246,12 +244,6 @@ def identity_grid(imm: SampledImmersion, field: AngleField | None, nodes=None):
     return H, residual, reasons
 
 
-def triple_tensor(first: np.ndarray, second: np.ndarray, i: int, j: int, k: int) -> float:
-    """T(i, j, k) = <d_i d_j F, J d_k F> of one node's jet (m, n, 2),
-    (m, m, n, 2); tri-symmetric on Lagrangian nodes."""
-    return metric(second[i, j], apply_J(first[k]))
-
-
 # ---------------------------------------------------------------------------
 # Constructors
 # ---------------------------------------------------------------------------
@@ -289,18 +281,6 @@ def build_gradient_graph(axes: Sequence[GridAxis], u: Callable | None = None,
         dn[j] = slice(0, -2)
         values[..., j, 1] = (U[tuple(up)] - U[tuple(dn)]) / (2.0 * axes[j].spacing)
     return SampledImmersion(axes, values)
-
-
-def graph_angle(hess: np.ndarray) -> LagrangianAngle:
-    """Angle of a gradient graph from its Hessian: the angle of the frame
-    Id + tau Hess.
-
-    Note the tau multiplying the Hessian: the coordinate tangent frame of the
-    graph is row-wise Id + tau Hess(u); for n = 2 the determinant is
-    1 + det Hess + tau Laplacian(u).
-    """
-    hess = np.asarray(hess, dtype=float)
-    return lagrangian_angle_of_frame(np.stack([np.eye(hess.shape[0]), hess], axis=-1))
 
 
 def standard_null_plane():
@@ -388,7 +368,7 @@ def build_paracomplex_graph(f: Callable, axes: Sequence[GridAxis]) -> SampledImm
 
 def rotate(imm: SampledImmersion, phi0: float) -> SampledImmersion:
     """Multiply every value by e^{tau phi0}; shifts theta by n*phi0, keeps q."""
-    rot = dcore.exp_tau(phi0).as_array()
+    rot = np.array([math.cosh(phi0), math.sinh(phi0)])
     return SampledImmersion(imm.axes, d_mul(imm.values, rot))
 
 
@@ -458,7 +438,7 @@ def normal_bundle_volume(spec: NormalBundleSpec, ts) -> np.ndarray:
         factor = np.stack(np.broadcast_arrays(1.0, -ts * k[..., None]), axis=-1)
         volume = d_mul(volume, factor)
     for _ in range(spec.ambient_dim - spec.submanifold_dim):
-        volume = d_mul(volume, dcore.TAU)
+        volume = d_mul(volume, np.array([0.0, 1.0]))
     return volume
 
 

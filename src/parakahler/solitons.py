@@ -164,14 +164,6 @@ class _Field:
         return out
 
 
-def vector_field(state: SolitonState, params: SolitonParams):
-    """(dr/ds, dalpha/ds, dphi/ds) at a state with r > 0."""
-    if state.r <= 0.0:
-        raise NonpositiveRadius(f"r = {state.r}")
-    f = _Field(params)(np.append(state.as_array(), 0.0)[:, None])[:, 0]
-    return tuple(float(v) for v in f[:3] / f[3])
-
-
 def radial_weight(r, params: SolitonParams):
     """g(r) = r^n exp(-l' r^2 / 2), the radial factor of the first integral."""
     return r ** params.n * np.exp(-params.lambda_prime * r * r / 2.0)
@@ -184,13 +176,6 @@ def energy(states, params: SolitonParams) -> np.ndarray:
                                        else np.cosh(a))
 
 
-def first_integral(state: SolitonState, params: SolitonParams) -> float:
-    """Conserved energy: g(r) sinh(alpha) (definite) or g(r) cosh(alpha)."""
-    if state.r <= 0.0:
-        raise NonpositiveRadius(f"r = {state.r}")
-    return float(energy(state.as_array(), params))
-
-
 def critical_point(params: SolitonParams) -> SolitonState:
     if params.case != "lorentzian" or params.lambda_prime <= 0.0:
         raise InvalidCase("critical point exists only for lorentzian, lambda' > 0")
@@ -200,7 +185,7 @@ def critical_point(params: SolitonParams) -> SolitonState:
 def energy_threshold(params: SolitonParams) -> float:
     """E0 = (n/l')^(n/2) exp(-n/2), the first integral at the critical point."""
     cp = critical_point(params)
-    return first_integral(cp, params)
+    return float(energy(cp.as_array(), params))
 
 
 class _DenseOutput:

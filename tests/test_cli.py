@@ -186,6 +186,34 @@ def test_exit_code_usage():
     assert main(["nonsense"]) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["nijenhuis", "--structure", "standard", "--refine", "0"],
+    ["nijenhuis", "--structure", "standard", "--refine", "-2"],
+    ["nijenhuis", "--structure", "standard", "--count", "3"],
+    ["nijenhuis", "--structure", "twist", "--count", "4"],
+    ["equivariant", "--count", "1"],
+    ["equivariant", "--count", "4", "--lift-out", "lift.csv"],
+], ids=["refine-0", "refine-negative", "nijenhuis-count-3", "twist-count-4",
+        "equivariant-count-1", "lift-count-4"])
+def test_out_of_range_arguments_are_usage_errors(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv + ["--out", "o.csv"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: parakahler")
+    assert "error: argument --" in err and "at least" in err
+    assert not any(tmp_path.iterdir())
+
+
+def test_smallest_accepted_counts(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["nijenhuis", "--structure", "twist", "--count", "5", "--refine", "1",
+                 "--out", "n.csv"]) == 0
+    assert main(["equivariant", "--count", "2", "--out", "e.csv"]) == 0
+    assert main(["equivariant", "--count", "5", "--out", "e.csv",
+                 "--lift-out", "lift.csv"]) == 0
+    assert len(read_lines(tmp_path / "n.csv")) == 1 + 1 + 3  # header, one level, footer
+
+
 def test_exit_code_invalid_spec(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"kind": "flat", "params": {"n": 2}}),

@@ -5,112 +5,115 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from parakahler import dcore
 from parakahler.dcore import (
-    ONE,
-    TAU,
-    ParaComplex,
+    d_conj,
+    d_exp_tau,
+    d_mul,
+    d_norm2,
     d_polar,
-    exp_tau,
+    d_pow,
     para_cauchy_riemann_residual,
-    polar,
 )
-from parakahler.errors import NullValue
 
 finite = st.floats(-50, 50, allow_nan=False)
+ONE = np.array([1.0, 0.0])
+TAU = np.array([0.0, 1.0])
+
+
+def _reconstruct(p, q, r, theta):
+    """p tau^q r e^{tau theta}, the value whose polar data is (p, q, r, theta)."""
+    return p * d_mul(d_pow(TAU, q), r * d_exp_tau(theta))
 
 
 def test_tau_squares_to_one():
-    assert TAU * TAU == ONE
+    assert np.array_equal(d_mul(TAU, TAU), ONE)
 
 
 def test_zero_divisors_on_light_cone():
-    z = ParaComplex(1, 1) * ParaComplex(1, -1)
-    assert z == ParaComplex(0, 0)
+    assert np.array_equal(d_mul([1.0, 1.0], [1.0, -1.0]), [0.0, 0.0])
 
 
 def test_conjugate_product_is_squared_norm():
-    z = ParaComplex(3, 2)
-    assert (z * z.conj()).x == pytest.approx(5.0)
-    assert z.squared_norm() == pytest.approx(5.0)
+    z = np.array([3.0, 2.0])
+    assert d_mul(z, d_conj(z))[0] == pytest.approx(5.0)
+    assert d_norm2(z) == pytest.approx(5.0)
 
 
 @given(finite, finite, finite, finite, finite, finite)
 def test_ring_laws(a, b, c, d, e, f):
-    x, y, z = ParaComplex(a, b), ParaComplex(c, d), ParaComplex(e, f)
-    assert x * y == y * x
-    lhs = (x * y) * z
-    rhs = x * (y * z)
-    assert lhs.x == pytest.approx(rhs.x, rel=1e-9, abs=1e-6)
-    assert lhs.y == pytest.approx(rhs.y, rel=1e-9, abs=1e-6)
+    x, y, z = np.array([a, b]), np.array([c, d]), np.array([e, f])
+    assert np.array_equal(d_mul(x, y), d_mul(y, x))
+    lhs = d_mul(d_mul(x, y), z)
+    rhs = d_mul(x, d_mul(y, z))
+    assert lhs[0] == pytest.approx(rhs[0], rel=1e-9, abs=1e-6)
+    assert lhs[1] == pytest.approx(rhs[1], rel=1e-9, abs=1e-6)
 
 
 def test_squared_norm_examples():
-    assert ParaComplex(2, 0).squared_norm() == 4
-    assert ParaComplex(1, 1).squared_norm() == 0
-    assert exp_tau(1.0).squared_norm() == pytest.approx(1.0, abs=1e-14)
+    assert d_norm2([2.0, 0.0]) == 4
+    assert d_norm2([1.0, 1.0]) == 0
+    assert d_norm2(d_exp_tau(1.0)) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_exp_tau_values():
-    assert exp_tau(0.0) == ONE
-    z = exp_tau(1.0)
-    assert z.x == pytest.approx(1.5431, abs=5e-5)
-    assert z.y == pytest.approx(1.1752, abs=5e-5)
+    assert np.array_equal(d_exp_tau(0.0), ONE)
+    z = d_exp_tau(1.0)
+    assert z[0] == pytest.approx(1.5431, abs=5e-5)
+    assert z[1] == pytest.approx(1.1752, abs=5e-5)
     for theta in (0.1, 1.0, 5.0):
-        w = exp_tau(theta) * exp_tau(-theta)
-        assert w.x == pytest.approx(1.0, rel=1e-11)
-        assert abs(w.y) < 1e-11
+        w = d_mul(d_exp_tau(theta), d_exp_tau(-theta))
+        assert w[0] == pytest.approx(1.0, rel=1e-11)
+        assert abs(w[1]) < 1e-11
 
 
 def test_polar_positive_branch():
-    z = 5.0 * exp_tau(0.3)
-    pf = polar(z)
-    assert (pf.p, pf.q) == (1, 0)
-    assert pf.r == pytest.approx(5.0, rel=1e-14)
-    assert pf.theta == pytest.approx(0.3, rel=1e-13)
+    p, q, r, theta, null = d_polar(5.0 * d_exp_tau(0.3))
+    assert not null
+    assert (p, q) == (1, 0)
+    assert r == pytest.approx(5.0, rel=1e-14)
+    assert theta == pytest.approx(0.3, rel=1e-13)
 
 
 def test_polar_rejects_null():
-    with pytest.raises(NullValue):
-        polar(ParaComplex(1, 1))
+    # a light-cone value has no polar form: d_polar flags it, with zero data
+    assert d_polar([1.0, 1.0]) == (0, 0, 0.0, 0.0, True)
 
 
 def test_polar_negative_tau_branch():
     # -2 tau e^{-tau} expands to 2 sinh(1) - 2 tau cosh(1)
-    z = ParaComplex(2 * math.sinh(1), -2 * math.cosh(1))
-    pf = polar(z)
-    assert (pf.p, pf.q) == (-1, 1)
-    assert pf.r == pytest.approx(2.0, rel=1e-14)
-    assert pf.theta == pytest.approx(-1.0, rel=1e-13)
-    back = pf.reconstruct()
-    assert back.x == pytest.approx(z.x, rel=1e-12)
-    assert back.y == pytest.approx(z.y, rel=1e-12)
+    z = np.array([2 * math.sinh(1), -2 * math.cosh(1)])
+    p, q, r, theta, null = d_polar(z)
+    assert not null
+    assert (p, q) == (-1, 1)
+    assert r == pytest.approx(2.0, rel=1e-14)
+    assert theta == pytest.approx(-1.0, rel=1e-13)
+    back = _reconstruct(p, q, r, theta)
+    assert back[0] == pytest.approx(z[0], rel=1e-12)
+    assert back[1] == pytest.approx(z[1], rel=1e-12)
 
 
 @given(st.integers(0, 1), st.sampled_from([-1, 1]),
        st.floats(1e-3, 1e3), st.floats(-5, 5))
 def test_polar_round_trip(q, p, r, theta):
-    pf = dcore.PolarForm(p, q, r, theta)
-    back = polar(pf.reconstruct())
-    assert (back.p, back.q) == (p, q)
-    assert back.r == pytest.approx(r, rel=1e-10)
-    assert back.theta == pytest.approx(theta, rel=1e-9, abs=1e-10)
+    bp, bq, br, btheta, null = d_polar(_reconstruct(p, q, r, theta))
+    assert not null
+    assert (bp, bq) == (p, q)
+    assert br == pytest.approx(r, rel=1e-10)
+    assert btheta == pytest.approx(theta, rel=1e-9, abs=1e-10)
 
 
 def test_d_polar_matches_scalar(rng):
+    # d_polar of each value alone gives the batch's entry, bit for bit
     # magnitudes e^-20 .. e^20, plus exactly null values
     vals = rng.normal(size=(1000, 2)) * np.exp(rng.uniform(-20, 20, size=(1000, 1)))
     vals[::100, 1] = vals[::100, 0] * rng.choice([-1.0, 1.0], size=10)
-    p, q, r, theta, null = d_polar(vals)
-    assert null.sum() == 10
-    for i in range(len(vals)):
-        z = ParaComplex(*vals[i])
-        if null[i]:
-            with pytest.raises(NullValue):
-                polar(z)
-            continue
-        pf = polar(z)
-        assert (pf.p, pf.q, pf.r, pf.theta) == (p[i], q[i], r[i], theta[i])
+    batch = d_polar(vals)
+    assert batch[4].sum() == 10
+    alone = [d_polar(v) for v in vals]
+    assert sum(bool(one[4]) for one in alone) == 10
+    for i, one in enumerate(alone):
+        assert all(v.shape == () for v in one)
+        assert [v.tobytes() for v in one] == [b[i].tobytes() for b in batch]
 
 
 def _sample_grid(fn, nx=21, ny=21, lo=-0.5, hi=0.5):

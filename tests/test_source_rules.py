@@ -8,9 +8,13 @@
 - Geometry is queried at every node or at a node set, and a mask says
   where a quantity is undefined: no function of NODE_SET_MODULES takes a
   parameter named `node`, with no exemption.
+- Every public top-level function and class has a use in the package or in
+  scripts/ outside its own definition: an identifier, an attribute or an
+  imported name.  A helper that only tests call belongs in the tests.
 """
 
 import ast
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
@@ -75,6 +79,34 @@ def _functions(tree, prefix=""):
             yield from _functions(node, prefix)
 
 
+def _references(stmt):
+    """Names a statement uses: identifiers, attribute names, imported names."""
+    for node in ast.walk(stmt):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+
+
+def unreferenced_definitions(package: dict, others: dict) -> list[str]:
+    """module.name of each public top-level def or class of the package
+    trees that no other top-level statement, of the package or of the
+    other trees, references.  Both map a module name to its tree."""
+    users = defaultdict(set)  # name: {(module, statement index)}
+    for module, tree in {**package, **others}.items():
+        for i, stmt in enumerate(tree.body):
+            for name in _references(stmt):
+                users[name].add((module, i))
+    return [f"{module}.{stmt.name}"
+            for module, tree in package.items()
+            for i, stmt in enumerate(tree.body)
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not stmt.name.startswith("_")
+            and not users[stmt.name] - {(module, i)}]
+
+
 def node_parameters(tree) -> list[str]:
     """Qualified names of the functions with a parameter named node."""
     return [name for name, fn in _functions(tree)
@@ -83,6 +115,11 @@ def node_parameters(tree) -> list[str]:
 
 
 MODULES = sorted(SRC.glob("*.py"))
+SCRIPTS = sorted((Path(__file__).resolve().parents[1] / "scripts").glob("*.py"))
+
+
+def _parse(path):
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
@@ -90,6 +127,13 @@ def test_source_rules(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     assert catch_all_handlers(tree) == []
     assert [p for p in tolerance_parameters(tree) if p not in ALLOWED_TOLERANCES] == []
+
+
+def test_public_definitions_have_uses():
+    assert SCRIPTS
+    package = {path.stem: _parse(path) for path in MODULES}
+    scripts = {f"scripts/{path.stem}": _parse(path) for path in SCRIPTS}
+    assert unreferenced_definitions(package, scripts) == []
 
 
 @pytest.mark.parametrize("module", NODE_SET_MODULES)
@@ -113,3 +157,16 @@ def test_rules_see_violations():
         "class A:\n    def coords(self, node):\n        pass\n"
         "def grid(imm, nodes=None):\n    pass\n")
     assert node_parameters(tree) == ["jet", "jet.inner", "A.coords"]
+    package = {
+        "m": ast.parse("def used():\n    pass\n"
+                       "def recursive(k):\n    return recursive(k - 1)\n"
+                       "class Unused:\n    pass\n"
+                       "def _private():\n    pass\n"
+                       "def by_attribute():\n    pass\n"
+                       "def by_import():\n    pass\n"
+                       "x = used()\n"),
+        "n": ast.parse("import m\nfrom m import by_import\nm.by_attribute\n"),
+    }
+    assert unreferenced_definitions(package, {}) == ["m.recursive", "m.Unused"]
+    assert unreferenced_definitions(package, {"s": ast.parse("m.Unused()")}) == [
+        "m.recursive"]

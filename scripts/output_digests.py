@@ -3,10 +3,11 @@
 
 The set: graph at n = 2 and n = 3, angle on a torus spec and a soliton_lift
 spec, equivariant --lift-out on the n = 2 circle and the n = 3 re-level
-family, phase in both cases, soliton one- and two-way, normal-bundle and
-nijenhuis, all written into a temporary directory, then the stdout of
-verify.  Each line is `<sha256>  <output>`.  Two source trees whose
-listings agree wrote byte-identical files and verify reports:
+family, phase in both cases, soliton one- and two-way, normal-bundle, and
+nijenhuis on the pullback and the 4-d twist, all written into a temporary
+directory, then the stdout of verify.  Each line is `<sha256>  <output>`.
+Two source trees whose listings agree wrote byte-identical files and verify
+reports:
 
     PYTHONPATH=src python3 scripts/output_digests.py > after.txt
     diff before.txt after.txt
@@ -79,6 +80,8 @@ def commands(count: int, run: Path) -> list:
         ["normal-bundle", "--shape", "circle", "--out", at("normal_bundle.csv")],
         ["nijenhuis", "--structure", "pullback", "--count", str(half), "--refine", "2",
          "--out", at("nijenhuis.csv")],
+        ["nijenhuis", "--structure", "twist", "--count", "5", "--refine", "2",
+         "--out", at("nijenhuis_twist.csv")],
     ]
 
 

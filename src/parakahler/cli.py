@@ -26,9 +26,6 @@ from .geometry import MIN_AXIS_COUNT
 from .lagrangian import angle_field, identity_grid
 
 CSV_BLOCK_ROWS = 256  # rows per '%' in _write_csv: ~100 KB of text
-# Largest starting count of the 4-d twist: --refine 3 then ends on 25^4 nodes
-# of 4x4 doubles, ~50 MB of J-field.
-TWIST_MAX_COUNT = 7
 
 
 def _fmt(x) -> str:
@@ -39,6 +36,12 @@ def _fmt(x) -> str:
 
 
 class _Parser(argparse.ArgumentParser):
+    """Also every subcommand's parser: options are never abbreviated (--out
+    is not --out-dir), and usage errors exit 1."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message):
         self.print_usage(sys.stderr)
         print(f"error: {message}", file=sys.stderr)
@@ -250,16 +253,13 @@ def cmd_nijenhuis(args) -> int:
     if args.structure == "twist":
         jfun, dims, span = twist_structure, 4, 0.3
         X, Y = np.eye(4)[2:]
-        count = min(args.count, TWIST_MAX_COUNT)
     else:
         jfun = (standard_structure if args.structure == "standard"
                 else pullback_structure(curved_chart))
         dims, span = 2, 0.4
         X, Y = np.eye(2)
-        count = args.count
+    count = args.count
     footer = {"structure": args.structure, "count": count}
-    if count != args.count:
-        footer["requested_count"] = args.count
     norms = []
     for level in range(args.refine):
         axes = tuple(GridAxis(-span, span, count) for _ in range(dims))

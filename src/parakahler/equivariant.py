@@ -24,7 +24,7 @@ import numpy as np
 from .dcore import bracket_roots, d_array, d_exp_tau, d_mul, d_norm2, d_pow
 from .dlinalg import apply_J
 from .errors import InvalidRange
-from .geometry import GridAxis, SampledImmersion
+from .geometry import GridAxis, SampledImmersion, coordinates
 
 # lightcone_crossings shrinks the bracket of each crossing to this length in
 # s (dcore.bracket_roots: 4-6 evaluations per call where halving took ~30) ...
@@ -118,16 +118,14 @@ def lift(curve: ProfileCurve, n: int, sphere_counts=None) -> SampledImmersion:
     s_axis = GridAxis(float(curve.s[0]),
                       float(curve.s[-1] + (curve.spacing if curve.periodic else 0.0)),
                       curve.s.size, periodic=curve.periodic)
-    mesh = np.meshgrid(*[a.nodes() for a in axes], indexing="ij")
-    sigma = embed(*mesh)  # (*sphere_shape, n)
     gamma = curve.gamma  # (k, 2)
-    # values[i, ..., j, c] = gamma[i, c] sigma[..., j], one (k, sphere * n)
-    # product per component c: long inner loops instead of pairs
-    values = np.empty((len(gamma),) + sigma.shape + (2,))
-    flat, row = values.reshape(len(gamma), -1, 2), sigma.reshape(1, -1)
-    np.multiply(gamma[:, :1], row, out=flat[..., 0])
-    np.multiply(gamma[:, 1:], row, out=flat[..., 1])
-    return SampledImmersion((s_axis,) + axes, values)
+
+    def sample(idx):
+        # F[i, ..., j, c] = gamma[i, c] sigma[..., j]
+        sigma = embed(*coordinates(axes, idx[1:]))  # (..., n)
+        return gamma[idx[0]][..., None, :] * sigma[..., None]
+
+    return SampledImmersion((s_axis,) + axes, sampler=sample)
 
 
 def equivariant_volume(curve: ProfileCurve, n: int) -> np.ndarray:

@@ -1,13 +1,15 @@
 """Finite-difference extrinsic geometry of sampled immersions into D^n.
 
-An immersion is sampled on a rectangular parameter grid (per-axis uniform
-spacing, optionally periodic).  All derivatives are order-2 central
-differences, at every node or at a node set (an int array (k, m) of node
-indices); the stencil wraps every axis, and a mask marks the nodes with the
+An immersion or a J-field is sampled on a rectangular parameter grid
+(per-axis uniform spacing, optionally periodic) by a sampler, from an array
+or on demand from a function (SampledGrid).  All derivatives are order-2
+central differences, at every node or at a node set (an int array (k, m) of
+node indices); a node set samples at most k 3^m points, the stencils it
+reads.  The stencil wraps every axis, and a mask marks the nodes with the
 margin the stencil needs from every non-periodic boundary (2 cells for the
 jet, 1 for a bracket).  Quantities:
 
-    grid_jet            first and second derivatives
+    grid_jet            values, first and second derivatives
     coordinate_tangents first derivatives only
     induced_gram        g_ij = <d_iF, d_jF> and its degeneracy, batched
     metric_signatures   the signatures of a stack of tangent frames at once
@@ -29,6 +31,7 @@ avoids signature bookkeeping in codimension.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -73,63 +76,97 @@ class GridAxis:
         return self.lo + self.spacing * np.arange(self.count)
 
 
-@dataclass(frozen=True)
-class SampledImmersion:
-    axes: tuple[GridAxis, ...]
-    values: np.ndarray  # (*counts, n, 2)
+class SampledGrid:
+    """Samples on a grid: its axes and one sampler, which returns the samples
+    at a tuple of index arrays (one per axis, of one shape).  An array-backed
+    grid, SampledGrid(axes, array), is the sampler array[idx]; a
+    function-backed one evaluates its function at the coordinates of idx.
+    whole() materializes every node once, through the same sampler."""
+    dtype = None  # of the samples; None keeps the sampler's
 
-    def __post_init__(self):
-        object.__setattr__(self, "axes", tuple(self.axes))
-        v = d_array(self.values)
-        expected = tuple(a.count for a in self.axes)
-        if v.shape[: len(expected)] != expected or v.ndim != len(expected) + 2:
-            raise ValueError(
-                f"values shape {v.shape} does not match grid {expected} + (n, 2)"
-            )
-        if not np.all(np.isfinite(v)):
-            raise ValueError("immersion values must be finite")
-        object.__setattr__(self, "values", v)
+    def __init__(self, axes, array=None, sampler=None):
+        self.axes = tuple(axes)
+        self._whole = None if array is None else self._checked(array, self.shape)
+        self.sampler = sampler if array is None else self._whole.__getitem__
+
+    def _checked(self, samples, lead):
+        """The samples as an array; lead is the shape of the index arrays."""
+        return np.asarray(samples, dtype=self.dtype)
 
     @property
     def m(self) -> int:
         return len(self.axes)
 
     @property
-    def n(self) -> int:
-        return self.values.shape[-2]
-
-    @property
     def shape(self) -> tuple[int, ...]:
         return tuple(a.count for a in self.axes)
+
+    def sample(self, idx) -> np.ndarray:
+        """The samples at the index arrays idx, leading axes idx[0].shape."""
+        return self._checked(self.sampler(idx), np.shape(idx[0]))
+
+    def whole(self) -> np.ndarray:
+        """The samples at every node, leading axes the grid's."""
+        if self._whole is None:
+            self._whole = self.sample(tuple(np.indices(self.shape)))
+        return self._whole
+
+
+def coordinates(axes: Sequence[GridAxis], idx) -> list[np.ndarray]:
+    """The coordinates lo + spacing * i of the index arrays idx, one array
+    per axis: bit for bit the values GridAxis.nodes gives."""
+    return [a.lo + a.spacing * i for a, i in zip(axes, idx)]
+
+
+class SampledImmersion(SampledGrid):
+    """An immersion sampled on a grid; its samples are (..., n, 2) arrays of
+    finite values."""
+
+    def _checked(self, samples, lead):
+        v = d_array(samples)
+        if v.shape[:len(lead)] != lead or v.ndim != len(lead) + 2:
+            raise ValueError(f"values shape {v.shape} does not match {lead} + (n, 2)")
+        if not np.all(np.isfinite(v)):
+            raise ValueError("immersion values must be finite")
+        return v
+
+    @property
+    def values(self) -> np.ndarray:
+        """(*counts, n, 2), materialized on first use."""
+        return self.whole()
+
+    @property
+    def n(self) -> int:
+        return self.values.shape[-2]
 
     def margin_mask(self, margin: int = JET_MARGIN) -> np.ndarray:
         return margin_mask(self.axes, margin)
 
 
-def margin_mask(axes: Sequence[GridAxis], margin: int) -> np.ndarray:
+def margin_mask(axes: Sequence[GridAxis], margin: int, nodes=None) -> np.ndarray:
     """Boolean grid of the nodes at least margin cells from every
-    non-periodic boundary."""
-    mask = np.ones(tuple(a.count for a in axes), dtype=bool)
-    for a, axis in enumerate(axes):
+    non-periodic boundary, or the same test at the node set nodes (k, m)."""
+    shape = tuple(a.count for a in axes) if nodes is None else nodes.shape[:1]
+    index = np.indices(shape, sparse=True) if nodes is None else nodes.T
+    mask = np.ones(shape, dtype=bool)
+    for i, axis in zip(index, axes):
         if not axis.periodic:
-            sl = [slice(None)] * len(axes)
-            sl[a] = np.r_[0:margin, axis.count - margin:axis.count]
-            mask[tuple(sl)] = False
+            mask &= (i >= margin) & (i < axis.count - margin)
     return mask
 
 
 def immersion_from_function(axes: Sequence[GridAxis], fn: Callable) -> SampledImmersion:
-    """Sample fn over the grid; fn takes meshgrid coordinate arrays and
-    returns a (*counts, n, 2) array."""
+    """The immersion fn samples: fn takes coordinate arrays, one per axis,
+    and returns the (..., n, 2) values there."""
     axes = tuple(axes)
-    mesh = np.meshgrid(*[a.nodes() for a in axes], indexing="ij")
-    return SampledImmersion(axes, np.asarray(fn(*mesh), dtype=float))
+    return SampledImmersion(axes, sampler=lambda idx: fn(*coordinates(axes, idx)))
 
 
 @dataclass(frozen=True)
 class Jet:
     first: np.ndarray   # (..., m, n, 2), leading axes index grid nodes
     second: np.ndarray  # (..., m, m, n, 2)
+    value: np.ndarray | None = None  # (..., n, 2), the samples at the nodes
 
 
 def node_set(sampled, nodes):
@@ -147,34 +184,39 @@ def node_set(sampled, nodes):
     return nodes.astype(np.intp, copy=False)
 
 
-def stencil(grid: np.ndarray, nodes=None):
-    """shifted(deltas): the samples of grid (leading axes the grid's) offset
-    by {axis: delta} cells with every axis wrapped, at every node (nodes
-    None) or at the node set nodes (k, m), with leading axis k.  Both give
+@functools.cache
+def _offsets(m: int, box: bool):
+    """(offsets (m, p), the column of each offset tuple): the 3^m box, or
+    its star, the node and its 2m neighbours."""
+    offsets = np.indices((3,) * m).reshape(m, -1) - 1
+    if not box:
+        offsets = offsets[:, np.abs(offsets).sum(axis=0) <= 1]
+    return offsets, {offset: j for j, offset in enumerate(zip(*offsets.tolist()))}
+
+
+def stencil(grid: SampledGrid, nodes=None, box: bool = True):
+    """shifted(deltas): the samples of grid offset by {axis: delta} cells
+    with every axis wrapped, at every node (nodes None, leading grid axes)
+    or at the node set nodes (k, m), leading axis k.  A node set is sampled
+    once, on the 3^m box around each node (box) or on its star (the node and
+    its 2m neighbours), and shifted gathers from those samples.  Both give
     each node the same values, so the arithmetic on them agrees bit for bit;
     shifted({}) is grid at the nodes."""
     if nodes is None:
-        def shifted(deltas):
-            out = grid
-            for axis, delta in deltas.items():
-                out = np.roll(out, -delta, axis=axis)
-            return out
-        return shifted
-    counts = np.array(grid.shape[:nodes.shape[1]])
-
-    def shifted(deltas):
-        idx = nodes.copy()
-        for axis, delta in deltas.items():
-            idx[:, axis] += delta
-        return grid[tuple((idx % counts).T)]
-    return shifted
+        whole = grid.whole()
+        return lambda deltas: (np.roll(whole, [-d for d in deltas.values()], axis=list(deltas))
+                               if deltas else whole)
+    offsets, column = _offsets(grid.m, box)
+    idx = (nodes.T[:, :, None] + offsets[:, None, :]) % np.array(grid.shape)[:, None, None]
+    samples = grid.sample(tuple(idx))  # (k, p, ...)
+    return lambda deltas: samples[:, column[tuple(deltas.get(a, 0) for a in range(grid.m))]]
 
 
-def neighbourhood(grid, nodes, m: int) -> np.ndarray:
+def neighbourhood(grid: SampledGrid, nodes) -> np.ndarray:
     """grid at each node and at its neighbours +e_0, -e_0, +e_1, ... on the
-    one stencil, stacked on a new leading axis of length 1 + 2m."""
-    shifted = stencil(grid, nodes)
-    return np.stack([shifted({})] + [shifted({l: s}) for l in range(m) for s in (+1, -1)])
+    star stencil, stacked on a new leading axis of length 1 + 2m."""
+    shifted = stencil(grid, nodes, box=False)
+    return np.stack([shifted({})] + [shifted({l: s}) for l in range(grid.m) for s in (+1, -1)])
 
 
 def _first_differences(shifted, spacings) -> np.ndarray:
@@ -198,21 +240,23 @@ def _second_differences(shifted, spacings) -> np.ndarray:
 
 def coordinate_tangents(imm: SampledImmersion, nodes=None):
     """(tangents (..., m, n, 2), valid) at every node (leading grid axes) or
-    at the node set nodes (leading axis k); valid marks the nodes with the
-    full jet margin (wrapped values elsewhere are garbage)."""
+    at the node set nodes (leading axis k), from the star stencil; valid
+    marks the nodes with the full jet margin (wrapped values elsewhere are
+    garbage)."""
     nodes = node_set(imm, nodes)
-    tangents = _first_differences(stencil(imm.values, nodes),
+    tangents = _first_differences(stencil(imm, nodes, box=False),
                                   [a.spacing for a in imm.axes])
-    return tangents, stencil(imm.margin_mask(), nodes)({})
+    return tangents, margin_mask(imm.axes, JET_MARGIN, nodes)
 
 
 def grid_jet(imm: SampledImmersion, nodes=None) -> tuple[Jet, np.ndarray]:
-    """First and second derivatives at every node or at the node set nodes:
-    (Jet, valid) with leading axes and valid as in coordinate_tangents."""
+    """Values, first and second derivatives at every node or at the node
+    set nodes, from one box stencil: (Jet, valid) with leading axes and
+    valid as in coordinate_tangents."""
     nodes = node_set(imm, nodes)
-    tangents, valid = coordinate_tangents(imm, nodes)
-    second = _second_differences(stencil(imm.values, nodes), [a.spacing for a in imm.axes])
-    return Jet(tangents, second), valid
+    shifted, h = stencil(imm, nodes), [a.spacing for a in imm.axes]
+    jt = Jet(_first_differences(shifted, h), _second_differences(shifted, h), shifted({}))
+    return jt, margin_mask(imm.axes, JET_MARGIN, nodes)
 
 
 def induced_gram(tangents: np.ndarray):
@@ -422,14 +466,14 @@ def grid_mean_curvature(imm: SampledImmersion, nodes=None):
 # differences of the one stencil.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class JField:
-    axes: tuple[GridAxis, ...]
-    mats: np.ndarray  # (*counts, d, d)
+class JField(SampledGrid):
+    """A J-field sampled on a grid; its samples are (..., d, d) matrices."""
+    dtype = float
 
-    def __post_init__(self):
-        object.__setattr__(self, "axes", tuple(self.axes))
-        object.__setattr__(self, "mats", np.asarray(self.mats, dtype=float))
+    @property
+    def mats(self) -> np.ndarray:
+        """(*counts, d, d), materialized on first use."""
+        return self.whole()
 
     @property
     def dim(self) -> int:
@@ -450,12 +494,16 @@ def _check_structure(J: np.ndarray):
 
 
 def jfield_from_function(axes: Sequence[GridAxis], fn: Callable) -> JField:
-    """Sample a J-field over the grid; fn takes meshgrid coordinate arrays, as
-    in immersion_from_function, and returns (*counts, d, d) matrices or one
-    (d, d) matrix, broadcast read-only to every node."""
-    mesh = np.meshgrid(*[a.nodes() for a in axes], indexing="ij")
-    mats = np.asarray(fn(*mesh), dtype=float)
-    return JField(axes, np.broadcast_to(mats, mesh[0].shape + mats.shape[-2:]))
+    """The J-field fn samples: fn takes coordinate arrays, as in
+    immersion_from_function, and returns the (..., d, d) matrices there or
+    one (d, d) matrix, broadcast read-only to every sampled node."""
+    axes = tuple(axes)
+
+    def sample(idx):
+        mats = np.asarray(fn(*coordinates(axes, idx)), dtype=float)
+        return np.broadcast_to(mats, np.shape(idx[0]) + mats.shape[-2:])
+
+    return JField(axes, sampler=sample)
 
 
 # J-field callables for jfield_from_function: the structures the nijenhuis
@@ -494,9 +542,10 @@ def twist_structure(u1, u2, v1, v2):
     return J
 
 
-def _field(jf: JField, F) -> np.ndarray:
+def _field(jf: JField, F) -> SampledGrid:
     """The vector field F, (*counts, d) or one vector (d,) for every node."""
-    return np.broadcast_to(np.asarray(F, dtype=float), jf.mats.shape[:-1])
+    F = np.asarray(F, dtype=float)
+    return SampledGrid(jf.axes, np.broadcast_to(F, jf.shape + F.shape[-1:]))
 
 
 def _apply(J, v) -> np.ndarray:
@@ -515,13 +564,13 @@ def _bracket(A, B, spacings) -> np.ndarray:
 
 def lie_bracket(jf: JField, A, B, nodes=None):
     """([A, B], valid) at every node (leading grid axes) or at the node set
-    nodes (leading axis k), via central differences; valid marks the nodes
-    with a 1-cell margin from every non-periodic boundary (wrapped values
-    elsewhere are garbage)."""
+    nodes (leading axis k), via central differences on the star stencil;
+    valid marks the nodes with a 1-cell margin from every non-periodic
+    boundary (wrapped values elsewhere are garbage)."""
     nodes = node_set(jf, nodes)
-    A, B = (neighbourhood(_field(jf, F), nodes, len(jf.axes)) for F in (A, B))
+    A, B = (neighbourhood(_field(jf, F), nodes) for F in (A, B))
     value = _bracket(A, B, [a.spacing for a in jf.axes])
-    return value, stencil(margin_mask(jf.axes, 1), nodes)({})
+    return value, margin_mask(jf.axes, 1, nodes)
 
 
 def nijenhuis(jf: JField, X, Y, nodes=None):
@@ -529,13 +578,12 @@ def nijenhuis(jf: JField, X, Y, nodes=None):
     - J [X, JY], at every node or at the node set nodes as in lie_bracket.
     J X is taken on the gathered samples, so each neighbour sees its own J.
     NotParaComplexStructure unless J is a para-complex structure on every
-    matrix read: the nodes and their stencil neighbours, or the whole grid."""
+    matrix read: the nodes and their star neighbours, or the whole grid."""
     nodes = node_set(jf, nodes)
-    J, X, Y = (neighbourhood(grid, nodes, len(jf.axes))
-               for grid in (jf.mats, _field(jf, X), _field(jf, Y)))
+    J, X, Y = (neighbourhood(grid, nodes) for grid in (jf, _field(jf, X), _field(jf, Y)))
     _check_structure(jf.mats if nodes is None else J)
     JX, JY = _apply(J, X), _apply(J, Y)
     h = [a.spacing for a in jf.axes]
     value = (_bracket(X, Y, h) + _bracket(JX, JY, h)
              - _apply(J[0], _bracket(JX, Y, h)) - _apply(J[0], _bracket(X, JY, h)))
-    return value, stencil(margin_mask(jf.axes, 1), nodes)({})
+    return value, margin_mask(jf.axes, 1, nodes)

@@ -43,12 +43,14 @@ from .geometry import (
     DEGENERACY_TOL,
     JET_MARGIN,
     GridAxis,
+    SampledGrid,
     SampledImmersion,
+    coordinates,
     coordinate_tangents,
     grid_mean_curvature,
+    margin_mask,
     neighbourhood,
     node_set,
-    stencil,
 )
 
 
@@ -202,8 +204,9 @@ def _angle_neighbourhood(imm: SampledImmersion, field: AngleField | None, nodes)
     ... (neighbourhood's layout, leading axis 1 + 2m), read from field, or
     with no field from nodal_angles run on just those nodes."""
     if field is not None:
-        return neighbourhood(field.theta, nodes, imm.m), neighbourhood(field.usable, nodes, imm.m)
-    near = neighbourhood(np.moveaxis(np.indices(imm.shape), 0, -1), nodes, imm.m)
+        return (neighbourhood(SampledGrid(imm.axes, field.theta), nodes),
+                neighbourhood(SampledGrid(imm.axes, field.usable), nodes))
+    near = neighbourhood(SampledGrid(imm.axes, sampler=lambda idx: np.stack(idx, axis=-1)), nodes)
     theta, _, degenerate, valid = nodal_angles(imm, near.reshape(-1, imm.m))
     return theta.reshape(near.shape[:-1]), (valid & ~degenerate).reshape(near.shape[:-1])
 
@@ -234,7 +237,7 @@ def identity_grid(imm: SampledImmersion, field: AngleField | None, nodes=None):
     dtheta = np.stack([(theta[2 * a + 1] - theta[2 * a + 2]) / (2.0 * axis.spacing)
                        for a, axis in enumerate(imm.axes)], axis=-1)
     full_stencil = usable.all(axis=0)
-    in_margin = has_H & ~stencil(imm.margin_mask(RESIDUAL_MARGIN), nodes)({})
+    in_margin = has_H & ~margin_mask(imm.axes, RESIDUAL_MARGIN, nodes)
     has_residual = has_H & ~in_margin & full_stencil
     H = np.where(has_H[..., None, None], mH / imm.m, np.nan)
     residual = np.where(has_residual, _residual_norm(mH, g_inv, jt.first, dtheta), np.nan)
@@ -248,39 +251,40 @@ def identity_grid(imm: SampledImmersion, field: AngleField | None, nodes=None):
 # Constructors
 # ---------------------------------------------------------------------------
 
+def _graph_values(x, du) -> np.ndarray:
+    """The values (..., n, 2) of x_j + tau du_j."""
+    return np.stack([np.stack(np.broadcast_arrays(xj, dj), -1) for xj, dj in zip(x, du)], -2)
+
+
 def build_gradient_graph(axes: Sequence[GridAxis], u: Callable | None = None,
                          grad: Sequence[Callable] | None = None) -> SampledImmersion:
     """Graph of grad(u): x -> (x_1 + tau du/dx_1, ..., x_n + tau du/dx_n).
 
-    grad may be given in closed form (list of vectorized callables); otherwise
-    u is sampled with one extra margin cell and differentiated centrally.
+    grad may be given in closed form (list of vectorized callables), sampled
+    where the immersion is read; otherwise u is sampled on the whole grid
+    with one extra margin cell and differentiated centrally.
     """
     axes = tuple(axes)
-    n = len(axes)
-    mesh = np.meshgrid(*[a.nodes() for a in axes], indexing="ij")
-    values = np.zeros(tuple(a.count for a in axes) + (n, 2))
-    for j in range(n):
-        values[..., j, 0] = mesh[j]
     if grad is not None:
-        for j in range(n):
-            values[..., j, 1] = grad[j](*mesh)
-        return SampledImmersion(axes, values)
+        def sample(idx):
+            x = coordinates(axes, idx)
+            return _graph_values(x, [g(*x) for g in grad])
+
+        return SampledImmersion(axes, sampler=sample)
     if u is None:
         raise ValueError("need u or grad")
     ext_nodes = [
         np.concatenate(([a.lo - a.spacing], a.nodes(), [a.hi + a.spacing]))
         for a in axes
     ]
-    emesh = np.meshgrid(*ext_nodes, indexing="ij")
-    U = np.asarray(u(*emesh), dtype=float)
-    inner = tuple(slice(1, -1) for _ in axes)
-    for j in range(n):
-        up = list(inner)
-        dn = list(inner)
-        up[j] = slice(2, None)
-        dn[j] = slice(0, -2)
-        values[..., j, 1] = (U[tuple(up)] - U[tuple(dn)]) / (2.0 * axes[j].spacing)
-    return SampledImmersion(axes, values)
+    U = np.asarray(u(*np.meshgrid(*ext_nodes, indexing="ij")), dtype=float)
+    du = []
+    for j, axis in enumerate(axes):
+        up, dn = [slice(1, -1)] * len(axes), [slice(1, -1)] * len(axes)
+        up[j], dn[j] = slice(2, None), slice(0, -2)
+        du.append((U[tuple(up)] - U[tuple(dn)]) / (2.0 * axis.spacing))
+    mesh = np.meshgrid(*[a.nodes() for a in axes], indexing="ij")
+    return SampledImmersion(axes, _graph_values(mesh, du))
 
 
 def standard_null_plane():
@@ -369,12 +373,12 @@ def build_paracomplex_graph(f: Callable, axes: Sequence[GridAxis]) -> SampledImm
 def rotate(imm: SampledImmersion, phi0: float) -> SampledImmersion:
     """Multiply every value by e^{tau phi0}; shifts theta by n*phi0, keeps q."""
     rot = np.array([math.cosh(phi0), math.sinh(phi0)])
-    return SampledImmersion(imm.axes, d_mul(imm.values, rot))
+    return SampledImmersion(imm.axes, sampler=lambda idx: d_mul(imm.sample(idx), rot))
 
 
 def apply_J_immersion(imm: SampledImmersion) -> SampledImmersion:
     """Point transformation z -> Jz; negates the metric and maps H -> -J H."""
-    return SampledImmersion(imm.axes, apply_J(imm.values))
+    return SampledImmersion(imm.axes, sampler=lambda idx: apply_J(imm.sample(idx)))
 
 
 # ---------------------------------------------------------------------------

@@ -58,7 +58,6 @@ from .geometry import (
     grid_mean_curvature,
     node_set,
     normal_project,
-    stencil,
 )
 
 CASES = ("definite", "lorentzian")
@@ -650,12 +649,19 @@ def _trajectories(params, field, y0, directions, steps, fired, K_last, limits):
                     at=last, width=h_all.size)
     pair_lane, pair_event = np.nonzero(fired)
     F, y_a, y_b = F_last[:, :, pair_lane], y_from[:, pair_lane], y_to[:, pair_lane]
-    cols = np.arange(pair_lane.size)
+    # each pair's own row of _events: the state row it reads, |.| from
+    # alpha_max on, and the field on alpha_floor pairs only
+    read, cols = np.array([0, 0, 1, 1, 3])[pair_event], np.arange(pair_lane.size)
+    floor, limit = np.flatnonzero(pair_event == 3), limits[pair_event, 0]
 
     def event(x):
         # at fraction 1 the knot itself, whose event signs fired the stop
         y = np.where(x == 1.0, y_b, _interpolate(F, y_a, x))
-        return _events(y, field(y), limits)[pair_event, cols]
+        ev = np.where(pair_event >= 2, np.abs(y[read, cols]), y[read, cols])
+        if floor.size:
+            f = field(y[:, floor])
+            ev[floor] += np.abs(f[1] / f[3])
+        return ev - limit
 
     roots = np.full(fired.shape, np.inf)
     roots[pair_lane, pair_event] = bracket_roots(
@@ -987,7 +993,7 @@ def _ambient_equation(imm: SampledImmersion, nodes, lam: float):
     # The identity stands in for g off ok, as in trace_mean_curvature, so the
     # solve never meets a singular matrix.
     g = np.where(ok[:, None, None], gram(jt.first), np.eye(imm.m))
-    Fp = normal_project(stencil(imm.values, nodes)({}), jt.first, g)
+    Fp = normal_project(jt.value, jt.first, g)
     return np.where(ok[:, None, None], mH + lam * Fp, np.nan), jt.first, ok
 
 

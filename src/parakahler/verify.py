@@ -849,7 +849,7 @@ def suite_nijenhuis():
 
     nodes = [(4, 4, 4, 4), (3, 5, 2, 6), (6, 2, 5, 3)]
     lhs, _ = nijenhuis(jf4, U1 + V1, U2 + V2, nodes)
-    J = jf4.mats[tuple(np.transpose(nodes))]
+    J = jf4.sample(tuple(np.transpose(nodes)))
     bUU, bVV = (lie_bracket(jf4, A, B, nodes)[0][..., None] for A, B in ((U1, U2), (V1, V2)))
     rhs = 2.0 * (bUU - J @ bUU + bVV + J @ bVV)[..., 0]
     diff = float(np.max(np.abs(lhs - rhs)))

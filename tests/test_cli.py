@@ -151,20 +151,18 @@ def test_nijenhuis_command(tmp_path):
     assert footer_value(read_lines(out2), "verdict") == "obstructed"
 
 
-def test_nijenhuis_footer_reports_capped_count(tmp_path):
-    out = tmp_path / "nj.csv"
-    assert main(["nijenhuis", "--structure", "twist", "--count", "9",
-                 "--refine", "1", "--out", str(out)]) == 0
-    lines = read_lines(out)
-    assert footer_value(lines, "count") == "7"
-    assert footer_value(lines, "requested_count") == "9"
-    out2 = tmp_path / "nj2.csv"
-    assert main(["nijenhuis", "--structure", "pullback", "--count", "9",
-                 "--refine", "1", "--out", str(out2)]) == 0
-    lines = read_lines(out2)
-    assert footer_value(lines, "count") == "9"
-    with pytest.raises(KeyError):
-        footer_value(lines, "requested_count")
+def test_nijenhuis_runs_at_the_count_asked_for(tmp_path):
+    # the twist samples its J-field on the stencil only, so no count is capped
+    for structure in ("twist", "pullback"):
+        out = tmp_path / f"{structure}.csv"
+        assert main(["nijenhuis", "--structure", structure, "--count", "9",
+                     "--refine", "1", "--out", str(out)]) == 0
+        lines = read_lines(out)
+        assert footer_value(lines, "count") == "9"
+        assert float(lines[1].split(",")[1]) == pytest.approx(0.3 * 2 / 8 if structure == "twist"
+                                                              else 0.4 * 2 / 8)
+        with pytest.raises(KeyError):
+            footer_value(lines, "requested_count")
 
 
 def test_phase_command(tmp_path):
@@ -202,6 +200,20 @@ def test_out_of_range_arguments_are_usage_errors(argv, tmp_path, monkeypatch, ca
     assert err.startswith("usage: parakahler")
     assert "error: argument --" in err and "at least" in err
     assert not any(tmp_path.iterdir())
+
+
+def test_abbreviated_option_is_rejected(tmp_path, monkeypatch, capsys):
+    # --out is a prefix of phase's --out-dir, not an abbreviation of it
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "o.csv").write_text("kept", encoding="utf-8")
+    assert main(["phase", "--n", "2", "--lambda-prime", "1", "--case", "lorentzian",
+                 "--r-count", "2", "--alpha-count", "2", "--out-dir", "pd",
+                 "--out", "o.csv"]) == 1
+    assert "error: unrecognized arguments: --out o.csv" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["o.csv"]
+    assert (tmp_path / "o.csv").read_text(encoding="utf-8") == "kept"
+    assert main(["nijenhuis", "--struct", "twist", "--out", "n.csv"]) == 1
+    assert not (tmp_path / "n.csv").exists()
 
 
 def test_smallest_accepted_counts(tmp_path, monkeypatch):

@@ -262,3 +262,24 @@ def test_minimal_lift_H_refines():
         H = mH[0] / imm.m
         hs.append(float(np.sqrt(np.sum(H ** 2))))
     assert hs[0] / hs[1] == pytest.approx(4.0, abs=0.5)
+
+
+def _sampled_lift(case):
+    from parakahler.lagrangian import apply_J_immersion, rotate
+
+    if case == "circle":  # periodic profile and sphere: every axis wraps
+        return lift(explicit_circle(1.3, 16), 2, (12,))
+    if case == "hyperbola":
+        return lift(explicit_hyperbola(1.0, 0.3, 2.0, 14), 2, (10,))
+    if case == "n3":
+        return lift(level_curve(3, 1.0, "re", -1.0, 1.0, 15), 3, (7, 8))
+    if case == "J-n3":
+        return apply_J_immersion(lift(level_curve(3, 1.0, "re", -1.0, 1.0, 15), 3, (7, 8)))
+    return rotate(lift(explicit_circle(1.3, 16), 2, (12,)), 0.25)
+
+
+@pytest.mark.parametrize("case", ["circle", "hyperbola", "n3", "J-n3", "rotate-circle"])
+def test_node_sets_of_lifts_equal_the_materialized_grid(case, node_sets_match_whole_grid):
+    # a lift samples gamma's rows and the sphere chart at the nodes a query
+    # reads, bit for bit what the materialized lift holds there
+    node_sets_match_whole_grid(lambda: _sampled_lift(case))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from parakahler import dlinalg
-from parakahler.dcore import d_exp_tau, d_grading2
+from parakahler.dcore import d_exp_tau, d_grading2, d_mul
 from parakahler.dlinalg import apply_J, basis_vector, metric
 from parakahler.errors import (
     DegenerateMetric,
@@ -824,3 +824,103 @@ def test_lie_bracket_coordinate_fields():
     br, valid = lie_bracket(jf, np.stack([y, 0 * y], -1), np.stack([0 * x, x], -1))
     assert valid.sum() == 7 * 7
     assert np.allclose(br[valid], np.stack([-x, y], -1)[valid], atol=1e-12)
+
+
+# -- Sampled grids -------------------------------------------------------------
+
+def _torus_fn(t, p):
+    """The circle torus gamma(t) (cos p, sin p) with gamma = (cos t, sin t),
+    periodic in both coordinates."""
+    gamma = np.stack([np.cos(t), np.sin(t)], -1)
+    return np.stack([gamma * np.cos(p)[..., None], gamma * np.sin(p)[..., None]], -2)
+
+
+def _sampled_immersion(case):
+    """The function-backed immersion of one builder or composition."""
+    from parakahler import catalog
+    from parakahler.lagrangian import apply_J_immersion, build_gradient_graph, rotate
+
+    plane = (GridAxis(-0.5, 0.5, 11), GridAxis(-0.4, 0.6, 12))
+    cube = (GridAxis(-0.5, 0.5, 7), GridAxis(-0.4, 0.6, 8), GridAxis(-0.3, 0.3, 7))
+    grad2 = [lambda x1, x2: 0.3 * x1 ** 2 + 0.1 * x1 * x2, lambda x1, x2: 0.05 * x1 ** 2 - 0.2 * x2 ** 3]
+    grad3 = [lambda x1, x2, x3: 0.3 * x1 ** 2 + 0.05 * x2 * x3,
+             lambda x1, x2, x3: np.sin(x2) + 0.05 * x1 * x3,
+             lambda x1, x2, x3: 0.1 * np.exp(x3) + 0.05 * x1 * x2]
+    if case == "curve":
+        return immersion_from_function((GridAxis(-1.0, 1.0, 15),), lambda s: d_exp_tau(s)[..., None, :])
+    if case == "torus":
+        return immersion_from_function((GridAxis(0.0, 2 * math.pi, 12, periodic=True),
+                                        GridAxis(0.0, 2 * math.pi, 10, periodic=True)), _torus_fn)
+    if case == "flat":
+        return catalog.flat_immersion(3, cube)
+    if case == "graph2":
+        return build_gradient_graph(plane, grad=grad2)
+    if case == "graph3":
+        return build_gradient_graph(cube, grad=grad3)
+    if case == "rotate":
+        return rotate(build_gradient_graph(plane, grad=grad2), 0.3)
+    if case == "J":
+        return apply_J_immersion(build_gradient_graph(cube, grad=grad3))
+    if case == "rotate-J":
+        return rotate(apply_J_immersion(build_gradient_graph(plane, grad=grad2)), -0.2)
+    # a composition over an array-backed base
+    return rotate(build_gradient_graph(plane, u=lambda x1, x2: x1 ** 3 - x1 * x2 ** 2), 0.1)
+
+
+@pytest.mark.parametrize("case", ["curve", "torus", "flat", "graph2", "graph3", "rotate",
+                                  "J", "rotate-J", "rotate-array"])
+def test_node_sets_of_sampled_immersions_equal_the_materialized_grid(case, node_sets_match_whole_grid):
+    node_sets_match_whole_grid(lambda: _sampled_immersion(case))
+
+
+def test_materialized_values_equal_the_eager_builders():
+    # .values samples every node through the sampler; the eager builders
+    # evaluated their functions on meshgrid coordinate arrays
+    from parakahler import catalog
+    from parakahler.lagrangian import apply_J_immersion, build_gradient_graph, rotate
+
+    axes = (GridAxis(-0.5, 0.5, 11), GridAxis(-0.4, 0.6, 12))
+    x1, x2 = _mesh(axes)
+    grad = [lambda x1, x2: np.sin(x1 + 0.3 * x2), lambda x1, x2: np.cosh(x2) * x1]
+    graph = np.stack([np.stack([x1, grad[0](x1, x2)], -1), np.stack([x2, grad[1](x1, x2)], -1)], -2)
+    rot = np.array([math.cosh(0.3), math.sinh(0.3)])
+    flat = np.zeros(x1.shape + (3, 2))
+    flat[..., 0, 0], flat[..., 1, 0] = x1, x2
+    torus_axes = (GridAxis(0.0, 2 * math.pi, 12, periodic=True),) * 2
+    for imm, ref in (
+            (build_gradient_graph(axes, grad=grad), graph),
+            (rotate(build_gradient_graph(axes, grad=grad), 0.3), d_mul(graph, rot)),
+            (apply_J_immersion(build_gradient_graph(axes, grad=grad)), apply_J(graph)),
+            (catalog.flat_immersion(3, axes), flat),
+            (immersion_from_function(torus_axes, _torus_fn), _torus_fn(*_mesh(torus_axes)))):
+        assert imm.values.tobytes() == ref.tobytes() and imm.values.shape == ref.shape
+
+
+@pytest.mark.parametrize("case", ["constant", "paraholomorphic", "curved", "twist"])
+def test_node_sets_of_sampled_jfields_equal_the_materialized_grid(
+        case, jfield_node_sets_match_whole_grid):
+    jf, pairs = _bracket_case(case)
+    jfield_node_sets_match_whole_grid(jf, pairs)
+
+
+def test_non_finite_samples_raise_where_they_are_read():
+    from parakahler.lagrangian import build_gradient_graph
+
+    axes = (GridAxis(-1.0, 1.0, 9), GridAxis(-1.0, 1.0, 9))  # node 4 is 0.0
+
+    def fn(x1, x2):
+        v = np.zeros(x1.shape + (2, 2))
+        v[..., 0, 0], v[..., 1, 0] = x1, x2
+        v[..., 1, 1] = np.where((x1 == 0.0) & (x2 == 0.0), np.nan, 0.0)
+        return v
+
+    pole = [lambda x1, x2: x1, lambda x1, x2: np.where(x1 == 0.0, np.inf, x2)]
+    for imm in (immersion_from_function(axes, fn), build_gradient_graph(axes, grad=pole)):
+        for query in (grid_jet, coordinate_tangents):
+            with pytest.raises(ValueError, match="immersion values must be finite"):
+                query(imm, [(2, 2), (5, 4)])
+            query(imm, [(2, 2), (6, 6)])  # stencils clear of the non-finite node
+        with pytest.raises(ValueError, match="immersion values must be finite"):
+            imm.values
+    with pytest.raises(ValueError, match="immersion values must be finite"):
+        SampledImmersion(axes, fn(*_mesh(axes)))

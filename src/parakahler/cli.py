@@ -108,7 +108,7 @@ def _angle_rows(imm):
 
 def cmd_angle(args) -> int:
     doc = json.loads(Path(args.spec).read_text(encoding="utf-8"))
-    if args.grid_count and isinstance(doc, dict):
+    if args.grid_count is not None and isinstance(doc, dict):
         for axis in doc.get("grid", {}).get("axes", []):
             if isinstance(axis, dict):
                 axis["count"] = args.grid_count
@@ -308,7 +308,7 @@ def build_parser() -> _Parser:
     a = sub.add_parser("angle", help="angle/curvature field of a spec immersion")
     a.add_argument("--spec", required=True)
     a.add_argument("--out", required=True)
-    a.add_argument("--grid-count", type=int, default=None,
+    a.add_argument("--grid-count", type=_int_at_least(MIN_AXIS_COUNT), default=None,
                    help="override every axis count of the spec grid")
     a.set_defaults(func=cmd_angle)
 
@@ -353,10 +353,10 @@ def build_parser() -> _Parser:
     ph.add_argument("--case", choices=["definite", "lorentzian"], required=True)
     ph.add_argument("--r-min", type=float, default=0.5)
     ph.add_argument("--r-max", type=float, default=2.5)
-    ph.add_argument("--r-count", type=int, default=5)
+    ph.add_argument("--r-count", type=_int_at_least(1), default=5)
     ph.add_argument("--alpha-min", type=float, default=-0.8)
     ph.add_argument("--alpha-max", type=float, default=0.8)
-    ph.add_argument("--alpha-count", type=int, default=5)
+    ph.add_argument("--alpha-count", type=_int_at_least(1), default=5)
     ph.add_argument("--smax", type=float, default=10.0)
     ph.add_argument("--rtol", type=float, default=1e-12)
     ph.add_argument("--jobs", type=int, default=1,
@@ -371,7 +371,7 @@ def build_parser() -> _Parser:
     nb.add_argument("--R", type=float, default=2.0)
     nb.add_argument("--t-min", type=float, default=0.0)
     nb.add_argument("--t-max", type=float, default=0.4)
-    nb.add_argument("--t-count", type=int, default=9)
+    nb.add_argument("--t-count", type=_int_at_least(1), default=9)
     nb.add_argument("--out", required=True)
     nb.set_defaults(func=cmd_normal_bundle)
 

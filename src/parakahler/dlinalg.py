@@ -202,9 +202,14 @@ def random_lagrangian_frames(n: int, count: int, rng: np.random.Generator) -> np
                 a_at.append(k)
             k += 1
     stream = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
-    S = stream.take(s_at, axis=0)
-    A = stream.take(a_at, axis=0)
-    out = np.empty((count, n, n, 2))
+    return lagrangian_frames(stream.take(a_at, axis=0), stream.take(s_at, axis=0))
+
+
+def lagrangian_frames(A: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """The frames A (I + tau sym S) (count, n, n, 2) of stacks (count, n, n)
+    of real matrices: rows e_i + tau S_i of the symmetric part of S mixed
+    by A, Lagrangian when A is invertible."""
+    out = np.empty(A.shape + (2,))
     out[..., 0] = A  # A (I + tau S) = A + tau A S
     out[..., 1] = np.einsum("fij,fjk->fik", A, 0.5 * (S + S.transpose(0, 2, 1)))
     return out

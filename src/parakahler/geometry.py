@@ -20,6 +20,7 @@ jet, 1 for a bracket).  Quantities:
     para_adapted_frame  orthonormal frame with e_{2i} = J e_{2i-1}
     lie_bracket         [A, B] of sampled vector fields
     nijenhuis           integrability obstruction of a sampled J-field
+    vector_field_from_function  vector fields for both, sampled on demand
     standard_structure, pullback_structure, curved_chart, twist_structure
                         J-fields to sample with jfield_from_function
 
@@ -461,9 +462,10 @@ def grid_mean_curvature(imm: SampledImmersion, nodes=None):
 
 # ---------------------------------------------------------------------------
 # Almost para-complex structures on a coordinate box and their Nijenhuis
-# tensor.  Vector fields are sampled like J-fields, (*counts, d), or one
-# vector (d,) broadcast to every node; brackets come from the central first
-# differences of the one stencil.
+# tensor.  Vector fields are sampled like J-fields, (*counts, d), from a
+# function (vector_field_from_function), or one vector (d,) broadcast to
+# every node; brackets come from the central first differences of the one
+# stencil.
 # ---------------------------------------------------------------------------
 
 class JField(SampledGrid):
@@ -542,8 +544,21 @@ def twist_structure(u1, u2, v1, v2):
     return J
 
 
+def vector_field_from_function(axes: Sequence[GridAxis], fn: Callable) -> SampledGrid:
+    """The vector field fn samples: fn takes coordinate arrays, as in
+    immersion_from_function, and returns the (..., d) vectors there."""
+    axes = tuple(axes)
+    return SampledGrid(axes, sampler=lambda idx: np.asarray(fn(*coordinates(axes, idx)),
+                                                            dtype=float))
+
+
 def _field(jf: JField, F) -> SampledGrid:
-    """The vector field F, (*counts, d) or one vector (d,) for every node."""
+    """The vector field F: a SampledGrid on jf's axes, (*counts, d) or one
+    vector (d,) for every node."""
+    if isinstance(F, SampledGrid):
+        if F.axes != jf.axes:
+            raise ValueError("a sampled vector field must be on the J-field's axes")
+        return F
     F = np.asarray(F, dtype=float)
     return SampledGrid(jf.axes, np.broadcast_to(F, jf.shape + F.shape[-1:]))
 

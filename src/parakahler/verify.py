@@ -35,6 +35,7 @@ from .geometry import (
     signed_gram_schmidt,
     standard_structure,
     twist_structure,
+    vector_field_from_function,
 )
 from .lagrangian import (
     angle_field,
@@ -179,6 +180,37 @@ def suite_algebra():
 # gram-lemma
 # ---------------------------------------------------------------------------
 
+def _frame_changes(rng, count):
+    """count frame changes, each an n in {2, 3, 4}, a random Lagrangian frame
+    of D^n and a real change A with |det A| >= 0.2: {n: (frames, A frames)},
+    stacked per n.
+
+    The stream is read as count one-by-one draws read it: after the integer
+    draw for n, n x n matrices, S and then candidates for the frame's A
+    until |det| >= 0.1 (as random_lagrangian_frames), then candidates for
+    the change until |det| >= 0.2.  Each normal call draws exactly the
+    matrices the change still needs (three, then after a rejection the one
+    or two left), so nothing is drawn ahead of the next integer draw; one
+    det call on each draw decides acceptance, and the frames and changes
+    are assembled once per n."""
+    drawn = {n: [] for n in (2, 3, 4)}
+    for _ in range(count):
+        n = int(rng.integers(2, 5))
+        picked = []  # S (any matrix), the frame's A, the change
+        while len(picked) < 3:
+            chunk = rng.normal(size=(3 - len(picked), n, n))
+            for mat, det in zip(chunk, np.linalg.det(chunk).tolist()):
+                if abs(det) >= (0.0, 0.1, 0.2)[len(picked)]:
+                    picked.append(mat)
+        drawn[n].append(picked)
+    changes = {}
+    for n, picks in drawn.items():
+        S, A, change = np.array(picks).reshape(len(picks), 3, n, n).transpose(1, 0, 2, 3)
+        frames = dlinalg.lagrangian_frames(A, S)
+        changes[n] = frames, np.einsum("fij,fjkc->fikc", change, frames)
+    return changes
+
+
 def suite_gram_lemma():
     rng = np.random.default_rng(GRAM_SEED)
     out = []
@@ -207,23 +239,14 @@ def suite_gram_lemma():
     out.append(_check("det multiplicativity (3x3)", worst < 1e-10,
                       f"300 pairs, worst rel err {worst:.2e}"))
 
-    # The frames and changes are drawn one by one, in the order the seed
-    # fixes (an integer draw comes between the normals, so the stream does
-    # not batch), then checked in one stacked call per n.
-    changes = {n: ([], []) for n in (2, 3, 4)}
-    for _ in range(300):
-        n = int(rng.integers(2, 5))
-        fr = dlinalg.random_lagrangian_frames(n, 1, rng)[0]
-        A = rng.normal(size=(n, n))
-        while abs(np.linalg.det(A)) < 0.2:
-            A = rng.normal(size=(n, n))
-        changes[n][0].append(fr)
-        changes[n][1].append(np.einsum("ij,jkc->ikc", A, fr))
+    # The changes read the stream as one-by-one draws would: an integer
+    # draw for n, then one normal call for S, the frame's A and the change,
+    # and one more per rejected candidate (_frame_changes).
     worst_q, worst_t = 0, 0.0
-    for before, after in changes.values():
-        if before:
-            ang = dlinalg.lagrangian_angle_of_frame(np.stack(before))
-            ang2 = dlinalg.lagrangian_angle_of_frame(np.stack(after))
+    for before, after in _frame_changes(rng, 300).values():
+        if len(before):
+            ang = dlinalg.lagrangian_angle_of_frame(before)
+            ang2 = dlinalg.lagrangian_angle_of_frame(after)
             worst_q = max(worst_q, int(np.max(np.abs(ang.q - ang2.q))))
             worst_t = max(worst_t, float(np.max(np.abs(ang.theta - ang2.theta))))
     out.append(_check("frame-change invariance of (q, theta)",
@@ -783,6 +806,24 @@ def suite_soliton_ode():
 # Nijenhuis / integrability
 # ---------------------------------------------------------------------------
 
+def _twist_split_fields():
+    """The decomposition check's vector fields on the twisted structure, as
+    functions of the coordinates (u1, u2, v1, v2): U1, V1, U2, V2 with U in
+    span{du1, du2} and V in span{dv1, dv2 + v1 du1}."""
+    e = np.eye(4)
+
+    def field(f):
+        return lambda *x: f([c[..., None] for c in x])
+
+    def vm1(p):
+        return p[2] * e[0] + e[3]
+
+    return (field(lambda p: np.sin(p[0] + 0.3 * p[3]) * e[0] + p[1] ** 2 * e[1]),
+            field(lambda p: np.cos(p[2]) * e[2] + 0.4 * p[0] * p[3] * vm1(p)),
+            field(lambda p: (p[0] * p[2] + 0.1) * e[0] + np.sin(p[3]) * e[1]),
+            field(lambda p: 0.7 * p[1] * e[2] + np.cos(p[0] + p[1]) * vm1(p)))
+
+
 def suite_nijenhuis():
     out = []
 
@@ -836,19 +877,16 @@ def suite_nijenhuis():
     # vanish: split the fields along the eigendistributions, U in
     # span{du1, du2} (+1) and V in span{dv1, dv2 + v1 du1} (-1), and compare
     # the definition with 2([U1,U2] - J[U1,U2] + [V1,V2] + J[V1,V2]) at
-    # three nodes.
+    # three nodes.  The fields are sampled on the stencils read, 27 points.
     axes4 = tuple(GridAxis(-0.3, 0.3, 9) for _ in range(4))
     jf4 = jfield_from_function(axes4, twist_structure)
-    p = [c[..., None] for c in np.meshgrid(*[a.nodes() for a in axes4], indexing="ij")]
-    up, vm0 = np.eye(4)[:2], np.eye(4)[2]
-    vm1 = p[2] * up[0] + np.eye(4)[3]
-    U1 = np.sin(p[0] + 0.3 * p[3]) * up[0] + p[1] ** 2 * up[1]
-    V1 = np.cos(p[2]) * vm0 + 0.4 * p[0] * p[3] * vm1
-    U2 = (p[0] * p[2] + 0.1) * up[0] + np.sin(p[3]) * up[1]
-    V2 = 0.7 * p[1] * vm0 + np.cos(p[0] + p[1]) * vm1
+    u1, v1, u2, v2 = _twist_split_fields()
+    U1, V1, U2, V2 = (vector_field_from_function(axes4, f) for f in (u1, v1, u2, v2))
+    X1, X2 = (vector_field_from_function(axes4, lambda *x, u=u, v=v: u(*x) + v(*x))
+              for u, v in ((u1, v1), (u2, v2)))
 
     nodes = [(4, 4, 4, 4), (3, 5, 2, 6), (6, 2, 5, 3)]
-    lhs, _ = nijenhuis(jf4, U1 + V1, U2 + V2, nodes)
+    lhs, _ = nijenhuis(jf4, X1, X2, nodes)
     J = jf4.sample(tuple(np.transpose(nodes)))
     bUU, bVV = (lie_bracket(jf4, A, B, nodes)[0][..., None] for A, B in ((U1, U2), (V1, V2)))
     rhs = 2.0 * (bUU - J @ bUU + bVV + J @ bVV)[..., 0]

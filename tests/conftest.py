@@ -31,7 +31,7 @@ def same_bits(a, b) -> bool:
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
-def _counting(sampled):
+def count_points(sampled):
     """Count the points sampled's sampler is asked for, in sampled.points."""
     sampler, sampled.points = sampled.sampler, 0
 
@@ -56,7 +56,7 @@ def node_sets_match_whole_grid(monkeypatch):
         imm = build()
         nodes = probe_nodes(imm.shape)
         k, at = len(nodes), tuple(nodes.T)
-        _counting(imm)
+        count_points(imm)
         got = {}
         with monkeypatch.context() as patch:
             patch.setattr(geometry.SampledGrid, "whole", lambda self: pytest.fail("materialized"))
@@ -98,7 +98,7 @@ def jfield_node_sets_match_whole_grid(monkeypatch):
     def check(jf, pairs):
         nodes = probe_nodes(jf.shape)
         at = tuple(nodes.T)
-        _counting(jf)
+        count_points(jf)
         got = []
         with monkeypatch.context() as patch:
             patch.setattr(geometry.JField, "whole", lambda self: pytest.fail("materialized"))

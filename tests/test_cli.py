@@ -191,8 +191,13 @@ def test_exit_code_usage():
     ["nijenhuis", "--structure", "twist", "--count", "4"],
     ["equivariant", "--count", "1"],
     ["equivariant", "--count", "4", "--lift-out", "lift.csv"],
+    ["angle", "--spec", "s.json", "--grid-count", "0"],
+    ["angle", "--spec", "s.json", "--grid-count", "4"],
+    ["normal-bundle", "--shape", "circle", "--t-count", "0"],
+    ["normal-bundle", "--shape", "circle", "--t-count", "-2"],
 ], ids=["refine-0", "refine-negative", "nijenhuis-count-3", "twist-count-4",
-        "equivariant-count-1", "lift-count-4"])
+        "equivariant-count-1", "lift-count-4", "grid-count-0", "grid-count-4",
+        "t-count-0", "t-count-negative"])
 def test_out_of_range_arguments_are_usage_errors(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert main(argv + ["--out", "o.csv"]) == 1
@@ -200,6 +205,29 @@ def test_out_of_range_arguments_are_usage_errors(argv, tmp_path, monkeypatch, ca
     assert err.startswith("usage: parakahler")
     assert "error: argument --" in err and "at least" in err
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("count", ["--r-count", "--alpha-count"])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_empty_phase_sweeps_are_usage_errors(count, value, tmp_path, monkeypatch, capsys):
+    # an empty sweep used to write a header-only index and exit 0, a
+    # negative count to end in numpy's traceback
+    monkeypatch.chdir(tmp_path)
+    assert main(["phase", "--n", "2", "--lambda-prime", "1", "--case", "lorentzian",
+                 count, value, "--out-dir", "pd"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: parakahler")
+    assert f"error: argument {count}: must be at least 1, got {value}" in err
+    assert not any(tmp_path.iterdir())
+
+
+def test_grid_count_overrides_the_spec_axes(tmp_path):
+    spec = tmp_path / "torus.json"
+    spec.write_text(json.dumps(torus_spec()), encoding="utf-8")
+    out = tmp_path / "torus.csv"
+    assert main(["angle", "--spec", str(spec), "--grid-count", "5", "--out", str(out)]) == 0
+    data_rows = [l for l in read_lines(out)[1:] if not l.startswith("#")]
+    assert len(data_rows) == 5 * 5
 
 
 def test_abbreviated_option_is_rejected(tmp_path, monkeypatch, capsys):

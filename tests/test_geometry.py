@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import count_points, probe_nodes, same_bits
 from parakahler import dlinalg
 from parakahler.dcore import d_exp_tau, d_grading2, d_mul
 from parakahler.dlinalg import apply_J, basis_vector, metric
@@ -36,6 +37,7 @@ from parakahler.geometry import (
     signed_gram_schmidt,
     standard_structure,
     trace_mean_curvature,
+    vector_field_from_function,
 )
 
 
@@ -754,6 +756,54 @@ def test_brackets_equal_the_per_node_reference(case):
         with pytest.raises(OffStencil):
             _bracket_per_node(jf, Xn, Yn, node)
     assert not valid.all() and valid.any()
+
+
+def _sampled_fields(case, axes):
+    """The function-backed twins of _bracket_case's non-constant pairs."""
+    from parakahler import verify
+
+    if case == "twist":
+        u1, v1, u2, v2 = verify._twist_split_fields()
+        pairs = [(lambda *x: u1(*x) + v1(*x), lambda *x: u2(*x) + v2(*x)), (u1, u2), (v1, v2)]
+    else:
+        pairs = [(lambda x, y: np.stack([np.sin(x + 2 * y), x * y + 0.3], -1),
+                  lambda x, y: np.stack([np.cos(x) * y, y ** 2 - x], -1))]
+    return [tuple(vector_field_from_function(axes, f) for f in pair) for pair in pairs]
+
+
+@pytest.mark.parametrize("case", ["constant", "curved", "twist"])
+def test_function_backed_vector_fields_equal_the_arrays(case):
+    # lie_bracket and nijenhuis give the same bits on vector fields sampled
+    # from their functions as on the arrays of their values (alone or mixed
+    # with an array), at every node and at node sets; a node set samples a
+    # field on the stars of its nodes only
+    jf, pairs = _bracket_case(case)
+    arrays = pairs if case == "twist" else pairs[1:]
+    nodes = probe_nodes(jf.shape)
+    for query in (lie_bracket, nijenhuis):
+        for at in (None, nodes):
+            sampled = _sampled_fields(case, jf.axes)
+            for (X, Y), (Xf, Yf) in zip(arrays, sampled, strict=True):
+                ref = query(jf, X, Y, at)
+                for field in (Xf, Yf):
+                    count_points(field)
+                got = query(jf, Xf, Yf, at)
+                if at is not None:
+                    assert Xf.points == Yf.points == len(nodes) * (1 + 2 * jf.m)
+                for result in (got, query(jf, Xf, Y, at)):
+                    assert all(same_bits(r, g) for r, g in zip(ref, result, strict=True))
+
+
+def test_vector_fields_on_other_axes_raise():
+    jf, _ = _bracket_case("curved")
+    axes = (GridAxis(-0.4, 0.4, 17), GridAxis(-0.4, 0.5, 17))
+    other = vector_field_from_function(axes, lambda x, y: np.stack([x, y], -1))
+    for query in (lie_bracket, nijenhuis):
+        for nodes in (None, [(8, 8)]):
+            with pytest.raises(ValueError, match="J-field's axes"):
+                query(jf, other, [1.0, 0.0], nodes)
+            with pytest.raises(ValueError, match="J-field's axes"):
+                query(jf, [1.0, 0.0], other, nodes)
 
 
 def test_nijenhuis_constant_structure():

@@ -2,6 +2,7 @@ import itertools
 import sys
 
 import numpy as np
+import pytest
 
 from parakahler import dlinalg, geometry, verify
 from parakahler.cli import main
@@ -58,15 +59,72 @@ def test_point_query_suites_take_no_whole_grid_tangents(monkeypatch):
 
 def test_gram_lemma_draws_stacked_frames_in_six_calls(monkeypatch):
     # The 3 x 1000 identity frames and the 3 x 200 Gram-Schmidt frames come
-    # from one draw per stack; only the 300-change loop, whose integer draws
-    # sit between its normals, draws one frame per call.
-    calls = []
+    # from one draw per stack.  The 300 frame changes, whose integer draws
+    # sit between their normals, draw their matrices change by change but
+    # are assembled in one lagrangian_frames call per n.
+    calls, assembled = [], []
     _spy(monkeypatch, dlinalg.random_lagrangian_frames, calls)
+    _spy(monkeypatch, dlinalg.lagrangian_frames, assembled)
     assert all(check.passed for check in verify.suite_gram_lemma())
-    stacked = [count for _, count, _ in calls if count > 1]
-    assert len(stacked) <= 6
-    assert sum(stacked) == 3 * verify.GRAM_FRAMES + 3 * 200
-    assert sum(count == 1 for _, count, _ in calls) == 300
+    assert [count for _, count, _ in calls] == [verify.GRAM_FRAMES] * 3 + [200] * 3
+    assert len(assembled) == 6 + 3
+    assert sum(len(A) for A, _ in assembled) == 3 * verify.GRAM_FRAMES + 3 * 200 + 300
+
+
+def _frame_changes_one_by_one(rng, count):
+    """Reference: the frame changes drawn one at a time, a one-frame
+    random_lagrangian_frames draw and then change candidates until
+    |det A| >= 0.2, stacked per n."""
+    changes = {n: ([], []) for n in (2, 3, 4)}
+    for _ in range(count):
+        n = int(rng.integers(2, 5))
+        fr = dlinalg.random_lagrangian_frames(n, 1, rng)[0]
+        A = rng.normal(size=(n, n))
+        while abs(np.linalg.det(A)) < 0.2:
+            A = rng.normal(size=(n, n))
+        changes[n][0].append(fr)
+        changes[n][1].append(np.einsum("ij,jkc->ikc", A, fr))
+    return {n: tuple(np.array(s).reshape(len(s), n, n, 2) for s in pair)
+            for n, pair in changes.items()}
+
+
+def _rejections(seed, count):
+    """(frame candidates rejected at |det| < 0.1, change candidates rejected
+    at |det| < 0.2) of count changes drawn from seed, replaying the stream
+    one matrix at a time."""
+    rng, rejected = np.random.default_rng(seed), [0, 0]
+    for _ in range(count):
+        n = int(rng.integers(2, 5))
+        rng.normal(size=(n, n))  # S
+        for slot, bound in enumerate((0.1, 0.2)):
+            while abs(np.linalg.det(rng.normal(size=(n, n)))) < bound:
+                rejected[slot] += 1
+    return rejected
+
+
+@pytest.mark.parametrize("seed, count, rejected", [
+    (verify.GRAM_SEED, 300, [27, 35]),
+    (3, 6, [1, 0]),
+    (18, 6, [3, 0]),
+    (0, 6, [0, 1]),
+    (12, 6, [0, 3]),
+    (4, 6, [0, 0]),
+], ids=["gram-seed", "reject-frame", "reject-frame-thrice", "reject-change",
+        "reject-change-thrice", "no-rejection"])
+def test_frame_changes_equal_the_one_by_one_draws(seed, count, rejected):
+    # the frames and changes, and the generator state after them, are those
+    # of the one-by-one loop bit for bit, with and without rejected candidates
+    assert _rejections(seed, count) == rejected
+    batched, one_by_one = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = verify._frame_changes(batched, count)
+    ref = _frame_changes_one_by_one(one_by_one, count)
+    assert got.keys() == ref.keys()
+    for n in ref:
+        for part, ref_part in zip(got[n], ref[n], strict=True):
+            assert part.shape == ref_part.shape and part.tobytes() == ref_part.tobytes()
+    assert batched.bit_generator.state == one_by_one.bit_generator.state
+    assert batched.integers(2, 5) == one_by_one.integers(2, 5)
+    assert batched.normal() == one_by_one.normal()
 
 
 def test_det_pairs_in_one_draw_equal_pairs_drawn_one_by_one():
@@ -112,13 +170,18 @@ def test_nijenhuis_decomposition_check_is_not_vacuous(monkeypatch):
 
     def recorded(jf, X, Y, nodes=None):
         N, valid = nijenhuis(jf, X, Y, nodes)
-        if np.ndim(X) > 1:
-            found.append((N, valid))
+        if isinstance(X, geometry.SampledGrid):  # the function-backed fields
+            found.append((N, valid, X, Y))
         return N, valid
 
     monkeypatch.setattr(verify, "nijenhuis", recorded)
+    calls = []
+    _spy(monkeypatch, geometry.vector_field_from_function, calls)
+    # the fields are sampled on the stencils read, the whole grid never
+    monkeypatch.setattr(geometry.SampledGrid, "whole", lambda self: pytest.fail("materialized"))
     checks = {check.name: check for check in verify.suite_nijenhuis()}
     assert checks["eigendistribution decomposition of N"].passed
-    [(N, valid)] = found
+    [(N, valid, X, Y)] = found
     assert N.shape == (3, 4) and valid.all()
     assert np.all(np.max(np.abs(N), axis=1) > 1.0)
+    assert len(calls) == 6 and X.axes == Y.axes == calls[0][0]

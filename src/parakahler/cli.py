@@ -14,7 +14,6 @@ import functools
 import json
 import math
 import sys
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -24,8 +23,6 @@ from .dcore import d_norm2
 from .errors import ParakahlerError, SpecValidationError
 from .geometry import MIN_AXIS_COUNT
 from .lagrangian import angle_field, identity_grid
-
-CSV_BLOCK_ROWS = 256  # rows per '%' in _write_csv: ~100 KB of text
 
 
 def _fmt(x) -> str:
@@ -60,20 +57,35 @@ def _int_at_least(minimum: int):
     return parse
 
 
+def _csv_rows(rows):
+    """The CSV text of rows, in blocks of bytes: rows is a float array
+    (rows, columns) or a sequence of rows, where each column keeps the type
+    of its first row.  Strings pass through; numbers print as _fmt prints
+    them, '%.17g' % v, which csvformat.encode writes a block at a time."""
+    from . import csvformat
+
+    if len(rows) == 0:
+        return []
+    if not any(isinstance(v, str) for v in rows[0]):
+        return csvformat.encode(np.asarray(rows, dtype=float))
+    columns = [col if isinstance(col[0], str) else
+               b"".join(csvformat.encode(np.array(col, dtype=float)[:, None])).decode().splitlines()
+               for col in zip(*rows)]
+    return ["".join(",".join(row) + "\n" for row in zip(*columns)).encode()]
+
+
+def _write_text(path, header, blocks, footer=None):
+    """Header, the blocks of CSV text of the rows and '# key=value' footer
+    lines."""
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
+        fh.writelines(blocks)
+        fh.write("".join(f"# {key}={value}\n" for key, value in (footer or {}).items()).encode())
+
+
 def _write_csv(path, header, rows, footer=None):
-    """Header, rows and '# key=value' footer lines.  Each column keeps the
-    type of its first row: strings pass through, numbers print as _fmt does
-    ('%.17g' % nan is 'nan'), so one format string serves every row, and
-    one '%' formats a block of CSV_BLOCK_ROWS rows."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        if rows:
-            fmt = ",".join("%s" if isinstance(v, str) else "%.17g" for v in rows[0]) + "\n"
-            for start in range(0, len(rows), CSV_BLOCK_ROWS):
-                block = rows[start:start + CSV_BLOCK_ROWS]
-                fh.write((fmt * len(block)) % tuple(chain.from_iterable(block)))
-        for key, value in (footer or {}).items():
-            fh.write(f"# {key}={value}\n")
+    """Header, rows (see _csv_rows) and '# key=value' footer lines."""
+    _write_text(path, header, _csv_rows(rows), footer)
 
 
 def _angle_rows(imm):
@@ -92,7 +104,7 @@ def _angle_rows(imm):
         np.stack([field.theta, field.q, ~field.usable], axis=-1),
         H[..., 0], H[..., 1], residual[..., None],
     ], axis=-1)
-    rows = table.reshape(-1, len(header)).tolist()
+    rows = table.reshape(-1, len(header))
     footer = {
         "nondegenerate_regions": field.n_regions,
         "degenerate_nodes": int(field.degenerate.sum()),
@@ -144,7 +156,7 @@ def cmd_equivariant(args) -> int:
     curve = equivariant.named_curve(args.family, args.n, args.C, args.phi_min,
                                     args.phi_max, args.count)
     norms = d_norm2(curve.gamma)
-    rows = [[s, g[0], g[1], w] for s, g, w in zip(curve.s, curve.gamma, norms)]
+    rows = np.column_stack([curve.s, curve.gamma, norms])
     report = equivariant.lightcone_crossings(curve)
     footer = {
         "family": args.family,
@@ -173,7 +185,7 @@ def cmd_soliton(args) -> int:
     tag = solitons.classify(traj)
     scale = max(abs(traj.E0), solitons.radial_weight(args.r, params))
     E = solitons.energy(traj.states, params)
-    rows = np.column_stack([traj.s, traj.states, E, np.abs(E - traj.E0) / scale]).tolist()
+    rows = np.column_stack([traj.s, traj.states, E, np.abs(E - traj.E0) / scale])
     footer = {
         "classification": tag,
         "stop_reason": traj.stop_reason,
@@ -199,13 +211,17 @@ def cmd_phase(args) -> int:
               for a0 in np.linspace(args.alpha_min, args.alpha_max, args.alpha_count)]
     trajs = solitons.integrate_bidirectional_many(params, starts, args.smax,
                                                   rtol=args.rtol)
+    # one text for every trajectory, cut into files where its rows start
+    tables = [np.column_stack([t.s, t.states]) for t in trajs]
+    text = b"".join(_csv_rows(np.concatenate(tables)))
+    row_starts = np.flatnonzero(np.frombuffer(text, dtype=np.uint8) == ord("\n")) + 1
+    cuts = np.insert(row_starts, 0, 0)[np.cumsum([0] + [len(t) for t in tables])].tolist()
     index_rows = []
     for i, ((r0, a0, _), traj) in enumerate(zip(starts, trajs)):
         tag = solitons.classify(traj)
         name = f"traj_{i:04d}.csv"
-        _write_csv(out_dir / name, ["s", "r", "alpha", "phi"],
-                   np.column_stack([traj.s, traj.states]).tolist(),
-                   {"classification": tag, "stop_reason": traj.stop_reason})
+        _write_text(out_dir / name, ["s", "r", "alpha", "phi"], [text[cuts[i]:cuts[i + 1]]],
+                    {"classification": tag, "stop_reason": traj.stop_reason})
         index_rows.append([r0, a0, traj.E0, tag, traj.stop_reason,
                            _fmt(traj.max_E_drift), name])
     _write_csv(out_dir / "index.csv",
@@ -228,7 +244,7 @@ def cmd_normal_bundle(args) -> int:
     index = np.meshgrid(*[np.arange(c) for c in shape], ts, indexing="ij")
     table = np.stack([*index, ang.q, ang.theta,
                       np.broadcast_to(austere[..., None], ang.q.shape)], axis=-1)
-    rows = table.reshape(-1, len(shape) + 4).tolist()
+    rows = table.reshape(-1, len(shape) + 4)
     footer = {"shape": args.shape}
     null = int(np.sum(ang.q == -1))
     if null:  # a null volume has no polar form

@@ -119,11 +119,19 @@ def lift(curve: ProfileCurve, n: int, sphere_counts=None) -> SampledImmersion:
                       float(curve.s[-1] + (curve.spacing if curve.periodic else 0.0)),
                       curve.s.size, periodic=curve.periodic)
     gamma = curve.gamma  # (k, 2)
+    sphere = tuple(a.count for a in axes)
+    sigma = embed(*coordinates(axes, np.indices(sphere))).reshape(-1, n)  # once per node
 
     def sample(idx):
-        # F[i, ..., j, c] = gamma[i, c] sigma[..., j]
-        sigma = embed(*coordinates(axes, idx[1:]))  # (..., n)
-        return gamma[idx[0]][..., None, :] * sigma[..., None]
+        # F[i, ..., j, c] = gamma[i, c] sigma[..., j], one product per c
+        node = idx[1]  # the sphere node's row of sigma
+        for i, count in zip(idx[2:], sphere[1:]):
+            node = node * count + i
+        g, s = gamma.take(idx[0], axis=0), sigma.take(node, axis=0)
+        F = np.empty(s.shape + (2,))
+        for c in range(2):
+            np.multiply(s, g[..., c:c + 1], out=F[..., c])
+        return F
 
     return SampledImmersion((s_axis,) + axes, sampler=sample)
 

@@ -373,6 +373,25 @@ def test_write_csv_matches_per_cell_format(tmp_path):
     assert out.read_bytes() == expect.encode("utf-8")
 
 
+@pytest.mark.parametrize("counts", [("1", "1"), ("3", "2")])
+def test_phase_trajectory_files_equal_their_own_tables(counts, tmp_path, monkeypatch):
+    from parakahler import cli, solitons
+
+    integrate, trajs = solitons.integrate_bidirectional_many, []
+    monkeypatch.setattr(solitons, "integrate_bidirectional_many",
+                        lambda *a, **k: trajs.extend(integrate(*a, **k)) or trajs)
+    assert main(["phase", "--n", "2", "--lambda-prime", "-1", "--case", "definite",
+                 "--r-count", counts[0], "--alpha-count", counts[1], "--smax", "3",
+                 "--out-dir", str(tmp_path / "phase")]) == 0
+    assert len(trajs) == int(counts[0]) * int(counts[1])
+    for i, traj in enumerate(trajs):
+        alone = tmp_path / f"alone_{i}.csv"
+        cli._write_csv(alone, ["s", "r", "alpha", "phi"], np.column_stack([traj.s, traj.states]),
+                       {"classification": solitons.classify(traj),
+                        "stop_reason": traj.stop_reason})
+        assert (tmp_path / "phase" / f"traj_{i:04d}.csv").read_bytes() == alone.read_bytes()
+
+
 def _loaded_in_fresh_interpreter(code, cwd=None):
     """Names of the modules a fresh interpreter has loaded after running
     code, in cwd, with this parakahler importable, and of their top-level

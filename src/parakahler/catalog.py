@@ -344,11 +344,10 @@ def build(doc: dict):
     from . import solitons  # imported here: only soliton lifts need it
 
     p = solitons.SolitonParams(params["n"], params["lambda_prime"], params["case"])
-    state = solitons.SolitonState(params["r0"], params.get("alpha0", 0.0),
-                                  params.get("phi0", 0.0))
+    start = [(params["r0"], params.get("alpha0", 0.0), params.get("phi0", 0.0))]
     prof_axis = axes[0]
     span = max(abs(prof_axis.lo), abs(prof_axis.hi))
-    traj = solitons.integrate_bidirectional(state, p, span, rtol=1e-12)
+    traj, = solitons.integrate_bidirectional_many(p, start, span, rtol=1e-12)
     s_lo = max(prof_axis.lo, float(traj.s[0]))
     s_hi = min(prof_axis.hi, float(traj.s[-1]))
     curve = solitons.reconstruct_profile(traj, count=prof_axis.count,

@@ -59,19 +59,18 @@ def _int_at_least(minimum: int):
 
 def _csv_rows(rows):
     """The CSV text of rows, in blocks of bytes: rows is a float array
-    (rows, columns) or a sequence of rows, where each column keeps the type
-    of its first row.  Strings pass through; numbers print as _fmt prints
-    them, '%.17g' % v, which csvformat.encode writes a block at a time."""
-    from . import csvformat
-
+    (rows, columns) or a sequence of rows.  Numbers print as '%.17g' % v:
+    csvformat.encode writes a table of numbers a block at a time, and a
+    table whose first row holds a string is written cell by cell, strings
+    passing through and numbers through _fmt."""
     if len(rows) == 0:
         return []
-    if not any(isinstance(v, str) for v in rows[0]):
-        return csvformat.encode(np.asarray(rows, dtype=float))
-    columns = [col if isinstance(col[0], str) else
-               b"".join(csvformat.encode(np.array(col, dtype=float)[:, None])).decode().splitlines()
-               for col in zip(*rows)]
-    return ["".join(",".join(row) + "\n" for row in zip(*columns)).encode()]
+    if any(isinstance(v, str) for v in rows[0]):
+        return ["".join(",".join(v if isinstance(v, str) else _fmt(v) for v in row) + "\n"
+                        for row in rows).encode()]
+    from . import csvformat
+
+    return csvformat.encode(np.asarray(rows, dtype=float))
 
 
 def _write_text(path, header, blocks, footer=None):
@@ -178,10 +177,12 @@ def cmd_soliton(args) -> int:
     from . import solitons
 
     params = solitons.SolitonParams(args.n, args.lambda_prime, args.case)
-    state = solitons.SolitonState(args.r, args.alpha, args.phi)
-    integrate = (solitons.integrate_bidirectional if args.bidirectional
-                 else solitons.integrate)
-    traj = integrate(state, params, args.smax, rtol=args.rtol)
+    start = [(args.r, args.alpha, args.phi)]
+    if args.bidirectional:
+        traj, = solitons.integrate_bidirectional_many(params, start, args.smax,
+                                                      rtol=args.rtol)
+    else:
+        traj, = solitons.integrate_many(params, start, 1, args.smax, rtol=args.rtol)
     tag = solitons.classify(traj)
     scale = max(abs(traj.E0), solitons.radial_weight(args.r, params))
     E = solitons.energy(traj.states, params)

@@ -192,11 +192,9 @@ class _DenseOutput:
     accepted steps of one integrate_many call, lane by lane, built for the
     whole batch on the first read of F: a sweep that is never sampled skips
     their three extra field evaluations per step.  Until then it keeps the
-    call's per-iteration records.  The lanes' last steps, redone to their
-    events, form a second batch of their own, their columns of the first
-    being overwritten: BLAS rounds a column by its place in the batch (see
-    _dense), and so their F does not depend on how many steps the lanes
-    took."""
+    call's per-iteration records and the stages K_end of the lanes' last
+    steps, redone to their events, which replace the stages of the steps
+    the events fired on."""
 
     def __init__(self, field, steps, take, hs, states, knots, last, K_end):
         self._parts = (field, steps, take, hs, states, knots, last, K_end)
@@ -207,9 +205,8 @@ class _DenseOutput:
         if self._F is None:
             field, steps, take, hs, states, knots, last, K_end = self._parts
             K = np.concatenate([st[5] for st in steps], axis=-1).take(take, axis=-1)
-            y_new, y_old = states[knots].T, states[knots - 1].T
-            F = _dense(K, y_old, y_new, hs, field)
-            F[:, :, last] = _dense(K_end, y_old[:, last], y_new[:, last], hs[last], field)
+            K[:, :, last] = K_end
+            F = _dense(K, states[knots - 1].T, states[knots].T, hs, field)
             self._F, self._parts = np.swapaxes(F, 1, 2), None
         return self._F
 
@@ -439,16 +436,18 @@ def _step(y, f, hs, field):
     return y_new, K
 
 
-def _dense(K, y_old, y_new, hs, field, at=None, width=None):
+def _dense(K, y_old, y_new, hs, field):
     """Coefficients F (7, d, N) of the 7th-order interpolant of N steps from
     their stages K (13, d, N), their end states (d, N) and their signed
     lengths hs (N,): the three extra stages of DOP853, then F as scipy's
-    DOP853 builds it (Hairer-Norsett-Wanner's CONTD8).  With at (N,) and
-    width, the (4, 16) @ (16, d width) product of F's top rows holds the
-    steps at columns at of width steps, zeros elsewhere: BLAS rounds a
-    column of that product by its place in it (a step alone and the same step
-    in a larger batch can differ in the last bit), so each step then
-    gets the F of its place in a width-step batch."""
+    DOP853 builds it (Hairer-Norsett-Wanner's CONTD8).  A step's F is the
+    same bits whatever the other steps: F's lower rows are elementwise, and
+    the (4, 16) @ (16, d N) product of its top rows is einsum's, which sums
+    each column's terms in one fixed order (BLAS, as np.dot calls it for a
+    matrix product, rounds a column by its place in the batch).  The extra
+    stages are stage sums as in _step: that their matrix-vector products
+    round a column alike in any batch is measured, not built in (see
+    test_lanes_do_not_depend_on_their_batch)."""
     dim = K.shape[1]
     Kx = field.empty((16,) + K.shape[1:])
     Kx[:13] = K
@@ -461,13 +460,7 @@ def _dense(K, y_old, y_new, hs, field, at=None, width=None):
     F[0] = dy
     F[1] = hs * K[0] - dy
     F[2] = 2.0 * dy - hs * (K[12] + K[0])
-    if at is None:
-        top = np.dot(_D, K2).reshape(4, dim, -1)
-    else:
-        wide = np.zeros((16, dim, width))
-        wide[:, :, at] = Kx
-        top = np.dot(_D, wide.reshape(16, -1)).reshape(4, dim, width)[..., at]
-    F[3:] = hs * top
+    F[3:] = hs * np.einsum("ij,jk->ik", _D, K2).reshape(4, dim, -1)
     return F
 
 
@@ -502,7 +495,9 @@ def integrate_many(params: SolitonParams, initial, directions, s_max: float, *,
     field evaluations per step, so the loop builds none: _trajectories
     builds those of the lanes' last steps, and the trajectories share one
     _DenseOutput that builds every accepted step's on the first sample.  A
-    step below 10 ulp of sigma raises StepFailure.
+    step below 10 ulp of sigma raises StepFailure.  A lane's trajectory, its
+    samples included, is the same bits alone or in any batch (see _dense):
+    one trajectory is a batch of one.
 
     In the definite case with a decaying angle the energy g(r) sinh(alpha)
     pairs an exploding factor with a collapsing one; once |alpha| reaches
@@ -642,11 +637,8 @@ def _trajectories(params, field, y0, directions, steps, fired, K_last, limits):
     knots = np.delete(np.arange(first[-1]), starts)
     states[knots] = np.concatenate([st[4] for st in steps], axis=-1).take(take, axis=-1).T
 
-    # the interpolants of the last steps, each as it is in the batch of all
-    # steps that _DenseOutput builds
     y_from, y_to = states[ends - 1].T, states[ends].T
-    F_last = _dense(K_last, y_from, y_to, directions * h_all[last], field,
-                    at=last, width=h_all.size)
+    F_last = _dense(K_last, y_from, y_to, directions * h_all[last], field)
     pair_lane, pair_event = np.nonzero(fired)
     F, y_a, y_b = F_last[:, :, pair_lane], y_from[:, pair_lane], y_to[:, pair_lane]
     # each pair's own row of _events: the state row it reads, |.| from
@@ -727,12 +719,6 @@ def _kept_rows(states, first, directions):
     return rows, per_lane
 
 
-def integrate(initial: SolitonState, params: SolitonParams, s_max: float, *,
-              direction: int = 1, **kw) -> Trajectory:
-    """One trajectory along direction (+-1): one lane of integrate_many."""
-    return integrate_many(params, [initial.as_array()], direction, s_max, **kw)[0]
-
-
 def integrate_bidirectional_many(params: SolitonParams, initial, s_max: float,
                                  **kw) -> list[Trajectory]:
     """Each initial state integrated forward and backward from s = 0 (all
@@ -753,12 +739,6 @@ def integrate_bidirectional_many(params: SolitonParams, initial, s_max: float,
             dropped_knots=bwd.dropped_knots + fwd.dropped_knots,
             _branches=bwd._branches + fwd._branches))
     return out
-
-
-def integrate_bidirectional(initial: SolitonState, params: SolitonParams,
-                            s_max: float, **kw) -> Trajectory:
-    """Integrate forward and backward from s = 0 and merge."""
-    return integrate_bidirectional_many(params, [initial.as_array()], s_max, **kw)[0]
 
 
 def classify(traj: Trajectory) -> str:

@@ -51,7 +51,7 @@ from .lagrangian import (
     nodal_angles,
     plane_curve,
 )
-from .solitons import SolitonParams, SolitonState
+from .solitons import SolitonParams
 
 RICHARDSON_BAND = (3.5, 4.5)
 ALGEBRA_TRIALS, ALGEBRA_SEED = 10_000, 7  # random values per algebra check
@@ -666,21 +666,20 @@ def suite_soliton_ode():
 
     params = SolitonParams(2, 2.0, "lorentzian")
     cp = solitons.critical_point(params)
-    tr = solitons.integrate(cp, params, 10.0)
-    drift = max(float(np.max(np.abs(tr.r - cp.r))), float(np.max(np.abs(tr.alpha))))
+    tr_cp, = solitons.integrate_many(params, [cp.as_array()], 1, 10.0)
+    drift = max(float(np.max(np.abs(tr_cp.r - cp.r))), float(np.max(np.abs(tr_cp.alpha))))
     out.append(_check("critical point is stationary", drift < 1e-12,
                       f"max |(r, alpha) - (r0, 0)| = {drift:.2e}"))
 
     p0 = SolitonParams(2, 0.0, "lorentzian")
     a0 = 0.4
-    tr0 = solitons.integrate_bidirectional(SolitonState(1.0, a0, -a0 / 2), p0,
-                                           5.0, rtol=1e-12)
+    tr0, = solitons.integrate_bidirectional_many(p0, [(1.0, a0, -a0 / 2)], 5.0,
+                                                 rtol=1e-12)
     pr0 = solitons.reconstruct_profile(tr0, 301, s_lo=float(tr0.s[0]) + 1e-3,
                                        s_hi=float(tr0.s[-1]) - 1e-3)
     err_re = equivariant.level_residual(pr0, 2, "re", tr0.E0)
     pd0 = SolitonParams(2, 0.0, "definite")
-    trd = solitons.integrate(SolitonState(1.0, a0, -a0 / 2), pd0, 3.0,
-                             rtol=1e-12)
+    trd, = solitons.integrate_many(pd0, [(1.0, a0, -a0 / 2)], 1, 3.0, rtol=1e-12)
     prd = solitons.reconstruct_profile(trd, 301, s_lo=0.01, s_hi=2.9)
     err_im = equivariant.level_residual(prd, 2, "im", -trd.E0)
     out.append(_check("minimal (l'=0) trajectories trace the level families",
@@ -721,13 +720,13 @@ def suite_soliton_ode():
                       f"profile component of the wrong equation {comps_bad[0]:.2f}"))
 
     pd = SolitonParams(2, 0.0, "definite")
-    trq = solitons.integrate(SolitonState(1.0, 0.8813735870195429, 0.0), pd, 4.0,
-                             rtol=1e-12)
+    trq, = solitons.integrate_many(pd, [(1.0, 0.8813735870195429, 0.0)], 1, 4.0,
+                                   rtol=1e-12)
     i = len(trq.s) // 2
     dq = solitons.phi_quadrature(trq.r[3], trq.r[i], trq.E0, pd)
     err_def = abs(dq - (trq.phi[i] - trq.phi[3]))
-    trl = solitons.integrate_bidirectional(SolitonState(0.5, 0.0, 0.0), pl, 10.0,
-                                           rtol=1e-12)
+    trl, = solitons.integrate_bidirectional_many(pl, [(0.5, 0.0, 0.0)], 10.0,
+                                                 rtol=1e-12)
     rt_turn = solitons.turning_radius(trl.E0, pl, "below")
     sA, sB = 0.6 * float(trl.s[0]), 0.6 * float(trl.s[-1])
     stA, stB = trl.sample(sA)[0], trl.sample(sB)[0]
@@ -752,8 +751,7 @@ def suite_soliton_ode():
                       abs(per_decade - 1.0) < 1e-3 and conv < 1e-3 and conv0 < 1e-3,
                       f"l'>0 slope {per_decade:.6f}; l'<=0 increments {conv:.1e}, {conv0:.1e}"))
 
-    tr = solitons.integrate(SolitonState(1.2, 0.3, 0.1), pl, 1.5,
-                            rtol=1e-12)
+    tr, = solitons.integrate_many(pl, [(1.2, 0.3, 0.1)], 1, 1.5, rtol=1e-12)
     prof = solitons.reconstruct_profile(tr, 1001, q=0, s_lo=0.05, s_hi=1.4)
     dg = prof.derivative_samples()
     st = tr.sample(prof.s)
@@ -775,29 +773,19 @@ def suite_soliton_ode():
                       f"the e^(-n^2/2) variant ({printed_variant:.6f}) is not the "
                       f"conserved value"))
 
-    tags = {}
-    tr = solitons.integrate(cp, params, 10.0)
-    tags[solitons.classify(tr)] = True
-    tr = solitons.integrate_bidirectional(SolitonState(0.5, 0.0, 0.0), pl, 10.0,
-                                          rtol=1e-12)
-    tags[solitons.classify(tr)] = True
-    sym_err = abs(tr.sample(0.3)[0, 1] + tr.sample(-0.3)[0, 1])
-    tr = solitons.integrate_bidirectional(SolitonState(2.5, 0.0, 0.0), pl, 8.0,
-                                          rtol=1e-12)
-    tags[solitons.classify(tr)] = True
-    tr = solitons.integrate_bidirectional(SolitonState(2.0, 1.2, 0.0), pl, 8.0,
-                                          rtol=1e-12)
-    tags[solitons.classify(tr)] = True
-    tr = solitons.integrate_bidirectional(SolitonState(1.0, 0.4, 0.0), p0, 8.0,
-                                          rtol=1e-12)
-    tags[solitons.classify(tr)] = True
-    tr = solitons.integrate(SolitonState(1.0, 0.2, 0.0),
-                            SolitonParams(2, 1.0, "definite"), 5.0)
-    tags[solitons.classify(tr)] = True
+    # the critical point and the subcritical inner orbit are integrated above
+    trajs = [tr_cp, trl]
+    trajs += solitons.integrate_bidirectional_many(pl, [(2.5, 0.0, 0.0), (2.0, 1.2, 0.0)],
+                                                   8.0, rtol=1e-12)
+    trajs += solitons.integrate_bidirectional_many(p0, [(1.0, 0.4, 0.0)], 8.0, rtol=1e-12)
+    trajs += solitons.integrate_many(SolitonParams(2, 1.0, "definite"), [(1.0, 0.2, 0.0)],
+                                     1, 5.0)
+    tags = {solitons.classify(tr) for tr in trajs}
+    sym_err = abs(trl.sample(0.3)[0, 1] + trl.sample(-0.3)[0, 1])
     expected_tags = {"critical_point", "subcritical_inner", "subcritical_outer",
                      "supercritical", "nonpositive_lambda", "definite_expanding"}
     out.append(_check("phase-portrait classification covers all six classes",
-                      set(tags) == expected_tags and sym_err < 1e-9,
+                      tags == expected_tags and sym_err < 1e-9,
                       f"tags {sorted(tags)}; alpha symmetry err {sym_err:.1e}"))
     return out
 

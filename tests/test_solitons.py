@@ -18,7 +18,6 @@ from parakahler.dlinalg import gram
 from parakahler.geometry import grid_mean_curvature, normal_project
 from parakahler.solitons import (
     SolitonParams,
-    SolitonState,
     Trajectory,
     ambient_residual,
     classify,
@@ -26,8 +25,6 @@ from parakahler.solitons import (
     energy,
     energy_threshold,
     hyperbola_solution,
-    integrate,
-    integrate_bidirectional,
     integrate_bidirectional_many,
     integrate_many,
     normal_component_residuals,
@@ -38,6 +35,17 @@ from parakahler.solitons import (
 
 LOR1 = SolitonParams(2, 1.0, "lorentzian")
 DEF0 = SolitonParams(2, 0.0, "definite")
+
+
+def _lane(start, params, s_max, *, direction=1, **kw):
+    """The trajectory from start (r, alpha, phi) along direction: a batch of
+    one lane."""
+    return integrate_many(params, [start], direction, s_max, **kw)[0]
+
+
+def _two_way(start, params, s_max, **kw):
+    """The trajectory through start, integrated both ways: a batch of one."""
+    return integrate_bidirectional_many(params, [start], s_max, **kw)[0]
 
 
 def _vector_field(y, params):
@@ -69,7 +77,7 @@ def test_integrate_rejects_nonpositive_radius():
     # the field is only evaluated along trajectories, whose starts need r > 0
     for r in (0.0, -1.0):
         with pytest.raises(InvalidRange):
-            integrate(SolitonState(r, 0.0, 0.0), LOR1, 1.0)
+            _lane((r, 0.0, 0.0), LOR1, 1.0)
 
 
 def test_first_integral_zero_at_alpha_zero():
@@ -128,7 +136,7 @@ def test_rk4_single_step_conserves_to_fifth_order():
 
 def test_integrate_critical_point_constant():
     p = SolitonParams(2, 2.0, "lorentzian")  # r0 = 1 exactly representable
-    tr = integrate(critical_point(p), p, 10.0)
+    tr = _lane(critical_point(p).as_array(), p, 10.0)
     assert np.max(np.abs(tr.r - 1.0)) < 1e-12
     assert np.max(np.abs(tr.alpha)) < 1e-12
     assert tr.stop_reason == "s_max"
@@ -136,25 +144,23 @@ def test_integrate_critical_point_constant():
 
 
 def test_integrate_conserves_energy():
-    tr = integrate(SolitonState(1.0, 0.5, 0.0), SolitonParams(2, 1.0, "definite"),
-                   5.0, rtol=1e-12)
+    tr = _lane((1.0, 0.5, 0.0), SolitonParams(2, 1.0, "definite"), 5.0, rtol=1e-12)
     assert tr.accepted
     assert tr.max_E_drift < 1e-8
 
 
 def test_definite_radius_strictly_increases():
-    tr = integrate(SolitonState(1.0, 0.7, 0.0), DEF0, 5.0)
+    tr = _lane((1.0, 0.7, 0.0), DEF0, 5.0)
     assert np.all(np.diff(tr.r) > 0)
 
 
 def test_integrate_rejects_small_initial_radius():
     with pytest.raises(InvalidRange):
-        integrate(SolitonState(1e-9, 0.0, 0.0), LOR1, 1.0)
+        _lane((1e-9, 0.0, 0.0), LOR1, 1.0)
 
 
 def test_subcritical_inner_symmetric():
-    tr = integrate_bidirectional(SolitonState(0.5, 0.0, 0.0), LOR1, 10.0,
-                                 rtol=1e-12)
+    tr = _two_way((0.5, 0.0, 0.0), LOR1, 10.0, rtol=1e-12)
     assert classify(tr) == "subcritical_inner"
     assert tr.E0 < energy_threshold(LOR1)
     assert np.all(tr.r < math.sqrt(2))
@@ -169,12 +175,10 @@ def test_subcritical_inner_symmetric():
 
 
 def test_subcritical_outer_and_supercritical():
-    tr = integrate_bidirectional(SolitonState(2.5, 0.0, 0.0), LOR1, 8.0,
-                                 rtol=1e-12)
+    tr = _two_way((2.5, 0.0, 0.0), LOR1, 8.0, rtol=1e-12)
     assert classify(tr) == "subcritical_outer"
     assert np.all(tr.r > math.sqrt(2))
-    tr = integrate_bidirectional(SolitonState(2.0, 1.2, 0.0), LOR1, 8.0,
-                                 rtol=1e-12)
+    tr = _two_way((2.0, 1.2, 0.0), LOR1, 8.0, rtol=1e-12)
     assert tr.E0 > energy_threshold(LOR1)
     assert classify(tr) == "supercritical"
     assert tr.r.min() < 1e-3 and tr.r.max() > 5.0
@@ -183,8 +187,7 @@ def test_subcritical_outer_and_supercritical():
 def test_lambda_zero_matches_level_sets():
     p0 = SolitonParams(2, 0.0, "lorentzian")
     a0 = 0.4
-    tr = integrate_bidirectional(SolitonState(1.0, a0, -a0 / 2), p0, 5.0,
-                                 rtol=1e-12)
+    tr = _two_way((1.0, a0, -a0 / 2), p0, 5.0, rtol=1e-12)
     assert classify(tr) == "nonpositive_lambda"
     prof = reconstruct_profile(tr, 201, s_lo=float(tr.s[0]) + 1e-3,
                                s_hi=float(tr.s[-1]) - 1e-3)
@@ -193,8 +196,7 @@ def test_lambda_zero_matches_level_sets():
 
 
 def test_reconstruction_consistency_lorentzian():
-    tr = integrate(SolitonState(1.2, 0.3, 0.1), LOR1, 1.5,
-                   rtol=1e-12)
+    tr = _lane((1.2, 0.3, 0.1), LOR1, 1.5, rtol=1e-12)
     prof = reconstruct_profile(tr, 1001, q=0, s_lo=0.05, s_hi=1.4)
     dg = prof.derivative_samples()
     st = tr.sample(prof.s)
@@ -205,8 +207,7 @@ def test_reconstruction_consistency_lorentzian():
 
 
 def test_reconstruction_consistency_definite():
-    tr = integrate(SolitonState(1.0, 0.4, 0.0), DEF0, 2.0,
-                   rtol=1e-12)
+    tr = _lane((1.0, 0.4, 0.0), DEF0, 2.0, rtol=1e-12)
     prof = reconstruct_profile(tr, 1001, q=0, s_lo=0.01, s_hi=1.9)
     dg = prof.derivative_samples()
     st = tr.sample(prof.s)
@@ -218,8 +219,7 @@ def test_reconstruction_consistency_definite():
 
 def test_reconstruction_q1_swaps_causal_type():
     # reconstructing with q = 1 gives gammadot = tau e^{tau theta}, timelike
-    tr = integrate(SolitonState(1.0, 0.4, 0.0), DEF0, 2.0,
-                   rtol=1e-12)
+    tr = _lane((1.0, 0.4, 0.0), DEF0, 2.0, rtol=1e-12)
     prof = reconstruct_profile(tr, 1001, q=1, s_lo=0.01, s_hi=1.9)
     dg = prof.derivative_samples()
     st = tr.sample(prof.s)
@@ -238,8 +238,7 @@ def test_quadrature_trivial_and_errors():
 
 
 def test_quadrature_matches_definite_trajectory():
-    tr = integrate(SolitonState(1.0, math.asinh(1.0), 0.0), DEF0, 4.0,
-                   rtol=1e-12)
+    tr = _lane((1.0, math.asinh(1.0), 0.0), DEF0, 4.0, rtol=1e-12)
     i = len(tr.s) // 2
     dphi = phi_quadrature(tr.r[3], tr.r[i], tr.E0, DEF0)
     assert dphi == pytest.approx(tr.phi[i] - tr.phi[3], abs=1e-8)
@@ -256,8 +255,7 @@ def test_quadrature_small_r_log_law():
 
 
 def test_quadrature_across_turning_point():
-    tr = integrate_bidirectional(SolitonState(0.5, 0.0, 0.0), LOR1, 10.0,
-                                 rtol=1e-12)
+    tr = _two_way((0.5, 0.0, 0.0), LOR1, 10.0, rtol=1e-12)
     rt = turning_radius(tr.E0, LOR1, "below")
     assert rt == pytest.approx(0.5, abs=1e-12)  # started at the turning point
     sA, sB = 0.6 * float(tr.s[0]), 0.6 * float(tr.s[-1])
@@ -326,15 +324,13 @@ def test_ambient_residual_matches_mean_curvature_route():
 
 
 def test_classification_definite():
-    tr = integrate(SolitonState(1.0, 0.2, 0.0), SolitonParams(2, 1.0, "definite"),
-                   5.0)
+    tr = _lane((1.0, 0.2, 0.0), SolitonParams(2, 1.0, "definite"), 5.0)
     assert classify(tr) == "definite_expanding"
 
 
 def test_lorentzian_nonpositive_lambda_bounded():
     p = SolitonParams(2, 0.0, "lorentzian")
-    tr = integrate_bidirectional(SolitonState(1.0, 0.4, 0.0), p, 10.0,
-                                 rtol=1e-12)
+    tr = _two_way((1.0, 0.4, 0.0), p, 10.0, rtol=1e-12)
     assert classify(tr) == "nonpositive_lambda"
     assert tr.r.max() <= tr.E0 ** 0.5 + 1e-9  # E = r^2 cosh(a) >= r^2
     assert tr.r[0] < 1e-3 and tr.r[-1] < 1e-3
@@ -489,16 +485,43 @@ def test_tableau_is_dop853():
 
 
 def test_integrate_is_one_lane_of_the_batch():
-    # the same lane alone or in a batch: equal up to the rounding of the
-    # batched stage sums
+    # the same lane alone or in a batch: the same rows and samples, bit for
+    # bit (see test_lanes_do_not_depend_on_their_batch)
     starts = [(0.9, 0.3, 0.0), (1.7, -0.5, 0.2)]
     batch = integrate_many(LOR1, starts, [1.0, -1.0], 6.0, rtol=1e-12)
     for y0, d, tr in zip(starts, (1, -1), batch):
-        one = integrate(SolitonState(*y0), LOR1, 6.0, rtol=1e-12, direction=d)
+        one = _lane(y0, LOR1, 6.0, rtol=1e-12, direction=d)
         assert one.stop_reason == tr.stop_reason
-        assert abs(len(one.s) - len(tr.s)) <= 1
+        assert _bits(one.s) == _bits(tr.s) and _bits(one.states) == _bits(tr.states)
         s = np.linspace(0.05, 0.9, 30) * (one.s[-1] if d > 0 else one.s[0])
-        assert np.allclose(one.sample(s), tr.sample(s), rtol=1e-9, atol=1e-12)
+        assert _bits(one.sample(s)) == _bits(tr.sample(s))
+
+
+def test_lanes_do_not_depend_on_their_batch():
+    # a lane's rows, drift and samples on a 17-point s-grid are the same bits
+    # whether it runs alone or among 1, 3 or 10 other lanes at a random place
+    # in the batch: n = 2 and 3, both cases, l' = +-1, both directions.
+    # With np.dot (BLAS) for _dense's _D product in place of einsum, 24 of
+    # these 48 runs move: BLAS rounds a column by its place in the product
+    rng = np.random.default_rng(0)
+    for params in [SolitonParams(n, lp, case) for n in (2, 3) for case in solitons.CASES
+                   for lp in (1.0, -1.0)]:
+        pool = np.column_stack([rng.uniform(0.5, 2.3, 40), rng.uniform(-0.8, 0.8, 40),
+                                np.zeros(40)])
+        pool_signs = rng.choice([-1.0, 1.0], 40)
+        for y0, d in zip(pool[:2], (-1.0, 1.0)):
+            alone = _lane(y0, params, 10.0, rtol=1e-12, direction=d)
+            grid = np.linspace(alone.s[0], alone.s[-1], 17)
+            for k in (1, 3, 10):
+                others = rng.choice(np.arange(2, 40), k, replace=False)
+                at = int(rng.integers(k + 1))
+                tr = integrate_many(params, np.insert(pool[others], at, y0, axis=0),
+                                    np.insert(pool_signs[others], at, d), 10.0,
+                                    rtol=1e-12)[at]
+                assert _bits(tr.s) == _bits(alone.s)
+                assert _bits(tr.states) == _bits(alone.states)
+                assert tr.max_E_drift.hex() == alone.max_E_drift.hex()
+                assert _bits(tr.sample(grid)) == _bits(alone.sample(grid))
 
 
 def test_step_counts():
@@ -526,7 +549,7 @@ def test_rejected_steps_match_dop853():
     # interpolant of every accepted step
     for y0 in ((2.0, 1.2, 0.0), (1.7, -0.5, 0.2)):
         for d in (1, -1):
-            tr = integrate(SolitonState(*y0), LOR1, 10.0, rtol=1e-12, direction=d)
+            tr = _lane(y0, LOR1, 10.0, rtol=1e-12, direction=d)
             stop, sol, _ = _reference_lane(np.array(y0), LOR1, 10.0, d, 1e-12)
             steps = len(sol.t) - 1
             tried, rest = divmod(sol.nfev - 2 - 3 * steps, 12)
@@ -615,7 +638,7 @@ def test_event_rounding_onto_the_last_knot_adds_no_state():
     # alpha_max crossing can round onto the previous knot's s; the trajectory
     # then ends on the event state instead of repeating that s
     y0 = (2.31050539784756, -0.807086589460797, 0.0)
-    tr = integrate(SolitonState(*y0), LOR1, 10.0, rtol=1e-12, direction=-1)
+    tr = _lane(y0, LOR1, 10.0, rtol=1e-12, direction=-1)
     stop, sol, _ = _reference_lane(np.array(y0), LOR1, 10.0, -1, 1e-12)
     assert tr.stop_reason == stop == "alpha_max"
     assert np.all(np.diff(tr.s) > 0)
@@ -927,8 +950,8 @@ def test_assembly_matches_per_lane_reference(params, starts, signs, s_max, monke
 def test_dense_output_is_built_once_for_the_batch(tmp_path, monkeypatch):
     # _dense builds interpolants: integrate_many builds those of its lanes'
     # last steps only; the first sample of any trajectory of the call builds
-    # every accepted step's in one batch and the redone last steps' in a
-    # second, and later samples reuse them
+    # every accepted step's, the redone last steps' included, in one batch,
+    # and later samples reuse them
     calls = []
     dense = solitons._dense
 
@@ -945,7 +968,7 @@ def test_dense_output_is_built_once_for_the_batch(tmp_path, monkeypatch):
     assert calls == [2 * 25]
     steps = sum(tr.accepted_steps for tr in trajs)
     trajs[7].sample([trajs[7].s[0] / 2, trajs[7].s[-1] / 2])
-    assert calls == [2 * 25, steps, 2 * 25]
+    assert calls == [2 * 25, steps]
     trajs[7].sample([0.0])
     trajs[0].sample([0.0])
-    assert calls == [2 * 25, steps, 2 * 25]
+    assert calls == [2 * 25, steps]

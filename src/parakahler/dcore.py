@@ -84,30 +84,25 @@ def d_pow(a, k: int) -> np.ndarray:
 def d_polar(a, tol: float = NULL_TOL):
     """Batched polar data (p, q, r, theta, null_mask); no exception raised.
 
-    A value is null when |x^2 - y^2| <= tol (x^2 + y^2).  theta is recovered
-    through arcsinh of the subdominant component, which stays accurate for
-    large |theta| (arctanh of y/x would not).  Entries flagged null carry
-    p=q=0, r=theta=0 and must be ignored by the caller.
+    A value is null unless |x^2 - y^2| > tol (x^2 + y^2), so a nan (an
+    overflowed value) is null too.  theta is recovered through arcsinh of
+    the subdominant component, which stays accurate for large |theta|
+    (arctanh of y/x would not).  Entries flagged null carry p=q=0,
+    r=theta=0 and must be ignored by the caller.
     """
     a = d_array(a)
-    n2 = d_norm2(a)
-    g2 = d_grading2(a)
-    null = np.abs(n2) <= tol * g2
-    safe_n2 = np.where(null, 1.0, n2)
-    r = np.sqrt(np.abs(safe_n2))
-    q = (safe_n2 < 0).astype(int)
-    dominant = np.where(q == 1, a[..., 1], a[..., 0])
-    sub = np.where(q == 1, a[..., 0], a[..., 1])
-    p = np.where(dominant > 0, 1, -1)
-    theta = np.arcsinh(p * sub / r)
-    z = np.zeros_like(r)
-    return (
-        np.where(null, 0, p),
-        np.where(null, 0, q),
-        np.where(null, z, r),
-        np.where(null, z, theta),
-        null,
-    )
+    x, y = (np.ascontiguousarray(a[..., c]).reshape(-1) for c in (0, 1))
+    n2 = (x - y) * (x + y)
+    null = ~(np.abs(n2) > tol * (x ** 2 + y ** 2))
+    n2[null] = 1.0
+    q = n2 < 0
+    p = np.where(np.where(q, y, x) > 0, 1, -1)
+    r = np.sqrt(np.abs(n2))
+    theta = np.arcsinh(p * np.where(q, x, y) / r)
+    p[null], r[null], theta[null] = 0, 0.0, 0.0
+    shape = a.shape[:-1]
+    return (p.reshape(shape), q.astype(int).reshape(shape), r.reshape(shape),
+            theta.reshape(shape), null.reshape(shape))
 
 
 def para_cauchy_riemann_residual(f, hx: float, hy: float) -> np.ndarray:

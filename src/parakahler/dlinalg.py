@@ -18,8 +18,9 @@ LU beyond).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import combinations, permutations
 
 import numpy as np
 
@@ -40,10 +41,18 @@ def _check_dims(X, Y):
         raise DimensionMismatch(f"shapes {X.shape} and {Y.shape} differ")
 
 
+def metric_rows(X, Y) -> np.ndarray:
+    """<X, Y> over the trailing (n, 2) axes, broadcast over the rest: the
+    metric kernel.  x x' - y y' per component, added left to right onto
+    0, one node-length vector at a time (np.sum's order below 8 terms)."""
+    return sum(X[..., k, 0] * Y[..., k, 0] - X[..., k, 1] * Y[..., k, 1]
+               for k in range(X.shape[-2]))
+
+
 def metric(X, Y) -> float:
     X, Y = d_array(X), d_array(Y)
     _check_dims(X, Y)
-    return float(np.sum(X[..., 0] * Y[..., 0] - X[..., 1] * Y[..., 1]))
+    return float(metric_rows(X, Y))
 
 
 def apply_J(X) -> np.ndarray:
@@ -90,6 +99,11 @@ def _det_leibniz(R: np.ndarray) -> np.ndarray:
     return terms @ signs
 
 
+def det_real(R: np.ndarray) -> np.ndarray:
+    """Real determinants of (..., n, n): Leibniz for n <= 4, LU beyond."""
+    return _det_leibniz(R) if R.shape[-1] <= 4 else np.linalg.det(R)
+
+
 def det_D(M) -> np.ndarray:
     """Determinant over D of a matrix (n, n, 2) or a stack (..., n, n, 2):
     a (..., 2) array, shape (2,) for one matrix.
@@ -102,8 +116,7 @@ def det_D(M) -> np.ndarray:
     M = d_array(M)
     if M.ndim < 3 or M.shape[-2] != M.shape[-3]:
         raise DimensionMismatch(f"not a square D-matrix: shape {M.shape}")
-    det = _det_leibniz if M.shape[-2] <= 4 else np.linalg.det
-    plus, minus = det(M[..., 0] + M[..., 1]), det(M[..., 0] - M[..., 1])
+    plus, minus = det_real(M[..., 0] + M[..., 1]), det_real(M[..., 0] - M[..., 1])
     return np.stack([(plus + minus) / 2.0, (plus - minus) / 2.0], axis=-1)
 
 
@@ -118,14 +131,23 @@ def frame_matrix(frames) -> np.ndarray:
 def require_lagrangian(frames):
     """Raise LagrangianViolation unless every frame of the stack (..., m, n, 2)
     is Lagrangian: its largest |omega(X_i, X_j)| is at most LAGRANGIAN_TOL
-    times its own largest squared entry x^2 + y^2.  Each frame has its own
-    scale, so one stacked call decides as one call per frame would; the
-    message reports the worst frame."""
+    times its own largest squared entry x^2 + y^2, and finite.  Each frame
+    has its own scale, so one stacked call decides as one call per frame
+    would; the message reports the worst frame."""
     frames = frame_matrix(frames)
-    w = np.einsum("...in,...jn->...ij", frames[..., 0], frames[..., 1])
-    worst = np.max(np.abs(w - np.swapaxes(w, -2, -1)), axis=(-2, -1))
-    bound = LAGRANGIAN_TOL * np.maximum(np.max(d_grading2(frames), axis=(-2, -1)), 1e-300)
-    if np.any(worst > bound):
+    x, y = frames[..., 0], frames[..., 1]
+    worst = np.zeros(frames.shape[:-3])
+    for i, j in combinations(range(frames.shape[-3]), 2):
+        # omega(X_i, X_j) = sum_k x_ik y_jk - sum_k x_jk y_ik, each sum left
+        # to right onto 0: the rounding of x y^T minus its transpose
+        ij, ji = (sum(x[..., a, k] * y[..., b, k] for k in range(frames.shape[-2]))
+                  for a, b in ((i, j), (j, i)))
+        worst = np.maximum(worst, np.abs(ij - ji))
+    g2 = d_grading2(frames)
+    largest = functools.reduce(np.maximum, (g2[..., i, k] for i, k in np.ndindex(g2.shape[-2:])))
+    bound = LAGRANGIAN_TOL * np.maximum(largest, 1e-300)
+    bad = ~(worst <= bound) | ~np.isfinite(worst)  # a nan or an infinite omega fails
+    if np.any(bad):
         k = np.unravel_index(np.argmax(worst / bound), worst.shape)
         raise LagrangianViolation(
             f"frames are not Lagrangian: max |omega| = {worst[k]:.3e} exceeds {bound[k]:.3e}"
@@ -134,10 +156,13 @@ def require_lagrangian(frames):
 
 def gram(frames) -> np.ndarray:
     """Gram matrices g_ij = <X_i, X_j> of frames (..., m, n, 2), each entry
-    with metric's arithmetic: x x' - y y' per component, then a sum over n."""
-    x, y = frames[..., 0], frames[..., 1]
-    return np.sum(x[..., :, None, :] * x[..., None, :, :]
-                  - y[..., :, None, :] * y[..., None, :, :], axis=-1)
+    by the metric kernel, g_ji = g_ij bit for bit."""
+    m = frames.shape[-3]
+    g = np.empty(frames.shape[:-2] + (m,))
+    for i in range(m):
+        for j in range(i, m):
+            g[..., i, j] = g[..., j, i] = metric_rows(frames[..., i, :, :], frames[..., j, :, :])
+    return g
 
 
 def gram_identity_check(frames):

@@ -39,7 +39,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .dcore import d_array, d_grading2
-from .dlinalg import apply_J, gram
+from .dlinalg import apply_J, det_real, gram, metric_rows
 from .errors import (
     DegenerateMetric,
     NotJInvariant,
@@ -260,9 +260,18 @@ def grid_jet(imm: SampledImmersion, nodes=None) -> tuple[Jet, np.ndarray]:
     return jt, margin_mask(imm.axes, JET_MARGIN, nodes)
 
 
+def tangent_scale(tangents: np.ndarray) -> np.ndarray:
+    """The Euclidean tangent scale sum_a |d_aF|^2 of frames (..., m, n, 2):
+    x^2 + y^2 of each entry added left to right onto 0, one node-length
+    vector at a time (np.sum's order below 8 entries)."""
+    g2 = d_grading2(tangents)
+    return sum(g2[..., a, k] for a, k in np.ndindex(g2.shape[-2:]))
+
+
 def induced_gram(tangents: np.ndarray):
     """(g, degenerate) for tangent frames (..., m, n, 2), batched over the
-    leading axes; degenerate where |det g| < DEGENERACY_TOL * scale^m.
+    leading axes; degenerate unless |det g| >= DEGENERACY_TOL * scale^m > 0,
+    so a nan (an overflowed frame) is degenerate too.  det g is det_real's.
 
     scale = sum_a |d_aF|^2 is the Euclidean tangent scale, which dominates
     every |g_ij|.  The pointwise metric scale max|g_ij| would collapse with g
@@ -270,9 +279,8 @@ def induced_gram(tangents: np.ndarray):
     equivariant tori), leaving the relative test vacuous exactly there.
     """
     g = gram(tangents)
-    scale = np.sum(d_grading2(tangents), axis=(-2, -1))
-    degenerate = (scale == 0.0) | (np.abs(np.linalg.det(g))
-                                   < DEGENERACY_TOL * scale ** g.shape[-1])
+    scale = tangent_scale(tangents)
+    degenerate = (scale == 0.0) | ~(np.abs(det_real(g)) >= DEGENERACY_TOL * scale ** g.shape[-1])
     return g, degenerate
 
 
@@ -292,11 +300,6 @@ class GramSchmidtFrame:
     coeffs: np.ndarray      # frame = coeffs @ input vectors
 
 
-def _metric_rows(X, Y) -> np.ndarray:
-    """metric(X, Y) over the trailing (n, 2) axes, batched over the rest."""
-    return np.sum(X[..., 0] * Y[..., 0] - X[..., 1] * Y[..., 1], axis=-1)
-
-
 def _gram_schmidt_stack(vectors: np.ndarray, lead: tuple[int, ...] = ()):
     """signed_gram_schmidt of each frame of (N, m, n, 2), with the one-frame
     arithmetic: (frame, eps, coeffs, pivots), pivots[:, t] the input vector
@@ -312,10 +315,10 @@ def _gram_schmidt_stack(vectors: np.ndarray, lead: tuple[int, ...] = ()):
     ps = np.tile([1.0, -1.0], len(pa) // 2)
     for t in range(m):
         for j in range(t):
-            proj = eps[:, j, None] * _metric_rows(work, frame[:, j, None])
+            proj = eps[:, j, None] * metric_rows(work, frame[:, j, None])
             work = work - proj[..., None, None] * frame[:, j, None]
             coeff = coeff - proj[..., None] * rows[:, j, None]
-        norms = _metric_rows(work, work)
+        norms = metric_rows(work, work)
         pivot = np.argmax(np.where(remaining, np.abs(norms), -np.inf), axis=1)
         norm = norms[every, pivot]
         g2 = np.sum(d_grading2(work[every, pivot]), axis=-1)
@@ -324,7 +327,7 @@ def _gram_schmidt_stack(vectors: np.ndarray, lead: tuple[int, ...] = ()):
             # Every remaining vector is null: the first pair sum or difference
             # of largest non-null norm becomes the pivot.
             cand = work[null][:, pa] + ps[:, None, None] * work[null][:, pb]
-            nn = _metric_rows(cand, cand)
+            nn = metric_rows(cand, cand)
             cg2 = np.sum(d_grading2(cand), axis=-1)
             ok = (remaining[null][:, pa] & remaining[null][:, pb]
                   & (np.abs(nn) > PIVOT_TOL * np.maximum(cg2, 1e-300)))
@@ -394,8 +397,8 @@ def para_adapted_frame(vectors) -> GramSchmidtFrame:
     frame, eps = [], []
     for _ in range(m // 2):
         for e, s in zip(frame, eps):
-            work = work - (s * _metric_rows(work, e))[:, None, None] * e
-        norms = _metric_rows(work, work)
+            work = work - (s * metric_rows(work, e))[:, None, None] * e
+        norms = metric_rows(work, work)
         pivot = int(np.argmax(np.abs(norms)))
         g2 = float(np.sum(d_grading2(work[pivot])))
         if abs(norms[pivot]) <= PIVOT_TOL * max(g2, 1e-300):
@@ -411,9 +414,7 @@ def para_adapted_frame(vectors) -> GramSchmidtFrame:
 def normal_project(W, tangents, g) -> np.ndarray:
     """Metric-normal part of W: subtract the tangential solve of the Gram
     system g lambda = <W, d_aF>.  Batched over leading axes."""
-    x, y = tangents[..., 0], tangents[..., 1]
-    rhs = np.sum(W[..., None, :, 0] * x - W[..., None, :, 1] * y, axis=-1)
-    lam = np.linalg.solve(g, rhs[..., None])[..., 0]
+    lam = np.linalg.solve(g, metric_rows(W[..., None, :, :], tangents)[..., None])[..., 0]
     return W - np.einsum("...a,...anc->...nc", lam, tangents)
 
 

@@ -51,6 +51,7 @@ from .geometry import (
     margin_mask,
     neighbourhood,
     node_set,
+    tangent_scale,
 )
 
 
@@ -118,8 +119,9 @@ def nodal_angles(imm: SampledImmersion, nodes=None):
     # metric, so compare it against the Euclidean tangent scale (which
     # dominates every |g_ij|) rather than the determinant's own magnitude;
     # a tiny but directionally clean det still means a degenerate frame.
-    g_scale = np.maximum(np.sum(d_grading2(tangents), axis=(-2, -1)), 1e-300)
-    small = np.abs(d_norm2(dets)) < DEGENERACY_TOL * g_scale ** imm.m
+    # A nan (an overflowed det_D or scale) is small.
+    g_scale = np.maximum(tangent_scale(tangents), 1e-300)
+    small = ~(np.abs(d_norm2(dets)) >= DEGENERACY_TOL * g_scale ** imm.m)
     _, q, _, theta, null = d_polar(dets, tol=DEGENERACY_TOL)
     usable = valid & ~null & ~small
     return np.where(usable, theta, np.nan), np.where(usable, q, -1), null | small, valid

@@ -31,6 +31,16 @@ def same_bits(a, b) -> bool:
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
+def random_frame_stacks(rng, count=40):
+    """(one frame, a stack of count frames, the empty stack) for m, n in
+    1..4: normal entries, each row scaled by e^u, u uniform in [-20, 20];
+    the stack's first frame has signed zeros that make some terms -0.0."""
+    for m, n in itertools.product(range(1, 5), repeat=2):
+        stack = rng.normal(size=(count, m, n, 2)) * np.exp(rng.uniform(-20, 20, (count, m, 1, 1)))
+        stack[0, ::2, :, 0], stack[0, :, :, 1] = -0.0, 0.0
+        yield stack[1], stack, stack[:0]
+
+
 def count_points(sampled):
     """Count the points sampled's sampler is asked for, in sampled.points."""
     sampler, sampled.points = sampled.sampler, 0

@@ -102,6 +102,22 @@ def test_graph_command(tmp_path):
     assert max(abs(t) for t in thetas) < 1e-10
 
 
+@pytest.mark.parametrize("scale", ["1e150", "1e160"])
+def test_graph_overflow_marks_nodes_degenerate(scale, tmp_path):
+    # det_D and det g overflow to inf or nan: each node is degenerate, with
+    # nan theta and H, never a usable row with a nan angle
+    out = tmp_path / "g.csv"
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["graph", "--u", f"{scale}*x1^3 + {scale}*x2^3", "--n", "2",
+                     "--lo", "0.1", "--hi", "0.5", "--count", "9", "--out", str(out)]) == 0
+    lines = read_lines(out)
+    rows = [l.split(",") for l in lines[1:] if not l.startswith("#")]
+    assert len(rows) == 81
+    assert all(r[8] == "1" and r[6] == r[9] == r[13] == "nan" for r in rows)
+    assert footer_value(lines, "degenerate_nodes") == "81"
+    assert footer_value(lines, "nondegenerate_regions") == "0"
+
+
 def test_soliton_command(tmp_path):
     out = tmp_path / "t.csv"
     code = main(["soliton", "--n", "2", "--lambda-prime", "1", "--case",

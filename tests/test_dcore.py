@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,9 +6,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import same_bits
 from parakahler.dcore import (
+    NULL_TOL,
     d_conj,
     d_exp_tau,
+    d_grading2,
     d_mul,
     d_norm2,
     d_polar,
@@ -114,6 +118,49 @@ def test_d_polar_matches_scalar(rng):
     for i, one in enumerate(alone):
         assert all(v.shape == () for v in one)
         assert [v.tobytes() for v in one] == [b[i].tobytes() for b in batch]
+
+
+def _d_polar_reference(a, tol=NULL_TOL):
+    """The d_polar that np.where'd Python ints over strided components."""
+    a = np.asarray(a, dtype=float)
+    n2 = d_norm2(a)
+    g2 = d_grading2(a)
+    null = np.abs(n2) <= tol * g2
+    safe_n2 = np.where(null, 1.0, n2)
+    r = np.sqrt(np.abs(safe_n2))
+    q = (safe_n2 < 0).astype(int)
+    dominant = np.where(q == 1, a[..., 1], a[..., 0])
+    sub = np.where(q == 1, a[..., 0], a[..., 1])
+    p = np.where(dominant > 0, 1, -1)
+    theta = np.arcsinh(p * sub / r)
+    z = np.zeros_like(r)
+    return (np.where(null, 0, p), np.where(null, 0, q), np.where(null, z, r),
+            np.where(null, z, theta), null)
+
+
+def test_d_polar_matches_the_code_it_replaced(rng):
+    # random values over e^-20 .. e^20, null and near-null ones, and every
+    # pair of 0.0, -0.0, +-inf, nan and two finite values; one at a time as
+    # 0-d values too.  A value whose x^2 - y^2 is nan is null now: the old
+    # test passed it with a nan theta.
+    vals = rng.normal(size=(400, 2)) * np.exp(rng.uniform(-20, 20, size=(400, 1)))
+    vals[::20, 1] = vals[::20, 0] * rng.choice([-1.0, 1.0], size=20)
+    vals[1::20, 1] = vals[1::20, 0] * (1.0 + 1e-12 * rng.uniform(-2, 2, size=20))
+    specials = [0.0, -0.0, np.inf, -np.inf, np.nan, 1.5, -0.25]
+    vals = np.concatenate([vals, list(itertools.product(specials, repeat=2))])
+    with np.errstate(invalid="ignore"):
+        ref = _d_polar_reference(vals)
+        nan_rows = np.isnan(d_norm2(vals))
+        got = d_polar(vals)
+        alone = [d_polar(v) for v in vals]
+    assert 20 < ref[4][:400].sum() < 40  # the exact nulls, and near-nulls on both sides
+    assert nan_rows.sum() == 17  # a nan, or inf and -inf on both components
+    for mine, theirs, null_value in zip(got, ref, (0, 0, 0.0, 0.0, True)):
+        expected = np.where(nan_rows, null_value, theirs).astype(theirs.dtype)
+        assert same_bits(mine, expected)
+    for i, one in enumerate(alone):
+        assert [v.shape for v in one] == [()] * 5
+        assert all(same_bits(v, g[i]) for v, g in zip(one, got))
 
 
 def _sample_grid(fn, nx=21, ny=21, lo=-0.5, hi=0.5):

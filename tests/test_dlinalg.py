@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from parakahler.dcore import d_conj, d_exp_tau, d_grading2, d_mul
+from conftest import random_frame_stacks, same_bits
 from parakahler.dlinalg import (
+    LAGRANGIAN_TOL,
     apply_J,
     basis_vector,
     d_matmul,
@@ -286,6 +288,85 @@ def test_angle_degenerate_frame():
     frame[1] = [[0, -1], [1, 0]]  # e2 - tau e1: Lagrangian but null det
     with pytest.raises((DegenerateMetric, LagrangianViolation)):
         lagrangian_angle_of_frame(frame)
+
+
+# The broadcast and einsum one-liners that the metric kernel, gram and
+# require_lagrangian replaced, kept as references.
+
+def _metric_reference(X, Y):
+    return float(np.sum(X[..., 0] * Y[..., 0] - X[..., 1] * Y[..., 1]))
+
+
+def _gram_reference(frames):
+    x, y = frames[..., 0], frames[..., 1]
+    return np.sum(x[..., :, None, :] * x[..., None, :, :]
+                  - y[..., :, None, :] * y[..., None, :, :], axis=-1)
+
+
+def _lagrangian_reference(frames):
+    """Per frame, whether the einsum require_lagrangian let it pass."""
+    w = np.einsum("...in,...jn->...ij", frames[..., 0], frames[..., 1])
+    worst = np.max(np.abs(w - np.swapaxes(w, -2, -1)), axis=(-2, -1))
+    bound = LAGRANGIAN_TOL * np.maximum(np.max(d_grading2(frames), axis=(-2, -1)), 1e-300)
+    return ~(worst > bound)
+
+
+def _passes(frames) -> bool:
+    try:
+        require_lagrangian(frames)
+    except LagrangianViolation:
+        return False
+    return True
+
+
+def test_metric_kernel_matches_the_sums_it_replaced(rng):
+    for frames in itertools.chain.from_iterable(random_frame_stacks(rng)):
+        m = frames.shape[-3]
+        assert same_bits(gram(frames), _gram_reference(frames))
+        for stack in frames.reshape((-1,) + frames.shape[-3:])[:3]:
+            for i, j in itertools.product(range(m), repeat=2):
+                assert same_bits(metric(stack[i], stack[j]), _metric_reference(stack[i], stack[j]))
+
+
+def test_require_lagrangian_matches_the_einsum_on_random_frame_stacks(rng):
+    for frame, stack, empty in random_frame_stacks(rng):
+        assert _passes(frame) == _lagrangian_reference(frame)
+        assert [_passes(f) for f in stack] == _lagrangian_reference(stack).tolist()
+        assert _passes(stack) == _lagrangian_reference(stack).all()
+        assert _passes(empty)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_require_lagrangian_decides_the_straddling_frames_as_the_einsum(n, rng):
+    # Lagrangian frames bent so that omega(X_i, X_j) is LAGRANGIAN_TOL times
+    # the largest squared entry, to within 1e-7 relative; X_i has the
+    # largest first x entry, so no other pair bends more.  The rounding of
+    # omega (up to about 1e-8 of the bound) decides on which side a frame
+    # falls.
+    frames = random_lagrangian_frames(n, 400, rng)
+    frames *= np.exp(rng.uniform(-20, 20, size=(400, 1, 1, 1)))
+    k = np.arange(400)
+    i = np.argmax(np.abs(frames[:, :, 0, 0]), axis=1)
+    j = (i + 1) % n
+    ratio = (1.0 + 1e-7 * rng.uniform(-1, 1, size=400)) * LAGRANGIAN_TOL / frames[k, i, 0, 0]
+    bent = frames
+    for _ in range(3):  # the bend moves the largest entry a little
+        bent = frames.copy()
+        bent[k, j, 0, 1] += ratio * np.max(d_grading2(bent), axis=(-2, -1))
+    verdicts = _lagrangian_reference(bent)
+    assert 20 < verdicts.sum() < 380
+    assert [_passes(frame) for frame in bent] == verdicts.tolist()
+    assert not _passes(bent)
+    assert _passes(bent[verdicts])
+
+
+def test_require_lagrangian_rejects_a_non_finite_omega():
+    frame = np.zeros((2, 2, 2))
+    frame[..., 0] = np.eye(2)
+    for bad in (np.nan, np.inf):
+        frame[1, 0, 1] = bad
+        with np.errstate(invalid="ignore"), pytest.raises(LagrangianViolation):
+            require_lagrangian(frame)
 
 
 def test_require_lagrangian_scales_each_frame_on_its_own():

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import count_points, probe_nodes, same_bits
+from conftest import count_points, probe_nodes, random_frame_stacks, same_bits
 from parakahler import dlinalg
 from parakahler.dcore import d_exp_tau, d_grading2, d_mul
 from parakahler.dlinalg import apply_J, basis_vector, metric
@@ -15,6 +15,7 @@ from parakahler.errors import (
     OddDimension,
 )
 from parakahler.geometry import (
+    DEGENERACY_TOL,
     JET_MARGIN,
     GridAxis,
     Jet,
@@ -36,6 +37,7 @@ from parakahler.geometry import (
     second_fundamental_form,
     signed_gram_schmidt,
     standard_structure,
+    tangent_scale,
     trace_mean_curvature,
     vector_field_from_function,
 )
@@ -179,6 +181,56 @@ def test_circle_lift_degenerate_node():
     imm = equivariant.lift(circ, 2, (16,))
     _, degenerate = induced_gram(coordinate_tangents(imm, [(8, 3), (4, 3)])[0])
     assert degenerate.tolist() == [True, False]       # (8, 3) on the cos(2t) = 0 line
+
+
+# induced_gram and normal_project as they were before the metric kernel and
+# the Leibniz determinant, kept as references.
+
+def _induced_gram_reference(tangents):
+    g = dlinalg.gram(tangents)
+    scale = np.sum(d_grading2(tangents), axis=(-2, -1))
+    degenerate = (scale == 0.0) | (np.abs(np.linalg.det(g))
+                                   < DEGENERACY_TOL * scale ** g.shape[-1])
+    return g, degenerate, scale
+
+
+def _normal_project_reference(W, tangents, g):
+    x, y = tangents[..., 0], tangents[..., 1]
+    rhs = np.sum(W[..., None, :, 0] * x - W[..., None, :, 1] * y, axis=-1)
+    lam = np.linalg.solve(g, rhs[..., None])[..., 0]
+    return W - np.einsum("...a,...anc->...nc", lam, tangents)
+
+
+def test_small_axis_kernels_match_the_code_they_replaced(rng):
+    # np.sum added the tangent scale pairwise from 8 entries on (m = n = 3
+    # or 4); the kernel adds left to right, so only its bits below 8
+    # entries are pinned.  Above, each order of up to 16 nonnegative terms
+    # is within 15 units of roundoff of the exact sum.
+    for frames in itertools.chain.from_iterable(random_frame_stacks(rng)):
+        lead, (m, n) = frames.shape[:-3], frames.shape[-3:-1]
+        stack = frames.copy()
+        if lead and lead[0] > 3:
+            stack[2] = 0.0                    # no scale
+            stack[3, -1] = stack[3, 0]        # a repeated tangent
+        g, degenerate = induced_gram(stack)
+        ref_g, ref_degenerate, ref_scale = _induced_gram_reference(stack)
+        assert same_bits(g, ref_g) and same_bits(degenerate, ref_degenerate)
+        if m * n < 8:
+            assert same_bits(tangent_scale(stack), ref_scale)
+        assert np.allclose(tangent_scale(stack), ref_scale, rtol=16 * np.finfo(float).eps, atol=0)
+        W = rng.normal(size=lead + (n, 2))
+        g = np.where(degenerate[..., None, None], np.eye(m), g)
+        assert same_bits(normal_project(W, stack, g), _normal_project_reference(W, stack, g))
+
+
+def test_induced_gram_decides_an_overflowed_frame_degenerate():
+    frames = np.zeros((3, 2, 2, 2))
+    frames[..., 0] = np.eye(2)
+    frames[1, :, :, 1] = 1e160                # every g_ij is -inf, det g nan
+    frames[2, :, :, 1] = np.nan
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, degenerate = induced_gram(frames)
+    assert degenerate.tolist() == [False, True, True]
 
 
 def test_gram_schmidt_orthonormal_input():

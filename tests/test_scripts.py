@@ -28,7 +28,8 @@ def data_rows(path):
 
 def test_every_script_is_covered():
     assert {p.stem for p in SCRIPTS.glob("*.py")} == {
-        "convergence_study", "output_digests", "phase_portrait", "torus_angle_field"}
+        "convergence_study", "kernel_timings", "output_digests", "phase_portrait",
+        "torus_angle_field"}
 
 
 def test_convergence_study_prints_second_order_ratios(capsys, monkeypatch):
@@ -37,6 +38,17 @@ def test_convergence_study_prints_second_order_ratios(capsys, monkeypatch):
               for line in capsys.readouterr().out.splitlines() if "ratio = " in line]
     assert len(ratios) == 4
     assert all(3.5 < r < 4.5 for r in ratios)
+
+
+def test_kernel_timings_prints_one_row_per_layer(capsys, monkeypatch):
+    assert run_script("kernel_timings", monkeypatch, "--counts", "9", "11",
+                      "--repeat", "2") == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header.split()[-2:] == ["9^2", "11^2"]
+    assert [row.split()[0] for row in rows] == [
+        "gram", "require_lagrangian", "induced_gram", "normal_project", "d_polar",
+        "angle_field", "identity_grid"]
+    assert all(float(t) > 0.0 for row in rows for t in row.split()[1:])
 
 
 def test_phase_portrait_writes_one_csv_per_orbit(tmp_path, monkeypatch):

@@ -246,6 +246,11 @@ def validate_spec(doc: dict) -> dict:
     if expected is not None and n_axes != expected:
         raise SpecValidationError(
             f"kind {kind!r} needs {expected} grid axes, got {n_axes}")
+    grad = doc["params"].get("grad")
+    if grad is not None and len(grad) != n_axes:  # one partial derivative per axis
+        raise SpecValidationError(
+            f"gradient_graph needs one grad entry per grid axis: {n_axes} axes, "
+            f"got {len(grad)} entries")
     return doc
 
 
@@ -257,7 +262,7 @@ def _axes(doc) -> tuple[GridAxis, ...]:
 
 
 def _expr_fn(text: str, varnames):
-    expr = parse_expression(text)
+    expr = parse_expression(text, varnames)
 
     def fn(*arrays):
         env = dict(zip(varnames, arrays))

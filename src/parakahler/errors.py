@@ -61,16 +61,16 @@ class IntegrandSingular(ParakahlerError):
     """Quadrature range crosses a turning point of the radicand."""
 
 
-class ExpressionSyntaxError(ParakahlerError):
-    """Expression text failed to parse.
+class SpecValidationError(ParakahlerError):
+    """Immersion-spec document failed validation."""
 
-    Carries the 0-based byte offset of the first offending position.
+
+class ExpressionSyntaxError(SpecValidationError):
+    """Expression text failed to parse or names an unknown variable.
+
+    Carries the 0-based index into the text of the first offending position.
     """
 
     def __init__(self, message, offset):
         super().__init__(f"{message} (offset {offset})")
         self.offset = offset
-
-
-class SpecValidationError(ParakahlerError):
-    """Immersion-spec document failed schema validation."""

@@ -1,23 +1,18 @@
 """Small arithmetic expression language for potentials and curve specs.
 
-Grammar (standard precedence, ^ binds tightest and right-associative, then
-unary minus, then * /, then + -):
-
-    expr   := term (("+" | "-") term)*
-    term   := factor (("*" | "/") factor)*
-    factor := "-" factor | power
-    power  := atom ("^" factor)?
-    atom   := number | name "(" expr ")" | name | "(" expr ")"
-
-Known functions: sin cos sinh cosh tanh exp log sqrt abs.  Any other name
-is a variable, bound at evaluation time (evaluation is pure and vectorizes
-over numpy arrays).  Parse errors carry the 0-based byte offset.
+A subset of Python's expression syntax with ^ for the power: numbers,
+variables, + - * /, unary -, ^ (right-associative and binding tighter than a
+unary minus on its left, as Python's **) and calls of one argument to the
+FUNCTIONS.  Python's parser reads the text with each ^ as **, and one walk
+over its tree rejects the rest and every variable not named.  Errors carry
+the 0-based index into the text of the offending position.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Mapping, Union
+import ast
+import operator
+import re
+import warnings
+from typing import Collection, Mapping
 
 import numpy as np
 
@@ -28,177 +23,78 @@ FUNCTIONS = {
     "tanh": np.tanh, "exp": np.exp, "log": np.log, "sqrt": np.sqrt,
     "abs": np.abs,
 }
+_OPERATORS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+              ast.Div: operator.truediv, ast.Pow: np.power}
+_DIGITS = frozenset("0123456789.eE+-")  # a number's text: no 1_000, 0x10 or 1j
+_MAX_DEPTH = 200  # keeps both walks within Python's recursion limit
+_FOREIGN = re.compile(r"[^\w\s.+\-*/^()]|\*\*")  # a character not in the language, or **
+_WORD = re.compile(r"[^\W\d]\w*|[0-9.]+(?:[eE][+-]?[0-9]+)?")  # a name or a number
 
 
-@dataclass(frozen=True)
-class Num:
-    value: float
+def parse_expression(text: str, names: Collection[str]) -> ast.expr:
+    """The syntax tree of text, whose variables must be among names."""
+    foreign = _FOREIGN.search(text)
+    if foreign:
+        raise ExpressionSyntaxError(f"unexpected {foreign[0]!r}", foreign.start())
+    # an integer's leading zeros become spaces, as Python rejects 007
+    spaced = _WORD.sub(lambda m: (m[0].lstrip("0") or "0").rjust(len(m[0]))
+                       if m[0].isdigit() else m[0], re.sub(r"\s", " ", text))
+    source = spaced.lstrip()
+    start = len(spaced) - len(source)
+    source = source.replace("^", "**")
+    # the index into text of each character of source, and of its end
+    origin = [i for i in range(start, len(text)) for _ in range(1 + (text[i] == "^"))]
+    origin.append(len(text))
+    try:
+        with warnings.catch_warnings():  # Python warns of 1if, which the walk rejects
+            warnings.simplefilter("ignore", SyntaxWarning)
+            tree = ast.parse(source + "\n", mode="eval").body
+    except SyntaxError as exc:  # one line: Python's offset counts characters from 1
+        column = min((exc.offset or 1) - 1, len(source))
+        raise ExpressionSyntaxError(exc.msg, origin[column]) from None
+    except (RecursionError, MemoryError):  # the parser's own nesting limits
+        raise ExpressionSyntaxError("expression nested too deeply", start) from None
+    encoded = source.encode()  # node columns count UTF-8 bytes
+
+    def fail(message, node):
+        raise ExpressionSyntaxError(message, origin[len(encoded[:node.col_offset].decode())])
+
+    def check(node, depth):
+        if depth > _MAX_DEPTH:
+            fail("expression nested too deeply", node)
+        word = encoded[node.col_offset:node.end_col_offset].decode()
+        if isinstance(node, ast.BinOp) and type(node.op) in _OPERATORS:
+            check(node.left, depth + 1)
+            check(node.right, depth + 1)
+        elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+            check(node.operand, depth + 1)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.col_offset == node.col_offset and len(node.args) == 1):
+            # the name as written: Python reads a name in its NFKC form
+            name = encoded[node.func.col_offset:node.func.end_col_offset].decode()
+            if name not in FUNCTIONS:
+                fail(f"unknown function {name!r}", node)
+            check(node.args[0], depth + 1)
+        elif isinstance(node, ast.Name):
+            if word not in names:
+                fail(f"unknown variable {word!r}", node)
+        elif not (isinstance(node, ast.Constant) and type(node.value) in (int, float)
+                  and _DIGITS.issuperset(word)):
+            fail(f"{word!r} is not in the expression language", node)
+
+    check(tree, 1)
+    return tree
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
-
-
-@dataclass(frozen=True)
-class Neg:
-    arg: "Expression"
-
-
-@dataclass(frozen=True)
-class Bin:
-    op: str
-    left: "Expression"
-    right: "Expression"
-
-
-@dataclass(frozen=True)
-class Call:
-    fn: str
-    arg: "Expression"
-
-
-Expression = Union[Num, Var, Neg, Bin, Call]
-
-
-def _tokenize(text: str):
-    tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c.isdigit() or (c == "." and i + 1 < n and text[i + 1].isdigit()):
-            j = i
-            while j < n and (text[j].isdigit() or text[j] == "."):
-                j += 1
-            if j < n and text[j] in "eE":
-                k = j + 1
-                if k < n and text[k] in "+-":
-                    k += 1
-                if k < n and text[k].isdigit():
-                    j = k
-                    while j < n and text[j].isdigit():
-                        j += 1
-            try:
-                value = float(text[i:j])
-            except ValueError:
-                raise ExpressionSyntaxError(f"bad number {text[i:j]!r}", i)
-            tokens.append(("num", value, i))
-            i = j
-        elif c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("name", text[i:j], i))
-            i = j
-        elif c in "+-*/^()":
-            tokens.append((c, c, i))
-            i += 1
-        else:
-            raise ExpressionSyntaxError(f"unexpected character {c!r}", i)
-    tokens.append(("end", None, n))
-    return tokens
-
-
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def next(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, kind):
-        tok = self.next()
-        if tok[0] != kind:
-            raise ExpressionSyntaxError(f"expected {kind!r}", tok[2])
-        return tok
-
-    def parse(self) -> Expression:
-        e = self.expr()
-        tok = self.peek()
-        if tok[0] != "end":
-            raise ExpressionSyntaxError(f"trailing input {tok[1]!r}", tok[2])
-        return e
-
-    def expr(self) -> Expression:
-        e = self.term()
-        while self.peek()[0] in ("+", "-"):
-            op = self.next()[0]
-            e = Bin(op, e, self.term())
-        return e
-
-    def term(self) -> Expression:
-        e = self.factor()
-        while self.peek()[0] in ("*", "/"):
-            op = self.next()[0]
-            e = Bin(op, e, self.factor())
-        return e
-
-    def factor(self) -> Expression:
-        if self.peek()[0] == "-":
-            self.next()
-            return Neg(self.factor())
-        return self.power()
-
-    def power(self) -> Expression:
-        base = self.atom()
-        if self.peek()[0] == "^":
-            self.next()
-            return Bin("^", base, self.factor())
-        return base
-
-    def atom(self) -> Expression:
-        kind, value, offset = self.next()
-        if kind == "num":
-            return Num(value)
-        if kind == "name":
-            if self.peek()[0] == "(":
-                if value not in FUNCTIONS:
-                    raise ExpressionSyntaxError(f"unknown function {value!r}", offset)
-                self.next()
-                arg = self.expr()
-                self.expect(")")
-                return Call(value, arg)
-            return Var(value)
-        if kind == "(":
-            e = self.expr()
-            self.expect(")")
-            return e
-        raise ExpressionSyntaxError("expected a value", offset)
-
-
-def parse_expression(text: str) -> Expression:
-    return _Parser(text).parse()
-
-
-def evaluate(expr: Expression, env: Mapping[str, object]):
-    """Evaluate over floats or numpy arrays; unknown variables raise."""
-    if isinstance(expr, Num):
-        return expr.value
-    if isinstance(expr, Var):
-        if expr.name not in env:
-            raise ValueError(f"unknown variable {expr.name!r}")
-        return env[expr.name]
-    if isinstance(expr, Neg):
-        return -evaluate(expr.arg, env)
-    if isinstance(expr, Call):
-        return FUNCTIONS[expr.fn](evaluate(expr.arg, env))
-    a, b = evaluate(expr.left, env), evaluate(expr.right, env)
-    if expr.op == "+":
-        return a + b
-    if expr.op == "-":
-        return a - b
-    if expr.op == "*":
-        return a * b
-    if expr.op == "/":
-        return a / b
-    return np.power(a, b)
+def evaluate(expr: ast.expr, env: Mapping[str, object]):
+    """Value of a parsed expression over floats or numpy arrays; every
+    number is a float, so 2^-2 is 0.25."""
+    if isinstance(expr, ast.Constant):
+        return float(expr.value)
+    if isinstance(expr, ast.Name):
+        return env[expr.id]
+    if isinstance(expr, ast.UnaryOp):
+        return -evaluate(expr.operand, env)
+    if isinstance(expr, ast.Call):
+        return FUNCTIONS[expr.func.id](evaluate(expr.args[0], env))
+    return _OPERATORS[type(expr.op)](evaluate(expr.left, env), evaluate(expr.right, env))

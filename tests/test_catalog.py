@@ -124,6 +124,16 @@ def test_schema_rejects_wrong_axis_count():
         })
 
 
+@pytest.mark.parametrize("doc", [
+    {"kind": "gradient_graph", "params": {"grad": ["x1", "x3"]}, "grid": axes(9, 9)},
+    {"kind": "gradient_graph", "params": {"u": "x1 + x2 + x3"}, "grid": axes(9, 9)},
+    {"kind": "gradient_graph", "params": {"u": "x1 +"}, "grid": axes(9, 9)},
+])
+def test_expression_errors_are_spec_errors(doc):
+    with pytest.raises(SpecValidationError):
+        catalog.build(doc)
+
+
 def test_schema_rejects_tiny_grid():
     with pytest.raises(SpecValidationError):
         catalog.validate_spec({"kind": "flat", "params": {"n": 2},

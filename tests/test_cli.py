@@ -283,6 +283,31 @@ def test_exit_code_invalid_spec(tmp_path):
                  "--out", str(out)]) == 2
 
 
+@pytest.mark.parametrize("u", [
+    "x1 +", "y9 + x1", "(" * 250 + "x1" + ")" * 250, "-" * 3000 + "x1",
+    "+".join(["x1"] * 5000),
+], ids=["syntax", "unknown-variable", "parentheses", "unary-minus", "sum"])
+def test_expression_errors_are_invalid_specs(u, tmp_path, capsys):
+    out = tmp_path / "g.csv"
+    assert main(["graph", f"--u={u}", "--out", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith("error: invalid spec or file: ")
+
+
+@pytest.mark.parametrize("doc", [
+    {"kind": "gradient_graph", "params": {"grad": ["x1"]},
+     "grid": {"axes": [{"min": -0.5, "max": 0.5, "count": 9}] * 2}},
+    {"kind": "gradient_graph", "params": {"grad": ["x1", "x2", "x1"]},
+     "grid": {"axes": [{"min": -0.5, "max": 0.5, "count": 9}] * 2}},
+], ids=["short", "long"])
+def test_grad_of_another_length_is_an_invalid_spec(doc, tmp_path, capsys):
+    spec, out = tmp_path / "g.json", tmp_path / "g.csv"
+    spec.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["angle", "--spec", str(spec), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "needs one grad entry per grid axis: 2 axes" in capsys.readouterr().err
+
+
 def test_exit_code_numerical_failure(tmp_path):
     doc = {
         "kind": "paracomplex_graph",

@@ -3,9 +3,11 @@
 
 On the gradient graph of a fixed cubic over [-0.5, 0.5]^2 at each grid
 count, times each layer on the inputs the angle/curvature path gives it:
-gram, induced_gram and normal_project on the tangent frames of every node,
-require_lagrangian on those with the jet margin, d_polar on det_D of every
-frame, then angle_field and identity_grid (given the field) whole.  Each
+gram, induced_gram and normal_project (given the inverse Gram matrices) on
+the tangent frames of every node, trace_mean_curvature on the first and
+second derivatives of every node, require_lagrangian on the frames with
+the jet margin, d_polar on det_D of every frame, then angle_field and
+identity_grid (given the field) whole.  Each
 figure is the best of --repeat runs, in milliseconds:
 
     PYTHONPATH=src python3 scripts/kernel_timings.py
@@ -16,11 +18,10 @@ import argparse
 import sys
 import time
 
-import numpy as np
-
 from parakahler.dcore import d_polar
-from parakahler.dlinalg import det_D, gram, require_lagrangian
-from parakahler.geometry import GridAxis, grid_jet, induced_gram, normal_project
+from parakahler.dlinalg import det_D, gram, inv_real, require_lagrangian
+from parakahler.geometry import (GridAxis, grid_jet, induced_gram, normal_project,
+                                 trace_mean_curvature)
 from parakahler.lagrangian import angle_field, build_gradient_graph, identity_grid
 
 
@@ -37,8 +38,7 @@ def layers(count: int) -> dict:
                                u=potential)
     jt, valid = grid_jet(imm)
     first = jt.first
-    g, degenerate = induced_gram(first)
-    g = np.where(degenerate[..., None, None], np.eye(g.shape[-1]), g)
+    g_inv = inv_real(*induced_gram(first))
     W = jt.second[..., 0, 0, :, :]
     dets = det_D(first)
     field = angle_field(imm)
@@ -46,7 +46,8 @@ def layers(count: int) -> dict:
         "gram": lambda: gram(first),
         "require_lagrangian": lambda: require_lagrangian(first[valid]),
         "induced_gram": lambda: induced_gram(first),
-        "normal_project": lambda: normal_project(W, first, g),
+        "normal_project": lambda: normal_project(W, first, g_inv),
+        "trace_mean_curvature": lambda: trace_mean_curvature(first, jt.second),
         "d_polar": lambda: d_polar(dets),
         "angle_field": lambda: angle_field(imm),
         "identity_grid": lambda: identity_grid(imm, field),
@@ -72,10 +73,10 @@ def main() -> int:
     args = ap.parse_args()
     table = {count: layers(count) for count in args.counts}
     names = list(next(iter(table.values())))
-    print(f"{'layer (ms)':<20}" + "".join(f"{f'{c}^2':>10}" for c in args.counts))
+    print(f"{'layer (ms)':<22}" + "".join(f"{f'{c}^2':>10}" for c in args.counts))
     for name in names:
         times = [1e3 * best_of(table[c][name], args.repeat) for c in args.counts]
-        print(f"{name:<20}" + "".join(f"{t:>10.3f}" for t in times))
+        print(f"{name:<22}" + "".join(f"{t:>10.3f}" for t in times))
     return 0
 
 

@@ -104,6 +104,20 @@ def det_real(R: np.ndarray) -> np.ndarray:
     return _det_leibniz(R) if R.shape[-1] <= 4 else np.linalg.det(R)
 
 
+def inv_real(R: np.ndarray, det: np.ndarray, singular: np.ndarray) -> np.ndarray:
+    """Inverses of (..., n, n) given det_real's det: the adjugate over det
+    for n <= 2, LU beyond (the identity standing in for a singular matrix).
+    nan where singular or where det is 0, nan or infinite; never a warning."""
+    n = R.shape[-1]
+    singular = singular | ~np.isfinite(det) | (det == 0.0)
+    if n > 2:
+        inv = np.linalg.inv(np.where(singular[..., None, None], np.eye(n), R))
+        inv[singular] = np.nan
+        return inv
+    adj = np.ones_like(R) if n == 1 else R[..., ::-1, ::-1] * ((1.0, -1.0), (-1.0, 1.0))
+    return adj / np.where(singular, np.nan, det)[..., None, None]
+
+
 def det_D(M) -> np.ndarray:
     """Determinant over D of a matrix (n, n, 2) or a stack (..., n, n, 2):
     a (..., 2) array, shape (2,) for one matrix.

@@ -25,9 +25,9 @@ jet, 1 for a bracket).  Quantities:
                         J-fields to sample with jfield_from_function
 
 The trace needs no orthonormal frame; Gram-Schmidt stays where a frame is
-the output.  Normal projection solves the (indefinite but invertible)
-tangent Gram system instead of orthonormalizing the normal bundle, which
-avoids signature bookkeeping in codimension.
+the output.  Normal projection multiplies by the inverse of the (indefinite
+but invertible) tangent Gram matrix instead of orthonormalizing the normal
+bundle, which avoids signature bookkeeping in codimension.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .dcore import d_array, d_grading2
-from .dlinalg import apply_J, det_real, gram, metric_rows
+from .dlinalg import apply_J, det_real, gram, inv_real, metric_rows
 from .errors import (
     DegenerateMetric,
     NotJInvariant,
@@ -269,9 +269,10 @@ def tangent_scale(tangents: np.ndarray) -> np.ndarray:
 
 
 def induced_gram(tangents: np.ndarray):
-    """(g, degenerate) for tangent frames (..., m, n, 2), batched over the
-    leading axes; degenerate unless |det g| >= DEGENERACY_TOL * scale^m > 0,
-    so a nan (an overflowed frame) is degenerate too.  det g is det_real's.
+    """(g, det g, degenerate) for tangent frames (..., m, n, 2), batched over
+    the leading axes; degenerate unless |det g| >= DEGENERACY_TOL * scale^m
+    > 0, so a nan (an overflowed frame) is degenerate too.  det g is
+    det_real's.
 
     scale = sum_a |d_aF|^2 is the Euclidean tangent scale, which dominates
     every |g_ij|.  The pointwise metric scale max|g_ij| would collapse with g
@@ -280,15 +281,16 @@ def induced_gram(tangents: np.ndarray):
     """
     g = gram(tangents)
     scale = tangent_scale(tangents)
-    degenerate = (scale == 0.0) | ~(np.abs(det_real(g)) >= DEGENERACY_TOL * scale ** g.shape[-1])
-    return g, degenerate
+    det = det_real(g)
+    degenerate = (scale == 0.0) | ~(np.abs(det) >= DEGENERACY_TOL * scale ** g.shape[-1])
+    return g, det, degenerate
 
 
 def metric_signatures(tangents: np.ndarray) -> list[tuple[int, ...]]:
     """The signature of each frame of a stack (N, m, n, 2), the signs of its
     Gram matrix's eigenvalues positive first, () where induced_gram finds it
     degenerate; one batched eigvalsh and one sort."""
-    g, degenerate = induced_gram(tangents)
+    g, _, degenerate = induced_gram(tangents)
     signs = np.sort(np.where(np.linalg.eigvalsh(g) > 0, 1, -1), axis=-1)[..., ::-1]
     return [() if d else tuple(s) for s, d in zip(signs.tolist(), degenerate.tolist())]
 
@@ -411,10 +413,10 @@ def para_adapted_frame(vectors) -> GramSchmidtFrame:
     return GramSchmidtFrame(np.array(frame), tuple(eps), np.empty((0, 0)))
 
 
-def normal_project(W, tangents, g) -> np.ndarray:
-    """Metric-normal part of W: subtract the tangential solve of the Gram
-    system g lambda = <W, d_aF>.  Batched over leading axes."""
-    lam = np.linalg.solve(g, metric_rows(W[..., None, :, :], tangents)[..., None])[..., 0]
+def normal_project(W, tangents, g_inv) -> np.ndarray:
+    """Metric-normal part of W: subtract lambda^a d_aF, lambda = g^-1 <W, d_bF>
+    with g_inv the inverse Gram matrix.  Batched over leading axes."""
+    lam = np.einsum("...ab,...b->...a", g_inv, metric_rows(W[..., None, :, :], tangents))
     return W - np.einsum("...a,...anc->...nc", lam, tangents)
 
 
@@ -422,16 +424,17 @@ def second_fundamental_form(first: np.ndarray, second: np.ndarray):
     """(h, frame) of one node's jet (m, n, 2), (m, m, n, 2): h[i, j] is the
     normal part of the second derivative along the orthonormalized frame
     directions.  DegenerateMetric where induced_gram finds g degenerate."""
-    g, degenerate = induced_gram(first)
+    g, det, degenerate = induced_gram(first)
     if degenerate:
         raise DegenerateMetric("induced metric degenerate")
+    g_inv = inv_real(g, det, degenerate)
     gs = signed_gram_schmidt(first)
     m = first.shape[0]
     h = np.empty((m, m) + first.shape[1:])
     for i in range(m):
         for j in range(i, m):
             W = np.einsum("a,b,abnc->nc", gs.coeffs[i], gs.coeffs[j], second)
-            h[i, j] = h[j, i] = normal_project(W, first, g)
+            h[i, j] = h[j, i] = normal_project(W, first, g_inv)
     return h, gs
 
 
@@ -440,14 +443,13 @@ def trace_mean_curvature(first: np.ndarray, second: np.ndarray):
     batched over leading axes.
 
     Returns (mH, g_inv, degenerate); mH and g_inv are nan where induced_gram
-    finds the metric degenerate.  The identity stands in for a degenerate g
-    before inversion, so the inverse never meets a singular matrix.
+    finds the metric degenerate.  g is inverted once per node, by inv_real
+    (the adjugate over det g for m <= 2, LU beyond), and that inverse serves
+    both the trace and the normal projection.
     """
-    g, degenerate = induced_gram(first)
-    g = np.where(degenerate[..., None, None], np.eye(g.shape[-1]), g)
-    g_inv = np.linalg.inv(g)
-    g_inv[degenerate] = np.nan
-    mH = normal_project(np.einsum("...ab,...abnc->...nc", g_inv, second), first, g)
+    g, det, degenerate = induced_gram(first)
+    g_inv = inv_real(g, det, degenerate)
+    mH = normal_project(np.einsum("...ab,...abnc->...nc", g_inv, second), first, g_inv)
     return mH, g_inv, degenerate
 
 

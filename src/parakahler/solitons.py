@@ -43,7 +43,7 @@ from typing import Sequence
 import numpy as np
 
 from .dcore import bracket_roots, d_exp_tau, d_grading2
-from .dlinalg import apply_J, gram
+from .dlinalg import apply_J
 from .equivariant import ProfileCurve, lift
 from .errors import (
     IntegrandSingular,
@@ -969,11 +969,8 @@ def _ambient_equation(imm: SampledImmersion, nodes, lam: float):
     from one batched jet; ok marks the nodes where grid_mean_curvature
     defines H, and the equation is nan elsewhere."""
     nodes = node_set(imm, nodes)
-    jt, mH, _, ok = grid_mean_curvature(imm, nodes)
-    # The identity stands in for g off ok, as in trace_mean_curvature, so the
-    # solve never meets a singular matrix.
-    g = np.where(ok[:, None, None], gram(jt.first), np.eye(imm.m))
-    Fp = normal_project(jt.value, jt.first, g)
+    jt, mH, g_inv, ok = grid_mean_curvature(imm, nodes)
+    Fp = normal_project(jt.value, jt.first, g_inv)
     return np.where(ok[:, None, None], mH + lam * Fp, np.nan), jt.first, ok
 
 

@@ -7,7 +7,7 @@ import pytest
 from conftest import count_points, probe_nodes, random_frame_stacks, same_bits
 from parakahler import dlinalg
 from parakahler.dcore import d_exp_tau, d_grading2, d_mul
-from parakahler.dlinalg import apply_J, basis_vector, metric
+from parakahler.dlinalg import apply_J, basis_vector, inv_real, metric, metric_rows
 from parakahler.errors import (
     DegenerateMetric,
     NotJInvariant,
@@ -103,7 +103,7 @@ def node_mean_curvature(imm, node):
 def node_metric(imm, node):
     """(g, signature, degenerate) of the induced metric at one node."""
     tangents, _ = coordinate_tangents(imm, [node])
-    g, degenerate = induced_gram(tangents)
+    g, _, degenerate = induced_gram(tangents)
     return g[0], metric_signatures(tangents)[0], bool(degenerate[0])
 
 
@@ -179,7 +179,7 @@ def test_circle_lift_degenerate_node():
 
     circ = equivariant.explicit_circle(1.0, 64)
     imm = equivariant.lift(circ, 2, (16,))
-    _, degenerate = induced_gram(coordinate_tangents(imm, [(8, 3), (4, 3)])[0])
+    _, _, degenerate = induced_gram(coordinate_tangents(imm, [(8, 3), (4, 3)])[0])
     assert degenerate.tolist() == [True, False]       # (8, 3) on the cos(2t) = 0 line
 
 
@@ -212,15 +212,90 @@ def test_small_axis_kernels_match_the_code_they_replaced(rng):
         if lead and lead[0] > 3:
             stack[2] = 0.0                    # no scale
             stack[3, -1] = stack[3, 0]        # a repeated tangent
-        g, degenerate = induced_gram(stack)
+        g, det, degenerate = induced_gram(stack)
         ref_g, ref_degenerate, ref_scale = _induced_gram_reference(stack)
         assert same_bits(g, ref_g) and same_bits(degenerate, ref_degenerate)
         if m * n < 8:
             assert same_bits(tangent_scale(stack), ref_scale)
         assert np.allclose(tangent_scale(stack), ref_scale, rtol=16 * np.finfo(float).eps, atol=0)
+        # normal_project multiplies by g^-1 where the reference solves g.  The
+        # two lambdas differ by at most ~cond(g) eps |lambda|, so the
+        # projections differ by eps (|W| + cond(g) |lambda| sum_a |d_aF|)
+        # up to a small factor (measured: at most 1.91 over 1,000 seeds).
         W = rng.normal(size=lead + (n, 2))
+        got = normal_project(W, stack, inv_real(g, det, degenerate))
         g = np.where(degenerate[..., None, None], np.eye(m), g)
-        assert same_bits(normal_project(W, stack, g), _normal_project_reference(W, stack, g))
+        want = _normal_project_reference(W, stack, g)
+        assert np.isnan(got[degenerate]).all() and not np.isnan(got[~degenerate]).any()
+        lam = np.linalg.solve(g, metric_rows(W[..., None, :, :], stack)[..., None])[..., 0]
+        terms = np.abs(W).max(axis=(-2, -1)) + np.linalg.cond(g) * np.abs(lam).max(
+            axis=-1) * np.abs(stack).max(axis=(-2, -1)).sum(axis=-1)
+        move = np.abs(got - want).max(axis=(-2, -1))
+        assert np.all(move[~degenerate] <= 4 * np.finfo(float).eps * terms[~degenerate])
+
+
+def _trace_mean_curvature_reference(first, second):
+    """trace_mean_curvature as it was before inv_real: the identity stands in
+    for a degenerate g, np.linalg.inv, then np.linalg.solve of g again in
+    the normal projection."""
+    g, _, degenerate = induced_gram(first)
+    g = np.where(degenerate[..., None, None], np.eye(g.shape[-1]), g)
+    g_inv = np.linalg.inv(g)
+    g_inv[degenerate] = np.nan
+    mH = _normal_project_reference(np.einsum("...ab,...abnc->...nc", g_inv, second), first, g)
+    return mH, g_inv, degenerate
+
+
+def _mean_curvature_test_immersions():
+    """A 2-d gradient graph, a periodic lift of a circle with degenerate
+    nodes and a 3-d gradient graph."""
+    from parakahler import equivariant
+    from parakahler.lagrangian import build_gradient_graph
+
+    def u(*x):
+        return (0.4 * x[0] ** 3 - 0.3 * x[0] ** 2 * x[1] + 0.2 * x[0] * x[1] ** 2
+                - 0.5 * x[1] ** 3 + 0.3 * x[0] ** 2 - 0.2 * x[0] * x[1] + 0.25 * x[1] ** 2
+                + sum(0.1 * xi ** 3 for xi in x[2:]))
+
+    return [build_gradient_graph((GridAxis(-0.5, 0.5, 33),) * 2, u=u),
+            equivariant.lift(equivariant.explicit_circle(1.0, 64), 2, (16,)),
+            build_gradient_graph((GridAxis(-0.5, 0.5, 9),) * 3, u=u)]
+
+
+def test_trace_mean_curvature_moves_the_lapack_path_by_roundoff():
+    # One inverse by inv_real replaces the stand-in, np.linalg.inv and the
+    # solve of the normal projection: the decisions keep their bits, mH
+    # moves node by node by at most 1e-12 relative.
+    for imm in _mean_curvature_test_immersions():
+        jt, _ = grid_jet(imm)
+        mH, g_inv, degenerate = trace_mean_curvature(jt.first, jt.second)
+        ref_mH, ref_g_inv, ref_degenerate = _trace_mean_curvature_reference(jt.first, jt.second)
+        assert same_bits(degenerate, ref_degenerate)
+        assert np.array_equal(np.isnan(mH), np.isnan(ref_mH))
+        assert np.array_equal(np.isnan(g_inv), np.isnan(ref_g_inv))
+        size = np.abs(ref_mH).max(axis=(-2, -1))
+        move = np.abs(mH - ref_mH).max(axis=(-2, -1))
+        assert np.all(move[~degenerate] <= 1e-12 * size[~degenerate])
+
+
+def test_mean_curvature_calls_no_lapack_inverse_or_solve(monkeypatch):
+    from parakahler.lagrangian import angle_field, identity_grid
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("LAPACK inverse or solve on the mean-curvature path")
+
+    imm = _mean_curvature_test_immersions()[0]
+    nodes = probe_nodes(imm.shape)
+    field = angle_field(imm)
+
+    def results():
+        return [*grid_mean_curvature(imm)[1:], *grid_mean_curvature(imm, nodes)[1:],
+                *identity_grid(imm, field)[:2], *identity_grid(imm, None, nodes)[:2]]
+
+    before = results()
+    monkeypatch.setattr(np.linalg, "inv", refuse)
+    monkeypatch.setattr(np.linalg, "solve", refuse)
+    assert all(same_bits(got, want) for got, want in zip(results(), before))
 
 
 def test_induced_gram_decides_an_overflowed_frame_degenerate():
@@ -229,7 +304,7 @@ def test_induced_gram_decides_an_overflowed_frame_degenerate():
     frames[1, :, :, 1] = 1e160                # every g_ij is -inf, det g nan
     frames[2, :, :, 1] = np.nan
     with np.errstate(over="ignore", invalid="ignore"):
-        _, degenerate = induced_gram(frames)
+        _, _, degenerate = induced_gram(frames)
     assert degenerate.tolist() == [False, True, True]
 
 
@@ -459,7 +534,7 @@ def test_mean_curvature_matches_trace_formula(rng):
     trace = np.zeros((2, 2))
     for a in range(2):
         for b in range(2):
-            trace += ginv[a, b] * normal_project(jt.second[a, b], jt.first, g)
+            trace += ginv[a, b] * normal_project(jt.second[a, b], jt.first, ginv)
     assert np.allclose(H, trace / 2, atol=1e-12)
 
 
@@ -510,7 +585,7 @@ def _gram_schmidt_reference(imm, field):
         if not field.usable[node]:
             continue
         jt = reference_jet(imm, node)
-        g, degenerate = induced_gram(jt.first)
+        g, _, degenerate = induced_gram(jt.first)
         if degenerate:
             continue
         gs = signed_gram_schmidt(jt.first)
@@ -689,11 +764,11 @@ def test_induced_metric_is_the_jet_route(case):
         imm = equivariant.lift(equivariant.explicit_circle(1.3, 64), 2)
     tangents, valid = coordinate_tangents(imm)
     signatures = metric_signatures(tangents[valid])
-    g, degenerate = induced_gram(tangents[valid])
+    g, _, degenerate = induced_gram(tangents[valid])
     nodes = [tuple(nd) for nd in np.argwhere(valid)]
     assert len(signatures) == len(nodes)
     for k, (node, signature) in enumerate(zip(nodes, signatures)):
-        ref_g, ref_degenerate = induced_gram(reference_jet(imm, node).first)
+        ref_g, _, ref_degenerate = induced_gram(reference_jet(imm, node).first)
         ref_signature = () if ref_degenerate else tuple(
             sorted((1 if e > 0 else -1 for e in np.linalg.eigvalsh(ref_g)), reverse=True))
         assert np.array_equal(g[k], ref_g)

@@ -346,7 +346,7 @@ def test_paracomplex_graph_square_minimal():
     imm = build_paracomplex_graph(
         lambda z: d_mul(z, z), (GridAxis(0.1, 0.6, 17), GridAxis(0.0, 0.4, 17)))
     node = (8, 8)
-    _, degenerate = induced_gram(node_tangents(imm, [node]))
+    _, _, degenerate = induced_gram(node_tangents(imm, [node]))
     if not degenerate[0]:
         assert np.max(np.abs(node_mean_curvature(imm, node))) < 1e-10
 

@@ -46,8 +46,8 @@ def test_kernel_timings_prints_one_row_per_layer(capsys, monkeypatch):
     header, *rows = capsys.readouterr().out.splitlines()
     assert header.split()[-2:] == ["9^2", "11^2"]
     assert [row.split()[0] for row in rows] == [
-        "gram", "require_lagrangian", "induced_gram", "normal_project", "d_polar",
-        "angle_field", "identity_grid"]
+        "gram", "require_lagrangian", "induced_gram", "normal_project",
+        "trace_mean_curvature", "d_polar", "angle_field", "identity_grid"]
     assert all(float(t) > 0.0 for row in rows for t in row.split()[1:])
 
 

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import catalog, lagrangian
+from . import catalog
 from .dcore import d_norm2
 from .errors import ParakahlerError, SpecValidationError
 from .geometry import MIN_AXIS_COUNT
@@ -232,15 +232,17 @@ def cmd_phase(args) -> int:
 
 
 def cmd_normal_bundle(args) -> int:
+    from . import normalbundle
+
     if args.shape == "circle":
-        spec = lagrangian.circle_normal_bundle(args.R, 32)
+        spec = normalbundle.circle_normal_bundle(args.R, 32)
     elif args.shape == "catenoid":
-        spec = lagrangian.catenoid_normal_bundle(1.0, 9)
+        spec = normalbundle.catenoid_normal_bundle(1.0, 9)
     else:
-        spec = lagrangian.flat_normal_bundle(2, 3)
+        spec = normalbundle.flat_normal_bundle(2, 3)
     ts = np.linspace(args.t_min, args.t_max, args.t_count)
-    ang = lagrangian.normal_bundle_angle(spec, ts)
-    austere = lagrangian.is_austere(spec)
+    ang = normalbundle.normal_bundle_angle(spec, ts)
+    austere = normalbundle.is_austere(spec)
     shape = austere.shape
     index = np.meshgrid(*[np.arange(c) for c in shape], ts, indexing="ij")
     table = np.stack([*index, ang.q, ang.theta,
@@ -256,8 +258,8 @@ def cmd_normal_bundle(args) -> int:
 
 
 def cmd_nijenhuis(args) -> int:
-    from .geometry import (
-        GridAxis,
+    from .geometry import GridAxis
+    from .structures import (
         curved_chart,
         jfield_from_function,
         nijenhuis,

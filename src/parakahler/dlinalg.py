@@ -19,13 +19,12 @@ LU beyond).
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from itertools import combinations, permutations
 
 import numpy as np
 
-from .dcore import d_array, d_grading2, d_norm2, d_polar
-from .errors import DegenerateMetric, DimensionMismatch, LagrangianViolation
+from .dcore import d_array, d_grading2
+from .errors import DimensionMismatch, LagrangianViolation
 
 LAGRANGIAN_TOL = 1e-8   # max |omega| <= tol * largest squared frame entry
 
@@ -177,78 +176,3 @@ def gram(frames) -> np.ndarray:
         for j in range(i, m):
             g[..., i, j] = g[..., j, i] = metric_rows(frames[..., i, :, :], frames[..., j, :, :])
     return g
-
-
-def gram_identity_check(frames):
-    """(det_R of the Gram matrix, squared_norm(det_D M)) as arrays over the
-    leading axes of a Lagrangian frame (n, n, 2) or a stack (..., n, n, 2).
-
-    The two numbers agree to relative 1e-10 for well-conditioned frames; the
-    caller asserts that contract.
-    """
-    frames = frame_matrix(frames)
-    require_lagrangian(frames)
-    return np.linalg.det(gram(frames)), d_norm2(det_D(frames))
-
-
-@dataclass(frozen=True)
-class LagrangianAngle:
-    """Causal class q and angle theta of a para-holomorphic volume.
-
-    The overall sign p of the polar form is dropped on purpose: a real frame
-    change with negative determinant flips p, so only (q, theta) is intrinsic.
-    """
-    q: np.ndarray
-    theta: np.ndarray
-
-
-def lagrangian_angle_of_frame(frames) -> LagrangianAngle:
-    """(q, theta) as arrays over the leading axes of a Lagrangian frame
-    (n, n, 2) or a stack (..., n, n, 2): 0-d arrays for one frame.
-    DegenerateMetric when det_D of a frame is null."""
-    frames = frame_matrix(frames)
-    require_lagrangian(frames)
-    dets = det_D(frames)
-    _, q, _, theta, null = d_polar(dets)
-    if np.any(null):
-        raise DegenerateMetric(f"det_D is null: {dets[null][0]}")
-    return LagrangianAngle(q, theta)
-
-
-def random_lagrangian_frames(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """count random frames (count, n, n, 2), each spanning a Lagrangian
-    plane of D^n: rows e_i + tau S_i for a random symmetric S (omega
-    vanishes pairwise by symmetry), mixed by a random real GL(n) matrix A
-    with |det| >= 0.1, which preserves the Lagrangian span.
-
-    Each frame reads the stream in n x n chunks: one for S, then candidates
-    for A until one passes.  Generator.normal fills its output in stream
-    order, so drawing exactly what the remaining frames still consume (two
-    each, one less while an S waits for its A) gives the frames and the
-    generator state of count one-frame draws.
-    """
-    if count == 0:
-        return np.empty((0, n, n, 2))
-    chunks, s_at, a_at = [], [], []
-    k = 0
-    while len(a_at) < count:
-        draw = rng.normal(size=(2 * count - len(a_at) - len(s_at), n, n))
-        chunks.append(draw)
-        for det in np.linalg.det(draw).tolist():
-            if len(s_at) == len(a_at):
-                s_at.append(k)
-            elif abs(det) >= 0.1:
-                a_at.append(k)
-            k += 1
-    stream = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
-    return lagrangian_frames(stream.take(a_at, axis=0), stream.take(s_at, axis=0))
-
-
-def lagrangian_frames(A: np.ndarray, S: np.ndarray) -> np.ndarray:
-    """The frames A (I + tau sym S) (count, n, n, 2) of stacks (count, n, n)
-    of real matrices: rows e_i + tau S_i of the symmetric part of S mixed
-    by A, Lagrangian when A is invertible."""
-    out = np.empty(A.shape + (2,))
-    out[..., 0] = A  # A (I + tau S) = A + tau A S
-    out[..., 1] = np.einsum("fij,fjk->fik", A, 0.5 * (S + S.transpose(0, 2, 1)))
-    return out

@@ -1,0 +1,259 @@
+"""Frames of D^n that only the verification suites build: orthonormal
+frames for indefinite metrics and the Lagrangian angle of explicit frames.
+
+    metric_signatures   the signatures of a stack of tangent frames at once
+    signed_gram_schmidt pivoted orthonormalization for indefinite metrics,
+                        of one frame or a stack of frames
+    para_adapted_frame  orthonormal frame with e_{2i} = J e_{2i-1}
+    second_fundamental_form  h(e_i, e_j) of one node's jet along such a frame
+    gram_identity_check det of the Gram matrix against |det_D|^2
+    lagrangian_angle_of_frame  (q, theta) of a Lagrangian frame
+    random_lagrangian_frames   random Lagrangian frames, drawn in bulk
+
+The angle and curvature fields of sampled immersions need none of these
+(lagrangian and geometry work from the coordinate frame and the trace of
+the jet), so the commands that compute them never import this module;
+normalbundle takes only the LagrangianAngle record from it.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from .dcore import d_array, d_grading2, d_norm2, d_polar
+from .dlinalg import (
+    apply_J,
+    det_D,
+    frame_matrix,
+    gram,
+    inv_real,
+    metric_rows,
+    require_lagrangian,
+)
+from .errors import DegenerateMetric, NotJInvariant, OddDimension
+from .geometry import induced_gram, normal_project
+
+PIVOT_TOL = 1e-10       # a Gram-Schmidt pivot is null when |<v, v>| <= tol * |v|^2
+J_INVARIANCE_TOL = 1e-8  # least-squares residual of J v_i off the span, relative to |J v_i|
+
+
+def metric_signatures(tangents: np.ndarray) -> list[tuple[int, ...]]:
+    """The signature of each frame of a stack (N, m, n, 2), the signs of its
+    Gram matrix's eigenvalues positive first, () where induced_gram finds it
+    degenerate; one batched eigvalsh and one sort."""
+    g, _, degenerate = induced_gram(tangents)
+    signs = np.sort(np.where(np.linalg.eigvalsh(g) > 0, 1, -1), axis=-1)[..., ::-1]
+    return [() if d else tuple(s) for s, d in zip(signs.tolist(), degenerate.tolist())]
+
+
+@dataclass(frozen=True)
+class GramSchmidtFrame:
+    frame: np.ndarray       # (..., m, n, 2), metric(e_i, e_j) = eps_i delta_ij
+    signature: tuple[int, ...]  # eps; an int array (..., m) for a stack
+    coeffs: np.ndarray      # frame = coeffs @ input vectors
+
+
+def _gram_schmidt_stack(vectors: np.ndarray, lead: tuple[int, ...] = ()):
+    """signed_gram_schmidt of each frame of (N, m, n, 2), with the one-frame
+    arithmetic: (frame, eps, coeffs, pivots), pivots[:, t] the input vector
+    step t chose.  lead, the caller's stack shape, names a failed frame."""
+    N, m = vectors.shape[:2]
+    every = np.arange(N)
+    work, coeff = vectors.copy(), np.tile(np.eye(m), (N, 1, 1))
+    frame, rows = np.empty_like(work), np.empty_like(coeff)
+    eps, pivots = np.empty((N, m), dtype=int), np.empty((N, m), dtype=np.intp)
+    remaining = np.ones((N, m), dtype=bool)
+    # Null-pair candidates in scan order: pairs a < b, sign +1 then -1.
+    pa, pb = (np.repeat(i, 2) for i in np.triu_indices(m, k=1))
+    ps = np.tile([1.0, -1.0], len(pa) // 2)
+    for t in range(m):
+        for j in range(t):
+            proj = eps[:, j, None] * metric_rows(work, frame[:, j, None])
+            work = work - proj[..., None, None] * frame[:, j, None]
+            coeff = coeff - proj[..., None] * rows[:, j, None]
+        norms = metric_rows(work, work)
+        pivot = np.argmax(np.where(remaining, np.abs(norms), -np.inf), axis=1)
+        norm = norms[every, pivot]
+        g2 = np.sum(d_grading2(work[every, pivot]), axis=-1)
+        null = np.flatnonzero(np.abs(norm) <= PIVOT_TOL * np.maximum(g2, 1e-300))
+        if len(null):
+            # Every remaining vector is null: the first pair sum or difference
+            # of largest non-null norm becomes the pivot.
+            cand = work[null][:, pa] + ps[:, None, None] * work[null][:, pb]
+            nn = metric_rows(cand, cand)
+            cg2 = np.sum(d_grading2(cand), axis=-1)
+            ok = (remaining[null][:, pa] & remaining[null][:, pb]
+                  & (np.abs(nn) > PIVOT_TOL * np.maximum(cg2, 1e-300)))
+            if not ok.any(axis=1).all():
+                i = null[np.argmin(ok.any(axis=1))]
+                where = f"frame {tuple(map(int, np.unravel_index(i, lead)))}: " if lead else ""
+                raise DegenerateMetric(
+                    f"{where}no non-null pivot among remaining vectors or their "
+                    f"pairs (best diagonal {norm[i]:.3e})")
+            best = np.argmax(np.where(ok, np.abs(nn), -1.0), axis=1)
+            a, k = pa[best], np.arange(len(null))
+            work[null, a] = cand[k, best]
+            coeff[null, a] = coeff[null, a] + ps[best, None] * coeff[null, pb[best]]
+            norm[null], pivot[null] = nn[k, best], a
+        eps[:, t] = np.where(norm > 0, 1, -1)
+        scale = 1.0 / np.sqrt(np.abs(norm))
+        frame[:, t] = work[every, pivot] * scale[:, None, None]
+        rows[:, t] = coeff[every, pivot] * scale[:, None]
+        pivots[:, t] = pivot
+        remaining[every, pivot] = False
+    return frame, eps, rows, pivots
+
+
+def signed_gram_schmidt(vectors) -> GramSchmidtFrame:
+    """Pivoted Gram-Schmidt for an indefinite metric, of one frame (m, n, 2)
+    or of each frame of a stack (..., m, n, 2).
+
+    At each step every remaining vector is orthogonalized against the chosen
+    frame and the one with largest |<v, v>| becomes the next pivot, which
+    avoids normalizing a null vector.  When every remaining vector is null
+    but the span is not degenerate (a hyperbolic pair of null directions,
+    e.g. the tangents of a null-curve product), a pairwise sum or difference
+    is substituted as the pivot.  DegenerateMetric is raised when no pivot
+    with a non-null norm exists (for a stack: naming the frame).  One frame
+    gives its signature as a tuple, a stack as an int array (..., m).
+    """
+    vectors = d_array(vectors)
+    lead, (m, n) = vectors.shape[:-3], vectors.shape[-3:-1]
+    frame, eps, coeffs, _ = _gram_schmidt_stack(vectors.reshape(-1, m, n, 2), lead)
+    if not lead:
+        return GramSchmidtFrame(frame[0], tuple(int(s) for s in eps[0]), coeffs[0])
+    return GramSchmidtFrame(frame.reshape(vectors.shape), eps.reshape(lead + (m,)),
+                            coeffs.reshape(lead + (m, m)))
+
+
+def para_adapted_frame(vectors) -> GramSchmidtFrame:
+    """Orthonormal frame of a J-invariant span with e_{2i} = J e_{2i-1}.
+
+    The span must be J-invariant (checked by least squares) and of even
+    dimension.  Each round picks the best non-null pivot e, appends (e, Je)
+    and projects the rest out of that hyperbolic pair; the metric-orthogonal
+    complement of a J-invariant pair is again J-invariant.
+    """
+    vectors = d_array(vectors)
+    m = vectors.shape[0]
+    if m % 2 != 0:
+        raise OddDimension(f"span dimension {m} is odd")
+    flat = vectors.reshape(m, -1).T  # (2n, m) real matrix of the span
+    jv = apply_J(vectors).reshape(m, -1).T
+    sol, *_ = np.linalg.lstsq(flat, jv, rcond=None)
+    resid = np.linalg.norm(flat @ sol - jv, axis=0)
+    leaves = resid > J_INVARIANCE_TOL * np.maximum(np.linalg.norm(jv, axis=0), 1e-300)
+    if leaves.any():
+        i = int(np.argmax(leaves))
+        raise NotJInvariant(f"J(v_{i}) leaves the span (residual {resid[i]:.3e})")
+    work = vectors.copy()
+    frame, eps = [], []
+    for _ in range(m // 2):
+        for e, s in zip(frame, eps):
+            work = work - (s * metric_rows(work, e))[:, None, None] * e
+        norms = metric_rows(work, work)
+        pivot = int(np.argmax(np.abs(norms)))
+        g2 = float(np.sum(d_grading2(work[pivot])))
+        if abs(norms[pivot]) <= PIVOT_TOL * max(g2, 1e-300):
+            raise DegenerateMetric("no non-null pivot left in the J-invariant span")
+        s = 1 if norms[pivot] > 0 else -1
+        e1 = work[pivot] / np.sqrt(abs(norms[pivot]))
+        frame.extend([e1, apply_J(e1)])
+        eps.extend([s, -s])
+        work = np.delete(work, pivot, axis=0)
+    return GramSchmidtFrame(np.array(frame), tuple(eps), np.empty((0, 0)))
+
+
+def second_fundamental_form(first: np.ndarray, second: np.ndarray):
+    """(h, frame) of one node's jet (m, n, 2), (m, m, n, 2): h[i, j] is the
+    normal part of the second derivative along the orthonormalized frame
+    directions.  DegenerateMetric where induced_gram finds g degenerate."""
+    g, det, degenerate = induced_gram(first)
+    if degenerate:
+        raise DegenerateMetric("induced metric degenerate")
+    g_inv = inv_real(g, det, degenerate)
+    gs = signed_gram_schmidt(first)
+    m = first.shape[0]
+    h = np.empty((m, m) + first.shape[1:])
+    for i in range(m):
+        for j in range(i, m):
+            W = np.einsum("a,b,abnc->nc", gs.coeffs[i], gs.coeffs[j], second)
+            h[i, j] = h[j, i] = normal_project(W, first, g_inv)
+    return h, gs
+
+
+def gram_identity_check(frames):
+    """(det_R of the Gram matrix, squared_norm(det_D M)) as arrays over the
+    leading axes of a Lagrangian frame (n, n, 2) or a stack (..., n, n, 2).
+
+    The two numbers agree to relative 1e-10 for well-conditioned frames; the
+    caller asserts that contract.
+    """
+    frames = frame_matrix(frames)
+    require_lagrangian(frames)
+    return np.linalg.det(gram(frames)), d_norm2(det_D(frames))
+
+
+@dataclass(frozen=True)
+class LagrangianAngle:
+    """Causal class q and angle theta of a para-holomorphic volume.
+
+    The overall sign p of the polar form is dropped on purpose: a real frame
+    change with negative determinant flips p, so only (q, theta) is intrinsic.
+    """
+    q: np.ndarray
+    theta: np.ndarray
+
+
+def lagrangian_angle_of_frame(frames) -> LagrangianAngle:
+    """(q, theta) as arrays over the leading axes of a Lagrangian frame
+    (n, n, 2) or a stack (..., n, n, 2): 0-d arrays for one frame.
+    DegenerateMetric when det_D of a frame is null."""
+    frames = frame_matrix(frames)
+    require_lagrangian(frames)
+    dets = det_D(frames)
+    _, q, _, theta, null = d_polar(dets)
+    if np.any(null):
+        raise DegenerateMetric(f"det_D is null: {dets[null][0]}")
+    return LagrangianAngle(q, theta)
+
+
+def random_lagrangian_frames(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """count random frames (count, n, n, 2), each spanning a Lagrangian
+    plane of D^n: rows e_i + tau S_i for a random symmetric S (omega
+    vanishes pairwise by symmetry), mixed by a random real GL(n) matrix A
+    with |det| >= 0.1, which preserves the Lagrangian span.
+
+    Each frame reads the stream in n x n chunks: one for S, then candidates
+    for A until one passes.  Generator.normal fills its output in stream
+    order, so drawing exactly what the remaining frames still consume (two
+    each, one less while an S waits for its A) gives the frames and the
+    generator state of count one-frame draws.
+    """
+    if count == 0:
+        return np.empty((0, n, n, 2))
+    chunks, s_at, a_at = [], [], []
+    k = 0
+    while len(a_at) < count:
+        draw = rng.normal(size=(2 * count - len(a_at) - len(s_at), n, n))
+        chunks.append(draw)
+        for det in np.linalg.det(draw).tolist():
+            if len(s_at) == len(a_at):
+                s_at.append(k)
+            elif abs(det) >= 0.1:
+                a_at.append(k)
+            k += 1
+    stream = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
+    return lagrangian_frames(stream.take(a_at, axis=0), stream.take(s_at, axis=0))
+
+
+def lagrangian_frames(A: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """The frames A (I + tau sym S) (count, n, n, 2) of stacks (count, n, n)
+    of real matrices: rows e_i + tau S_i of the symmetric part of S mixed
+    by A, Lagrangian when A is invertible."""
+    out = np.empty(A.shape + (2,))
+    out[..., 0] = A  # A (I + tau S) = A + tau A S
+    out[..., 1] = np.einsum("fij,fjk->fik", A, 0.5 * (S + S.transpose(0, 2, 1)))
+    return out

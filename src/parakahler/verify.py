@@ -17,41 +17,52 @@ from . import dcore, dlinalg, equivariant, lagrangian, solitons
 from .dcore import d_exp_tau, d_grading2, d_mul, d_norm2, d_polar
 from .dlinalg import apply_J, det_D, metric, omega, require_lagrangian
 from .errors import LagrangianViolation
+from .frames import (
+    gram_identity_check,
+    lagrangian_angle_of_frame,
+    lagrangian_frames,
+    metric_signatures,
+    para_adapted_frame,
+    random_lagrangian_frames,
+    second_fundamental_form,
+    signed_gram_schmidt,
+)
 from .geometry import (
     GridAxis,
     SampledImmersion,
-    _mat2,
     coordinate_tangents,
-    curved_chart,
     grid_jet,
     grid_mean_curvature,
-    jfield_from_function,
-    lie_bracket,
-    metric_signatures,
-    nijenhuis,
-    para_adapted_frame,
-    pullback_structure,
-    second_fundamental_form,
-    signed_gram_schmidt,
-    standard_structure,
-    twist_structure,
-    vector_field_from_function,
 )
 from .lagrangian import (
     angle_field,
     apply_J_immersion,
     build_gradient_graph,
     build_null_product,
-    catenoid_normal_bundle,
-    circle_normal_bundle,
     identity_grid,
     j_curve,
-    normal_bundle_angle,
-    is_austere,
     nodal_angles,
     plane_curve,
 )
+from .normalbundle import (
+    catenoid_normal_bundle,
+    circle_normal_bundle,
+    flat_normal_bundle,
+    is_austere,
+    normal_bundle_angle,
+)
 from .solitons import SolitonParams
+from .structures import (
+    _mat2,
+    curved_chart,
+    jfield_from_function,
+    lie_bracket,
+    nijenhuis,
+    pullback_structure,
+    standard_structure,
+    twist_structure,
+    vector_field_from_function,
+)
 
 RICHARDSON_BAND = (3.5, 4.5)
 ALGEBRA_TRIALS, ALGEBRA_SEED = 10_000, 7  # random values per algebra check
@@ -206,7 +217,7 @@ def _frame_changes(rng, count):
     changes = {}
     for n, picks in drawn.items():
         S, A, change = np.array(picks).reshape(len(picks), 3, n, n).transpose(1, 0, 2, 3)
-        frames = dlinalg.lagrangian_frames(A, S)
+        frames = lagrangian_frames(A, S)
         changes[n] = frames, np.einsum("fij,fjkc->fikc", change, frames)
     return changes
 
@@ -215,8 +226,8 @@ def suite_gram_lemma():
     rng = np.random.default_rng(GRAM_SEED)
     out = []
     for n in (2, 3, 4):
-        stack = dlinalg.random_lagrangian_frames(n, GRAM_FRAMES, rng)
-        dg, sq = dlinalg.gram_identity_check(stack)
+        stack = random_lagrangian_frames(n, GRAM_FRAMES, rng)
+        dg, sq = gram_identity_check(stack)
         worst = float(np.max(np.abs(dg - sq)
                              / np.maximum(np.maximum(np.abs(dg), np.abs(sq)), 1e-30)))
         out.append(_check(f"gram determinant identity n={n}", worst < 1e-10,
@@ -224,7 +235,7 @@ def suite_gram_lemma():
 
     worst = 0.0
     for n in (2, 3, 4):
-        stack = dlinalg.random_lagrangian_frames(n, 200, rng)
+        stack = random_lagrangian_frames(n, 200, rng)
         sq = d_norm2(det_D(signed_gram_schmidt(stack).frame))
         worst = max(worst, float(np.max(np.abs(np.abs(sq) - 1.0))))
     out.append(_check("unit determinant of orthonormal Lagrangian frames",
@@ -245,8 +256,8 @@ def suite_gram_lemma():
     worst_q, worst_t = 0, 0.0
     for before, after in _frame_changes(rng, 300).values():
         if len(before):
-            ang = dlinalg.lagrangian_angle_of_frame(before)
-            ang2 = dlinalg.lagrangian_angle_of_frame(after)
+            ang = lagrangian_angle_of_frame(before)
+            ang2 = lagrangian_angle_of_frame(after)
             worst_q = max(worst_q, int(np.max(np.abs(ang.q - ang2.q))))
             worst_t = max(worst_t, float(np.max(np.abs(ang.theta - ang2.theta))))
     out.append(_check("frame-change invariance of (q, theta)",
@@ -399,8 +410,8 @@ def suite_constant_angle_graphs():
     f = stats["monge"][2]
     sampled = valid & (np.indices(monge.shape).sum(axis=0) % 4 == 0)
     first = tangents[sampled]
-    ang_coord = dlinalg.lagrangian_angle_of_frame(first)
-    ang_on = dlinalg.lagrangian_angle_of_frame(signed_gram_schmidt(first).frame)
+    ang_coord = lagrangian_angle_of_frame(first)
+    ang_on = lagrangian_angle_of_frame(signed_gram_schmidt(first).frame)
     worst_q = int(np.max(np.abs(ang_coord.q - ang_on.q)))
     worst_t = float(np.max(np.abs(ang_coord.theta - ang_on.theta)))
     out.append(_check("frame independence of the angle",
@@ -621,7 +632,6 @@ def suite_normal_bundle():
                       (not austere) and var > 1e-3 and err < 1e-12,
                       f"variation {var:.2e}, closed-form err {err:.2e}"))
 
-    from .lagrangian import flat_normal_bundle
     for p, n in ((1, 2), (2, 3), (2, 4)):
         spec = flat_normal_bundle(p, n)
         node = (2,) * p

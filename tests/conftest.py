@@ -103,7 +103,7 @@ def jfield_node_sets_match_whole_grid(monkeypatch):
     nijenhuis of each pair of vector fields at probe_nodes sample at most
     3^m matrices per node and never materialize the grid; each equals, bit
     for bit, the whole-grid result on the array-backed J-field of jf.mats."""
-    from parakahler import geometry
+    from parakahler import structures
 
     def check(jf, pairs):
         nodes = probe_nodes(jf.shape)
@@ -111,16 +111,16 @@ def jfield_node_sets_match_whole_grid(monkeypatch):
         count_points(jf)
         got = []
         with monkeypatch.context() as patch:
-            patch.setattr(geometry.JField, "whole", lambda self: pytest.fail("materialized"))
+            patch.setattr(structures.JField, "whole", lambda self: pytest.fail("materialized"))
             for X, Y in pairs:
                 jf.points = 0
-                got.append((geometry.lie_bracket(jf, X, Y, nodes),
-                            geometry.nijenhuis(jf, X, Y, nodes)))
+                got.append((structures.lie_bracket(jf, X, Y, nodes),
+                            structures.nijenhuis(jf, X, Y, nodes)))
                 assert 0 < jf.points <= len(nodes) * 3 ** jf.m
-        ref = geometry.JField(jf.axes, jf.mats)
+        ref = structures.JField(jf.axes, jf.mats)
         for (X, Y), sets in zip(pairs, got):
-            for whole, part in zip((geometry.lie_bracket(ref, X, Y),
-                                    geometry.nijenhuis(ref, X, Y)), sets):
+            for whole, part in zip((structures.lie_bracket(ref, X, Y),
+                                    structures.nijenhuis(ref, X, Y)), sets):
                 assert same_bits(whole[0][at], part[0]) and same_bits(whole[1][at], part[1])
                 assert part[1].any() and not part[1].all()
 

@@ -477,10 +477,36 @@ def test_cli_subcommands_never_load_scipy(tmp_path):
     assert SOLITON_ENGINE <= loaded  # equivariant, phase and soliton load it
     for name in ("g.csv", "a.csv", "c.csv", "l.csv", "p/index.csv", "s.csv"):
         assert (tmp_path / name).is_file()
-    # nijenhuis samples its J-fields from geometry, without the suites
-    code = ("from parakahler.cli import main\n"
-            "assert main(['nijenhuis', '--structure', 'pullback', '--count', '9',"
-            " '--refine', '2', '--out', 'n.csv']) == 0")
-    loaded = _loaded_in_fresh_interpreter(code, cwd=tmp_path)
-    assert not loaded & ({"scipy", "jsonschema", "parakahler.verify"} | SOLITON_ENGINE)
-    assert (tmp_path / "n.csv").is_file()
+
+
+VERIFY_ONLY = {"parakahler.frames", "parakahler.structures", "parakahler.normalbundle",
+               "parakahler.verify"}
+
+
+def test_cli_commands_load_only_their_own_modules(tmp_path):
+    (tmp_path / "torus.json").write_text(json.dumps(torus_spec()), encoding="utf-8")
+    runs = {
+        "angle": [
+            ["graph", "--u", "x1^3 - x1*x2^2/2", "--count", "17", "--out", "g.csv"],
+            ["angle", "--spec", "torus.json", "--out", "a.csv"],
+            ["equivariant", "--family", "circle", "--C", "1.3", "--count", "64",
+             "--out", "c.csv", "--lift-out", "l.csv"]],
+        "nijenhuis": [["nijenhuis", "--structure", "pullback", "--count", "9",
+                       "--refine", "2", "--out", "n.csv"]],
+        "normal-bundle": [["normal-bundle", "--shape", "catenoid", "--out", "b.csv"]],
+    }
+    loaded = {}
+    for run, calls in runs.items():
+        code = "from parakahler.cli import main\n" + "".join(
+            f"assert main({argv!r}) == 0\n" for argv in calls)
+        loaded[run] = _loaded_in_fresh_interpreter(code, cwd=tmp_path)
+        assert not loaded[run] & {"jsonschema", "scipy", "parakahler.verify"}
+    # the angle commands start none of the verify-only modules
+    assert not loaded["angle"] & VERIFY_ONLY
+    # nijenhuis samples its J-fields from structures, without the suites
+    assert "parakahler.structures" in loaded["nijenhuis"]
+    assert not loaded["nijenhuis"] & ({"parakahler.normalbundle"} | SOLITON_ENGINE)
+    assert "parakahler.normalbundle" in loaded["normal-bundle"]
+    assert "parakahler.structures" not in loaded["normal-bundle"]
+    for name in ("g.csv", "a.csv", "c.csv", "l.csv", "n.csv", "b.csv"):
+        assert (tmp_path / name).is_file()

@@ -14,18 +14,20 @@ from parakahler.dlinalg import (
     det_D,
     det_real,
     gram,
-    gram_identity_check,
     inv_real,
-    lagrangian_angle_of_frame,
     metric,
     omega,
-    random_lagrangian_frames,
     require_lagrangian,
 )
 from parakahler.errors import (
     DegenerateMetric,
     DimensionMismatch,
     LagrangianViolation,
+)
+from parakahler.frames import (
+    gram_identity_check,
+    lagrangian_angle_of_frame,
+    random_lagrangian_frames,
 )
 
 

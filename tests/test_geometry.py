@@ -14,31 +14,36 @@ from parakahler.errors import (
     NotParaComplexStructure,
     OddDimension,
 )
+from parakahler.frames import (
+    PIVOT_TOL,
+    _gram_schmidt_stack,
+    metric_signatures,
+    para_adapted_frame,
+    random_lagrangian_frames,
+    second_fundamental_form,
+    signed_gram_schmidt,
+)
 from parakahler.geometry import (
     DEGENERACY_TOL,
     JET_MARGIN,
     GridAxis,
     Jet,
-    JField,
     SampledImmersion,
     coordinate_tangents,
     grid_jet,
     grid_mean_curvature,
-    PIVOT_TOL,
-    _gram_schmidt_stack,
     immersion_from_function,
     induced_gram,
-    jfield_from_function,
-    lie_bracket,
-    metric_signatures,
-    nijenhuis,
     normal_project,
-    para_adapted_frame,
-    second_fundamental_form,
-    signed_gram_schmidt,
-    standard_structure,
     tangent_scale,
     trace_mean_curvature,
+)
+from parakahler.structures import (
+    JField,
+    jfield_from_function,
+    lie_bracket,
+    nijenhuis,
+    standard_structure,
     vector_field_from_function,
 )
 
@@ -409,7 +414,7 @@ def _assert_matches_per_frame(stack):
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_gram_schmidt_stack_matches_per_frame_lagrangian(n):
     rng = np.random.default_rng(20 + n)
-    _assert_matches_per_frame(dlinalg.random_lagrangian_frames(n, 60, rng))
+    _assert_matches_per_frame(random_lagrangian_frames(n, 60, rng))
 
 
 def test_gram_schmidt_stack_null_pair_branch_is_masked():
@@ -421,7 +426,7 @@ def test_gram_schmidt_stack_null_pair_branch_is_masked():
     rng = np.random.default_rng(5)
     mixed = np.empty((2 * len(null),) + null.shape[1:])
     mixed[0::2] = null
-    mixed[1::2] = dlinalg.random_lagrangian_frames(2, len(null), rng)
+    mixed[1::2] = random_lagrangian_frames(2, len(null), rng)
     _assert_matches_per_frame(mixed)
 
 
@@ -448,7 +453,7 @@ def test_gram_schmidt_stack_matches_per_frame_hard_cases():
 
 def test_gram_schmidt_stack_shapes_and_single_frame():
     rng = np.random.default_rng(9)
-    stack = dlinalg.random_lagrangian_frames(3, 6, rng)
+    stack = random_lagrangian_frames(3, 6, rng)
     gs = signed_gram_schmidt(stack.reshape(2, 3, 3, 3, 2))
     assert gs.frame.shape == (2, 3, 3, 3, 2)
     assert gs.signature.shape == (2, 3, 3) and gs.coeffs.shape == (2, 3, 3, 3)
@@ -461,7 +466,7 @@ def test_gram_schmidt_stack_shapes_and_single_frame():
 
 def test_gram_schmidt_stack_names_the_degenerate_frame():
     rng = np.random.default_rng(4)
-    stack = dlinalg.random_lagrangian_frames(2, 6, rng)
+    stack = random_lagrangian_frames(2, 6, rng)
     v1 = basis_vector(2, 0) + basis_vector(2, 1, tau=True)
     v2 = basis_vector(2, 1) + basis_vector(2, 0, tau=True)
     stack[4] = np.stack([v1, v2])

@@ -7,7 +7,7 @@ import pytest
 
 from parakahler import equivariant
 from parakahler.dcore import d_exp_tau, d_mul, d_polar
-from parakahler.dlinalg import apply_J, lagrangian_angle_of_frame, metric, require_lagrangian
+from parakahler.dlinalg import apply_J, metric, require_lagrangian
 from parakahler.errors import (
     DegenerateMetric,
     DegeneratePairing,
@@ -15,6 +15,7 @@ from parakahler.errors import (
     NotNullCurve,
     NotParaHolomorphic,
 )
+from parakahler.frames import lagrangian_angle_of_frame, metric_signatures
 from parakahler.geometry import (
     GridAxis,
     SampledImmersion,
@@ -22,26 +23,27 @@ from parakahler.geometry import (
     grid_jet,
     grid_mean_curvature,
     induced_gram,
-    metric_signatures,
 )
 from parakahler.lagrangian import (
-    NormalBundleSpec,
     _regions,
     angle_field,
     apply_J_immersion,
     build_gradient_graph,
     build_null_product,
     build_paracomplex_graph,
+    identity_grid,
+    j_curve,
+    plane_curve,
+    rotate,
+)
+from parakahler.normalbundle import (
+    NormalBundleSpec,
     catenoid_normal_bundle,
     circle_normal_bundle,
     flat_normal_bundle,
-    identity_grid,
     is_austere,
-    j_curve,
     normal_bundle_angle,
     normal_bundle_volume,
-    plane_curve,
-    rotate,
 )
 
 

@@ -28,8 +28,8 @@ def data_rows(path):
 
 def test_every_script_is_covered():
     assert {p.stem for p in SCRIPTS.glob("*.py")} == {
-        "convergence_study", "kernel_timings", "output_digests", "phase_portrait",
-        "torus_angle_field"}
+        "cold_start", "convergence_study", "kernel_timings", "output_digests",
+        "phase_portrait", "torus_angle_field"}
 
 
 def test_convergence_study_prints_second_order_ratios(capsys, monkeypatch):
@@ -49,6 +49,24 @@ def test_kernel_timings_prints_one_row_per_layer(capsys, monkeypatch):
         "gram", "require_lagrangian", "induced_gram", "normal_project",
         "trace_mean_curvature", "d_polar", "angle_field", "identity_grid"]
     assert all(float(t) > 0.0 for row in rows for t in row.split()[1:])
+
+
+def test_cold_start_prints_both_figures_of_each_tree(capsys, monkeypatch, tmp_path):
+    # the copies and their caches live in a temporary directory, gone after
+    temp_root = tmp_path / "tmp"
+    temp_root.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(temp_root))
+    src = SCRIPTS.parent / "src"
+    assert run_script("cold_start", monkeypatch, "--runs", "2", "--src", str(src), str(src)) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].endswith("2 fresh interpreters each")
+    assert len(lines) == 7 and lines[1] == lines[4] == f"{src}:"
+    for line in lines[2:4] + lines[5:7]:
+        name, times = line.strip().split("  min ")
+        low, median = (float(t.split()[0]) for t in times.split("median"))
+        assert name.strip() in ("no bytecode cache", "bytecode cache")
+        assert 0.0 < low <= median
+    assert list(temp_root.iterdir()) == []
 
 
 def test_phase_portrait_writes_one_csv_per_orbit(tmp_path, monkeypatch):

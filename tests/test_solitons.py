@@ -13,6 +13,7 @@ from parakahler.errors import (
     InvalidCase,
     InvalidRange,
     NonpositiveRadius,
+    StepFailure,
 )
 from parakahler.dlinalg import det_real, gram, inv_real
 from parakahler.geometry import grid_mean_curvature, normal_project
@@ -157,6 +158,23 @@ def test_definite_radius_strictly_increases():
 def test_integrate_rejects_small_initial_radius():
     with pytest.raises(InvalidRange):
         _lane((1e-9, 0.0, 0.0), LOR1, 1.0)
+
+
+def test_a_nan_field_raises_step_failure(monkeypatch):
+    # Past s = 0.05 the alpha' row is nan, so every step's error norm is nan
+    # and the step is rejected and shrunk by the minimum factor until it
+    # falls below 10 ulp of sigma: the batch raises instead of looping or
+    # returning nan rows.
+    field = solitons._Field.__call__
+
+    def poisoned(self, y, out=None):
+        out = field(self, y, out)
+        out[1] = np.where(y[3] > 0.05, np.nan, out[1])
+        return out
+
+    monkeypatch.setattr(solitons._Field, "__call__", poisoned)
+    with pytest.raises(StepFailure, match="step size underflow at r = "):
+        integrate_many(LOR1, [(1.0, 0.25, 0.0)], 1, 1.0)
 
 
 def test_subcritical_inner_symmetric():

@@ -4,7 +4,7 @@ import sys
 import numpy as np
 import pytest
 
-from parakahler import dlinalg, geometry, verify
+from parakahler import dlinalg, frames, geometry, structures, verify
 from parakahler.cli import main
 
 POINT_QUERY_SUITES = ("gram-lemma", "null-product", "constant-angle-graphs")
@@ -37,7 +37,7 @@ def test_point_query_suites_check_stacks(monkeypatch):
     calls = {"det_D": [], "grid_jet": [], "signed_gram_schmidt": []}
     _spy(monkeypatch, dlinalg.det_D, calls["det_D"])
     _spy(monkeypatch, geometry.grid_jet, calls["grid_jet"])
-    _spy(monkeypatch, geometry.signed_gram_schmidt, calls["signed_gram_schmidt"])
+    _spy(monkeypatch, frames.signed_gram_schmidt, calls["signed_gram_schmidt"])
     for suite in POINT_QUERY_SUITES:
         assert all(check.passed for check in verify.run_suite(suite)), suite
     assert 0 < len(calls["det_D"]) <= 5526 // 5
@@ -63,8 +63,8 @@ def test_gram_lemma_draws_stacked_frames_in_six_calls(monkeypatch):
     # sit between their normals, draw their matrices change by change but
     # are assembled in one lagrangian_frames call per n.
     calls, assembled = [], []
-    _spy(monkeypatch, dlinalg.random_lagrangian_frames, calls)
-    _spy(monkeypatch, dlinalg.lagrangian_frames, assembled)
+    _spy(monkeypatch, frames.random_lagrangian_frames, calls)
+    _spy(monkeypatch, frames.lagrangian_frames, assembled)
     assert all(check.passed for check in verify.suite_gram_lemma())
     assert [count for _, count, _ in calls] == [verify.GRAM_FRAMES] * 3 + [200] * 3
     assert len(assembled) == 6 + 3
@@ -78,7 +78,7 @@ def _frame_changes_one_by_one(rng, count):
     changes = {n: ([], []) for n in (2, 3, 4)}
     for _ in range(count):
         n = int(rng.integers(2, 5))
-        fr = dlinalg.random_lagrangian_frames(n, 1, rng)[0]
+        fr = frames.random_lagrangian_frames(n, 1, rng)[0]
         A = rng.normal(size=(n, n))
         while abs(np.linalg.det(A)) < 0.2:
             A = rng.normal(size=(n, n))
@@ -149,7 +149,7 @@ def test_jfields_match_the_per_node_reference(monkeypatch, tmp_path):
     # Every J-field the nijenhuis suite and command build, sampled on
     # coordinate arrays, equals the field built one node at a time.
     calls = []
-    _spy(monkeypatch, geometry.jfield_from_function, calls)
+    _spy(monkeypatch, structures.jfield_from_function, calls)
     assert all(check.passed for check in verify.suite_nijenhuis())
     for structure in ("standard", "pullback", "twist"):
         assert main(["nijenhuis", "--structure", structure, "--count", "5",
@@ -157,7 +157,7 @@ def test_jfields_match_the_per_node_reference(monkeypatch, tmp_path):
     monkeypatch.undo()
     assert len(calls) == 7 + 2 * 3
     for axes, fn in calls:
-        built = geometry.jfield_from_function(axes, fn).mats
+        built = structures.jfield_from_function(axes, fn).mats
         assert np.array_equal(built, _jfield_per_point(axes, fn))
 
 
@@ -166,7 +166,7 @@ def test_nijenhuis_decomposition_check_is_not_vacuous(monkeypatch):
     # for N; on a structure where N = 0 both sides vanish exactly and a wrong
     # bracket would pass, so it runs where |N| > 1 (the twisted structure)
     found = []
-    nijenhuis = geometry.nijenhuis
+    nijenhuis = structures.nijenhuis
 
     def recorded(jf, X, Y, nodes=None):
         N, valid = nijenhuis(jf, X, Y, nodes)
@@ -176,7 +176,7 @@ def test_nijenhuis_decomposition_check_is_not_vacuous(monkeypatch):
 
     monkeypatch.setattr(verify, "nijenhuis", recorded)
     calls = []
-    _spy(monkeypatch, geometry.vector_field_from_function, calls)
+    _spy(monkeypatch, structures.vector_field_from_function, calls)
     # the fields are sampled on the stencils read, the whole grid never
     monkeypatch.setattr(geometry.SampledGrid, "whole", lambda self: pytest.fail("materialized"))
     checks = {check.name: check for check in verify.suite_nijenhuis()}

@@ -15,7 +15,9 @@ Prints the min and the median over --runs interpreters of two figures:
 Each child imports numpy first and times the package's share, from before
 the import to after the build.  The runs of both figures, and of every tree
 that --src names, alternate, so a drift in the host's speed reaches all of
-them alike:
+them alike.  Per tree, the script also prints the parakahler modules the
+children loaded with their source lines (as wc -l counts them), so that a
+slower start names the module it compiles:
 
     python3 scripts/cold_start.py
     python3 scripts/cold_start.py --runs 41 --src ../parent/src src
@@ -43,7 +45,9 @@ sys.path.insert(0, sys.argv[1])
 start = time.perf_counter()
 from parakahler import cli
 cli.catalog.build(json.loads(sys.argv[2]))
-print(json.dumps({"seconds": time.perf_counter() - start, "file": cli.__file__}))
+seconds = time.perf_counter() - start
+modules = {name: m.__file__ for name, m in sys.modules.items() if name.startswith("parakahler")}
+print(json.dumps({"seconds": seconds, "file": cli.__file__, "modules": modules}))
 """
 
 
@@ -53,19 +57,25 @@ def spec() -> dict:
             "grid": {"axes": [dict(axis), dict(axis)]}}
 
 
-def run_child(src: Path, env: dict, cwd: Path) -> float:
-    """Seconds one fresh interpreter took, importing parakahler from src."""
+def run_child(src: Path, env: dict, cwd: Path) -> dict:
+    """What one fresh interpreter reports, importing parakahler from src:
+    its seconds, and the file of each parakahler module it loaded."""
     proc = subprocess.run([sys.executable, "-c", CHILD, str(src), json.dumps(spec())],
                           capture_output=True, text=True, timeout=120, env=env, cwd=cwd,
                           check=True)
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     if not Path(result["file"]).resolve().is_relative_to(src.resolve()):
         raise RuntimeError(f"imported {result['file']}, not a module under {src}")
-    return result["seconds"]
+    return result
 
 
-def cold_start(srcs: list, runs: int) -> list:
-    """Per tree of srcs, {figure: seconds of each run}."""
+def source_lines(path) -> int:
+    return Path(path).read_bytes().count(b"\n")
+
+
+def cold_start(srcs: list, runs: int) -> tuple[list, list]:
+    """Per tree of srcs, {figure: seconds of each run}, and {module: source
+    lines} of the parakahler modules its children loaded."""
     no_write = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
     write = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
     with tempfile.TemporaryDirectory(prefix="cold_start_") as tmp:
@@ -81,14 +91,18 @@ def cold_start(srcs: list, runs: int) -> list:
             if not (cached / "parakahler" / "__pycache__").is_dir():
                 raise RuntimeError("the warming run wrote no bytecode cache")
         times = [{figure: [] for figure in FIGURES} for _ in srcs]
+        loaded = [{} for _ in srcs]
         for _ in range(runs):
-            for tree, copy in zip(times, copies):
+            for tree, modules, copy in zip(times, loaded, copies):
                 for figure in FIGURES:
-                    tree[figure].append(run_child(copy[figure], no_write, tmp))
+                    result = run_child(copy[figure], no_write, tmp)
+                    tree[figure].append(result["seconds"])
+                    modules.update((name, source_lines(path))
+                                   for name, path in result["modules"].items())
         if any((copy["no bytecode cache"] / "parakahler" / "__pycache__").exists()
                for copy in copies):
             raise RuntimeError("a run without a cache wrote one")
-    return times
+    return times, loaded
 
 
 def main() -> int:
@@ -101,11 +115,14 @@ def main() -> int:
         parser.error("--runs must be at least 1")
     print(f"import parakahler.cli + first catalog.build ({COUNT}^2 gradient_graph), "
           f"{args.runs} fresh interpreters each")
-    for src, times in zip(args.src, cold_start(args.src, args.runs)):
+    for src, times, modules in zip(args.src, *cold_start(args.src, args.runs)):
         print(f"{src}:")
         for name, seconds in times.items():
             print(f"  {name:<18}  min {min(seconds):.4f} s  "
                   f"median {statistics.median(seconds):.4f} s")
+        print(f"  loaded {len(modules)} modules, {sum(modules.values())} lines: "
+              + " ".join(f"{name.removeprefix('parakahler.')} {lines}"
+                         for name, lines in sorted(modules.items())))
     return 0
 
 

@@ -246,6 +246,11 @@ def validate_spec(doc: dict) -> dict:
     if expected is not None and n_axes != expected:
         raise SpecValidationError(
             f"kind {kind!r} needs {expected} grid axes, got {n_axes}")
+    for i, axis in enumerate(doc["grid"]["axes"]):
+        if not axis["max"] > axis["min"]:  # nan fails too
+            raise SpecValidationError(
+                f"grid axis {i} needs max > min, got min {axis['min']!r} "
+                f"and max {axis['max']!r}")
     grad = doc["params"].get("grad")
     if grad is not None and len(grad) != n_axes:  # one partial derivative per axis
         raise SpecValidationError(
@@ -307,6 +312,8 @@ def build(doc: dict):
         return lagrangian.build_gradient_graph(axes, u=u), meta
 
     if kind == "paracomplex_graph":
+        from . import constructions  # imported here: only these two kinds need it
+
         fx = _expr_fn(params["fx"], ["x", "y"])
         fy = _expr_fn(params["fy"], ["x", "y"])
 
@@ -315,16 +322,18 @@ def build(doc: dict):
             return np.stack([fx(z[..., 0], z[..., 1]),
                              fy(z[..., 0], z[..., 1])], axis=-1)
 
-        return lagrangian.build_paracomplex_graph(f, axes), meta
+        return constructions.build_paracomplex_graph(f, axes), meta
 
     if kind == "null_product":
+        from . import constructions
+
         f1 = _expr_fn(params["f1"], ["s"])
         g1 = _expr_fn(params["g1"], ["s"])
         f2 = _expr_fn(params["f2"], ["s"])
         g2 = _expr_fn(params["g2"], ["s"])
-        c1 = lagrangian.plane_curve(f1, g1)
-        c2 = lagrangian.j_curve(lagrangian.plane_curve(f2, g2))
-        return lagrangian.build_null_product(c1, c2, axes[0], axes[1]), meta
+        c1 = constructions.plane_curve(f1, g1)
+        c2 = constructions.j_curve(constructions.plane_curve(f2, g2))
+        return constructions.build_null_product(c1, c2, axes[0], axes[1]), meta
 
     from . import equivariant  # imported here: only the equivariant kinds need it
 

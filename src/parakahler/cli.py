@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Subcommands: angle, graph, equivariant, soliton, phase, normal-bundle,
-nijenhuis, verify.  Outputs are plot-ready CSV (UTF-8, LF, '.' decimal,
-header row, 17 significant digits -> byte-identical reruns); run metadata
-goes into '# key=value' footer lines.  Exit codes: 1 usage, 2 invalid spec,
-3 numerical failure.
+nijenhuis, verify.  The code of the last five is in subcommands, imported
+on the first call of one of them.  Outputs are plot-ready CSV (UTF-8, LF,
+'.' decimal, header row, 17 significant digits -> byte-identical reruns);
+run metadata goes into '# key=value' footer lines.  Exit codes: 1 usage,
+2 invalid spec, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -173,148 +174,12 @@ def cmd_equivariant(args) -> int:
     return 0
 
 
-def cmd_soliton(args) -> int:
-    from . import solitons
+def _in_subcommands(args) -> int:
+    """Run args.command from subcommands, imported on the first such call:
+    the angle commands never load it."""
+    from . import subcommands
 
-    params = solitons.SolitonParams(args.n, args.lambda_prime, args.case)
-    start = [(args.r, args.alpha, args.phi)]
-    if args.bidirectional:
-        traj, = solitons.integrate_bidirectional_many(params, start, args.smax,
-                                                      rtol=args.rtol)
-    else:
-        traj, = solitons.integrate_many(params, start, 1, args.smax, rtol=args.rtol)
-    tag = solitons.classify(traj)
-    scale = max(abs(traj.E0), solitons.radial_weight(args.r, params))
-    E = solitons.energy(traj.states, params)
-    rows = np.column_stack([traj.s, traj.states, E, np.abs(E - traj.E0) / scale])
-    footer = {
-        "classification": tag,
-        "stop_reason": traj.stop_reason,
-        "E0": _fmt(traj.E0),
-        "max_E_drift": _fmt(traj.max_E_drift),
-        "accepted": str(traj.accepted).lower(),
-        "accepted_steps": traj.accepted_steps,
-        "rejected_steps": traj.rejected_steps,
-        "dropped_knots": traj.dropped_knots,
-    }
-    _write_csv(args.out, ["s", "r", "alpha", "phi", "E", "E_drift"], rows, footer)
-    return 0
-
-
-def cmd_phase(args) -> int:
-    from . import solitons
-
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    params = solitons.SolitonParams(args.n, args.lambda_prime, args.case)
-    starts = [(float(r0), float(a0), 0.0)
-              for r0 in np.linspace(args.r_min, args.r_max, args.r_count)
-              for a0 in np.linspace(args.alpha_min, args.alpha_max, args.alpha_count)]
-    trajs = solitons.integrate_bidirectional_many(params, starts, args.smax,
-                                                  rtol=args.rtol)
-    # one text for every trajectory, cut into files where its rows start
-    tables = [np.column_stack([t.s, t.states]) for t in trajs]
-    text = b"".join(_csv_rows(np.concatenate(tables)))
-    row_starts = np.flatnonzero(np.frombuffer(text, dtype=np.uint8) == ord("\n")) + 1
-    cuts = np.insert(row_starts, 0, 0)[np.cumsum([0] + [len(t) for t in tables])].tolist()
-    index_rows = []
-    for i, ((r0, a0, _), traj) in enumerate(zip(starts, trajs)):
-        tag = solitons.classify(traj)
-        name = f"traj_{i:04d}.csv"
-        _write_text(out_dir / name, ["s", "r", "alpha", "phi"], [text[cuts[i]:cuts[i + 1]]],
-                    {"classification": tag, "stop_reason": traj.stop_reason})
-        index_rows.append([r0, a0, traj.E0, tag, traj.stop_reason,
-                           _fmt(traj.max_E_drift), name])
-    _write_csv(out_dir / "index.csv",
-               ["r0", "alpha0", "E", "classification", "stop_reason", "max_E_drift",
-                "file"], index_rows)
-    return 0
-
-
-def cmd_normal_bundle(args) -> int:
-    from . import normalbundle
-
-    if args.shape == "circle":
-        spec = normalbundle.circle_normal_bundle(args.R, 32)
-    elif args.shape == "catenoid":
-        spec = normalbundle.catenoid_normal_bundle(1.0, 9)
-    else:
-        spec = normalbundle.flat_normal_bundle(2, 3)
-    ts = np.linspace(args.t_min, args.t_max, args.t_count)
-    ang = normalbundle.normal_bundle_angle(spec, ts)
-    austere = normalbundle.is_austere(spec)
-    shape = austere.shape
-    index = np.meshgrid(*[np.arange(c) for c in shape], ts, indexing="ij")
-    table = np.stack([*index, ang.q, ang.theta,
-                      np.broadcast_to(austere[..., None], ang.q.shape)], axis=-1)
-    rows = table.reshape(-1, len(shape) + 4)
-    footer = {"shape": args.shape}
-    null = int(np.sum(ang.q == -1))
-    if null:  # a null volume has no polar form
-        footer["nan_DegenerateMetric"] = null
-    header = [f"i{k}" for k in range(len(shape))] + ["t", "q", "theta", "austere"]
-    _write_csv(args.out, header, rows, footer)
-    return 0
-
-
-def cmd_nijenhuis(args) -> int:
-    from .geometry import GridAxis
-    from .structures import (
-        curved_chart,
-        jfield_from_function,
-        nijenhuis,
-        pullback_structure,
-        standard_structure,
-        twist_structure,
-    )
-
-    rows = []
-    if args.structure == "twist":
-        jfun, dims, span = twist_structure, 4, 0.3
-        X, Y = np.eye(4)[2:]
-    else:
-        jfun = (standard_structure if args.structure == "standard"
-                else pullback_structure(curved_chart))
-        dims, span = 2, 0.4
-        X, Y = np.eye(2)
-    count = args.count
-    footer = {"structure": args.structure, "count": count}
-    norms = []
-    for level in range(args.refine):
-        axes = tuple(GridAxis(-span, span, count) for _ in range(dims))
-        jf = jfield_from_function(axes, jfun)
-        N, _ = nijenhuis(jf, X, Y, [((count - 1) // 2,) * dims])
-        norm = float(np.max(np.abs(N)))
-        rows.append([level, axes[0].spacing, norm])
-        norms.append(norm)
-        count = 2 * count - 1
-    verdict = "obstructed"
-    if norms[0] < 1e-9 or (len(norms) > 1 and norms[-1] < norms[0] / 2.5):
-        verdict = "integrable"
-    footer["verdict"] = verdict
-    _write_csv(args.out, ["level", "h", "nijenhuis_norm"], rows, footer)
-    return 0
-
-
-def cmd_verify(args) -> int:
-    from . import verify
-
-    if args.list:
-        for name, (desc, _) in verify.SUITES.items():
-            print(f"{name}: {desc}")
-        return 0
-    names = list(verify.SUITES) if args.suite == "all" else [args.suite]
-    for name in names:
-        if name not in verify.SUITES:
-            print(f"error: unknown suite {name!r}", file=sys.stderr)
-            return 1
-    ok = True
-    for name in names:
-        print(f"== {name}")
-        for result in verify.run_suite(name):
-            print(result.line())
-            ok = ok and result.passed
-    return 0 if ok else 3
+    return subcommands.COMMANDS[args.command](args)
 
 
 @functools.cache
@@ -364,7 +229,7 @@ def build_parser() -> _Parser:
     s.add_argument("--rtol", type=float, default=1e-12)
     s.add_argument("--bidirectional", action="store_true")
     s.add_argument("--out", required=True)
-    s.set_defaults(func=cmd_soliton)
+    s.set_defaults(func=_in_subcommands)
 
     ph = sub.add_parser("phase", help="sweep a grid of initial conditions")
     ph.add_argument("--n", type=int, required=True)
@@ -382,7 +247,7 @@ def build_parser() -> _Parser:
                     help="accepted for compatibility; no effect (the whole grid "
                          "is integrated in one batch)")
     ph.add_argument("--out-dir", required=True)
-    ph.set_defaults(func=cmd_phase)
+    ph.set_defaults(func=_in_subcommands)
 
     nb = sub.add_parser("normal-bundle", help="normal-bundle angles of a base shape")
     nb.add_argument("--shape", choices=["circle", "catenoid", "plane"],
@@ -392,7 +257,7 @@ def build_parser() -> _Parser:
     nb.add_argument("--t-max", type=float, default=0.4)
     nb.add_argument("--t-count", type=_int_at_least(1), default=9)
     nb.add_argument("--out", required=True)
-    nb.set_defaults(func=cmd_normal_bundle)
+    nb.set_defaults(func=_in_subcommands)
 
     nj = sub.add_parser("nijenhuis", help="integrability obstruction under refinement")
     nj.add_argument("--structure", choices=["standard", "pullback", "twist"],
@@ -400,12 +265,12 @@ def build_parser() -> _Parser:
     nj.add_argument("--count", type=_int_at_least(MIN_AXIS_COUNT), default=17)
     nj.add_argument("--refine", type=_int_at_least(1), default=3)
     nj.add_argument("--out", required=True)
-    nj.set_defaults(func=cmd_nijenhuis)
+    nj.set_defaults(func=_in_subcommands)
 
     v = sub.add_parser("verify", help="run named verification suites")
     v.add_argument("--suite", default="all")
     v.add_argument("--list", action="store_true")
-    v.set_defaults(func=cmd_verify)
+    v.set_defaults(func=_in_subcommands)
     return p
 
 
@@ -413,10 +278,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "lift_out", None) and args.count < MIN_AXIS_COUNT:
+        if getattr(args, "lift_out", None):
             # the lift samples the profile on a grid axis
-            parser.error(f"argument --count: --lift-out needs at least "
-                         f"{MIN_AXIS_COUNT}, got {args.count}")
+            if args.count < MIN_AXIS_COUNT:
+                parser.error(f"argument --count: --lift-out needs at least "
+                             f"{MIN_AXIS_COUNT}, got {args.count}")
+            if not args.phi_max > args.phi_min:  # nan fails too
+                parser.error(f"argument --phi-max: --lift-out needs --phi-max > --phi-min, "
+                             f"got {args.phi_min!r} to {args.phi_max!r}")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

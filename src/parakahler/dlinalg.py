@@ -29,17 +29,6 @@ from .errors import DimensionMismatch, LagrangianViolation
 LAGRANGIAN_TOL = 1e-8   # max |omega| <= tol * largest squared frame entry
 
 
-def basis_vector(n: int, j: int, tau: bool = False) -> np.ndarray:
-    v = np.zeros((n, 2))
-    v[j, 1 if tau else 0] = 1.0
-    return v
-
-
-def _check_dims(X, Y):
-    if X.shape != Y.shape:
-        raise DimensionMismatch(f"shapes {X.shape} and {Y.shape} differ")
-
-
 def metric_rows(X, Y) -> np.ndarray:
     """<X, Y> over the trailing (n, 2) axes, broadcast over the rest: the
     metric kernel.  x x' - y y' per component, added left to right onto
@@ -48,29 +37,9 @@ def metric_rows(X, Y) -> np.ndarray:
                for k in range(X.shape[-2]))
 
 
-def metric(X, Y) -> float:
-    X, Y = d_array(X), d_array(Y)
-    _check_dims(X, Y)
-    return float(metric_rows(X, Y))
-
-
 def apply_J(X) -> np.ndarray:
     """Entrywise tau-multiplication: (x, y) -> (y, x)."""
     return d_array(X)[..., ::-1].copy()
-
-
-def omega(X, Y) -> float:
-    X, Y = d_array(X), d_array(Y)
-    _check_dims(X, Y)
-    return float(np.sum(X[..., 0] * Y[..., 1] - X[..., 1] * Y[..., 0]))
-
-
-def d_matmul(A, B) -> np.ndarray:
-    """Matrix product over D for (..., n, m, 2) x (..., m, k, 2) arrays."""
-    A, B = d_array(A), d_array(B)
-    re = A[..., 0] @ B[..., 0] + A[..., 1] @ B[..., 1]
-    im = A[..., 0] @ B[..., 1] + A[..., 1] @ B[..., 0]
-    return np.stack([re, im], axis=-1)
 
 
 _PERMS: dict[int, tuple] = {}

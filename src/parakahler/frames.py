@@ -1,6 +1,9 @@
 """Frames of D^n that only the verification suites build: orthonormal
 frames for indefinite metrics and the Lagrangian angle of explicit frames.
 
+    basis_vector        e_j or tau e_j of D^n
+    metric, omega       <X, Y> and omega(X, Y) of two D-vectors, as floats
+    d_matmul            the matrix product over D
     metric_signatures   the signatures of a stack of tangent frames at once
     signed_gram_schmidt pivoted orthonormalization for indefinite metrics,
                         of one frame or a stack of frames
@@ -32,11 +35,42 @@ from .dlinalg import (
     metric_rows,
     require_lagrangian,
 )
-from .errors import DegenerateMetric, NotJInvariant, OddDimension
+from .errors import DegenerateMetric, DimensionMismatch, NotJInvariant, OddDimension
 from .geometry import induced_gram, normal_project
 
 PIVOT_TOL = 1e-10       # a Gram-Schmidt pivot is null when |<v, v>| <= tol * |v|^2
 J_INVARIANCE_TOL = 1e-8  # least-squares residual of J v_i off the span, relative to |J v_i|
+
+
+def basis_vector(n: int, j: int, tau: bool = False) -> np.ndarray:
+    v = np.zeros((n, 2))
+    v[j, 1 if tau else 0] = 1.0
+    return v
+
+
+def _check_dims(X, Y):
+    if X.shape != Y.shape:
+        raise DimensionMismatch(f"shapes {X.shape} and {Y.shape} differ")
+
+
+def metric(X, Y) -> float:
+    X, Y = d_array(X), d_array(Y)
+    _check_dims(X, Y)
+    return float(metric_rows(X, Y))
+
+
+def omega(X, Y) -> float:
+    X, Y = d_array(X), d_array(Y)
+    _check_dims(X, Y)
+    return float(np.sum(X[..., 0] * Y[..., 1] - X[..., 1] * Y[..., 0]))
+
+
+def d_matmul(A, B) -> np.ndarray:
+    """Matrix product over D for (..., n, m, 2) x (..., m, k, 2) arrays."""
+    A, B = d_array(A), d_array(B)
+    re = A[..., 0] @ B[..., 0] + A[..., 1] @ B[..., 1]
+    im = A[..., 0] @ B[..., 1] + A[..., 1] @ B[..., 0]
+    return np.stack([re, im], axis=-1)
 
 
 def metric_signatures(tangents: np.ndarray) -> list[tuple[int, ...]]:

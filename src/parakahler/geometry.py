@@ -24,8 +24,7 @@ the normal bundle, which avoids signature bookkeeping in codimension.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -37,18 +36,41 @@ MIN_AXIS_COUNT = 2 * JET_MARGIN + 1  # nodes per grid axis: one node clear of bo
 DEGENERACY_TOL = 1e-8   # relative tolerance |det g| < tol * scale^m
 
 
-@dataclass(frozen=True)
 class GridAxis:
-    lo: float
-    hi: float
-    count: int
-    periodic: bool = False
+    """count evenly spaced nodes from lo to hi; a periodic axis leaves out
+    hi, the image of lo.  An immutable value: equal axes compare and hash
+    equal.  A plain class, neither a dataclass (defining one costs ~1 ms of
+    every CLI start without a bytecode cache) nor a tuple (an axis must not
+    iterate as its fields)."""
+    __slots__ = ("lo", "hi", "count", "periodic")
 
-    def __post_init__(self):
-        if self.count < MIN_AXIS_COUNT:
+    def __init__(self, lo: float, hi: float, count: int, periodic: bool = False):
+        if count < MIN_AXIS_COUNT:
             raise ValueError(f"grid axes need at least {MIN_AXIS_COUNT} nodes")
-        if not self.hi > self.lo:
+        if not hi > lo:
             raise ValueError("axis needs hi > lo")
+        for name, value in zip(self.__slots__, (lo, hi, count, periodic)):
+            object.__setattr__(self, name, value)
+
+    def _frozen(self, name, *value):
+        raise AttributeError(f"cannot assign to field {name!r}: GridAxis is immutable")
+
+    __setattr__ = __delattr__ = _frozen
+
+    def _fields(self) -> tuple:
+        return self.lo, self.hi, self.count, self.periodic
+
+    def __eq__(self, other):
+        return self._fields() == other._fields() if type(other) is GridAxis else NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        return "GridAxis(lo={!r}, hi={!r}, count={!r}, periodic={!r})".format(*self._fields())
+
+    def __reduce__(self):
+        return GridAxis, self._fields()
 
     @property
     def spacing(self) -> float:
@@ -145,8 +167,7 @@ def immersion_from_function(axes: Sequence[GridAxis], fn: Callable) -> SampledIm
     return SampledImmersion(axes, sampler=lambda idx: fn(*coordinates(axes, idx)))
 
 
-@dataclass(frozen=True)
-class Jet:
+class Jet(NamedTuple):
     first: np.ndarray   # (..., m, n, 2), leading axes index grid nodes
     second: np.ndarray  # (..., m, m, n, 2)
     value: np.ndarray | None = None  # (..., n, 2), the samples at the nodes

@@ -13,15 +13,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import dcore, dlinalg, equivariant, lagrangian, solitons
+from . import dcore, equivariant, solitons
 from .dcore import d_exp_tau, d_grading2, d_mul, d_norm2, d_polar
-from .dlinalg import apply_J, det_D, metric, omega, require_lagrangian
+from .constructions import (
+    apply_J_immersion,
+    build_null_product,
+    build_paracomplex_graph,
+    j_curve,
+    plane_curve,
+    rotate,
+)
+from .dlinalg import apply_J, det_D, require_lagrangian
 from .errors import LagrangianViolation
 from .frames import (
+    basis_vector,
+    d_matmul,
     gram_identity_check,
     lagrangian_angle_of_frame,
     lagrangian_frames,
+    metric,
     metric_signatures,
+    omega,
     para_adapted_frame,
     random_lagrangian_frames,
     second_fundamental_form,
@@ -34,16 +46,7 @@ from .geometry import (
     grid_jet,
     grid_mean_curvature,
 )
-from .lagrangian import (
-    angle_field,
-    apply_J_immersion,
-    build_gradient_graph,
-    build_null_product,
-    identity_grid,
-    j_curve,
-    nodal_angles,
-    plane_curve,
-)
+from .lagrangian import angle_field, build_gradient_graph, identity_grid, nodal_angles
 from .normalbundle import (
     catenoid_normal_bundle,
     circle_normal_bundle,
@@ -244,7 +247,7 @@ def suite_gram_lemma():
     pairs = rng.normal(size=(300, 2, 3, 3, 2))  # A_0, B_0, A_1, ... as drawn one by one
     A, B = pairs[:, 0], pairs[:, 1]
     dAdB = d_mul(det_D(A), det_D(B))
-    gap = det_D(dlinalg.d_matmul(A, B)) - dAdB
+    gap = det_D(d_matmul(A, B)) - dAdB
     worst = float(np.max(np.hypot(gap[..., 0], gap[..., 1])
                          / np.maximum(np.hypot(dAdB[..., 0], dAdB[..., 1]), 1e-30)))
     out.append(_check("det multiplicativity (3x3)", worst < 1e-10,
@@ -268,8 +271,7 @@ def suite_gram_lemma():
     errs = []
     for i in range(n):
         for j in range(n):
-            errs.append(abs(omega(dlinalg.basis_vector(n, i),
-                                  dlinalg.basis_vector(n, j, tau=True))
+            errs.append(abs(omega(basis_vector(n, i), basis_vector(n, j, tau=True))
                             - (1.0 if i == j else 0.0)))
     out.append(_check("omega is the standard symplectic form", max(errs) < 1e-14,
                       f"max |omega(e_i, tau e_j) - delta_ij| = {max(errs):.2e}"))
@@ -430,7 +432,7 @@ def suite_constant_angle_graphs():
                       sig_ok and flip_err < 1e-10,
                       f"4 nodes, |H' + JH| = {flip_err:.2e}"))
 
-    rot = lagrangian.rotate(monge, 0.1)
+    rot = rotate(monge, 0.1)
     theta_rot, q_rot, _, _ = nodal_angles(rot, [node])
     shift = theta_rot[0] - f.theta[node]
     out.append(_check("rotation shifts the angle by n phi0",
@@ -446,7 +448,7 @@ def suite_constant_angle_graphs():
 def suite_paracomplex_minimal():
     out = []
     axes = (GridAxis(0.1, 0.7, 33), GridAxis(0.0, 0.45, 33))
-    imm = lagrangian.build_paracomplex_graph(lambda z: d_mul(z, z), axes)
+    imm = build_paracomplex_graph(lambda z: d_mul(z, z), axes)
     _, mH, _, has_H = grid_mean_curvature(imm)
     skipped = int(np.sum(imm.margin_mask() & ~has_H))
     worst = float(np.max(np.sqrt(np.sum(d_grading2(mH[has_H] / imm.m), axis=-1))))

@@ -1,5 +1,6 @@
 import ast
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -283,6 +284,50 @@ def test_exit_code_invalid_spec(tmp_path):
                  "--out", str(out)]) == 2
 
 
+GRAPH_SPEC = {"kind": "gradient_graph", "params": {"u": "x1^3"},
+              "grid": {"axes": [{"min": -0.5, "max": 0.5, "count": 9}] * 2}}
+
+
+def _spec_with_axis(lo, hi):
+    """GRAPH_SPEC with its first axis from lo to hi."""
+    first, second = GRAPH_SPEC["grid"]["axes"]
+    return {**GRAPH_SPEC, "grid": {"axes": [{**first, "min": lo, "max": hi}, second]}}
+
+
+LIFT = ["equivariant", "--family", "re", "--count", "9", "--lift-out", "l.csv"]
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["graph", "--u", "x1^3", "--lo", "1", "--hi", "0"], 2,
+     "grid axis 0 needs max > min, got min 1.0 and max 0.0"),
+    (["graph", "--u", "x1^3", "--lo", "0", "--hi", "0"], 2,
+     "grid axis 0 needs max > min, got min 0.0 and max 0.0"),
+    (["graph", "--u", "x1^3", "--lo", "nan"], 2,
+     "grid axis 0 needs max > min, got min nan and max 0.5"),
+    (["angle", "--spec", "equal.json"], 2, "grid axis 0 needs max > min, got min 0.5 and max 0.5"),
+    (["angle", "--spec", "nan.json"], 2, "grid axis 0 needs max > min, got min -0.5 and max nan"),
+    (LIFT + ["--phi-min", "2", "--phi-max", "-2"], 1,
+     "argument --phi-max: --lift-out needs --phi-max > --phi-min, got 2.0 to -2.0"),
+    (LIFT + ["--phi-min", "2", "--phi-max", "2"], 1,
+     "argument --phi-max: --lift-out needs --phi-max > --phi-min, got 2.0 to 2.0"),
+    (LIFT + ["--phi-min", "nan"], 1,
+     "argument --phi-max: --lift-out needs --phi-max > --phi-min, got nan to 2.0"),
+], ids=["graph-reversed", "graph-empty", "graph-nan", "angle-empty", "angle-nan",
+        "lift-reversed", "lift-empty", "lift-nan"])
+def test_empty_or_reversed_axis_ranges_are_reported(argv, code, message, tmp_path,
+                                                     monkeypatch, capsys):
+    # each ended in GridAxis's ValueError traceback (exit 1) before
+    monkeypatch.chdir(tmp_path)
+    Path("equal.json").write_text(json.dumps(_spec_with_axis(0.5, 0.5)), encoding="utf-8")
+    Path("nan.json").write_text(json.dumps(_spec_with_axis(-0.5, math.nan)), encoding="utf-8")
+    assert main(argv + ["--out", "o.csv"]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        f"error: {'invalid spec or file: ' if code == 2 else ''}{message}"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["equal.json", "nan.json"]
+
+
 @pytest.mark.parametrize("u", [
     "x1 +", "y9 + x1", "(" * 250 + "x1" + ")" * 250, "-" * 3000 + "x1",
     "+".join(["x1"] * 5000),
@@ -485,12 +530,22 @@ VERIFY_ONLY = {"parakahler.frames", "parakahler.structures", "parakahler.normalb
 
 def test_cli_commands_load_only_their_own_modules(tmp_path):
     (tmp_path / "torus.json").write_text(json.dumps(torus_spec()), encoding="utf-8")
+    (tmp_path / "graph.json").write_text(json.dumps(GRAPH_SPEC), encoding="utf-8")
+    null_product = {"kind": "null_product",
+                    "params": {"f1": "0.3*s^2", "g1": "s", "f2": "s", "g2": "0.2*s^3"},
+                    "grid": {"axes": [{"min": -1.0, "max": 1.0, "count": 9}] * 2}}
+    (tmp_path / "null.json").write_text(json.dumps(null_product), encoding="utf-8")
     runs = {
-        "angle": [
+        "graph": [
             ["graph", "--u", "x1^3 - x1*x2^2/2", "--count", "17", "--out", "g.csv"],
+            ["angle", "--spec", "graph.json", "--out", "gg.csv"]],
+        "angle": [
             ["angle", "--spec", "torus.json", "--out", "a.csv"],
             ["equivariant", "--family", "circle", "--C", "1.3", "--count", "64",
              "--out", "c.csv", "--lift-out", "l.csv"]],
+        "null-product": [["angle", "--spec", "null.json", "--out", "np.csv"]],
+        "phase": [["phase", "--n", "2", "--lambda-prime", "1", "--case", "lorentzian",
+                   "--r-count", "2", "--alpha-count", "1", "--out-dir", "p"]],
         "nijenhuis": [["nijenhuis", "--structure", "pullback", "--count", "9",
                        "--refine", "2", "--out", "n.csv"]],
         "normal-bundle": [["normal-bundle", "--shape", "catenoid", "--out", "b.csv"]],
@@ -501,12 +556,19 @@ def test_cli_commands_load_only_their_own_modules(tmp_path):
             f"assert main({argv!r}) == 0\n" for argv in calls)
         loaded[run] = _loaded_in_fresh_interpreter(code, cwd=tmp_path)
         assert not loaded[run] & {"jsonschema", "scipy", "parakahler.verify"}
-    # the angle commands start none of the verify-only modules
-    assert not loaded["angle"] & VERIFY_ONLY
+    # the angle commands start none of the verify-only modules, nor the
+    # other commands' code; on a gradient graph, no dataclass either
+    for run in ("graph", "angle", "null-product"):
+        assert not loaded[run] & (VERIFY_ONLY | {"parakahler.subcommands"})
+    assert not loaded["graph"] & ({"dataclasses", "parakahler.constructions"} | SOLITON_ENGINE)
+    assert "parakahler.constructions" in loaded["null-product"]
+    # phase runs from subcommands with the soliton engine, without the suites
+    assert {"parakahler.subcommands"} | SOLITON_ENGINE <= loaded["phase"]
     # nijenhuis samples its J-fields from structures, without the suites
     assert "parakahler.structures" in loaded["nijenhuis"]
     assert not loaded["nijenhuis"] & ({"parakahler.normalbundle"} | SOLITON_ENGINE)
     assert "parakahler.normalbundle" in loaded["normal-bundle"]
     assert "parakahler.structures" not in loaded["normal-bundle"]
-    for name in ("g.csv", "a.csv", "c.csv", "l.csv", "n.csv", "b.csv"):
+    for name in ("g.csv", "gg.csv", "a.csv", "c.csv", "l.csv", "np.csv", "p/index.csv",
+                 "n.csv", "b.csv"):
         assert (tmp_path / name).is_file()

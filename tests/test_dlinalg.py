@@ -9,14 +9,10 @@ from conftest import random_frame_stacks, same_bits
 from parakahler.dlinalg import (
     LAGRANGIAN_TOL,
     apply_J,
-    basis_vector,
-    d_matmul,
     det_D,
     det_real,
     gram,
     inv_real,
-    metric,
-    omega,
     require_lagrangian,
 )
 from parakahler.errors import (
@@ -25,8 +21,12 @@ from parakahler.errors import (
     LagrangianViolation,
 )
 from parakahler.frames import (
+    basis_vector,
+    d_matmul,
     gram_identity_check,
     lagrangian_angle_of_frame,
+    metric,
+    omega,
     random_lagrangian_frames,
 )
 

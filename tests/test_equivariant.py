@@ -265,7 +265,7 @@ def test_minimal_lift_H_refines():
 
 
 def _sampled_lift(case):
-    from parakahler.lagrangian import apply_J_immersion, rotate
+    from parakahler.constructions import apply_J_immersion, rotate
 
     if case == "circle":  # periodic profile and sphere: every axis wraps
         return lift(explicit_circle(1.3, 16), 2, (12,))

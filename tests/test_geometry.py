@@ -1,5 +1,7 @@
+import copy
 import itertools
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ import pytest
 from conftest import count_points, probe_nodes, random_frame_stacks, same_bits
 from parakahler import dlinalg
 from parakahler.dcore import d_exp_tau, d_grading2, d_mul
-from parakahler.dlinalg import apply_J, basis_vector, inv_real, metric, metric_rows
+from parakahler.dlinalg import apply_J, inv_real, metric_rows
 from parakahler.errors import (
     DegenerateMetric,
     NotJInvariant,
@@ -17,6 +19,8 @@ from parakahler.errors import (
 from parakahler.frames import (
     PIVOT_TOL,
     _gram_schmidt_stack,
+    basis_vector,
+    metric,
     metric_signatures,
     para_adapted_frame,
     random_lagrangian_frames,
@@ -26,6 +30,7 @@ from parakahler.frames import (
 from parakahler.geometry import (
     DEGENERACY_TOL,
     JET_MARGIN,
+    MIN_AXIS_COUNT,
     GridAxis,
     Jet,
     SampledImmersion,
@@ -110,6 +115,46 @@ def node_metric(imm, node):
     tangents, _ = coordinate_tangents(imm, [node])
     g, _, degenerate = induced_gram(tangents)
     return g[0], metric_signatures(tangents)[0], bool(degenerate[0])
+
+
+@pytest.mark.parametrize("lo, hi, count", [
+    (0.0, 1.0, MIN_AXIS_COUNT - 1), (0.0, 1.0, 0), (1.0, 0.0, 9), (0.0, 0.0, 9),
+    (math.nan, 1.0, 9), (0.0, math.nan, 9)])
+def test_grid_axis_rejects_short_and_empty_axes(lo, hi, count):
+    with pytest.raises(ValueError):
+        GridAxis(lo, hi, count)
+
+
+def test_grid_axis_is_an_immutable_value():
+    axis = GridAxis(-0.5, 0.5, 9)
+    assert (axis.lo, axis.hi, axis.count, axis.periodic) == (-0.5, 0.5, 9, False)
+    assert axis == GridAxis(-0.5, 0.5, 9, periodic=False)
+    assert hash(axis) == hash(GridAxis(-0.5, 0.5, 9))
+    for other in (GridAxis(-0.5, 0.5, 11), GridAxis(-0.5, 0.6, 9), GridAxis(-0.4, 0.5, 9),
+                  GridAxis(-0.5, 0.5, 9, periodic=True), (-0.5, 0.5, 9, False)):
+        assert axis != other
+    assert len({axis, GridAxis(-0.5, 0.5, 9), GridAxis(-0.5, 0.5, 11)}) == 2
+    assert repr(axis) == "GridAxis(lo=-0.5, hi=0.5, count=9, periodic=False)"
+    assert copy.copy(axis) == axis and pickle.loads(pickle.dumps(axis)) == axis
+    for name in ("lo", "hi", "count", "periodic", "spacing", "other"):
+        with pytest.raises(AttributeError):
+            setattr(axis, name, 1)
+    with pytest.raises(AttributeError):
+        del axis.lo
+    assert (axis.lo, axis.spacing) == (-0.5, 0.125)
+    # an axis is not a sequence: code taking Sequence[GridAxis] cannot
+    # silently read one axis as its fields
+    with pytest.raises(TypeError):
+        iter(axis)
+
+
+def test_jet_is_an_immutable_record():
+    first, second = np.zeros((2, 3, 2)), np.zeros((2, 2, 3, 2))
+    jt = Jet(first, second)
+    assert jt.first is first and jt.second is second and jt.value is None
+    for name in ("first", "second", "value"):
+        with pytest.raises(AttributeError):
+            setattr(jt, name, first)
 
 
 def test_affine_jet_exact():
@@ -392,7 +437,7 @@ def _signed_gram_schmidt_per_frame(vectors):
 
 
 def _null_product_tangents():
-    from parakahler.lagrangian import build_null_product
+    from parakahler.constructions import build_null_product
     from parakahler.verify import _curved_null_pair
 
     imm = build_null_product(*_curved_null_pair(),
@@ -500,7 +545,7 @@ def test_para_adapted_frame_rejects_odd():
 
 def test_para_adapted_frame_on_graph_tangent():
     from parakahler.dcore import d_mul
-    from parakahler.lagrangian import build_paracomplex_graph
+    from parakahler.constructions import build_paracomplex_graph
 
     imm = build_paracomplex_graph(
         lambda z: d_mul(z, z), (GridAxis(0.1, 0.5, 9), GridAxis(0.0, 0.2, 9)))
@@ -1020,7 +1065,8 @@ def _torus_fn(t, p):
 def _sampled_immersion(case):
     """The function-backed immersion of one builder or composition."""
     from parakahler import catalog
-    from parakahler.lagrangian import apply_J_immersion, build_gradient_graph, rotate
+    from parakahler.constructions import apply_J_immersion, rotate
+    from parakahler.lagrangian import build_gradient_graph
 
     plane = (GridAxis(-0.5, 0.5, 11), GridAxis(-0.4, 0.6, 12))
     cube = (GridAxis(-0.5, 0.5, 7), GridAxis(-0.4, 0.6, 8), GridAxis(-0.3, 0.3, 7))
@@ -1059,7 +1105,8 @@ def test_materialized_values_equal_the_eager_builders():
     # .values samples every node through the sampler; the eager builders
     # evaluated their functions on meshgrid coordinate arrays
     from parakahler import catalog
-    from parakahler.lagrangian import apply_J_immersion, build_gradient_graph, rotate
+    from parakahler.constructions import apply_J_immersion, rotate
+    from parakahler.lagrangian import build_gradient_graph
 
     axes = (GridAxis(-0.5, 0.5, 11), GridAxis(-0.4, 0.6, 12))
     x1, x2 = _mesh(axes)

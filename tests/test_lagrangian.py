@@ -7,7 +7,15 @@ import pytest
 
 from parakahler import equivariant
 from parakahler.dcore import d_exp_tau, d_mul, d_polar
-from parakahler.dlinalg import apply_J, metric, require_lagrangian
+from parakahler.constructions import (
+    apply_J_immersion,
+    build_null_product,
+    build_paracomplex_graph,
+    j_curve,
+    plane_curve,
+    rotate,
+)
+from parakahler.dlinalg import apply_J, require_lagrangian
 from parakahler.errors import (
     DegenerateMetric,
     DegeneratePairing,
@@ -15,7 +23,7 @@ from parakahler.errors import (
     NotNullCurve,
     NotParaHolomorphic,
 )
-from parakahler.frames import lagrangian_angle_of_frame, metric_signatures
+from parakahler.frames import lagrangian_angle_of_frame, metric, metric_signatures
 from parakahler.geometry import (
     GridAxis,
     SampledImmersion,
@@ -25,16 +33,11 @@ from parakahler.geometry import (
     induced_gram,
 )
 from parakahler.lagrangian import (
+    AngleField,
     _regions,
     angle_field,
-    apply_J_immersion,
     build_gradient_graph,
-    build_null_product,
-    build_paracomplex_graph,
     identity_grid,
-    j_curve,
-    plane_curve,
-    rotate,
 )
 from parakahler.normalbundle import (
     NormalBundleSpec,
@@ -106,6 +109,35 @@ def test_node_set_identity_checks_every_frame_it_reads():
         identity_grid(bumped, None, [(8, 8)])
     _, residual, _ = identity_grid(bumped, None, [(4, 4)])
     assert residual[0] == identity_grid(imm, None, [(4, 4)])[1][0]
+
+
+def test_angle_field_record_keeps_usable_and_region_summary():
+    imm = build_gradient_graph(square_axes(5), u=lambda x1, x2: 0.0 * x1)
+    computed = np.zeros((5, 5), dtype=bool)
+    computed[:, :3] = True
+    degenerate = np.zeros((5, 5), dtype=bool)
+    degenerate[1] = True
+    region = np.full((5, 5), -1)
+    region[0, :3], region[2:, :3] = 0, 1
+    theta = np.where(region >= 0, np.arange(25.0).reshape(5, 5) / 10, np.nan)
+    q = np.where(region >= 0, region, -1)
+    q[4, 2] = 3
+    # three regions, the last one without nodes
+    field = AngleField(imm, theta, q, degenerate, computed, region, 3, 0.25)
+    assert np.array_equal(field.usable, computed & ~degenerate)
+    *summaries, empty = field.region_summary()
+    assert summaries == [
+        {"region": 0, "nodes": 3, "q": 0, "q_constant": True,
+         "theta_min": 0.0, "theta_max": 0.2},
+        {"region": 1, "nodes": 9, "q": 1, "q_constant": False,
+         "theta_min": 1.0, "theta_max": 2.2},
+    ]
+    assert {k: empty[k] for k in ("region", "nodes", "q", "q_constant")} == {
+        "region": 2, "nodes": 0, "q": -1, "q_constant": True}
+    assert math.isnan(empty["theta_min"]) and math.isnan(empty["theta_max"])
+    for name in ("theta", "usable", "n_regions"):
+        with pytest.raises(AttributeError):
+            setattr(field, name, None)
 
 
 def test_flat_immersion_angle_field():

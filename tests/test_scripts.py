@@ -60,12 +60,20 @@ def test_cold_start_prints_both_figures_of_each_tree(capsys, monkeypatch, tmp_pa
     assert run_script("cold_start", monkeypatch, "--runs", "2", "--src", str(src), str(src)) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].endswith("2 fresh interpreters each")
-    assert len(lines) == 7 and lines[1] == lines[4] == f"{src}:"
-    for line in lines[2:4] + lines[5:7]:
+    assert len(lines) == 9 and lines[1] == lines[5] == f"{src}:"
+    for line in lines[2:4] + lines[6:8]:
         name, times = line.strip().split("  min ")
         low, median = (float(t.split()[0]) for t in times.split("median"))
         assert name.strip() in ("no bytecode cache", "bytecode cache")
         assert 0.0 < low <= median
+    # the modules the children compiled, each with its wc -l
+    assert lines[4] == lines[8]
+    head, listed = lines[4].split(": ", 1)
+    pairs = dict(zip(listed.split()[::2], map(int, listed.split()[1::2])))
+    assert head == f"  loaded {len(pairs)} modules, {sum(pairs.values())} lines"
+    assert {"parakahler", "cli", "catalog", "lagrangian", "geometry"} <= pairs.keys()
+    assert not pairs.keys() & {"subcommands", "constructions", "verify", "frames"}
+    assert pairs["cli"] == (src / "parakahler" / "cli.py").read_bytes().count(b"\n")
     assert list(temp_root.iterdir()) == []
 
 

@@ -23,7 +23,7 @@ import parakahler
 
 SRC = Path(parakahler.__file__).resolve().parent
 ALLOWED_TOLERANCES = {("d_polar", "tol"), ("integrate_many", "rtol")}
-NODE_SET_MODULES = ("dcore", "geometry", "lagrangian", "solitons", "structures")
+NODE_SET_MODULES = ("constructions", "dcore", "geometry", "lagrangian", "solitons", "structures")
 
 
 def _is_number_or_none(node) -> bool:

@@ -251,6 +251,10 @@ def validate_spec(doc: dict) -> dict:
             raise SpecValidationError(
                 f"grid axis {i} needs max > min, got min {axis['min']!r} "
                 f"and max {axis['max']!r}")
+        if not np.isfinite(axis["max"] - axis["min"]):  # inf bounds, overflowing spans
+            raise SpecValidationError(
+                f"grid axis {i} needs a finite max - min, got min {axis['min']!r} "
+                f"and max {axis['max']!r}")
     grad = doc["params"].get("grad")
     if grad is not None and len(grad) != n_axes:  # one partial derivative per axis
         raise SpecValidationError(

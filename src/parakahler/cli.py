@@ -278,14 +278,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "lift_out", None):
-            # the lift samples the profile on a grid axis
-            if args.count < MIN_AXIS_COUNT:
-                parser.error(f"argument --count: --lift-out needs at least "
-                             f"{MIN_AXIS_COUNT}, got {args.count}")
-            if not args.phi_max > args.phi_min:  # nan fails too
-                parser.error(f"argument --phi-max: --lift-out needs --phi-max > --phi-min, "
-                             f"got {args.phi_min!r} to {args.phi_max!r}")
+        # the lift samples the profile on a grid axis
+        if getattr(args, "lift_out", None) and args.count < MIN_AXIS_COUNT:
+            parser.error(f"argument --count: --lift-out needs at least "
+                         f"{MIN_AXIS_COUNT}, got {args.count}")
+        if args.command == "equivariant" and not args.phi_max > args.phi_min:  # nan fails too
+            parser.error(f"argument --phi-max: needs --phi-max > --phi-min, "
+                         f"got {args.phi_min!r} to {args.phi_max!r}")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -5,8 +5,8 @@ frames for indefinite metrics and the Lagrangian angle of explicit frames.
     metric, omega       <X, Y> and omega(X, Y) of two D-vectors, as floats
     d_matmul            the matrix product over D
     metric_signatures   the signatures of a stack of tangent frames at once
-    signed_gram_schmidt pivoted orthonormalization for indefinite metrics,
-                        of one frame or a stack of frames
+    signed_gram_schmidt orthonormal frames for indefinite metrics from two
+                        batched eigen passes over the Gram matrix
     para_adapted_frame  orthonormal frame with e_{2i} = J e_{2i-1}
     second_fundamental_form  h(e_i, e_j) of one node's jet along such a frame
     gram_identity_check det of the Gram matrix against |det_D|^2
@@ -38,7 +38,7 @@ from .dlinalg import (
 from .errors import DegenerateMetric, DimensionMismatch, NotJInvariant, OddDimension
 from .geometry import induced_gram, normal_project
 
-PIVOT_TOL = 1e-10       # a Gram-Schmidt pivot is null when |<v, v>| <= tol * |v|^2
+PIVOT_TOL = 1e-10       # a direction v is null when |<v, v>| <= tol * |v|^2
 J_INVARIANCE_TOL = 1e-8  # least-squares residual of J v_i off the span, relative to |J v_i|
 
 
@@ -89,75 +89,38 @@ class GramSchmidtFrame:
     coeffs: np.ndarray      # frame = coeffs @ input vectors
 
 
-def _gram_schmidt_stack(vectors: np.ndarray, lead: tuple[int, ...] = ()):
-    """signed_gram_schmidt of each frame of (N, m, n, 2), with the one-frame
-    arithmetic: (frame, eps, coeffs, pivots), pivots[:, t] the input vector
-    step t chose.  lead, the caller's stack shape, names a failed frame."""
-    N, m = vectors.shape[:2]
-    every = np.arange(N)
-    work, coeff = vectors.copy(), np.tile(np.eye(m), (N, 1, 1))
-    frame, rows = np.empty_like(work), np.empty_like(coeff)
-    eps, pivots = np.empty((N, m), dtype=int), np.empty((N, m), dtype=np.intp)
-    remaining = np.ones((N, m), dtype=bool)
-    # Null-pair candidates in scan order: pairs a < b, sign +1 then -1.
-    pa, pb = (np.repeat(i, 2) for i in np.triu_indices(m, k=1))
-    ps = np.tile([1.0, -1.0], len(pa) // 2)
-    for t in range(m):
-        for j in range(t):
-            proj = eps[:, j, None] * metric_rows(work, frame[:, j, None])
-            work = work - proj[..., None, None] * frame[:, j, None]
-            coeff = coeff - proj[..., None] * rows[:, j, None]
-        norms = metric_rows(work, work)
-        pivot = np.argmax(np.where(remaining, np.abs(norms), -np.inf), axis=1)
-        norm = norms[every, pivot]
-        g2 = np.sum(d_grading2(work[every, pivot]), axis=-1)
-        null = np.flatnonzero(np.abs(norm) <= PIVOT_TOL * np.maximum(g2, 1e-300))
-        if len(null):
-            # Every remaining vector is null: the first pair sum or difference
-            # of largest non-null norm becomes the pivot.
-            cand = work[null][:, pa] + ps[:, None, None] * work[null][:, pb]
-            nn = metric_rows(cand, cand)
-            cg2 = np.sum(d_grading2(cand), axis=-1)
-            ok = (remaining[null][:, pa] & remaining[null][:, pb]
-                  & (np.abs(nn) > PIVOT_TOL * np.maximum(cg2, 1e-300)))
-            if not ok.any(axis=1).all():
-                i = null[np.argmin(ok.any(axis=1))]
-                where = f"frame {tuple(map(int, np.unravel_index(i, lead)))}: " if lead else ""
-                raise DegenerateMetric(
-                    f"{where}no non-null pivot among remaining vectors or their "
-                    f"pairs (best diagonal {norm[i]:.3e})")
-            best = np.argmax(np.where(ok, np.abs(nn), -1.0), axis=1)
-            a, k = pa[best], np.arange(len(null))
-            work[null, a] = cand[k, best]
-            coeff[null, a] = coeff[null, a] + ps[best, None] * coeff[null, pb[best]]
-            norm[null], pivot[null] = nn[k, best], a
-        eps[:, t] = np.where(norm > 0, 1, -1)
-        scale = 1.0 / np.sqrt(np.abs(norm))
-        frame[:, t] = work[every, pivot] * scale[:, None, None]
-        rows[:, t] = coeff[every, pivot] * scale[:, None]
-        pivots[:, t] = pivot
-        remaining[every, pivot] = False
-    return frame, eps, rows, pivots
-
-
 def signed_gram_schmidt(vectors) -> GramSchmidtFrame:
-    """Pivoted Gram-Schmidt for an indefinite metric, of one frame (m, n, 2)
-    or of each frame of a stack (..., m, n, 2).
+    """Orthonormal frame for an indefinite metric of one frame (m, n, 2) or
+    of each frame of a stack (..., m, n, 2), from two batched eigen passes.
 
-    At each step every remaining vector is orthogonalized against the chosen
-    frame and the one with largest |<v, v>| becomes the next pivot, which
-    avoids normalizing a null vector.  When every remaining vector is null
-    but the span is not degenerate (a hyperbolic pair of null directions,
-    e.g. the tangents of a null-curve product), a pairwise sum or difference
-    is substituted as the pivot.  DegenerateMetric is raised when no pivot
-    with a non-null norm exists (for a stack: naming the frame).  One frame
-    gives its signature as a tuple, a stack as an int array (..., m).
+    A pass diagonalizes g = Q L Q^T = gram(vectors) and takes the frame
+    |L|^(-1/2) Q^T vectors.  A direction w = Q_i^T vectors is null when
+    |L_i| <= PIVOT_TOL * |w|^2 (for a stack, DegenerateMetric names the
+    first such frame).  The first pass loses accuracy to
+    cond(g) = cond(vectors)^2; the second, over the first pass's frame
+    whose Gram matrix is diag(eps) up to rounding, restores it (the
+    argument of CholeskyQR2).  One frame gives its signature as a tuple, a
+    stack as an int array (..., m), negative signs first.
     """
     vectors = d_array(vectors)
     lead, (m, n) = vectors.shape[:-3], vectors.shape[-3:-1]
-    frame, eps, coeffs, _ = _gram_schmidt_stack(vectors.reshape(-1, m, n, 2), lead)
+    frame, coeffs = vectors.reshape(-1, m, n, 2), np.eye(m)
+    for _ in range(2):
+        L, Q = np.linalg.eigh(gram(frame))
+        rows = Q.transpose(0, 2, 1)
+        frame = (rows @ frame.reshape(-1, m, 2 * n)).reshape(-1, m, n, 2)
+        null = np.abs(L) <= PIVOT_TOL * np.sum(d_grading2(frame), axis=-1)
+        if null.any():
+            i, k = map(int, np.argwhere(null)[0])
+            where = f"frame {tuple(map(int, np.unravel_index(i, lead)))}: " if lead else ""
+            raise DegenerateMetric(f"{where}null direction {k} of the Gram matrix "
+                                   f"(eigenvalue {L[i, k]:.3e})")
+        scale = 1.0 / np.sqrt(np.abs(L))
+        frame = frame * scale[..., None, None]
+        coeffs = scale[..., None] * (rows @ coeffs)
+    eps = np.where(L > 0, 1, -1)
     if not lead:
-        return GramSchmidtFrame(frame[0], tuple(int(s) for s in eps[0]), coeffs[0])
+        return GramSchmidtFrame(frame[0], tuple(eps[0].tolist()), coeffs[0])
     return GramSchmidtFrame(frame.reshape(vectors.shape), eps.reshape(lead + (m,)),
                             coeffs.reshape(lead + (m, m)))
 

@@ -641,19 +641,15 @@ def _trajectories(params, field, y0, directions, steps, fired, K_last, limits):
     F_last = _dense(K_last, y_from, y_to, directions * h_all[last], field)
     pair_lane, pair_event = np.nonzero(fired)
     F, y_a, y_b = F_last[:, :, pair_lane], y_from[:, pair_lane], y_to[:, pair_lane]
-    # each pair's own row of _events: the state row it reads, |.| from
-    # alpha_max on, and the field on alpha_floor pairs only
-    read, cols = np.array([0, 0, 1, 1, 3])[pair_event], np.arange(pair_lane.size)
-    floor, limit = np.flatnonzero(pair_event == 3), limits[pair_event, 0]
+    cols = np.arange(pair_lane.size)
 
     def event(x):
-        # at fraction 1 the knot itself, whose event signs fired the stop
+        # each pair's own row of _events; at fraction 1 the knot itself,
+        # whose event signs fired the stop.  The rows a pair discards may
+        # divide by a zero r.
         y = np.where(x == 1.0, y_b, _interpolate(F, y_a, x))
-        ev = np.where(pair_event >= 2, np.abs(y[read, cols]), y[read, cols])
-        if floor.size:
-            f = field(y[:, floor])
-            ev[floor] += np.abs(f[1] / f[3])
-        return ev - limit
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return _events(y, field(y), limits)[pair_event, cols]
 
     roots = np.full(fired.shape, np.inf)
     roots[pair_lane, pair_event] = bracket_roots(

@@ -294,7 +294,8 @@ def _spec_with_axis(lo, hi):
     return {**GRAPH_SPEC, "grid": {"axes": [{**first, "min": lo, "max": hi}, second]}}
 
 
-LIFT = ["equivariant", "--family", "re", "--count", "9", "--lift-out", "l.csv"]
+CURVE = ["equivariant", "--family", "re", "--count", "9"]
+LIFT = CURVE + ["--lift-out", "l.csv"]
 
 
 @pytest.mark.parametrize("argv, code, message", [
@@ -307,25 +308,38 @@ LIFT = ["equivariant", "--family", "re", "--count", "9", "--lift-out", "l.csv"]
     (["angle", "--spec", "equal.json"], 2, "grid axis 0 needs max > min, got min 0.5 and max 0.5"),
     (["angle", "--spec", "nan.json"], 2, "grid axis 0 needs max > min, got min -0.5 and max nan"),
     (LIFT + ["--phi-min", "2", "--phi-max", "-2"], 1,
-     "argument --phi-max: --lift-out needs --phi-max > --phi-min, got 2.0 to -2.0"),
+     "argument --phi-max: needs --phi-max > --phi-min, got 2.0 to -2.0"),
     (LIFT + ["--phi-min", "2", "--phi-max", "2"], 1,
-     "argument --phi-max: --lift-out needs --phi-max > --phi-min, got 2.0 to 2.0"),
+     "argument --phi-max: needs --phi-max > --phi-min, got 2.0 to 2.0"),
     (LIFT + ["--phi-min", "nan"], 1,
-     "argument --phi-max: --lift-out needs --phi-max > --phi-min, got nan to 2.0"),
+     "argument --phi-max: needs --phi-max > --phi-min, got nan to 2.0"),
+    (["graph", "--u", "x1^3", "--hi", "inf"], 2,
+     "grid axis 0 needs a finite max - min, got min -0.5 and max inf"),
+    (["graph", "--u", "x1", "--lo=-1e308", "--hi", "1e308"], 2,
+     "grid axis 0 needs a finite max - min, got min -1e+308 and max 1e+308"),
+    (["angle", "--spec", "inf.json"], 2,
+     "grid axis 0 needs a finite max - min, got min -0.5 and max inf"),
+    (CURVE + ["--phi-min", "2", "--phi-max", "2"], 1,
+     "argument --phi-max: needs --phi-max > --phi-min, got 2.0 to 2.0"),
+    (CURVE + ["--phi-min", "2", "--phi-max", "-2"], 1,
+     "argument --phi-max: needs --phi-max > --phi-min, got 2.0 to -2.0"),
 ], ids=["graph-reversed", "graph-empty", "graph-nan", "angle-empty", "angle-nan",
-        "lift-reversed", "lift-empty", "lift-nan"])
+        "lift-reversed", "lift-empty", "lift-nan", "graph-inf", "graph-overflow",
+        "angle-inf", "curve-empty", "curve-reversed"])
 def test_empty_or_reversed_axis_ranges_are_reported(argv, code, message, tmp_path,
                                                      monkeypatch, capsys):
-    # each ended in GridAxis's ValueError traceback (exit 1) before
+    # each ended in a traceback or wrote a file before
     monkeypatch.chdir(tmp_path)
     Path("equal.json").write_text(json.dumps(_spec_with_axis(0.5, 0.5)), encoding="utf-8")
     Path("nan.json").write_text(json.dumps(_spec_with_axis(-0.5, math.nan)), encoding="utf-8")
+    Path("inf.json").write_text(json.dumps(_spec_with_axis(-0.5, 7.0)).replace("7.0", "1e309"),
+                                encoding="utf-8")
     assert main(argv + ["--out", "o.csv"]) == code
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert [line for line in err.splitlines() if line.startswith("error:")] == [
         f"error: {'invalid spec or file: ' if code == 2 else ''}{message}"]
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["equal.json", "nan.json"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["equal.json", "inf.json", "nan.json"]
 
 
 @pytest.mark.parametrize("u", [

@@ -8,12 +8,15 @@
 - Geometry is queried at every node or at a node set, and a mask says
   where a quantity is undefined: no function of NODE_SET_MODULES takes a
   parameter named `node`, with no exemption.
-- Every public top-level function and class has a use in the package or in
-  scripts/ outside its own definition: an identifier, an attribute or an
-  imported name.  A helper that only tests call belongs in the tests.
+- Every top-level function and class, private ones too, and every
+  module-level ALL_CAPS or _ALL_CAPS constant has a use in the package or
+  in scripts/ outside its own definition: an identifier, an attribute or
+  an imported name.  A helper or tolerance that only tests use belongs in
+  the tests.
 """
 
 import ast
+import re
 from collections import defaultdict
 from pathlib import Path
 
@@ -90,21 +93,34 @@ def _references(stmt):
             yield node.name
 
 
+CONSTANT = re.compile(r"_?[A-Z][A-Z0-9_]*")
+
+
+def _definitions(stmt):
+    """Names a top-level statement defines that need a use: a def or class,
+    or the ALL_CAPS names an assignment binds."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        yield stmt.name
+    elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+        for target in stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]:
+            yield from (node.id for node in ast.walk(target)
+                        if isinstance(node, ast.Name) and CONSTANT.fullmatch(node.id))
+
+
 def unreferenced_definitions(package: dict, others: dict) -> list[str]:
-    """module.name of each public top-level def or class of the package
-    trees that no other top-level statement, of the package or of the
-    other trees, references.  Both map a module name to its tree."""
+    """module.name of each top-level def, class or ALL_CAPS constant of the
+    package trees that no other top-level statement, of the package or of
+    the other trees, references.  Both map a module name to its tree."""
     users = defaultdict(set)  # name: {(module, statement index)}
     for module, tree in {**package, **others}.items():
         for i, stmt in enumerate(tree.body):
             for name in _references(stmt):
                 users[name].add((module, i))
-    return [f"{module}.{stmt.name}"
+    return [f"{module}.{name}"
             for module, tree in package.items()
             for i, stmt in enumerate(tree.body)
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-            and not stmt.name.startswith("_")
-            and not users[stmt.name] - {(module, i)}]
+            for name in _definitions(stmt)
+            if not users[name] - {(module, i)}]
 
 
 def node_parameters(tree) -> list[str]:
@@ -162,11 +178,15 @@ def test_rules_see_violations():
                        "def recursive(k):\n    return recursive(k - 1)\n"
                        "class Unused:\n    pass\n"
                        "def _private():\n    pass\n"
+                       "def _helper():\n    return _SCALE * TOL\n"
                        "def by_attribute():\n    pass\n"
                        "def by_import():\n    pass\n"
-                       "x = used()\n"),
+                       "TOL = 1e-8\n_SCALE: float = 2.0\n_SPARE, lower = 1, 2\n"
+                       "UNUSED_TOL = 1e-10\n"
+                       "x = used() + _helper()\n"),
         "n": ast.parse("import m\nfrom m import by_import\nm.by_attribute\n"),
     }
-    assert unreferenced_definitions(package, {}) == ["m.recursive", "m.Unused"]
-    assert unreferenced_definitions(package, {"s": ast.parse("m.Unused()")}) == [
-        "m.recursive"]
+    assert unreferenced_definitions(package, {}) == [
+        "m.recursive", "m.Unused", "m._private", "m._SPARE", "m.UNUSED_TOL"]
+    assert unreferenced_definitions(package, {"s": ast.parse("m.Unused(m.UNUSED_TOL)")}) == [
+        "m.recursive", "m._private", "m._SPARE"]

@@ -247,14 +247,22 @@ def validate_spec(doc: dict) -> dict:
         raise SpecValidationError(
             f"kind {kind!r} needs {expected} grid axes, got {n_axes}")
     for i, axis in enumerate(doc["grid"]["axes"]):
-        if not axis["max"] > axis["min"]:  # nan fails too
+        try:
+            lo, hi = float(axis["min"]), float(axis["max"])
+        except OverflowError:  # a JSON integer beyond double range
             raise SpecValidationError(
-                f"grid axis {i} needs max > min, got min {axis['min']!r} "
-                f"and max {axis['max']!r}")
-        if not np.isfinite(axis["max"] - axis["min"]):  # inf bounds, overflowing spans
+                f"grid axis {i} needs min and max within double range") from None
+        got = f"got min {axis['min']!r} and max {axis['max']!r}"
+        if not hi > lo:  # nan fails too
+            raise SpecValidationError(f"grid axis {i} needs max > min, {got}")
+        if not np.isfinite(hi - lo):  # inf bounds, overflowing spans
+            raise SpecValidationError(f"grid axis {i} needs a finite max - min, {got}")
+        # the jet stencils divide by h^2 and 4 h h' (geometry._second_differences)
+        h = GridAxis(lo, hi, axis["count"], axis.get("periodic", False)).spacing
+        if not np.isfinite(4.0 * h * h):
             raise SpecValidationError(
-                f"grid axis {i} needs a finite max - min, got min {axis['min']!r} "
-                f"and max {axis['max']!r}")
+                f"grid axis {i} needs a spacing whose square is finite, got spacing "
+                f"{h!r} from min {axis['min']!r} and max {axis['max']!r}")
     grad = doc["params"].get("grad")
     if grad is not None and len(grad) != n_axes:  # one partial derivative per axis
         raise SpecValidationError(

@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .dcore import d_array, d_grading2, d_mul, d_norm2, para_cauchy_riemann_residual
+from .dcore import d_array, d_grading2, d_mul, d_norm2
 from .dlinalg import apply_J
 from .errors import DegeneratePairing, LagrangianViolation, NotNullCurve, NotParaHolomorphic
 from .geometry import GridAxis, SampledImmersion
@@ -82,6 +82,21 @@ def build_null_product(curve1: Callable, curve2: Callable,
     g2v = d_array(curve2(sv))
     values = g1[:, None, :, :] + g2v[None, :, :, :]
     return SampledImmersion((axis_u, axis_v), values)
+
+
+def para_cauchy_riemann_residual(f, hx: float, hy: float) -> np.ndarray:
+    """|df/dzbar| at the interior nodes of a D-valued (nx, ny) sample grid:
+    an (nx - 2, ny - 2) array.
+
+    df/dzbar = (d_x f - tau d_y f) / 2, central differences; the magnitude is
+    the grading norm sqrt(Re^2 + Im^2).
+    """
+    f = d_array(f)
+    if f.ndim != 3:
+        raise ValueError("expected a 2-d grid of para-complex values")
+    fx = (f[2:, 1:-1] - f[:-2, 1:-1]) / (2.0 * hx)
+    fy = (f[1:-1, 2:] - f[1:-1, :-2]) / (2.0 * hy)
+    return np.sqrt(d_grading2(0.5 * (fx - d_mul(np.array([0.0, 1.0]), fy))))
 
 
 def build_paracomplex_graph(f: Callable, axes: Sequence[GridAxis]) -> SampledImmersion:

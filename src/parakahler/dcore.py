@@ -40,8 +40,11 @@ def d_array(z) -> np.ndarray:
 def d_mul(a, b) -> np.ndarray:
     a, b = d_array(a), d_array(b)
     out = np.empty(np.broadcast_shapes(a.shape, b.shape))
-    out[..., 0] = a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]
-    out[..., 1] = a[..., 0] * b[..., 1] + a[..., 1] * b[..., 0]
+    x, y, u, v = a[..., 0], a[..., 1], b[..., 0], b[..., 1]
+    re, im = x * u, x * v
+    re += y * v  # in place: one temporary less per component
+    im += y * u
+    out[..., 0], out[..., 1] = re, im
     return out
 
 
@@ -64,7 +67,10 @@ def d_grading2(a) -> np.ndarray:
 
 def d_exp_tau(theta) -> np.ndarray:
     theta = np.asarray(theta, dtype=float)
-    return np.stack([np.cosh(theta), np.sinh(theta)], axis=-1)
+    out = np.empty(theta.shape + (2,))
+    np.cosh(theta, out=out[..., 0])
+    np.sinh(theta, out=out[..., 1])
+    return out
 
 
 def d_pow(a, k: int) -> np.ndarray:
@@ -91,7 +97,7 @@ def d_polar(a, tol: float = NULL_TOL):
     r=theta=0 and must be ignored by the caller.
     """
     a = d_array(a)
-    x, y = (np.ascontiguousarray(a[..., c]).reshape(-1) for c in (0, 1))
+    x, y = a.reshape(-1, 2).T
     n2 = (x - y) * (x + y)
     null = ~(np.abs(n2) > tol * (x ** 2 + y ** 2))
     n2[null] = 1.0
@@ -103,21 +109,6 @@ def d_polar(a, tol: float = NULL_TOL):
     shape = a.shape[:-1]
     return (p.reshape(shape), q.astype(int).reshape(shape), r.reshape(shape),
             theta.reshape(shape), null.reshape(shape))
-
-
-def para_cauchy_riemann_residual(f, hx: float, hy: float) -> np.ndarray:
-    """|df/dzbar| at the interior nodes of a D-valued (nx, ny) sample grid:
-    an (nx - 2, ny - 2) array.
-
-    df/dzbar = (d_x f - tau d_y f) / 2, central differences; the magnitude is
-    the grading norm sqrt(Re^2 + Im^2).
-    """
-    f = d_array(f)
-    if f.ndim != 3:
-        raise ValueError("expected a 2-d grid of para-complex values")
-    fx = (f[2:, 1:-1] - f[:-2, 1:-1]) / (2.0 * hx)
-    fy = (f[1:-1, 2:] - f[1:-1, :-2]) / (2.0 * hy)
-    return np.sqrt(d_grading2(0.5 * (fx - d_mul(np.array([0.0, 1.0]), fy))))
 
 
 def bracket_roots(g, lo, hi, xtol):

@@ -50,7 +50,7 @@ class ProfileCurve:
         g = d_array(self.gamma)
         if s.ndim != 1 or g.shape != (s.size, 2):
             raise ValueError("profile curve needs matching 1-d samples")
-        if np.any(np.all(np.abs(g) < 1e-14, axis=-1)):
+        if np.any((np.abs(g[:, 0]) < 1e-14) & (np.abs(g[:, 1]) < 1e-14)):
             raise ValueError("profile curve must avoid the origin")
         object.__setattr__(self, "s", s)
         object.__setattr__(self, "gamma", g)
@@ -64,7 +64,10 @@ class ProfileCurve:
         (one-sided at open ends)."""
         h = self.spacing
         if self.fn is not None:
-            return d_array((self.fn(self.s + h) - self.fn(self.s - h)) / (2 * h))
+            d = d_array(self.fn(self.s + h))
+            d -= self.fn(self.s - h)
+            d /= 2 * h
+            return d
         g = self.gamma
         if self.periodic:
             return (np.roll(g, -1, axis=0) - np.roll(g, 1, axis=0)) / (2 * h)
@@ -122,18 +125,24 @@ def lift(curve: ProfileCurve, n: int, sphere_counts=None) -> SampledImmersion:
     sphere = tuple(a.count for a in axes)
     sigma = embed(*coordinates(axes, np.indices(sphere))).reshape(-1, n)  # once per node
 
-    def sample(idx):
-        # F[i, ..., j, c] = gamma[i, c] sigma[..., j], one product per c
-        node = idx[1]  # the sphere node's row of sigma
-        for i, count in zip(idx[2:], sphere[1:]):
-            node = node * count + i
-        g, s = gamma.take(idx[0], axis=0), sigma.take(node, axis=0)
-        F = np.empty(s.shape + (2,))
+    def product(g, s):
+        # F[..., j, c] = gamma[..., c] sigma[..., j], one product per c
+        F = np.empty(np.broadcast_shapes(g.shape[:-1], s.shape[:-1]) + (n, 2))
         for c in range(2):
             np.multiply(s, g[..., c:c + 1], out=F[..., c])
         return F
 
-    return SampledImmersion((s_axis,) + axes, sampler=sample)
+    def sample(idx):
+        node = idx[1]  # the sphere node's row of sigma
+        for i, count in zip(idx[2:], sphere[1:]):
+            node = node * count + i
+        return product(gamma.take(idx[0], axis=0), sigma.take(node, axis=0))
+
+    # every node: each gamma sample times each sigma row, read once each
+    def outer():
+        return product(gamma[:, None, :], sigma).reshape(gamma.shape[:1] + sphere + (n, 2))
+
+    return SampledImmersion((s_axis,) + axes, sampler=sample, outer=outer)
 
 
 def equivariant_volume(curve: ProfileCurve, n: int) -> np.ndarray:
@@ -164,8 +173,9 @@ def level_curve(n: int, C: float, which: str, phi_lo: float, phi_hi: float,
     def fn(phi):
         phi = np.asarray(phi, dtype=float)
         denom = np.cosh(n * phi) if which == "re" else np.sinh(n * phi)
-        r = (C / denom) ** (1.0 / n)
-        return r[..., None] * d_exp_tau(phi)
+        gamma = d_exp_tau(phi)
+        gamma *= ((C / denom) ** (1.0 / n))[..., None]
+        return gamma
 
     curve = profile_from_function(fn, phi_lo, phi_hi, count,
                                   family=f"{which}_level")

@@ -39,6 +39,11 @@ from .errors import DegenerateMetric, DimensionMismatch, NotJInvariant, OddDimen
 from .geometry import induced_gram, normal_project
 
 PIVOT_TOL = 1e-10       # a direction v is null when |<v, v>| <= tol * |v|^2
+# ... or dependent when |v|^2 <= tol * (the frame's sum of |v_i|^2): the
+# rounding of an exact dependency leaves |v|^2 below ~1e-24 of that sum
+# (3.3e-25 at worst over random stacks), the nearly dependent frames the
+# tests orthonormalize (v_3 = v_1 + 1e-7 w) keep it above 3.6e-16
+RANK_TOL = 1e-20
 J_INVARIANCE_TOL = 1e-8  # least-squares residual of J v_i off the span, relative to |J v_i|
 
 
@@ -95,12 +100,14 @@ def signed_gram_schmidt(vectors) -> GramSchmidtFrame:
 
     A pass diagonalizes g = Q L Q^T = gram(vectors) and takes the frame
     |L|^(-1/2) Q^T vectors.  A direction w = Q_i^T vectors is null when
-    |L_i| <= PIVOT_TOL * |w|^2 (for a stack, DegenerateMetric names the
-    first such frame).  The first pass loses accuracy to
-    cond(g) = cond(vectors)^2; the second, over the first pass's frame
-    whose Gram matrix is diag(eps) up to rounding, restores it (the
-    argument of CholeskyQR2).  One frame gives its signature as a tuple, a
-    stack as an int array (..., m), negative signs first.
+    |L_i| <= PIVOT_TOL * |w|^2, and a dependency of the vectors when
+    |w|^2 <= RANK_TOL * sum_j |w_j|^2 (Euclidean lengths; the sum is the
+    frame's squared Frobenius norm, since Q is orthogonal).  For a stack,
+    DegenerateMetric names the first such frame.  The first pass loses
+    accuracy to cond(g) = cond(vectors)^2; the second, over the first
+    pass's frame whose Gram matrix is diag(eps) up to rounding, restores it
+    (the argument of CholeskyQR2).  One frame gives its signature as a
+    tuple, a stack as an int array (..., m), negative signs first.
     """
     vectors = d_array(vectors)
     lead, (m, n) = vectors.shape[:-3], vectors.shape[-3:-1]
@@ -109,11 +116,12 @@ def signed_gram_schmidt(vectors) -> GramSchmidtFrame:
         L, Q = np.linalg.eigh(gram(frame))
         rows = Q.transpose(0, 2, 1)
         frame = (rows @ frame.reshape(-1, m, 2 * n)).reshape(-1, m, n, 2)
-        null = np.abs(L) <= PIVOT_TOL * np.sum(d_grading2(frame), axis=-1)
+        sq = np.sum(d_grading2(frame), axis=-1)
+        null = (np.abs(L) <= PIVOT_TOL * sq) | (sq <= RANK_TOL * np.sum(sq, axis=-1)[:, None])
         if null.any():
             i, k = map(int, np.argwhere(null)[0])
             where = f"frame {tuple(map(int, np.unravel_index(i, lead)))}: " if lead else ""
-            raise DegenerateMetric(f"{where}null direction {k} of the Gram matrix "
+            raise DegenerateMetric(f"{where}null or dependent direction {k} of the Gram matrix "
                                    f"(eigenvalue {L[i, k]:.3e})")
         scale = 1.0 / np.sqrt(np.abs(L))
         frame = frame * scale[..., None, None]
@@ -227,21 +235,28 @@ def random_lagrangian_frames(n: int, count: int, rng: np.random.Generator) -> np
     for A until one passes.  Generator.normal fills its output in stream
     order, so drawing exactly what the remaining frames still consume (two
     each, one less while an S waits for its A) gives the frames and the
-    generator state of count one-frame draws.
+    generator state of count one-frame draws.  In a chunk, A is every
+    passing draw an even number of places into its run of passing draws
+    (the draw after an A is the next S, whether it passes or not), and the
+    draw after each A is an S.
     """
     if count == 0:
         return np.empty((0, n, n, 2))
     chunks, s_at, a_at = [], [], []
-    k = 0
+    k = 0  # the chunk's first index in the stream
     while len(a_at) < count:
         draw = rng.normal(size=(2 * count - len(a_at) - len(s_at), n, n))
         chunks.append(draw)
-        for det in np.linalg.det(draw).tolist():
-            if len(s_at) == len(a_at):
-                s_at.append(k)
-            elif abs(det) >= 0.1:
-                a_at.append(k)
-            k += 1
+        passes = np.abs(np.linalg.det(draw)) >= 0.1
+        if len(s_at) == len(a_at):  # the chunk opens with an S
+            s_at.append(k)
+            passes[0] = False
+        i = np.arange(len(draw))
+        run_start = np.maximum.accumulate(np.where(passes & ~np.r_[False, passes[:-1]], i, 0))
+        a = k + np.flatnonzero(passes & ((i - run_start) % 2 == 0))
+        k += len(draw)
+        a_at += a.tolist()
+        s_at += (a + 1)[a + 1 < k].tolist()
     stream = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
     return lagrangian_frames(stream.take(a_at, axis=0), stream.take(s_at, axis=0))
 

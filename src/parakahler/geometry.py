@@ -86,13 +86,17 @@ class SampledGrid:
     at a tuple of index arrays (one per axis, of one shape).  An array-backed
     grid, SampledGrid(axes, array), is the sampler array[idx]; a
     function-backed one evaluates its function at the coordinates of idx.
-    whole() materializes every node once, through the same sampler."""
+    whole() materializes every node once, through the same sampler, or
+    through outer() where the grid has one: a function returning every
+    node's samples, for a grid whose sampler would recompute what the
+    whole grid shares (its values then equal the sampler's bit for bit)."""
     dtype = None  # of the samples; None keeps the sampler's
 
-    def __init__(self, axes, array=None, sampler=None):
+    def __init__(self, axes, array=None, sampler=None, outer=None):
         self.axes = tuple(axes)
         self._whole = None if array is None else self._checked(array, self.shape)
         self.sampler = sampler if array is None else self._whole.__getitem__
+        self.outer = outer
 
     def _checked(self, samples, lead):
         """The samples as an array; lead is the shape of the index arrays."""
@@ -113,7 +117,8 @@ class SampledGrid:
     def whole(self) -> np.ndarray:
         """The samples at every node, leading axes the grid's."""
         if self._whole is None:
-            self._whole = self.sample(tuple(np.indices(self.shape)))
+            self._whole = (self.sample(tuple(np.indices(self.shape))) if self.outer is None
+                           else self._checked(self.outer(), self.shape))
         return self._whole
 
 
@@ -189,37 +194,51 @@ def node_set(sampled, nodes):
 
 
 @functools.cache
-def _offsets(m: int, box: bool):
-    """(offsets (m, p), the column of each offset tuple): the 3^m box, or
-    its star, the node and its 2m neighbours."""
-    offsets = np.indices((3,) * m).reshape(m, -1) - 1
-    if not box:
-        offsets = offsets[:, np.abs(offsets).sum(axis=0) <= 1]
+def _offsets(m: int, kind: str):
+    """(offsets (m, p), the column of each offset tuple) of a stencil kind:
+    "star", the node and its 2m neighbours; "box", the 3^m box; "wide",
+    the box and the stars of the 2m neighbours."""
+    offsets = np.indices((5,) * m).reshape(m, -1) - 2
+    size, reach = np.abs(offsets).max(axis=0), np.abs(offsets).sum(axis=0)
+    offsets = offsets[:, {"star": reach <= 1, "box": size <= 1,
+                          "wide": (size <= 1) | (reach <= 2)}[kind]]
     return offsets, {offset: j for j, offset in enumerate(zip(*offsets.tolist()))}
 
 
-def stencil(grid: SampledGrid, nodes=None, box: bool = True):
+def _sample_around(grid: SampledGrid, nodes, kind: str):
+    """(samples (k, p, ...), column): grid sampled once on the stencil of
+    kind around each node of the node set nodes, every axis wrapped."""
+    offsets, column = _offsets(grid.m, kind)
+    idx = (nodes.T[:, :, None] + offsets[:, None, :]) % np.array(grid.shape)[:, None, None]
+    return grid.sample(tuple(idx)), column
+
+
+def stencil(grid: SampledGrid, nodes=None, kind: str = "box"):
     """shifted(deltas): the samples of grid offset by {axis: delta} cells
     with every axis wrapped, at every node (nodes None, leading grid axes)
     or at the node set nodes (k, m), leading axis k.  A node set is sampled
-    once, on the 3^m box around each node (box) or on its star (the node and
-    its 2m neighbours), and shifted gathers from those samples.  Both give
-    each node the same values, so the arithmetic on them agrees bit for bit;
-    shifted({}) is grid at the nodes."""
+    once, on the stencil of kind around each node (_offsets), and shifted
+    gathers from those samples.  Both give each node the same values, so
+    the arithmetic on them agrees bit for bit; shifted({}) is grid at the
+    nodes."""
     if nodes is None:
         whole = grid.whole()
-        return lambda deltas: (np.roll(whole, [-d for d in deltas.values()], axis=list(deltas))
-                               if deltas else whole)
-    offsets, column = _offsets(grid.m, box)
-    idx = (nodes.T[:, :, None] + offsets[:, None, :]) % np.array(grid.shape)[:, None, None]
-    samples = grid.sample(tuple(idx))  # (k, p, ...)
+
+        def shifted(deltas):  # np.roll's values, gathered by take (a fifth of its cost)
+            out = whole
+            for a, d in deltas.items():
+                out = out.take((np.arange(grid.shape[a]) + d) % grid.shape[a], axis=a)
+            return out
+
+        return shifted
+    samples, column = _sample_around(grid, nodes, kind)
     return lambda deltas: samples[:, column[tuple(deltas.get(a, 0) for a in range(grid.m))]]
 
 
 def neighbourhood(grid: SampledGrid, nodes) -> np.ndarray:
     """grid at each node and at its neighbours +e_0, -e_0, +e_1, ... on the
     star stencil, stacked on a new leading axis of length 1 + 2m."""
-    shifted = stencil(grid, nodes, box=False)
+    shifted = stencil(grid, nodes, "star")
     return np.stack([shifted({})] + [shifted({l: s}) for l in range(grid.m) for s in (+1, -1)])
 
 
@@ -248,8 +267,7 @@ def coordinate_tangents(imm: SampledImmersion, nodes=None):
     marks the nodes with the full jet margin (wrapped values elsewhere are
     garbage)."""
     nodes = node_set(imm, nodes)
-    tangents = _first_differences(stencil(imm, nodes, box=False),
-                                  [a.spacing for a in imm.axes])
+    tangents = _first_differences(stencil(imm, nodes, "star"), [a.spacing for a in imm.axes])
     return tangents, margin_mask(imm.axes, JET_MARGIN, nodes)
 
 
@@ -261,6 +279,42 @@ def grid_jet(imm: SampledImmersion, nodes=None) -> tuple[Jet, np.ndarray]:
     shifted, h = stencil(imm, nodes), [a.spacing for a in imm.axes]
     jt = Jet(_first_differences(shifted, h), _second_differences(shifted, h), shifted({}))
     return jt, margin_mask(imm.axes, JET_MARGIN, nodes)
+
+
+@functools.cache
+def _neighbour_columns(m: int):
+    """(near (1 + 2m, m), plus, minus (1 + 2m, m)): the node's offset and its
+    neighbours' +e_0, -e_0, +e_1, ..., and the columns of the wide stencil
+    at near + e_a and near - e_a."""
+    column, e = _offsets(m, "wide")[1], np.eye(m, dtype=int)
+    near = np.concatenate([np.zeros((1, m), dtype=int)] + [[s * e[a]] for a in range(m)
+                                                           for s in (1, -1)])
+    plus, minus = (np.array([[column[tuple(o + s * e[a])] for a in range(m)] for o in near])
+                   for s in (1, -1))
+    return near, plus, minus
+
+
+def jet_and_neighbour_tangents(imm: SampledImmersion, nodes):
+    """grid_jet at the node set nodes (k, m) and coordinate_tangents at each
+    node and at its neighbours +e_0, -e_0, +e_1, ... (neighbourhood's
+    layout, leading axis 1 + 2m), from one sampling of what both read: the
+    box and the neighbours' stars.  (jet, tangents, valid), valid as
+    coordinate_tangents gives it at the 1 + 2m nodes; every value equals
+    the separate calls' bit for bit."""
+    m, shape, h = imm.m, np.array(imm.shape), [a.spacing for a in imm.axes]
+    samples, column = _sample_around(imm, nodes, "wide")
+    near, plus, minus = _neighbour_columns(m)
+    # contiguous per neighbour, as coordinate_tangents lays them out: the
+    # einsums downstream sum in an order that follows the layout
+    tangents = np.ascontiguousarray(
+        ((samples[:, plus] - samples[:, minus]) / (2.0 * np.array(h))[:, None, None]).swapaxes(0, 1))
+    valid = margin_mask(imm.axes, JET_MARGIN, ((nodes[:, None] + near) % shape).reshape(-1, m))
+
+    def shifted(deltas):
+        return samples[:, column[tuple(deltas.get(a, 0) for a in range(m))]]
+
+    jet = Jet(tangents[0], _second_differences(shifted, h), shifted({}))
+    return jet, tangents, valid.reshape(-1, len(near)).T
 
 
 def tangent_scale(tangents: np.ndarray) -> np.ndarray:

@@ -35,11 +35,13 @@ from .geometry import (
     SampledImmersion,
     coordinates,
     coordinate_tangents,
-    grid_mean_curvature,
+    grid_jet,
+    jet_and_neighbour_tangents,
     margin_mask,
     neighbourhood,
     node_set,
     tangent_scale,
+    trace_mean_curvature,
 )
 
 
@@ -95,17 +97,22 @@ def nodal_angles(imm: SampledImmersion, nodes=None):
     pass require_lagrangian.  degenerate marks the nodes where det_D is
     numerically null; theta is nan and q is -1 unless valid & ~degenerate.
     """
-    tangents, valid = coordinate_tangents(imm, nodes)
+    return _frame_angles(*coordinate_tangents(imm, nodes))
+
+
+def _frame_angles(tangents, valid):
+    """nodal_angles of the coordinate frames tangents (..., m, n, 2), valid
+    marking those with the full jet margin."""
     require_lagrangian(tangents[valid])
-    lead = tangents.shape[:-3]
-    dets = det_D(tangents) if imm.m > 1 else tangents[..., 0, :, :].reshape(lead + (2,))
+    lead, m = tangents.shape[:-3], tangents.shape[-3]
+    dets = det_D(tangents) if m > 1 else tangents[..., 0, :, :].reshape(lead + (2,))
     # Degeneracy gauge: squared_norm(det_D) equals det_R of the induced
     # metric, so compare it against the Euclidean tangent scale (which
     # dominates every |g_ij|) rather than the determinant's own magnitude;
     # a tiny but directionally clean det still means a degenerate frame.
     # A nan (an overflowed det_D or scale) is small.
     g_scale = np.maximum(tangent_scale(tangents), 1e-300)
-    small = ~(np.abs(d_norm2(dets)) >= DEGENERACY_TOL * g_scale ** imm.m)
+    small = ~(np.abs(d_norm2(dets)) >= DEGENERACY_TOL * g_scale ** m)
     _, q, _, theta, null = d_polar(dets, tol=DEGENERACY_TOL)
     usable = valid & ~null & ~small
     return np.where(usable, theta, np.nan), np.where(usable, q, -1), null | small, valid
@@ -187,27 +194,28 @@ def _residual_norm(mH, g_inv, first, dtheta):
 
 def _angle_neighbourhood(imm: SampledImmersion, field: AngleField | None, nodes):
     """(theta, usable) at each node and at its neighbours +e_0, -e_0, +e_1,
-    ... (neighbourhood's layout, leading axis 1 + 2m), read from field, or
-    with no field from nodal_angles run on just those nodes."""
-    if field is not None:
-        return (neighbourhood(SampledGrid(imm.axes, field.theta), nodes),
-                neighbourhood(SampledGrid(imm.axes, field.usable), nodes))
-    near = neighbourhood(SampledGrid(imm.axes, sampler=lambda idx: np.stack(idx, axis=-1)), nodes)
-    theta, _, degenerate, valid = nodal_angles(imm, near.reshape(-1, imm.m))
-    return theta.reshape(near.shape[:-1]), (valid & ~degenerate).reshape(near.shape[:-1])
+    ... (neighbourhood's layout, leading axis 1 + 2m), read from field or,
+    with no field, from nodal_angles at every node."""
+    if field is None:
+        theta, _, degenerate, valid = nodal_angles(imm)
+        usable = valid & ~degenerate
+    else:
+        theta, usable = field.theta, field.usable
+    return tuple(neighbourhood(SampledGrid(imm.axes, a), nodes) for a in (theta, usable))
 
 
 def identity_grid(imm: SampledImmersion, field: AngleField | None, nodes=None):
     """Mean curvature H and the grading norm of m*H - J grad(beta) (zero to
     O(h^2)) at every node, or at the node set nodes (k, m), in one batched
-    pass: grid_mean_curvature, then central differences of theta.
+    pass: the jet and its trace_mean_curvature, then central differences
+    of theta.
     grad(beta) = sum_ij g^ij (d_i theta) d_jF.
 
-    theta comes from field, or with field None from nodal_angles on the
-    nodes the differences read (each node and its 2m neighbours), which
-    then checks every frame the result depends on for Lagrangian; the two
-    agree bit for bit.  Pass the field when there is one: with nodes None
-    and no field, each node's angle is computed 1 + 2m times.
+    theta comes from field, or with field None from nodal_angles (at a node
+    set, on the nodes the differences read: each node and its 2m
+    neighbours, whose tangents come from the jet's sampling,
+    jet_and_neighbour_tangents), which then checks every frame the result
+    depends on for Lagrangian; the two agree bit for bit.
 
     Returns (H, residual, reasons): H (..., n, 2) and residual (...) are nan
     where undefined; reasons maps each cause of a nan on a usable node to
@@ -217,9 +225,15 @@ def identity_grid(imm: SampledImmersion, field: AngleField | None, nodes=None):
     neighbour).
     """
     nodes = node_set(imm, nodes)
-    theta, usable = _angle_neighbourhood(imm, field, nodes)
-    jt, mH, g_inv, has_H = grid_mean_curvature(imm, nodes)
-    has_H &= usable[0]
+    if field is None and nodes is not None:
+        jt, tangents, near_valid = jet_and_neighbour_tangents(imm, nodes)
+        theta, _, degenerate, _ = _frame_angles(tangents, near_valid)
+        usable, valid = near_valid & ~degenerate, near_valid[0]
+    else:
+        theta, usable = _angle_neighbourhood(imm, field, nodes)
+        jt, valid = grid_jet(imm, nodes)
+    mH, g_inv, degenerate = trace_mean_curvature(jt.first, jt.second)
+    has_H = valid & ~degenerate & usable[0]
     dtheta = np.stack([(theta[2 * a + 1] - theta[2 * a + 2]) / (2.0 * axis.spacing)
                        for a, axis in enumerate(imm.axes)], axis=-1)
     full_stencil = usable.all(axis=0)

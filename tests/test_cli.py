@@ -319,13 +319,18 @@ LIFT = CURVE + ["--lift-out", "l.csv"]
      "grid axis 0 needs a finite max - min, got min -1e+308 and max 1e+308"),
     (["angle", "--spec", "inf.json"], 2,
      "grid axis 0 needs a finite max - min, got min -0.5 and max inf"),
+    (["graph", "--u", "x1", "--lo=-1e300", "--hi", "1e300"], 2,
+     "grid axis 0 needs a spacing whose square is finite, got spacing 6.25e+298 "
+     "from min -1e+300 and max 1e+300"),
+    (["angle", "--spec", "huge.json"], 2, "grid axis 0 needs min and max within double range"),
     (CURVE + ["--phi-min", "2", "--phi-max", "2"], 1,
      "argument --phi-max: needs --phi-max > --phi-min, got 2.0 to 2.0"),
     (CURVE + ["--phi-min", "2", "--phi-max", "-2"], 1,
      "argument --phi-max: needs --phi-max > --phi-min, got 2.0 to -2.0"),
 ], ids=["graph-reversed", "graph-empty", "graph-nan", "angle-empty", "angle-nan",
         "lift-reversed", "lift-empty", "lift-nan", "graph-inf", "graph-overflow",
-        "angle-inf", "curve-empty", "curve-reversed"])
+        "angle-inf", "graph-spacing-overflow", "angle-huge-integer", "curve-empty",
+        "curve-reversed"])
 def test_empty_or_reversed_axis_ranges_are_reported(argv, code, message, tmp_path,
                                                      monkeypatch, capsys):
     # each ended in a traceback or wrote a file before
@@ -334,12 +339,14 @@ def test_empty_or_reversed_axis_ranges_are_reported(argv, code, message, tmp_pat
     Path("nan.json").write_text(json.dumps(_spec_with_axis(-0.5, math.nan)), encoding="utf-8")
     Path("inf.json").write_text(json.dumps(_spec_with_axis(-0.5, 7.0)).replace("7.0", "1e309"),
                                 encoding="utf-8")
+    Path("huge.json").write_text(json.dumps(_spec_with_axis(-0.5, 10 ** 400)), encoding="utf-8")
     assert main(argv + ["--out", "o.csv"]) == code
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert [line for line in err.splitlines() if line.startswith("error:")] == [
         f"error: {'invalid spec or file: ' if code == 2 else ''}{message}"]
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["equal.json", "inf.json", "nan.json"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["equal.json", "huge.json", "inf.json",
+                                                          "nan.json"]
 
 
 @pytest.mark.parametrize("u", [

@@ -16,8 +16,9 @@ from parakahler.dcore import (
     d_norm2,
     d_polar,
     d_pow,
-    para_cauchy_riemann_residual,
 )
+from parakahler.constructions import para_cauchy_riemann_residual
+from parakahler.geometry import DEGENERACY_TOL
 
 finite = st.floats(-50, 50, allow_nan=False)
 ONE = np.array([1.0, 0.0])
@@ -161,6 +162,96 @@ def test_d_polar_matches_the_code_it_replaced(rng):
     for i, one in enumerate(alone):
         assert [v.shape for v in one] == [()] * 5
         assert all(same_bits(v, g[i]) for v, g in zip(one, got))
+
+
+# The kernel bodies before they wrote into preallocated outputs (d_exp_tau,
+# d_mul) and read the components through one view (d_polar): each rewrite
+# keeps every operation and its order, so the results agree byte for byte.
+
+def _d_mul_before(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
+    out[..., 0] = a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]
+    out[..., 1] = a[..., 0] * b[..., 1] + a[..., 1] * b[..., 0]
+    return out
+
+
+def _d_exp_tau_before(theta):
+    theta = np.asarray(theta, dtype=float)
+    return np.stack([np.cosh(theta), np.sinh(theta)], axis=-1)
+
+
+def _d_pow_before(a, k):
+    a = np.asarray(a, dtype=float)
+    out = np.zeros_like(a)
+    out[..., 0] = 1.0
+    base = a
+    while k:
+        if k & 1:
+            out = _d_mul_before(out, base)
+        k >>= 1
+        if k:
+            base = _d_mul_before(base, base)
+    return out
+
+
+def _d_polar_before(a, tol=NULL_TOL):
+    a = np.asarray(a, dtype=float)
+    x, y = (np.ascontiguousarray(a[..., c]).reshape(-1) for c in (0, 1))
+    n2 = (x - y) * (x + y)
+    null = ~(np.abs(n2) > tol * (x ** 2 + y ** 2))
+    n2[null] = 1.0
+    q = n2 < 0
+    p = np.where(np.where(q, y, x) > 0, 1, -1)
+    r = np.sqrt(np.abs(n2))
+    theta = np.arcsinh(p * np.where(q, x, y) / r)
+    p[null], r[null], theta[null] = 0, 0.0, 0.0
+    shape = a.shape[:-1]
+    return (p.reshape(shape), q.astype(int).reshape(shape), r.reshape(shape),
+            theta.reshape(shape), null.reshape(shape))
+
+
+KERNEL_SHAPES = [(), (1,), (4,), (200,), (20001,)]
+
+
+def _kernel_values(rng, shape):
+    """D-values of a shape over e^-30 .. e^30, with exact nulls, and nan,
+    +-inf, -0.0 and 0.0 in either component of some of them."""
+    vals = rng.normal(size=shape + (2,)) * np.exp(rng.uniform(-30, 30, size=shape + (1,)))
+    flat = vals.reshape(-1, 2)
+    flat[::7, 1] = flat[::7, 0] * rng.choice([-1.0, 1.0], size=flat[::7].shape[0])
+    specials = [np.nan, np.inf, -np.inf, -0.0, 0.0]
+    for i in range(3, flat.shape[0], 11):
+        flat[i, rng.integers(2)] = specials[(i // 11) % len(specials)]
+    return vals
+
+
+@pytest.mark.parametrize("shape", KERNEL_SHAPES, ids=str)
+def test_rewritten_kernels_keep_every_bit(shape, rng):
+    a, b = _kernel_values(rng, shape), _kernel_values(rng, shape)
+    theta = _kernel_values(rng, shape)[..., 0] / 1e12  # cosh overflows at a few
+    with np.errstate(all="ignore"):
+        assert same_bits(d_mul(a, b), _d_mul_before(a, b))
+        assert same_bits(d_exp_tau(theta), _d_exp_tau_before(theta))
+        for k in range(6):
+            assert same_bits(d_pow(a, k), _d_pow_before(a, k))
+        for tol in (NULL_TOL, DEGENERACY_TOL, 0.0):
+            for mine, ref in zip(d_polar(a, tol), _d_polar_before(a, tol), strict=True):
+                assert same_bits(mine, ref)
+        # a component view, as the algebra suite and the angle fields pass it
+        for mine, ref in zip(d_polar(a[..., ::-1], DEGENERACY_TOL),
+                             _d_polar_before(a[..., ::-1], DEGENERACY_TOL), strict=True):
+            assert same_bits(mine, ref)
+
+
+@pytest.mark.parametrize("lead_a, lead_b", [((4,), ()), ((), (200,)), ((3, 1), (1, 5)),
+                                            ((20001,), (1,))], ids=str)
+def test_rewritten_d_mul_keeps_every_bit_when_broadcasting(lead_a, lead_b, rng):
+    a, b = _kernel_values(rng, lead_a), _kernel_values(rng, lead_b)
+    with np.errstate(all="ignore"):
+        assert same_bits(d_mul(a, b), _d_mul_before(a, b))
+        assert same_bits(d_mul(b, a), _d_mul_before(b, a))
+        assert same_bits(d_mul(a, [0.0, 1.0]), _d_mul_before(a, [0.0, 1.0]))
 
 
 def _sample_grid(fn, nx=21, ny=21, lo=-0.5, hi=0.5):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import probe_nodes
 from parakahler import equivariant
 from parakahler.dcore import d_exp_tau, d_norm2, d_polar
 from parakahler.equivariant import (
@@ -69,6 +70,46 @@ def test_lift_values_are_the_broadcast_product_bit_for_bit(curve, n, counts):
         * sigma[None, ..., :, None]
     assert imm.values.shape == ref.shape == (curve.s.size, *counts, n, 2)
     assert imm.values.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("curve, n, counts", [
+    (explicit_circle(1.3, 64), 2, (32,)),
+    (explicit_hyperbola(1.0, 0.3, 2.0, 40), 2, (24,)),
+    (level_curve(3, 1.0, "re", -1.5, 1.5, 201), 3, (18, 32)),
+], ids=["periodic-circle", "open-hyperbola", "n3-level"])
+def test_whole_lift_is_one_outer_product_equal_to_its_node_queries(curve, n, counts):
+    # whole() reads each gamma sample and sphere row once instead of
+    # gathering both at every node; node-set queries still gather
+    imm = lift(curve, n, counts)
+    sampler, imm.sampler = imm.sampler, lambda idx: pytest.fail("whole() used the sampler")
+    values = imm.whole()
+    imm.sampler = sampler
+    assert values.tobytes() == imm.sample(tuple(np.indices(imm.shape))).tobytes()
+    nodes = probe_nodes(imm.shape)
+    assert imm.sample(tuple(nodes.T)).tobytes() == values[tuple(nodes.T)].tobytes()
+
+
+def _level_samples_before(n, C, which, phi):
+    """level_curve's samples before they were scaled in place."""
+    phi = np.asarray(phi, dtype=float)
+    denom = np.cosh(n * phi) if which == "re" else np.sinh(n * phi)
+    r = (C / denom) ** (1.0 / n)
+    return r[..., None] * np.stack([np.cosh(phi), np.sinh(phi)], axis=-1)
+
+
+@pytest.mark.parametrize("n, which, C, lo, hi", [
+    (2, "re", 1.3, -2.0, 2.0), (2, "im", 0.8, 0.2, 2.2),
+    (3, "re", 1.0, -1.5, 1.5), (3, "im", 1.0, 0.15, 1.5)])
+def test_level_samples_and_derivatives_keep_every_bit(n, which, C, lo, hi):
+    # the equivariant-level suite's 20001-sample profiles, and one sample alone
+    curve = level_curve(n, C, which, lo, hi, 401)
+    dense = profile_from_function(curve.fn, lo, hi, 20001)
+    h = dense.spacing
+    assert dense.gamma.tobytes() == _level_samples_before(n, C, which, dense.s).tobytes()
+    ref = (_level_samples_before(n, C, which, dense.s + h)
+           - _level_samples_before(n, C, which, dense.s - h)) / (2 * h)
+    assert dense.derivative_samples().tobytes() == ref.tobytes()
+    assert curve.fn(lo).tobytes() == _level_samples_before(n, C, which, lo).tobytes()
 
 
 def test_torus_angle_field_structure():

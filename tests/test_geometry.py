@@ -522,6 +522,27 @@ def test_signed_gram_schmidt_nearly_dependent_stack_is_orthonormal():
     assert np.max(np.abs(dlinalg.gram(gs.frame) - eps)) <= 1e-12
 
 
+def test_signed_gram_schmidt_rejects_exactly_dependent_vectors():
+    # e_0, e_1, e_0 + e_1: the Gram eigenvalue of the dependency is rounding
+    # (~1e-16) and its direction has rounding length, so the scale-free null
+    # test alone passed it as a frame with coefficients ~1e23
+    e = [basis_vector(3, j) for j in range(3)]
+    with pytest.raises(DegenerateMetric, match="dependent"):
+        signed_gram_schmidt(np.stack([e[0], e[1], e[0] + e[1]]))
+
+
+@pytest.mark.parametrize("m, n", [(2, 2), (2, 3), (3, 3), (3, 4), (4, 4), (4, 6)])
+def test_signed_gram_schmidt_rejects_a_last_vector_combining_the_others(m, n):
+    rng = np.random.default_rng(m * 10 + n)
+    stack = rng.normal(size=(50, m, n, 2)) * np.exp(rng.uniform(-5, 5, (50, 1, 1, 1)))
+    stack[:, -1] = np.einsum("fk,fknc->fnc", rng.normal(size=(50, m - 1)), stack[:, :-1])
+    for frame in stack[:10]:
+        with pytest.raises(DegenerateMetric):
+            signed_gram_schmidt(frame)
+    with pytest.raises(DegenerateMetric, match="frame \\(0,\\)"):
+        signed_gram_schmidt(stack)
+
+
 def test_gram_schmidt_stack_shapes_and_single_frame():
     rng = np.random.default_rng(9)
     stack = random_lagrangian_frames(3, 6, rng)

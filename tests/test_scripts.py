@@ -29,7 +29,7 @@ def data_rows(path):
 def test_every_script_is_covered():
     assert {p.stem for p in SCRIPTS.glob("*.py")} == {
         "cold_start", "convergence_study", "kernel_timings", "output_digests",
-        "phase_portrait", "torus_angle_field"}
+        "phase_portrait", "suite_timings", "torus_angle_field"}
 
 
 def test_convergence_study_prints_second_order_ratios(capsys, monkeypatch):
@@ -75,6 +75,23 @@ def test_cold_start_prints_both_figures_of_each_tree(capsys, monkeypatch, tmp_pa
     assert not pairs.keys() & {"subcommands", "constructions", "verify", "frames"}
     assert pairs["cli"] == (src / "parakahler" / "cli.py").read_bytes().count(b"\n")
     assert list(temp_root.iterdir()) == []
+
+
+def test_suite_timings_prints_each_suite_of_each_tree_and_the_rounds_won(capsys, monkeypatch):
+    src = SCRIPTS.parent / "src"
+    assert run_script("suite_timings", monkeypatch, "--rounds", "1", "--passes", "1",
+                      "--src", str(src), str(src)) == 0
+    header, *lines = capsys.readouterr().out.splitlines()
+    assert header.startswith("nine verify suites in-process, 1 rounds x 1 passes")
+    suites = load_script("suite_timings").SUITES
+    assert len(suites) == 9 and "soliton-ode" not in suites
+    assert len(lines) == 2 * 11 + 1 and lines[0] == lines[11] == f"{src}:"
+    for tree in (lines[1:11], lines[12:22]):
+        names, ms = zip(*(line.split() for line in tree))
+        assert names == suites + ("total",)
+        assert all(float(t) > 0.0 for t in ms)
+        assert abs(sum(map(float, ms[:-1])) - float(ms[-1])) < 0.1
+    assert lines[-1] in (f"{src} beat {src} in {k} of 1 rounds" for k in (0, 1))
 
 
 def test_phase_portrait_writes_one_csv_per_orbit(tmp_path, monkeypatch):

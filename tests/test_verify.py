@@ -49,12 +49,18 @@ def test_point_query_suites_take_no_whole_grid_tangents(monkeypatch):
     # Each residual of main-theorem and the lift check of equivariant-level
     # once built a whole-grid angle field to read a few nodes: 11 and 1
     # whole-grid coordinate_tangents calls.  Now every call takes a node set:
-    # main-theorem 23 (11 stencils of angles, 12 jets), equivariant-level 7.
-    calls = []
-    _spy(monkeypatch, geometry.coordinate_tangents, calls)
-    for suite in ("main-theorem", "equivariant-level"):
-        assert all(check.passed for check in verify.run_suite(suite)), suite
-    assert calls and all(len(args) == 2 and args[1] is not None for args in calls)
+    # main-theorem 12 (11 residuals, each one sampling for its jet and its
+    # angles' tangents, and one jet), equivariant-level 7 (1 stencil of
+    # angles, 6 jets).
+    calls = {suite: [] for suite in ("main-theorem", "equivariant-level")}
+    for suite, suite_calls in calls.items():
+        with monkeypatch.context() as patch:
+            for fn in (geometry.coordinate_tangents, geometry.grid_jet,
+                       geometry.jet_and_neighbour_tangents):
+                _spy(patch, fn, suite_calls)
+            assert all(check.passed for check in verify.run_suite(suite)), suite
+    assert [len(c) for c in calls.values()] == [12, 7]
+    assert all(len(args) == 2 and args[1] is not None for c in calls.values() for args in c)
 
 
 def test_gram_lemma_draws_stacked_frames_in_six_calls(monkeypatch):

@@ -22,8 +22,43 @@ import numpy as np
 from . import catalog
 from .dcore import d_norm2
 from .errors import ParakahlerError, SpecValidationError
-from .geometry import MIN_AXIS_COUNT
+from .geometry import MIN_AXIS_COUNT, grid_jet
 from .lagrangian import angle_field, identity_grid
+
+# glibc's malloc serves a block above its mmap threshold from a fresh
+# mapping and hands freed heap above its trim threshold back to the kernel,
+# so each pass of a run faults in again the pages it freed moments earlier.
+# main raises both thresholds once per process: 32 MiB is glibc's own
+# ceiling for its dynamic mmap threshold on 64-bit hosts
+# (DEFAULT_MMAP_THRESHOLD_MAX), and the trim threshold is twice that, as
+# glibc's dynamic rule would set it.  Importing the package changes nothing.
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3  # mallopt's parameter numbers (malloc.h)
+MMAP_THRESHOLD = 32 << 20
+TRIM_THRESHOLD = 2 * MMAP_THRESHOLD
+
+
+def _mallopt():
+    """The C library's mallopt, or None where it has none (as on macOS)."""
+    import ctypes  # numpy has loaded it already
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return None
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    return mallopt
+
+
+@functools.cache
+def keep_freed_memory() -> bool:
+    """Raise the allocator's mmap and trim thresholds, once per process;
+    False, changing nothing, where there is no mallopt."""
+    mallopt = _mallopt()
+    if mallopt is None:
+        return False
+    mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD)
+    mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD)
+    return True
 
 
 def _fmt(x) -> str:
@@ -90,8 +125,9 @@ def _write_csv(path, header, rows, footer=None):
 
 def _angle_rows(imm):
     """Per-node angle/curvature rows for an immersion."""
-    field = angle_field(imm)
-    H, residual, reasons = identity_grid(imm, field)
+    jet = grid_jet(imm)  # one whole-grid differencing for both
+    field = angle_field(imm, jet)
+    H, residual, reasons = identity_grid(imm, field, jet=jet)
     m, n = imm.m, imm.n
     header = ([f"u{i + 1}" for i in range(m)]
               + [f"x{j + 1}" for j in range(n)] + [f"y{j + 1}" for j in range(n)]
@@ -287,6 +323,7 @@ def main(argv=None) -> int:
                          f"got {args.phi_min!r} to {args.phi_max!r}")
     except SystemExit as exc:
         return int(exc.code or 0)
+    keep_freed_memory()
     try:
         return args.func(args)
     except (SpecValidationError, json.JSONDecodeError, FileNotFoundError,

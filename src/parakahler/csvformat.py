@@ -56,34 +56,31 @@ _CLASSES = _SCI + 4
 _WORD = 2 + 4  # nan and inf print as fixed notation at k = 2 with 3 digits
 
 
-def _mask_row(cls: int, nsig: int) -> np.ndarray:
-    """The slots a positive value of class cls with nsig significant digits
-    writes."""
-    row = np.zeros(SLOTS, dtype=bool)
-    row[_SEP] = True
-    digit = _DIGITS + 2 * np.arange(17)
-    if cls < _SCI:
-        k = cls - 4
-        if k < 0:  # "0." and -k - 1 zeros before the digits
-            row[_PREFIX:_PREFIX + 1 - k] = True
-            row[digit[:nsig]] = True
-        else:
-            row[digit[:max(nsig, k + 1)]] = True
-            row[digit[k] + 1] = nsig > k + 1
-    else:
-        row[digit[:nsig]] = True
-        row[digit[0] + 1] = nsig > 1
-        positive, three = divmod(cls - _SCI, 2)
-        row[_EXP] = True
-        row[_EXP + 1 if positive else _EXP + 2] = True
-        row[_EXP + 4 - three:_EXP + 6] = True
-    return row
+def _mask_rows() -> np.ndarray:
+    """The slots a positive value writes, one row per (class, significant
+    digits): row cls * 17 + nsig - 1."""
+    cls, nsig = (a.reshape(-1, 1) for a in np.divmod(np.arange(_CLASSES * 17), 17))
+    nsig += 1
+    slot = np.arange(SLOTS)
+    j, dot = np.divmod(slot - _DIGITS, 2)  # digit j (dot 0) or the '.' after it
+    digit = (slot >= _DIGITS) & (slot < _EXP)
+    k = cls - 4
+    fixed, sci = cls < _SCI, cls >= _SCI
+    # fixed notation: "0." and -k - 1 zeros before the digits where k < 0,
+    # and every digit up to the units one, then '.' if more follow
+    row = fixed & (k < 0) & (slot >= _PREFIX) & (slot <= _PREFIX - k)
+    row |= digit & (dot == 0) & (j < np.where(fixed, np.maximum(nsig, k + 1), nsig))
+    row |= digit & (dot == 1) & (j == np.where(fixed, k, 0)) & (nsig > j + 1)
+    # scientific: 'e', one sign slot and two or three exponent digits
+    positive, three = np.divmod(cls - _SCI, 2)
+    row |= sci & ((slot == _EXP) | (slot == _EXP + 2 - positive)
+                  | ((slot >= _EXP + 4 - three) & (slot < _EXP + 6)))
+    return row | (slot == _SEP)
 
 
 # _MASKS[(sign * _CLASSES + class) * 17 + nsig - 1]; the last row is a
 # fallback value's
-_MASKS = np.array([_mask_row(cls, nsig) for cls in range(_CLASSES)
-                   for nsig in range(1, 18)])
+_MASKS = _mask_rows()
 _MASKS = np.concatenate([_MASKS, _MASKS, np.zeros((1, SLOTS), dtype=bool)])
 _MASKS[_CLASSES * 17:-1, _SIGN] = True
 _MASKS[-1, :len(_FALLBACK)] = _MASKS[-1, _SEP] = True
@@ -91,11 +88,27 @@ _K_MIN = 16 - _P_MAX  # the class of exponent k is _CLASS_OF[k - _K_MIN]
 _CLASS_OF = np.array([_SCI + (k <= -100) if k < -4 else
                       _SCI + 2 + (k >= 100) if k > 16 else k + 4
                       for k in range(_K_MIN, 18 - _P_MIN)])  # k + 1 after a carry
-_DIGITS4 = np.frombuffer("".join(".".join(f"{i:04d}") + "." for i in range(10 ** 4)).encode(),
-                         dtype=np.uint64)  # "d.d.d.d." as one item
-_EXP4 = np.frombuffer("".join(f"-{i:03d}" for i in range(400)).encode(), dtype=np.uint32)
-_TRAILING4 = np.array([4 - len(f"{i:04d}".rstrip("0")) for i in range(10 ** 4)],
-                      dtype=np.int8)
+
+
+def _decimal_table(count: int, places: int, fill: bytes, sep: bytes) -> np.ndarray:
+    """The bytes fill + d + sep + d + sep ... of the places-digit decimals
+    of 0 .. count - 1, one row each: fill, then each digit followed by sep
+    (either may be empty)."""
+    i = np.arange(count)[:, None]
+    digits = i // 10 ** np.arange(places - 1, -1, -1) % 10 + ord("0")
+    width = len(sep) + 1
+    out = np.empty((count, len(fill) + places * width), dtype=np.uint8)
+    out[:, :len(fill)] = np.frombuffer(fill, dtype=np.uint8)
+    out[:, len(fill)::width] = digits
+    if sep:
+        out[:, len(fill) + 1::width] = ord(sep)
+    return out
+
+
+_DIGITS4 = _decimal_table(10 ** 4, 4, b"", b".").view(np.uint64).ravel()  # "d.d.d.d." as one item
+_EXP4 = _decimal_table(400, 3, b"-", b"").view(np.uint32).ravel()  # "-ddd"
+_TRAILING4 = sum(np.arange(10 ** 4) % 10 ** t == 0  # the trailing zeros of "dddd"
+                 for t in range(1, 5)).astype(np.int8)
 
 
 def _digits(ax):

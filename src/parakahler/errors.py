@@ -65,6 +65,12 @@ class SpecValidationError(ParakahlerError):
     """Immersion-spec document failed validation."""
 
 
+class NonFiniteValues(SpecValidationError, ValueError):
+    """An immersion's samples are not all finite, as where a potential
+    overflows on its grid: an invalid spec, and a ValueError to callers
+    that build immersions themselves."""
+
+
 class ExpressionSyntaxError(SpecValidationError):
     """Expression text failed to parse or names an unknown variable.
 

@@ -30,6 +30,7 @@ import numpy as np
 
 from .dcore import d_array, d_grading2
 from .dlinalg import det_real, gram, inv_real, metric_rows
+from .errors import NonFiniteValues
 
 JET_MARGIN = 2          # cells kept clear of non-periodic boundaries
 MIN_AXIS_COUNT = 2 * JET_MARGIN + 1  # nodes per grid axis: one node clear of both margins
@@ -137,7 +138,9 @@ class SampledImmersion(SampledGrid):
         if v.shape[:len(lead)] != lead or v.ndim != len(lead) + 2:
             raise ValueError(f"values shape {v.shape} does not match {lead} + (n, 2)")
         if not np.all(np.isfinite(v)):
-            raise ValueError("immersion values must be finite")
+            bad = ~np.isfinite(v).all(axis=(-2, -1))
+            raise NonFiniteValues(f"immersion values must be finite, got {bad.sum()} "
+                                  f"of {bad.size} samples with a nan or inf")
         return v
 
     @property

@@ -118,13 +118,16 @@ def _frame_angles(tangents, valid):
     return np.where(usable, theta, np.nan), np.where(usable, q, -1), null | small, valid
 
 
-def angle_field(imm: SampledImmersion) -> AngleField:
+def angle_field(imm: SampledImmersion, jet=None) -> AngleField:
     """nodal_angles at every node, with the usable nodes labelled by the
     connected components they form with their usable grid neighbours.
     max_jump records the largest theta step between usable neighbours; it
-    is reported, not checked against any bound.
+    is reported, not checked against any bound.  jet is grid_jet(imm) where
+    the caller has it: its first derivatives are the coordinate tangents
+    bit for bit, so the angles are read from them.
     """
-    theta, q, degenerate, valid = nodal_angles(imm)
+    theta, q, degenerate, valid = (nodal_angles(imm) if jet is None
+                                   else _frame_angles(jet[0].first, jet[1]))
     usable = valid & ~degenerate
     region, n_regions = _regions(imm.axes, usable)
     return AngleField(imm, theta, q, degenerate, valid, region, n_regions,
@@ -192,30 +195,19 @@ def _residual_norm(mH, g_inv, first, dtheta):
     return np.sqrt(np.sum(d_grading2(mH - apply_J(grad_beta)), axis=-1))
 
 
-def _angle_neighbourhood(imm: SampledImmersion, field: AngleField | None, nodes):
-    """(theta, usable) at each node and at its neighbours +e_0, -e_0, +e_1,
-    ... (neighbourhood's layout, leading axis 1 + 2m), read from field or,
-    with no field, from nodal_angles at every node."""
-    if field is None:
-        theta, _, degenerate, valid = nodal_angles(imm)
-        usable = valid & ~degenerate
-    else:
-        theta, usable = field.theta, field.usable
-    return tuple(neighbourhood(SampledGrid(imm.axes, a), nodes) for a in (theta, usable))
-
-
-def identity_grid(imm: SampledImmersion, field: AngleField | None, nodes=None):
+def identity_grid(imm: SampledImmersion, field: AngleField | None, nodes=None, jet=None):
     """Mean curvature H and the grading norm of m*H - J grad(beta) (zero to
     O(h^2)) at every node, or at the node set nodes (k, m), in one batched
     pass: the jet and its trace_mean_curvature, then central differences
     of theta.
     grad(beta) = sum_ij g^ij (d_i theta) d_jF.
 
-    theta comes from field, or with field None from nodal_angles (at a node
-    set, on the nodes the differences read: each node and its 2m
-    neighbours, whose tangents come from the jet's sampling,
+    theta comes from field, or with field None from nodal_angles of the
+    jet's tangents (at a node set, on the nodes the differences read: each
+    node and its 2m neighbours, whose tangents come from the jet's sampling,
     jet_and_neighbour_tangents), which then checks every frame the result
-    depends on for Lagrangian; the two agree bit for bit.
+    depends on for Lagrangian; the two agree bit for bit.  jet is
+    grid_jet(imm, nodes) where the caller has it (field or every node).
 
     Returns (H, residual, reasons): H (..., n, 2) and residual (...) are nan
     where undefined; reasons maps each cause of a nan on a usable node to
@@ -230,8 +222,14 @@ def identity_grid(imm: SampledImmersion, field: AngleField | None, nodes=None):
         theta, _, degenerate, _ = _frame_angles(tangents, near_valid)
         usable, valid = near_valid & ~degenerate, near_valid[0]
     else:
-        theta, usable = _angle_neighbourhood(imm, field, nodes)
-        jt, valid = grid_jet(imm, nodes)
+        jt, valid = grid_jet(imm, nodes) if jet is None else jet
+        if field is None:  # every node
+            theta, _, degenerate, _ = _frame_angles(jt.first, valid)
+            usable = valid & ~degenerate
+        else:
+            theta, usable = field.theta, field.usable
+        # each node and its neighbours +e_0, -e_0, +e_1, ... (leading axis 1 + 2m)
+        theta, usable = (neighbourhood(SampledGrid(imm.axes, a), nodes) for a in (theta, usable))
     mH, g_inv, degenerate = trace_mean_curvature(jt.first, jt.second)
     has_H = valid & ~degenerate & usable[0]
     dtheta = np.stack([(theta[2 * a + 1] - theta[2 * a + 2]) / (2.0 * axis.spacing)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import parakahler
-from parakahler import catalog
+from parakahler import catalog, cli, geometry
 from parakahler.cli import main
 from parakahler.errors import SpecValidationError
 
@@ -322,6 +322,8 @@ LIFT = CURVE + ["--lift-out", "l.csv"]
     (["graph", "--u", "x1", "--lo=-1e300", "--hi", "1e300"], 2,
      "grid axis 0 needs a spacing whose square is finite, got spacing 6.25e+298 "
      "from min -1e+300 and max 1e+300"),
+    (["graph", "--u", "x1^3", "--lo=-1e120", "--hi", "1e120"], 2,
+     "immersion values must be finite, got 1089 of 1089 samples with a nan or inf"),
     (["angle", "--spec", "huge.json"], 2, "grid axis 0 needs min and max within double range"),
     (CURVE + ["--phi-min", "2", "--phi-max", "2"], 1,
      "argument --phi-max: needs --phi-max > --phi-min, got 2.0 to 2.0"),
@@ -329,8 +331,8 @@ LIFT = CURVE + ["--lift-out", "l.csv"]
      "argument --phi-max: needs --phi-max > --phi-min, got 2.0 to -2.0"),
 ], ids=["graph-reversed", "graph-empty", "graph-nan", "angle-empty", "angle-nan",
         "lift-reversed", "lift-empty", "lift-nan", "graph-inf", "graph-overflow",
-        "angle-inf", "graph-spacing-overflow", "angle-huge-integer", "curve-empty",
-        "curve-reversed"])
+        "angle-inf", "graph-spacing-overflow", "graph-value-overflow", "angle-huge-integer",
+        "curve-empty", "curve-reversed"])
 def test_empty_or_reversed_axis_ranges_are_reported(argv, code, message, tmp_path,
                                                      monkeypatch, capsys):
     # each ended in a traceback or wrote a file before
@@ -340,7 +342,8 @@ def test_empty_or_reversed_axis_ranges_are_reported(argv, code, message, tmp_pat
     Path("inf.json").write_text(json.dumps(_spec_with_axis(-0.5, 7.0)).replace("7.0", "1e309"),
                                 encoding="utf-8")
     Path("huge.json").write_text(json.dumps(_spec_with_axis(-0.5, 10 ** 400)), encoding="utf-8")
-    assert main(argv + ["--out", "o.csv"]) == code
+    with np.errstate(over="ignore", invalid="ignore"):  # x1^3 overflows
+        assert main(argv + ["--out", "o.csv"]) == code
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert [line for line in err.splitlines() if line.startswith("error:")] == [
@@ -593,3 +596,76 @@ def test_cli_commands_load_only_their_own_modules(tmp_path):
     for name in ("g.csv", "gg.csv", "a.csv", "c.csv", "l.csv", "np.csv", "p/index.csv",
                  "n.csv", "b.csv"):
         assert (tmp_path / name).is_file()
+
+
+@pytest.mark.parametrize("argv", [
+    ["graph", "--u", "x1^3 - x1*x2^2/2", "--count", "17", "--out", "g.csv"],
+    ["equivariant", "--family", "circle", "--C", "1.3", "--count", "16", "--out", "c.csv",
+     "--lift-out", "l.csv"],
+], ids=["graph", "lift"])
+def test_an_angle_run_differentiates_the_grid_once(argv, tmp_path, monkeypatch):
+    # angle_field and identity_grid read the tangents of one grid_jet
+    monkeypatch.chdir(tmp_path)
+    first_differences, calls = geometry._first_differences, []
+
+    def spy(shifted, spacings):
+        calls.append(len(spacings))
+        return first_differences(shifted, spacings)
+
+    monkeypatch.setattr(geometry, "_first_differences", spy)
+    assert main(argv) == 0
+    assert calls == [2]
+
+
+@pytest.fixture
+def fresh_policy():
+    """cli.keep_freed_memory forgotten before and after the test."""
+    cli.keep_freed_memory.cache_clear()
+    yield
+    cli.keep_freed_memory.cache_clear()
+
+
+GRAPH_RUNS = """\
+import resource, sys
+sys.path.insert(0, sys.argv[1])
+from parakahler import cli
+cli.build_parser()
+assert cli.keep_freed_memory.cache_info().currsize == 0  # importing sets nothing
+faults = []
+for _ in range(3):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    assert cli.main(["graph", "--u", sys.argv[2], "--count", "65", "--out", "g.csv"]) == 0
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(faults)
+"""
+
+
+@pytest.mark.skipif(cli._mallopt() is None, reason="the C library has no mallopt")
+def test_a_repeated_graph_run_takes_no_page_faults(tmp_path):
+    # without the policy each 65^2 run faults ~800 times: the allocator hands
+    # its large blocks back to the kernel when they are freed
+    src = str(Path(parakahler.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-c", GRAPH_RUNS, src,
+                           "0.4*x1^3 - 0.3*x1^2*x2 + 0.2*x1*x2^2 - 0.5*x2^3 + 0.25*x2^2"],
+                          capture_output=True, text=True, timeout=300, check=True, cwd=tmp_path)
+    faults = ast.literal_eval(proc.stdout.strip().splitlines()[-1])
+    assert faults[2] <= 10, faults
+
+
+def test_the_allocator_policy_does_nothing_without_mallopt(fresh_policy, tmp_path, monkeypatch):
+    import ctypes
+
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: object())  # a C library without it
+    assert cli._mallopt() is None
+    assert cli.keep_freed_memory() is False
+    cli.keep_freed_memory.cache_clear()
+    assert main(["graph", "--u", "x1*x2", "--count", "9", "--out", str(tmp_path / "g.csv")]) == 0
+
+
+def test_main_sets_the_allocator_policy_once(fresh_policy, tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "_mallopt", lambda: lambda *args: calls.append(args))
+    for _ in range(2):
+        assert main(["graph", "--u", "x1*x2", "--count", "9",
+                     "--out", str(tmp_path / "g.csv")]) == 0
+    assert calls == [(cli.M_MMAP_THRESHOLD, 32 << 20), (cli.M_TRIM_THRESHOLD, 64 << 20)]

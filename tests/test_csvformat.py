@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from conftest import same_bits
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -111,3 +112,45 @@ def test_blocks_of_every_size_print_cell_by_cell(rng):
         if rows > block:
             table[block, 0] = -0.25
         assert encoded(table) == per_cell(table)
+
+
+def _mask_row_by_slot(cls: int, nsig: int) -> np.ndarray:
+    """The mask row of one (class, significant digits), slot by slot: the
+    loop the module's table was once built with."""
+    row = np.zeros(csvformat.SLOTS, dtype=bool)
+    row[csvformat._SEP] = True
+    digit = csvformat._DIGITS + 2 * np.arange(17)
+    exp = csvformat._EXP
+    if cls < csvformat._SCI:
+        k = cls - 4
+        if k < 0:
+            row[csvformat._PREFIX:csvformat._PREFIX + 1 - k] = True
+            row[digit[:nsig]] = True
+        else:
+            row[digit[:max(nsig, k + 1)]] = True
+            row[digit[k] + 1] = nsig > k + 1
+    else:
+        row[digit[:nsig]] = True
+        row[digit[0] + 1] = nsig > 1
+        positive, three = divmod(cls - csvformat._SCI, 2)
+        row[exp] = True
+        row[exp + 1 if positive else exp + 2] = True
+        row[exp + 4 - three:exp + 6] = True
+    return row
+
+
+def test_tables_equal_the_comprehensions_they_replace():
+    # built by arithmetic on aranges; these comprehensions built them before
+    digits4 = np.frombuffer("".join(".".join(f"{i:04d}") + "." for i in range(10 ** 4)).encode(),
+                            dtype=np.uint64)
+    exp4 = np.frombuffer("".join(f"-{i:03d}" for i in range(400)).encode(), dtype=np.uint32)
+    trailing4 = np.array([4 - len(f"{i:04d}".rstrip("0")) for i in range(10 ** 4)],
+                         dtype=np.int8)
+    masks = np.array([_mask_row_by_slot(cls, nsig) for cls in range(csvformat._CLASSES)
+                      for nsig in range(1, 18)])
+    masks = np.concatenate([masks, masks, np.zeros((1, csvformat.SLOTS), dtype=bool)])
+    masks[csvformat._CLASSES * 17:-1, csvformat._SIGN] = True
+    masks[-1, :len(csvformat._FALLBACK)] = masks[-1, csvformat._SEP] = True
+    for table, want in ((csvformat._DIGITS4, digits4), (csvformat._EXP4, exp4),
+                        (csvformat._TRAILING4, trailing4), (csvformat._MASKS, masks)):
+        assert same_bits(table, want)

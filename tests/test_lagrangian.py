@@ -4,6 +4,7 @@ from collections import deque
 
 import numpy as np
 import pytest
+from conftest import same_bits
 
 from parakahler import equivariant
 from parakahler.dcore import d_exp_tau, d_mul, d_polar
@@ -242,6 +243,24 @@ def test_angle_field_regions_match_flood_fill_on_torus():
     region, count = flood_fill_regions(imm.axes, field.usable)
     assert field.n_regions == count == 4
     assert np.array_equal(field.region, region)
+
+
+@pytest.mark.parametrize("which", ["graph", "torus"])
+def test_angles_and_identity_from_one_jet_keep_every_bit(which):
+    # the angle commands pass one grid_jet to both calls
+    if which == "graph":
+        axes = [GridAxis(-0.5, 0.5, 17)] * 2
+        imm = build_gradient_graph(axes, u=lambda x, y: 0.4 * x ** 3 - 0.3 * x * y ** 2 + y ** 2)
+    else:
+        imm = equivariant.lift(equivariant.explicit_circle(1.3, 64), 2, (32,))
+    jet = grid_jet(imm)
+    alone, shared = angle_field(imm), angle_field(imm, jet)
+    assert all(same_bits(a, b) for a, b in zip(alone[1:], shared[1:]))
+    want = identity_grid(imm, alone)
+    for got in (identity_grid(imm, shared, jet=jet), identity_grid(imm, None, jet=jet)):
+        assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
+        assert got[2].keys() == want[2].keys()
+        assert all(same_bits(got[2][k], want[2][k]) for k in want[2])
 
 
 def test_regions_match_flood_fill_on_random_masks():

@@ -28,8 +28,8 @@ def data_rows(path):
 
 def test_every_script_is_covered():
     assert {p.stem for p in SCRIPTS.glob("*.py")} == {
-        "cold_start", "convergence_study", "kernel_timings", "output_digests",
-        "phase_portrait", "suite_timings", "torus_angle_field"}
+        "cold_start", "command_costs", "convergence_study", "kernel_timings",
+        "output_digests", "phase_portrait", "suite_timings", "torus_angle_field"}
 
 
 def test_convergence_study_prints_second_order_ratios(capsys, monkeypatch):
@@ -74,6 +74,27 @@ def test_cold_start_prints_both_figures_of_each_tree(capsys, monkeypatch, tmp_pa
     assert {"parakahler", "cli", "catalog", "lagrangian", "geometry"} <= pairs.keys()
     assert not pairs.keys() & {"subcommands", "constructions", "verify", "frames"}
     assert pairs["cli"] == (src / "parakahler" / "cli.py").read_bytes().count(b"\n")
+    assert list(temp_root.iterdir()) == []
+
+
+def test_command_costs_prints_each_command_of_each_tree(capsys, monkeypatch, tmp_path):
+    temp_root = tmp_path / "tmp"
+    temp_root.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(temp_root))
+    src = SCRIPTS.parent / "src"
+    assert run_script("command_costs", monkeypatch, "--runs", "1", "--counts", "9", "17",
+                      "--suite", "algebra", "--src", str(src), str(src)) == 0
+    header, *lines = capsys.readouterr().out.splitlines()
+    assert header.startswith("one cli.main call per fresh interpreter, median of 1:")
+    assert len(lines) == 8 and lines[0] == lines[4] == f"{src}:"
+    for tree in (lines[1:4], lines[5:8]):
+        labels = []
+        for line in tree:
+            label, figures = line.strip().split("  ", 1)
+            seconds, _, faults, _, mb, _ = figures.split()
+            assert float(seconds) > 0.0 and int(faults) >= 0 and float(mb) > 0.0
+            labels.append(label)
+        assert labels == ["graph 9^2", "graph 17^2", "verify --suite algebra"]
     assert list(temp_root.iterdir()) == []
 
 

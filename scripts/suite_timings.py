@@ -3,8 +3,12 @@
 but soliton-ode), per suite and in total, for one or more source trees.
 
 Each round starts one fresh interpreter per tree, which imports parakahler
-from that tree, runs every suite once untimed and then --passes timed
-passes of the nine, one suite after another.  The trees alternate which
+from that tree, sets the allocator policy that the CLI sets at entry
+(cli.keep_freed_memory, where the tree has it: a tree without it runs with
+the host's policy), runs every suite once untimed and then --passes timed
+passes of the nine, one suite after another.  So the passes run in the
+memory regime of a `verify` command or a benchmark pass, not re-faulting
+the pages the allocator would trim between suites.  The trees alternate which
 goes first from round to round, so a drift in the host's speed reaches
 them alike.  Per tree the script prints each suite's median over all timed
 passes and the total of those medians; with two or more trees it also
@@ -29,7 +33,8 @@ SUITES = ("algebra", "gram-lemma", "main-theorem", "constant-angle-graphs",
 CHILD = """\
 import json, sys, time
 sys.path.insert(0, sys.argv[1])
-from parakahler import verify
+from parakahler import cli, verify
+getattr(cli, "keep_freed_memory", lambda: None)()
 suites, passes = json.loads(sys.argv[2]), int(sys.argv[3])
 for name in suites:
     verify.run_suite(name)

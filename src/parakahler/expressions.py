@@ -88,13 +88,20 @@ def parse_expression(text: str, names: Collection[str]) -> ast.expr:
 
 def evaluate(expr: ast.expr, env: Mapping[str, object]):
     """Value of a parsed expression over floats or numpy arrays; every
-    number is a float, so 2^-2 is 0.25."""
+    number is a float, so 2^-2 is 0.25.  An array overflows to inf, or
+    divides to inf or nan, without a warning: the finiteness check of what
+    the values build reports them."""
+    with np.errstate(all="ignore"):
+        return _value(expr, env)
+
+
+def _value(expr: ast.expr, env: Mapping[str, object]):
     if isinstance(expr, ast.Constant):
         return float(expr.value)
     if isinstance(expr, ast.Name):
         return env[expr.id]
     if isinstance(expr, ast.UnaryOp):
-        return -evaluate(expr.operand, env)
+        return -_value(expr.operand, env)
     if isinstance(expr, ast.Call):
-        return FUNCTIONS[expr.func.id](evaluate(expr.args[0], env))
-    return _OPERATORS[type(expr.op)](evaluate(expr.left, env), evaluate(expr.right, env))
+        return FUNCTIONS[expr.func.id](_value(expr.args[0], env))
+    return _OPERATORS[type(expr.op)](_value(expr.left, env), _value(expr.right, env))

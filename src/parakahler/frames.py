@@ -12,6 +12,7 @@ frames for indefinite metrics and the Lagrangian angle of explicit frames.
     gram_identity_check det of the Gram matrix against |det_D|^2
     lagrangian_angle_of_frame  (q, theta) of a Lagrangian frame
     random_lagrangian_frames   random Lagrangian frames, drawn in bulk
+    det_at_least        |det| >= bound of real matrices, decided as LU decides
 
 The angle and curvature fields of sampled immersions need none of these
 (lagrangian and geometry work from the coordinate frame and the trace of
@@ -21,6 +22,7 @@ normalbundle takes only the LagrangianAngle record from it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +31,7 @@ from .dcore import d_array, d_grading2, d_norm2, d_polar
 from .dlinalg import (
     apply_J,
     det_D,
+    det_real,
     frame_matrix,
     gram,
     inv_real,
@@ -45,6 +48,7 @@ PIVOT_TOL = 1e-10       # a direction v is null when |<v, v>| <= tol * |v|^2
 # tests orthonormalize (v_3 = v_1 + 1e-7 w) keep it above 3.6e-16
 RANK_TOL = 1e-20
 J_INVARIANCE_TOL = 1e-8  # least-squares residual of J v_i off the span, relative to |J v_i|
+DET_BAND = 2.0 ** -30   # det_at_least's band, relative to n! max|R_ij|^n: 2^12 x its error bound
 
 
 def basis_vector(n: int, j: int, tau: bool = False) -> np.ndarray:
@@ -247,7 +251,7 @@ def random_lagrangian_frames(n: int, count: int, rng: np.random.Generator) -> np
     while len(a_at) < count:
         draw = rng.normal(size=(2 * count - len(a_at) - len(s_at), n, n))
         chunks.append(draw)
-        passes = np.abs(np.linalg.det(draw)) >= 0.1
+        passes = det_at_least(draw, 0.1)
         if len(s_at) == len(a_at):  # the chunk opens with an S
             s_at.append(k)
             passes[0] = False
@@ -259,6 +263,32 @@ def random_lagrangian_frames(n: int, count: int, rng: np.random.Generator) -> np
         s_at += (a + 1)[a + 1 < k].tolist()
     stream = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
     return lagrangian_frames(stream.take(a_at, axis=0), stream.take(s_at, axis=0))
+
+
+def det_at_least(R: np.ndarray, bound: float) -> np.ndarray:
+    """|det R| >= bound for real matrices (..., n, n), decided as
+    np.linalg.det (LU) decides it: det_real decides, and LU re-decides the
+    matrices whose |det_real| lies within DET_BAND n! M^n of bound, with M
+    their largest |R_ij|.
+
+    Outside that band both determinants lie on the same side of the bound.
+    For n <= 4, with u = 2^-53 and pivots of modest scale (|log| < 64), each
+    is within 2^-42 n! M^n of the exact determinant:
+    - Leibniz: n! products of n entries, summed, err by at most
+      gamma_(n!+n-2) n! M^n < 2^-48 n! M^n;
+    - LU with partial pivoting is the exact determinant of R + dR, |dR_ij|
+      <= gamma_n n 2^(n-1) M (growth at most 2^(n-1)), which moves it by at
+      most ((1 + gamma_n n 2^(n-1))^n - 1) n! M^n < 2^-43.9 n! M^n; numpy's
+      sign exp(sum log|u_ii|) adds a relative (2n 64 + 1) u < 2^-43.9, and
+      |det| <= n^(n/2) M^n <= n! M^n (Hadamard).
+    Beyond n = 4 det_real is LU itself."""
+    det = np.abs(det_real(R))
+    out = det >= bound
+    scale = math.factorial(R.shape[-1]) * np.abs(R).max(axis=(-2, -1)) ** R.shape[-1]
+    near = np.abs(det - bound) <= DET_BAND * scale
+    if near.any():
+        out[near] = np.abs(np.linalg.det(R[near])) >= bound
+    return out
 
 
 def lagrangian_frames(A: np.ndarray, S: np.ndarray) -> np.ndarray:

@@ -15,6 +15,9 @@ for the jet, 1 for a bracket).  Quantities:
     trace_mean_curvature  m H = (g^ab d_a d_b F)^perp, batched over nodes
     grid_mean_curvature   the trace of the jet, with a mask of defined nodes
 
+A node-set query runs in nodesets as a stack of one; a stack takes the node
+sets of several immersions through the kernels in one pass.
+
 The trace needs no orthonormal frame; Gram-Schmidt (frames) stays where a
 frame is the output.  Normal projection multiplies by the inverse of the
 (indefinite but invertible) tangent Gram matrix instead of orthonormalizing
@@ -245,79 +248,66 @@ def neighbourhood(grid: SampledGrid, nodes) -> np.ndarray:
     return np.stack([shifted({})] + [shifted({l: s}) for l in range(grid.m) for s in (+1, -1)])
 
 
-def _first_differences(shifted, spacings) -> np.ndarray:
+def _divisors(spacings):
+    """(two_h, d2): 2 h_a per axis, and h_a^2 on the diagonal and 4 h_a h_b
+    above it (d2 (m, m), unused below): the divisors of the order-2
+    central differences on a grid of spacings h, as Python floats."""
+    return ([2.0 * h for h in spacings],
+            [[ha ** 2 if a == b else 4.0 * ha * hb for b, hb in enumerate(spacings)]
+             for a, ha in enumerate(spacings)])
+
+
+def _first_differences(shifted, two_h) -> np.ndarray:
     """Order-2 central first derivatives (..., m, n, 2) from shifted(deltas)."""
-    return np.stack([(shifted({a: +1}) - shifted({a: -1})) / (2.0 * h)
-                     for a, h in enumerate(spacings)], axis=-3)
+    return np.stack([(shifted({a: +1}) - shifted({a: -1})) / d for a, d in enumerate(two_h)],
+                    axis=-3)
 
 
-def _second_differences(shifted, spacings) -> np.ndarray:
+def _second_differences(shifted, d2) -> np.ndarray:
     """Order-2 central second derivatives (..., m, m, n, 2), as above."""
-    m = len(spacings)
+    m = len(d2)
     second = [[None] * m for _ in range(m)]
-    for a, ha in enumerate(spacings):
-        second[a][a] = (shifted({a: +1}) - 2.0 * shifted({}) + shifted({a: -1})) / ha ** 2
+    for a in range(m):
+        second[a][a] = (shifted({a: +1}) - 2.0 * shifted({}) + shifted({a: -1})) / d2[a][a]
         for b in range(a + 1, m):
             mixed = (shifted({a: +1, b: +1}) - shifted({a: +1, b: -1})
                      - shifted({a: -1, b: +1}) + shifted({a: -1, b: -1}))
-            second[a][b] = second[b][a] = mixed / (4.0 * ha * spacings[b])
+            second[a][b] = second[b][a] = mixed / d2[a][b]
     return np.stack([np.stack(row, axis=-3) for row in second], axis=-4)
+
+
+def _differencing(imm: SampledImmersion, nodes, kind: str):
+    """(shifted, two_h, d2, valid) at every node (nodes None) or at the node
+    set nodes, a nodesets.NodeStack; valid marks the nodes with the full jet
+    margin (wrapped values elsewhere are garbage)."""
+    if nodes is None:
+        return (stencil(imm), *_divisors([a.spacing for a in imm.axes]),
+                margin_mask(imm.axes, JET_MARGIN))
+    from .nodesets import NodeStack  # imported here: the angle commands query whole grids
+
+    st = NodeStack([(imm, nodes)], kind)
+    return st.shifted, st.two_h, st.d2, st.margin(JET_MARGIN)
 
 
 def coordinate_tangents(imm: SampledImmersion, nodes=None):
     """(tangents (..., m, n, 2), valid) at every node (leading grid axes) or
-    at the node set nodes (leading axis k), from the star stencil; valid
-    marks the nodes with the full jet margin (wrapped values elsewhere are
-    garbage)."""
-    nodes = node_set(imm, nodes)
-    tangents = _first_differences(stencil(imm, nodes, "star"), [a.spacing for a in imm.axes])
-    return tangents, margin_mask(imm.axes, JET_MARGIN, nodes)
+    at the node set nodes (leading axis k), from the star stencil; valid as
+    _differencing gives it."""
+    shifted, two_h, _, valid = _differencing(imm, nodes, "star")
+    return _first_differences(shifted, two_h), valid
+
+
+def _jet(shifted, two_h, d2) -> Jet:
+    """The jet of the samples shifted gathers, divided by _divisors'."""
+    return Jet(_first_differences(shifted, two_h), _second_differences(shifted, d2), shifted({}))
 
 
 def grid_jet(imm: SampledImmersion, nodes=None) -> tuple[Jet, np.ndarray]:
     """Values, first and second derivatives at every node or at the node
     set nodes, from one box stencil: (Jet, valid) with leading axes and
     valid as in coordinate_tangents."""
-    nodes = node_set(imm, nodes)
-    shifted, h = stencil(imm, nodes), [a.spacing for a in imm.axes]
-    jt = Jet(_first_differences(shifted, h), _second_differences(shifted, h), shifted({}))
-    return jt, margin_mask(imm.axes, JET_MARGIN, nodes)
-
-
-@functools.cache
-def _neighbour_columns(m: int):
-    """(near (1 + 2m, m), plus, minus (1 + 2m, m)): the node's offset and its
-    neighbours' +e_0, -e_0, +e_1, ..., and the columns of the wide stencil
-    at near + e_a and near - e_a."""
-    column, e = _offsets(m, "wide")[1], np.eye(m, dtype=int)
-    near = np.concatenate([np.zeros((1, m), dtype=int)] + [[s * e[a]] for a in range(m)
-                                                           for s in (1, -1)])
-    plus, minus = (np.array([[column[tuple(o + s * e[a])] for a in range(m)] for o in near])
-                   for s in (1, -1))
-    return near, plus, minus
-
-
-def jet_and_neighbour_tangents(imm: SampledImmersion, nodes):
-    """grid_jet at the node set nodes (k, m) and coordinate_tangents at each
-    node and at its neighbours +e_0, -e_0, +e_1, ... (neighbourhood's
-    layout, leading axis 1 + 2m), from one sampling of what both read: the
-    box and the neighbours' stars.  (jet, tangents, valid), valid as
-    coordinate_tangents gives it at the 1 + 2m nodes; every value equals
-    the separate calls' bit for bit."""
-    m, shape, h = imm.m, np.array(imm.shape), [a.spacing for a in imm.axes]
-    samples, column = _sample_around(imm, nodes, "wide")
-    near, plus, minus = _neighbour_columns(m)
-    # contiguous per neighbour, as coordinate_tangents lays them out: the
-    # einsums downstream sum in an order that follows the layout
-    tangents = np.ascontiguousarray(
-        ((samples[:, plus] - samples[:, minus]) / (2.0 * np.array(h))[:, None, None]).swapaxes(0, 1))
-    valid = margin_mask(imm.axes, JET_MARGIN, ((nodes[:, None] + near) % shape).reshape(-1, m))
-
-    def shifted(deltas):
-        return samples[:, column[tuple(deltas.get(a, 0) for a in range(m))]]
-
-    jet = Jet(tangents[0], _second_differences(shifted, h), shifted({}))
-    return jet, tangents, valid.reshape(-1, len(near)).T
+    shifted, two_h, d2, valid = _differencing(imm, nodes, "box")
+    return _jet(shifted, two_h, d2), valid
 
 
 def tangent_scale(tangents: np.ndarray) -> np.ndarray:
@@ -368,11 +358,20 @@ def trace_mean_curvature(first: np.ndarray, second: np.ndarray):
     return mH, g_inv, degenerate
 
 
+def _with_mean_curvature(jt: Jet, valid):
+    """grid_mean_curvature's (jt, mH, g_inv, has_H) of a jet and its valid mask."""
+    mH, g_inv, degenerate = trace_mean_curvature(jt.first, jt.second)
+    return jt, mH, g_inv, valid & ~degenerate
+
+
 def grid_mean_curvature(imm: SampledImmersion, nodes=None):
     """trace_mean_curvature at every node or at the node set nodes: (jet,
     mH, g_inv, has_H) with the jet of grid_jet; has_H marks the nodes with
     the full jet margin and a non-degenerate metric, where the mean
-    curvature H = (1/m) sum_i eps_i h(e_i, e_i) is mH / m."""
-    jt, valid = grid_jet(imm, nodes)
-    mH, g_inv, degenerate = trace_mean_curvature(jt.first, jt.second)
-    return jt, mH, g_inv, valid & ~degenerate
+    curvature H = (1/m) sum_i eps_i h(e_i, e_i) is mH / m.  A node set is
+    nodesets.mean_curvature_at's batch of one."""
+    if nodes is not None:
+        from .nodesets import mean_curvature_at  # imported here, as NodeStack is
+
+        return mean_curvature_at([(imm, nodes)])[0]
+    return _with_mean_curvature(*grid_jet(imm))

@@ -36,7 +36,6 @@ from .geometry import (
     coordinates,
     coordinate_tangents,
     grid_jet,
-    jet_and_neighbour_tangents,
     margin_mask,
     neighbourhood,
     node_set,
@@ -203,11 +202,10 @@ def identity_grid(imm: SampledImmersion, field: AngleField | None, nodes=None, j
     grad(beta) = sum_ij g^ij (d_i theta) d_jF.
 
     theta comes from field, or with field None from nodal_angles of the
-    jet's tangents (at a node set, on the nodes the differences read: each
-    node and its 2m neighbours, whose tangents come from the jet's sampling,
-    jet_and_neighbour_tangents), which then checks every frame the result
-    depends on for Lagrangian; the two agree bit for bit.  jet is
-    grid_jet(imm, nodes) where the caller has it (field or every node).
+    jet's tangents, which then checks every frame the result depends on for
+    Lagrangian; the two agree bit for bit.  With field None a node set is
+    nodesets.identity_at's batch of one.  jet is grid_jet(imm, nodes) where the
+    caller has it (field or every node).
 
     Returns (H, residual, reasons): H (..., n, 2) and residual (...) are nan
     where undefined; reasons maps each cause of a nan on a usable node to
@@ -218,26 +216,33 @@ def identity_grid(imm: SampledImmersion, field: AngleField | None, nodes=None, j
     """
     nodes = node_set(imm, nodes)
     if field is None and nodes is not None:
-        jt, tangents, near_valid = jet_and_neighbour_tangents(imm, nodes)
-        theta, _, degenerate, _ = _frame_angles(tangents, near_valid)
-        usable, valid = near_valid & ~degenerate, near_valid[0]
+        from .nodesets import identity_at  # imported here: the angle commands query whole grids
+
+        return identity_at([(imm, nodes)])[0]
+    jt, valid = grid_jet(imm, nodes) if jet is None else jet
+    if field is None:  # every node
+        theta, _, degenerate, _ = _frame_angles(jt.first, valid)
+        usable = valid & ~degenerate
     else:
-        jt, valid = grid_jet(imm, nodes) if jet is None else jet
-        if field is None:  # every node
-            theta, _, degenerate, _ = _frame_angles(jt.first, valid)
-            usable = valid & ~degenerate
-        else:
-            theta, usable = field.theta, field.usable
-        # each node and its neighbours +e_0, -e_0, +e_1, ... (leading axis 1 + 2m)
-        theta, usable = (neighbourhood(SampledGrid(imm.axes, a), nodes) for a in (theta, usable))
+        theta, usable = field.theta, field.usable
+    # each node and its neighbours +e_0, -e_0, +e_1, ... (leading axis 1 + 2m)
+    theta, usable = (neighbourhood(SampledGrid(imm.axes, a), nodes) for a in (theta, usable))
+    return _identity(jt, valid, theta, usable, [2.0 * a.spacing for a in imm.axes],
+                     margin_mask(imm.axes, RESIDUAL_MARGIN, nodes))
+
+
+def _identity(jt, valid, theta, usable, two_h, residual_margin):
+    """identity_grid from the jet and its valid mask, theta and usable at
+    each node and its neighbours (leading axis 1 + 2m), the divisors 2 h_a
+    of the axes and the mask of nodes RESIDUAL_MARGIN clear of the edges."""
     mH, g_inv, degenerate = trace_mean_curvature(jt.first, jt.second)
     has_H = valid & ~degenerate & usable[0]
-    dtheta = np.stack([(theta[2 * a + 1] - theta[2 * a + 2]) / (2.0 * axis.spacing)
-                       for a, axis in enumerate(imm.axes)], axis=-1)
+    dtheta = np.stack([(theta[2 * a + 1] - theta[2 * a + 2]) / d for a, d in enumerate(two_h)],
+                      axis=-1)
     full_stencil = usable.all(axis=0)
-    in_margin = has_H & ~margin_mask(imm.axes, RESIDUAL_MARGIN, nodes)
+    in_margin = has_H & ~residual_margin
     has_residual = has_H & ~in_margin & full_stencil
-    H = np.where(has_H[..., None, None], mH / imm.m, np.nan)
+    H = np.where(has_H[..., None, None], mH / len(two_h), np.nan)
     residual = np.where(has_residual, _residual_norm(mH, g_inv, jt.first, dtheta), np.nan)
     reasons = {"h_nan_degenerate_metric": usable[0] & ~has_H,
                "residual_nan_margin": in_margin,
@@ -280,6 +285,7 @@ def build_gradient_graph(axes: Sequence[GridAxis], u: Callable | None = None,
     for j, axis in enumerate(axes):
         up, dn = [slice(1, -1)] * len(axes), [slice(1, -1)] * len(axes)
         up[j], dn[j] = slice(2, None), slice(0, -2)
-        du.append((U[tuple(up)] - U[tuple(dn)]) / (2.0 * axis.spacing))
+        with np.errstate(all="ignore"):  # inf - inf: the immersion's check reports the nan
+            du.append((U[tuple(up)] - U[tuple(dn)]) / (2.0 * axis.spacing))
     mesh = np.meshgrid(*[a.nodes() for a in axes], indexing="ij")
     return SampledImmersion(axes, _graph_values(mesh, du))

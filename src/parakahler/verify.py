@@ -28,9 +28,9 @@ from .errors import LagrangianViolation
 from .frames import (
     basis_vector,
     d_matmul,
+    det_at_least,
     gram_identity_check,
     lagrangian_angle_of_frame,
-    lagrangian_frames,
     metric,
     metric_signatures,
     omega,
@@ -46,7 +46,8 @@ from .geometry import (
     grid_jet,
     grid_mean_curvature,
 )
-from .lagrangian import angle_field, build_gradient_graph, identity_grid, nodal_angles
+from .lagrangian import angle_field, build_gradient_graph, nodal_angles
+from .nodesets import identity_at, mean_curvature_at
 from .normalbundle import (
     catenoid_normal_bundle,
     circle_normal_bundle,
@@ -100,10 +101,25 @@ def _lagrangian(tangents) -> bool:
     return True
 
 
-def _mean_curvature_at(imm: SampledImmersion, nodes) -> np.ndarray:
-    """H = mH / m at the node set nodes (k, n, 2), nan where has_H is False."""
-    _, mH, _, has_H = grid_mean_curvature(imm, nodes)
-    return np.where(has_H[:, None, None], mH / imm.m, np.nan)
+def _grouped(query, queries):
+    """query (identity_at or mean_curvature_at) of the node-set queries
+    [(imm, nodes), ...], one pass per grid dimension m (the suites'
+    immersions of one m share n): the results in the order of queries."""
+    groups = {}
+    for i, (imm, _) in enumerate(queries):
+        groups.setdefault(imm.m, []).append(i)
+    out = [None] * len(queries)
+    for rows in groups.values():
+        for i, result in zip(rows, query([queries[i] for i in rows]), strict=True):
+            out[i] = result
+    return out
+
+
+def _mean_curvatures(queries) -> list:
+    """H = mH / m (k, n, 2) at each node-set query (imm, nodes), nan where
+    has_H is False."""
+    return [np.where(has_H[:, None, None], mH / imm.m, np.nan)
+            for (imm, _), (_, mH, _, has_H) in zip(queries, _grouped(mean_curvature_at, queries))]
 
 
 # ---------------------------------------------------------------------------
@@ -195,31 +211,21 @@ def _frame_changes(rng, count):
     of D^n and a real change A with |det A| >= 0.2: {n: (frames, A frames)},
     stacked per n.
 
-    The stream is read as count one-by-one draws read it: after the integer
-    draw for n, n x n matrices, S and then candidates for the frame's A
-    until |det| >= 0.1 (as random_lagrangian_frames), then candidates for
-    the change until |det| >= 0.2.  Each normal call draws exactly the
-    matrices the change still needs (three, then after a rejection the one
-    or two left), so nothing is drawn ahead of the next integer draw; one
-    det call on each draw decides acceptance, and the frames and changes
-    are assembled once per n."""
-    drawn = {n: [np.empty((0, n, n))] for n in (2, 3, 4)}  # the picked matrices, in order
-    for _ in range(count):
-        n = int(rng.integers(2, 5))
-        slot = 0  # the next pick: S (any matrix), the frame's A, the change
-        while slot < 3:
-            chunk = rng.normal(size=(3 - slot, n, n))
-            picked = []
-            for i, det in enumerate(np.linalg.det(chunk).tolist()):
-                if abs(det) >= (0.0, 0.1, 0.2)[slot]:
-                    picked.append(i)
-                    slot += 1
-            drawn[n].append(chunk if len(picked) == len(chunk) else chunk[picked])
+    The stream holds one integer draw of the count n's, then for n = 2, 3, 4
+    in turn the frames of that n (random_lagrangian_frames) and their
+    changes, drawn in chunks of as many n x n matrices as changes are still
+    missing until every change has passed.  A chunk never holds more passing
+    matrices than are missing, so nothing is drawn past the last change:
+    the stream and the generator state are those of one-by-one draws."""
+    ns = rng.integers(2, 5, size=count)
     changes = {}
-    for n, mats in drawn.items():
-        S, A, change = np.concatenate(mats).reshape(-1, 3, n, n).transpose(1, 0, 2, 3)
-        frames = lagrangian_frames(A, S)
-        changes[n] = frames, np.einsum("fij,fjkc->fikc", change, frames)
+    for n in (2, 3, 4):
+        frames = random_lagrangian_frames(n, int(np.count_nonzero(ns == n)), rng)
+        picked = [np.empty((0, n, n))]
+        while missing := len(frames) - sum(map(len, picked)):
+            chunk = rng.normal(size=(missing, n, n))
+            picked.append(chunk[det_at_least(chunk, 0.2)])
+        changes[n] = frames, np.einsum("fij,fjkc->fikc", np.concatenate(picked), frames)
     return changes
 
 
@@ -251,9 +257,8 @@ def suite_gram_lemma():
     out.append(_check("det multiplicativity (3x3)", worst < 1e-10,
                       f"300 pairs, worst rel err {worst:.2e}"))
 
-    # The changes read the stream as one-by-one draws would: an integer
-    # draw for n, then one normal call for S, the frame's A and the change,
-    # and one more per rejected candidate (_frame_changes).
+    # The changes read the stream as one-by-one draws would: the integer
+    # draws for n, then per n the frames and their changes (_frame_changes).
     worst_q, worst_t = 0, 0.0
     for before, after in _frame_changes(rng, 300).values():
         if len(before):
@@ -285,9 +290,10 @@ def _center(imm: SampledImmersion):
                  for a in imm.axes)
 
 
-def _identity_residual_at_center(imm):
-    _, residual, _ = identity_grid(imm, None, [_center(imm)])
-    return float(residual[0])
+def _center_residuals(imms) -> list:
+    """The identity residual at each immersion's center."""
+    return [float(residual[0]) for _, residual, _ in
+            _grouped(identity_at, [(imm, [_center(imm)]) for imm in imms])]
 
 
 def _graph_pair(grad, n, count):
@@ -311,10 +317,6 @@ def suite_main_theorem():
     axes = tuple(GridAxis(-0.5, 0.5, 33) for _ in range(2))
     flat = build_gradient_graph(axes, grad=[lambda x1, x2: 0.0 * x1,
                                             lambda x1, x2: 0.0 * x1])
-    res = _identity_residual_at_center(flat)
-    out.append(_check("flat plane: residual at machine zero", res < 1e-12,
-                      f"|mH - J grad beta| = {res:.2e}"))
-
     cases = [
         ("gradient graph u = 0.1 x1^3 (curve)",
          _graph_pair([lambda x1: 0.3 * x1 ** 2], 1, 41)),
@@ -327,9 +329,17 @@ def suite_main_theorem():
          _lift_pair(lambda c: equivariant.profile_from_function(
              lambda s: d_exp_tau(s), -1.0, 1.0, c), 2, 41, (16,))),
     ]
-    for name, (coarse, fine) in cases:
-        r1 = _identity_residual_at_center(coarse)
-        r2 = _identity_residual_at_center(fine)
+    grad3 = [lambda x1, x2, x3: 0.3 * x1 ** 2 + 0.05 * x2 * x3,
+             lambda x1, x2, x3: 0.18 * x2 ** 2 + 0.05 * x1 * x3,
+             lambda x1, x2, x3: 0.1 * x3 ** 2 + 0.05 * x1 * x2]
+    graphs3 = [build_gradient_graph(tuple(GridAxis(-0.5, 0.5, count) for _ in range(3)),
+                                    grad=grad3) for count in (17, 33)]
+    # every residual in one pass per (m, n) group, coarse and fine in turn
+    res, *pairs = _center_residuals([flat, *(imm for _, pair in cases for imm in pair),
+                                     *graphs3])
+    out.append(_check("flat plane: residual at machine zero", res < 1e-12,
+                      f"|mH - J grad beta| = {res:.2e}"))
+    for (name, _), r1, r2 in zip(cases, pairs[0::2], pairs[1::2]):
         ratio = r1 / r2 if r2 > 0 else math.inf
         ok = RICHARDSON_BAND[0] <= ratio <= RICHARDSON_BAND[1]
         out.append(_check(f"{name}: Richardson ratio", ok,
@@ -344,14 +354,7 @@ def suite_main_theorem():
     out.append(_check("second fundamental form is normal-valued",
                       worst < 1e-3, f"max <h(e_i,e_j), e_k> = {worst:.2e}"))
 
-    grad3 = [lambda x1, x2, x3: 0.3 * x1 ** 2 + 0.05 * x2 * x3,
-             lambda x1, x2, x3: 0.18 * x2 ** 2 + 0.05 * x1 * x3,
-             lambda x1, x2, x3: 0.1 * x3 ** 2 + 0.05 * x1 * x2]
-    res3 = []
-    for count in (17, 33):
-        imm3 = build_gradient_graph(
-            tuple(GridAxis(-0.5, 0.5, count) for _ in range(3)), grad=grad3)
-        res3.append(_identity_residual_at_center(imm3))
+    res3 = pairs[-2:]
     ratio = res3[0] / res3[1]
     out.append(_check("gradient graph n=3: Richardson ratio",
                       RICHARDSON_BAND[0] <= ratio <= RICHARDSON_BAND[1],
@@ -427,7 +430,7 @@ def suite_constant_angle_graphs():
     ji = apply_J_immersion(control)
     nodes = [(4, 4), (8, 8), (12, 20), (20, 12)]
     at = tuple(np.transpose(nodes))
-    jt, mH, _, has_H = grid_mean_curvature(ji, nodes)
+    (jt, mH, _, has_H), = mean_curvature_at([(ji, nodes)])
     s1, s2 = metric_signatures(jets["control"][0][at]), metric_signatures(jt.first)
     sig_ok = all(b == tuple(sorted((-x for x in a), reverse=True)) for a, b in zip(s1, s2))
     H1 = jets["control"][1][at]
@@ -502,18 +505,16 @@ def suite_null_product():
     # errors of the factor curves stay inside the totally null planes, and
     # the mixed derivative of a separated map vanishes identically, so H is
     # zero to rounding rather than merely O(h^2).
-    h1 = _grading_norm(_mean_curvature_at(imm, [_center(imm)]))
-    h2 = _grading_norm(_mean_curvature_at(fine, [_center(fine)]))
-    ratio = h1 / h2 if h2 > 0 else math.inf
-    ok = (h1 < 1e-12 and h2 < 1e-12) or (RICHARDSON_BAND[0] <= ratio <= RICHARDSON_BAND[1])
-    out.append(_check("curved null product is minimal to O(h^2)", ok,
-                      f"|H| {h1:.2e} -> {h2:.2e}"))
-
     flat = build_null_product(
         plane_curve(lambda s: 0.0 * s, lambda s: s),
         j_curve(plane_curve(lambda s: s, lambda s: 0.0 * s)),
         GridAxis(-1.0, 1.0, 17), GridAxis(-1.0, 1.0, 17))
-    hflat = _grading_norm(_mean_curvature_at(flat, [_center(flat)]))
+    h1, h2, hflat = map(_grading_norm, _mean_curvatures(
+        [(p, [_center(p)]) for p in (imm, fine, flat)]))
+    ratio = h1 / h2 if h2 > 0 else math.inf
+    ok = (h1 < 1e-12 and h2 < 1e-12) or (RICHARDSON_BAND[0] <= ratio <= RICHARDSON_BAND[1])
+    out.append(_check("curved null product is minimal to O(h^2)", ok,
+                      f"|H| {h1:.2e} -> {h2:.2e}"))
     out.append(_check("planar null product is exactly flat", hflat < 1e-12,
                       f"|H| = {hflat:.2e}"))
     return out
@@ -567,24 +568,23 @@ def suite_equivariant_level():
     out.append(_check("lift angle field agrees with the profile volume", agree,
                       f"dtheta = {abs(theta - tv[i]):.2e}"))
 
-    for n, w, c in members[:2]:
-        coarse = equivariant.lift(c, 2, (16,))
+    queries = []
+    for _, _, c in members[:2]:
         fine_curve = equivariant.profile_from_function(
             c.fn, float(c.s[0]), float(c.s[-1]), 2 * c.s.size - 1)
-        fine = equivariant.lift(fine_curve, 2, (32,))
-        h1 = _grading_norm(_mean_curvature_at(coarse, [(100, 4)]))
-        h2 = _grading_norm(_mean_curvature_at(fine, [(200, 8)]))
+        queries += [(equivariant.lift(c, 2, (16,)), [(100, 4)]),
+                    (equivariant.lift(fine_curve, 2, (32,)), [(200, 8)])]
+    for scount, ac, bc in ((101, 9, 16), (201, 18, 32)):
+        c3 = equivariant.level_curve(3, 1.0, "re", -1.0, 1.0, scount)
+        queries.append((equivariant.lift(c3, 3, (ac, bc)), [(scount // 2, ac // 2, bc // 4)]))
+    h = [_grading_norm(H) for H in _mean_curvatures(queries)]
+    for (_, w, _), h1, h2 in zip(members[:2], h[0:4:2], h[1:4:2]):
         ratio = h1 / h2 if h2 > 0 else math.inf
         out.append(_check(f"{w}-level lift is minimal to O(h^2)",
                           RICHARDSON_BAND[0] <= ratio <= RICHARDSON_BAND[1],
                           f"|H| {h1:.2e} -> {h2:.2e}, ratio {ratio:.2f}"))
 
-    h3 = []
-    for scount, ac, bc in ((101, 9, 16), (201, 18, 32)):
-        c3 = equivariant.level_curve(3, 1.0, "re", -1.0, 1.0, scount)
-        imm3 = equivariant.lift(c3, 3, (ac, bc))
-        h3.append(_grading_norm(
-            _mean_curvature_at(imm3, [(scount // 2, ac // 2, bc // 4)])))
+    h3 = h[4:]
     ratio = h3[0] / h3[1]
     out.append(_check("n=3 level lift is minimal to O(h^2)",
                       3.0 <= ratio <= 5.0,

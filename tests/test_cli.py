@@ -581,9 +581,10 @@ def test_cli_commands_load_only_their_own_modules(tmp_path):
         loaded[run] = _loaded_in_fresh_interpreter(code, cwd=tmp_path)
         assert not loaded[run] & {"jsonschema", "scipy", "parakahler.verify"}
     # the angle commands start none of the verify-only modules, nor the
-    # other commands' code; on a gradient graph, no dataclass either
+    # other commands' code, nor the node-set queries (they query whole
+    # grids); on a gradient graph, no dataclass either
     for run in ("graph", "angle", "null-product"):
-        assert not loaded[run] & (VERIFY_ONLY | {"parakahler.subcommands"})
+        assert not loaded[run] & (VERIFY_ONLY | {"parakahler.subcommands", "parakahler.nodesets"})
     assert not loaded["graph"] & ({"dataclasses", "parakahler.constructions"} | SOLITON_ENGINE)
     assert "parakahler.constructions" in loaded["null-product"]
     # phase runs from subcommands with the soliton engine, without the suites
@@ -638,6 +639,25 @@ for _ in range(3):
     faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 print(faults)
 """
+
+
+@pytest.mark.parametrize("argv, bad", [
+    (["--u", "x1^3", "--lo=-1e120", "--hi", "1e120"], 1089),
+    (["--u", "1/x1"], 99),
+], ids=["overflow", "division-by-zero"])
+def test_a_non_finite_potential_prints_only_its_error_line(argv, bad, tmp_path):
+    # the potential's evaluation and its differences once printed two
+    # RuntimeWarnings before the error line
+    src = str(Path(parakahler.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-c", "import sys; sys.path.insert(0, sys.argv[1]); "
+                           "from parakahler.cli import main; sys.exit(main(sys.argv[2:]))",
+                           src, "graph", *argv, "--out", "g.csv"],
+                          capture_output=True, text=True, timeout=300, cwd=tmp_path)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        f"error: invalid spec or file: immersion values must be finite, got {bad} of 1089 "
+        "samples with a nan or inf"]
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.skipif(cli._mallopt() is None, reason="the C library has no mallopt")

@@ -1,9 +1,11 @@
 import itertools
+import math
 import warnings
 
 import numpy as np
 import pytest
 
+from parakahler import dlinalg
 from parakahler.dcore import d_conj, d_exp_tau, d_grading2, d_mul
 from conftest import random_frame_stacks, same_bits
 from parakahler.dlinalg import (
@@ -21,8 +23,10 @@ from parakahler.errors import (
     LagrangianViolation,
 )
 from parakahler.frames import (
+    DET_BAND,
     basis_vector,
     d_matmul,
+    det_at_least,
     gram_identity_check,
     lagrangian_angle_of_frame,
     metric,
@@ -251,6 +255,39 @@ def test_random_frames_count_zero_draws_nothing(n):
     rng = np.random.default_rng(3)
     assert random_lagrangian_frames(n, 0, rng).shape == (0, n, n, 2)
     assert rng.normal() == np.random.default_rng(3).normal()
+
+
+def test_random_frames_equal_one_lu_frame_at_a_time_on_the_suite_stream():
+    # gram-lemma's six stacks from one generator: Leibniz decides the
+    # determinants now, and frames and generator state stay those of
+    # one-frame draws decided by LU
+    rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
+    for n, count in [(n, 1000) for n in (2, 3, 4)] + [(n, 200) for n in (2, 3, 4)]:
+        frames = random_lagrangian_frames(n, count, rng)
+        ref = np.stack([_random_lagrangian_frame_per_call(n, ref_rng) for _ in range(count)])
+        assert same_bits(frames, ref)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_det_at_least_decides_inside_its_band_as_lu_does(n):
+    # matrices scaled onto |det| = bound, so that their Leibniz and LU
+    # determinants straddle it in a share of cases: each lies within the
+    # band, and the decision is LU's, also where Leibniz's would differ
+    rng, bound = np.random.default_rng(n), 0.1
+    R = rng.normal(size=(4000, n, n)) * np.exp(rng.uniform(-3, 3, (4000, 1, 1)))
+    R *= (bound / np.abs(np.linalg.det(R)))[:, None, None] ** (1.0 / n)
+    det = np.abs(dlinalg.det_real(R))
+    scale = math.factorial(n) * np.abs(R).max(axis=(-2, -1)) ** n
+    assert np.all(np.abs(det - bound) <= DET_BAND * scale)
+    lu = np.abs(np.linalg.det(R)) >= bound
+    assert same_bits(det_at_least(R, bound), lu)
+    if n in (2, 3, 4):
+        assert np.any((det >= bound) != lu)
+    # far from the bound Leibniz decides alone, and as LU does
+    far = rng.normal(size=(4000, n, n))
+    far = far[np.abs(np.abs(np.linalg.det(far)) - bound) > 1e-6]
+    assert same_bits(det_at_least(far, bound), np.abs(np.linalg.det(far)) >= bound)
 
 
 def test_gram_identity_rejects_non_lagrangian():

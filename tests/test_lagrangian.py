@@ -4,7 +4,7 @@ from collections import deque
 
 import numpy as np
 import pytest
-from conftest import same_bits
+from conftest import probe_nodes, same_bits
 
 from parakahler import equivariant
 from parakahler.dcore import d_exp_tau, d_mul, d_polar
@@ -40,6 +40,7 @@ from parakahler.lagrangian import (
     build_gradient_graph,
     identity_grid,
 )
+from parakahler.nodesets import identity_at, mean_curvature_at
 from parakahler.normalbundle import (
     NormalBundleSpec,
     catenoid_normal_bundle,
@@ -110,6 +111,85 @@ def test_node_set_identity_checks_every_frame_it_reads():
         identity_grid(bumped, None, [(8, 8)])
     _, residual, _ = identity_grid(bumped, None, [(4, 4)])
     assert residual[0] == identity_grid(imm, None, [(4, 4)])[1][0]
+
+
+def _stack_groups():
+    """Immersions of one (m, n) group per m: gradient graphs on grids of
+    several spacings and spans, and for m = 2, 3 periodic lifts of circles
+    whose metric is degenerate on whole lines of nodes."""
+    def u(*x):
+        return sum(0.3 * xi ** 3 - 0.1 * xi ** 2 for xi in x) + 0.2 * x[0] * x[-1] ** 2
+
+    def graph(m, count, lo=-0.5, hi=0.5):
+        return build_gradient_graph((GridAxis(lo, hi, count),) * m, u=u)
+
+    def lift(radius, count, n, sphere=None):
+        return equivariant.lift(equivariant.explicit_circle(radius, count), n, sphere)
+
+    return {1: [graph(1, 21), graph(1, 41, -0.3, 0.7), graph(1, 9)],
+            2: [graph(2, 9), graph(2, 17, -0.4, 0.6), lift(1.3, 32, 2), lift(1.0, 64, 2, (16,))],
+            3: [graph(3, 7), graph(3, 9, -0.6, 0.4), lift(0.8, 24, 3, (9, 8))]}
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_stacked_queries_equal_one_query_each(m):
+    # Random mixes of node-set queries on immersions of one (m, n) group,
+    # some immersions queried twice: each query's H, residual and reasons
+    # (identity_at) and jet, mH, g_inv and has_H (mean_curvature_at) equal
+    # its batch of one and the whole grid at its nodes bit for bit.  The
+    # node sets hold margin, degenerate and stencil-nan nodes.
+    imms, rng = _stack_groups()[m], np.random.default_rng(m)
+    wholes = [(identity_grid(imm, angle_field(imm)), grid_mean_curvature(imm)) for imm in imms]
+    seen = dict.fromkeys(["residual_nan_margin", "residual_nan_stencil", "no_H"], False)
+    for _ in range(6):
+        picks = rng.integers(0, len(imms), size=rng.integers(1, 7)).tolist()
+        queries = []
+        for i in picks:
+            nodes = np.argwhere(np.ones(imms[i].shape, bool))
+            nodes = np.concatenate([probe_nodes(imms[i].shape, seed=len(queries)),
+                                    rng.permutation(nodes)[:rng.integers(1, 40)]])
+            queries.append((imms[i], nodes))
+        for i, (imm, nodes), got, got_H in zip(picks, queries, identity_at(queries),
+                                               mean_curvature_at(queries), strict=True):
+            at, (whole, (jt, *whole_H)) = tuple(nodes.T), wholes[i]
+            one, one_H = identity_at([(imm, nodes)])[0], mean_curvature_at([(imm, nodes)])[0]
+            assert got[2].keys() == one[2].keys() == whole[2].keys()
+            for part, one_part, whole_part in zip(
+                    (*got[:2], *got[2].values(), *got_H[0], *got_H[1:]),
+                    (*one[:2], *one[2].values(), *one_H[0], *one_H[1:]),
+                    (*whole[:2], *whole[2].values(), jt.first, jt.second, imm.values,
+                     *whole_H), strict=True):
+                assert same_bits(part, one_part) and same_bits(part, whole_part[at])
+            for reason in ("residual_nan_margin", "residual_nan_stencil"):
+                seen[reason] |= bool(got[2][reason].any())
+            seen["no_H"] |= bool((imm.margin_mask()[at] & ~got_H[3]).any())
+    assert all(seen.values()), seen
+
+
+def test_stacked_identity_raises_for_one_non_lagrangian_member():
+    # the bump of test_node_set_identity_checks_every_frame_it_reads: a
+    # stack that reads a broken frame raises for every query in it
+    imm = build_gradient_graph(
+        square_axes(17),
+        u=lambda x1, x2: 0.2 * x1 ** 3 + 0.1 * x1 * x2 + 0.3 * x2 ** 2)
+    values = imm.values.copy()
+    values[10, 8, 1, 1] += 0.05
+    bumped = SampledImmersion(imm.axes, values)
+    with pytest.raises(LagrangianViolation):
+        identity_at([(imm, [(8, 8)]), (bumped, [(8, 8)])])
+    (_, residual, _), (_, bumped_residual, _) = identity_at([(imm, [(4, 4)]),
+                                                            (bumped, [(4, 4)])])
+    assert same_bits(residual, bumped_residual)
+
+
+def test_a_stack_needs_one_m_and_n():
+    square, flat3 = square_axes(9), np.zeros((9, 9, 3, 2))
+    graph = build_gradient_graph(square, u=lambda x1, x2: 0.1 * x1 ** 3)
+    curve = build_gradient_graph(square[:1], u=lambda x1: 0.1 * x1 ** 3)
+    for queries in ([(graph, [(4, 4)]), (curve, [(4,)])],
+                    [(graph, [(4, 4)]), (SampledImmersion(square, flat3), [(4, 4)])], []):
+        with pytest.raises(ValueError, match="one m and n"):
+            mean_curvature_at(queries)
 
 
 def test_angle_field_record_keeps_usable_and_region_summary():

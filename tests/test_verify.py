@@ -4,7 +4,7 @@ import sys
 import numpy as np
 import pytest
 
-from parakahler import dlinalg, frames, geometry, structures, verify
+from parakahler import dlinalg, frames, geometry, nodesets, structures, verify
 from parakahler.cli import main
 
 POINT_QUERY_SUITES = ("gram-lemma", "null-product", "constant-angle-graphs")
@@ -48,50 +48,69 @@ def test_point_query_suites_check_stacks(monkeypatch):
 def test_point_query_suites_take_no_whole_grid_tangents(monkeypatch):
     # Each residual of main-theorem and the lift check of equivariant-level
     # once built a whole-grid angle field to read a few nodes: 11 and 1
-    # whole-grid coordinate_tangents calls.  Now every call takes a node set:
-    # main-theorem 12 (11 residuals, each one sampling for its jet and its
-    # angles' tangents, and one jet), equivariant-level 7 (1 stencil of
-    # angles, 6 jets).
+    # whole-grid coordinate_tangents calls.  Now every tangent comes from a
+    # node set, and each suite samples its node sets in few stacks:
+    # main-theorem 4 (its 11 residuals in one stack per m, and one jet),
+    # equivariant-level 3 (one stencil of angles, and its 6 jets in one
+    # stack per m).
     calls = {suite: [] for suite in ("main-theorem", "equivariant-level")}
+    stacks = {suite: [] for suite in calls}
     for suite, suite_calls in calls.items():
         with monkeypatch.context() as patch:
-            for fn in (geometry.coordinate_tangents, geometry.grid_jet,
-                       geometry.jet_and_neighbour_tangents):
+            for fn in (geometry.coordinate_tangents, geometry.grid_jet):
                 _spy(patch, fn, suite_calls)
+            _spy(patch, nodesets.NodeStack, stacks[suite])
             assert all(check.passed for check in verify.run_suite(suite)), suite
-    assert [len(c) for c in calls.values()] == [12, 7]
+    assert [len(c) for c in calls.values()] == [1, 1]
     assert all(len(args) == 2 and args[1] is not None for c in calls.values() for args in c)
+    assert [len(c) for c in stacks.values()] == [4, 3]
 
 
-def test_gram_lemma_draws_stacked_frames_in_six_calls(monkeypatch):
+@pytest.mark.parametrize("suite, groups", [
+    ("main-theorem", 3), ("equivariant-level", 2), ("null-product", 1)])
+def test_node_set_suites_run_one_kernel_pass_per_group(suite, groups, monkeypatch):
+    # main-theorem's 11 residuals once took 11 passes of the kernels,
+    # equivariant-level's 6 mean curvatures 6 and null-product's 3 three.
+    # Now each (m, n) group of a suite's immersions is one stack: one
+    # trace_mean_curvature pass, which every identity and curvature pass runs.
+    passes = []
+    _spy(monkeypatch, geometry.trace_mean_curvature, passes)
+    assert all(check.passed for check in verify.run_suite(suite))
+    assert len(passes) == groups
+
+
+def test_gram_lemma_draws_stacked_frames_in_nine_calls(monkeypatch):
     # The 3 x 1000 identity frames and the 3 x 200 Gram-Schmidt frames come
-    # from one draw per stack.  The 300 frame changes, whose integer draws
-    # sit between their normals, draw their matrices change by change but
-    # are assembled in one lagrangian_frames call per n.
+    # from one draw per stack, and the frames of the 300 frame changes from
+    # one draw per n, after the one integer draw of every change's n.
     calls, assembled = [], []
     _spy(monkeypatch, frames.random_lagrangian_frames, calls)
     _spy(monkeypatch, frames.lagrangian_frames, assembled)
     assert all(check.passed for check in verify.suite_gram_lemma())
-    assert [count for _, count, _ in calls] == [verify.GRAM_FRAMES] * 3 + [200] * 3
+    counts = [count for _, count, _ in calls]
+    assert counts[:6] == [verify.GRAM_FRAMES] * 3 + [200] * 3
+    assert [n for n, _, _ in calls[6:]] == [2, 3, 4] and sum(counts[6:]) == 300
     assert len(assembled) == 6 + 3
     assert sum(len(A) for A, _ in assembled) == 3 * verify.GRAM_FRAMES + 3 * 200 + 300
 
 
 def _frame_changes_one_by_one(rng, count):
-    """Reference: the frame changes drawn one at a time, a one-frame
-    random_lagrangian_frames draw and then change candidates until
-    |det A| >= 0.2, stacked per n."""
-    changes = {n: ([], []) for n in (2, 3, 4)}
-    for _ in range(count):
-        n = int(rng.integers(2, 5))
-        fr = frames.random_lagrangian_frames(n, 1, rng)[0]
-        A = rng.normal(size=(n, n))
-        while abs(np.linalg.det(A)) < 0.2:
+    """Reference: the frame changes in their stream layout, drawn one at a
+    time: the integer draw of every n, then per n = 2, 3, 4 one-frame
+    random_lagrangian_frames draws and then each change's candidates until
+    |det A| >= 0.2 by LU, stacked per n."""
+    ns = rng.integers(2, 5, size=count)
+    changes = {}
+    for n in (2, 3, 4):
+        fr = [frames.random_lagrangian_frames(n, 1, rng)[0] for _ in range(np.sum(ns == n))]
+        moved = []
+        for f in fr:
             A = rng.normal(size=(n, n))
-        changes[n][0].append(fr)
-        changes[n][1].append(np.einsum("ij,jkc->ikc", A, fr))
-    return {n: tuple(np.array(s).reshape(len(s), n, n, 2) for s in pair)
-            for n, pair in changes.items()}
+            while abs(np.linalg.det(A)) < 0.2:
+                A = rng.normal(size=(n, n))
+            moved.append(np.einsum("ij,jkc->ikc", A, f))
+        changes[n] = tuple(np.array(s).reshape(len(s), n, n, 2) for s in (fr, moved))
+    return changes
 
 
 def _rejections(seed, count):
@@ -99,24 +118,28 @@ def _rejections(seed, count):
     at |det| < 0.2) of count changes drawn from seed, replaying the stream
     one matrix at a time."""
     rng, rejected = np.random.default_rng(seed), [0, 0]
-    for _ in range(count):
-        n = int(rng.integers(2, 5))
-        rng.normal(size=(n, n))  # S
-        for slot, bound in enumerate((0.1, 0.2)):
-            while abs(np.linalg.det(rng.normal(size=(n, n)))) < bound:
-                rejected[slot] += 1
+    ns = rng.integers(2, 5, size=count)
+    for n in (2, 3, 4):
+        for _ in range(np.sum(ns == n)):
+            rng.normal(size=(n, n))  # S
+            while abs(np.linalg.det(rng.normal(size=(n, n)))) < 0.1:
+                rejected[0] += 1
+        for _ in range(np.sum(ns == n)):
+            while abs(np.linalg.det(rng.normal(size=(n, n)))) < 0.2:
+                rejected[1] += 1
     return rejected
 
 
 @pytest.mark.parametrize("seed, count, rejected", [
-    (verify.GRAM_SEED, 300, [27, 35]),
-    (3, 6, [1, 0]),
-    (18, 6, [3, 0]),
-    (0, 6, [0, 1]),
-    (12, 6, [0, 3]),
-    (4, 6, [0, 0]),
+    (verify.GRAM_SEED, 300, [23, 51]),
+    (8, 6, [1, 0]),
+    (90, 6, [3, 0]),
+    (7, 6, [0, 1]),
+    (0, 6, [0, 3]),
+    (3, 6, [0, 0]),
+    (11, 6, [1, 1]),
 ], ids=["gram-seed", "reject-frame", "reject-frame-thrice", "reject-change",
-        "reject-change-thrice", "no-rejection"])
+        "reject-change-thrice", "no-rejection", "reject-both"])
 def test_frame_changes_equal_the_one_by_one_draws(seed, count, rejected):
     # the frames and changes, and the generator state after them, are those
     # of the one-by-one loop bit for bit, with and without rejected candidates

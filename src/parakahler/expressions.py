@@ -23,8 +23,10 @@ FUNCTIONS = {
     "tanh": np.tanh, "exp": np.exp, "log": np.log, "sqrt": np.sqrt,
     "abs": np.abs,
 }
+# numpy's divide and power: on two constants, as on arrays, a division by
+# zero or an overflow gives inf or nan instead of raising
 _OPERATORS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
-              ast.Div: operator.truediv, ast.Pow: np.power}
+              ast.Div: np.divide, ast.Pow: np.power}
 _DIGITS = frozenset("0123456789.eE+-")  # a number's text: no 1_000, 0x10 or 1j
 _MAX_DEPTH = 200  # keeps both walks within Python's recursion limit
 _FOREIGN = re.compile(r"[^\w\s.+\-*/^()]|\*\*")  # a character not in the language, or **
@@ -88,9 +90,9 @@ def parse_expression(text: str, names: Collection[str]) -> ast.expr:
 
 def evaluate(expr: ast.expr, env: Mapping[str, object]):
     """Value of a parsed expression over floats or numpy arrays; every
-    number is a float, so 2^-2 is 0.25.  An array overflows to inf, or
-    divides to inf or nan, without a warning: the finiteness check of what
-    the values build reports them."""
+    number is a float, so 2^-2 is 0.25.  A value, constant or array,
+    overflows to inf, or divides to inf or nan, without a warning: the
+    finiteness check of what the values build reports them."""
     with np.errstate(all="ignore"):
         return _value(expr, env)
 

@@ -130,10 +130,9 @@ class _Field:
         lorentzian  (r tanh(alpha), -n + l' r^2, 1, r / cosh(alpha))
 
     Constants are 0-d arrays: numpy combines those with small arrays faster
-    than Python floats.  Each row is computed from y alone and written to
-    out once (numpy is slower where an operation reads and writes different
-    rows of one array); an out from empty() already holds the Lorentzian
-    phi' = 1 row, which calls leave alone."""
+    than Python floats.  bind(y, out) holds the formula; an out from
+    empty() already holds the Lorentzian phi' = 1 row, which it leaves
+    alone."""
 
     def __init__(self, params: SolitonParams):
         self.definite = params.case == "definite"
@@ -147,19 +146,33 @@ class _Field:
             out[..., 2, :] = 1.0
         return out
 
+    def bind(self, y, out):
+        """A function of no arguments that writes the field at the r and alpha
+        rows of y (4, ...) into out (4, ...), views, ufuncs and scratch rows bound
+        once; no ufunc writes over its input, which numpy does slower on one lane."""
+        r, a = y[0], y[1]
+        dr, da, dphi, ds = out
+        definite, neg_n, lam = self.definite, self.neg_n, self.lam
+        tanh, cosh, mul, add, div = np.tanh, np.cosh, np.multiply, np.add, np.divide
+        r2, lam_r2 = np.empty_like(r), np.empty_like(r)
+        th, rate = (dphi, r2) if definite else (np.empty_like(r), da)
+        times_tanh = (rate, th, da) if definite else (r, th, dr)  # alpha' or r'
+
+        def rows():
+            tanh(a, th)
+            mul(r, r, r2)
+            mul(lam, r2, lam_r2)
+            add(neg_n, lam_r2, rate)
+            mul(*times_tanh)
+            if definite:
+                np.copyto(dr, r)
+            cosh(a, r2)
+            div(r, r2, ds)
+        return rows
+
     def __call__(self, y, out=None):
-        if out is None:
-            out = self.empty(np.shape(y))
-        r = y[0]
-        tanh = np.tanh(y[1])
-        if self.definite:
-            out[0] = r
-            np.multiply(self.neg_n + self.lam * (r * r), tanh, out=out[1])
-            out[2] = tanh
-        else:
-            np.multiply(r, tanh, out=out[0])
-            np.add(self.neg_n, self.lam * (r * r), out=out[1])
-        np.divide(r, np.cosh(y[1]), out=out[3])
+        out = self.empty(np.shape(y)) if out is None else out
+        self.bind(y, out)()
         return out
 
 
@@ -294,9 +307,9 @@ class Trajectory:
 
 
 # Dormand-Prince 8(5,3) (Hairer-Norsett-Wanner II.5 and II.10, the DOP853
-# code; the same doubles as scipy's): row s of _A combines stages 0..s-1;
-# rows 1-11 are the stages (_STAGES, each cut to its s weights), row 12 the
-# 8th-order weights _B and rows 13-15 the three extra stages of the
+# code; the same doubles as scipy's): row s of _A combines stages 0..s-1
+# (_STAGES, row s cut to its s weights); rows 1-11 are the stages, row 12
+# the 8th-order weights _B and rows 13-15 the three extra stages of the
 # 7th-order dense output.  _ERR holds the 5th- and 3rd-order error weights
 # (the 12th stage's f(y_new) last), _D the interpolant's four highest
 # coefficients (see _dense).
@@ -335,7 +348,7 @@ for _s, _row in enumerate((
      2.9475147891527724, -9.15095847217987)), start=1):
     _A[_s, :_s] = _row
 del _s, _row
-_STAGES = tuple(_A[s, :s] for s in range(1, 12))
+_STAGES = tuple(_A[s, :s] for s in range(1, 16))
 _B = _A[12, :12]
 _ERR = np.zeros((2, 13))
 _ERR[0, [0, 5, 6, 7, 8, 9, 10, 11]] = (
@@ -403,37 +416,38 @@ def _initial_step(y, f, field, sign, rtol, atol):
     return np.minimum(100 * h0, h1)
 
 
-def _rows(hs, shape):
-    """Step lengths hs (N,) repeated on every row of shape (d, N): numpy
-    multiplies arrays of one shape faster than it broadcasts."""
-    out = np.empty(shape)
-    out[...] = hs
-    return out
+class _Stages:
+    """One workspace of DOP853 steps on N lanes, each view made once: W
+    (k + 2, 4, N) holds the start state y, the stages K (k, 4, N) and y_new
+    (stage 12's state, the 8th-order solution), hs the signed step lengths
+    on every row (numpy broadcasts slower).  run() makes stage s = field(y +
+    hs (_A[s, :s] . K[:s])), one matrix-vector product, for s in stages."""
 
+    def __init__(self, field, lanes, stages):
+        k = stages.stop
+        self.W = field.empty((k + 2, 4, lanes))
+        self.y, self.K, self.y_new = self.W[0], self.W[1:k + 1], self.W[k + 1]
+        self.hs, self._sum, self._scaled, y_stage = (np.empty((4, lanes)) for _ in range(4))
+        self._plan = [(_STAGES[s - 1], self.K[:s].reshape(s, -1), y_s, field.bind(y_s, self.K[s]))
+                      for s in stages for y_s in [self.y_new if s == 12 else y_stage]]
 
-def _stage(a, K2, hs, y, out):
-    """out = y + hs (a . K2), K2 the stages (s, d N) of steps from y (d, N)
-    of lengths hs (d, N)."""
-    np.dot(a, K2, out=out.reshape(-1))
-    out *= hs
-    out += y
-    return out
+    def run(self):
+        y, hs, total, scaled = self.y, self.hs, self._sum, self._scaled
+        flat, dot, mul, add = total.reshape(-1), np.dot, np.multiply, np.add
+        for a, K2, y_s, field in self._plan:
+            dot(a, K2, flat)
+            mul(total, hs, scaled)
+            add(scaled, y, y_s)
+            field()
 
 
 def _step(y, f, hs, field):
-    """One Dormand-Prince 8(5,3) step of signed lengths hs (N,) from states
-    y (d, N) with f = field(y): (y_new, K), K (13, d, N) the stages, the
-    last one f(y_new) (first same as last)."""
-    K = field.empty((13,) + y.shape)
-    K[0] = f
-    K2 = K.reshape(13, -1)
-    hs = _rows(hs, y.shape)
-    y_stage = np.empty(y.shape)
-    for s, a in enumerate(_STAGES, start=1):
-        field(_stage(a, K2[:s], hs, y, y_stage), out=K[s])
-    y_new = _stage(_B, K2[:12], hs, y, np.empty(y.shape))
-    field(y_new, out=K[12])
-    return y_new, K
+    """One Dormand-Prince 8(5,3) step of signed lengths hs (N,) from states y
+    (d, N), f = field(y): (y_new, K), K (13, d, N) the stages, K[12] = f(y_new)."""
+    stages = _Stages(field, y.shape[-1], range(1, 13))
+    stages.y[...], stages.K[0], stages.hs[...] = y, f, hs
+    stages.run()
+    return stages.y_new, stages.K
 
 
 def _dense(K, y_old, y_new, hs, field):
@@ -448,19 +462,15 @@ def _dense(K, y_old, y_new, hs, field):
     stages are stage sums as in _step: that their matrix-vector products
     round a column alike in any batch is measured, not built in (see
     test_lanes_do_not_depend_on_their_batch)."""
-    dim = K.shape[1]
-    Kx = field.empty((16,) + K.shape[1:])
-    Kx[:13] = K
-    K2 = Kx.reshape(16, -1)
-    y_stage, hs_rows = np.empty(K.shape[1:]), _rows(hs, K.shape[1:])
-    for s in range(13, 16):
-        field(_stage(_A[s, :s], K2[:s], hs_rows, y_old, y_stage), out=Kx[s])
+    extra = _Stages(field, K.shape[-1], range(13, 16))
+    extra.y[...], extra.K[:13], extra.hs[...] = y_old, K, hs
+    extra.run()
     dy = y_new - y_old
     F = np.empty((7,) + K.shape[1:])
     F[0] = dy
     F[1] = hs * K[0] - dy
     F[2] = 2.0 * dy - hs * (K[12] + K[0])
-    F[3:] = hs * np.einsum("ij,jk->ik", _D, K2).reshape(4, dim, -1)
+    F[3:] = hs * np.einsum("ij,jk->ik", _D, extra.K.reshape(16, -1)).reshape(F[3:].shape)
     return F
 
 
@@ -486,18 +496,26 @@ def integrate_many(params: SolitonParams, initial, directions, s_max: float, *,
     (r, alpha, phi, s), scaled by STEP_ATOL + rtol max(|y|, |y_new|), error
     exponent -1/8, safety 0.9, step factors 0.2 to 10, no growth right after
     a rejection, Hairer-Norsett-Wanner's starting step at order 7.  A lane
-    leaves the batch after an accepted step on which an event changes sign:
-    r <= R_MIN, r >= R_MAX, |alpha| >= ALPHA_MAX, |s| >= s_max, and for
-    definite lanes alpha_floor.  After the loop (see _trajectories) the
-    earliest sign change on that step's 7th-order interpolant, located to
-    EVENT_XTOL of the step, is the lane's stop, and the step is redone to
-    it, its end state being the event's.  The interpolant costs three more
-    field evaluations per step, so the loop builds none: _trajectories
-    builds those of the lanes' last steps, and the trajectories share one
+    finishes after an accepted step on which an event changes sign: r <=
+    R_MIN, r >= R_MAX, |alpha| >= ALPHA_MAX, |s| >= s_max, and for definite
+    lanes alpha_floor.  After the loop (see _trajectories) the earliest sign
+    change on that step's 7th-order interpolant, located to EVENT_XTOL of
+    the step, is the lane's stop, and the step is redone to it, its end
+    state being the event's.  The interpolant costs three more field
+    evaluations per step, so the loop builds none: _trajectories builds
+    those of the lanes' last steps, and the trajectories share one
     _DenseOutput that builds every accepted step's on the first sample.  A
     step below 10 ulp of sigma raises StepFailure.  A lane's trajectory, its
     samples included, is the same bits alone or in any batch (see _dense):
     one trajectory is a batch of one.
+
+    The call binds one workspace (_Stages) of L lanes.  A finished lane
+    stays in its columns, frozen: sign 0 repeats its last accepted state
+    (finite, as f(y_new) enters the error estimate), its events disarmed, an
+    err bound of inf and a growth cap of 0 accept its 10-ulp steps.  Each
+    iteration records (ids, accepted, h, y, y_new, K) over the running lanes
+    ids.  That a lane's stage sums round alike in any batch is measured
+    (test_lanes_do_not_depend_on_their_batch), not built in.
 
     In the definite case with a decaying angle the energy g(r) sinh(alpha)
     pairs an exploding factor with a collapsing one; once |alpha| reaches
@@ -526,23 +544,28 @@ def integrate_many(params: SolitonParams, initial, directions, s_max: float, *,
 
     field = _Field(params)
     rtol, atol = np.array(rtol), np.array(STEP_ATOL)
-    ids = np.arange(lanes)
-    y = y0.T.copy()
+    ids = np.arange(lanes)               # the lanes still running
+    stages = _Stages(field, lanes, range(1, 13))
+    W, y, K, y_new = stages.W, stages.y, stages.K, stages.y_new
+    K0, K12, K2 = K[0], K[12], K.reshape(13, -1)
+    y[...] = y0.T
     dim = len(y)
     t = np.zeros(lanes)
-    # f(y), unsigned: a lane runs along sign * f, so its steps use hs = sign * h
-    f = field(y)
-    h_abs = _initial_step(y, f, field, sign, rtol, atol)
+    # K0 holds f(y), unsigned: a lane runs along sign * f, so its steps use hs = sign * h
+    h_abs = _initial_step(y, field(y, out=K0), field, sign, rtol, atol)
     rejected = np.zeros(lanes, dtype=bool)
     retry = False                        # some lane retries a rejected step
     armed = np.ones((5, lanes), dtype=bool)
     armed[3] = params.case == "definite"
     armed[3] &= np.abs(y[1]) > ALPHA_FLOOR
-    sg = np.sign(_events(y, f, limits))
-    steps = []                           # per iteration: ids, accepted, h, y, y_new, K
+    sg = np.sign(_events(y, K0, limits))
+    bound, cap = np.ones(lanes), np.full(lanes, 10.0)  # err bound, growth cap
+    steps = []                 # per iteration, over ids: ids, accepted, h, y, y_new, K
     # of each lane's last step: the events fired and its stages
     fired_rows = np.zeros((lanes, len(_EVENTS)), dtype=bool)
     K_last = np.empty((13, dim, lanes))
+    est = np.empty((2, dim, lanes))
+    est5, est3 = est.reshape(2, -1)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         while ids.size:
             min_step = _TEN * np.spacing(t)
@@ -556,49 +579,46 @@ def integrate_many(params: SolitonParams, initial, directions, s_max: float, *,
                 h_abs = np.maximum(h_abs, min_step)
             t_new = t + h_abs
             h = t_new - t
-            hs = sign * h
-            y_new, K = _step(y, f, hs, field)
-            K2 = K.reshape(13, -1)
+            np.multiply(sign, h, out=stages.hs)
+            stages.run()
             # squared norms of the 5th- and 3rd-order estimates, each one
             # matrix-vector product as in scipy: on a lane at rest they are
             # the rounding of these sums, and so is its step sequence
             scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-            est = np.empty((2, K2.shape[1]))
-            np.dot(_ERR[0], K2, out=est[0])
-            np.dot(_ERR[1], K2, out=est[1])
-            e5, e3 = np.add.reduce(np.square(est.reshape(2, dim, -1) / scale), axis=1)
+            np.dot(_ERR[0], K2, est5)
+            np.dot(_ERR[1], K2, est3)
+            e5, e3 = np.add.reduce(np.square(est / scale), axis=1)
             err = h * e5 / np.sqrt(np.fmax(e5 + _HUNDREDTH * e3, _TINY) * dim)
-            accepted = err < 1.0
+            accepted = err < bound
             factor = _SAFETY * err ** _EXPONENT
-            grow = np.minimum(_TEN, factor)
+            grow = np.minimum(cap, factor)
             if retry:
                 grow = np.where(rejected, np.minimum(_ONE, grow), grow)
-            steps.append((ids, accepted, h, y, y_new, K))
-            sg_new = np.sign(_events(y_new, K[12], limits))
+            kept = W.take(ids, axis=-1)
+            steps.append((ids, accepted.take(ids), h.take(ids), kept[0], kept[-1], kept[1:-1]))
+            sg_new = np.sign(_events(y_new, K12, limits))
             fired = armed & (sg * sg_new <= 0)
-            all_accepted = accepted.all()
+            all_accepted = np.count_nonzero(accepted) == lanes
             if all_accepted:
                 h_abs = h * grow
-                y, t, sg, f = y_new, t_new, sg_new, K[12]
+                t, sg = t_new, sg_new
             else:
                 h_abs = h * np.where(accepted, grow, np.fmax(_FIFTH, factor))
                 fired &= accepted
-                y = np.where(accepted, y_new, y)
                 t = np.where(accepted, t_new, t)
                 sg = np.where(accepted, sg_new, sg)
-                f = np.where(accepted, K[12], f)
-            finished = fired.any(axis=0)
+            if np.count_nonzero(fired):
+                finished = fired.any(axis=0)
+                done = np.flatnonzero(finished)
+                fired_rows[done] = fired[:, done].T
+                K_last[:, :, done] = K.take(done, axis=-1)
+                ids = ids[~finished[ids]]
+                armed[:, done] = False
+                sign[done], bound[done], cap[done] = 0.0, np.inf, 0.0
+            np.copyto(y, y_new, where=accepted)
+            np.copyto(K0, K12, where=accepted)
             rejected = ~accepted
             retry = not all_accepted
-            if not finished.any():
-                continue
-            fired_rows[ids[finished]] = fired[:, finished].T
-            K_last[:, :, ids[finished]] = K[:, :, finished]
-            keep = ~finished
-            ids, y, t, h_abs, rejected, sign = (
-                ids[keep], y[:, keep], t[keep], h_abs[keep], rejected[keep], sign[keep])
-            sg, armed, f = sg[:, keep], armed[:, keep], f[:, keep]
-            retry = bool(rejected.any())
 
     return _trajectories(params, field, y0, directions, steps, fired_rows, K_last,
                         limits)

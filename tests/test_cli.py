@@ -644,10 +644,12 @@ print(faults)
 @pytest.mark.parametrize("argv, bad", [
     (["--u", "x1^3", "--lo=-1e120", "--hi", "1e120"], 1089),
     (["--u", "1/x1"], 99),
-], ids=["overflow", "division-by-zero"])
+    (["--u", "1/0 + x1"], 1089),
+], ids=["overflow", "division-by-zero", "constant-division"])
 def test_a_non_finite_potential_prints_only_its_error_line(argv, bad, tmp_path):
     # the potential's evaluation and its differences once printed two
-    # RuntimeWarnings before the error line
+    # RuntimeWarnings before the error line, and a constant divided by zero
+    # raised ZeroDivisionError
     src = str(Path(parakahler.__file__).resolve().parent.parent)
     proc = subprocess.run([sys.executable, "-c", "import sys; sys.path.insert(0, sys.argv[1]); "
                            "from parakahler.cli import main; sys.exit(main(sys.argv[2:]))",

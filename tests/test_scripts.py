@@ -103,16 +103,30 @@ def test_suite_timings_prints_each_suite_of_each_tree_and_the_rounds_won(capsys,
     assert run_script("suite_timings", monkeypatch, "--rounds", "1", "--passes", "1",
                       "--src", str(src), str(src)) == 0
     header, *lines = capsys.readouterr().out.splitlines()
-    assert header.startswith("nine verify suites in-process, 1 rounds x 1 passes")
-    suites = load_script("suite_timings").SUITES
+    assert header.startswith("phase sweeps and nine verify suites in-process, 1 rounds x 1 "
+                             "passes")
+    script = load_script("suite_timings")
+    suites = script.SUITES
     assert len(suites) == 9 and "soliton-ode" not in suites
-    assert len(lines) == 2 * 11 + 1 and lines[0] == lines[11] == f"{src}:"
-    for tree in (lines[1:11], lines[12:22]):
-        names, ms = zip(*(line.split() for line in tree))
-        assert names == suites + ("total",)
+    assert len(lines) == 2 * 13 + 1 and lines[0] == lines[13] == f"{src}:"
+    for tree in (lines[1:13], lines[14:26]):
+        names, ms = zip(*(line.rsplit(None, 1) for line in tree))
+        assert [n.strip() for n in names] == [script.PHASE, *suites, "suites", "total"]
         assert all(float(t) > 0.0 for t in ms)
-        assert abs(sum(map(float, ms[:-1])) - float(ms[-1])) < 0.1
+        assert abs(sum(map(float, ms[1:-2])) - float(ms[-2])) < 0.1
+        assert abs(float(ms[0]) + float(ms[-2]) - float(ms[-1])) < 0.1
     assert lines[-1] in (f"{src} beat {src} in {k} of 1 rounds" for k in (0, 1))
+
+
+def test_suite_timings_runs_the_benchmark_phase_sweeps(monkeypatch):
+    # seed 61 of perfbench's PhaseSweep, the inputs of phase_verify's passes
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", SCRIPTS.parent / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
+    spec.loader.exec_module(workloads)
+    want = [argv[:-2] for argv in workloads.PhaseSweep(61).argvs(Path("out"))]
+    assert load_script("suite_timings").phase_argvs() == want
 
 
 def test_phase_portrait_writes_one_csv_per_orbit(tmp_path, monkeypatch):

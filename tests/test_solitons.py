@@ -1,4 +1,5 @@
 import math
+import random
 from types import SimpleNamespace
 
 import numpy as np
@@ -160,19 +161,29 @@ def test_integrate_rejects_small_initial_radius():
         _lane((1e-9, 0.0, 0.0), LOR1, 1.0)
 
 
+def _poison(monkeypatch, where):
+    """Make the field's alpha' row nan at the states y (4, N) where
+    where(y) holds, in _Field.bind, the one formula that the bound stages
+    and _Field.__call__ both run."""
+    bind = solitons._Field.bind
+
+    def poisoned(self, y, out):
+        rows = bind(self, y, out)
+
+        def nan_rows():
+            rows()
+            out[1] = np.where(where(y), np.nan, out[1])
+        return nan_rows
+
+    monkeypatch.setattr(solitons._Field, "bind", poisoned)
+
+
 def test_a_nan_field_raises_step_failure(monkeypatch):
     # Past s = 0.05 the alpha' row is nan, so every step's error norm is nan
     # and the step is rejected and shrunk by the minimum factor until it
     # falls below 10 ulp of sigma: the batch raises instead of looping or
     # returning nan rows.
-    field = solitons._Field.__call__
-
-    def poisoned(self, y, out=None):
-        out = field(self, y, out)
-        out[1] = np.where(y[3] > 0.05, np.nan, out[1])
-        return out
-
-    monkeypatch.setattr(solitons._Field, "__call__", poisoned)
+    _poison(monkeypatch, lambda y: y[3] > 0.05)
     with pytest.raises(StepFailure, match="step size underflow at r = "):
         integrate_many(LOR1, [(1.0, 0.25, 0.0)], 1, 1.0)
 
@@ -991,3 +1002,330 @@ def test_dense_output_is_built_once_for_the_batch(tmp_path, monkeypatch):
     trajs[7].sample([0.0])
     trajs[0].sample([0.0])
     assert calls == [2 * 25, steps]
+
+
+# ---------------------------------------------------------------------------
+# integrate_many's loop against the one it replaced, kept here as the
+# reference: every stage in fresh arrays with fresh row views, and a
+# finished lane compacted out of the batch.  The loop on one workspace,
+# which freezes finished lanes in their columns, gives the same
+# trajectories and samples, bit for bit.
+# ---------------------------------------------------------------------------
+
+def _fresh_step(y, f, hs, field):
+    K = field.empty((13,) + y.shape)
+    K[0] = f
+    K2 = K.reshape(13, -1)
+    hs_rows = np.empty(y.shape)
+    hs_rows[...] = hs
+    for s in range(1, 13):
+        y_s = np.empty(y.shape)
+        np.dot(solitons._A[s, :s], K2[:s], out=y_s.reshape(-1))
+        y_s *= hs_rows
+        y_s += y
+        field(y_s, out=K[s])
+    return y_s, K
+
+
+def _compacting_integrate_many(params, initial, directions, s_max, *, rtol=1e-10):
+    y0 = np.array(initial, dtype=float).reshape(-1, 3)
+    lanes = len(y0)
+    y0 = np.concatenate([y0, np.zeros((lanes, 1))], axis=1)
+    directions = np.broadcast_to(np.asarray(directions, dtype=float), (lanes,))
+    sign = directions.copy()
+    limits = np.array([[solitons.R_MIN], [solitons.R_MAX], [solitons.ALPHA_MAX],
+                       [solitons.ALPHA_FLOOR], [float(s_max)]])
+    field = solitons._Field(params)
+    rtol, atol = np.array(rtol), np.array(solitons.STEP_ATOL)
+    ids = np.arange(lanes)
+    y = y0.T.copy()
+    dim = len(y)
+    t = np.zeros(lanes)
+    f = field(y)
+    h_abs = solitons._initial_step(y, f, field, sign, rtol, atol)
+    rejected = np.zeros(lanes, dtype=bool)
+    retry = False
+    armed = np.ones((5, lanes), dtype=bool)
+    armed[3] = params.case == "definite"
+    armed[3] &= np.abs(y[1]) > solitons.ALPHA_FLOOR
+    sg = np.sign(solitons._events(y, f, limits))
+    steps = []
+    fired_rows = np.zeros((lanes, 5), dtype=bool)
+    K_last = np.empty((13, dim, lanes))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        while ids.size:
+            min_step = 10.0 * np.spacing(t)
+            if retry:
+                h_abs = np.where(rejected, h_abs, np.maximum(h_abs, min_step))
+                under = np.flatnonzero(rejected & (h_abs < min_step))
+                if under.size:
+                    r, a = y[:2, under[0]]
+                    raise StepFailure(f"step size underflow at r = {r:.6g}, alpha = {a:.6g}")
+            else:
+                h_abs = np.maximum(h_abs, min_step)
+            t_new = t + h_abs
+            h = t_new - t
+            y_new, K = _fresh_step(y, f, sign * h, field)
+            K2 = K.reshape(13, -1)
+            scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
+            est = np.empty((2, K2.shape[1]))
+            np.dot(solitons._ERR[0], K2, out=est[0])
+            np.dot(solitons._ERR[1], K2, out=est[1])
+            e5, e3 = np.add.reduce(np.square(est.reshape(2, dim, -1) / scale), axis=1)
+            err = h * e5 / np.sqrt(np.fmax(e5 + 0.01 * e3, 1e-300) * dim)
+            accepted = err < 1.0
+            factor = 0.9 * err ** -0.125
+            grow = np.minimum(10.0, factor)
+            if retry:
+                grow = np.where(rejected, np.minimum(1.0, grow), grow)
+            steps.append((ids, accepted, h, y, y_new, K))
+            sg_new = np.sign(solitons._events(y_new, K[12], limits))
+            fired = armed & (sg * sg_new <= 0)
+            all_accepted = accepted.all()
+            if all_accepted:
+                h_abs = h * grow
+                y, t, sg, f = y_new, t_new, sg_new, K[12]
+            else:
+                h_abs = h * np.where(accepted, grow, np.fmax(0.2, factor))
+                fired &= accepted
+                y = np.where(accepted, y_new, y)
+                t = np.where(accepted, t_new, t)
+                sg = np.where(accepted, sg_new, sg)
+                f = np.where(accepted, K[12], f)
+            finished = fired.any(axis=0)
+            rejected = ~accepted
+            retry = not all_accepted
+            if not finished.any():
+                continue
+            fired_rows[ids[finished]] = fired[:, finished].T
+            K_last[:, :, ids[finished]] = K[:, :, finished]
+            keep = ~finished
+            ids, y, t, h_abs, rejected, sign = (
+                ids[keep], y[:, keep], t[keep], h_abs[keep], rejected[keep], sign[keep])
+            sg, armed, f = sg[:, keep], armed[:, keep], f[:, keep]
+            retry = bool(rejected.any())
+    return solitons._trajectories(params, field, y0, directions, steps, fired_rows,
+                                  K_last, limits)
+
+
+def _assert_same_trajectories(ours, ref):
+    assert len(ours) == len(ref)
+    for tr, rf in zip(ours, ref):
+        assert _bits(tr.s) == _bits(rf.s) and _bits(tr.states) == _bits(rf.states)
+        assert (tr.E0.hex(), tr.max_E_drift.hex()) == (rf.E0.hex(), rf.max_E_drift.hex())
+        assert (tr.accepted, tr.stop_reason, tr.accepted_steps, tr.rejected_steps,
+                tr.dropped_knots) == (rf.accepted, rf.stop_reason, rf.accepted_steps,
+                                      rf.rejected_steps, rf.dropped_knots)
+        s = np.linspace(tr.s[0], tr.s[-1], 41)
+        assert _bits(tr.sample(s)) == _bits(rf.sample(s))
+
+
+def _sweep_starts(seed):
+    """The benchmark's phase sweep starts: 5 x 5 over seed-jittered ranges."""
+    rng = random.Random(seed)
+    half = 0.9 + rng.uniform(-0.05, 0.05)
+    a = 0.8 + rng.uniform(-0.05, 0.05)
+    return [(float(r), float(al), 0.0) for r in np.linspace(_R0 - half, _R0 + half, 5)
+            for al in np.linspace(-a, a, 5)]
+
+
+def _records(monkeypatch):
+    """The per-iteration records of every integrate_many call from now on."""
+    calls = []
+    assemble = solitons._trajectories
+
+    def spy(params, field, y0, directions, steps, *rest):
+        calls.append(steps)
+        return assemble(params, field, y0, directions, steps, *rest)
+
+    monkeypatch.setattr(solitons, "_trajectories", spy)
+    return calls
+
+
+@pytest.mark.parametrize("seed", [61, 83])
+@pytest.mark.parametrize("params", [SolitonParams(2, 1.0, "lorentzian"),
+                                    SolitonParams(2, -1.0, "definite")],
+                         ids=["lorentzian+1", "definite-1"])
+def test_benchmark_sweeps_match_the_compacting_loop(params, seed, monkeypatch):
+    starts = _sweep_starts(seed)
+    signs = np.repeat([-1.0, 1.0], len(starts))
+    records = _records(monkeypatch)
+    ours = integrate_many(params, starts + starts, signs, 10.0, rtol=1e-12)
+    ref = _compacting_integrate_many(params, starts + starts, signs, 10.0, rtol=1e-12)
+    _assert_same_trajectories(ours, ref)
+    # lanes finish at many iterations, and are frozen, not compacted
+    widths = [st[0].size for st in records[0]]
+    assert len(set(widths)) > 10 and widths[0] == 50
+    assert all(st[5].shape == (13, 4, st[0].size) for st in records[0])
+
+
+def test_soliton_ode_calls_match_the_compacting_loop(monkeypatch):
+    calls = []
+    many = solitons.integrate_many
+
+    def spy(params, initial, directions, s_max, **kw):
+        calls.append((params, initial, directions, s_max, kw))
+        return many(params, initial, directions, s_max, **kw)
+
+    monkeypatch.setattr(solitons, "integrate_many", spy)
+    from parakahler import verify
+
+    assert all(c.passed for c in verify.run_suite("soliton-ode"))
+    monkeypatch.undo()
+    assert len(calls) == 21
+    for params, initial, directions, s_max, kw in calls:
+        _assert_same_trajectories(integrate_many(params, initial, directions, s_max, **kw),
+                                  _compacting_integrate_many(params, initial, directions,
+                                                             s_max, **kw))
+
+
+def _random_batch(seed):
+    """params, starts, signs, s_max and rtol of a random batch."""
+    rng = np.random.default_rng(seed)
+    params = SolitonParams(int(rng.integers(2, 4)), float(rng.choice([1.0, 0.0, -1.0])),
+                           str(rng.choice(solitons.CASES)))
+    lanes = int(rng.integers(12, 24))
+    starts = np.column_stack([rng.uniform(0.1, 3.0, lanes), rng.uniform(-1.5, 1.5, lanes),
+                              rng.uniform(-0.5, 0.5, lanes)])
+    signs = rng.choice([-1.0, 1.0], lanes)
+    return params, starts, signs, float(rng.uniform(1.0, 8.0)), \
+        float(rng.choice([1e-12, 1e-9, 1e-6]))
+
+
+@pytest.mark.parametrize("seed", range(9))
+def test_random_batches_match_the_compacting_loop(seed, monkeypatch):
+    # lanes that finish at different iterations, on every event; the
+    # definite l' = 1 batch of seed 8 retries 27 rejected steps while lanes
+    # are frozen
+    params, starts, signs, s_max, rtol = _random_batch(seed)
+    records = _records(monkeypatch)
+    ours = integrate_many(params, starts, signs, s_max, rtol=rtol)
+    _assert_same_trajectories(
+        ours, _compacting_integrate_many(params, starts, signs, s_max, rtol=rtol))
+    steps = records[0]
+    assert len({st[0].size for st in steps}) > 4
+    if seed == 8:
+        assert sum(st[0].size < len(starts) and not st[1].all() for st in steps) == 27
+
+
+def _counted_runs(monkeypatch):
+    """The number of steps _Stages.run makes from now on, in a list."""
+    count = [0]
+    run = solitons._Stages.run
+
+    def counted(self):
+        count[0] += 1
+        run(self)
+
+    monkeypatch.setattr(solitons._Stages, "run", counted)
+    return count
+
+
+def test_step_failure_names_its_own_lane_among_frozen_ones(monkeypatch):
+    # the forward lane's field is nan past s = 0.05, so its steps shrink to
+    # the 10-ulp floor and it raises, naming its own (r, alpha) as it does
+    # alone; the backward lanes stop on s_max before that and are frozen in
+    # the columns on either side of it
+    _poison(monkeypatch, lambda y: y[3] > 0.05)
+    runs = _counted_runs(monkeypatch)
+    lane, others = (1.0, 0.25, 0.0), [(0.9, 0.3, 0.0), (1.7, -0.5, 0.2)]
+    with pytest.raises(StepFailure) as alone:
+        integrate_many(LOR1, [lane], 1, 0.3)
+    alone_runs = runs[0]
+    backward = integrate_many(LOR1, others, -1, 0.3)
+    assert all(tr.stop_reason == "s_max" for tr in backward)
+    assert max(tr.accepted_steps + tr.rejected_steps for tr in backward) < alone_runs - 5
+    runs[0] = 0
+    with pytest.raises(StepFailure) as batch:
+        integrate_many(LOR1, [others[0], lane, others[1]], [-1, 1, -1], 0.3)
+    assert str(batch.value) == str(alone.value)
+    assert runs[0] == alone_runs
+
+
+def test_a_frozen_lane_never_raises_or_fires(monkeypatch):
+    # lane 0 runs into the alpha blow-up in 30 iterations and lane 1 into
+    # r -> 0 in 100.  The field is nan past lane 0's last accepted |alpha|
+    # by 1: had lane 0 gone on integrating, its steps would have been
+    # rejected to the 10-ulp floor and raised, or its events fired again.
+    # Frozen, it repeats its last state: the batch raises nothing and each
+    # lane equals its batch of one, bit for bit.
+    starts, signs = [(2.31050539784756, -0.807086589460797, 0.0), (1.3, 0.1, 0.0)], [-1, 1]
+    records = _records(monkeypatch)
+    workspaces = []
+    stages = solitons._Stages.__init__
+
+    def kept_workspace(self, *args):
+        stages(self, *args)
+        workspaces.append(self)
+
+    monkeypatch.setattr(solitons._Stages, "__init__", kept_workspace)
+    integrate_many(LOR1, starts[:1], -1, 10.0, rtol=1e-12)
+    last = records[-1][-1]
+    assert last[1].all() and abs(last[4][1, 0]) > solitons.ALPHA_MAX
+    _poison(monkeypatch, lambda y: np.abs(y[1]) > abs(last[4][1, 0]) + 1.0)
+    workspaces.clear()
+    batch = integrate_many(LOR1, starts, signs, 10.0, rtol=1e-12)
+    assert [tr.stop_reason for tr in batch] == ["alpha_max", "r_min"]
+    widths = [st[0].size for st in records[-1]]
+    assert widths.count(1) > widths.count(2) > 20
+    # the loop's workspace still holds lane 0's last accepted state and its
+    # field at every stage
+    work = workspaces[0]            # then those of the last steps' interpolants and redos
+    assert work.K.shape == (13, 4, 2)
+    kept = [st[4][:, list(st[0]).index(0)] for st in records[-1] if 0 in st[0]]
+    assert _bits(work.y[:, 0]) == _bits(kept[-1])
+    assert all(_bits(work.K[s, :, 0]) == _bits(work.K[0, :, 0]) for s in range(13))
+    for y0, d, tr in zip(starts, signs, batch):
+        _assert_same_trajectories([tr], integrate_many(LOR1, [y0], d, 10.0, rtol=1e-12))
+
+
+def test_a_frozen_lane_on_a_zero_event_fires_once(monkeypatch):
+    # where |s| >= s_max the s_max event is 0 here, not positive: a lane's
+    # stop then leaves it on a zero of its event, which would fire again on
+    # every later iteration if its events stayed armed.  Frozen, the lane
+    # fires once, and each lane equals its batch of one, bit for bit.
+    events = solitons._events
+
+    def zero_past_s_max(y, f, limits):
+        ev = events(y, f, limits)
+        ev[4] = np.minimum(ev[4], 0.0)
+        return ev
+
+    monkeypatch.setattr(solitons, "_events", zero_past_s_max)
+    records = _records(monkeypatch)
+    starts, signs = [(1.2, 0.2, 0.0), (1.3, 0.1, 0.0)], [1, -1]
+    batch = integrate_many(LOR1, starts, signs, 0.5, rtol=1e-12)
+    assert [tr.stop_reason for tr in batch] == ["s_max", "s_max"]
+    assert len({st[0].size for st in records[-1]}) == 2
+    for y0, d, tr in zip(starts, signs, batch):
+        _assert_same_trajectories([tr], integrate_many(LOR1, [y0], d, 0.5, rtol=1e-12))
+
+
+def test_a_frozen_lane_is_accepted_whatever_its_error(monkeypatch):
+    # once lane 0 has stopped, each evaluation at its last state adds a new
+    # offset to alpha', so its stages differ and the error estimate of its
+    # 10-ulp steps is far above 1.  Masked out of the acceptance and retry
+    # decision, it neither raises nor moves lane 1 by a bit.
+    starts, signs = [(2.31050539784756, -0.807086589460797, 0.0), (1.3, 0.1, 0.0)], [-1, 1]
+    records = _records(monkeypatch)
+    integrate_many(LOR1, starts[:1], -1, 10.0, rtol=1e-12)
+    y_stop = records[-1][-1][4][:, 0]
+    seen = [0]
+    bind = solitons._Field.bind
+
+    def offset_after_the_stop(self, y, out):
+        rows = bind(self, y, out)
+
+        def offset_rows():
+            rows()
+            at_stop = np.all(y == y_stop[:, None], axis=0)
+            seen[0] += bool(at_stop.any())
+            if seen[0] > 1:
+                out[1] = np.where(at_stop, out[1] + 1e12 * seen[0], out[1])
+        return offset_rows
+
+    monkeypatch.setattr(solitons._Field, "bind", offset_after_the_stop)
+    ours = integrate_many(LOR1, starts, signs, 10.0, rtol=1e-12)
+    assert seen[0] > 100
+    monkeypatch.undo()
+    _assert_same_trajectories(ours, integrate_many(LOR1, starts, signs, 10.0, rtol=1e-12))

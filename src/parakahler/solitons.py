@@ -77,25 +77,15 @@ _TINY = np.array(1e-300)
 # evaluations of the event function per call where halving took 52;
 # turning radii run until the doubles in the bracket are used up.
 EVENT_XTOL = 4 * np.finfo(float).eps
-# epsabs = epsrel of the phi quadrature: the smooth definite integrand, and
-# the Lorentzian pieces with their turning-point substitutions
-QUAD_TOL_DEFINITE = 1e-12
-QUAD_TOL_LORENTZIAN = 1e-11
-# A Lorentzian radicand 1 - g^2/E^2 <= TURN_EPS at an end of the phi
-# quadrature's range is a turning point; below -TURN_EPS it is forbidden.
+# A Lorentzian radicand 1 - g^2/E^2 within TURN_EPS of 0 at an end of the
+# phi quadrature's range makes it a turning point; below -TURN_EPS, forbidden.
 TURN_EPS = 1e-9
-# A turning radius rho_t matches the range end r it was sought for when
-# |rho_t - r| <= TURN_MATCH_RTOL * max(r, 1); a negative radicand at an end
-# without such a match raises IntegrandSingular.
-TURN_MATCH_RTOL = 1e-6
-# Without a turning-point piece, a radicand below -INTERIOR_RADICAND_TOL at
-# either end means the range is forbidden.
-INTERIOR_RADICAND_TOL = 1e-6
-# With l' > 0, an end within relative PEAK_SIDE_RTOL of the radicand's peak
-# sqrt(n/l') counts as lying on the side of the other end: the turning
-# radius of the upper end is sought below the peak, that of the lower end
-# above it.
-PEAK_SIDE_RTOL = 1e-9
+# phi_quadrature's tanh-sinh rule: t in [-PHI_T_MAX, PHI_T_MAX], whose ends
+# lie 1e-37 half-widths from the range's ends, the step halved from 1 at
+# most PHI_LEVELS times, until two levels agree to relative PHI_RTOL
+PHI_T_MAX = 4
+PHI_LEVELS = 8
+PHI_RTOL = 1e-13
 STEP_ATOL = 1e-16  # absolute part (scipy's atol) of integrate_many's error scale
 
 
@@ -182,10 +172,11 @@ def radial_weight(r, params: SolitonParams):
 
 
 def energy(states, params: SolitonParams) -> np.ndarray:
-    """First integral at states (..., 3) with r > 0."""
+    """First integral at states (..., 3) with r > 0; where sinh alpha is a
+    zero the result is that zero, also where g(r) overflows."""
     r, a = states[..., 0], states[..., 1]
-    return radial_weight(r, params) * (np.sinh(a) if params.case == "definite"
-                                       else np.cosh(a))
+    h = np.sinh(a) if params.case == "definite" else np.cosh(a)
+    return np.where(h == 0.0, h, radial_weight(r, params) * h)
 
 
 def critical_point(params: SolitonParams) -> SolitonState:
@@ -681,7 +672,8 @@ def _trajectories(params, field, y0, directions, steps, fired, K_last, limits):
     dense = _DenseOutput(field, steps, take, np.repeat(directions, counts) * h_all,
                          states, knots, last, K_end)
 
-    E = energy(states, params)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        E = energy(states, params)
     E0 = E[starts]
     drift = np.maximum.reduceat(np.abs(E - np.repeat(E0, sizes)), starts)
     rows, per_lane = _kept_rows(states, first, directions)
@@ -792,15 +784,6 @@ def classify(traj: Trajectory) -> str:
 # phi quadrature
 # ---------------------------------------------------------------------------
 
-def _log_weight(rho, params):
-    return params.n * np.log(rho) - params.lambda_prime * rho * rho / 2.0
-
-
-def _lorentz_radicand(rho, E, params):
-    t = np.exp(_log_weight(rho, params)) / abs(E)
-    return (1.0 - t) * (1.0 + t)
-
-
 def turning_radius(E: float, params: SolitonParams, side: str) -> float:
     """Radius where g(r) = |E| on the requested monotone branch of g.
 
@@ -813,8 +796,8 @@ def turning_radius(E: float, params: SolitonParams, side: str) -> float:
     """
     target = math.log(abs(E))
 
-    def f(rho):
-        return _log_weight(rho, params) - target
+    def f(rho):  # log g(rho) - log |E|
+        return params.n * np.log(rho) - params.lambda_prime * rho * rho / 2.0 - target
 
     if params.lambda_prime > 0.0:
         peak = math.sqrt(params.n / params.lambda_prime)
@@ -839,13 +822,20 @@ def phi_quadrature(r_from: float, r_to: float, E: float,
                    params: SolitonParams) -> float:
     """phi(r_to) - phi(r_from) along a monotone-r stretch of a trajectory.
 
-    definite:   dphi/dr = sign(E) / (rho sqrt(g^2/E^2 + 1)); smooth.
-    lorentzian: dphi/dr = +-1 / (rho sqrt(1 - g^2/E^2)); phi increases along
-    the trajectory regardless of the direction of r, so the result is the
-    positive integral over [min r, max r].  A vanishing radicand at an
-    endpoint is a turning point and is handled by substituting
-    rho = rho_turn -+ u^2, which removes the 1/sqrt singularity; a radicand
-    vanishing strictly inside the range raises IntegrandSingular.
+    With w = log(g^2 / E^2), dphi/dr is sign(E) / (rho sqrt(1 + e^w)) in the
+    definite case and +-1 / (rho sqrt(-expm1(w))) in the Lorentzian one,
+    where phi increases whichever way r runs: the result is the positive
+    integral over [min r, max r].  One tanh-sinh rule (Takahasi and Mori
+    1974) serves both, its step halved until two levels agree to relative
+    PHI_RTOL.  A node's w is formed from its offset x from one anchor end a,
+    as w(a) + 2 [n log1p(x/a) - l' x (a + x/2)], so nothing cancels near a:
+    the Lorentzian end with the smaller radicand, a turning point with w = 0
+    if that is within TURN_EPS of 0 (a monotone stretch has at most one).
+    Its 1/sqrt singularity costs the rule nothing, and an end d from it is
+    conditioned to about eps / (2 n d) relative.  Raises IntegrandSingular
+    for a Lorentzian range across the forbidden band around the peak of g,
+    with a radicand below -TURN_EPS at an end or not positive at a node, and
+    where no two levels agree.
     """
     if E == 0.0:
         raise InvalidCase("quadrature needs E != 0")
@@ -854,77 +844,47 @@ def phi_quadrature(r_from: float, r_to: float, E: float,
     lo, hi = min(r_from, r_to), max(r_from, r_to)
     if lo <= 0.0:
         raise NonpositiveRadius(f"r = {lo}")
-    from scipy.integrate import quad  # imported here: only verify soliton-ode needs it
-
-    if params.case == "definite":
-        lE = math.log(abs(E))
-
-        def integ(rho):
-            lt = _log_weight(rho, params) - lE
-            if lt > 300.0:  # integrand ~ e^{-lt}/rho; avoid exp overflow
-                return math.exp(-lt) / rho
-            t = math.exp(lt)
-            return 1.0 / (rho * math.sqrt(t * t + 1.0))
-
-        val, _ = quad(integ, r_from, r_to, epsabs=QUAD_TOL_DEFINITE,
-                      epsrel=QUAD_TOL_DEFINITE, limit=200)
-        return math.copysign(1.0, E) * val
-
-    if E < 0.0:
+    n, lam, lorentzian = params.n, params.lambda_prime, params.case == "lorentzian"
+    if lorentzian and E < 0.0:
         raise InvalidCase("lorentzian energies are positive")
+    turning0 = abs(E) ** (1.0 / n)  # the turning radius at l' = 0
 
-    def integ(rho):
-        rad = _lorentz_radicand(rho, E, params)
-        return 1.0 / (rho * np.sqrt(np.maximum(rad, 1e-300)))
+    def log_ratio(rho):  # w
+        return 2.0 * n * np.log(rho / turning0) - lam * rho * rho
 
-    rad_lo = _lorentz_radicand(lo, E, params)
-    rad_hi = _lorentz_radicand(hi, E, params)
-    peak = math.sqrt(params.n / params.lambda_prime) if params.lambda_prime > 0.0 else math.inf
-    if lo < peak < hi and _lorentz_radicand(peak, E, params) < -TURN_EPS:
-        raise IntegrandSingular("range spans the forbidden band around the peak")
-    interior_bad = min(rad_lo, rad_hi) < -INTERIOR_RADICAND_TOL
-    pieces = []
-    a, b = lo, hi
-    if rad_hi <= TURN_EPS:
-        rho_t = turning_radius(E, params, "below" if hi <= peak * (1 + PEAK_SIDE_RTOL)
-                               else "above")
-        if abs(rho_t - hi) > TURN_MATCH_RTOL * max(hi, 1.0) and rad_hi < -TURN_EPS:
-            raise IntegrandSingular(
-                f"radicand negative at r = {hi}, turning point at {rho_t}")
-        w = min(0.3 * (hi - lo), 0.5 * rho_t)
-        pieces.append(_sub_integral(rho_t, w, E, params, upper=True))
-        b = rho_t - w
-    if rad_lo <= TURN_EPS:
-        rho_t = turning_radius(E, params, "above" if lo >= peak * (1 - PEAK_SIDE_RTOL)
-                               else "below")
-        if abs(rho_t - lo) > TURN_MATCH_RTOL * max(lo, 1.0) and rad_lo < -TURN_EPS:
-            raise IntegrandSingular(
-                f"radicand negative at r = {lo}, turning point at {rho_t}")
-        w = min(0.3 * (hi - lo), 0.5 * rho_t)
-        pieces.append(_sub_integral(rho_t, w, E, params, upper=False))
-        a = rho_t + w
-    if interior_bad and not pieces:
-        raise IntegrandSingular("radicand negative inside the quadrature range")
-    if b > a:
-        val, _ = quad(integ, a, b, epsabs=QUAD_TOL_LORENTZIAN,
-                      epsrel=QUAD_TOL_LORENTZIAN, limit=200)
-        pieces.append(val)
-    return float(sum(pieces))
+    ends, into = np.array([[lo], [hi]]), np.array([[1.0], [-1.0]])  # into: toward the other end
+    w_ends, k = log_ratio(ends), 0  # k: the anchor
+    if lorentzian:
+        peak = math.sqrt(n / lam) if lam > 0.0 else math.inf
+        if lo < peak < hi and -math.expm1(log_ratio(peak)) < -TURN_EPS:
+            raise IntegrandSingular("range spans the forbidden band around the peak")
+        rad = -np.expm1(w_ends[:, 0])
+        k = int(np.argmin(rad))
+        if rad[k] < -TURN_EPS:
+            raise IntegrandSingular(f"radicand negative at r = {ends[k, 0]}")
+        if rad[k] <= TURN_EPS:
+            w_ends[k] = 0.0
+    a, w_a, half = ends[k], w_ends[k], (hi - lo) / 2.0
 
+    def pair_sum(t):  # the weighted integrand over the nodes at +-t, t >= 0
+        u = np.pi / 2.0 * np.sinh(t)
+        d = into * (2.0 * half / (1.0 + np.exp(2.0 * u)))  # from the nearer end
+        x = d + (ends - a)
+        w = 2.0 * (n * np.log1p(x / a) - lam * x * (a + x / 2.0)) + w_a
+        if lorentzian and w.max() >= 0.0:
+            raise IntegrandSingular("radicand not positive inside the quadrature range")
+        f = 1.0 / np.sqrt(-np.expm1(w)) if lorentzian else np.exp(-0.5 * np.logaddexp(0.0, w))
+        weight = half * np.pi / 2.0 * np.cosh(t) / np.cosh(u) ** 2
+        return float(np.sum(weight * f / (ends + d)))
 
-def _sub_integral(rho_t, w, E, params, upper: bool):
-    """Integral of the Lorentzian integrand over the w-slice ending at the
-    turning radius, via rho = rho_t -+ u^2."""
-    from scipy.integrate import quad
-
-    def integ(u):
-        rho = rho_t - u * u if upper else rho_t + u * u
-        rad = _lorentz_radicand(rho, E, params)
-        return 2.0 * u / (rho * np.sqrt(np.maximum(rad, 1e-300)))
-
-    val, _ = quad(integ, 0.0, math.sqrt(w), epsabs=QUAD_TOL_LORENTZIAN,
-                  epsrel=QUAD_TOL_LORENTZIAN, limit=200)
-    return val
+    step, total = 1.0, 0.5 * pair_sum(np.zeros(1)) + pair_sum(np.arange(1.0, PHI_T_MAX + 1))
+    for _ in range(PHI_LEVELS):
+        step /= 2.0
+        finer = total / 2.0 + step * pair_sum(np.arange(step, PHI_T_MAX, 2.0 * step))
+        change, total = abs(finer - total), finer
+        if change <= PHI_RTOL * total:
+            return math.copysign(total, 1.0 if lorentzian else E * (r_to - r_from))
+    raise IntegrandSingular(f"phi quadrature: levels still differ by {change:.2e} of {total:.6g}")
 
 
 # ---------------------------------------------------------------------------

@@ -548,6 +548,36 @@ def test_cli_subcommands_never_load_scipy(tmp_path):
         assert (tmp_path / name).is_file()
 
 
+VERIFY_SOLITON_ODE = ("from parakahler.cli import main\n"
+                      "code = main(['verify', '--suite', 'soliton-ode'])\n")
+# a meta-path finder that makes every scipy import fail
+NO_SCIPY = """import importlib.abc, sys
+class NoScipy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name.split('.')[0] == 'scipy':
+            raise ModuleNotFoundError(f'no module named {name!r}', name=name)
+sys.meta_path.insert(0, NoScipy())
+try:
+    import scipy.integrate
+except ModuleNotFoundError:
+    pass
+else:
+    raise SystemExit('scipy was not blocked')
+"""
+
+
+def test_verify_soliton_ode_runs_without_scipy(tmp_path):
+    loaded = _loaded_in_fresh_interpreter(VERIFY_SOLITON_ODE + "assert code == 0", cwd=tmp_path)
+    assert "parakahler.solitons" in loaded and "scipy" not in loaded
+    src = str(Path(parakahler.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-c", f"import sys; sys.path.insert(0, {src!r})\n"
+                           + NO_SCIPY + VERIFY_SOLITON_ODE + "sys.exit(code)"],
+                          capture_output=True, text=True, timeout=300, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "[PASS] phi quadrature matches trajectories" in proc.stdout
+    assert "[FAIL]" not in proc.stdout
+
+
 VERIFY_ONLY = {"parakahler.frames", "parakahler.structures", "parakahler.normalbundle",
                "parakahler.verify"}
 

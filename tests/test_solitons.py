@@ -1,10 +1,14 @@
+import itertools
 import math
 import random
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
+from conftest import same_bits
+from hypothesis import example, given
+from hypothesis import strategies as st
+from scipy.integrate import quad, solve_ivp
 from scipy.optimize import brentq
 
 from parakahler import cli, equivariant, solitons
@@ -86,6 +90,32 @@ def test_first_integral_zero_at_alpha_zero():
     p = SolitonParams(3, 0.7, "definite")
     for r in (0.5, 1.0, 2.0):
         assert energy(np.array([r, 0.0, 0.0]), p) == 0.0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_definite_lane_on_the_alpha_zero_ray_has_no_drift():
+    # r runs out to ~1001 with E = 0; g(r) = r^2 e^{r^2/2} overflows past
+    # r ~ 38, where inf * sinh(0) gave a nan drift and a rejected lane
+    tr = _lane((1.0, 0.0, 0.0), SolitonParams(2, -1.0, "definite"), 1e3, rtol=1e-14)
+    with np.errstate(over="ignore"):
+        assert not np.isfinite(solitons.radial_weight(tr.r[-1], tr.params))
+    assert tr.r[-1] > 1e3
+    assert (tr.E0, tr.max_E_drift, tr.accepted) == (0.0, 0.0, True)
+
+
+def test_first_integral_is_the_product_wherever_g_is_finite():
+    # the zero of sinh alpha is a select, not new arithmetic: bit for bit
+    # g(r) sinh(alpha), signed zeros included
+    rng = np.random.default_rng(35)
+    states = np.column_stack([rng.uniform(0.01, 30.0, 200), rng.normal(0.0, 2.0, 200),
+                              np.zeros(200)])
+    states[::7, 1] = 0.0
+    states[::14, 1] = -0.0
+    for p in (SolitonParams(3, 0.7, "definite"), SolitonParams(2, -1.0, "definite"), LOR1):
+        r, a = states[:, 0], states[:, 1]
+        product = solitons.radial_weight(r, p) * (np.sinh(a) if p.case == "definite"
+                                                  else np.cosh(a))
+        assert same_bits(energy(states, p), product)
 
 
 def test_first_integral_critical_value():
@@ -298,6 +328,214 @@ def test_quadrature_rejects_forbidden_band():
     # range spanning the peak with E below the threshold
     with pytest.raises(IntegrandSingular):
         phi_quadrature(0.5, 3.0, 0.9 * energy_threshold(LOR1), LOR1)
+
+
+# ---------------------------------------------------------------------------
+# The phi quadrature the tanh-sinh rule replaced, kept here as the
+# reference: scipy's quad over the range, and at each end whose radicand is
+# within TURN_EPS of 0 a slice through rho = rho_t -+ u^2 from the turning
+# radius rho_t, glued by its own tolerances.  It is accurate away from
+# turning points; within ~1e-6 of one, or near the critical energy, it
+# returns wrong values without a warning.
+# ---------------------------------------------------------------------------
+
+QUAD_TOL_DEFINITE = 1e-12      # quad's epsabs = epsrel on the definite range
+QUAD_TOL_LORENTZIAN = 1e-11    # and on each of the up to three Lorentzian pieces
+TURN_MATCH_RTOL = 1e-6
+INTERIOR_RADICAND_TOL = 1e-6
+PEAK_SIDE_RTOL = 1e-9
+
+
+def _log_weight(rho, params):
+    return params.n * np.log(rho) - params.lambda_prime * rho * rho / 2.0
+
+
+def _lorentz_radicand(rho, E, params):
+    t = np.exp(_log_weight(rho, params)) / abs(E)
+    return (1.0 - t) * (1.0 + t)
+
+
+def _quad_phi(r_from, r_to, E, params):
+    if E == 0.0:
+        raise InvalidCase("quadrature needs E != 0")
+    if r_from == r_to:
+        return 0.0
+    lo, hi = min(r_from, r_to), max(r_from, r_to)
+    if lo <= 0.0:
+        raise NonpositiveRadius(f"r = {lo}")
+    if params.case == "definite":
+        lE = math.log(abs(E))
+
+        def integ(rho):
+            lt = _log_weight(rho, params) - lE
+            if lt > 300.0:  # integrand ~ e^{-lt}/rho; avoid exp overflow
+                return math.exp(-lt) / rho
+            t = math.exp(lt)
+            return 1.0 / (rho * math.sqrt(t * t + 1.0))
+
+        val, _ = quad(integ, r_from, r_to, epsabs=QUAD_TOL_DEFINITE,
+                      epsrel=QUAD_TOL_DEFINITE, limit=200)
+        return math.copysign(1.0, E) * val
+    if E < 0.0:
+        raise InvalidCase("lorentzian energies are positive")
+
+    def integ(rho):
+        rad = _lorentz_radicand(rho, E, params)
+        return 1.0 / (rho * np.sqrt(np.maximum(rad, 1e-300)))
+
+    rad_lo = _lorentz_radicand(lo, E, params)
+    rad_hi = _lorentz_radicand(hi, E, params)
+    peak = math.sqrt(params.n / params.lambda_prime) if params.lambda_prime > 0.0 else math.inf
+    if lo < peak < hi and _lorentz_radicand(peak, E, params) < -solitons.TURN_EPS:
+        raise IntegrandSingular("range spans the forbidden band around the peak")
+    interior_bad = min(rad_lo, rad_hi) < -INTERIOR_RADICAND_TOL
+    pieces = []
+    a, b = lo, hi
+    if rad_hi <= solitons.TURN_EPS:
+        rho_t = turning_radius(E, params, "below" if hi <= peak * (1 + PEAK_SIDE_RTOL)
+                               else "above")
+        if abs(rho_t - hi) > TURN_MATCH_RTOL * max(hi, 1.0) and rad_hi < -solitons.TURN_EPS:
+            raise IntegrandSingular(f"radicand negative at r = {hi}, turning point at {rho_t}")
+        w = min(0.3 * (hi - lo), 0.5 * rho_t)
+        pieces.append(_quad_slice(rho_t, w, E, params, upper=True))
+        b = rho_t - w
+    if rad_lo <= solitons.TURN_EPS:
+        rho_t = turning_radius(E, params, "above" if lo >= peak * (1 - PEAK_SIDE_RTOL)
+                               else "below")
+        if abs(rho_t - lo) > TURN_MATCH_RTOL * max(lo, 1.0) and rad_lo < -solitons.TURN_EPS:
+            raise IntegrandSingular(f"radicand negative at r = {lo}, turning point at {rho_t}")
+        w = min(0.3 * (hi - lo), 0.5 * rho_t)
+        pieces.append(_quad_slice(rho_t, w, E, params, upper=False))
+        a = rho_t + w
+    if interior_bad and not pieces:
+        raise IntegrandSingular("radicand negative inside the quadrature range")
+    if b > a:
+        val, _ = quad(integ, a, b, epsabs=QUAD_TOL_LORENTZIAN,
+                      epsrel=QUAD_TOL_LORENTZIAN, limit=200)
+        pieces.append(val)
+    return float(sum(pieces))
+
+
+def _quad_slice(rho_t, w, E, params, upper):
+    def integ(u):
+        rho = rho_t - u * u if upper else rho_t + u * u
+        rad = _lorentz_radicand(rho, E, params)
+        return 2.0 * u / (rho * np.sqrt(np.maximum(rad, 1e-300)))
+
+    val, _ = quad(integ, 0.0, math.sqrt(w), epsabs=QUAD_TOL_LORENTZIAN,
+                  epsrel=QUAD_TOL_LORENTZIAN, limit=200)
+    return val
+
+
+def _quad_path_cases():
+    """(r_from, r_to, E, params) where the quad path is accurate: definite
+    ranges, and Lorentzian ranges whose ends are a turning radius or at
+    least 1e-2 (relative) from every turning radius.  Seeded draws."""
+    rng = random.Random(35)
+    cases = []
+    for n, lam, E in itertools.product((2, 3, 5), (-1.0, 0.0, 1.0), (-2.0, 0.3, 5.0)):
+        p = SolitonParams(n, lam, "definite")
+        cases += [(rng.uniform(0.05, 4.0), rng.uniform(0.05, 4.0), E, p) for _ in range(2)]
+    for n, lam in itertools.product((2, 3, 5), (-1.0, 0.0, 1.0)):
+        p = SolitonParams(n, lam, "lorentzian")
+        if lam > 0.0:
+            e0 = energy_threshold(p)
+            peak = math.sqrt(n / lam)
+            E = e0 * rng.uniform(1.2, 3.0)  # above the peak: no turning radius
+            cases += [(rng.uniform(0.05, 2 * peak), rng.uniform(0.05, 2 * peak), E, p)]
+            E = e0 * rng.uniform(0.1, 0.8)
+            below, above = turning_radius(E, p, "below"), turning_radius(E, p, "above")
+            inner = below * rng.uniform(0.05, 0.99)
+            outer = above * rng.uniform(1.01, 3.0)
+            cases += [(inner, below, E, p), (above, outer, E, p),
+                      (below * 0.99, inner * 0.5, E, p), (above * 1.01, outer * 1.5, E, p)]
+        else:
+            E = rng.uniform(0.1, 10.0)
+            top = turning_radius(E, p, "below")
+            inner = top * rng.uniform(0.05, 0.99)
+            cases += [(top, inner, E, p), (inner * 0.5, top * 0.99, E, p)]
+    return cases
+
+
+@pytest.mark.filterwarnings("error")
+def test_quadrature_matches_the_quad_path():
+    """Where the quad path is accurate, the two agree within its requested
+    tolerance, counted once per piece (up to three), and the rule's own
+    PHI_RTOL."""
+    cases = _quad_path_cases()
+    assert len(cases) == 54 + 3 * 2 * 2 + 3 * 5
+    for r_from, r_to, E, p in cases:
+        ref = _quad_phi(r_from, r_to, E, p)
+        tol = QUAD_TOL_DEFINITE if p.case == "definite" else 3 * QUAD_TOL_LORENTZIAN
+        bound = tol * max(1.0, abs(ref)) + solitons.PHI_RTOL * abs(ref)
+        assert abs(phi_quadrature(r_from, r_to, E, p) - ref) <= bound, (r_from, r_to, E, p)
+
+
+def test_quadrature_near_the_critical_energy():
+    # E = (1 - 1e-6) E0 and the last 1e-6 of r below the turning radius: the
+    # quad path returns 2.06e+136 here; 0.0265946214947183 is a 60-digit value
+    E = 0.999999 * energy_threshold(LOR1)
+    r_t = turning_radius(E, LOR1, "below")
+    assert phi_quadrature(r_t * (1 - 1e-6), r_t, E, LOR1) == pytest.approx(
+        0.0265946214947183, rel=1e-6)
+
+
+# The lambda' = 0 closed forms, from the relative distance delta of the
+# doubles passed, so that the reference does not cancel.  The problem is
+# conditioned to eps / (2 n delta) relative near a turning point (a relative
+# rounding eps of g^2 moves the radicand ~2 n delta there by that
+# fraction); the bound allows four times that, for the roundings in the
+# node's w, and the rule's own PHI_RTOL.
+
+EPS = np.finfo(float).eps
+
+
+def _closed_form_bound(n, delta):
+    return solitons.PHI_RTOL + 4.0 * EPS / (2 * n * delta)
+
+
+def _check_lorentzian_closed_form(n, E, delta):
+    r_t = E ** (1.0 / n)  # the turning radius, g(r_t) = r_t^n = E
+    a = r_t * (1.0 - delta)
+    d = (r_t - a) / r_t
+    # phi(r_t) - phi(a) = arsech(x) / n, x = (a / r_t)^n = (1 - d)^n
+    x = math.exp(n * math.log1p(-d))
+    ref = math.asinh(math.sqrt(-math.expm1(2 * n * math.log1p(-d))) / x) / n
+    p = SolitonParams(n, 0.0, "lorentzian")
+    assert abs(phi_quadrature(a, r_t, E, p) / ref - 1.0) <= _closed_form_bound(n, d)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("E", [0.5, 2.0])
+@pytest.mark.parametrize("delta", [1e-2, 1e-4, 1e-6, 1e-8])
+def test_quadrature_matches_the_lorentzian_closed_form_near_turning(n, E, delta):
+    _check_lorentzian_closed_form(n, E, delta)
+
+
+DELTAS = st.floats(-10.0, math.log10(0.5)).map(lambda e: 10.0 ** e)
+
+
+@given(st.integers(2, 5), st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e), DELTAS)
+@example(5, 1e3, 1e-10)
+def test_quadrature_matches_the_lorentzian_closed_form(n, E, delta):
+    _check_lorentzian_closed_form(n, E, delta)
+
+
+@given(st.integers(2, 5), st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e), DELTAS,
+       st.floats(0.1, 10.0))
+@example(5, 1e-3, 1e-10, 10.0)
+def test_quadrature_matches_the_definite_closed_form(n, E, delta, c):
+    a = c * E ** (1.0 / n)
+    b = a * (1.0 + delta)
+    d = (b - a) / a
+    # phi(b) - phi(a) = (asinh(x) - asinh(y)) / n, x = E / a^n, y = x / (1 + d)^n,
+    # the difference as asinh((x^2 - y^2) / (x sqrt(1 + y^2) + y sqrt(1 + x^2)))
+    x = E / a ** n
+    y = x * math.exp(-n * math.log1p(d))
+    ref = math.asinh(-x * x * math.expm1(-2 * n * math.log1p(d))
+                     / (x * math.hypot(1.0, y) + y * math.hypot(1.0, x))) / n
+    p = SolitonParams(n, 0.0, "definite")
+    assert abs(phi_quadrature(a, b, E, p) / ref - 1.0) <= _closed_form_bound(n, d)
 
 
 def test_hyperbola_solution_samples():

@@ -13,10 +13,14 @@
   in scripts/ outside its own definition: an identifier, an attribute or
   an imported name.  A helper or tolerance that only tests use belongs in
   the tests.
+- Every import names numpy, the standard library or the package itself:
+  numpy is the only runtime dependency (scipy is a test reference), and
+  pyproject.toml lists it alone.
 """
 
 import ast
 import re
+import sys
 from collections import defaultdict
 from pathlib import Path
 
@@ -130,6 +134,21 @@ def node_parameters(tree) -> list[str]:
                    for a in fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs)]
 
 
+RUNTIME_IMPORTS = {"numpy", "parakahler"} | set(sys.stdlib_module_names)
+
+
+def foreign_imports(tree) -> list[str]:
+    """Modules named by the absolute imports whose top-level package is
+    not in RUNTIME_IMPORTS."""
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.append(node.module)
+    return [name for name in names if name.split(".")[0] not in RUNTIME_IMPORTS]
+
+
 MODULES = sorted(SRC.glob("*.py"))
 SCRIPTS = sorted((Path(__file__).resolve().parents[1] / "scripts").glob("*.py"))
 
@@ -143,6 +162,16 @@ def test_source_rules(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     assert catch_all_handlers(tree) == []
     assert [p for p in tolerance_parameters(tree) if p not in ALLOWED_TOLERANCES] == []
+    assert foreign_imports(tree) == []
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((SRC.parents[1] / "pyproject.toml").read_text(encoding="utf-8"))
+    assert [re.match(r"[\w.-]+", dep).group() for dep in project["project"]["dependencies"]] \
+        == ["numpy"]
+    test_extra = project["project"]["optional-dependencies"]["test"]
+    assert any(dep.startswith("scipy") for dep in test_extra)
 
 
 def test_public_definitions_have_uses():
@@ -168,6 +197,12 @@ def test_rules_see_violations():
         "    except ValueError:\n        pass\n")
     assert tolerance_parameters(tree) == [("f", "tol"), ("f", "turn_eps"), ("f", "rtol")]
     assert catch_all_handlers(tree) == [4, 6, 8]
+    tree = ast.parse(
+        "from __future__ import annotations\nimport math, numpy as np\n"
+        "from . import dcore\nfrom .errors import StepFailure\nimport parakahler.cli\n"
+        "def phi():\n    from scipy.integrate import quad\n"
+        "    import scipy, numpy.linalg, numpyx\n")
+    assert foreign_imports(tree) == ["scipy.integrate", "scipy", "numpyx"]
     tree = ast.parse(
         "def jet(imm, node):\n    def inner(*, node=None):\n        pass\n"
         "class A:\n    def coords(self, node):\n        pass\n"

@@ -25,12 +25,15 @@ The Lorentzian system with l' > 0 has the critical point
 
 separates bounded from unbounded trajectories.  The r -> 0 and alpha
 blow-up ends lie at finite s, so integration runs in the monotone parameter
-sigma, ds = (r / cosh alpha) dsigma (Sundman's time change; see _Field),
-with s a fourth component: every right-hand side is then bounded by
-polynomials in r, and each end is a located event at finite sigma.
-Integration uses the Dormand-Prince 8(5,3) pair with its 7th-order dense
-output and the energy drift as an independent acceptance gate;
-conservation, not the step estimator, is the ground truth.
+sigma, ds = (r / cosh alpha) dsigma (Sundman's time change), with s a fourth
+component, and in the coordinates of the first integral: rho = log r in
+both cases and, for a definite lane, psi = log|sinh alpha|, since
+psi + log g(r) = log|E| is conserved (see _Field).  An r -> 0 collapse and
+a decaying definite angle are then linear in sigma, and each end is a
+located event at finite sigma.  Integration uses the Dormand-Prince 8(5,3)
+pair with its 7th-order dense output and the energy drift, formed from
+log|E|, as an independent acceptance gate; conservation, not the step
+estimator, is the ground truth.
 """
 
 from __future__ import annotations
@@ -67,9 +70,10 @@ R_MAX = 1e6
 # The |alpha| cap: past it cosh(alpha) nears overflow, and the remaining
 # s-interval of an alpha blow-up is far below an ulp of s.
 ALPHA_MAX = 30.0
-# |alpha| + |dalpha/ds| below which a definite trajectory stops
-# ("alpha_floor"; see integrate_many)
-ALPHA_FLOOR = 1e-5
+# psi of a definite lane with alpha0 = 0: e^psi is 0 (the smallest
+# subnormal is e^-744.4), so alpha stays 0 and phi phi0 bit for bit, and
+# psi' = -n + l' r^2 is below an ulp of it for any r <= R_MAX
+PSI_ZERO = -1e300
 DRIFT_TOL = 1e-8
 _TINY = np.array(1e-300)
 # Stop events and Trajectory.sample shrink a bracket on a step fraction
@@ -113,16 +117,22 @@ class SolitonState:
 
 
 class _Field:
-    """(r, alpha, phi, s)' = d/dsigma at states y (4, ...) for one
-    SolitonParams, the s-system times ds/dsigma = r / cosh(alpha):
+    """The sigma-system of one SolitonParams in the coordinates of its first
+    integral, d/dsigma at states y (4, ...):
 
-        definite    (r, (-n + l' r^2) tanh(alpha), tanh(alpha), r / cosh(alpha))
-        lorentzian  (r tanh(alpha), -n + l' r^2, 1, r / cosh(alpha))
+        lorentzian  (rho, alpha, phi, s)' = (tanh(alpha), -n + l' e^(2 rho), 1,
+                                             e^rho / cosh(alpha))
+        definite    (rho, psi, chi, s)' = (1, -n + l' e^(2 rho), w / c, e^rho / c)
+
+    with rho = log r, and for a definite lane psi = log|sinh(alpha)|, w = e^psi,
+    c = hypot(1, w) = cosh(alpha) and chi = sign * phi, sign = +-1 that of
+    the lane's alpha0: the definite system is odd in (alpha, phi), so the
+    field needs no per-lane parameter, and alpha = sign * asinh(w).
 
     Constants are 0-d arrays: numpy combines those with small arrays faster
     than Python floats.  bind(y, out) holds the formula; an out from
-    empty() already holds the Lorentzian phi' = 1 row, which it leaves
-    alone."""
+    empty() already holds the constant row (rho' = 1 or phi' = 1), which it
+    leaves alone."""
 
     def __init__(self, params: SolitonParams):
         self.definite = params.case == "definite"
@@ -132,38 +142,70 @@ class _Field:
     def empty(self, shape):
         """An array (..., 4, N) for field values, its constant row set."""
         out = np.empty(shape)
-        if not self.definite:
-            out[..., 2, :] = 1.0
+        out[..., 0 if self.definite else 2, :] = 1.0
         return out
 
     def bind(self, y, out):
-        """A function of no arguments that writes the field at the r and alpha
-        rows of y (4, ...) into out (4, ...), views, ufuncs and scratch rows bound
-        once; no ufunc writes over its input, which numpy does slower on one lane."""
-        r, a = y[0], y[1]
+        """A function of no arguments that writes the field at the rho and
+        alpha or psi rows of y (4, ...) into out (4, ...), views, ufuncs and
+        scratch rows bound once; no ufunc writes over its input, which numpy
+        does slower on one lane."""
+        rho, a = y[0], y[1]
         dr, da, dphi, ds = out
         definite, neg_n, lam = self.definite, self.neg_n, self.lam
-        tanh, cosh, mul, add, div = np.tanh, np.cosh, np.multiply, np.add, np.divide
-        r2, lam_r2 = np.empty_like(r), np.empty_like(r)
-        th, rate = (dphi, r2) if definite else (np.empty_like(r), da)
-        times_tanh = (rate, th, da) if definite else (r, th, dr)  # alpha' or r'
+        exp, mul, add, div, hypot = np.exp, np.multiply, np.add, np.divide, np.hypot
+        tanh, cosh = np.tanh, np.cosh
+        er, t1, t2 = (np.empty_like(rho) for _ in range(3))
 
         def rows():
-            tanh(a, th)
-            mul(r, r, r2)
-            mul(lam, r2, lam_r2)
-            add(neg_n, lam_r2, rate)
-            mul(*times_tanh)
+            exp(rho, er)
+            mul(er, er, t1)
+            mul(lam, t1, t2)
+            add(neg_n, t2, da)
             if definite:
-                np.copyto(dr, r)
-            cosh(a, r2)
-            div(r, r2, ds)
+                exp(a, t1)           # w
+                hypot(_ONE, t1, t2)  # c = cosh(alpha)
+                div(t1, t2, dphi)
+            else:
+                tanh(a, dr)
+                cosh(a, t2)
+            div(er, t2, ds)
         return rows
 
     def __call__(self, y, out=None):
         out = self.empty(np.shape(y)) if out is None else out
         self.bind(y, out)()
         return out
+
+    def start(self, y0):
+        """The states (L, 4) of rows y0 (L, 4) of (r, alpha, phi, s), and
+        each lane's sign of alpha0 (L,), +-1; a definite alpha0 = 0 starts
+        at psi = PSI_ZERO."""
+        z, a = y0.copy(), y0[:, 1]
+        sign = np.copysign(1.0, a)
+        z[:, 0] = np.log(y0[:, 0])
+        if self.definite:
+            with np.errstate(divide="ignore"):
+                z[:, 1] = np.where(a == 0.0, PSI_ZERO, np.log(np.abs(np.sinh(a))))
+            z[:, 2] = sign * y0[:, 2]
+        return z, sign
+
+    def natural(self, z, sign):
+        """(r, alpha, phi, s) at states z (..., 4), sign (...) that of each
+        state's alpha0; a definite alpha underflows to 0 where psi < -745."""
+        out = z.copy()
+        out[..., 0] = np.exp(z[..., 0])
+        if self.definite:
+            out[..., 1] = sign * np.arcsinh(np.exp(z[..., 1]))
+            out[..., 2] = sign * z[..., 2]
+        return out
+
+    def log_energy(self, z):
+        """log|E| at states z (..., 4): psi or log cosh(alpha), plus
+        n rho - l' e^(2 rho) / 2; finite for every r <= R_MAX."""
+        rho, a = z[..., 0], z[..., 1]
+        h = a if self.definite else np.log(np.cosh(a))
+        return h - self.neg_n * rho - self.lam * np.exp(2.0 * rho) / 2.0
 
 
 def radial_weight(r, params: SolitonParams):
@@ -220,12 +262,15 @@ class _Branch:
     """Dense output of one integration direction: states y (k+1, 4) at its
     knots, per step its length h (k,) in sigma and the coefficients
     F (7, k, 4) of its 7th-order interpolant, the last step ending on the
-    event: steps start to start + k of its batch's shared dense output."""
+    event: steps start to start + k of its batch's shared dense output.
+    Its states are in the coordinates of coords, sign that of alpha0."""
     direction: float
     y: np.ndarray
     h: np.ndarray
     dense: _DenseOutput = field(repr=False)
     start: int
+    coords: _Field = field(repr=False)
+    sign: float
 
     @property
     def F(self) -> np.ndarray:
@@ -267,6 +312,7 @@ class Trajectory:
     accepted_steps: int = 0
     rejected_steps: int = 0
     dropped_knots: int = 0
+    E: np.ndarray | None = field(default=None, repr=False)  # (k,) the energy of each row
     _branches: tuple = field(default=(), repr=False)
 
     @property
@@ -290,7 +336,8 @@ class Trajectory:
             u = branch.direction * svals
             u_end = float(np.max(branch.direction * branch.y[:, 3]))
             hit = todo & (u >= -1e-12) & (u <= u_end * (1 + 1e-12))
-            out[hit] = branch.at(np.clip(u[hit], 0.0, u_end))[:, :3]
+            z = branch.at(np.clip(u[hit], 0.0, u_end))
+            out[hit] = branch.coords.natural(z, branch.sign)[:, :3]
             todo &= ~hit
         if todo.any():
             raise InvalidRange(f"s = {svals[todo][0]} outside the integrated span")
@@ -373,24 +420,21 @@ _D = np.array([
 _SAFETY, _EXPONENT = np.array(0.9), np.array(-0.125)
 _FIFTH, _ONE, _TEN = (np.array(v) for v in (0.2, 1.0, 10.0))
 _HUNDREDTH = np.array(0.01)
-_EVENTS = ("r_min", "r_max", "alpha_max", "alpha_floor", "s_max")
+_EVENTS = ("r_min", "r_max", "alpha_max", "s_max")
 
 
 def _rms(x):
     return np.sqrt(np.add.reduce(x * x) / len(x))
 
 
-def _events(y, f, limits):
-    """Event functions (5, ...) at states y (4, ...) with sigma-rates f:
-    r - r_min, r - r_max, |alpha| - alpha_max, |alpha| + |dalpha/ds| -
-    alpha_floor (dalpha/ds = f_alpha / f_s) and |s| - s_max for limits
-    (5, 1); a stop is a sign change of its row."""
-    a = np.abs(y[1])
-    ev = np.empty((5,) + np.shape(y)[1:])
+def _events(y, limits, definite):
+    """Event functions (4, ...) at states y (4, ...) of _Field: rho - log
+    r_min, rho - log r_max, (psi or |alpha|) - the alpha cap and |s| - s_max
+    for limits (4, 1); a stop is a sign change of its row."""
+    ev = np.empty((4,) + np.shape(y)[1:])
     ev[0] = ev[1] = y[0]
-    ev[2] = a
-    np.add(a, np.abs(f[1] / f[3]), out=ev[3])
-    np.abs(y[3], out=ev[4])
+    ev[2] = y[1] if definite else np.abs(y[1])
+    np.abs(y[3], out=ev[3])
     ev -= limits
     return ev
 
@@ -480,16 +524,18 @@ def integrate_many(params: SolitonParams, initial, directions, s_max: float, *,
 
     initial is (L, 3) rows (r, alpha, phi) and directions (L,) or a scalar
     +-1, the sign of s along which each lane runs.  Each lane integrates the
-    sigma-system of _Field from s = 0.  All lanes advance together through
-    one Dormand-Prince 8(5,3) step per iteration (12 stages, the last one's
-    f(y_new) reused as the next step's first), each with its own step size
-    and, step for step, the control of scipy's DOP853: its error norm over
-    (r, alpha, phi, s), scaled by STEP_ATOL + rtol max(|y|, |y_new|), error
+    sigma-system of _Field from s = 0, in rho = log r and, for definite
+    lanes, psi = log|sinh(alpha)| (_Field.start; a definite alpha0 = 0 starts
+    at PSI_ZERO).  All lanes advance together through one Dormand-Prince
+    8(5,3) step per iteration (12 stages, the last one's f(y_new) reused as
+    the next step's first), each with its own step size and, step for step,
+    the control of scipy's DOP853: its error norm over the four components
+    of the state, scaled by STEP_ATOL + rtol max(|y|, |y_new|), error
     exponent -1/8, safety 0.9, step factors 0.2 to 10, no growth right after
     a rejection, Hairer-Norsett-Wanner's starting step at order 7.  A lane
     finishes after an accepted step on which an event changes sign: r <=
-    R_MIN, r >= R_MAX, |alpha| >= ALPHA_MAX, |s| >= s_max, and for definite
-    lanes alpha_floor.  After the loop (see _trajectories) the earliest sign
+    R_MIN, r >= R_MAX, |alpha| >= ALPHA_MAX (on psi for definite lanes) or
+    |s| >= s_max.  After the loop (see _trajectories) the earliest sign
     change on that step's 7th-order interpolant, located to EVENT_XTOL of
     the step, is the lane's stop, and the step is redone to it, its end
     state being the event's.  The interpolant costs three more field
@@ -508,16 +554,14 @@ def integrate_many(params: SolitonParams, initial, directions, s_max: float, *,
     ids.  That a lane's stage sums round alike in any batch is measured
     (test_lanes_do_not_depend_on_their_batch), not built in.
 
-    In the definite case with a decaying angle the energy g(r) sinh(alpha)
-    pairs an exploding factor with a collapsing one; once |alpha| reaches
-    ALPHA_FLOOR the product is no longer resolvable in doubles and
-    integration stops with "alpha_floor" (the event also needs |dalpha/ds|
-    small, so a transversal zero crossing of alpha never triggers it).
-
-    The energy is evaluated at every accepted state; a trajectory is
-    accepted only if its max drift relative to max(|E0|, g(r0)) is below
-    DRIFT_TOL.  Each trajectory counts its accepted and rejected steps and
-    the knots dropped from its rows (see _trajectories).
+    Rows and samples are converted back to (r, alpha, phi) once, and each
+    start row is the input's own bits.  The energy drift comes from the
+    states, E - E0 = E0 expm1(log|E| - log|E0|) (_Field.log_energy), so it
+    stays resolvable where alpha underflows or g(r) overflows in the rows; a
+    trajectory is accepted only if its max drift relative to max(|E0|,
+    g(r0)) is below DRIFT_TOL, and one with E0 = 0 has drift 0.  Each
+    trajectory counts its accepted and rejected steps and the knots dropped
+    from its rows (see _trajectories).
     """
     y0 = np.array(initial, dtype=float).reshape(-1, 3)
     lanes = len(y0)
@@ -531,25 +575,24 @@ def integrate_many(params: SolitonParams, initial, directions, s_max: float, *,
         raise InvalidRange(f"s_max = {s_max} must be positive")
     if not lanes:
         return []
-    limits = np.array([[R_MIN], [R_MAX], [ALPHA_MAX], [ALPHA_FLOOR], [float(s_max)]])
-
     field = _Field(params)
+    alpha_cap = math.log(math.sinh(ALPHA_MAX)) if field.definite else ALPHA_MAX
+    limits = np.array([[math.log(R_MIN)], [math.log(R_MAX)], [alpha_cap], [float(s_max)]])
+    z0, alpha_sign = field.start(y0)
     rtol, atol = np.array(rtol), np.array(STEP_ATOL)
     ids = np.arange(lanes)               # the lanes still running
     stages = _Stages(field, lanes, range(1, 13))
     W, y, K, y_new = stages.W, stages.y, stages.K, stages.y_new
     K0, K12, K2 = K[0], K[12], K.reshape(13, -1)
-    y[...] = y0.T
+    y[...] = z0.T
     dim = len(y)
     t = np.zeros(lanes)
     # K0 holds f(y), unsigned: a lane runs along sign * f, so its steps use hs = sign * h
     h_abs = _initial_step(y, field(y, out=K0), field, sign, rtol, atol)
     rejected = np.zeros(lanes, dtype=bool)
     retry = False                        # some lane retries a rejected step
-    armed = np.ones((5, lanes), dtype=bool)
-    armed[3] = params.case == "definite"
-    armed[3] &= np.abs(y[1]) > ALPHA_FLOOR
-    sg = np.sign(_events(y, K0, limits))
+    armed = np.ones((len(_EVENTS), lanes), dtype=bool)
+    sg = np.sign(_events(y, limits, field.definite))
     bound, cap = np.ones(lanes), np.full(lanes, 10.0)  # err bound, growth cap
     steps = []                 # per iteration, over ids: ids, accepted, h, y, y_new, K
     # of each lane's last step: the events fired and its stages
@@ -564,7 +607,7 @@ def integrate_many(params: SolitonParams, initial, directions, s_max: float, *,
                 h_abs = np.where(rejected, h_abs, np.maximum(h_abs, min_step))
                 under = np.flatnonzero(rejected & (h_abs < min_step))
                 if under.size:
-                    r, a = y[:2, under[0]]
+                    r, a = field.natural(y[:, under[0]], alpha_sign[under[0]])[:2]
                     raise StepFailure(f"step size underflow at r = {r:.6g}, alpha = {a:.6g}")
             else:
                 h_abs = np.maximum(h_abs, min_step)
@@ -587,7 +630,7 @@ def integrate_many(params: SolitonParams, initial, directions, s_max: float, *,
                 grow = np.where(rejected, np.minimum(_ONE, grow), grow)
             kept = W.take(ids, axis=-1)
             steps.append((ids, accepted.take(ids), h.take(ids), kept[0], kept[-1], kept[1:-1]))
-            sg_new = np.sign(_events(y_new, K12, limits))
+            sg_new = np.sign(_events(y_new, limits, field.definite))
             fired = armed & (sg * sg_new <= 0)
             all_accepted = np.count_nonzero(accepted) == lanes
             if all_accepted:
@@ -617,7 +660,7 @@ def integrate_many(params: SolitonParams, initial, directions, s_max: float, *,
 
 def _trajectories(params, field, y0, directions, steps, fired, K_last, limits):
     """One Trajectory per lane from integrate_many's per-iteration records
-    (ids, accepted, h, y, y_new, K), the events fired (L, 5) on each lane's
+    (ids, accepted, h, y, y_new, K), the events fired (L, 4) on each lane's
     last step and that step's stages K_last (13, 4, L), all lanes assembled
     together.  The interpolants of the last steps are built in one batch,
     every (lane, fired event) pair is located in one bracket_roots call on
@@ -628,8 +671,11 @@ def _trajectories(params, field, y0, directions, steps, fired, K_last, limits):
     is kept only if its s passes every earlier knot, and the end state
     replaces the knots it does not pass (_kept_rows); the dense output
     (_DenseOutput, built when first sampled) and the drift keep every
-    knot.  Only the Trajectory objects are made lane by lane."""
+    knot.  The knots are converted to rows (r, alpha, phi, s) in one call,
+    the starts being y0 itself.  Only the Trajectory objects are made lane
+    by lane."""
     lanes = len(y0)
+    z0, alpha_sign = field.start(y0)
     lane = np.concatenate([st[0] for st in steps])
     accepted = np.concatenate([st[1] for st in steps])
     rejected = np.bincount(lane[~accepted], minlength=lanes)
@@ -644,7 +690,7 @@ def _trajectories(params, field, y0, directions, steps, fired, K_last, limits):
     first = np.concatenate([[0], np.cumsum(sizes)])
     starts, ends = first[:-1], first[1:] - 1
     states = np.empty((first[-1], 4))
-    states[starts] = y0
+    states[starts] = z0
     knots = np.delete(np.arange(first[-1]), starts)
     states[knots] = np.concatenate([st[4] for st in steps], axis=-1).take(take, axis=-1).T
 
@@ -656,11 +702,9 @@ def _trajectories(params, field, y0, directions, steps, fired, K_last, limits):
 
     def event(x):
         # each pair's own row of _events; at fraction 1 the knot itself,
-        # whose event signs fired the stop.  The rows a pair discards may
-        # divide by a zero r.
+        # whose event signs fired the stop
         y = np.where(x == 1.0, y_b, _interpolate(F, y_a, x))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return _events(y, field(y), limits)[pair_event, cols]
+        return _events(y, limits, field.definite)[pair_event, cols]
 
     roots = np.full(fired.shape, np.inf)
     roots[pair_lane, pair_event] = bracket_roots(
@@ -672,11 +716,17 @@ def _trajectories(params, field, y0, directions, steps, fired, K_last, limits):
     dense = _DenseOutput(field, steps, take, np.repeat(directions, counts) * h_all,
                          states, knots, last, K_end)
 
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        E = energy(states, params)
-    E0 = E[starts]
-    drift = np.maximum.reduceat(np.abs(E - np.repeat(E0, sizes)), starts)
-    rows, per_lane = _kept_rows(states, first, directions)
+    with np.errstate(over="ignore", invalid="ignore"):
+        E0 = energy(y0, params)
+    log_E = field.log_energy(states)
+    # E - E0 = E0 expm1(log|E| - log|E0|) at every knot
+    change = np.expm1(log_E - np.repeat(log_E[starts], sizes))
+    drift = np.abs(E0) * np.maximum.reduceat(np.abs(change), starts)
+    E0_knots = np.repeat(E0, sizes)
+    table = np.column_stack([field.natural(states, np.repeat(alpha_sign, sizes)),
+                             E0_knots + E0_knots * change])
+    table[starts, :4] = y0
+    rows, per_lane = _kept_rows(table, first, directions)
     out_first = np.concatenate([[0], np.cumsum(per_lane)])
 
     out = []
@@ -688,19 +738,20 @@ def _trajectories(params, field, y0, directions, steps, fired, K_last, limits):
         d = dev / scale
         lane_rows = rows[out_first[i]:out_first[i + 1]]
         branch = _Branch(float(directions[i]), states[starts[i]:first[i + 1]],
-                         h_all[step0[i]:last[i] + 1], dense, int(step0[i]))
+                         h_all[step0[i]:last[i] + 1], dense, int(step0[i]), field,
+                         float(alpha_sign[i]))
         out.append(Trajectory(params, lane_rows[:, 3], lane_rows[:, :3], e0, d,
                               d < DRIFT_TOL, _EVENTS[stop[i]],
                               accepted_steps=int(counts[i]),
                               rejected_steps=int(rejected[i]),
                               dropped_knots=int(sizes[i] - per_lane[i]),
-                              _branches=(branch,)))
+                              E=lane_rows[:, 4], _branches=(branch,)))
     return out
 
 
 def _kept_rows(states, first, directions):
     """The trajectory rows of lanes whose knots are rows first[i]:first[i +
-    1] of states, in ascending s, and each lane's row count.  A knot is kept
+    1] of states (s in column 3), in ascending s, and each lane's row count.  A knot is kept
     if its s passes the running max of its lane's earlier knots (over a
     -inf padded lanes x knots table) and stays short of the lane's end s;
     the start is kept, and the end where it passes the start."""
@@ -721,7 +772,7 @@ def _kept_rows(states, first, directions):
     per_lane = np.bincount(lane, minlength=lanes)
     out_first = np.cumsum(per_lane) - per_lane
     rank = np.arange(kept.size) - out_first[lane]
-    rows = np.empty((kept.size, 4))
+    rows = np.empty((kept.size, states.shape[1]))
     rows[out_first[lane] + np.where(directions[lane] > 0, rank, per_lane[lane] - 1 - rank)] = \
         states[kept]
     return rows, per_lane
@@ -745,7 +796,7 @@ def integrate_bidirectional_many(params: SolitonParams, initial, s_max: float,
             accepted_steps=bwd.accepted_steps + fwd.accepted_steps,
             rejected_steps=bwd.rejected_steps + fwd.rejected_steps,
             dropped_knots=bwd.dropped_knots + fwd.dropped_knots,
-            _branches=bwd._branches + fwd._branches))
+            E=np.concatenate([bwd.E[:-1], fwd.E]), _branches=bwd._branches + fwd._branches))
     return out
 
 
@@ -812,6 +863,8 @@ def turning_radius(E: float, params: SolitonParams, side: str) -> float:
                 hi *= 2.0
     else:
         lo, hi = 1e-12, 1.0
+        while f(lo) > 0.0:
+            lo /= 2.0
         while f(hi) < 0.0:
             hi *= 2.0
     lo, hi = bracket_roots(f, lo, hi, 0.0)

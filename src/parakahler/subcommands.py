@@ -26,8 +26,7 @@ def cmd_soliton(args) -> int:
         traj, = solitons.integrate_many(params, start, 1, args.smax, rtol=args.rtol)
     tag = solitons.classify(traj)
     scale = max(abs(traj.E0), solitons.radial_weight(args.r, params))
-    E = solitons.energy(traj.states, params)
-    rows = np.column_stack([traj.s, traj.states, E, np.abs(E - traj.E0) / scale])
+    rows = np.column_stack([traj.s, traj.states, traj.E, np.abs(traj.E - traj.E0) / scale])
     footer = {
         "classification": tag,
         "stop_reason": traj.stop_reason,

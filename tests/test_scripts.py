@@ -1,6 +1,8 @@
 """Each script under scripts/ runs end to end on small arguments."""
 
 import importlib.util
+import math
+import shutil
 import sys
 import tempfile
 from pathlib import Path
@@ -163,3 +165,81 @@ def test_output_digests_lists_every_output_the_same_way_twice(capsys, monkeypatc
             "soliton_two_way.csv", "normal_bundle.csv", "nijenhuis.csv",
             "phase_lorentzian/index.csv", "phase_definite/traj_0024.csv"} <= set(names)
     assert names[-1] == "verify --suite algebra (stdout)"
+
+
+def _kept(monkeypatch, path):
+    """path, the --keep directory of a small output_digests run."""
+    assert run_script("output_digests", monkeypatch, "--count", "11", "--suite", "algebra",
+                      "--keep", str(path)) == 0
+    return path
+
+
+def _edit_cell(path, column, pick, edit):
+    """Replace the first data cell of column that pick(cell) accepts with
+    edit(cell), in the CSV at path."""
+    header, *lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    k = header.rstrip("\n").split(",").index(column)
+    for i, line in enumerate(lines):
+        cells = line.rstrip("\n").split(",")
+        if not line.startswith("#") and pick(cells[k]):
+            cells[k] = edit(cells[k])
+            lines[i] = ",".join(cells) + "\n"
+            break
+    path.write_text(header + "".join(lines), encoding="utf-8")
+
+
+def _compare(monkeypatch, capsys, old, new):
+    capsys.readouterr()
+    code = run_script("output_digests", monkeypatch, "--compare", str(old), str(new))
+    return code, capsys.readouterr().out.splitlines()
+
+
+def test_output_digests_compare_reports_nothing_for_identical_runs(tmp_path, capsys,
+                                                                   monkeypatch):
+    old, new = _kept(monkeypatch, tmp_path / "old"), _kept(monkeypatch, tmp_path / "new")
+    assert (old / "verify.txt").read_text(encoding="utf-8").startswith("== algebra\n")
+    assert _compare(monkeypatch, capsys, old, new) == (0, [])
+
+
+def test_output_digests_compare_counts_each_kind_of_move(tmp_path, capsys, monkeypatch):
+    # one cell a double up, one nan cell a number, one footer value and one
+    # verify line changed: each is reported once, in its own column
+    old = _kept(monkeypatch, tmp_path / "old")
+    new = tmp_path / "new"
+    shutil.copytree(old, new)
+    _edit_cell(new / "graph2.csv", "theta", lambda c: c != "nan",
+               lambda c: repr(math.nextafter(float(c), math.inf)))
+    _edit_cell(new / "graph3.csv", "residual", lambda c: c == "nan", lambda c: "0.5")
+    bundle = new / "normal_bundle.csv"
+    bundle.write_text(bundle.read_text(encoding="utf-8").replace("# shape=circle",
+                                                                 "# shape=square"),
+                      encoding="utf-8")
+    report = new / "verify.txt"
+    first = report.read_text(encoding="utf-8").splitlines()[1]
+    report.write_text(report.read_text(encoding="utf-8").replace(first, first + " (moved)"),
+                      encoding="utf-8")
+    code, lines = _compare(monkeypatch, capsys, old, new)
+    assert code == 1 and len(lines) == 4
+    theta, residual, shape, check = lines
+    assert theta.startswith("graph2.csv  theta  changed=1  ")
+    assert "max_ulp=1  nan=0  inf=0  text=0" in theta
+    assert residual.startswith("graph3.csv  residual  changed=1  max_abs=0  max_rel=0  ")
+    assert residual.endswith("nan=1  inf=0  text=0")
+    assert shape == "normal_bundle.csv  # shape: circle -> square"
+    assert check == f"verify algebra: {first} -> {first} (moved)"
+
+
+def test_output_digests_compare_skips_the_cells_of_a_file_whose_rows_differ(
+        tmp_path, capsys, monkeypatch):
+    old = _kept(monkeypatch, tmp_path / "old")
+    new = tmp_path / "new"
+    shutil.copytree(old, new)
+    one_way = new / "soliton_one_way.csv"
+    lines = one_way.read_text(encoding="utf-8").splitlines(keepends=True)
+    one_way.write_text("".join(lines[:2] + lines[3:]).replace("# accepted=true",
+                                                              "# accepted=false"),
+                       encoding="utf-8")
+    rows = sum(not line.startswith("#") for line in lines) - 1
+    assert _compare(monkeypatch, capsys, old, new) == (1, [
+        f"soliton_one_way.csv  rows: {rows} -> {rows - 1}; cells not compared",
+        "soliton_one_way.csv  # accepted: true -> false"])

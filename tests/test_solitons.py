@@ -56,9 +56,16 @@ def _two_way(start, params, s_max, **kw):
 
 def _vector_field(y, params):
     """(dr/ds, dalpha/ds, dphi/ds) at a state y = (r, alpha, phi): the
-    engine's sigma-field divided by its ds/dsigma."""
-    f = solitons._Field(params)(np.append(y, 0.0)[:, None])[:, 0]
-    return f[:3] / f[3]
+    engine's sigma-field at y's coordinates, taken back to (r, alpha, phi)
+    by the chain rule (r' = e^rho rho'; for a definite lane alpha' = sign
+    tanh|alpha| psi' with tanh|alpha| = w / c its phi row, and phi' = sign
+    chi'), divided by its ds/dsigma."""
+    field = solitons._Field(params)
+    z, sign = field.start(np.append(y, 0.0)[None, :])
+    rho_rate, a_rate, phi_rate, s_rate = field(z.T)[:, 0]
+    if field.definite:
+        a_rate, phi_rate = sign[0] * phi_rate * a_rate, sign[0] * phi_rate
+    return np.array([np.exp(z[0, 0]) * rho_rate, a_rate, phi_rate]) / s_rate
 
 
 def test_vector_field_critical_point():
@@ -101,6 +108,18 @@ def test_a_definite_lane_on_the_alpha_zero_ray_has_no_drift():
         assert not np.isfinite(solitons.radial_weight(tr.r[-1], tr.params))
     assert tr.r[-1] > 1e3
     assert (tr.E0, tr.max_E_drift, tr.accepted) == (0.0, 0.0, True)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_definite_alpha_zero_lane_stays_on_the_ray():
+    # psi starts at PSI_ZERO, where psi' = -n + l' r^2 moves it by less than
+    # an ulp however far r runs: at l' = 1 a psi near -1000 would reach the
+    # alpha cap by r ~ 46, while the ray alpha = 0 is invariant
+    tr = _lane((1.0, 0.0, 0.25), SolitonParams(2, 1.0, "definite"), 100.0, rtol=1e-12)
+    assert tr.stop_reason == "s_max" and tr.r[-1] == pytest.approx(101.0)
+    assert np.all(tr.alpha == 0.0) and np.all(tr.phi == 0.25)
+    assert (tr.E0, tr.max_E_drift, tr.accepted) == (0.0, 0.0, True)
+    assert np.all(tr.E == 0.0)
 
 
 def test_first_integral_is_the_product_wherever_g_is_finite():
@@ -606,97 +625,126 @@ def test_lorentzian_nonpositive_lambda_bounded():
 
 # ---------------------------------------------------------------------------
 # The batched engine against scipy's DOP853 with terminal events, one
-# solve_ivp call per lane on the same sigma-system: the independent
-# reference for integrate_many.
+# solve_ivp call per lane on the same sigma-system in the same coordinates:
+# the independent reference for integrate_many.
 # ---------------------------------------------------------------------------
 
 SIGMA_SPAN = 1e3  # beyond every lane's end: each stops on an event
 
 
 def _sigma_rhs(params, direction):
-    """The sigma-system (r, alpha, phi, s)' with ds/dsigma = r / cosh alpha,
-    written out per case, run along direction.  It rounds as the engine's
-    field does (numpy's tanh and cosh, which differ from math's in about one
-    argument in seven, and the same order of operations): at atol 1e-16 the
-    first steps' error estimates are rounding noise, phi and s starting at
-    0, so a one-ulp difference in the field sends two step sequences apart."""
+    """The sigma-system (rho, alpha, phi, s)' (Lorentzian) or (rho, psi,
+    chi, s)' (definite), rho = log r, psi = log|sinh alpha|, chi = sign(alpha0)
+    phi, written out per case, run along direction.  It rounds as the
+    engine's field does (numpy's exp, tanh, cosh and hypot, and the same
+    order of operations): at atol 1e-16 the first steps' error estimates are
+    rounding noise, phi and s starting at 0, so a one-ulp difference in the
+    field sends two step sequences apart."""
     neg_n, lam = -float(params.n), float(params.lambda_prime)
 
     def rhs(t, y):
-        r, th = y[0], np.tanh(y[1])
-        rate = neg_n + lam * (r * r)
+        er = np.exp(y[0])
+        rate = neg_n + lam * (er * er)
         if params.case == "definite":
-            f = [r, rate * th, th]
+            w = np.exp(y[1])
+            c = np.hypot(1.0, w)
+            f = [1.0, rate, w / c, er / c]
         else:
-            f = [r * th, rate, 1.0]
-        return [direction * v for v in f + [r / np.cosh(y[1])]]
+            f = [np.tanh(y[1]), rate, 1.0, er / np.cosh(y[1])]
+        return [direction * v for v in f]
 
     return rhs
 
 
-def _stop_events(params, y0, s_max, s_index):
-    """Terminal events (functions, names) on states whose s, if any, is
-    component s_index; the alpha_floor rate is dalpha/ds."""
-    n, lam = params.n, params.lambda_prime
-    definite = params.case == "definite"
+def _coordinates(y0, params):
+    """The sigma-system's start (rho, alpha or psi, phi or chi, 0) of a row
+    (r, alpha, phi), and the sign of alpha0."""
+    r, a, phi = y0
+    sign = math.copysign(1.0, a)
+    if params.case == "definite":
+        psi = math.log(abs(math.sinh(a))) if a != 0.0 else solitons.PSI_ZERO
+        return np.array([math.log(r), psi, sign * phi, 0.0]), sign
+    return np.array([math.log(r), a, phi, 0.0]), sign
+
+
+def _natural(z, params, sign):
+    """(r, alpha, phi) at sigma-system states z (..., 4)."""
+    r, a, phi = np.exp(z[..., 0]), z[..., 1], z[..., 2]
+    if params.case == "definite":
+        a, phi = sign * np.arcsinh(np.exp(a)), sign * phi
+    return np.stack([r, a, phi], axis=-1)
+
+
+def _log_energy(z, params):
+    """log|E| = (psi | log cosh alpha) + n rho - l' e^(2 rho) / 2 at states z (4, ...)."""
+    h = z[1] if params.case == "definite" else np.log(np.cosh(z[1]))
+    return h + params.n * z[0] - params.lambda_prime * np.exp(2.0 * z[0]) / 2.0
+
+
+def _sigma_stop_events(params, s_max):
+    """Terminal events (functions, names) on the sigma-system's states."""
+    cap = (math.log(math.sinh(solitons.ALPHA_MAX)) if params.case == "definite"
+           else solitons.ALPHA_MAX)
 
     def ev_rmin(t, y):
-        return y[0] - solitons.R_MIN
+        return y[0] - math.log(solitons.R_MIN)
 
     def ev_rmax(t, y):
-        return y[0] - solitons.R_MAX
+        return y[0] - math.log(solitons.R_MAX)
 
     def ev_alpha(t, y):
-        return solitons.ALPHA_MAX - abs(y[1])
-
-    def ev_afloor(t, y):
-        coeff = -n / max(y[0], 1e-300) + lam * y[0]
-        return abs(y[1]) + abs(coeff * math.sinh(y[1])) - 1e-5
+        return cap - (y[1] if params.case == "definite" else abs(y[1]))
 
     def ev_smax(t, y):
-        return s_max - abs(y[s_index] if s_index is not None else t)
+        return s_max - abs(y[3])
 
     events = [ev_rmin, ev_rmax, ev_alpha, ev_smax]
-    names = ["r_min", "r_max", "alpha_max", "s_max"]
-    if definite and abs(y0[1]) > 1e-5:
-        events.append(ev_afloor)
-        names.append("alpha_floor")
     for ev in events:
         ev.terminal = True
-    return events, names
+    return events, ["r_min", "r_max", "alpha_max", "s_max"]
 
 
 def _reference_lane(y0, params, s_max, direction, rtol, atol=1e-16):
     """(stop reason, solve_ivp solution on the sigma-system, max relative
-    energy drift).  As in the engine, the end state is not the interpolant's
-    value at the event but DOP853's own step from the last knot to it."""
-    y0 = np.append(y0, 0.0)
-    events, names = _stop_events(params, y0, s_max, 3)
+    energy drift), the solution's sign of alpha0 in sol.sign.  As in the
+    engine, the end state is not the interpolant's value at the event but
+    DOP853's own step from the last knot to it, and E - E0 is E0 expm1 of
+    the change in log|E|."""
+    z0, sign = _coordinates(y0, params)
+    events, names = _sigma_stop_events(params, s_max)
     rhs = _sigma_rhs(params, direction)
-    sol = solve_ivp(rhs, (0.0, SIGMA_SPAN), y0, method="DOP853", rtol=rtol,
+    sol = solve_ivp(rhs, (0.0, SIGMA_SPAN), z0, method="DOP853", rtol=rtol,
                     atol=atol, events=events, dense_output=True)
     assert sol.status == 1, sol.message
+    sol.sign = sign
     stop = [name for name, te in zip(names, sol.t_events) if te.size][0]
     span = (sol.t[-2], sol.t[-1])
     sol.y[:, -1] = solve_ivp(rhs, span, sol.y[:, -2], method="DOP853", rtol=rtol,
                              atol=atol, first_step=span[1] - span[0]).y[:, -1]
-    E = [energy(st[:3], params) for st in sol.y.T]
-    scale = max(abs(E[0]), solitons.radial_weight(y0[0], params), 1e-300)
-    return stop, sol, max(abs(e - E[0]) for e in E) / scale
+    log_E = _log_energy(sol.y, params)
+    E0 = float(energy(np.array(y0), params))
+    scale = max(abs(E0), solitons.radial_weight(y0[0], params), 1e-300)
+    return stop, sol, abs(E0) * np.max(np.abs(np.expm1(log_E - log_E[0]))) / scale
 
 
-def _state_at_s(sol, s):
-    """The reference's (r, alpha, phi) where its monotone s(sigma) is s."""
+def _sigma_state_at_s(sol, s):
+    """A solve_ivp solution's state where its monotone s(sigma), the state's
+    last component, is s."""
     sigma = brentq(lambda t: sol.sol(t)[3] - s, 0.0, sol.t[-1], xtol=1e-15,
                    rtol=4 * np.finfo(float).eps)
-    return sol.sol(sigma)[:3]
+    return sol.sol(sigma)
+
+
+def _state_at_s(sol, s, params):
+    """The reference's (r, alpha, phi) where its monotone s(sigma) is s."""
+    return _natural(_sigma_state_at_s(sol, s), params, sol.sign)
 
 
 def _reference_class(params, y0, lanes):
     """classify on the reference's backward and forward lanes, merged."""
     (_, bwd, _), (_, fwd, _) = lanes
     states = np.concatenate([bwd.y[:, :0:-1], fwd.y], axis=1).T
-    traj = Trajectory(params, states[:, 3], states[:, :3],
+    traj = Trajectory(params, states[:, 3], _natural(states, params, fwd.sign),
                       float(energy(np.array(y0), params)), 0.0, True, "")
     return classify(traj)
 
@@ -730,7 +778,7 @@ def test_engine_matches_solve_ivp_reference(params, starts):
         assert drift <= 2.0 * tr.max_E_drift + 1e-14
         assert tr.accepted == (drift < solitons.DRIFT_TOL)
         s = np.linspace(0.02, 0.95, 40) * sol.y[3, -1]
-        ref = np.array([_state_at_s(sol, v) for v in s])
+        ref = np.array([_state_at_s(sol, v, params) for v in s])
         assert np.all(np.abs(tr.sample(s) - ref) <= 1e-9 * (1.0 + np.abs(ref)))
     merged = integrate_bidirectional_many(params, starts, s_max, rtol=rtol)
     half = len(starts)
@@ -828,10 +876,31 @@ def test_rejected_steps_match_dop853():
             assert tr.rejected_steps > 0
 
 
+def _s_form_events(s_max):
+    """Terminal events (functions, names) on the s-system's (r, alpha, phi)
+    at time s."""
+    def ev_rmin(t, y):
+        return y[0] - solitons.R_MIN
+
+    def ev_rmax(t, y):
+        return y[0] - solitons.R_MAX
+
+    def ev_alpha(t, y):
+        return solitons.ALPHA_MAX - abs(y[1])
+
+    def ev_smax(t, y):
+        return s_max - abs(t)
+
+    events = [ev_rmin, ev_rmax, ev_alpha, ev_smax]
+    for ev in events:
+        ev.terminal = True
+    return events, ["r_min", "r_max", "alpha_max", "s_max"]
+
+
 def _s_form_lane(y0, params, s_max, direction, rtol):
-    """solve_ivp's DOP853 on the s-system itself: (stop, end s, end state);
-    a step-size underflow, the s-form's only way into an r -> 0 end or an
-    alpha blow-up, is the stop "underflow"."""
+    """solve_ivp's DOP853 on the s-system itself, in (r, alpha, phi): (stop,
+    end s, end state); a step-size underflow, the s-form's only way into an
+    r -> 0 end or an alpha blow-up, is the stop "underflow"."""
     n, lam = params.n, params.lambda_prime
 
     def rhs(t, y):
@@ -840,7 +909,7 @@ def _s_form_lane(y0, params, s_max, direction, rtol):
                 else (math.sinh(y[1]), math.cosh(y[1])))
         return [direction * u, direction * (-n / r + lam * r) * v, direction * v / r]
 
-    events, names = _stop_events(params, y0, s_max, None)
+    events, names = _s_form_events(s_max)
     sol = solve_ivp(rhs, (0.0, 2 * s_max), y0, method="DOP853", rtol=rtol,
                     atol=1e-16, events=events)
     if sol.status == -1:
@@ -857,9 +926,9 @@ def _s_form_lane(y0, params, s_max, direction, rtol):
         "n3-definite"])
 def test_sigma_form_matches_s_form(params):
     # the stop s of each lane agrees with DOP853 on the untransformed
-    # system, and so does the end state of an alpha_floor, r_max or s_max
-    # stop; where that one underflows into a singular end, the sigma-form
-    # stops on the located r_min or alpha_max at the same s
+    # system in (r, alpha, phi), and so does the end state of an r_max or
+    # s_max stop; where that one underflows into a singular end, the
+    # sigma-form stops on the located r_min or alpha_max at the same s
     starts = _SAMPLE + [(2.2, 0.1, 0.0)]
     signs = np.repeat([-1.0, 1.0], len(starts))
     lanes = integrate_many(params, starts + starts, signs, 10.0, rtol=1e-12)
@@ -883,8 +952,8 @@ def test_benchmark_sweeps_have_strictly_increasing_s(half, a):
     # near an r -> 0 end ds/dsigma is below an ulp of s; every lane of the
     # phase command's 5 x 5 sweeps over the benchmark's ranges still has
     # strictly increasing s and passes exactly through its start at s = 0,
-    # and its drift stays well below the gate, the alpha_floor ends included
-    # (measured <= 5.8e-10).  Each lane's last step is redone to its event:
+    # and its drift stays well below the gate (measured <= 1.7e-12, and
+    # <= 5.8e-10 in r and alpha).  Each lane's last step is redone to its event:
     # the dense output of the redone step, not of the step the event fired
     # on, gives the end rows.
     starts = [(r, al, 0.0) for r in np.linspace(_R0 - half, _R0 + half, 5)
@@ -901,6 +970,35 @@ def test_benchmark_sweeps_have_strictly_increasing_s(half, a):
             assert np.all(np.abs(tr.sample(tr.s[[0, -1]]) - ends) <= 1e-12 * (1 + np.abs(ends)))
 
 
+def test_benchmark_sweeps_run_at_most_60_iterations(monkeypatch):
+    # a sweep costs its slowest lane's steps: each seed-61 sweep of the
+    # benchmark's phase_verify workload, one integrate_many call, runs at
+    # most 60 batched iterations (92 and 90 in r and alpha, where the r -> 0
+    # collapses and the definite lanes' decaying alpha are exponential in
+    # sigma), and no lane stops on the alpha_floor that psi replaced
+    records = _records(monkeypatch)
+    for params in (LOR1, SolitonParams(2, -1.0, "definite")):
+        trajs = integrate_bidirectional_many(params, _sweep_starts(61), 10.0, rtol=1e-12)
+        assert len(records[-1]) <= 60
+        stops = {stop for tr in trajs for stop in tr.stop_reason.split("/")}
+        assert stops <= {"r_min", "r_max", "alpha_max", "s_max"}
+    assert len(records) == 2
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_definite_lane_keeps_its_energy_to_s_max():
+    # alpha decays like r^-n e^(-r^2/2) here: it underflows to 0 in the rows
+    # and g(r) overflows past r ~ 38, while psi and rho carry log|E| to s_max
+    tr = _lane((1.0, 0.5, 0.0), SolitonParams(2, -1.0, "definite"), 40.0, rtol=1e-12)
+    assert tr.stop_reason == "s_max" and tr.s[-1] == pytest.approx(40.0)
+    assert 40.0 < tr.r[-1] < 42.0 and tr.alpha[-1] == 0.0
+    assert tr.accepted and tr.max_E_drift < solitons.DRIFT_TOL
+    # the rows' energies too: each within the drift of E0, and the ulp of E0
+    # that E0 + E0 expm1(...) rounds to
+    scale = max(tr.E0, solitons.radial_weight(1.0, tr.params))
+    assert np.max(np.abs(tr.E - tr.E0)) <= tr.max_E_drift * scale + np.spacing(tr.E0)
+
+
 def test_event_rounding_onto_the_last_knot_adds_no_state():
     # near the alpha blow-up s advances by less than an ulp per step, and the
     # alpha_max crossing can round onto the previous knot's s; the trajectory
@@ -912,6 +1010,130 @@ def test_event_rounding_onto_the_last_knot_adds_no_state():
     assert np.all(np.diff(tr.s) > 0)
     assert abs(tr.accepted_steps - (len(sol.t) - 1)) <= 2
     assert abs(tr.alpha[0]) == pytest.approx(solitons.ALPHA_MAX)
+
+
+# ---------------------------------------------------------------------------
+# integrate_many against the r-coordinate system it replaced, kept here as
+# the reference: the field in (r, alpha, phi, s), integrated by scipy's
+# DOP853 with that engine's stops, alpha_floor included (|alpha| +
+# |dalpha/ds| below 1e-5 on a definite lane that starts above it).
+# ---------------------------------------------------------------------------
+
+class _RField:
+    """(r, alpha, phi, s)' = d/dsigma at states y (4, ...) for one
+    SolitonParams, the s-system times ds/dsigma = r / cosh(alpha):
+
+        definite    (r, (-n + l' r^2) tanh(alpha), tanh(alpha), r / cosh(alpha))
+        lorentzian  (r tanh(alpha), -n + l' r^2, 1, r / cosh(alpha))
+
+    Constants are 0-d arrays: numpy combines those with small arrays faster
+    than Python floats.  bind(y, out) holds the formula; an out from
+    empty() already holds the Lorentzian phi' = 1 row, which it leaves
+    alone."""
+
+    def __init__(self, params: SolitonParams):
+        self.definite = params.case == "definite"
+        self.neg_n = np.array(-float(params.n))
+        self.lam = np.array(float(params.lambda_prime))
+
+    def empty(self, shape):
+        """An array (..., 4, N) for field values, its constant row set."""
+        out = np.empty(shape)
+        if not self.definite:
+            out[..., 2, :] = 1.0
+        return out
+
+    def bind(self, y, out):
+        """A function of no arguments that writes the field at the r and alpha
+        rows of y (4, ...) into out (4, ...), views, ufuncs and scratch rows bound
+        once; no ufunc writes over its input, which numpy does slower on one lane."""
+        r, a = y[0], y[1]
+        dr, da, dphi, ds = out
+        definite, neg_n, lam = self.definite, self.neg_n, self.lam
+        tanh, cosh, mul, add, div = np.tanh, np.cosh, np.multiply, np.add, np.divide
+        r2, lam_r2 = np.empty_like(r), np.empty_like(r)
+        th, rate = (dphi, r2) if definite else (np.empty_like(r), da)
+        times_tanh = (rate, th, da) if definite else (r, th, dr)  # alpha' or r'
+
+        def rows():
+            tanh(a, th)
+            mul(r, r, r2)
+            mul(lam, r2, lam_r2)
+            add(neg_n, lam_r2, rate)
+            mul(*times_tanh)
+            if definite:
+                np.copyto(dr, r)
+            cosh(a, r2)
+            div(r, r2, ds)
+        return rows
+
+    def __call__(self, y, out=None):
+        out = self.empty(np.shape(y)) if out is None else out
+        self.bind(y, out)()
+        return out
+
+
+def radial_weight(r, params: SolitonParams):
+    """g(r) = r^n exp(-l' r^2 / 2), the radial factor of the first integral."""
+
+
+def _r_coordinate_lane(y0, params, s_max, direction, rtol):
+    """solve_ivp's DOP853 on _RField from (r, alpha, phi) y0, with dense
+    output; its last state is its stop."""
+    field = _RField(params)
+
+    def rhs(t, y):
+        return direction * field(np.array(y)[:, None])[:, 0]
+
+    def ev_rmin(t, y):
+        return y[0] - solitons.R_MIN
+
+    def ev_rmax(t, y):
+        return y[0] - solitons.R_MAX
+
+    def ev_alpha(t, y):
+        return solitons.ALPHA_MAX - abs(y[1])
+
+    def ev_smax(t, y):
+        return s_max - abs(y[3])
+
+    def ev_afloor(t, y):
+        f = field(np.array(y)[:, None])[:, 0]
+        return abs(y[1]) + abs(f[1] / f[3]) - 1e-5
+
+    events = [ev_rmin, ev_rmax, ev_alpha, ev_smax]
+    if params.case == "definite" and abs(y0[1]) > 1e-5:
+        events.append(ev_afloor)
+    for ev in events:
+        ev.terminal = True
+    sol = solve_ivp(rhs, (0.0, SIGMA_SPAN), np.append(y0, 0.0), method="DOP853",
+                    rtol=rtol, atol=1e-16, events=events, dense_output=True)
+    assert sol.status == 1, sol.message
+    return sol
+
+
+@pytest.mark.parametrize("params", [SolitonParams(2, 1.0, "lorentzian"),
+                                    SolitonParams(2, -1.0, "definite")],
+                         ids=["lorentzian+1", "definite-1"])
+def test_first_integral_coordinates_agree_with_r_coordinates(params):
+    # the benchmark's seed-61 sweep, both directions, sampled through each
+    # dense output at 20 equal s from 0.02 to 0.95 of the span where neither
+    # lane has stopped (the r-coordinate definite lanes stop on alpha_floor
+    # at s ~ 3-4).  Bound: each accepted step of either integration commits
+    # a local error within rtol (1 + |y|) in (r, alpha, phi) (atol 1e-16 is
+    # below that), and without amplification by the flow the two global
+    # errors add up to at most (N_old + N_new) rtol (1 + |y|), N the steps
+    # of each lane
+    rtol, starts = 1e-12, _sweep_starts(61)
+    signs = np.repeat([-1.0, 1.0], len(starts))
+    lanes = integrate_many(params, starts + starts, signs, 10.0, rtol=rtol)
+    for y0, d, tr in zip(starts + starts, signs, lanes):
+        old = _r_coordinate_lane(np.array(y0), params, 10.0, d, rtol)
+        span = d * min(abs(old.y[3, -1]), abs(tr.s[-1] if d > 0 else tr.s[0]))
+        s = np.linspace(0.02, 0.95, 20) * span
+        ref = np.array([_sigma_state_at_s(old, v)[:3] for v in s])
+        steps = tr.accepted_steps + len(old.t) - 1
+        assert np.all(np.abs(tr.sample(s) - ref) <= steps * rtol * (1.0 + np.abs(ref)))
 
 
 # ---------------------------------------------------------------------------
@@ -1107,6 +1329,21 @@ def test_turning_radius_matches_brentq(monkeypatch):
     assert all(evaluations <= 15 for *_, evaluations in calls)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_turning_radius_matches_the_lambda_zero_closed_form(n):
+    # g(r) = r^n at l' = 0, so the radius is |E|^(1/n), from 1e-150 up: the
+    # bracket's lower end halves from 1e-12 as its upper end doubles from 1.
+    # Bound: log|E| and n log r each round by eps/2 |log E| in n log r, the
+    # reference's exponent 1/n by eps/2 (eps/2 |log E| / n in log r), and
+    # each radius is an ulp off at most: under 4 eps (1 + |log E|) / n
+    # relative
+    p = SolitonParams(n, 0.0, "lorentzian")
+    for E in (10.0 ** np.linspace(-300.0, 300.0, 61)).tolist():
+        bound = 4.0 * EPS * (1.0 + abs(math.log(E))) / n
+        assert abs(turning_radius(E, p, "below") / E ** (1.0 / n) - 1.0) <= bound, E
+
+
 # ---------------------------------------------------------------------------
 # The post-loop assembly of integrate_many against the one it replaced,
 # kept here as the reference: every accepted step's interpolant built
@@ -1117,6 +1354,7 @@ def test_turning_radius_matches_brentq(monkeypatch):
 
 def _per_lane_trajectories(params, field, y0, directions, steps, fired, K_last, limits):
     lanes = len(y0)
+    z0, alpha_sign = field.start(y0)
     lane = np.concatenate([st[0] for st in steps])
     accepted = np.concatenate([st[1] for st in steps])
     rejected = np.bincount(lane[~accepted], minlength=lanes)
@@ -1135,7 +1373,7 @@ def _per_lane_trajectories(params, field, y0, directions, steps, fired, K_last, 
 
     def event(x):
         y = np.where(x == 1.0, y_to, solitons._interpolate(F, y_from, x))
-        return solitons._events(y, field(y), limits)[pair_event, cols]
+        return solitons._events(y, limits, field.definite)[pair_event, cols]
 
     roots = np.full(fired.shape, np.inf)
     roots[pair_lane, pair_event] = bracket_roots(
@@ -1150,13 +1388,18 @@ def _per_lane_trajectories(params, field, y0, directions, steps, fired, K_last, 
     out = []
     for i in range(lanes):
         seg = slice(bounds[i], bounds[i + 1])
-        states = np.concatenate([y0[i:i + 1], y_all[seg]])
+        states = np.concatenate([z0[i:i + 1], y_all[seg]])
+        sign = float(alpha_sign[i])
         branch = solitons._Branch(float(directions[i]), states, h_all[seg], dense,
-                                  int(bounds[i]))
-        E = solitons.energy(states, params)
-        E0 = float(E[0])
+                                  int(bounds[i]), field, sign)
+        E0 = float(solitons.energy(y0[i:i + 1], params)[0])
         scale = max(abs(E0), float(solitons.radial_weight(y0[i, 0], params)), 1e-300)
-        drift = float(np.max(np.abs(E - E0))) / scale
+        log_E = field.log_energy(states)
+        change = np.expm1(log_E - log_E[0])
+        drift = abs(E0) * float(np.max(np.abs(change))) / scale
+        E = np.float64(E0) + np.float64(E0) * change
+        states = np.column_stack([field.natural(states, sign), E])
+        states[0, :4] = y0[i]
         ds = branch.direction * states[:, 3]
         keep = np.concatenate([[True], ds[1:] > np.maximum.accumulate(ds)[:-1]])
         keep[1:-1] &= ds[1:-1] < ds[-1]
@@ -1167,7 +1410,7 @@ def _per_lane_trajectories(params, field, y0, directions, steps, fired, K_last, 
                               accepted_steps=branch.h.size,
                               rejected_steps=int(rejected[i]),
                               dropped_knots=int(keep.size - keep.sum()),
-                              _branches=(branch,)))
+                              E=rows[:, 4], _branches=(branch,)))
     return out
 
 
@@ -1176,8 +1419,9 @@ def _bits(a):
     return a.shape, np.ascontiguousarray(a).tobytes()
 
 
-# the definite lane of the benchmark sweeps whose alpha_floor end is the
-# least accurate (seed 10, forward)
+# the definite lane of the benchmark sweeps whose end on the alpha_floor
+# stop (deleted when psi replaced alpha) was the least accurate (seed 10,
+# forward): it now runs to s_max
 _FLOOR = (0.507, -0.793, 0.0)
 
 
@@ -1202,10 +1446,10 @@ def test_assembly_matches_per_lane_reference(params, starts, signs, s_max, monke
     monkeypatch.setattr(solitons, "_trajectories", _per_lane_trajectories)
     ref = run()
     if starts == [_FLOOR]:
-        assert ours[0].stop_reason == "alpha_floor"
+        assert ours[0].stop_reason == "s_max"
     for tr, rf in zip(ours, ref):
         assert _bits(tr.s) == _bits(rf.s)
-        assert _bits(tr.states) == _bits(rf.states)
+        assert _bits(tr.states) == _bits(rf.states) and _bits(tr.E) == _bits(rf.E)
         assert tr.max_E_drift.hex() == rf.max_E_drift.hex()
         assert tr.E0.hex() == rf.E0.hex()
         assert (tr.accepted, tr.stop_reason) == (rf.accepted, rf.stop_reason)
@@ -1271,24 +1515,24 @@ def _compacting_integrate_many(params, initial, directions, s_max, *, rtol=1e-10
     y0 = np.concatenate([y0, np.zeros((lanes, 1))], axis=1)
     directions = np.broadcast_to(np.asarray(directions, dtype=float), (lanes,))
     sign = directions.copy()
-    limits = np.array([[solitons.R_MIN], [solitons.R_MAX], [solitons.ALPHA_MAX],
-                       [solitons.ALPHA_FLOOR], [float(s_max)]])
     field = solitons._Field(params)
+    cap = math.log(math.sinh(solitons.ALPHA_MAX)) if field.definite else solitons.ALPHA_MAX
+    limits = np.array([[math.log(solitons.R_MIN)], [math.log(solitons.R_MAX)], [cap],
+                       [float(s_max)]])
+    z0, alpha_sign = field.start(y0)
     rtol, atol = np.array(rtol), np.array(solitons.STEP_ATOL)
     ids = np.arange(lanes)
-    y = y0.T.copy()
+    y = z0.T.copy()
     dim = len(y)
     t = np.zeros(lanes)
     f = field(y)
     h_abs = solitons._initial_step(y, f, field, sign, rtol, atol)
     rejected = np.zeros(lanes, dtype=bool)
     retry = False
-    armed = np.ones((5, lanes), dtype=bool)
-    armed[3] = params.case == "definite"
-    armed[3] &= np.abs(y[1]) > solitons.ALPHA_FLOOR
-    sg = np.sign(solitons._events(y, f, limits))
+    armed = np.ones((4, lanes), dtype=bool)
+    sg = np.sign(solitons._events(y, limits, field.definite))
     steps = []
-    fired_rows = np.zeros((lanes, 5), dtype=bool)
+    fired_rows = np.zeros((lanes, 4), dtype=bool)
     K_last = np.empty((13, dim, lanes))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         while ids.size:
@@ -1297,7 +1541,7 @@ def _compacting_integrate_many(params, initial, directions, s_max, *, rtol=1e-10
                 h_abs = np.where(rejected, h_abs, np.maximum(h_abs, min_step))
                 under = np.flatnonzero(rejected & (h_abs < min_step))
                 if under.size:
-                    r, a = y[:2, under[0]]
+                    r, a = field.natural(y[:, under[0]], alpha_sign[ids[under[0]]])[:2]
                     raise StepFailure(f"step size underflow at r = {r:.6g}, alpha = {a:.6g}")
             else:
                 h_abs = np.maximum(h_abs, min_step)
@@ -1317,7 +1561,7 @@ def _compacting_integrate_many(params, initial, directions, s_max, *, rtol=1e-10
             if retry:
                 grow = np.where(rejected, np.minimum(1.0, grow), grow)
             steps.append((ids, accepted, h, y, y_new, K))
-            sg_new = np.sign(solitons._events(y_new, K[12], limits))
+            sg_new = np.sign(solitons._events(y_new, limits, field.definite))
             fired = armed & (sg * sg_new <= 0)
             all_accepted = accepted.all()
             if all_accepted:
@@ -1350,6 +1594,7 @@ def _assert_same_trajectories(ours, ref):
     assert len(ours) == len(ref)
     for tr, rf in zip(ours, ref):
         assert _bits(tr.s) == _bits(rf.s) and _bits(tr.states) == _bits(rf.states)
+        assert _bits(tr.E) == _bits(rf.E)
         assert (tr.E0.hex(), tr.max_E_drift.hex()) == (rf.E0.hex(), rf.max_E_drift.hex())
         assert (tr.accepted, tr.stop_reason, tr.accepted_steps, tr.rejected_steps,
                 tr.dropped_knots) == (rf.accepted, rf.stop_reason, rf.accepted_steps,
@@ -1433,7 +1678,7 @@ def _random_batch(seed):
 @pytest.mark.parametrize("seed", range(9))
 def test_random_batches_match_the_compacting_loop(seed, monkeypatch):
     # lanes that finish at different iterations, on every event; the
-    # definite l' = 1 batch of seed 8 retries 27 rejected steps while lanes
+    # definite l' = 1 batch of seed 8 retries 21 rejected steps while lanes
     # are frozen
     params, starts, signs, s_max, rtol = _random_batch(seed)
     records = _records(monkeypatch)
@@ -1443,7 +1688,7 @@ def test_random_batches_match_the_compacting_loop(seed, monkeypatch):
     steps = records[0]
     assert len({st[0].size for st in steps}) > 4
     if seed == 8:
-        assert sum(st[0].size < len(starts) and not st[1].all() for st in steps) == 27
+        assert sum(st[0].size < len(starts) and not st[1].all() for st in steps) == 21
 
 
 def _counted_runs(monkeypatch):
@@ -1481,13 +1726,13 @@ def test_step_failure_names_its_own_lane_among_frozen_ones(monkeypatch):
 
 
 def test_a_frozen_lane_never_raises_or_fires(monkeypatch):
-    # lane 0 runs into the alpha blow-up in 30 iterations and lane 1 into
-    # r -> 0 in 100.  The field is nan past lane 0's last accepted |alpha|
+    # lane 0 runs into the alpha blow-up in 31 iterations and lane 1, near
+    # the critical point, into r -> 0 in 88.  The field is nan past lane 0's last accepted |alpha|
     # by 1: had lane 0 gone on integrating, its steps would have been
     # rejected to the 10-ulp floor and raised, or its events fired again.
     # Frozen, it repeats its last state: the batch raises nothing and each
     # lane equals its batch of one, bit for bit.
-    starts, signs = [(2.31050539784756, -0.807086589460797, 0.0), (1.3, 0.1, 0.0)], [-1, 1]
+    starts, signs = [(2.31050539784756, -0.807086589460797, 0.0), (1.4, 0.02, 0.0)], [-1, 1]
     records = _records(monkeypatch)
     workspaces = []
     stages = solitons._Stages.__init__
@@ -1524,9 +1769,9 @@ def test_a_frozen_lane_on_a_zero_event_fires_once(monkeypatch):
     # fires once, and each lane equals its batch of one, bit for bit.
     events = solitons._events
 
-    def zero_past_s_max(y, f, limits):
-        ev = events(y, f, limits)
-        ev[4] = np.minimum(ev[4], 0.0)
+    def zero_past_s_max(y, limits, definite):
+        ev = events(y, limits, definite)
+        ev[3] = np.minimum(ev[3], 0.0)
         return ev
 
     monkeypatch.setattr(solitons, "_events", zero_past_s_max)

@@ -374,8 +374,12 @@ def build(doc: dict):
     prof_axis = axes[0]
     span = max(abs(prof_axis.lo), abs(prof_axis.hi))
     traj, = solitons.integrate_bidirectional_many(p, start, span, rtol=1e-12)
-    s_lo = max(prof_axis.lo, float(traj.s[0]))
-    s_hi = min(prof_axis.hi, float(traj.s[-1]))
+    # an s_max stop lands up to a few 1e-13 short of s_max: a spec end that
+    # Trajectory.sample reaches (within 1e-12 relative of the trajectory's
+    # end) stays bit for bit, and one beyond is clipped to that end
+    s_lo, s_hi = float(traj.s[0]), float(traj.s[-1])
+    s_lo = prof_axis.lo if prof_axis.lo >= s_lo * (1 + 1e-12) else s_lo
+    s_hi = prof_axis.hi if prof_axis.hi <= s_hi * (1 + 1e-12) else s_hi
     curve = solitons.reconstruct_profile(traj, count=prof_axis.count,
                                          q=params.get("q", 0),
                                          s_lo=s_lo, s_hi=s_hi)

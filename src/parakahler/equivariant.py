@@ -37,7 +37,7 @@ class ProfileCurve:
     """Uniformly sampled planar curve s -> gamma(s) in D, gamma != 0.
 
     fn, when present, is the exact parametrization (used by crossing
-    refinement); family tags the construction.
+    refinement and derivative_samples); family tags the construction.
     """
     s: np.ndarray
     gamma: np.ndarray  # (k, 2)
@@ -60,15 +60,17 @@ class ProfileCurve:
         return float(self.s[1] - self.s[0])
 
     def derivative_samples(self) -> np.ndarray:
-        """gammadot: exact when fn is known, else central differences
-        (one-sided at open ends)."""
+        """gammadot by second-order central differences (g[i+1] - g[i-1]) / 2h
+        of the samples.  When fn is known, it gives every sample both
+        neighbours: fn is evaluated once, at s[0] - h and s[-1] + h.
+        Otherwise a periodic curve wraps and an open one takes one-sided
+        differences at its ends."""
         h = self.spacing
-        if self.fn is not None:
-            d = d_array(self.fn(self.s + h))
-            d -= self.fn(self.s - h)
-            d /= 2 * h
-            return d
         g = self.gamma
+        if self.fn is not None:
+            ends = d_array(self.fn(np.array([self.s[0] - h, self.s[-1] + h])))
+            g = np.concatenate([ends[:1], g, ends[1:]])
+            return (g[2:] - g[:-2]) / (2 * h)
         if self.periodic:
             return (np.roll(g, -1, axis=0) - np.roll(g, 1, axis=0)) / (2 * h)
         d = np.empty_like(g)

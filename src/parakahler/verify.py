@@ -42,6 +42,7 @@ from .frames import (
 from .geometry import (
     GridAxis,
     SampledImmersion,
+    _with_mean_curvature,
     coordinate_tangents,
     grid_jet,
     grid_mean_curvature,
@@ -378,13 +379,14 @@ def suite_constant_angle_graphs():
     control = build_gradient_graph(axes, grad=[lambda x1, x2: 3.0 * x1 ** 2,
                                                lambda x1, x2: 0.0 * x2])
 
-    # each graph's whole-grid jet also gives the tangents and H that the
-    # checks below read at single nodes
+    # each graph's one whole-grid jet gives its angle field and H, and the
+    # tangents and H that the checks below read at single nodes
     stats, jets = {}, {}
     for name, imm in (("laplace", laplace), ("monge", monge), ("control", control)):
-        f = angle_field(imm)
+        jet = grid_jet(imm)
+        f = angle_field(imm, jet)
         spread = float(np.nanmax(f.theta) - np.nanmin(f.theta))
-        jt, mH, _, has_H = grid_mean_curvature(imm)
+        jt, mH, _, has_H = _with_mean_curvature(*jet)
         jets[name] = jt.first, np.where(has_H[..., None, None], mH / imm.m, np.nan)
         H = mH[has_H] / imm.m
         stats[name] = (spread, float(np.max(np.sqrt(np.sum(d_grading2(H), axis=-1)))), f)

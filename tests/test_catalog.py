@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from parakahler import catalog
+from parakahler import catalog, solitons
 from parakahler.dlinalg import require_lagrangian
 from parakahler.errors import LagrangianViolation, SpecValidationError
-from parakahler.geometry import coordinate_tangents
+from parakahler.geometry import GridAxis, coordinate_tangents
 
 
 def is_lagrangian(imm, node) -> bool:
@@ -101,6 +101,54 @@ def test_soliton_lift_kind():
     })
     assert meta["trajectory"].max_E_drift < 1e-8
     assert is_lagrangian(imm, (20, 3))
+
+
+def lift_grid(lo, hi):
+    """A soliton lift's profile axis [lo, hi] of 41 nodes and a 16-node circle."""
+    return {"axes": [{"min": lo, "max": hi, "count": 41},
+                     {"min": 0.0, "max": 6.283185307179586, "count": 16, "periodic": True}]}
+
+
+def lift_params(r0, alpha0, case="lorentzian", lambda_prime=1.0):
+    return {"n": 2, "lambda_prime": lambda_prime, "case": case, "r0": r0, "alpha0": alpha0}
+
+
+@pytest.mark.parametrize("spec, stops", [
+    ({"kind": "soliton_lift", "params": lift_params(1.2, 0.3),
+      "grid": lift_grid(-0.5, 0.5)}, "s_max/s_max"),
+    ({"kind": "soliton_lift", "params": lift_params(1.2, 0.3),
+      "grid": lift_grid(-0.3, 0.5)}, "s_max/s_max"),
+    ({"kind": "soliton_lift", "params": lift_params(1.2, 0.3),
+      "grid": lift_grid(-1e-3, 1e-3)}, "s_max/s_max"),
+    ({"kind": "soliton_lift", "params": lift_params(2.0, 0.1, "definite", -1.0),
+      "grid": lift_grid(-5.0, 5.0)}, "r_min/s_max"),
+    ({"kind": "soliton_lift", "params": lift_params(0.3, 1.0),
+      "grid": lift_grid(-3.0, 3.0)}, "r_min/r_min")])
+def test_soliton_lift_profile_axis_is_the_spec_axis_where_s_max_stopped(spec, stops):
+    # an s_max stop lands up to a few 1e-13 short of s_max; the spec's axis
+    # end stays, bit for bit, and only a side that stopped early is clipped
+    imm, meta = catalog.build(spec)
+    traj = meta["trajectory"]
+    assert traj.stop_reason == stops
+    axis = spec["grid"]["axes"][0]
+    bwd, fwd = stops.split("/")
+    want = GridAxis(axis["min"] if bwd == "s_max" else float(traj.s[0]),
+                    axis["max"] if fwd == "s_max" else float(traj.s[-1]), axis["count"])
+    assert imm.axes[0].nodes().tobytes() == want.nodes().tobytes()
+
+
+def test_soliton_lift_clips_an_end_beyond_what_sample_reaches(monkeypatch):
+    # an s_max stop 1e-9 relative short of the spec's end is beyond
+    # Trajectory.sample's 1e-12 relative reach: that end is clipped
+    integrate = solitons.integrate_bidirectional_many
+    monkeypatch.setattr(solitons, "integrate_bidirectional_many",
+                        lambda p, start, span, **kw: integrate(p, start, span * (1 - 1e-9), **kw))
+    imm, meta = catalog.build({"kind": "soliton_lift", "params": lift_params(1.2, 0.3),
+                               "grid": lift_grid(-0.5, 0.5)})
+    traj = meta["trajectory"]
+    assert traj.stop_reason == "s_max/s_max" and traj.s[-1] < 0.5 * (1 - 1e-10)
+    want = GridAxis(float(traj.s[0]), float(traj.s[-1]), 41)
+    assert imm.axes[0].nodes().tobytes() == want.nodes().tobytes()
 
 
 def test_schema_rejects_bad_family():

@@ -244,6 +244,38 @@ def test_rewritten_kernels_keep_every_bit(shape, rng):
             assert same_bits(mine, ref)
 
 
+def _polar_stacks(rng):
+    """D-value stacks by how many of their values are null at every tolerance
+    below: none (20001 finite values off the light cone, signed zeros in
+    either component of some), some (nan, +-inf, exact nulls and (0, 0)
+    among finite ones) and all; an empty stack; a 0-d value of each kind."""
+    finite = rng.normal(size=(20001, 2)) * np.exp(rng.uniform(-30, 30, size=(20001, 1)))
+    finite[np.abs(np.abs(finite[:, 0]) - np.abs(finite[:, 1])) < 1e-3 * np.abs(finite[:, 0]),
+           1] *= 2.0
+    finite[3::101, 0] = -0.0
+    finite[5::101, 1] = 0.0
+    nulls = np.array([[np.nan, 1.0], [2.0, np.nan], [np.inf, 1.0], [-np.inf, -np.inf],
+                      [3.0, -3.0], [-0.5, -0.5], [0.0, -0.0], [-0.0, 0.0]])
+    some = finite[:200].copy()
+    some[::25] = nulls
+    return {"none": finite, "some": some, "all": nulls, "empty": np.empty((0, 2)),
+            "0-d": finite[0], "0-d null": nulls[2]}
+
+
+@pytest.mark.parametrize("kind", ["none", "some", "all", "empty", "0-d", "0-d null"])
+def test_d_polar_keeps_every_bit_with_and_without_null_values(kind, rng):
+    # d_polar keeps every bit whether none, some or all values are null
+    a = _polar_stacks(rng)[kind]
+    with np.errstate(all="ignore"):
+        for tol in (NULL_TOL, DEGENERACY_TOL, 0.0):
+            got, ref = d_polar(a, tol), _d_polar_before(a, tol)
+            nulls, size = int(ref[-1].sum()), ref[-1].size
+            assert (0 < nulls < size) if kind == "some" else \
+                nulls == (size if kind in ("all", "0-d null") else 0)
+            for mine, want in zip(got, ref, strict=True):
+                assert same_bits(mine, want)
+
+
 @pytest.mark.parametrize("lead_a, lead_b", [((4,), ()), ((), (200,)), ((3, 1), (1, 5)),
                                             ((20001,), (1,))], ids=str)
 def test_rewritten_d_mul_keeps_every_bit_when_broadcasting(lead_a, lead_b, rng):

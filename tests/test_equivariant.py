@@ -106,10 +106,43 @@ def test_level_samples_and_derivatives_keep_every_bit(n, which, C, lo, hi):
     dense = profile_from_function(curve.fn, lo, hi, 20001)
     h = dense.spacing
     assert dense.gamma.tobytes() == _level_samples_before(n, C, which, dense.s).tobytes()
-    ref = (_level_samples_before(n, C, which, dense.s + h)
-           - _level_samples_before(n, C, which, dense.s - h)) / (2 * h)
+    # central differences of the samples, with fn's value one spacing
+    # beyond each end as the end samples' outer neighbours
+    s = np.concatenate([[dense.s[0] - h], dense.s, [dense.s[-1] + h]])
+    g = _level_samples_before(n, C, which, s)
+    ref = (g[2:] - g[:-2]) / (2 * h)
     assert dense.derivative_samples().tobytes() == ref.tobytes()
     assert curve.fn(lo).tobytes() == _level_samples_before(n, C, which, lo).tobytes()
+
+
+@pytest.mark.parametrize("curve", [
+    profile_from_function(level_curve(2, 1.3, "re", -2.0, 2.0, 3).fn, -2.0, 2.0, 20001),
+    profile_from_function(level_curve(2, 0.8, "im", 0.2, 2.2, 3).fn, 0.2, 2.2, 20001),
+    profile_from_function(level_curve(3, 1.0, "re", -1.5, 1.5, 3).fn, -1.5, 1.5, 20001),
+    profile_from_function(level_curve(3, 1.0, "im", 0.15, 1.5, 3).fn, 0.15, 1.5, 20001),
+    explicit_circle(1.3, 20000),
+], ids=["re2", "im2", "re3", "im3", "periodic-circle"])
+def test_sample_differences_stay_within_rounding_of_fn_differences(curve):
+    # The samples' central difference (g[i+1] - g[i-1]) / 2h against
+    # (fn(s + h) - fn(s - h)) / 2h.  They differ in two ways:
+    # - the arguments: s[i] + h is not s[i+1] in doubles.  linspace's
+    #   s[i] = lo + i * step rounds twice (1/2 ulp of i * step <= 2S, 1/2
+    #   ulp of S, S = max |s|), h = s[1] - s[0] is within 1/2 ulp(S) of
+    #   step, and s + h rounds once more: |s[i] + h - s[i+1]| <= 4 ulp(S)
+    #   + 1/2 ulp(h) <= 5 ulp(S), which moves a difference quotient by up to
+    #   max|gammadot| * 2 * 5 ulp(S) / 2h;
+    # - the rounding of fn: four evaluations at different points, each
+    #   within 16 ulp of max|gamma| of the curve (a few correctly rounded
+    #   operations and libm calls whose errors the closed forms amplify by
+    #   at most |n phi| <= 4.5), so 4 * 16 ulp(max|gamma|) / 2h more;
+    # plus the rounding of either quotient itself, 1 ulp(max|gammadot|) each.
+    h = curve.spacing
+    old = (curve.fn(curve.s + h) - curve.fn(curve.s - h)) / (2 * h)
+    new = curve.derivative_samples()
+    S, G, G1 = (float(np.max(np.abs(v))) for v in (curve.s, curve.gamma, old))
+    bound = (G1 * 2 * 5 * np.spacing(S) + 4 * 16 * np.spacing(G)) / (2 * h) \
+        + 2 * np.spacing(G1)
+    assert np.max(np.abs(new - old)) <= bound
 
 
 def test_torus_angle_field_structure():

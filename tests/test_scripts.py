@@ -120,6 +120,30 @@ def test_suite_timings_prints_each_suite_of_each_tree_and_the_rounds_won(capsys,
     assert lines[-1] in (f"{src} beat {src} in {k} of 1 rounds" for k in (0, 1))
 
 
+def test_suite_timings_checks_prints_every_check_of_each_tree_once(capsys, monkeypatch):
+    from parakahler import verify
+
+    src = SCRIPTS.parent / "src"
+    assert run_script("suite_timings", monkeypatch, "--rounds", "1", "--passes", "1",
+                      "--checks", "--src", str(src), str(src)) == 0
+    _, *lines = capsys.readouterr().out.splitlines()
+    suites = load_script("suite_timings").SUITES
+    want = [f"{suite}: {check.name}" for suite in suites for check in verify.run_suite(suite)]
+    assert len(set(want)) == len(want)
+    per_tree = 13 + len(want)
+    assert len(lines) == 2 * per_tree + 1 and lines[0] == lines[per_tree] == f"{src}:"
+    for tree in (lines[13:per_tree], lines[per_tree + 13:]):
+        names, ms = zip(*(line.rsplit(None, 1) for line in tree[:len(want)]))
+        assert [n.strip() for n in names] == want
+        assert all(float(t) >= 0.0 for t in ms)
+
+
+def test_suite_timings_times_checks_only_with_checks():
+    # without --checks the children leave verify._check unwrapped
+    script = load_script("suite_timings")
+    assert script.run_child(SCRIPTS.parent / "src", 1)["checks"] == {}
+
+
 def test_suite_timings_runs_the_benchmark_phase_sweeps(monkeypatch):
     # seed 61 of perfbench's PhaseSweep, the inputs of phase_verify's passes
     spec = importlib.util.spec_from_file_location(

@@ -4,8 +4,10 @@ import sys
 import numpy as np
 import pytest
 
+from conftest import same_bits
 from parakahler import dlinalg, frames, geometry, nodesets, structures, verify
 from parakahler.cli import main
+from parakahler.lagrangian import angle_field, build_gradient_graph
 
 POINT_QUERY_SUITES = ("gram-lemma", "null-product", "constant-angle-graphs")
 
@@ -64,6 +66,37 @@ def test_point_query_suites_take_no_whole_grid_tangents(monkeypatch):
     assert [len(c) for c in calls.values()] == [1, 1]
     assert all(len(args) == 2 and args[1] is not None for c in calls.values() for args in c)
     assert [len(c) for c in stacks.values()] == [4, 3]
+
+
+def _constant_angle_graphs():
+    """The constant-angle-graphs suite's three gradient graphs on 33^2 nodes."""
+    axes = tuple(geometry.GridAxis(-0.5, 0.5, 33) for _ in range(2))
+    grads = {"laplace": [lambda x1, x2: 0.5 * x1, lambda x1, x2: -0.5 * x2],
+             "monge": [lambda x1, x2: 2.0 * x1, lambda x1, x2: -0.5 * x2],
+             "control": [lambda x1, x2: 3.0 * x1 ** 2, lambda x1, x2: 0.0 * x2]}
+    return {name: build_gradient_graph(axes, grad=grad) for name, grad in grads.items()}
+
+
+@pytest.mark.parametrize("name", ["laplace", "monge", "control"])
+def test_one_jet_per_graph_keeps_every_bit_of_the_field_and_H(name):
+    # constant-angle-graphs reads a graph's angle field and H from one
+    # whole-grid jet, where it once called angle_field and grid_mean_curvature
+    imm = _constant_angle_graphs()[name]
+    jet = geometry.grid_jet(imm)
+    f, (_, mH, _, has_H) = angle_field(imm, jet), geometry._with_mean_curvature(*jet)
+    ref, (_, ref_mH, _, ref_has_H) = angle_field(imm), geometry.grid_mean_curvature(imm)
+    assert same_bits(f.theta, ref.theta) and same_bits(f.q, ref.q)
+    assert same_bits(f.usable, ref.usable)
+    assert same_bits(mH / imm.m, ref_mH / imm.m) and same_bits(has_H, ref_has_H)
+
+
+def test_constant_angle_graphs_difference_each_graph_once(monkeypatch):
+    # three whole-grid differencings, one per graph, where there were six
+    calls = []
+    for fn in (geometry.coordinate_tangents, geometry.grid_jet):
+        _spy(monkeypatch, fn, calls)
+    assert all(check.passed for check in verify.run_suite("constant-angle-graphs"))
+    assert sum(len(args) == 1 or args[1] is None for args in calls) == 3
 
 
 @pytest.mark.parametrize("suite, groups", [
